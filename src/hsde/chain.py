@@ -10,24 +10,42 @@ so parallel chains are independent and any chain is reproducible in
 isolation. A trace keeps every `thinning`-th state after `burn_in` steps;
 defaults follow the oracle protocol used throughout the verification suite
 (burn-in 2000, thinning 500).
+
+`run_ensemble` advances R chains together as the rows of (R, d) arrays, each
+on its own streams above. Noise is drawn per chain in chunks of steps, and
+the schedule is asked for a chunk of batch ids ahead; a stream gives the
+same numbers whether drawn one step at a time or a chunk at a time, so every
+chain's trace is bit-identical to the one it gives run alone. `run_chain` is
+the one-chain ensemble.
 """
 
 from __future__ import annotations
 
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .batching import BatchSchedule
-from .core import MassMatrix, RngStream, State
-from .integrators import DivergenceError, IntegratorSpec, Scheme, compile_step
+from .batching import BatchMode, BatchSchedule
+from .core import RngStream, State
+from .integrators import (
+    DivergenceError,
+    IntegratorSpec,
+    Scheme,
+    compile_ensemble_step,
+    noise_draws,
+)
 from .potentials import Potential
 
-__all__ = ["ChainConfig", "Trace", "run_chain", "ergodic_average", "acf1", "save_trace"]
+__all__ = ["ChainConfig", "Trace", "run_chain", "run_ensemble", "ergodic_average",
+           "acf1", "save_trace"]
 
 _MULTI_TIME = (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
+
+# steps of noise and batch ids drawn per chain at a time
+_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -99,96 +117,173 @@ def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
     return State(r=r, theta=theta)
 
 
-def _providers(P: Potential, sched: BatchSchedule):
-    """Per-batch gradient and Hessian-vector closures with the K rescale baked in."""
-    grads: dict = {None: lambda th: P.gradient(th, None)}
-    hesses: dict = {None: lambda th, v: P.hessian_vec(th, v, None)}
-    K = float(sched.n_batches)
+def _finite(r: np.ndarray, th: np.ndarray) -> bool:
+    """Whether sum(r) + sum(theta) is finite for every row: a chain has
+    diverged once NaN or +-inf appears anywhere in its state."""
+    if len(r) == 1:
+        # a lone chain's own test, the cheapest form on the longest runs
+        return math.isfinite(float(r.sum()) + float(th.sum()))
+    # finite row totals can only add up to inf, never to NaN, so a finite
+    # grand total clears every row and a non-finite one is rechecked per row
+    return math.isfinite(np.add.reduce(r.sum(axis=1) + th.sum(axis=1)))
 
-    def make(b):
-        def g(th, _b=b):
-            return K * P.gradient(th, _b)
 
-        def h(th, v, _b=b):
-            return K * P.hessian_vec(th, v, _b)
+def _divergence(spec: IntegratorSpec, step_index: int, r, th, thetas, momenta):
+    err = DivergenceError("chain diverged", r=r.copy(), theta=th.copy(),
+                          step_index=step_index, eta=spec.eta, scheme=spec.scheme)
+    err.partial = (thetas.copy(), momenta.copy())
+    return err
 
-        return g, h
 
-    for b in range(sched.n_batches):
-        grads[b], hesses[b] = make(b)
-    return grads, hesses
+class _Feed:
+    """Hands out a chunk's pre-drawn noise to a stepper, one (R, d) draw per
+    `normal` call, in the order the stepper asks for them."""
+
+    def __init__(self, draws: np.ndarray):
+        self._next = iter(draws).__next__
+
+    def normal(self, d: int) -> np.ndarray:
+        return self._next()
+
+
+def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace]:
+    """Run R independent chains in lockstep as the rows of (R, d) arrays.
+
+    Chain c is (specs[c], scheds[c], cfgs[c], chain_indices[c]) with its
+    own streams, and its trace equals the one that chain gives run alone,
+    bit for bit. The chains share the potential, the
+    scheme, n_inner and the run length (n_samples, burn_in, thinning); step
+    size, friction, mass, seed, start and schedule may differ per chain.
+    Each trace's meta["wall_time_s"] is the wall time of the whole run.
+
+    If chains diverge, raises the DivergenceError of the first diverging
+    chain in list order, carrying its own step index, scheme, eta and kept
+    samples (`partial`). The run goes on until no earlier chain is left that
+    could diverge first.
+    """
+    specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
+    R = len(specs)
+    idx = [int(c) for c in chain_indices]
+    if R == 0 or not R == len(scheds) == len(cfgs) == len(idx):
+        raise ValueError("an ensemble needs one spec, schedule, config and index per chain")
+    for spec, sched in zip(specs, scheds):
+        if spec.eta <= 0:
+            raise ValueError("running a chain requires eta > 0")
+        if P.dim != spec.mass.dim:
+            raise ValueError("potential and mass matrix dimensions differ")
+        if sched.mode is not BatchMode.FULL and sched.n_batches != P.n_batches:
+            raise ValueError("schedule and potential disagree on the batch count")
+    if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
+        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
+
+    t0 = time.perf_counter()
+    starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
+    rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, idx)]
+    full = [s.mode is BatchMode.FULL for s in scheds]
+    n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
+    total_steps = burn_in + n * thin
+    d = P.dim
+    n_draws = noise_draws(specs[0].scheme)
+    thetas = np.empty((R, n, d))
+    momenta = np.empty((R, n, d))
+    steps = np.empty(n, dtype=np.int64)
+    r = np.stack([z.r for z in starts])
+    th = np.stack([z.theta for z in starts])
+
+    stepper = compile_ensemble_step(specs)
+    ids = scale = None
+    if not all(full):
+        # (R, d) like the state: same-shape products skip broadcasting
+        scale = np.stack([np.full(d, 1.0 if f else float(s.n_batches))
+                          for f, s in zip(full, scheds)])
+
+    def grad(x):
+        g = P.gradient_many(x, ids)
+        return g if scale is None else scale * g
+
+    def hess(x, v):
+        h = P.hessian_vec_many(x, v, ids)
+        return h if scale is None else scale * h
+
+    errors: dict = {}
+    kept = 0
+    i = 0
+    # diverging chains overflow and then step on as NaN rows: no warnings,
+    # the finiteness check below reports each chain once
+    with np.errstate(all="ignore"):
+        while i < total_steps and 0 not in errors:
+            # noise and batch ids for the next m steps, drawn per chain in the
+            # order its steps would draw them one by one
+            m = min(_CHUNK, total_steps - i)
+            feed = _Feed(np.stack([rng.normal(m * n_draws * d).reshape(m * n_draws, d)
+                                   for rng in rngs], axis=1))
+            if scale is not None:
+                ids_chunk = np.array(
+                    [[-1] * m if f else [s.next()[0] for _ in range(m)]
+                     for f, s in zip(full, scheds)], dtype=np.int64).T.copy()
+            for j in range(m):
+                i += 1
+                if scale is not None:
+                    ids = ids_chunk[j]
+                r, th = stepper(r, th, grad, hess, feed)
+                if not _finite(r, th):
+                    bad = ~np.isfinite(r.sum(axis=1) + th.sum(axis=1))
+                    for c in np.flatnonzero(bad).tolist():
+                        if c not in errors:
+                            errors[c] = _divergence(specs[c], i, r[c], th[c],
+                                                    thetas[c, :kept], momenta[c, :kept])
+                    if 0 in errors:
+                        # no earlier chain is left to diverge first
+                        break
+                if i > burn_in and (i - burn_in) % thin == 0:
+                    thetas[:, kept] = th
+                    momenta[:, kept] = r
+                    steps[kept] = i
+                    kept += 1
+    if errors:
+        raise errors[min(errors)]
+
+    wall = time.perf_counter() - t0
+    traces = []
+    for c in range(R):
+        spec, sched, cfg = specs[c], scheds[c], cfgs[c]
+        dt = _step_duration(spec)
+        meta = {
+            "scheme": spec.scheme.value,
+            "eta": spec.eta,
+            "friction": spec.friction,
+            "n_inner": spec.n_inner,
+            "v_hat": spec.v_hat,
+            "mode": sched.mode.value,
+            "K": sched.n_batches,
+            "n_samples": n,
+            "burn_in": burn_in,
+            "thinning": thin,
+            "seed": cfg.seed,
+            "chain_index": idx[c],
+            "dim": d,
+            "wall_time_s": wall,
+        }
+        traces.append(Trace(
+            thetas=thetas[c],
+            momenta=momenta[c],
+            steps=steps if c == R - 1 else steps.copy(),
+            times=steps.astype(float) * dt,
+            meta=meta,
+            effective_time=total_steps * dt,
+        ))
+    return traces
 
 
 def run_chain(P: Potential, spec: IntegratorSpec, sched: BatchSchedule,
               cfg: ChainConfig, chain_index: int = 0) -> Trace:
     """Run one chain; deterministic given (cfg.seed, chain_index).
 
-    Raises DivergenceError (with step index and the samples kept so far
-    attached as `partial`) if the state leaves the finite range.
+    The one-chain ensemble. Raises DivergenceError (with step index and the
+    samples kept so far attached as `partial`) if the state leaves the
+    finite range.
     """
-    if spec.eta <= 0:
-        raise ValueError("running a chain requires eta > 0")
-    if P.dim != spec.mass.dim:
-        raise ValueError("potential and mass matrix dimensions differ")
-    if sched.mode.value != "full" and sched.n_batches != P.n_batches:
-        raise ValueError("schedule and potential disagree on the batch count")
-
-    t0 = time.perf_counter()
-    z0 = _initial_state(P, spec, cfg, chain_index)
-    rng = RngStream(cfg.seed, 4 * chain_index)
-    stepper = compile_step(spec)
-    grads, hesses = _providers(P, sched)
-
-    d = P.dim
-    n = cfg.n_samples
-    thetas = np.empty((n, d))
-    momenta = np.empty((n, d))
-    steps = np.empty(n, dtype=np.int64)
-    dt = _step_duration(spec)
-    total_steps = cfg.burn_in + n * cfg.thinning
-
-    r, th = z0.r.copy(), z0.theta.copy()
-    kept = 0
-    for i in range(1, total_steps + 1):
-        batch, _scale = sched.next()
-        r, th = stepper(r, th, grads[batch], hesses[batch], rng)
-        if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
-            err = DivergenceError(
-                "chain diverged", r=r, theta=th, step_index=i, eta=spec.eta,
-                scheme=spec.scheme,
-            )
-            err.partial = (thetas[:kept].copy(), momenta[:kept].copy())
-            raise err
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
-            thetas[kept] = th
-            momenta[kept] = r
-            steps[kept] = i
-            kept += 1
-
-    meta = {
-        "scheme": spec.scheme.value,
-        "eta": spec.eta,
-        "friction": spec.friction,
-        "n_inner": spec.n_inner,
-        "v_hat": spec.v_hat,
-        "mode": sched.mode.value,
-        "K": sched.n_batches,
-        "n_samples": n,
-        "burn_in": cfg.burn_in,
-        "thinning": cfg.thinning,
-        "seed": cfg.seed,
-        "chain_index": chain_index,
-        "dim": d,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return Trace(
-        thetas=thetas,
-        momenta=momenta,
-        steps=steps,
-        times=steps.astype(float) * dt,
-        meta=meta,
-        effective_time=total_steps * dt,
-    )
+    return run_ensemble(P, [spec], [sched], [cfg], [chain_index])[0]
 
 
 def ergodic_average(trace: Trace, phi: Callable[[State], float]) -> float:

@@ -24,7 +24,6 @@ __all__ = [
     "RngStream",
     "kinetic_energy",
     "hamiltonian",
-    "standard_normal_vector",
 ]
 
 _U64 = 2**64
@@ -175,8 +174,3 @@ def kinetic_energy(r: np.ndarray, M: MassMatrix) -> float:
 def hamiltonian(z: State, potential_value: Callable[[np.ndarray], float], M: MassMatrix) -> float:
     """H(z) = U(theta) + T(r)."""
     return float(potential_value(z.theta)) + kinetic_energy(z.r, M)
-
-
-def standard_normal_vector(rng: RngStream, d: int) -> np.ndarray:
-    """d iid N(0, 1) draws from the stream (deterministic given its key and cursor)."""
-    return rng.normal(d)

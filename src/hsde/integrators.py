@@ -47,6 +47,8 @@ __all__ = [
     "ou_exact_step",
     "partial_refresh_alpha",
     "compile_step",
+    "compile_ensemble_step",
+    "noise_draws",
     "step",
     "euler_step",
     "leapfrog_step",
@@ -162,11 +164,179 @@ def ou_exact_step(r, f, eta: float, friction: float, mass: MassMatrix, rng: RngS
     return decay * (r - mu) + mu + noise_std * rng.normal(r.size)
 
 
-def _det_leapfrog(r, th, grad: GradFn, eta: float, inv: np.ndarray):
-    th_half = th + (0.5 * eta) * r * inv
+def _det_leapfrog(r, th, grad: GradFn, half_eta, eta, inv):
+    th_half = th + half_eta * r * inv
     r_new = r - eta * grad(th_half)
-    th_new = th_half + (0.5 * eta) * r_new * inv
+    th_new = th_half + half_eta * r_new * inv
     return r_new, th_new
+
+
+_MT3_C1, _MT3_C2 = 7.0 / 24.0, 3.0 / 8.0
+
+
+def noise_draws(scheme) -> int:
+    """How many d-vectors of noise one step of the scheme draws."""
+    return 2 if Scheme(scheme) in (Scheme.SYMMETRIC, Scheme.MT3) else 1
+
+
+def _constants(spec: IntegratorSpec) -> dict:
+    """Everything a stepper multiplies by, from the spec's Python-float eta.
+
+    Scalar products are formed here in the order the step formulas evaluate
+    them (eta * C * r is (eta * C) * r), so a stepper gets the same bits
+    whether it receives them as floats or as arrays. Ensembles stack these
+    per chain rather than recomputing them on arrays, where eta**1.5 and
+    friends can round differently in the last bit.
+    """
+    eta = spec.eta
+    C = spec.friction
+    inv = spec.mass.inv_diag
+    diag = spec.mass.diag
+    scheme = spec.scheme
+    k = {"eta": eta, "half_eta": 0.5 * eta, "eta_C": eta * C, "C": C, "inv": inv}
+
+    if scheme is Scheme.EULER:
+        k["noise_std"] = np.sqrt(2.0 * C * eta)
+    elif scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
+        v_hat = spec.v_hat if scheme is Scheme.SGHMC else 0.0
+        k["noise_std"] = np.sqrt(2.0 * (C - v_hat) * eta)
+    elif scheme is Scheme.SPV:
+        x = C * eta * inv
+        k["decay"] = np.exp(-x)
+        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x))
+        # eta * (1 - e^{-x}) / x, continuous at x = 0 where it equals eta;
+        # this times grad recovers the leapfrog kick in the frictionless limit
+        kick = np.full(spec.dim, eta)
+        nz = x > 0
+        kick[nz] = eta * -np.expm1(-x[nz]) / x[nz]
+        k["kick"] = kick
+    elif scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
+        x = C * spec.n_inner * eta * inv
+        k["decay"] = np.exp(-x)
+        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x))
+    elif scheme is Scheme.SYMMETRIC:
+        x_half = C * (0.5 * eta) * inv
+        k["decay"] = np.exp(-x_half)
+        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x_half))
+    elif scheme is Scheme.MT3:
+        k["den1"] = 1.0 + _MT3_C1 * eta * C * inv
+        k["den2"] = 1.0 + _MT3_C2 * eta * C * inv
+        k["den3"] = 1.0 + eta * C * inv
+        s2c = np.sqrt(2.0 * C)
+        amp_mix = eta**1.5 * s2c
+        amp_high = eta**2.5 / 6.0 * s2c
+        k.update(
+            c1_eta=_MT3_C1 * eta, c2_eta=_MT3_C2 * eta, r_f=(2.0 / 3.0) * eta,
+            th2_r=(25.0 / 24.0) * eta, th2_f1=0.5 * eta * eta,
+            th3_f1=(17.0 / 36.0) * eta * eta, th3_f2=(1.0 / 36.0) * eta * eta,
+            amp_r=np.sqrt(eta) * s2c, amp_mix=amp_mix, amp_mix_C=amp_mix * C,
+            amp_high=amp_high, amp_high_C=amp_high * C, amp_high_CC=amp_high * C * C,
+        )
+    return k
+
+
+def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
+    """The stepper for one scheme over the constants in k.
+
+    Every operation is elementwise, so the same code steps one chain
+    (constants are floats and d-vectors, state is (d,)) or R chains
+    (constants and state are (R, d) arrays).
+    """
+    eta, half_eta, eta_C, C, inv = (k["eta"], k["half_eta"], k["eta_C"], k["C"],
+                                    k["inv"])
+
+    if scheme is Scheme.EULER:
+        noise_std = k["noise_std"]
+
+        def stepper(r, th, grad, hess, rng):
+            th_new = th + eta * r * inv
+            r_new = r - eta_C * r * inv - eta * grad(th) + noise_std * rng.normal(d)
+            return r_new, th_new
+
+        return stepper
+
+    if scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
+        noise_std = k["noise_std"]
+
+        def stepper(r, th, grad, hess, rng):
+            th_half = th + half_eta * r * inv
+            r_new = r - eta * grad(th_half) - eta_C * r * inv + noise_std * rng.normal(d)
+            th_new = th_half + half_eta * r_new * inv
+            return r_new, th_new
+
+        return stepper
+
+    if scheme is Scheme.SPV:
+        decay, noise_std, kick = k["decay"], k["noise_std"], k["kick"]
+
+        def stepper(r, th, grad, hess, rng):
+            th_half = th + half_eta * r * inv
+            r_new = decay * r - kick * grad(th_half) + noise_std * rng.normal(d)
+            th_new = th_half + half_eta * r_new * inv
+            return r_new, th_new
+
+        return stepper
+
+    if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
+        decay, noise_std = k["decay"], k["noise_std"]
+
+        def stepper(r, th, grad, hess, rng):
+            for _ in range(n_inner):
+                r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
+            r = decay * r + noise_std * rng.normal(d)
+            return r, th
+
+        return stepper
+
+    if scheme is Scheme.SYMMETRIC:
+        decay, noise_std = k["decay"], k["noise_std"]
+
+        def stepper(r, th, grad, hess, rng):
+            r = decay * r + noise_std * rng.normal(d)
+            r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
+            r = decay * r + noise_std * rng.normal(d)
+            return r, th
+
+        return stepper
+
+    if scheme is Scheme.MT3:
+        den1, den2, den3 = k["den1"], k["den2"], k["den3"]
+        c1_eta, c2_eta, r_f = k["c1_eta"], k["c2_eta"], k["r_f"]
+        th2_r, th2_f1, th3_f1, th3_f2 = k["th2_r"], k["th2_f1"], k["th3_f1"], k["th3_f2"]
+        amp_r, amp_mix, amp_mix_C = k["amp_r"], k["amp_mix"], k["amp_mix_C"]
+        amp_high, amp_high_C, amp_high_CC = k["amp_high"], k["amp_high_C"], k["amp_high_CC"]
+
+        def stepper(r, th, grad, hess, rng):
+            th1 = th + c1_eta * r * inv
+            g1 = grad(th1)
+            r1 = (r - c1_eta * g1) / den1
+            F1 = -g1 - C * r1 * inv
+
+            th2 = th + th2_r * r * inv + th2_f1 * F1 * inv
+            g2 = grad(th2)
+            r2 = (r + r_f * F1 - c2_eta * g2) / den2
+            F2 = -g2 - C * r2 * inv
+
+            th3 = th + eta * r * inv + th3_f1 * F1 * inv + th3_f2 * F2 * inv
+            g3 = grad(th3)
+            r3 = (r + r_f * (F1 - F2) - eta * g3) / den3
+
+            w1 = rng.normal(d)
+            w2 = rng.normal(d)
+            mix = w1 * 0.5 + w2
+            th_new = th3 + amp_mix * mix * inv - amp_high_C * w1 * inv * inv
+            r_new = (
+                r3
+                + amp_r * w1
+                - amp_mix_C * mix * inv
+                - amp_high * hess(th3, w1 * inv)
+                + amp_high_CC * w1 * inv * inv
+            )
+            return r_new, th_new
+
+        return stepper
+
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def compile_step(spec: IntegratorSpec) -> Callable:
@@ -181,128 +351,30 @@ def compile_step(spec: IntegratorSpec) -> Callable:
     SYMMETRIC: two d-vectors (first then second half refresh).
     MT3: two d-vectors (w1, the sqrt-eta one, then w2).
     """
-    eta = spec.eta
-    C = spec.friction
-    inv = spec.mass.inv_diag
-    diag = spec.mass.diag
-    d = spec.mass.dim
-    scheme = spec.scheme
+    return _kernel(spec.scheme, spec.n_inner, spec.dim, _constants(spec))
 
-    if scheme is Scheme.EULER:
-        noise_std = np.sqrt(2.0 * C * eta)
 
-        def stepper(r, th, grad, hess, rng):
-            th_new = th + eta * r * inv
-            r_new = r - eta * C * r * inv - eta * grad(th) + noise_std * rng.normal(d)
-            return r_new, th_new
+def compile_ensemble_step(specs) -> Callable:
+    """One raw stepper for R chains held as the rows of (R, d) arrays.
 
-        return stepper
-
-    if scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
-        v_hat = spec.v_hat if scheme is Scheme.SGHMC else 0.0
-        noise_std = np.sqrt(2.0 * (C - v_hat) * eta)
-
-        def stepper(r, th, grad, hess, rng):
-            th_half = th + (0.5 * eta) * r * inv
-            r_new = (
-                r - eta * grad(th_half) - eta * C * r * inv + noise_std * rng.normal(d)
-            )
-            th_new = th_half + (0.5 * eta) * r_new * inv
-            return r_new, th_new
-
-        return stepper
-
-    if scheme is Scheme.SPV:
-        x = C * eta * inv
-        decay = np.exp(-x)
-        noise_std = np.sqrt(diag * -np.expm1(-2.0 * x))
-        # eta * (1 - e^{-x}) / x, continuous at x = 0 where it equals eta;
-        # this times grad recovers the leapfrog kick in the frictionless limit
-        kick = np.full(d, eta)
-        nz = x > 0
-        kick[nz] = eta * -np.expm1(-x[nz]) / x[nz]
-
-        def stepper(r, th, grad, hess, rng):
-            th_half = th + (0.5 * eta) * r * inv
-            r_new = decay * r - kick * grad(th_half) + noise_std * rng.normal(d)
-            th_new = th_half + (0.5 * eta) * r_new * inv
-            return r_new, th_new
-
-        return stepper
-
-    if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        n_inner = spec.n_inner
-        x = C * n_inner * eta * inv
-        decay = np.exp(-x)
-        noise_std = np.sqrt(diag * -np.expm1(-2.0 * x))
-
-        def stepper(r, th, grad, hess, rng):
-            for _ in range(n_inner):
-                r, th = _det_leapfrog(r, th, grad, eta, inv)
-            r = decay * r + noise_std * rng.normal(d)
-            return r, th
-
-        return stepper
-
-    if scheme is Scheme.SYMMETRIC:
-        x_half = C * (0.5 * eta) * inv
-        decay = np.exp(-x_half)
-        noise_std = np.sqrt(diag * -np.expm1(-2.0 * x_half))
-
-        def stepper(r, th, grad, hess, rng):
-            r = decay * r + noise_std * rng.normal(d)
-            r, th = _det_leapfrog(r, th, grad, eta, inv)
-            r = decay * r + noise_std * rng.normal(d)
-            return r, th
-
-        return stepper
-
-    if scheme is Scheme.MT3:
-        c1, c2 = 7.0 / 24.0, 3.0 / 8.0
-        den1 = 1.0 + c1 * eta * C * inv
-        den2 = 1.0 + c2 * eta * C * inv
-        den3 = 1.0 + eta * C * inv
-        s2c = np.sqrt(2.0 * C)
-        amp_r = np.sqrt(eta) * s2c
-        amp_mix = eta**1.5 * s2c
-        amp_high = eta**2.5 / 6.0 * s2c
-
-        def stepper(r, th, grad, hess, rng):
-            th1 = th + c1 * eta * r * inv
-            g1 = grad(th1)
-            r1 = (r - c1 * eta * g1) / den1
-            F1 = -g1 - C * r1 * inv
-
-            th2 = th + (25.0 / 24.0) * eta * r * inv + (0.5 * eta * eta) * F1 * inv
-            g2 = grad(th2)
-            r2 = (r + (2.0 / 3.0) * eta * F1 - c2 * eta * g2) / den2
-            F2 = -g2 - C * r2 * inv
-
-            th3 = (
-                th
-                + eta * r * inv
-                + (17.0 / 36.0) * eta * eta * F1 * inv
-                + (1.0 / 36.0) * eta * eta * F2 * inv
-            )
-            g3 = grad(th3)
-            r3 = (r + (2.0 / 3.0) * eta * (F1 - F2) - eta * g3) / den3
-
-            w1 = rng.normal(d)
-            w2 = rng.normal(d)
-            mix = w1 * 0.5 + w2
-            th_new = th3 + amp_mix * mix * inv - amp_high * C * w1 * inv * inv
-            r_new = (
-                r3
-                + amp_r * w1
-                - amp_mix * C * mix * inv
-                - amp_high * hess(th3, w1 * inv)
-                + amp_high * C * C * w1 * inv * inv
-            )
-            return r_new, th_new
-
-        return stepper
-
-    raise ValueError(f"unknown scheme {scheme!r}")
+    Row c uses specs[c]'s constants, computed exactly as `compile_step`
+    computes them and spread over row c of (R, d) arrays (same-shape numpy
+    operations skip broadcasting, the slow path for small arrays), so each
+    row gets the bits its own `compile_step` stepper would give. The specs
+    must share scheme, n_inner and dimension. `rng.normal(d)` must return
+    the (R, d) rows of the next draw; grad and hess map (R, d) to (R, d).
+    """
+    specs = list(specs)
+    if not specs:
+        raise ValueError("an ensemble needs at least one spec")
+    first = specs[0]
+    for s in specs:
+        if (s.scheme, s.n_inner, s.dim) != (first.scheme, first.n_inner, first.dim):
+            raise ValueError("ensemble specs must share scheme, n_inner and dimension")
+    per_chain = [_constants(s) for s in specs]
+    stacked = {key: np.stack([np.broadcast_to(c[key], (first.dim,)) for c in per_chain])
+               for key in per_chain[0]}
+    return _kernel(first.scheme, first.n_inner, first.dim, stacked)
 
 
 def _finish(r, th, spec: IntegratorSpec) -> State:

@@ -109,7 +109,12 @@ class Potential:
             raise ValueError("prior variance must be positive with one entry per parameter")
         self.prior_var = pv
         self.n_batches = int(n_batches)
-        self._bounds = batch_bounds(self.n_obs, self.n_batches)
+        # (data slice, prior weight) per batch id; -1 is the full potential
+        self._slices = {
+            b: (slice(lo, hi), 1.0 / self.n_batches)
+            for b, (lo, hi) in enumerate(batch_bounds(self.n_obs, self.n_batches))
+        }
+        self._slices[-1] = (slice(0, self.n_obs), 1.0)
 
     # data-term hooks over a contiguous slice
     def _nll_value(self, theta: np.ndarray, sl: slice) -> float:
@@ -127,35 +132,65 @@ class Potential:
             raise ValueError(f"theta must have shape ({self.dim},), got {theta.shape}")
         return theta
 
-    def _slice(self, batch) -> tuple[slice, float]:
-        """Map a batch id to (data slice, prior weight)."""
+    def _batch_key(self, batch) -> int:
+        """Validate a public batch id (None or 0..K-1) into a `_slices` key."""
         if batch is None:
-            return slice(0, self.n_obs), 1.0
+            return -1
         batch = int(batch)
         if not 0 <= batch < self.n_batches:
             raise ValueError(f"batch id {batch} out of range [0, {self.n_batches})")
-        lo, hi = self._bounds[batch]
-        return slice(lo, hi), 1.0 / self.n_batches
+        return batch
 
     def value(self, theta, batch=None) -> float:
         """U(theta) for batch None, else raw sub-potential U_i(theta)."""
         theta = self._check_theta(theta)
-        sl, w = self._slice(batch)
+        sl, w = self._slices[self._batch_key(batch)]
         prior = 0.5 * float(np.dot(theta, theta / self.prior_var))
         return self._nll_value(theta, sl) + w * prior
 
     def gradient(self, theta, batch=None) -> np.ndarray:
         """Exact gradient of `value` at the same batch id."""
-        theta = self._check_theta(theta)
-        sl, w = self._slice(batch)
-        return self._nll_grad(theta, sl) + w * (theta / self.prior_var)
+        return self._raw_gradient(self._check_theta(theta), self._batch_key(batch))
 
     def hessian_vec(self, theta, v, batch=None) -> np.ndarray:
         """(Hessian of `value`) @ v at the same batch id."""
-        theta = self._check_theta(theta)
-        v = self._check_theta(v)
-        sl, w = self._slice(batch)
+        return self._raw_hessian_vec(self._check_theta(theta), self._check_theta(v),
+                                     self._batch_key(batch))
+
+    def _raw_gradient(self, theta, key) -> np.ndarray:
+        sl, w = self._slices[key]
+        return self._nll_grad(theta, sl) + w * (theta / self.prior_var)
+
+    def _raw_hessian_vec(self, theta, v, key) -> np.ndarray:
+        sl, w = self._slices[key]
         return self._nll_hess_vec(theta, v, sl) + w * (v / self.prior_var)
+
+    def gradient_many(self, thetas: np.ndarray, batch_ids=None) -> np.ndarray:
+        """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit.
+
+        A raw path for the chain runner: no validation. thetas is (R, d);
+        batch_ids is None (every row on the full potential) or R integers
+        where -1 marks the full potential.
+        """
+        keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
+        if len(thetas) == 1:
+            return self._raw_gradient(thetas[0], keys[0])[None]
+        out = np.empty_like(thetas)
+        for c, key in enumerate(keys):
+            out[c] = self._raw_gradient(thetas[c], key)
+        return out
+
+    def hessian_vec_many(self, thetas: np.ndarray, vs: np.ndarray,
+                         batch_ids=None) -> np.ndarray:
+        """Row c is `hessian_vec(thetas[c], vs[c], batch_ids[c])`; raw, as
+        `gradient_many`."""
+        keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
+        if len(thetas) == 1:
+            return self._raw_hessian_vec(thetas[0], vs[0], keys[0])[None]
+        out = np.empty_like(vs)
+        for c, key in enumerate(keys):
+            out[c] = self._raw_hessian_vec(thetas[c], vs[c], key)
+        return out
 
     def analytic_posterior(self) -> GaussianPosterior:
         raise AnalyticPosteriorUnavailable(
@@ -222,6 +257,12 @@ class LinearGaussian(Potential):
         super().__init__(
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
+        # equal blocks as (K, rows, d) and (K, rows) for the stacked path
+        self._blocks = None
+        if self.n_obs % self.n_batches == 0 and Phi.flags.c_contiguous:
+            rows = self.n_obs // self.n_batches
+            self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
+                            y.reshape(self.n_batches, rows))
 
     @classmethod
     def from_csv(cls, path, noise_var, prior_var, n_batches=1) -> "LinearGaussian":
@@ -242,6 +283,39 @@ class LinearGaussian(Potential):
 
     def _nll_hess_vec(self, theta, v, sl):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
+
+    def _stacked(self, thetas, batch_ids):
+        """Design block, targets and prior weight gathered per row, or None
+        where only the per-row path is proven to give the same bits: a
+        single row, unequal blocks, full and mini-batch rows mixed."""
+        if len(thetas) < 2 or not self.features.flags.c_contiguous:
+            return None
+        if batch_ids is None:
+            return self.features[None], self.targets, 1.0
+        if self._blocks is None or batch_ids.min() < 0:
+            return None
+        F, y = self._blocks
+        return F[batch_ids], y[batch_ids], 1.0 / self.n_batches
+
+    # Stacked (R, rows, d) matmuls through the transposed view run the same
+    # BLAS kernels as the per-row `features[sl].T @ resid`, so the bits match;
+    # Gram-matrix forms, einsum and a contiguous transpose do not.
+    def gradient_many(self, thetas, batch_ids=None):
+        stacked = self._stacked(thetas, batch_ids)
+        if stacked is None:
+            return super().gradient_many(thetas, batch_ids)
+        Fb, yb, w = stacked
+        resid = (Fb @ thetas[..., None])[..., 0] - yb
+        grad = (np.swapaxes(Fb, 1, 2) @ resid[..., None])[..., 0] / self.noise_var
+        return grad + w * (thetas / self.prior_var)
+
+    def hessian_vec_many(self, thetas, vs, batch_ids=None):
+        stacked = self._stacked(thetas, batch_ids)
+        if stacked is None:
+            return super().hessian_vec_many(thetas, vs, batch_ids)
+        Fb, _, w = stacked
+        hv = (np.swapaxes(Fb, 1, 2) @ (Fb @ vs[..., None]))[..., 0] / self.noise_var
+        return hv + w * (vs / self.prior_var)
 
     def analytic_posterior(self) -> GaussianPosterior:
         precision = self.features.T @ self.features / self.noise_var + np.diag(

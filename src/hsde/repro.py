@@ -27,7 +27,7 @@ from importlib import resources
 import numpy as np
 
 from .batching import make_schedule
-from .chain import ChainConfig, run_chain
+from .chain import ChainConfig, run_ensemble
 from .core import MassMatrix, RngStream
 from .integrators import IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
@@ -117,44 +117,57 @@ def _derive_cell_seed(seed: int, cell_index: int) -> int:
     return (seed + 1_000_003 * (cell_index + 1)) % 2**64
 
 
-def _run_cell(args: tuple) -> dict:
-    (model_name, n_batches, mode, scheme, eta, friction, n_inner, v_hat,
-     n, reps, burn_in, thin, n_ks, cell_seed) = args
+def _run_cells(args: tuple) -> list:
+    """One ensemble over every (eta cell, replica) chain of one scheme; one
+    row per cell, computed from that cell's replicas in order."""
+    (model_name, n_batches, mode, scheme, cells, friction, n_inner, v_hat,
+     n, reps, burn_in, thin, n_ks) = args
     model = build_model(model_name, n_batches)
     post = model.analytic_posterior()
-    spec = IntegratorSpec(
-        scheme=scheme,
-        eta=eta,
-        friction=friction,
-        mass=MassMatrix.identity(model.dim),
-        n_inner=n_inner,
-        v_hat=v_hat,
-    )
-    cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
-                      init="prior", seed=cell_seed)
-    ks_vals = []
-    mean_dev = np.zeros(model.dim)
-    var_dev = np.zeros(model.dim)
-    for rep in range(reps):
-        sched = make_schedule(mode, model.n_batches, RngStream(cell_seed, 4 * rep + 2))
-        trace = run_chain(model, spec, sched, cfg, chain_index=rep)
-        tail = trace.thetas[-min(n_ks, n):, 0]
-        ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
-                                      post.mean[0], post.cov[0, 0]))
-        mean_dev += trace.thetas.mean(axis=0) - post.mean
-        var_dev += trace.thetas.var(axis=0) - np.diag(post.cov)
-    # signed deviations pooled over replicas and coordinates before taking
-    # magnitude: the bias is shared, the noise averages out
-    return {
-        "scheme": str(spec.scheme.value),
-        "eta": float(eta),
-        "K": int(n_batches),
-        "mode": str(mode),
-        "n": int(n),
-        "ks": float(np.mean(ks_vals)),
-        "mean_err": float(abs(np.mean(mean_dev / reps))),
-        "var_err": float(abs(np.mean(var_dev / reps))),
-    }
+    specs, scheds, cfgs, chain_indices = [], [], [], []
+    for eta, cell_seed in cells:
+        spec = IntegratorSpec(
+            scheme=scheme,
+            eta=eta,
+            friction=friction,
+            mass=MassMatrix.identity(model.dim),
+            n_inner=n_inner,
+            v_hat=v_hat,
+        )
+        cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
+                          init="prior", seed=cell_seed)
+        for rep in range(reps):
+            specs.append(spec)
+            scheds.append(make_schedule(mode, model.n_batches,
+                                        RngStream(cell_seed, 4 * rep + 2)))
+            cfgs.append(cfg)
+            chain_indices.append(rep)
+    traces = run_ensemble(model, specs, scheds, cfgs, chain_indices) if specs else []
+
+    rows = []
+    for cell, (eta, _) in enumerate(cells):
+        ks_vals = []
+        mean_dev = np.zeros(model.dim)
+        var_dev = np.zeros(model.dim)
+        for trace in traces[cell * reps:(cell + 1) * reps]:
+            tail = trace.thetas[-min(n_ks, n):, 0]
+            ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
+                                          post.mean[0], post.cov[0, 0]))
+            mean_dev += trace.thetas.mean(axis=0) - post.mean
+            var_dev += trace.thetas.var(axis=0) - np.diag(post.cov)
+        # signed deviations pooled over replicas and coordinates before taking
+        # magnitude: the bias is shared, the noise averages out
+        rows.append({
+            "scheme": str(scheme.value),
+            "eta": float(eta),
+            "K": int(n_batches),
+            "mode": str(mode),
+            "n": int(n),
+            "ks": float(np.mean(ks_vals)),
+            "mean_err": float(abs(np.mean(mean_dev / reps))),
+            "var_err": float(abs(np.mean(var_dev / reps))),
+        })
+    return rows
 
 
 @dataclass(frozen=True)
@@ -181,26 +194,29 @@ def run_sweep(
 ) -> SweepResult:
     """Run every (scheme, eta) cell of the plan and fit per-scheme slopes.
 
-    `plan` is a list of (scheme, eta_grid) pairs. Raises the model's
-    analytic-posterior error for models without a closed-form posterior.
-    Output rows are deterministic in (config, seed) regardless of `jobs`.
+    `plan` is a list of (scheme, eta_grid) pairs. Each pair runs as one
+    ensemble of len(eta_grid) x reps chains; `jobs` > 1 spreads the pairs
+    over worker processes. Raises the model's analytic-posterior error for
+    models without a closed-form posterior, and the DivergenceError of the
+    first diverging chain in (cell, replica) order. Output rows are
+    deterministic in (config, seed) regardless of `jobs`.
     """
     build_model(model_name, n_batches).analytic_posterior()
     tasks = []
-    cells = []
+    idx = 0
     for scheme, etas in plan:
-        scheme = Scheme(scheme)
+        cells = []
         for eta in etas:
-            cells.append((scheme, float(eta)))
-    for idx, (scheme, eta) in enumerate(cells):
-        tasks.append((model_name, n_batches, mode, scheme, eta, friction,
-                      n_inner, v_hat, n, reps, burn_in, thin, n_ks,
-                      _derive_cell_seed(seed, idx)))
+            cells.append((float(eta), _derive_cell_seed(seed, idx)))
+            idx += 1
+        tasks.append((model_name, n_batches, mode, Scheme(scheme), cells, friction,
+                      n_inner, v_hat, n, reps, burn_in, thin, n_ks))
     if jobs > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_cell, tasks))
+            per_task = list(pool.map(_run_cells, tasks))
     else:
-        rows = [_run_cell(t) for t in tasks]
+        per_task = [_run_cells(t) for t in tasks]
+    rows = [row for task_rows in per_task for row in task_rows]
 
     # one self-distance calibration per sweep: the KS level two independent
     # n_ks-subsamples of the exact posterior show against each other

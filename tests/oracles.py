@@ -10,7 +10,9 @@ in code paths disjoint from the package implementation:
 - composite Simpson quadrature for its covariance integral,
 - a brute-force O(n*m) two-sample Kolmogorov distance,
 - central finite differences for gradients and Jacobians,
-- scipy's Pade matrix exponential / logarithm as the semigroup reference.
+- scipy's Pade matrix exponential / logarithm as the semigroup reference,
+- a plain one-chain sampling loop over the public single-step API, the
+  semantics every chain of an ensemble run must reproduce bit for bit.
 
 These act as the frozen oracles that implementation outputs are compared to.
 """
@@ -271,3 +273,60 @@ def log_of_product_exp(A, B):
 
     Z = logm(expm(np.asarray(A, dtype=float)) @ expm(np.asarray(B, dtype=float)))
     return np.real(Z)
+
+
+def reference_chain(P, spec, sched, cfg, chain_index=0):
+    """One chain, one public `step()` per step and one `normal(d)` call per
+    noise draw, with gradients from `Potential.gradient` / `hessian_vec`
+    (times K on a mini-batch).
+
+    Follows the chain stream convention (noise on 4c, initial state on
+    4c + 1; the caller builds the schedule on 4c + 2). Returns (thetas,
+    momenta, steps, times, effective_time). On a non-finite state raises the
+    step's DivergenceError with `step_index` and `partial` (the kept
+    thetas and momenta) set.
+    """
+    from hsde.core import RngStream, State
+    from hsde.integrators import DivergenceError, Scheme, step
+
+    d = P.dim
+    if isinstance(cfg.init, State):
+        z = cfg.init
+    else:
+        init_rng = RngStream(cfg.seed, 4 * chain_index + 1)
+        theta = P.sample_prior(init_rng)
+        z = State(r=spec.mass.sqrt_diag * init_rng.normal(d), theta=theta)
+    rng = RngStream(cfg.seed, 4 * chain_index)
+    K = float(sched.n_batches)
+    total = cfg.burn_in + cfg.n_samples * cfg.thinning
+    thetas, momenta, steps = [], [], []
+    for i in range(1, total + 1):
+        batch, _ = sched.next()
+        if batch is None:
+            def grad(th):
+                return P.gradient(th)
+
+            def hess(th, v):
+                return P.hessian_vec(th, v)
+        else:
+            def grad(th, b=batch):
+                return K * P.gradient(th, b)
+
+            def hess(th, v, b=batch):
+                return K * P.hessian_vec(th, v, b)
+        try:
+            z = step(z, grad, spec, rng, hess=hess)
+        except DivergenceError as err:
+            err.step_index = i
+            err.partial = (np.array(thetas).reshape(-1, d),
+                           np.array(momenta).reshape(-1, d))
+            raise
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            thetas.append(z.theta)
+            momenta.append(z.r)
+            steps.append(i)
+    mult = spec.n_inner if spec.scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL) else 1
+    dt = spec.eta * mult
+    steps = np.array(steps, dtype=np.int64)
+    return (np.array(thetas).reshape(-1, d), np.array(momenta).reshape(-1, d),
+            steps, steps.astype(float) * dt, total * dt)

@@ -1,13 +1,27 @@
 """Tests for the chain runner, trace bookkeeping, and diagnostics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from hsde import chain as chain_module
 from hsde.batching import make_schedule
-from hsde.chain import ChainConfig, Trace, acf1, ergodic_average, run_chain, save_trace
+from hsde.chain import (
+    ChainConfig,
+    Trace,
+    acf1,
+    ergodic_average,
+    run_chain,
+    run_ensemble,
+    save_trace,
+)
 from hsde.core import MassMatrix, RngStream, State
 from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
 from hsde.potentials import LinearGaussian, Toy1D
+from hsde.repro import build_model
+
+from .oracles import reference_chain
 
 
 def toy_twin(n_batches=1):
@@ -128,6 +142,198 @@ class TestRunChain:
         )
         assert t_mb.meta["mode"] == "perm" and t_mb.meta["K"] == 2
         assert not np.array_equal(t_full.thetas, t_mb.thetas)
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def dense_lingauss(n_rows=32, dim=5, n_batches=4):
+    rng = RngStream(3, 0)
+    Phi = rng.normal(n_rows * dim).reshape(n_rows, dim)
+    return LinearGaussian(Phi, rng.normal(n_rows), noise_var=1.5, prior_var=2.0,
+                          n_batches=n_batches)
+
+
+# mixed step sizes, seeds and chain indices, as a sweep ensemble has them
+ETAS = (0.05, 0.12, 0.08, 0.2, 0.1)
+SEEDS = (11, 11, 12, 13, 11)
+INDICES = (0, 1, 0, 2, 3)
+
+
+class Case:
+    """R chains on one potential; each schedule is built twice from its
+    stream key, once for the ensemble and once for the reference loop."""
+
+    def __init__(self, P, scheme, modes, etas=ETAS, seeds=SEEDS, indices=INDICES,
+                 burn_in=31, n_samples=8, thinning=5, C=2.0, inits=None):
+        R = len(etas)
+        self.P = P
+        self.modes = modes if isinstance(modes, tuple) else (modes,) * R
+        multi = scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
+        self.specs = [IntegratorSpec(
+            scheme, eta=eta, friction=C, mass=MassMatrix.identity(P.dim),
+            n_inner=2 if multi else 1,
+            v_hat=0.5 if scheme is Scheme.SGHMC else 0.0) for eta in etas]
+        inits = inits or ["prior"] * R
+        self.cfgs = [ChainConfig(n_samples=n_samples, burn_in=burn_in,
+                                 thinning=thinning, seed=seed, init=init)
+                     for seed, init in zip(seeds, inits)]
+        self.indices = list(indices)
+
+    def sched(self, c):
+        return make_schedule(self.modes[c], self.P.n_batches,
+                             RngStream(self.cfgs[c].seed, 4 * self.indices[c] + 2))
+
+    def run(self):
+        scheds = [self.sched(c) for c in range(len(self.specs))]
+        return run_ensemble(self.P, self.specs, scheds, self.cfgs, self.indices)
+
+    def reference(self, c):
+        return reference_chain(self.P, self.specs[c], self.sched(c), self.cfgs[c],
+                               self.indices[c])
+
+    def check(self):
+        traces = self.run()
+        assert len(traces) == len(self.specs)
+        for c, trace in enumerate(traces):
+            thetas, momenta, steps, times, effective = self.reference(c)
+            assert_bits(trace.thetas, thetas)
+            assert_bits(trace.momenta, momenta)
+            assert_bits(trace.steps, steps)
+            assert_bits(trace.times, times)
+            assert trace.effective_time == effective
+            assert trace.meta["eta"] == self.specs[c].eta
+            assert trace.meta["chain_index"] == self.indices[c]
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # refill noise and batch ids every 7 steps, so short runs cross many
+    # chunk boundaries and end on a partial chunk
+    monkeypatch.setattr(chain_module, "_CHUNK", 7)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestEnsembleMatchesReference:
+    """Every chain of an ensemble equals the plain one-chain loop, bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_scheme_and_mode(self, scheme, mode):
+        Case(build_model("lingauss", 8), scheme, mode).check()
+
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("scheme", [Scheme.LEAPFROG, Scheme.MT3, Scheme.SYMMETRIC])
+    def test_single_chain(self, scheme, mode):
+        case = Case(build_model("lingauss", 8), scheme, mode, etas=(0.15,),
+                    seeds=(5,), indices=(2,))
+        case.check()
+        trace = run_chain(case.P, case.specs[0], case.sched(0), case.cfgs[0], 2)
+        assert_bits(trace.thetas, case.reference(0)[0])
+
+    @pytest.mark.parametrize("K", [1, 8])
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LIE_TROTTER])
+    def test_lingauss_batch_counts(self, scheme, K):
+        Case(build_model("lingauss", K), scheme, "perm").check()
+
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
+    def test_dense_design_equal_blocks(self, scheme, mode):
+        Case(dense_lingauss(32, 5, 4), scheme, mode).check()
+
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
+    def test_dense_design_unequal_blocks(self, scheme, mode):
+        Case(dense_lingauss(32, 4, 3), scheme, mode).check()
+
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("model", ["toy", "logistic2d"])
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.SPV])
+    def test_toy_and_logistic(self, model, scheme, mode):
+        Case(build_model(model, 2), scheme, mode).check()
+
+    def test_mixed_schedules_and_fixed_start(self):
+        P = build_model("lingauss", 8)
+        start = State(r=np.full(4, 0.5), theta=np.arange(4.0))
+        Case(P, Scheme.MT3, ("full", "perm", "iid", "perm", "full"),
+             inits=[None, start, None, None, start]).check()
+
+
+class TestEnsembleRun:
+    def test_default_chunks_and_buffer_refill(self):
+        # 1120 MT3 steps draw 8960 normals per chain: several default chunks
+        # and one refill of the stream's 8192-normal buffer
+        case = Case(build_model("lingauss", 8), Scheme.MT3, "iid",
+                    etas=(0.1, 0.2, 0.15), seeds=(1, 2, 3), indices=(0, 1, 2),
+                    burn_in=1000, n_samples=60, thinning=2)
+        assert 1120 > 2 * chain_module._CHUNK
+        case.check()
+
+    def test_specs_must_share_scheme(self):
+        P = build_model("lingauss", 1)
+        a = Case(P, Scheme.LEAPFROG, "full", etas=(0.1,), seeds=(1,), indices=(0,))
+        b = Case(P, Scheme.SPV, "full", etas=(0.1,), seeds=(1,), indices=(1,))
+        with pytest.raises(ValueError, match="scheme"):
+            run_ensemble(P, a.specs + b.specs, [a.sched(0), b.sched(0)],
+                         a.cfgs + b.cfgs, [0, 1])
+
+    def test_run_lengths_must_match(self):
+        P = build_model("lingauss", 1)
+        case = Case(P, Scheme.LEAPFROG, "full", etas=(0.1, 0.2), seeds=(1, 1),
+                    indices=(0, 1))
+        cfgs = [case.cfgs[0], ChainConfig(n_samples=3, burn_in=31, thinning=5, seed=1)]
+        with pytest.raises(ValueError, match="share"):
+            run_ensemble(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
+
+
+class TestEnsembleDivergence:
+    # with light friction, leapfrog on the sweep model diverges at step 268
+    # for eta = 2 and at step 143 for eta = 6
+    ETAS = (0.1, 2.0, 0.1, 6.0)
+
+    def case(self):
+        return Case(build_model("lingauss", 8), Scheme.LEAPFROG, "perm",
+                    etas=self.ETAS, seeds=(4, 4, 4, 4), indices=(0, 1, 2, 3),
+                    burn_in=0, n_samples=300, thinning=1, C=0.1)
+
+    def reference_error(self, case, c):
+        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+            case.reference(c)
+        return info.value
+
+    def test_first_diverging_chain_in_order_is_raised(self):
+        case = self.case()
+        late = self.reference_error(case, 1)
+        early = self.reference_error(case, 3)
+        assert early.step_index < late.step_index
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                case.run()
+        err = info.value
+        assert err.step_index == late.step_index
+        assert err.scheme is Scheme.LEAPFROG
+        assert err.eta == self.ETAS[1]
+        assert err.partial[0].shape[0] == late.step_index - 1
+        assert_bits(err.partial[0], late.partial[0])
+        assert_bits(err.partial[1], late.partial[1])
+
+    def test_lone_unstable_chain_reports_its_own_state(self):
+        case = self.case()
+        case.specs, case.cfgs, case.indices = (
+            case.specs[2:], case.cfgs[2:], case.indices[2:])
+        ref = self.reference_error(case, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                case.run()
+        err = info.value
+        assert (err.step_index, err.eta) == (ref.step_index, 6.0)
+        assert_bits(err.partial[0], ref.partial[0])
+        assert_bits(err.partial[1], ref.partial[1])
 
 
 class TestStationaryMoments:

@@ -244,6 +244,18 @@ class TestSweep:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    # an ensemble steps its diverging chains under np.errstate, so no
+    # overflow warning escapes before the exit
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_exits_3(self, runner, tmp_path):
+        result = runner.invoke(main, ["sweep", "--scheme", "leapfrog",
+                                      "--eta-grid", "0.1,6.0", "-C", "0.1",
+                                      "--n", "300", "--burn-in", "0",
+                                      "--reps", "2",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3
+        assert "diverged" in result.output
+
 
 class TestToy:
     ARGS = ["toy", "--eta", "0.4", "--n", "500", "--burn-in", "50",

@@ -175,3 +175,29 @@ class TestRngStream:
     def test_normal_rejects_bad_size(self):
         with pytest.raises(ValueError):
             RngStream(seed=0, stream=0).normal(0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=10),
+        chunk_steps=st.lists(st.integers(min_value=1, max_value=5000),
+                             min_size=1, max_size=6),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+        stream=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_chunked_draws_equal_per_step_draws(self, d, chunk_steps, seed, stream):
+        # the chain runner draws a chunk of m steps as one normal(m * d) call
+        # where a lone step draws normal(d); both must read the same numbers
+        steps = 2 * RngStream._BLOCK // d + 1  # crosses two buffer refills
+        per_step = RngStream(seed, stream)
+        one_by_one = np.concatenate([per_step.normal(d) for _ in range(steps)])
+        chunked = RngStream(seed, stream)
+        parts, done, i = [], 0, 0
+        while done < steps:
+            m = min(chunk_steps[i % len(chunk_steps)], steps - done)
+            parts.append(chunked.normal(m * d))
+            done += m
+            i += 1
+        assert one_by_one.tobytes() == np.concatenate(parts).tobytes()
+        # and the two streams carry on identically
+        for size in (d, 3 * d + 1, RngStream._BLOCK):
+            assert per_step.normal(size).tobytes() == chunked.normal(size).tobytes()

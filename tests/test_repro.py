@@ -11,8 +11,14 @@ import numpy as np
 import pytest
 
 from hsde import repro
-from hsde.core import RngStream
+from hsde.batching import make_schedule
+from hsde.chain import ChainConfig
+from hsde.core import MassMatrix, RngStream
+from hsde.integrators import DivergenceError, IntegratorSpec
+from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
+
+from .oracles import reference_chain
 
 
 class TestModels:
@@ -102,6 +108,75 @@ class TestRunSweep:
         res = self.run(mode="perm", n_batches=8)
         assert all(row["mode"] == "perm" and row["K"] == 8
                    for row in res.rows)
+
+
+class TestSweepEnsembles:
+    """A sweep runs each plan entry as one ensemble; its rows must be the
+    rows the one-chain reference loop gives, cell by cell."""
+
+    def reference_thetas(self, scheme, eta, cell, rep, seed=23, friction=2.0,
+                         n=40, burn_in=30):
+        model = repro.build_model("lingauss", 8)
+        cell_seed = repro._derive_cell_seed(seed, cell)
+        spec = IntegratorSpec(scheme, eta, friction, MassMatrix.identity(model.dim))
+        cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=1, seed=cell_seed)
+        sched = make_schedule("perm", 8, RngStream(cell_seed, 4 * rep + 2))
+        return reference_chain(model, spec, sched, cfg, rep)[0]
+
+    def test_rows_match_reference_loop(self):
+        plan = [("mt3", (0.4, 0.2)), ("leapfrog", (0.3,))]
+        res = repro.run_sweep("lingauss", plan, mode="perm", n_batches=8,
+                              friction=2.0, n=40, reps=2, burn_in=30, seed=23,
+                              n_ks=25)
+        post = repro.build_model("lingauss", 8).analytic_posterior()
+        cells = [(scheme, eta) for scheme, etas in plan for eta in etas]
+        for cell, ((scheme, eta), row) in enumerate(zip(cells, res.rows)):
+            ks = []
+            mean_dev = np.zeros(4)
+            var_dev = np.zeros(4)
+            for rep in range(2):
+                thetas = self.reference_thetas(scheme, eta, cell, rep)
+                ks.append(ks_vs_gaussian(EmpiricalSample(thetas[-25:, 0]),
+                                         post.mean[0], post.cov[0, 0]))
+                mean_dev += thetas.mean(axis=0) - post.mean
+                var_dev += thetas.var(axis=0) - np.diag(post.cov)
+            assert (row["scheme"], row["eta"]) == (scheme, eta)
+            assert row["ks"] == float(np.mean(ks))
+            assert row["mean_err"] == float(abs(np.mean(mean_dev / 2)))
+            assert row["var_err"] == float(abs(np.mean(var_dev / 2)))
+
+    def test_jobs_do_not_change_rows_or_slopes(self):
+        plan = [("leapfrog", (0.4, 0.283, 0.2)), ("spv", (0.4, 0.283, 0.2))]
+        args = dict(n=60, reps=2, burn_in=40, seed=17, n_ks=30)
+        one = repro.run_sweep("lingauss", plan, jobs=1, **args)
+        two = repro.run_sweep("lingauss", plan, jobs=2, **args)
+        assert one.rows == two.rows
+        assert one.slopes == two.slopes
+        assert len(one.slopes) == 2
+
+    def test_divergence_raises_first_chain_in_cell_replica_order(self):
+        etas = (0.1, 2.0, 6.0)
+        first = None
+        steps = {}
+        for cell, eta in enumerate(etas):
+            for rep in range(2):
+                try:
+                    with np.errstate(all="ignore"):
+                        self.reference_thetas("leapfrog", eta, cell, rep, seed=4,
+                                              friction=0.1, n=300, burn_in=0)
+                except DivergenceError as err:
+                    steps[(cell, rep)] = err.step_index
+                    first = first or ((cell, rep), err)
+        (cell, rep), expected = first
+        # a later chain diverges sooner, so lockstep order alone would pick it
+        assert min(steps.values()) < expected.step_index
+        with pytest.raises(DivergenceError) as info:
+            repro.run_sweep("lingauss", [("leapfrog", etas)], mode="perm",
+                            n_batches=8, friction=0.1, n=300, reps=2,
+                            burn_in=0, seed=4)
+        err = info.value
+        assert (err.step_index, err.eta) == (expected.step_index, etas[cell])
+        assert err.partial[0].tobytes() == expected.partial[0].tobytes()
 
 
 class TestToyHistograms:
