@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import enum
 
+import numpy as np
+
 from .core import RngStream
 
 __all__ = ["BatchMode", "BatchSchedule", "make_schedule"]
@@ -31,7 +33,7 @@ class BatchSchedule:
     """Deterministic-given-seed emitter of (batch id, gradient scale) pairs.
 
     Batch ids are 0-based; the full-batch marker is None. Owned by a single
-    chain; `next` mutates the cursor.
+    chain; `next` and `take` mutate the cursor.
     """
 
     def __init__(self, mode: BatchMode, n_batches: int, rng: RngStream):
@@ -55,6 +57,27 @@ class BatchSchedule:
         batch = int(self._sweep[self._cursor])
         self._cursor += 1
         return batch, scale
+
+    def take(self, m: int) -> np.ndarray:
+        """Batch ids of the next m steps as an int64 array, -1 marking the
+        full batch: what m `next` calls would give, leaving the schedule in
+        the state they would leave, with one draw call at most."""
+        if self.mode is BatchMode.FULL:
+            return np.full(m, -1, dtype=np.int64)
+        if self.mode is BatchMode.IID_UNIFORM:
+            return self.rng.integers(self.n_batches, size=m)
+        K = self.n_batches
+        head = (np.empty(0, dtype=np.int64) if self._sweep is None
+                else self._sweep[self._cursor:self._cursor + m])
+        need = m - head.size
+        if need <= 0:
+            self._cursor += m
+            return head.copy()
+        # open just the sweeps the remaining `need` steps reach into
+        perms = self.rng.permutations(K, -(-need // K))
+        self._sweep = perms[-1].copy()
+        self._cursor = need - (len(perms) - 1) * K
+        return np.concatenate([head, perms.ravel()[:need]])
 
 
 def make_schedule(mode, n_batches: int, rng: RngStream) -> BatchSchedule:

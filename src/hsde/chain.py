@@ -218,9 +218,7 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
             feed = _Feed(np.stack([rng.normal(m * n_draws * d).reshape(m * n_draws, d)
                                    for rng in rngs], axis=1))
             if scale is not None:
-                ids_chunk = np.array(
-                    [[-1] * m if f else [s.next()[0] for _ in range(m)]
-                     for f, s in zip(full, scheds)], dtype=np.int64).T.copy()
+                ids_chunk = np.stack([s.take(m) for s in scheds], axis=1)
             for j in range(m):
                 i += 1
                 if scale is not None:

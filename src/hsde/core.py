@@ -124,19 +124,45 @@ class RngStream:
         self._pos += d
         return out
 
-    def integers(self, n: int) -> int:
-        """One uniform draw from {0, ..., n-1}."""
-        if n < 1:
+    def integers(self, n, size=None):
+        """Uniform draws from {0, ..., n-1}.
+
+        One int when n is an int and size is None; otherwise an int64 array
+        of `size` draws, or of one draw per entry when n is an array of
+        bounds. However a sequence of draws is split into calls, it reads
+        the same numbers and leaves the stream in the same state.
+        """
+        if size is None and not isinstance(n, np.ndarray):
+            if n < 1:
+                raise ValueError("n must be >= 1")
+            return int(self._gen.integers(0, n))
+        if np.any(np.asarray(n) < 1):
             raise ValueError("n must be >= 1")
-        return int(self._gen.integers(0, n))
+        return self._gen.integers(0, n, size)
 
     def permutation(self, n: int) -> np.ndarray:
         """Uniformly random permutation of range(n) by Fisher-Yates."""
-        perm = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = int(self._gen.integers(0, i + 1))
-            perm[i], perm[j] = perm[j], perm[i]
-        return perm
+        return self.permutations(n, 1)[0]
+
+    def permutations(self, n: int, count: int) -> np.ndarray:
+        """(count, n) array whose rows are what `count` successive
+        `permutation(n)` calls give.
+
+        Fisher-Yates swaps position i with a uniform j <= i for i = n-1
+        down to 1; one call draws every j of every row.
+        """
+        perms = np.tile(np.arange(n), (count, 1))
+        if n < 2 or count < 1:
+            return perms
+        bounds = np.tile(np.arange(n, 1, -1), count)
+        draws = self.integers(bounds).reshape(count, n - 1)
+        rows = np.arange(count)
+        for t, i in enumerate(range(n - 1, 0, -1)):
+            j = draws[:, t]
+            held = perms[:, i].copy()
+            perms[:, i] = perms[rows, j]
+            perms[rows, j] = held
+        return perms
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         """size iid U(low, high) draws; served raw, not through the normal buffer."""
@@ -154,13 +180,13 @@ class RngStream:
         """
         if not 1 <= k <= n:
             raise ValueError("need 1 <= k <= n")
+        js = (np.arange(k) + self.integers(n - np.arange(k))).tolist()
         swap: dict = {}
-        out = np.empty(k, dtype=np.int64)
-        for i in range(k):
-            j = i + int(self._gen.integers(0, n - i))
-            out[i] = swap.get(j, j)
+        out = []
+        for i, j in enumerate(js):
+            out.append(swap.get(j, j))
             swap[j] = swap.get(i, i)
-        return out
+        return np.array(out, dtype=np.int64)
 
 
 def kinetic_energy(r: np.ndarray, M: MassMatrix) -> float:

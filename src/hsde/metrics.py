@@ -68,12 +68,25 @@ def ks_vs_gaussian(a: EmpiricalSample, mean: float, variance: float) -> float:
     """
     if not variance > 0:
         raise ValueError("variance must be > 0")
-    z = (a.values - float(mean)) / np.sqrt(float(variance))
-    cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
-    steps = np.arange(a.n + 1) / a.n
-    upper = np.abs(steps[1:] - cdf).max()
-    lower = np.abs(steps[:-1] - cdf).max()
+    # in place, so at most two n-length arrays live at once: the CDF values
+    # and one gap against the empirical CDF's right or left limits
+    cdf = a.values - float(mean)
+    cdf /= np.sqrt(float(variance))
+    cdf /= np.sqrt(2.0)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    upper = _max_gap(np.arange(1, a.n + 1, dtype=np.float64), a.n, cdf)
+    lower = _max_gap(np.arange(a.n, dtype=np.float64), a.n, cdf)
     return float(max(upper, lower))
+
+
+def _max_gap(ranks: np.ndarray, n: int, cdf: np.ndarray) -> float:
+    """max |ranks / n - cdf|, computed in the ranks buffer."""
+    ranks /= n
+    ranks -= cdf
+    np.abs(ranks, out=ranks)
+    return ranks.max()
 
 
 def self_distance(

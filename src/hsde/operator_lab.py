@@ -17,6 +17,7 @@ through the random draw of test matrices.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -134,12 +135,14 @@ def splitting_product(G: GeneratorSet, eta: float, order: SplitOrder) -> np.ndar
     the mean of the two."""
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    order = SplitOrder(order)
-    factors = _factor_exps(G, eta)
-    forward = _ordered_product(factors, range(G.n_parts))
+    return _splitting(_factor_exps(G, eta), SplitOrder(order))
+
+
+def _splitting(factors: Sequence[np.ndarray], order: SplitOrder) -> np.ndarray:
+    forward = _ordered_product(factors, range(len(factors)))
     if order is SplitOrder.FORWARD:
         return forward
-    backward = _ordered_product(factors, reversed(range(G.n_parts)))
+    backward = _ordered_product(factors, reversed(range(len(factors))))
     if order is SplitOrder.BACKWARD:
         return backward
     return 0.5 * (forward + backward)
@@ -153,10 +156,14 @@ def randomized_expectation(G: GeneratorSet, eta: float) -> np.ndarray:
         raise ValueError(
             f"exact permutation average limited to K <= {_MAX_PARTS_EXACT}, got {G.n_parts}"
         )
-    factors = _factor_exps(G, eta)
-    acc = np.zeros((G.dim, G.dim))
+    return _randomized(_factor_exps(G, eta))
+
+
+def _randomized(factors: Sequence[np.ndarray]) -> np.ndarray:
+    dim = factors[0].shape[0]
+    acc = np.zeros((dim, dim))
     count = 0
-    for perm in itertools.permutations(range(G.n_parts)):
+    for perm in itertools.permutations(range(len(factors))):
         acc += _ordered_product(factors, perm)
         count += 1
     return acc / count
@@ -227,7 +234,7 @@ def spectral_norm(M, n_iters: int = 50) -> float:
     v = np.ones(n) / np.sqrt(n)
     for _ in range(n_iters):
         w = G @ v
-        norm = float(np.linalg.norm(w))
+        norm = math.sqrt(float(w.dot(w)))
         if norm == 0.0:
             return 0.0
         v = w / norm
@@ -281,22 +288,28 @@ def run_order_trials(
     if any(n < 1 or n > 8 for n in n_choices):
         raise ValueError("n_choices must lie in 1..8")
     etas = tuple(float(e) for e in etas)
+    if not all(e > 0 for e in etas):
+        raise ValueError("eta must be > 0")
     out = []
     for t in range(n_trials):
         k = k_choices[rng.integers(len(k_choices))]
         n = n_choices[rng.integers(len(n_choices))]
         mats = [rng.uniform(-1.0, 1.0, n * n).reshape(n, n) for _ in range(k)]
         G = GeneratorSet(tuple(mats))
-        for mode in modes:
-            errs = []
-            for eta in etas:
-                exact = matrix_exp(eta * k * G.total)
+        # the exact semigroup and the factor exponentials, once per eta for
+        # every mode
+        errors = {mode: [] for mode in modes}
+        for eta in etas:
+            exact = matrix_exp(eta * k * G.total)
+            factors = _factor_exps(G, eta)
+            for mode, errs in errors.items():
                 if mode == "randomized":
-                    approx = randomized_expectation(G, eta)
+                    approx = _randomized(factors)
                 else:
-                    approx = splitting_product(G, eta, SplitOrder(mode))
+                    approx = _splitting(factors, SplitOrder(mode))
                 errs.append(spectral_norm(approx - exact))
-            slope, r2 = error_order_slope(etas, errs)
+        for mode in modes:
+            slope, r2 = error_order_slope(etas, errors[mode])
             out.append(
                 OrderTrial(
                     trial=t,
@@ -304,7 +317,7 @@ def run_order_trials(
                     dim=n,
                     mode=str(mode),
                     etas=etas,
-                    errors=tuple(errs),
+                    errors=tuple(errors[mode]),
                     slope=slope,
                     r_squared=r2,
                 )

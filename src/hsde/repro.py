@@ -46,7 +46,7 @@ from .potentials import (
     make_cycled_basis_dataset,
     make_logistic_demo,
 )
-from .toy_exact import ExactMode, reference_params, run_exact_chain, toy_posterior
+from .toy_exact import ExactMode, reference_params, run_exact_ensemble, toy_posterior
 
 __all__ = [
     "GoldenRecord",
@@ -274,11 +274,13 @@ def toy_histograms(eta: float, n: int, burn_in: int = 2000, thin: int = 1,
     mean, var = toy_posterior(p)
     sig = float(np.sqrt(var))
     edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
+    modes = (ExactMode.FULL, ExactMode.MINIBATCH)
+    cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
+    # only the positions outlive the run: momenta, steps and times go at once
+    positions = [t.thetas[:, 0] for t in
+                 run_exact_ensemble(p, [eta] * 2, modes, [cfg] * 2, [0, 0])]
     out = {}
-    for mode in (ExactMode.FULL, ExactMode.MINIBATCH):
-        cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
-        trace = run_exact_chain(p, eta, mode, cfg)
-        th = trace.thetas[:, 0]
+    for mode, th in zip(modes, positions):
         counts, _ = np.histogram(th, bins=edges)
         ks = ks_vs_gaussian(EmpiricalSample(th), mean, var)
         out[mode.value] = {"edges": edges, "counts": counts, "ks": float(ks),

@@ -19,6 +19,12 @@ each step between the sub-potential centers c_i = 2 x_i / v while keeping
 the full-data curvature in A. The minibatch chain is exact in time yet
 converges to a visibly wrong law, isolating the batching error from any
 integrator error.
+
+`run_exact_ensemble` advances R such chains together as the rows of an
+(R, 2) array, each on its own streams; noise and coins are drawn per chain
+a chunk of steps at a time, the coins from an iid K=2 batch schedule, so
+every chain's trace is bit-identical to the one it gives run alone.
+`run_exact_chain` is the one-chain ensemble.
 """
 
 from __future__ import annotations
@@ -30,6 +36,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import chain
+from .batching import BatchMode, BatchSchedule
 from .chain import ChainConfig, Trace
 from .core import RngStream, State
 
@@ -42,6 +50,7 @@ __all__ = [
     "toy_exact_step",
     "toy_posterior",
     "run_exact_chain",
+    "run_exact_ensemble",
 ]
 
 
@@ -215,74 +224,113 @@ def toy_posterior(p: ToyParams) -> tuple[float, float]:
     return p.center_full, p.sigma_l2
 
 
-def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
-                    chain_index: int = 0) -> Trace:
-    """Chain of exact transitions, traced like any integrator chain.
-
-    Uses the shared stream convention: noise 4c, init 4c+1, coin 4c+2.
-    """
-    if eta <= 0:
-        raise ValueError("running a chain requires eta > 0")
-    t0 = time.perf_counter()
-    mode = ExactMode(mode)
-    rng = RngStream(cfg.seed, 4 * chain_index)
-    coin = RngStream(cfg.seed, 4 * chain_index + 2)
-
+def _start(p: ToyParams, cfg: ChainConfig, chain_index: int) -> np.ndarray:
     if isinstance(cfg.init, State):
         if cfg.init.dim != 1:
             raise ValueError("the scalar model needs a 1-D state")
-        z = np.array([cfg.init.r[0], cfg.init.theta[0]])
-    else:
-        init_rng = RngStream(cfg.seed, 4 * chain_index + 1)
-        draws = init_rng.normal(2)
-        z = np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
+        return np.array([cfg.init.r[0], cfg.init.theta[0]])
+    draws = RngStream(cfg.seed, 4 * chain_index + 1).normal(2)
+    return np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
 
-    kernels = {
-        c: _kernel(p, float(eta), c)
-        for c in ((p.center_full,) if mode is ExactMode.FULL else p.centers)
-    }
-    centers = p.centers
 
-    n = cfg.n_samples
-    thetas = np.empty((n, 1))
-    momenta = np.empty((n, 1))
+def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[Trace]:
+    """Run R chains of exact transitions in lockstep as the rows of an (R, 2)
+    array, each traced like any integrator chain.
+
+    Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) on the shared
+    stream convention (noise 4c, init 4c+1, coin 4c+2), and its trace equals
+    the one that chain gives run alone, bit for bit. The chains share p and
+    the run length (n_samples, burn_in, thinning). Each trace's
+    meta["wall_time_s"] is the wall time of the whole run.
+    """
+    etas = [float(eta) for eta in etas]
+    modes = [ExactMode(mode) for mode in modes]
+    cfgs = list(cfgs)
+    idx = [int(c) for c in chain_indices]
+    R = len(etas)
+    if R == 0 or not R == len(modes) == len(cfgs) == len(idx):
+        raise ValueError("an ensemble needs one eta, mode, config and index per chain")
+    if not all(eta > 0 for eta in etas):
+        raise ValueError("running a chain requires eta > 0")
+    if len({(cfg.n_samples, cfg.burn_in, cfg.thinning) for cfg in cfgs}) > 1:
+        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
+
+    t0 = time.perf_counter()
+    z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
+    rngs = [RngStream(cfg.seed, 4 * i) for cfg, i in zip(cfgs, idx)]
+    coins = [BatchSchedule(BatchMode.IID_UNIFORM, 2, RngStream(cfg.seed, 4 * i + 2))
+             if mode is ExactMode.MINIBATCH else None
+             for mode, cfg, i in zip(modes, cfgs, idx)]
+    # kernels indexed [chain, coin]: a mini-batch coin picks the center
+    # p.centers[coin], a full chain's coin stays 0
+    tables = [[_kernel(p, eta, center) for center in
+               (p.centers if mode is ExactMode.MINIBATCH else (p.center_full,) * 2)]
+              for eta, mode in zip(etas, modes)]
+    E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
+    b = b[..., None]
+
+    n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
+    total = burn_in + n * thin
+    thetas = np.empty((R, n, 1))
+    momenta = np.empty((R, n, 1))
     steps = np.empty(n, dtype=np.int64)
-    total = cfg.burn_in + n * cfg.thinning
+    rows = np.arange(R)
     kept = 0
-    full_kernel = kernels.get(p.center_full)
-    for i in range(1, total + 1):
-        if mode is ExactMode.FULL:
-            E, b, L = full_kernel
-        else:
-            E, b, L = kernels[centers[coin.integers(2)]]
-        z = E @ (z - b) + b + L @ rng.normal(2)
-        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
-            momenta[kept, 0] = z[0]
-            thetas[kept, 0] = z[1]
-            steps[kept] = i
-            kept += 1
+    i = 0
+    while i < total:
+        # coins and noise for the next m steps, drawn per chain in the order
+        # its steps would draw them one by one
+        m = min(chain._CHUNK, total - i)
+        flips = np.stack([np.zeros(m, dtype=np.int64) if s is None else s.take(m)
+                          for s in coins], axis=1)
+        xi = np.stack([rng.normal(2 * m).reshape(m, 2) for rng in rngs], axis=1)
+        noise = L[rows, flips] @ xi[..., None]
+        # per row the one-chain arithmetic E @ (z - b) + b + L @ xi: stacked
+        # matmuls reproduce its bits, einsum does not
+        for Ej, bj, nj in zip(E[rows, flips], b[rows, flips], noise):
+            i += 1
+            z = Ej @ (z - bj) + bj + nj
+            if i > burn_in and (i - burn_in) % thin == 0:
+                momenta[:, kept] = z[:, 0]
+                thetas[:, kept] = z[:, 1]
+                steps[kept] = i
+                kept += 1
 
-    meta = {
-        "scheme": "exact",
-        "eta": float(eta),
-        "friction": p.friction,
-        "n_inner": 1,
-        "v_hat": 0.0,
-        "mode": mode.value,
-        "K": 2 if mode is ExactMode.MINIBATCH else 1,
-        "n_samples": n,
-        "burn_in": cfg.burn_in,
-        "thinning": cfg.thinning,
-        "seed": cfg.seed,
-        "chain_index": chain_index,
-        "dim": 1,
-        "wall_time_s": time.perf_counter() - t0,
-    }
-    return Trace(
-        thetas=thetas,
-        momenta=momenta,
-        steps=steps,
-        times=steps.astype(float) * eta,
-        meta=meta,
-        effective_time=total * eta,
-    )
+    wall = time.perf_counter() - t0
+    traces = []
+    for c in range(R):
+        mode, eta = modes[c], etas[c]
+        meta = {
+            "scheme": "exact",
+            "eta": eta,
+            "friction": p.friction,
+            "n_inner": 1,
+            "v_hat": 0.0,
+            "mode": mode.value,
+            "K": 2 if mode is ExactMode.MINIBATCH else 1,
+            "n_samples": n,
+            "burn_in": burn_in,
+            "thinning": thin,
+            "seed": cfgs[c].seed,
+            "chain_index": idx[c],
+            "dim": 1,
+            "wall_time_s": wall,
+        }
+        traces.append(Trace(
+            thetas=thetas[c],
+            momenta=momenta[c],
+            steps=steps if c == R - 1 else steps.copy(),
+            times=steps.astype(float) * eta,
+            meta=meta,
+            effective_time=total * eta,
+        ))
+    return traces
+
+
+def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
+                    chain_index: int = 0) -> Trace:
+    """Chain of exact transitions: the one-chain exact ensemble.
+
+    Uses the shared stream convention: noise 4c, init 4c+1, coin 4c+2.
+    """
+    return run_exact_ensemble(p, [eta], [mode], [cfg], [chain_index])[0]

@@ -12,7 +12,13 @@ in code paths disjoint from the package implementation:
 - central finite differences for gradients and Jacobians,
 - scipy's Pade matrix exponential / logarithm as the semigroup reference,
 - a plain one-chain sampling loop over the public single-step API, the
-  semantics every chain of an ensemble run must reproduce bit for bit.
+  semantics every chain of an ensemble run must reproduce bit for bit, and
+  the same for the exact toy kernel (one 2-vector, one coin and one
+  normal(2) draw per step),
+- one-draw-per-swap Fisher-Yates permutations and subsets, and the earlier
+  formulas of the splitting-order trials, the power-iteration norm and the
+  one-sample Gaussian Kolmogorov distance, which the faster forms in the
+  package must reproduce bit for bit.
 
 These act as the frozen oracles that implementation outputs are compared to.
 """
@@ -330,3 +336,123 @@ def reference_chain(P, spec, sched, cfg, chain_index=0):
     steps = np.array(steps, dtype=np.int64)
     return (np.array(thetas).reshape(-1, d), np.array(momenta).reshape(-1, d),
             steps, steps.astype(float) * dt, total * dt)
+
+
+def reference_exact_chain(p, eta, mode, cfg, chain_index=0):
+    """One exact-kernel chain stepped one 2-vector at a time: a coin
+    `integers(2)` call on stream 4c + 2 (mini-batch mode) and one `normal(2)`
+    call on stream 4c per step, from the package's cached kernels.
+
+    Returns (thetas, momenta, steps, times, effective_time).
+    """
+    from hsde.core import RngStream, State
+    from hsde.toy_exact import ExactMode, _kernel
+
+    mode = ExactMode(mode)
+    rng = RngStream(cfg.seed, 4 * chain_index)
+    coin = RngStream(cfg.seed, 4 * chain_index + 2)
+    if isinstance(cfg.init, State):
+        z = np.array([cfg.init.r[0], cfg.init.theta[0]])
+    else:
+        draws = RngStream(cfg.seed, 4 * chain_index + 1).normal(2)
+        z = np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
+    full_kernel = _kernel(p, float(eta), p.center_full)
+    kernels = {c: _kernel(p, float(eta), c) for c in p.centers}
+    total = cfg.burn_in + cfg.n_samples * cfg.thinning
+    thetas, momenta, steps = [], [], []
+    for i in range(1, total + 1):
+        if mode is ExactMode.FULL:
+            E, b, L = full_kernel
+        else:
+            E, b, L = kernels[p.centers[coin.integers(2)]]
+        z = E @ (z - b) + b + L @ rng.normal(2)
+        if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
+            momenta.append(z[0])
+            thetas.append(z[1])
+            steps.append(i)
+    steps = np.array(steps, dtype=np.int64)
+    return (np.array(thetas).reshape(-1, 1), np.array(momenta).reshape(-1, 1),
+            steps, steps.astype(float) * eta, total * eta)
+
+
+def reference_permutation(rng, n):
+    """Fisher-Yates with one `integers(i + 1)` call per swap, i = n-1 .. 1."""
+    perm = np.arange(n)
+    for i in range(n - 1, 0, -1):
+        j = rng.integers(i + 1)
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def reference_subset(rng, n, k):
+    """Partial Fisher-Yates over a dict-backed array, one `integers(n - i)`
+    call per swap."""
+    swap = {}
+    out = np.empty(k, dtype=np.int64)
+    for i in range(k):
+        j = i + rng.integers(n - i)
+        out[i] = swap.get(j, j)
+        swap[j] = swap.get(i, i)
+    return out
+
+
+def reference_spectral_norm(M, n_iters=50):
+    """Power iteration on M^T M normalized with `np.linalg.norm`."""
+    M = np.asarray(M, dtype=np.float64)
+    G = M.T @ M
+    n = G.shape[0]
+    v = np.ones(n) / np.sqrt(n)
+    for _ in range(n_iters):
+        w = G @ v
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            return 0.0
+        v = w / norm
+    return float(np.sqrt(max(float(v @ (G @ v)), 0.0)))
+
+
+def reference_ks_vs_gaussian(sorted_values, mean, variance):
+    """One-sample Kolmogorov distance against N(mean, variance), one
+    temporary per operation."""
+    from scipy.special import erf
+
+    n = sorted_values.size
+    z = (sorted_values - float(mean)) / np.sqrt(float(variance))
+    cdf = 0.5 * (1.0 + erf(z / np.sqrt(2.0)))
+    steps = np.arange(n + 1) / n
+    upper = np.abs(steps[1:] - cdf).max()
+    lower = np.abs(steps[:-1] - cdf).max()
+    return float(max(upper, lower))
+
+
+def reference_order_trials(n_trials, rng, etas, modes, k_choices, n_choices):
+    """Splitting-order trials with every product mode built from the public
+    `splitting_product` / `randomized_expectation`, the exact semigroup
+    recomputed per mode and errors measured by `reference_spectral_norm`.
+    Returns [(trial, K, n, mode, errors, slope, r2)]."""
+    from hsde.operator_lab import (
+        GeneratorSet,
+        error_order_slope,
+        matrix_exp,
+        randomized_expectation,
+        splitting_product,
+    )
+
+    out = []
+    for t in range(n_trials):
+        k = k_choices[rng.integers(len(k_choices))]
+        n = n_choices[rng.integers(len(n_choices))]
+        G = GeneratorSet(tuple(rng.uniform(-1.0, 1.0, n * n).reshape(n, n)
+                               for _ in range(k)))
+        for mode in modes:
+            errs = []
+            for eta in etas:
+                exact = matrix_exp(eta * k * G.total)
+                if mode == "randomized":
+                    approx = randomized_expectation(G, eta)
+                else:
+                    approx = splitting_product(G, eta, mode)
+                errs.append(reference_spectral_norm(approx - exact))
+            slope, r2 = error_order_slope(etas, errs)
+            out.append((t, k, n, mode, tuple(errs), slope, r2))
+    return out

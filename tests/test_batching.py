@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsde.batching import BatchMode, make_schedule
 from hsde.core import RngStream
@@ -64,6 +66,48 @@ def test_seed_determinism():
     c = make_schedule("iid", 4, RngStream(11, 4))
     d = make_schedule("iid", 4, RngStream(11, 4))
     assert [c.next() for _ in range(20)] == [d.next() for _ in range(20)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    mode=st.sampled_from(["full", "iid", "perm"]),
+    K=st.integers(min_value=1, max_value=9),
+    calls=st.lists(st.tuples(st.booleans(), st.integers(min_value=0, max_value=40)),
+                   min_size=1, max_size=12),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_take_interleaved_with_next_equals_next_alone(mode, K, calls, seed):
+    # take(m) must read what m next() calls read and leave the schedule
+    # where they would, whatever the cursor inside a sweep
+    chunked = make_schedule(mode, K, RngStream(seed, 2))
+    stepped = make_schedule(mode, K, RngStream(seed, 2))
+    got, want = [], []
+    for use_take, m in calls:
+        if use_take:
+            ids = chunked.take(m)
+            assert ids.dtype == np.int64 and ids.shape == (m,)
+            got += ids.tolist()
+        else:
+            got += [-1 if b is None else b for b, _ in (chunked.next() for _ in range(m))]
+        want += [-1 if b is None else b for b, _ in (stepped.next() for _ in range(m))]
+    assert got == want
+    # both schedules and their streams carry on identically
+    assert [chunked.next() for _ in range(2 * K + 1)] == [stepped.next() for _ in range(2 * K + 1)]
+    assert chunked.rng.normal(3).tobytes() == stepped.rng.normal(3).tobytes()
+
+
+def test_take_draws_once_per_chunk():
+    calls = []
+
+    class Counting(RngStream):
+        def integers(self, n, size=None):
+            calls.append(n)
+            return super().integers(n, size)
+
+    for mode in ("iid", "perm"):
+        calls.clear()
+        make_schedule(mode, 8, Counting(0, 2)).take(256)
+        assert len(calls) == 1
 
 
 def test_k_below_one_rejected():

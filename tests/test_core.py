@@ -14,6 +14,8 @@ from hsde.core import (
     kinetic_energy,
 )
 
+from .oracles import reference_permutation, reference_subset
+
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -201,3 +203,58 @@ class TestRngStream:
         # and the two streams carry on identically
         for size in (d, 3 * d + 1, RngStream._BLOCK):
             assert per_step.normal(size).tobytes() == chunked.normal(size).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=0, max_value=40),
+        count=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_permutation_equals_per_swap_draws(self, n, count, seed):
+        ours, ref = RngStream(seed, 3), RngStream(seed, 3)
+        for _ in range(count):
+            got, want = ours.permutation(n), reference_permutation(ref, n)
+            assert got.tolist() == want.tolist()
+        # a block of permutations equals as many single ones
+        block = ours.permutations(n, count)
+        assert block.shape == (count, n)
+        for row in block:
+            assert row.tolist() == reference_permutation(ref, n).tolist()
+        assert ours.integers(7) == ref.integers(7)
+        assert ours.normal(3).tobytes() == ref.normal(3).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(min_value=1, max_value=500),
+        frac=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_subset_equals_per_swap_draws(self, n, frac, seed):
+        k = max(1, round(frac * n))
+        ours, ref = RngStream(seed, 4), RngStream(seed, 4)
+        for _ in range(2):
+            assert ours.subset(n, k).tobytes() == reference_subset(ref, n, k).tobytes()
+        assert ours.integers(9) == ref.integers(9)
+        assert ours.normal(3).tobytes() == ref.normal(3).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        bounds=st.lists(st.integers(min_value=1, max_value=2**40), min_size=1,
+                        max_size=50),
+        seed=st.integers(min_value=0, max_value=2**64 - 1),
+    )
+    def test_integers_sized_and_bounds_forms_equal_scalar_draws(self, bounds, seed):
+        one_by_one, by_bounds = RngStream(seed, 5), RngStream(seed, 5)
+        want = [one_by_one.integers(h) for h in bounds]
+        got = by_bounds.integers(np.array(bounds))
+        assert got.dtype == np.int64 and got.tolist() == want
+        h = bounds[0]
+        want = [one_by_one.integers(h) for _ in range(len(bounds))]
+        assert by_bounds.integers(h, size=len(bounds)).tolist() == want
+        assert one_by_one.normal(3).tobytes() == by_bounds.normal(3).tobytes()
+
+    def test_integers_rejects_empty_range(self):
+        rng = RngStream(0, 0)
+        for n, size in ((0, None), (0, 3), (np.array([2, 0]), None)):
+            with pytest.raises(ValueError):
+                rng.integers(n, size)

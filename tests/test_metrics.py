@@ -18,7 +18,7 @@ from hsde.metrics import (
 )
 from hsde.potentials import GaussianPosterior
 
-from .oracles import brute_kolmogorov
+from .oracles import brute_kolmogorov, reference_ks_vs_gaussian
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -131,6 +131,18 @@ class TestKsVsGaussian:
             got = ks_vs_gaussian(EmpiricalSample(x), 0.4, 1.3**2)
             want = scipy.stats.kstest(x, "norm", args=(0.4, 1.3)).statistic
             assert got == pytest.approx(want, abs=1e-10)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(finite_floats, min_size=1, max_size=300),
+        st.floats(-5.0, 5.0),
+        st.floats(0.01, 30.0),
+    )
+    def test_equals_one_temporary_per_operation_formula(self, xs, mean, var):
+        a = EmpiricalSample(xs)
+        before = a.values.copy()
+        assert ks_vs_gaussian(a, mean, var) == reference_ks_vs_gaussian(a.values, mean, var)
+        assert a.values.tobytes() == before.tobytes()
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):

@@ -21,7 +21,12 @@ from hsde.operator_lab import (
     spectral_norm,
 )
 
-from .oracles import expm_pade, log_of_product_exp
+from .oracles import (
+    expm_pade,
+    log_of_product_exp,
+    reference_order_trials,
+    reference_spectral_norm,
+)
 
 # the classic noncommuting 2x2 pair: a rotation generator and a shear
 L_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -307,6 +312,14 @@ class TestSpectralNorm:
             want = float(np.linalg.norm(M, 2))
             assert spectral_norm(M) == pytest.approx(want, rel=1e-6)
 
+    def test_equals_linalg_norm_iteration(self):
+        rng = np.random.default_rng(5)
+        for n in range(1, 9):
+            for _ in range(20):
+                M = rng.normal(size=(n, n)) * rng.uniform(1e-6, 1e3)
+                assert spectral_norm(M) == reference_spectral_norm(M)
+        assert spectral_norm(np.zeros((3, 3))) == reference_spectral_norm(np.zeros((3, 3)))
+
     def test_scaling_equivariance(self):
         rng = np.random.default_rng(3)
         M = rng.normal(size=(3, 3))
@@ -339,6 +352,21 @@ class TestRunOrderTrials:
         for mode, hits in by_mode.items():
             assert np.mean(hits) >= 0.9, mode
 
+    @pytest.mark.parametrize("modes", [("forward", "averaged", "randomized"),
+                                       ("randomized", "forward"), ("averaged",)])
+    def test_shared_exponentials_change_no_bit(self, modes):
+        # each (trial, eta) computes the semigroup and the factor
+        # exponentials once for all modes; every error stays bit-identical
+        etas = (0.1, 0.05, 0.025, 0.0125)
+        got = run_order_trials(12, RngStream(3, 0), etas=etas, modes=modes,
+                               k_choices=(2, 3, 5), n_choices=(2, 3, 6))
+        want = reference_order_trials(12, RngStream(3, 0), etas, modes,
+                                      (2, 3, 5), (2, 3, 6))
+        assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
+                for t in got] == want
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_order_trials(0, RngStream(0, 0))
+        with pytest.raises(ValueError, match="eta"):
+            run_order_trials(1, RngStream(0, 0), etas=(0.1, 0.0, 0.05))

@@ -17,8 +17,9 @@ from hsde.core import MassMatrix, RngStream
 from hsde.integrators import DivergenceError, IntegratorSpec
 from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
+from hsde.toy_exact import reference_params, toy_posterior
 
-from .oracles import reference_chain
+from .oracles import reference_chain, reference_exact_chain, reference_ks_vs_gaussian
 
 
 class TestModels:
@@ -191,6 +192,34 @@ class TestToyHistograms:
     def test_modes_differ_at_coarse_step(self):
         out = repro.toy_histograms(eta=0.4, n=3000, burn_in=300, seed=5)
         assert out["minibatch"]["ks"] > out["full"]["ks"]
+
+    def test_bottleneck_report_equals_reference_loop(self, tmp_path):
+        # the report's histogram bytes and KS values, rebuilt from one-step-
+        # at-a-time exact chains: a one-bit drift on the exact path fails here
+        n, seed = 3000, 11
+        checks = {c.name: c.value for c in
+                  repro.report_exact_bottleneck(tmp_path, n=n, seed=seed)}
+        p = reference_params()
+        mean, var = toy_posterior(p)
+        sig = float(np.sqrt(var))
+        edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
+        ks = {}
+        for eta, s in ((0.4, seed), (0.01, seed + 1)):
+            for mode in ("full", "minibatch"):
+                cfg = ChainConfig(n_samples=n, burn_in=2000, thinning=1, seed=s)
+                th = reference_exact_chain(p, eta, mode, cfg)[0][:, 0]
+                ks[eta, mode] = reference_ks_vs_gaussian(np.sort(th), mean, var)
+                if eta == 0.4:
+                    counts, _ = np.histogram(th, bins=edges)
+                    lines = ["bin_left,bin_right,count"] + [
+                        f"{edges[i]:.17g},{edges[i + 1]:.17g},{counts[i]}"
+                        for i in range(128)]
+                    got = (tmp_path / f"hist_{mode}.csv").read_text()
+                    assert got == "\n".join(lines) + "\n"
+        assert checks["full_ks_small"] == ks[0.4, "full"]
+        assert checks["minibatch_ks_large"] == ks[0.4, "minibatch"]
+        assert checks["golden:toy_minibatch_ks_eta0.01"] == ks[0.01, "minibatch"]
+        assert checks["fine_step_closes_gap"] == ks[0.01, "minibatch"] / ks[0.01, "full"]
 
 
 class TestGoldens:

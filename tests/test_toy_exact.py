@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf
 
+from hsde import chain as chain_module
 from hsde.chain import ChainConfig
 from hsde.core import RngStream, State
 from hsde.toy_exact import (
@@ -12,12 +13,13 @@ from hsde.toy_exact import (
     matexp2,
     reference_params,
     run_exact_chain,
+    run_exact_ensemble,
     toy_exact_step,
     toy_posterior,
     toy_transition,
 )
 
-from .oracles import _expm_eig, rk4_toy_moments, simpson_covariance
+from .oracles import _expm_eig, reference_exact_chain, rk4_toy_moments, simpson_covariance
 
 Z0 = np.array([0.7, -0.9])
 ETA = 0.4
@@ -274,3 +276,107 @@ class TestExactChain:
         with pytest.raises(ValueError):
             run_exact_chain(reference_params(), 0.0, "full",
                             ChainConfig(n_samples=1, seed=0))
+
+
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def check_ensemble(p, etas, modes, seeds, indices, inits=None, burn_in=31,
+                   n_samples=8, thinning=5):
+    """Every chain of the exact ensemble equals the one-chain reference loop."""
+    inits = inits or ["prior"] * len(etas)
+    cfgs = [ChainConfig(n_samples=n_samples, burn_in=burn_in, thinning=thinning,
+                        seed=seed, init=init) for seed, init in zip(seeds, inits)]
+    traces = run_exact_ensemble(p, etas, modes, cfgs, indices)
+    assert len(traces) == len(etas)
+    for c, trace in enumerate(traces):
+        thetas, momenta, steps, times, effective = reference_exact_chain(
+            p, etas[c], modes[c], cfgs[c], indices[c])
+        assert_bits(trace.thetas, thetas)
+        assert_bits(trace.momenta, momenta)
+        assert_bits(trace.steps, steps)
+        assert_bits(trace.times, times)
+        assert trace.effective_time == effective
+        assert trace.meta["eta"] == etas[c]
+        assert trace.meta["mode"] == ExactMode(modes[c]).value
+        assert trace.meta["chain_index"] == indices[c]
+    return traces
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    # refill noise and coins every 7 steps, so short runs cross many chunk
+    # boundaries and end on a partial chunk
+    monkeypatch.setattr(chain_module, "_CHUNK", 7)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestExactEnsembleMatchesReference:
+    @pytest.mark.parametrize("mode", ["full", "minibatch"])
+    def test_single_chain(self, mode):
+        p = reference_params()
+        check_ensemble(p, [0.15], [mode], [5], [2])
+        cfg = ChainConfig(n_samples=8, burn_in=31, thinning=5, seed=5)
+        assert_bits(run_exact_chain(p, 0.15, mode, cfg, 2).thetas,
+                    reference_exact_chain(p, 0.15, mode, cfg, 2)[0])
+
+    def test_two_modes_on_one_stream(self):
+        # the histogram runs: both modes on seed s, chain index 0
+        check_ensemble(reference_params(), [0.4, 0.4], ["full", "minibatch"],
+                       [11, 11], [0, 0])
+
+    def test_mixed_etas_modes_seeds_and_indices(self):
+        check_ensemble(reference_params(), [0.05, 0.4, 0.01, 1.3, 0.2],
+                       ["minibatch", "full", "minibatch", "minibatch", "full"],
+                       [11, 11, 12, 13, 11], [0, 1, 0, 2, 3])
+
+    def test_fixed_starts(self):
+        starts = [State(r=np.array([0.5]), theta=np.array([3.0])), "prior",
+                  State(r=np.array([-1.0]), theta=np.array([-2.0]))]
+        check_ensemble(ToyParams(1.3, 0.8, -1.0, 2.5, 3.1), [0.3, 0.1, 0.3],
+                       ["minibatch", "full", "full"], [4, 4, 7], [0, 1, 0],
+                       inits=starts, burn_in=0, n_samples=20, thinning=1)
+
+    def test_empty_trace(self):
+        traces = check_ensemble(reference_params(), [0.4, 0.2],
+                                ["full", "minibatch"], [1, 2], [0, 0],
+                                burn_in=9, n_samples=0)
+        assert all(t.n_samples == 0 for t in traces)
+
+
+class TestExactEnsembleRun:
+    def test_default_chunks_and_buffer_refill(self):
+        # 4300 steps draw 8600 normals per chain: many default chunks and one
+        # refill of the stream's 8192-normal buffer
+        assert 4300 > 2 * chain_module._CHUNK
+        check_ensemble(reference_params(), [0.4, 0.4, 0.07],
+                       ["full", "minibatch", "minibatch"], [3, 3, 8], [0, 0, 1],
+                       burn_in=4000, n_samples=100, thinning=3)
+
+    def test_traces_own_their_arrays(self):
+        cfg = ChainConfig(n_samples=5, burn_in=3, thinning=2, seed=1)
+        a, b = run_exact_ensemble(reference_params(), [0.4, 0.4],
+                                  ["full", "minibatch"], [cfg, cfg], [0, 1])
+        before = b.steps.copy(), b.thetas.copy()
+        a.steps[:] = -1
+        a.thetas[:] = np.nan
+        assert_bits(b.steps, before[0])
+        assert_bits(b.thetas, before[1])
+
+    def test_validation(self):
+        p = reference_params()
+        cfg = ChainConfig(n_samples=3, burn_in=2, thinning=1, seed=0)
+        with pytest.raises(ValueError, match="eta"):
+            run_exact_ensemble(p, [0.4, 0.0], ["full"] * 2, [cfg] * 2, [0, 1])
+        with pytest.raises(ValueError, match="one eta"):
+            run_exact_ensemble(p, [0.4, 0.4], ["full"] * 2, [cfg], [0, 1])
+        with pytest.raises(ValueError, match="one eta"):
+            run_exact_ensemble(p, [], [], [], [])
+        other = ChainConfig(n_samples=4, burn_in=2, thinning=1, seed=0)
+        with pytest.raises(ValueError, match="share"):
+            run_exact_ensemble(p, [0.4, 0.4], ["full"] * 2, [cfg, other], [0, 1])
+        with pytest.raises(ValueError):
+            run_exact_ensemble(p, [0.4], ["perm"], [cfg], [0])
