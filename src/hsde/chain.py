@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .batching import BatchMode, BatchSchedule
-from .core import RngStream, State
+from .core import RngStream, State, format_float, write_columns
 from .integrators import (
     DivergenceError,
     IntegratorSpec,
@@ -94,10 +94,6 @@ class Trace:
     def dim(self) -> int:
         return self.thetas.shape[1]
 
-    def states(self) -> list[State]:
-        return [State(r=self.momenta[i], theta=self.thetas[i])
-                for i in range(self.n_samples)]
-
 
 def _step_duration(spec: IntegratorSpec) -> float:
     # one LIE_TROTTER/HMC step advances n_inner leapfrogs of size eta
@@ -135,6 +131,44 @@ def _divergence(spec: IntegratorSpec, step_index: int, r, th, thetas, momenta):
     return err
 
 
+def _run_length(etas, cfgs, **per_chain) -> tuple[int, int, int]:
+    """Check an ensemble's arguments: one entry per chain in each named list,
+    every eta > 0 and one run length. Returns (n_samples, burn_in, thinning)."""
+    R = len(cfgs)
+    if R == 0 or any(len(arg) != R for arg in per_chain.values()):
+        *names, last = per_chain
+        raise ValueError(f"an ensemble needs one {', '.join(names)} and {last} per chain")
+    if not all(eta > 0 for eta in etas):
+        raise ValueError("running a chain requires eta > 0")
+    if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
+        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
+    return cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
+
+
+def _traces(thetas, momenta, steps, cfgs, idx, wall, runs) -> list[Trace]:
+    """One Trace per chain from an ensemble's (R, n, d) kept samples.
+
+    runs[c] is (step duration, meta) with chain c's scheme, eta, friction,
+    n_inner, v_hat, mode and K; the run length, seed, chain index, dimension
+    and the whole run's wall time complete its 14-key meta.
+    """
+    R, n, d = thetas.shape
+    burn_in, thin = cfgs[0].burn_in, cfgs[0].thinning
+    traces = []
+    for c, (dt, meta) in enumerate(runs):
+        meta.update(n_samples=n, burn_in=burn_in, thinning=thin, seed=cfgs[c].seed,
+                    chain_index=idx[c], dim=d, wall_time_s=wall)
+        traces.append(Trace(
+            thetas=thetas[c],
+            momenta=momenta[c],
+            steps=steps if c == R - 1 else steps.copy(),
+            times=steps.astype(float) * dt,
+            meta=meta,
+            effective_time=(burn_in + n * thin) * dt,
+        ))
+    return traces
+
+
 class _Feed:
     """Hands out a chunk's pre-drawn noise to a stepper, one (R, d) draw per
     `normal` call, in the order the stepper asks for them."""
@@ -162,25 +196,20 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     could diverge first.
     """
     specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
-    R = len(specs)
     idx = [int(c) for c in chain_indices]
-    if R == 0 or not R == len(scheds) == len(cfgs) == len(idx):
-        raise ValueError("an ensemble needs one spec, schedule, config and index per chain")
+    n, burn_in, thin = _run_length([s.eta for s in specs], cfgs, spec=specs,
+                                   schedule=scheds, config=cfgs, index=idx)
+    R = len(specs)
     for spec, sched in zip(specs, scheds):
-        if spec.eta <= 0:
-            raise ValueError("running a chain requires eta > 0")
         if P.dim != spec.mass.dim:
             raise ValueError("potential and mass matrix dimensions differ")
         if sched.mode is not BatchMode.FULL and sched.n_batches != P.n_batches:
             raise ValueError("schedule and potential disagree on the batch count")
-    if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
-        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
 
     t0 = time.perf_counter()
     starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
     rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, idx)]
     full = [s.mode is BatchMode.FULL for s in scheds]
-    n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
     total_steps = burn_in + n * thin
     d = P.dim
     n_draws = noise_draws(specs[0].scheme)
@@ -241,36 +270,12 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     if errors:
         raise errors[min(errors)]
 
-    wall = time.perf_counter() - t0
-    traces = []
-    for c in range(R):
-        spec, sched, cfg = specs[c], scheds[c], cfgs[c]
-        dt = _step_duration(spec)
-        meta = {
-            "scheme": spec.scheme.value,
-            "eta": spec.eta,
-            "friction": spec.friction,
-            "n_inner": spec.n_inner,
-            "v_hat": spec.v_hat,
-            "mode": sched.mode.value,
+    return _traces(thetas, momenta, steps, cfgs, idx, time.perf_counter() - t0, [
+        (_step_duration(spec), {
+            "scheme": spec.scheme.value, "eta": spec.eta, "friction": spec.friction,
+            "n_inner": spec.n_inner, "v_hat": spec.v_hat, "mode": sched.mode.value,
             "K": sched.n_batches,
-            "n_samples": n,
-            "burn_in": burn_in,
-            "thinning": thin,
-            "seed": cfg.seed,
-            "chain_index": idx[c],
-            "dim": d,
-            "wall_time_s": wall,
-        }
-        traces.append(Trace(
-            thetas=thetas[c],
-            momenta=momenta[c],
-            steps=steps if c == R - 1 else steps.copy(),
-            times=steps.astype(float) * dt,
-            meta=meta,
-            effective_time=total_steps * dt,
-        ))
-    return traces
+        }) for spec, sched in zip(specs, scheds)])
 
 
 def run_chain(P: Potential, spec: IntegratorSpec, sched: BatchSchedule,
@@ -308,10 +313,6 @@ def acf1(trace: Trace, coord: int = 0, which: str = "theta") -> float:
     return float(np.dot(x[:-1], x[1:]) / denom)
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def save_trace(trace: Trace, csv_path, meta_path=None) -> None:
     """Write the kept samples as CSV and the metadata as key = value lines.
 
@@ -324,17 +325,11 @@ def save_trace(trace: Trace, csv_path, meta_path=None) -> None:
         + [f"theta_{j}" for j in range(d)]
         + [f"r_{j}" for j in range(d)]
     )
-    lines = [",".join(header)]
-    for i in range(trace.n_samples):
-        row = [str(int(trace.steps[i])), _fmt(trace.times[i])]
-        row += [_fmt(v) for v in trace.thetas[i]]
-        row += [_fmt(v) for v in trace.momenta[i]]
-        lines.append(",".join(row))
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_columns(csv_path, header,
+                  [trace.steps, trace.times, *trace.thetas.T, *trace.momenta.T])
     if meta_path is not None:
         keys = sorted(trace.meta)
         with open(meta_path, "w") as fh:
             for k in keys:
                 fh.write(f"{k} = {trace.meta[k]}\n")
-            fh.write(f"effective_time = {_fmt(trace.effective_time)}\n")
+            fh.write(f"effective_time = {format_float(trace.effective_time)}\n")

@@ -31,7 +31,7 @@ import numpy as np
 from . import repro
 from .batching import make_schedule
 from .chain import ChainConfig, DivergenceError, run_chain, save_trace
-from .core import MassMatrix, RngStream, State
+from .core import MassMatrix, RngStream, State, format_float
 from .geometry import (
     det_target_leapfrog,
     det_target_lie_trotter,
@@ -218,7 +218,7 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         sched = make_schedule(mode, potential.n_batches, RngStream(seed, 2))
         trace = run_chain(potential, spec, sched, cfg)
     save_trace(trace, os.path.join(out_dir, "trace.csv"))
-    extra = {"effective_time": repro._fmt_float(trace.effective_time),
+    extra = {"effective_time": format_float(trace.effective_time),
              "kept": trace.n_samples}
     try:
         post = repro.build_model(model, 1).analytic_posterior()
@@ -227,9 +227,9 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
     mean_err, var_err = moment_errors(trace, post)
     ks = ks_vs_gaussian(EmpiricalSample(trace.thetas[:, 0]),
                         post.mean[0], post.cov[0, 0])
-    extra.update(ks_coord0=repro._fmt_float(ks),
-                 mean_err=repro._fmt_float(mean_err.max()),
-                 var_err=repro._fmt_float(var_err.max()))
+    extra.update(ks_coord0=format_float(ks),
+                 mean_err=format_float(mean_err.max()),
+                 var_err=format_float(var_err.max()))
     return extra
 
 
@@ -309,16 +309,12 @@ def _do_toy(out_dir, eta, n, burn_in, thin, seed):
                                  seed=seed)
     summary = []
     for mode, data in hists.items():
-        rows = [{"bin_left": float(data["edges"][i]),
-                 "bin_right": float(data["edges"][i + 1]),
-                 "count": int(data["counts"][i])}
-                for i in range(len(data["counts"]))]
         repro.write_csv(os.path.join(out_dir, f"hist_{mode}.csv"),
-                        ["bin_left", "bin_right", "count"], rows)
+                        *repro.histogram_table(data))
         summary.append({"mode": mode, "ks": data["ks"], "n": data["n"]})
     repro.write_csv(os.path.join(out_dir, "summary.csv"),
                     ["mode", "ks", "n"], summary)
-    return {f"ks_{row['mode']}": repro._fmt_float(row["ks"]) for row in summary}
+    return {f"ks_{row['mode']}": format_float(row["ks"]) for row in summary}
 
 
 # ---------------------------------------------------------------------------
@@ -347,21 +343,9 @@ def _do_opcheck(out_dir, trials, parts, dims, seed):
         raise click.UsageError("--K and --n take comma-separated integers")
     results = run_order_trials(trials, RngStream(seed, 0),
                                k_choices=k_choices, n_choices=n_choices)
-    rows = []
-    slope_rows = []
-    for t in results:
-        for eta, err in zip(t.etas, t.errors):
-            rows.append({"trial": t.trial, "K": t.n_parts, "n": t.dim,
-                         "mode": t.mode, "eta": float(eta),
-                         "error": float(err)})
-        slope_rows.append({"trial": t.trial, "K": t.n_parts, "n": t.dim,
-                           "mode": t.mode, "slope": float(t.slope),
-                           "r_squared": float(t.r_squared)})
-    repro.write_csv(os.path.join(out_dir, "summary.csv"),
-                    ["trial", "K", "n", "mode", "eta", "error"], rows)
-    repro.write_csv(os.path.join(out_dir, "slopes.csv"),
-                    ["trial", "K", "n", "mode", "slope", "r_squared"],
-                    slope_rows)
+    errors, slopes = repro.trial_tables(results)
+    repro.write_csv(os.path.join(out_dir, "summary.csv"), *errors)
+    repro.write_csv(os.path.join(out_dir, "slopes.csv"), *slopes)
     extra = {}
     for mode in ("forward", "averaged", "randomized"):
         vals = [t.slope for t in results if t.mode == mode]
@@ -369,7 +353,7 @@ def _do_opcheck(out_dir, trials, parts, dims, seed):
             continue
         lo, hi = slope_band(mode)
         frac = float(np.mean([lo <= v <= hi for v in vals]))
-        extra[f"{mode}_band_fraction"] = repro._fmt_float(frac)
+        extra[f"{mode}_band_fraction"] = format_float(frac)
     return extra
 
 
@@ -436,7 +420,7 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
                     ["scheme", "eta", "C", "det_J", "det_target",
                      "det_residual", "symp_residual"], rows)
     worst = max(r["det_residual"] for r in rows)
-    return {"max_det_residual": repro._fmt_float(worst)}
+    return {"max_det_residual": format_float(worst)}
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@ Conventions used throughout the package:
 - Randomness flows through `RngStream`, a counter-based generator keyed by
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
+- Every CSV is written by `write_columns`, every float in a CSV or metadata
+  file by `format_float`. Both are shared by `chain`, `repro` and `cli` and
+  stay out of `__all__`, like `as_vector`: perfbench's tracer wraps every
+  `__all__` function, and a span per cell would swamp its trace.
 """
 
 from __future__ import annotations
@@ -37,6 +41,34 @@ def as_vector(x, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def format_float(x) -> str:
+    """A float at full precision: `.17g` round-trips every float64, so a
+    rerun with the same bits writes the same text."""
+    return format(float(x), ".17g")
+
+
+# rows formatted per write: a long trace never exists as text whole
+_CSV_BLOCK = 4096
+
+
+def write_columns(path, header, columns) -> None:
+    """Write a CSV from its header and equal-length columns, one line per row.
+
+    Float cells (numpy float64 included) go through `format_float`, any other
+    cell through `str`. Columns may be lists or numpy arrays.
+    """
+    n = len(columns[0]) if columns else 0
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, n, _CSV_BLOCK):
+            # .tolist() turns array cells into Python numbers, the fast path
+            parts = [col[start:start + _CSV_BLOCK] for col in columns]
+            cells = [[format_float(v) if isinstance(v, float) else str(v) for v in
+                      (part.tolist() if isinstance(part, np.ndarray) else part)]
+                     for part in parts]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 @dataclass(frozen=True)

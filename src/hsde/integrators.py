@@ -50,14 +50,6 @@ __all__ = [
     "compile_ensemble_step",
     "noise_draws",
     "step",
-    "euler_step",
-    "leapfrog_step",
-    "spv_step",
-    "lie_trotter_step",
-    "hmc_partial_step",
-    "symmetric_step",
-    "mt3_step",
-    "sghmc_step",
 ]
 
 GradFn = Callable[[np.ndarray], np.ndarray]
@@ -377,7 +369,16 @@ def compile_ensemble_step(specs) -> Callable:
     return _kernel(first.scheme, first.n_inner, first.dim, stacked)
 
 
-def _finish(r, th, spec: IntegratorSpec) -> State:
+def step(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,
+         hess: HessFn | None = None) -> State:
+    """Apply one step of whatever scheme the spec selects: the single-step
+    call. MT3 needs the Hessian-vector provider `hess`; a non-finite result
+    raises DivergenceError."""
+    if z.dim != spec.mass.dim:
+        raise ValueError("state dimension does not match mass matrix")
+    if spec.scheme is Scheme.MT3 and hess is None:
+        raise ValueError("MT3 needs a Hessian-vector provider")
+    r, th = compile_step(spec)(z.r, z.theta, grad, hess, rng)
     # NaN or +-inf anywhere makes the sum non-finite
     if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
         raise DivergenceError(
@@ -385,53 +386,3 @@ def _finish(r, th, spec: IntegratorSpec) -> State:
             scheme=spec.scheme,
         )
     return State(r=r, theta=th)
-
-
-def _apply(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,
-           hess: HessFn | None, expected: tuple[Scheme, ...]) -> State:
-    if spec.scheme not in expected:
-        names = "/".join(s.name for s in expected)
-        raise ValueError(f"spec.scheme must be {names}, got {spec.scheme.name}")
-    if z.dim != spec.mass.dim:
-        raise ValueError("state dimension does not match mass matrix")
-    if spec.scheme is Scheme.MT3 and hess is None:
-        raise ValueError("MT3 needs a Hessian-vector provider")
-    r, th = compile_step(spec)(z.r, z.theta, grad, hess, rng)
-    return _finish(r, th, spec)
-
-
-def euler_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.EULER,))
-
-
-def leapfrog_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.LEAPFROG,))
-
-
-def sghmc_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.SGHMC,))
-
-
-def spv_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.SPV,))
-
-
-def lie_trotter_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.LIE_TROTTER,))
-
-
-def hmc_partial_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.HMC_PARTIAL,))
-
-
-def symmetric_step(z, grad, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, None, (Scheme.SYMMETRIC,))
-
-
-def mt3_step(z, grad, hess, spec, rng) -> State:
-    return _apply(z, grad, spec, rng, hess, (Scheme.MT3,))
-
-
-def step(z, grad, spec, rng, hess=None) -> State:
-    """Apply one step of whatever scheme the spec selects."""
-    return _apply(z, grad, spec, rng, hess, tuple(Scheme))

@@ -32,7 +32,6 @@ __all__ = [
     "Toy1D",
     "LinearGaussian",
     "Logistic2D",
-    "make_logistic_2d",
     "make_logistic_demo",
     "make_trig_dataset",
     "make_cycled_basis_dataset",
@@ -376,11 +375,6 @@ class Logistic2D(Potential):
         p = expit(z)
         weights = p * (1.0 - p)
         return self.features[sl].T @ (weights * (self.features[sl] @ v))
-
-
-def make_logistic_2d(features, labels, prior_var=1.0, n_batches=1) -> Logistic2D:
-    """Logistic model from explicit data; labels must be 0/1."""
-    return Logistic2D(features, labels, prior_var=prior_var, n_batches=n_batches)
 
 
 def make_logistic_demo(n_obs: int, rng: RngStream, weights=(1.5, -1.0),

@@ -20,15 +20,16 @@ than a false pass/fail).
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
 
 from .batching import make_schedule
 from .chain import ChainConfig, run_ensemble
-from .core import MassMatrix, RngStream
+from .core import MassMatrix, RngStream, write_columns
 from .integrators import IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
@@ -55,6 +56,8 @@ __all__ = [
     "sweep_model",
     "run_sweep",
     "toy_histograms",
+    "histogram_table",
+    "trial_tables",
     "load_goldens",
     "report_exact_bottleneck",
     "report_minibatch_gap",
@@ -201,6 +204,8 @@ def run_sweep(
     first diverging chain in (cell, replica) order. Output rows are
     deterministic in (config, seed) regardless of `jobs`.
     """
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     build_model(model_name, n_batches).analytic_posterior()
     tasks = []
     idx = 0
@@ -288,6 +293,29 @@ def toy_histograms(eta: float, n: int, burn_in: int = 2000, thin: int = 1,
     return out
 
 
+def histogram_table(hist: dict) -> tuple[list, list]:
+    """(fields, rows) of one mode of `toy_histograms`: one row per bin."""
+    edges = hist["edges"].tolist()
+    rows = [{"bin_left": lo, "bin_right": hi, "count": count}
+            for lo, hi, count in zip(edges[:-1], edges[1:], hist["counts"].tolist())]
+    return ["bin_left", "bin_right", "count"], rows
+
+
+def trial_tables(trials) -> tuple[tuple, tuple]:
+    """(fields, rows) of the per-eta errors and of the fitted slopes of
+    splitting-order trials."""
+    errors, slopes = [], []
+    for t in trials:
+        for eta, err in zip(t.etas, t.errors):
+            errors.append({"trial": t.trial, "K": t.n_parts, "n": t.dim,
+                           "mode": t.mode, "eta": float(eta), "error": float(err)})
+        slopes.append({"trial": t.trial, "K": t.n_parts, "n": t.dim,
+                       "mode": t.mode, "slope": float(t.slope),
+                       "r_squared": float(t.r_squared)})
+    return ((["trial", "K", "n", "mode", "eta", "error"], errors),
+            (["trial", "K", "n", "mode", "slope", "r_squared"], slopes))
+
+
 # ---------------------------------------------------------------------------
 # golden values
 
@@ -326,6 +354,16 @@ def _golden_check(name: str, value: float, goldens: dict) -> "CheckResult":
     )
 
 
+def _golden_checks(values: dict, regen: bool) -> tuple[list, dict | None]:
+    """Checks of measured {key: value} against the frozen goldens, plus the
+    candidate records carrying the fresh values when regen is set."""
+    goldens = load_goldens()
+    checks = [_golden_check(key, value, goldens) for key, value in values.items()]
+    candidate = ({key: replace(goldens[key], value=value)
+                  for key, value in values.items()} if regen else None)
+    return checks, candidate
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -338,33 +376,20 @@ class CheckResult:
     target: str
 
 
-def _fmt_float(x) -> str:
-    return format(float(x), ".17g")
-
-
 def write_csv(path, fields: list, rows: list) -> None:
-    """Plain CSV with floats at full precision; trivially byte-stable."""
-    body = [",".join(fields)]
-    for row in rows:
-        body.append(",".join(
-            _fmt_float(row[f]) if isinstance(row[f], float) else str(row[f])
-            for f in fields))
-    with open(path, "w") as fh:
-        fh.write("\n".join(body) + "\n")
+    """Plain CSV of dict rows with floats at full precision; trivially
+    byte-stable."""
+    write_columns(path, fields, [[row[f] for row in rows] for f in fields])
 
 
 def write_report_files(out_dir, title: str, checks: list, extra_csv=None,
                        candidate_goldens=None) -> None:
     """checks.csv + report.md (+ optional extra CSVs and a regenerated
     golden candidate file, left for review and never installed)."""
-    import os
-
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["check,status,value,target"]
-    for c in checks:
-        lines.append(f"{c.name},{c.status},{_fmt_float(c.value)},{c.target}")
-    with open(os.path.join(out_dir, "checks.csv"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_columns(os.path.join(out_dir, "checks.csv"), ["check", "status", "value", "target"],
+                  [[c.name for c in checks], [c.status for c in checks],
+                   [float(c.value) for c in checks], [c.target for c in checks]])
 
     md = [f"# {title}", ""]
     worst = "pass"
@@ -415,7 +440,9 @@ def report_exact_bottleneck(out_dir, n: int = 100_000, seed: int = 11,
     ks_full_fine = fine["full"]["ks"]
     ks_mb_fine = fine["minibatch"]["ks"]
 
-    goldens = load_goldens()
+    golden_checks, candidate = _golden_checks(
+        {"toy_full_ks_eta0.4": ks_full, "toy_minibatch_ks_eta0.4": ks_mb,
+         "toy_minibatch_ks_eta0.01": ks_mb_fine}, regen_golden)
     checks = [
         CheckResult("full_ks_small", "pass" if ks_full < 0.012 else "fail",
                     ks_full, "< 0.012"),
@@ -427,38 +454,12 @@ def report_exact_bottleneck(out_dir, n: int = 100_000, seed: int = 11,
         CheckResult("fine_step_closes_gap",
                     "pass" if ks_mb_fine < 3 * ks_full_fine else "fail",
                     ks_mb_fine / ks_full_fine, "< 3x full at eta=0.01"),
-        _golden_check("toy_full_ks_eta0.4", ks_full, goldens),
-        _golden_check("toy_minibatch_ks_eta0.4", ks_mb, goldens),
-        _golden_check("toy_minibatch_ks_eta0.01", ks_mb_fine, goldens),
-    ]
+    ] + golden_checks
 
-    hist_rows = {}
-    for mode, data in (("full", coarse["full"]), ("minibatch", coarse["minibatch"])):
-        rows = []
-        for i in range(len(data["counts"])):
-            rows.append({"bin_left": float(data["edges"][i]),
-                         "bin_right": float(data["edges"][i + 1]),
-                         "count": int(data["counts"][i])})
-        hist_rows[f"hist_{mode}.csv"] = (["bin_left", "bin_right", "count"], rows)
-
-    candidate = None
-    if regen_golden:
-        candidate = {
-            "toy_full_ks_eta0.4": GoldenRecord(
-                "toy_full_ks_eta0.4", ks_full,
-                goldens["toy_full_ks_eta0.4"].provenance,
-                goldens["toy_full_ks_eta0.4"].tolerance),
-            "toy_minibatch_ks_eta0.4": GoldenRecord(
-                "toy_minibatch_ks_eta0.4", ks_mb,
-                goldens["toy_minibatch_ks_eta0.4"].provenance,
-                goldens["toy_minibatch_ks_eta0.4"].tolerance),
-            "toy_minibatch_ks_eta0.01": GoldenRecord(
-                "toy_minibatch_ks_eta0.01", ks_mb_fine,
-                goldens["toy_minibatch_ks_eta0.01"].provenance,
-                goldens["toy_minibatch_ks_eta0.01"].tolerance),
-        }
     write_report_files(out_dir, "Exact-kernel mini-batch bottleneck", checks,
-                       extra_csv=hist_rows, candidate_goldens=candidate)
+                       extra_csv={f"hist_{mode}.csv": histogram_table(coarse[mode])
+                                  for mode in ("full", "minibatch")},
+                       candidate_goldens=candidate)
     return checks
 
 
@@ -497,26 +498,14 @@ def report_minibatch_gap(out_dir, n: int = 20_000, reps: int = 4,
     r2_mt3 = min(r2s[("mt3", "full")], r2s[("mt3", "perm")])
     r2_lt = min(r2s[("lie-trotter", "full")], r2s[("lie-trotter", "perm")])
 
-    goldens = load_goldens()
+    golden_checks, candidate = _golden_checks(
+        {"gap_mt3_full_slope": slopes[("mt3", "full")],
+         "gap_mt3_perm_slope": slopes[("mt3", "perm")]}, regen_golden)
     checks = [
         _slope_check("mt3_slope_gap", gap_mt3, r2_mt3, ">= 0.4", gap_mt3 >= 0.4),
         _slope_check("lie_trotter_slope_gap", gap_lt, r2_lt, "<= 0.4",
                      gap_lt <= 0.4),
-        _golden_check("gap_mt3_full_slope", slopes[("mt3", "full")], goldens),
-        _golden_check("gap_mt3_perm_slope", slopes[("mt3", "perm")], goldens),
-    ]
-    candidate = None
-    if regen_golden:
-        candidate = {
-            "gap_mt3_full_slope": GoldenRecord(
-                "gap_mt3_full_slope", slopes[("mt3", "full")],
-                goldens["gap_mt3_full_slope"].provenance,
-                goldens["gap_mt3_full_slope"].tolerance),
-            "gap_mt3_perm_slope": GoldenRecord(
-                "gap_mt3_perm_slope", slopes[("mt3", "perm")],
-                goldens["gap_mt3_perm_slope"].provenance,
-                goldens["gap_mt3_perm_slope"].tolerance),
-        }
+    ] + golden_checks
     write_report_files(
         out_dir, "Mini-batch convergence-order gap", checks,
         extra_csv={"cells.csv": (SWEEP_ROW_FIELDS, all_rows),
@@ -552,7 +541,9 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
         lt_r2[n_inner] = res.slopes[0]["r_squared"]
     nl_gap = abs(lt_slopes[1] - lt_slopes[10])
 
-    goldens = load_goldens()
+    golden_checks, candidate = _golden_checks(
+        {"orders_forward_fraction": frac["forward"],
+         "orders_averaged_fraction": frac["averaged"]}, regen_golden)
     checks = [
         CheckResult("forward_band_fraction",
                     "pass" if frac["forward"] >= 0.95 else "fail",
@@ -568,36 +559,10 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
                     degenerate, "< 1e-12"),
         _slope_check("inner_loop_count_independence", nl_gap,
                      min(lt_r2[1], lt_r2[10]), "<= 0.4", nl_gap <= 0.4),
-        _golden_check("orders_forward_fraction", frac["forward"], goldens),
-        _golden_check("orders_averaged_fraction", frac["averaged"], goldens),
-    ]
-    trial_rows = []
-    for t in trials:
-        for eta, err in zip(t.etas, t.errors):
-            trial_rows.append({"trial": t.trial, "K": t.n_parts, "n": t.dim,
-                               "mode": t.mode, "eta": float(eta),
-                               "error": float(err)})
-    slope_rows = [{"trial": t.trial, "K": t.n_parts, "n": t.dim,
-                   "mode": t.mode, "slope": float(t.slope),
-                   "r_squared": float(t.r_squared)} for t in trials]
-    candidate = None
-    if regen_golden:
-        candidate = {
-            "orders_forward_fraction": GoldenRecord(
-                "orders_forward_fraction", frac["forward"],
-                goldens["orders_forward_fraction"].provenance,
-                goldens["orders_forward_fraction"].tolerance),
-            "orders_averaged_fraction": GoldenRecord(
-                "orders_averaged_fraction", frac["averaged"],
-                goldens["orders_averaged_fraction"].provenance,
-                goldens["orders_averaged_fraction"].tolerance),
-        }
+    ] + golden_checks
+    trial_errors, trial_slopes = trial_tables(trials)
     write_report_files(
         out_dir, "Splitting-order verification", checks,
-        extra_csv={
-            "trials.csv": (["trial", "K", "n", "mode", "eta", "error"], trial_rows),
-            "trial_slopes.csv": (["trial", "K", "n", "mode", "slope", "r_squared"],
-                                 slope_rows),
-        },
+        extra_csv={"trials.csv": trial_errors, "trial_slopes.csv": trial_slopes},
         candidate_goldens=candidate)
     return checks

@@ -40,6 +40,7 @@ from . import chain
 from .batching import BatchMode, BatchSchedule
 from .chain import ChainConfig, Trace
 from .core import RngStream, State
+from .operator_lab import matrix_exp
 
 __all__ = [
     "ToyParams",
@@ -123,7 +124,7 @@ def matexp2(A, t: float) -> np.ndarray:
     Writes A = m I + D with m = tr(A)/2, where D squares to q^2 I with
     q^2 = m^2 - det(A); then exp(tD) is cosh/sinh (q^2 > 0) or cos/sin
     (q^2 < 0) in D. Near the defective case |q^2 t^2| ~ 0 it falls back to
-    a scaled Taylor series (25+ terms) with repeated squaring.
+    the operator lab's scaled Taylor series with repeated squaring.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2) or not np.all(np.isfinite(A)):
@@ -134,7 +135,7 @@ def matexp2(A, t: float) -> np.ndarray:
     q2 = m * m - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
     s = q2 * t * t
     if abs(s) < 1e-8:
-        return _taylor_exp(A, t)
+        return matrix_exp(t * A)
     if q2 > 0:
         q = np.sqrt(q2)
         c, k = np.cosh(q * t), np.sinh(q * t) / q
@@ -142,21 +143,6 @@ def matexp2(A, t: float) -> np.ndarray:
         w = np.sqrt(-q2)
         c, k = np.cos(w * t), np.sin(w * t) / w
     return np.exp(m * t) * (c * np.eye(2) + k * D)
-
-
-def _taylor_exp(A: np.ndarray, t: float, terms: int = 30) -> np.ndarray:
-    B = A * t
-    norm = np.abs(B).sum(axis=1).max()
-    squarings = max(0, int(np.ceil(np.log2(norm / 0.5))) if norm > 0.5 else 0)
-    B = B / (2.0**squarings)
-    out = np.eye(2)
-    term = np.eye(2)
-    for k in range(1, terms + 1):
-        term = term @ B / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
 
 
 def toy_transition(z0, eta: float, p: ToyParams, center: float):
@@ -247,13 +233,9 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
     modes = [ExactMode(mode) for mode in modes]
     cfgs = list(cfgs)
     idx = [int(c) for c in chain_indices]
+    n, burn_in, thin = chain._run_length(etas, cfgs, eta=etas, mode=modes, config=cfgs,
+                                         index=idx)
     R = len(etas)
-    if R == 0 or not R == len(modes) == len(cfgs) == len(idx):
-        raise ValueError("an ensemble needs one eta, mode, config and index per chain")
-    if not all(eta > 0 for eta in etas):
-        raise ValueError("running a chain requires eta > 0")
-    if len({(cfg.n_samples, cfg.burn_in, cfg.thinning) for cfg in cfgs}) > 1:
-        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
 
     t0 = time.perf_counter()
     z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
@@ -269,7 +251,6 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
     E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
     b = b[..., None]
 
-    n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
     total = burn_in + n * thin
     thetas = np.empty((R, n, 1))
     momenta = np.empty((R, n, 1))
@@ -296,35 +277,11 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
                 steps[kept] = i
                 kept += 1
 
-    wall = time.perf_counter() - t0
-    traces = []
-    for c in range(R):
-        mode, eta = modes[c], etas[c]
-        meta = {
-            "scheme": "exact",
-            "eta": eta,
-            "friction": p.friction,
-            "n_inner": 1,
-            "v_hat": 0.0,
-            "mode": mode.value,
-            "K": 2 if mode is ExactMode.MINIBATCH else 1,
-            "n_samples": n,
-            "burn_in": burn_in,
-            "thinning": thin,
-            "seed": cfgs[c].seed,
-            "chain_index": idx[c],
-            "dim": 1,
-            "wall_time_s": wall,
-        }
-        traces.append(Trace(
-            thetas=thetas[c],
-            momenta=momenta[c],
-            steps=steps if c == R - 1 else steps.copy(),
-            times=steps.astype(float) * eta,
-            meta=meta,
-            effective_time=total * eta,
-        ))
-    return traces
+    return chain._traces(thetas, momenta, steps, cfgs, idx, time.perf_counter() - t0, [
+        (eta, {"scheme": "exact", "eta": eta, "friction": p.friction, "n_inner": 1,
+               "v_hat": 0.0, "mode": mode.value,
+               "K": 2 if mode is ExactMode.MINIBATCH else 1})
+        for eta, mode in zip(etas, modes)])
 
 
 def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,

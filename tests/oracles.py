@@ -18,7 +18,9 @@ in code paths disjoint from the package implementation:
 - one-draw-per-swap Fisher-Yates permutations and subsets, and the earlier
   formulas of the splitting-order trials, the power-iteration norm and the
   one-sample Gaussian Kolmogorov distance, which the faster forms in the
-  package must reproduce bit for bit.
+  package must reproduce bit for bit,
+- the earlier one-row-at-a-time CSV writers (trace, dict rows, report
+  checks), whose bytes the shared column writer must reproduce.
 
 These act as the frozen oracles that implementation outputs are compared to.
 """
@@ -456,3 +458,49 @@ def reference_order_trials(n_trials, rng, etas, modes, k_choices, n_choices):
             slope, r2 = error_order_slope(etas, errs)
             out.append((t, k, n, mode, tuple(errs), slope, r2))
     return out
+
+
+def _fmt_17g(x) -> str:
+    return format(float(x), ".17g")
+
+
+def reference_save_trace(trace, csv_path, meta_path=None) -> None:
+    """Trace CSV one row at a time, every sample cell through float() and
+    `.17g`, plus the key = value metadata file."""
+    d = trace.dim
+    header = (["step", "time"] + [f"theta_{j}" for j in range(d)]
+              + [f"r_{j}" for j in range(d)])
+    lines = [",".join(header)]
+    for i in range(trace.n_samples):
+        row = [str(int(trace.steps[i])), _fmt_17g(trace.times[i])]
+        row += [_fmt_17g(v) for v in trace.thetas[i]]
+        row += [_fmt_17g(v) for v in trace.momenta[i]]
+        lines.append(",".join(row))
+    with open(csv_path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    if meta_path is not None:
+        with open(meta_path, "w") as fh:
+            for k in sorted(trace.meta):
+                fh.write(f"{k} = {trace.meta[k]}\n")
+            fh.write(f"effective_time = {_fmt_17g(trace.effective_time)}\n")
+
+
+def reference_write_csv(path, fields, rows) -> None:
+    """Dict rows one line at a time: float cells (numpy float64 included)
+    through `.17g`, everything else through str."""
+    body = [",".join(fields)]
+    for row in rows:
+        body.append(",".join(
+            _fmt_17g(row[f]) if isinstance(row[f], float) else str(row[f])
+            for f in fields))
+    with open(path, "w") as fh:
+        fh.write("\n".join(body) + "\n")
+
+
+def reference_checks_csv(path, checks) -> None:
+    """A report's checks.csv, one check per line with its value at `.17g`."""
+    lines = ["check,status,value,target"]
+    for c in checks:
+        lines.append(f"{c.name},{c.status},{_fmt_17g(c.value)},{c.target}")
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from hsde import chain as chain_module
+from hsde import core as core_module
 from hsde.batching import make_schedule
 from hsde.chain import (
     ChainConfig,
@@ -21,7 +22,7 @@ from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
 from hsde.potentials import LinearGaussian, Toy1D
 from hsde.repro import build_model
 
-from .oracles import reference_chain
+from .oracles import reference_chain, reference_save_trace
 
 
 def toy_twin(n_batches=1):
@@ -428,6 +429,40 @@ class TestPersistence:
         meta = m1.read_text()
         for key in ("scheme = leapfrog", "seed = 9", "wall_time_s", "effective_time"):
             assert key in meta
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_bytes_match_row_writer(self, tmp_path, monkeypatch, block):
+        # signed zero, the smallest subnormal, huge values, binary fractions
+        # with no short form, non-finite values, float32 and empty traces;
+        # rows are written in blocks, so check several partial blocks and a
+        # trace longer than the default block
+        if block is not None:
+            monkeypatch.setattr(core_module, "_CSV_BLOCK", block)
+        awkward = np.array([-0.0, 5e-324, 1e300, 0.1, -1e-310, np.inf, -np.inf, np.nan])
+        P = lingauss2()
+        ran = run_chain(P, spec_for(P, eta=0.1), full_sched(9),
+                        ChainConfig(n_samples=4100, burn_in=10, thinning=1, seed=9))
+        traces = [
+            ran,
+            Trace(thetas=np.stack([awkward, awkward[::-1]], axis=1),
+                  momenta=np.stack([0.1 * np.arange(8), -awkward], axis=1),
+                  steps=np.arange(3, 11, dtype=np.int64), times=awkward + 0.2,
+                  meta={"scheme": "leapfrog", "eta": 0.1, "seed": 2},
+                  effective_time=0.1 + 0.2),
+            Trace(thetas=np.float32([[0.1], [1 / 3]]), momenta=np.float32([[-0.0], [7.0]]),
+                  steps=np.array([1, 2]), times=np.array([0.1, 0.2]), meta={},
+                  effective_time=5e-324),
+            Trace(thetas=np.empty((0, 3)), momenta=np.empty((0, 3)),
+                  steps=np.empty(0, dtype=np.int64), times=np.empty(0), meta={"dim": 3},
+                  effective_time=0.0),
+        ]
+        for k, t in enumerate(traces):
+            new, old = tmp_path / f"new{k}", tmp_path / f"old{k}"
+            save_trace(t, new.with_suffix(".csv"), new.with_suffix(".txt"))
+            reference_save_trace(t, old.with_suffix(".csv"), old.with_suffix(".txt"))
+            for suffix in (".csv", ".txt"):
+                assert (new.with_suffix(suffix).read_bytes()
+                        == old.with_suffix(suffix).read_bytes())
 
     def test_rerun_same_seed_same_bytes(self, tmp_path):
         P = toy_twin()

@@ -244,6 +244,15 @@ class TestSweep:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    # zero replicas leave nothing to average: no NaN row and no warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_zero_reps(self, runner, tmp_path):
+        result = runner.invoke(main, ["sweep", "--reps", "0", "--eta-grid", "0.1",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2
+        assert "reps" in result.output
+        assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
     # an ensemble steps its diverging chains under np.errstate, so no
     # overflow warning escapes before the exit
     @pytest.mark.filterwarnings("error::RuntimeWarning")

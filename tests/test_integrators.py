@@ -11,17 +11,9 @@ from hsde.integrators import (
     IntegratorSpec,
     Scheme,
     compile_step,
-    euler_step,
-    hmc_partial_step,
-    leapfrog_step,
-    lie_trotter_step,
-    mt3_step,
     ou_exact_step,
     partial_refresh_alpha,
-    sghmc_step,
-    spv_step,
     step,
-    symmetric_step,
 )
 
 from .oracles import QuadOracle
@@ -201,14 +193,14 @@ class TestIdentitiesAndReductions:
         # U = theta^2/2, M=I, C=0, eta=0.1 from (r, theta) = (0, 1)
         spec = scalar_spec(Scheme.LEAPFROG, eta=0.1, C=0.0, m=1.0)
         z = State(r=np.array([0.0]), theta=np.array([1.0]))
-        out = leapfrog_step(z, lambda th: th, spec, QueuedRng([[0.0]]))
+        out = step(z, lambda th: th, spec, QueuedRng([[0.0]]))
         assert out.r[0] == pytest.approx(-0.1, rel=1e-15)
         assert out.theta[0] == pytest.approx(0.995, rel=1e-15)
 
     def test_euler_hand_example(self):
         spec = scalar_spec(Scheme.EULER, eta=0.1, C=0.0, m=1.0)
         z = State(r=np.array([0.0]), theta=np.array([1.0]))
-        out = euler_step(z, lambda th: th, spec, QueuedRng([[0.0]]))
+        out = step(z, lambda th: th, spec, QueuedRng([[0.0]]))
         assert out.r[0] == pytest.approx(-0.1, rel=1e-15)
         assert out.theta[0] == pytest.approx(1.0, rel=1e-15)
 
@@ -335,12 +327,12 @@ class TestEquivalenceAndAlpha:
         mass = MassMatrix.identity(2)
         grad = lambda th: 1.3 * (th - 0.4)
         for n_inner in (1, 4):
-            a = hmc_partial_step(
+            a = step(
                 z, grad,
                 IntegratorSpec(Scheme.HMC_PARTIAL, ETA, FRIC, mass, n_inner=n_inner),
                 RngStream(77, 5),
             )
-            b = lie_trotter_step(
+            b = step(
                 z, grad,
                 IntegratorSpec(Scheme.LIE_TROTTER, ETA, FRIC, mass, n_inner=n_inner),
                 RngStream(77, 5),
@@ -415,12 +407,6 @@ class TestValidationAndDivergence:
         spec = IntegratorSpec("leapfrog", eta=0.1, friction=1.0, mass=M1)
         assert spec.scheme is Scheme.LEAPFROG
 
-    def test_wrong_scheme_routed_to_typed_wrapper(self):
-        spec = scalar_spec(Scheme.EULER)
-        z = State(r=np.array([0.0]), theta=np.array([0.0]))
-        with pytest.raises(ValueError):
-            leapfrog_step(z, quad_grad(), spec, RngStream(0, 0))
-
     def test_mt3_requires_hessian(self):
         spec = scalar_spec(Scheme.MT3)
         z = State(r=np.array([0.0]), theta=np.array([0.0]))
@@ -437,7 +423,7 @@ class TestValidationAndDivergence:
         spec = scalar_spec(Scheme.LEAPFROG)
         z = State(r=np.array([0.0]), theta=np.array([0.0]))
         with pytest.raises(DivergenceError) as err:
-            leapfrog_step(z, lambda th: np.array([np.nan]), spec, RngStream(0, 0))
+            step(z, lambda th: np.array([np.nan]), spec, RngStream(0, 0))
         assert err.value.scheme is Scheme.LEAPFROG
 
     def test_unstable_blowup_raises_eventually(self):
@@ -447,7 +433,7 @@ class TestValidationAndDivergence:
         rng = RngStream(4, 0)
         with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
             for _ in range(10_000):
-                z = leapfrog_step(z, lambda th: 1e3 * th, spec, rng)
+                z = step(z, lambda th: 1e3 * th, spec, rng)
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_seed_determinism(self, scheme):

@@ -14,7 +14,6 @@ from hsde.potentials import (
     Toy1D,
     batch_bounds,
     make_cycled_basis_dataset,
-    make_logistic_2d,
     make_logistic_demo,
     make_trig_dataset,
     trig_features,
@@ -202,27 +201,27 @@ class TestLogistic2D:
         X = np.array([[1.0, 2.0], [0.5, -0.3]])
         Xs = np.vstack([X, -X])
         labels = np.array([1, 0, 1, 0])
-        P = make_logistic_2d(Xs, labels)
+        P = Logistic2D(Xs, labels)
         np.testing.assert_allclose(P.gradient(np.zeros(2)), np.zeros(2), atol=1e-14)
 
     def test_constant_likelihood_reduces_to_prior(self):
-        P = make_logistic_2d(np.zeros((1, 2)), [1])
+        P = Logistic2D(np.zeros((1, 2)), [1])
         th = np.array([0.7, -0.2])
         assert P.value(th) == pytest.approx(np.log(2.0) + 0.5 * th @ th)
         np.testing.assert_allclose(P.gradient(th), th, rtol=1e-14)
 
     def test_bad_labels_rejected(self):
         with pytest.raises(ValueError):
-            make_logistic_2d(np.ones((2, 2)), [0, 2])
+            Logistic2D(np.ones((2, 2)), [0, 2])
         with pytest.raises(ValueError):
-            make_logistic_2d(np.ones((0, 2)), [])
+            Logistic2D(np.ones((0, 2)), [])
 
     def test_no_closed_form_posterior(self):
         with pytest.raises(AnalyticPosteriorUnavailable):
             small_logistic().analytic_posterior()
 
     def test_extreme_margins_stay_finite(self):
-        P = make_logistic_2d(np.array([[100.0, 0.0]]), [1])
+        P = Logistic2D(np.array([[100.0, 0.0]]), [1])
         assert np.isfinite(P.value(np.array([50.0, 0.0])))
         assert np.isfinite(P.value(np.array([-50.0, 0.0])))
         assert np.all(np.isfinite(P.gradient(np.array([-50.0, 0.0]))))

@@ -9,6 +9,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hsde import repro
 from hsde.batching import make_schedule
@@ -19,7 +21,19 @@ from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
 from hsde.toy_exact import reference_params, toy_posterior
 
-from .oracles import reference_chain, reference_exact_chain, reference_ks_vs_gaussian
+from .oracles import (
+    reference_chain,
+    reference_checks_csv,
+    reference_exact_chain,
+    reference_ks_vs_gaussian,
+    reference_write_csv,
+)
+
+# signed zero, the smallest subnormal, huge values, binary fractions with no
+# short form, non-finite values, numpy scalars, and cells that are not floats
+AWKWARD = [-0.0, 5e-324, 1e300, 0.1, 0.1 + 0.2, -1e-310, float("inf"), float("nan"),
+           np.float64(0.1), np.float64(-0.0), np.int64(7), np.float32(0.1), 3, True,
+           "name", "", None]
 
 
 class TestModels:
@@ -241,6 +255,17 @@ class TestGoldens:
                                   rec.value + 10 * rec.tolerance, goldens)
         assert bad.status == "fail"
 
+    def test_golden_checks_and_candidates(self):
+        goldens = repro.load_goldens()
+        values = {"gap_mt3_full_slope": 2.5, "gap_mt3_perm_slope": 0.125}
+        checks, candidate = repro._golden_checks(values, regen=True)
+        assert checks == [repro._golden_check(k, v, goldens) for k, v in values.items()]
+        assert list(candidate) == list(values)
+        for key, rec in candidate.items():
+            assert rec == repro.GoldenRecord(key, values[key], goldens[key].provenance,
+                                             goldens[key].tolerance)
+        assert repro._golden_checks(values, regen=False) == (checks, None)
+
 
 class TestReportFiles:
     def test_write_report_files_layout(self, tmp_path):
@@ -291,6 +316,33 @@ class TestWriteCsv:
         path = tmp_path / "t.csv"
         repro.write_csv(path, ["a", "b"], [{"a": "name", "b": 3}])
         assert path.read_text().splitlines()[1] == "name,3"
+
+
+    def test_bytes_match_row_writer(self, tmp_path):
+        # every awkward value in every column, each row shifted by one
+        fields = ["a", "b", "c"]
+        rows = [{f: AWKWARD[(i + j) % len(AWKWARD)] for j, f in enumerate(fields)}
+                for i in range(len(AWKWARD))]
+        for k, some in enumerate((rows, rows[:1], [])):
+            repro.write_csv(tmp_path / f"new{k}.csv", fields, some)
+            reference_write_csv(tmp_path / f"old{k}.csv", fields, some)
+            assert (tmp_path / f"new{k}.csv").read_bytes() == (tmp_path / f"old{k}.csv").read_bytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.floats(width=64), max_size=12))
+    def test_any_float_matches_row_writer(self, tmp_path_factory, values):
+        tmp = tmp_path_factory.mktemp("csv")
+        rows = [{"v": v, "w": -v, "i": i} for i, v in enumerate(values)]
+        repro.write_csv(tmp / "new.csv", ["v", "w", "i"], rows)
+        reference_write_csv(tmp / "old.csv", ["v", "w", "i"], rows)
+        assert (tmp / "new.csv").read_bytes() == (tmp / "old.csv").read_bytes()
+
+    def test_checks_match_row_writer(self, tmp_path):
+        values = [v for v in AWKWARD if not isinstance(v, (str, type(None)))]
+        checks = [repro.CheckResult(f"c{i}", "pass", v, "< 1") for i, v in enumerate(values)]
+        repro.write_report_files(tmp_path / "new", "t", checks)
+        reference_checks_csv(tmp_path / "old.csv", checks)
+        assert (tmp_path / "new" / "checks.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestCellSeeds:
