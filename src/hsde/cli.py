@@ -196,6 +196,8 @@ def sample(ctx, **_kw):
 
 def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
                v_hat, n, burn_in, thin, seed):
+    if n < 1:  # before the run, so no header-only trace.csv is left behind
+        raise click.UsageError("--n must be >= 1")
     cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
     if scheme == "exact":
         if model != "toy":

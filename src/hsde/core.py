@@ -21,6 +21,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+# numpy loads its random module on first use; loaded here, its cost stays in
+# start-up rather than in the first command's run
+from numpy.random import Generator, Philox
 
 __all__ = [
     "State",
@@ -138,9 +141,7 @@ class RngStream:
             raise ValueError("seed and stream must be 64-bit nonnegative integers")
         self.seed = seed
         self.stream = stream
-        self._gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, stream], dtype=np.uint64))
-        )
+        self._gen = Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
         self._buf = np.empty(0)
         self._pos = 0
 

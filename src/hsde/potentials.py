@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from .core import RngStream, as_vector
 
@@ -38,6 +37,15 @@ __all__ = [
     "trig_features",
     "batch_bounds",
 ]
+
+
+def _special(name: str):
+    """A scipy.special function, imported on first use: importing scipy is
+    about half of a CLI call's start-up, and only the logistic model and the
+    synthetic datasets need it."""
+    import scipy.special
+
+    return getattr(scipy.special, name)
 
 
 class AnalyticPosteriorUnavailable(RuntimeError):
@@ -367,12 +375,12 @@ class Logistic2D(Potential):
 
     def _nll_grad(self, theta, sl):
         z = self._margins(theta, sl)
-        coef = -self.signs[sl] * expit(-z)
+        coef = -self.signs[sl] * _special("expit")(-z)
         return self.features[sl].T @ coef
 
     def _nll_hess_vec(self, theta, v, sl):
         z = self._margins(theta, sl)
-        p = expit(z)
+        p = _special("expit")(z)
         weights = p * (1.0 - p)
         return self.features[sl].T @ (weights * (self.features[sl] @ v))
 
@@ -384,10 +392,10 @@ def make_logistic_demo(n_obs: int, rng: RngStream, weights=(1.5, -1.0),
         raise ValueError("n_obs must be >= 1")
     w = as_vector(weights, "weights")
     X = rng.normal(2 * n_obs).reshape(n_obs, 2)
-    p = expit(X @ w)
+    p = _special("expit")(X @ w)
     # uniforms obtained by pushing normal draws through their CDF, so the
     # whole generator stays on the single normal-draw RNG contract
-    labels = (ndtr(rng.normal(n_obs)) < p).astype(int)
+    labels = (_special("ndtr")(rng.normal(n_obs)) < p).astype(int)
     return Logistic2D(X, labels, n_batches=n_batches)
 
 
@@ -421,7 +429,7 @@ def make_trig_dataset(
     lo, hi = float(x_range[0]), float(x_range[1])
     if not hi > lo:
         raise ValueError("x_range must be increasing")
-    u = ndtr(rng.normal(n_obs))
+    u = _special("ndtr")(rng.normal(n_obs))
     x = lo + (hi - lo) * u
     Phi = trig_features(x, n_basis, omegas)
     w_true = rng.normal(n_basis)

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from importlib import resources
 
@@ -179,6 +178,10 @@ class SweepResult:
     slopes: list
 
 
+# exact-posterior draws behind a sweep's self-distance calibration
+_ORACLE_N = 100_000
+
+
 def run_sweep(
     model_name: str,
     plan: list,
@@ -204,8 +207,13 @@ def run_sweep(
     first diverging chain in (cell, replica) order. Output rows are
     deterministic in (config, seed) regardless of `jobs`.
     """
+    # checked before any chain runs, not where the values are first used
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if not 1 <= n_ks <= _ORACLE_N:
+        raise ValueError(f"n_ks must be in [1, {_ORACLE_N}]")
     build_model(model_name, n_batches).analytic_posterior()
     tasks = []
     idx = 0
@@ -217,6 +225,10 @@ def run_sweep(
         tasks.append((model_name, n_batches, mode, Scheme(scheme), cells, friction,
                       n_inner, v_hat, n, reps, burn_in, thin, n_ks))
     if jobs > 1 and len(tasks) > 1:
+        # imported here: the process machinery costs start-up time that a
+        # single-process run never repays
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_task = list(pool.map(_run_cells, tasks))
     else:
@@ -228,7 +240,7 @@ def run_sweep(
     post = build_model(model_name, n_batches).analytic_posterior()
     oracle_rng = RngStream(seed, 3_000_001)
     oracle = EmpiricalSample(
-        post.mean[0] + np.sqrt(post.cov[0, 0]) * oracle_rng.normal(100_000)
+        post.mean[0] + np.sqrt(post.cov[0, 0]) * oracle_rng.normal(_ORACLE_N)
     )
     q05, _, q95 = self_distance(oracle, n_ks, 20, RngStream(seed, 3_000_002))
     for row in rows:

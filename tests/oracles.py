@@ -427,6 +427,26 @@ def reference_ks_vs_gaussian(sorted_values, mean, variance):
     return float(max(upper, lower))
 
 
+def reference_kolmogorov_distance(a_values, b_values):
+    """Two-sample Kolmogorov distance over the pooled distinct points, taken
+    with np.unique."""
+    pooled = np.unique(np.concatenate([a_values, b_values]))
+    fa = np.searchsorted(a_values, pooled, side="right") / a_values.size
+    fb = np.searchsorted(b_values, pooled, side="right") / b_values.size
+    return float(np.abs(fa - fb).max())
+
+
+def reference_self_distance(oracle_values, m, reps, rng):
+    """Self-distance quantiles with np.quantile over distances from
+    `reference_kolmogorov_distance`, the subsamples drawn as the package does."""
+    dists = np.empty(reps)
+    for i in range(reps):
+        first = np.sort(oracle_values[rng.subset(oracle_values.size, m)])
+        second = np.sort(oracle_values[rng.subset(oracle_values.size, m)])
+        dists[i] = reference_kolmogorov_distance(first, second)
+    return tuple(float(q) for q in np.quantile(dists, [0.05, 0.5, 0.95]))
+
+
 def reference_order_trials(n_trials, rng, etas, modes, k_choices, n_choices):
     """Splitting-order trials with every product mode built from the public
     `splitting_product` / `randomized_expectation`, the exact semigroup

@@ -112,6 +112,16 @@ class TestSample:
                                                          "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("scheme", ["leapfrog", "exact"])
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_rejects_no_kept_samples_before_running(self, runner, tmp_path, n, scheme):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sample", "--model", "toy", "--scheme", scheme,
+                                      "--n", n, "--burn-in", "10", "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--n" in result.output
+        assert not os.path.exists(out / "trace.csv")
+
     # the chain overflows on purpose before the divergence check trips
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_3(self, runner, tmp_path):
@@ -251,6 +261,23 @@ class TestSweep:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
         assert "reps" in result.output
+        assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--n-ks", "0", "n_ks must"), ("--n-ks", "-4", "n_ks must"), ("--n", "0", "n must"),
+    ])
+    def test_rejects_bad_sizes_before_any_chain(self, runner, tmp_path, monkeypatch,
+                                                flag, value, message):
+        from hsde import repro
+
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before the sizes were checked")
+
+        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        result = runner.invoke(main, ["sweep", flag, value, "--eta-grid", "0.1",
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
         assert not os.path.exists(tmp_path / "x" / "summary.csv")
 
     # an ensemble steps its diverging chains under np.errstate, so no

@@ -1,7 +1,10 @@
 """Tests for distribution distances and moment errors."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +13,10 @@ from scipy.special import ndtri
 from hsde.chain import Trace
 from hsde.core import RngStream
 from hsde.metrics import (
+    _MAXLOG,
     EmpiricalSample,
+    _erf,
+    _quantiles,
     kolmogorov_distance,
     ks_vs_gaussian,
     moment_errors,
@@ -18,7 +24,12 @@ from hsde.metrics import (
 )
 from hsde.potentials import GaussianPosterior
 
-from .oracles import brute_kolmogorov, reference_ks_vs_gaussian
+from .oracles import (
+    brute_kolmogorov,
+    reference_kolmogorov_distance,
+    reference_ks_vs_gaussian,
+    reference_self_distance,
+)
 
 finite_floats = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 
@@ -96,6 +107,16 @@ class TestKolmogorovDistance:
         got = kolmogorov_distance(EmpiricalSample(a), EmpiricalSample(b))
         want = scipy.stats.ks_2samp(a, b).statistic
         assert got == pytest.approx(want, abs=1e-12)
+
+    # rounded to a grid so that ties within and across the samples are common
+    @settings(deadline=None, max_examples=80)
+    @given(
+        st.lists(finite_floats.map(lambda v: round(v, 0)), min_size=1, max_size=30),
+        st.lists(finite_floats.map(lambda v: round(v, 0)), min_size=1, max_size=30),
+    )
+    def test_equals_distinct_points_formula(self, xs, ys):
+        a, b = EmpiricalSample(xs), EmpiricalSample(ys)
+        assert kolmogorov_distance(a, b) == reference_kolmogorov_distance(a.values, b.values)
 
     @settings(deadline=None, max_examples=50)
     @given(
@@ -191,6 +212,13 @@ class TestSelfDistance:
         b = self_distance(oracle, 50, 30, RngStream(9, 0))
         assert a == b
 
+    @pytest.mark.parametrize("m, reps, seed", [(200, 20, 0), (50, 33, 1), (7, 21, 2)])
+    def test_equals_np_quantile_formula(self, m, reps, seed):
+        values = np.random.default_rng(seed).normal(size=5000).round(2)
+        got = self_distance(EmpiricalSample(values), m, reps, RngStream(seed, 5))
+        want = reference_self_distance(np.sort(values), m, reps, RngStream(seed, 5))
+        assert got == want
+
     def test_validation(self):
         oracle = EmpiricalSample([1.0, 2.0])
         with pytest.raises(ValueError):
@@ -263,3 +291,81 @@ class TestSubsetDraws:
             rng.subset(5, 6)
         with pytest.raises(ValueError):
             rng.subset(5, 0)
+
+
+def same_bits(got, want) -> bool:
+    """Equal float64 arrays bit for bit (the sign of a zero included), any
+    NaN matching any NaN."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return bool(np.array_equal(np.isnan(got), nan)
+                and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+class TestQuantiles:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=60),
+        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5),
+    )
+    def test_equals_np_quantile(self, values, qs):
+        values = np.array(values)
+        assert same_bits(_quantiles(values, tuple(qs)), np.quantile(values, qs))
+
+    # self_distance's 20 distances put the median at gamma = 0.5 exactly,
+    # where the two ends of numpy's lerp round differently
+    def test_self_distance_levels(self):
+        rng = np.random.default_rng(8)
+        qs = (0.05, 0.5, 0.95)
+        for _ in range(500):
+            values = rng.uniform(size=20) * 10.0 ** rng.uniform(-3, 3, size=20)
+            assert same_bits(_quantiles(values, qs), np.quantile(values, list(qs)))
+
+
+def _around(x: float, k: int = 3) -> list:
+    """x and its k float64 neighbours on each side."""
+    out, lo, hi = [x], x, x
+    for _ in range(k):
+        lo, hi = math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestErf:
+    """_erf against scipy.special.erf, which it ports (cephes)."""
+
+    def check(self, x):
+        x = np.asarray(x, dtype=np.float64)
+        want = scipy.special.erf(x)
+        assert same_bits(_erf(x), want)
+        inplace = x.copy()
+        assert _erf(inplace, out=inplace) is inplace
+        assert same_bits(inplace, want)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_edge_values(self):
+        # the branch points 1 and 8, the underflow bound sqrt(MAXLOG) ~ 26.64,
+        # signed zeros, subnormals, the extremes, infinities and NaN
+        edges = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1.0, 8.0,
+                 math.sqrt(_MAXLOG), 27.0, 1e300, np.finfo(float).max, math.inf]
+        x = [v for e in edges for v in _around(e)]
+        x += [-v for v in x] + [math.nan, -math.nan]
+        self.check(x)
+        assert math.copysign(1.0, _erf(np.array([-0.0]))[0]) == -1.0
+
+    def test_underflow_bound(self):
+        # straddle MAXLOG in x*x itself, where erfc switches to exact 0
+        r = math.sqrt(_MAXLOG)
+        x = np.array(_around(r, 40))
+        assert (x * x > _MAXLOG).any() and (x * x <= _MAXLOG).any()
+        self.check(np.concatenate([x, -x]))
+
+    @pytest.mark.parametrize("scale", [0.01, 0.3, 1.0, 2.0, 5.0, 12.0, 30.0])
+    def test_million_normals(self, scale):
+        self.check(np.random.default_rng(int(scale * 100)).normal(size=1_000_000) * scale)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                    max_size=40))
+    def test_arbitrary_finite_floats(self, values):
+        self.check(values)

@@ -119,6 +119,24 @@ class TestRunSweep:
             repro.run_sweep("logistic2d", self.PLAN, n=50, reps=1,
                             burn_in=20, seed=0)
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(n=0), "n must"), (dict(n=-3), "n must"),
+        (dict(n_ks=0), "n_ks"), (dict(n_ks=-1), "n_ks"), (dict(n_ks=100_001), "n_ks"),
+        (dict(reps=0), "reps"),
+    ])
+    def test_rejects_bad_sizes_before_any_chain(self, monkeypatch, bad, match):
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before the sizes were checked")
+
+        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        with pytest.raises(ValueError, match=match):
+            self.run(**bad)
+
+    def test_n_ks_at_oracle_size_accepted(self):
+        res = repro.run_sweep("lingauss", [("leapfrog", (0.4,))], n=20, reps=1,
+                              burn_in=5, seed=17, n_ks=100_000)
+        assert res.rows[0]["n"] == 20
+
     def test_perm_mode_builds_batched_model(self):
         res = self.run(mode="perm", n_batches=8)
         assert all(row["mode"] == "perm" and row["K"] == 8
