@@ -12,11 +12,11 @@ defaults follow the oracle protocol used throughout the verification suite
 (burn-in 2000, thinning 500).
 
 `run_ensemble` advances R chains together as the rows of (R, d) arrays, each
-on its own streams above. Noise is drawn per chain in chunks of steps, and
-the schedule is asked for a chunk of batch ids ahead; a stream gives the
-same numbers whether drawn one step at a time or a chunk at a time, so every
-chain's trace is bit-identical to the one it gives run alone. `run_chain` is
-the one-chain ensemble.
+on its own streams above. Noise is drawn per chain in chunks of steps and
+handed to the stepper as arrays, and the schedule is asked for a chunk of
+batch ids ahead; a stream gives the same numbers whether drawn one step at a
+time or a chunk at a time, so every chain's trace is bit-identical to the one
+it gives run alone. `run_chain` is the one-chain ensemble.
 """
 
 from __future__ import annotations
@@ -169,17 +169,6 @@ def _traces(thetas, momenta, steps, cfgs, idx, wall, runs) -> list[Trace]:
     return traces
 
 
-class _Feed:
-    """Hands out a chunk's pre-drawn noise to a stepper, one (R, d) draw per
-    `normal` call, in the order the stepper asks for them."""
-
-    def __init__(self, draws: np.ndarray):
-        self._next = iter(draws).__next__
-
-    def normal(self, d: int) -> np.ndarray:
-        return self._next()
-
-
 def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace]:
     """Run R independent chains in lockstep as the rows of (R, d) arrays.
 
@@ -242,17 +231,18 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     with np.errstate(all="ignore"):
         while i < total_steps and 0 not in errors:
             # noise and batch ids for the next m steps, drawn per chain in the
-            # order its steps would draw them one by one
+            # order its steps would draw them one by one; noise[j] holds step
+            # j's draws, each (R, d)
             m = min(_CHUNK, total_steps - i)
-            feed = _Feed(np.stack([rng.normal(m * n_draws * d).reshape(m * n_draws, d)
-                                   for rng in rngs], axis=1))
+            noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
+                              for rng in rngs], axis=2)
             if scale is not None:
                 ids_chunk = np.stack([s.take(m) for s in scheds], axis=1)
             for j in range(m):
                 i += 1
                 if scale is not None:
                     ids = ids_chunk[j]
-                r, th = stepper(r, th, grad, hess, feed)
+                r, th = stepper(r, th, grad, hess, noise[j])
                 if not _finite(r, th):
                     bad = ~np.isfinite(r.sum(axis=1) + th.sum(axis=1))
                     for c in np.flatnonzero(bad).tolist():

@@ -20,6 +20,7 @@ divergence, 4 filesystem errors.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import os
 import sys
 import time
@@ -453,23 +454,16 @@ def report(ctx, **_kw):
 
 
 def _do_report(out_dir, which, n, reps, trials, jobs, regen_golden, seed):
-    # seed 0 (the default) selects the frozen protocol seed the golden
-    # values were produced with; any other seed is used as given
-    protocol = {"bottleneck": 11, "gap": 5, "orders": 3}[which]
-    eff_seed = seed if seed else protocol
-    if which == "bottleneck":
-        checks = repro.report_exact_bottleneck(
-            out_dir, n=n or 100_000, seed=eff_seed,
-            regen_golden=regen_golden)
-    elif which == "gap":
-        checks = repro.report_minibatch_gap(
-            out_dir, n=n or 20_000, reps=reps or 4, seed=eff_seed,
-            jobs=jobs, regen_golden=regen_golden)
-    else:
-        checks = repro.report_splitting_orders(
-            out_dir, n_trials=trials, seed=eff_seed,
-            n=n or 20_000, reps=reps or 2, jobs=jobs,
-            regen_golden=regen_golden)
+    fn = {"bottleneck": repro.report_exact_bottleneck, "gap": repro.report_minibatch_gap,
+          "orders": repro.report_splitting_orders}[which]
+    params = inspect.signature(fn).parameters
+    # a report ignores options it does not take, and n, reps and seed left
+    # unset keep its defaults: seed 0 (the default) selects the frozen
+    # protocol seed the golden values were produced with
+    given = {"n": n, "reps": reps, "n_trials": trials, "jobs": jobs, "seed": seed or None}
+    kw = {key: value for key, value in given.items() if key in params and value is not None}
+    eff_seed = kw.setdefault("seed", params["seed"].default)
+    checks = fn(out_dir, regen_golden=regen_golden, **kw)
     statuses = [c.status for c in checks]
     overall = ("fail" if "fail" in statuses
                else "inconclusive" if "inconclusive" in statuses else "pass")

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import MassMatrix, RngStream, State
-from .integrators import IntegratorSpec, compile_step
+from .integrators import IntegratorSpec, compile_step, noise_draws
 from .operator_lab import spectral_norm
 
 __all__ = [
@@ -37,66 +37,34 @@ __all__ = [
 _EPS_RANGE = (1e-7, 1e-3)
 
 
-class _RecordingRng:
-    """Pass-through to a real stream that keeps a copy of every draw."""
-
-    def __init__(self, rng: RngStream):
-        self._rng = rng
-        self.log = []
-
-    def normal(self, d: int) -> np.ndarray:
-        draw = self._rng.normal(d)
-        self.log.append(draw.copy())
-        return draw
-
-
-class _ReplayRng:
-    """Serves a fixed list of draws; complains when the pattern changes."""
-
-    def __init__(self, draws):
-        self._draws = draws
-        self._pos = 0
-
-    def normal(self, d: int) -> np.ndarray:
-        if self._pos >= len(self._draws):
-            raise RuntimeError("frozen step requested more noise than was recorded")
-        draw = self._draws[self._pos]
-        if draw.size != d:
-            raise RuntimeError("frozen draw size mismatch")
-        self._pos += 1
-        return draw.copy()
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == len(self._draws)
-
-
 class FrozenStep:
     """One integrator step with its noise draws pinned.
 
     Calling it maps (r, theta) -> (r', theta') with the exact same noise
     vectors injected every time, so the map is deterministic and smooth and
-    finite differences through it are meaningful.
+    finite differences through it are meaningful. `noise` holds the
+    scheme's `noise_draws` vectors, each of the spec's dimension.
     """
 
     def __init__(self, spec: IntegratorSpec, grad, noise, hess=None):
         self.spec = spec
         self.noise = tuple(np.asarray(w, dtype=np.float64) for w in noise)
+        n_draws = noise_draws(spec.scheme)
+        if len(self.noise) != n_draws or any(w.shape != (spec.dim,) for w in self.noise):
+            raise ValueError(f"a {spec.scheme.value} step takes {n_draws} noise "
+                             f"draws of shape ({spec.dim},)")
         self._grad = grad
         self._hess = hess
         self._stepper = compile_step(spec)
 
     def __call__(self, r: np.ndarray, theta: np.ndarray) -> tuple:
-        replay = _ReplayRng(self.noise)
         r_new, th_new = self._stepper(
             np.asarray(r, dtype=np.float64),
             np.asarray(theta, dtype=np.float64),
             self._grad,
             self._hess,
-            replay,
+            self.noise,
         )
-        if not replay.exhausted:
-            raise RuntimeError("frozen step consumed less noise than was recorded")
         if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
             raise ValueError("frozen step produced non-finite output")
         return r_new, th_new
@@ -105,11 +73,9 @@ class FrozenStep:
 def freeze_step(
     spec: IntegratorSpec, grad, rng: RngStream, z0: State, hess=None
 ) -> FrozenStep:
-    """Run one step at z0 recording the noise it draws, then pin those draws."""
-    recorder = _RecordingRng(rng)
-    stepper = compile_step(spec)
-    stepper(z0.r.copy(), z0.theta.copy(), grad, hess, recorder)
-    return FrozenStep(spec, grad, recorder.log, hess=hess)
+    """Pin the noise of one step at z0, the scheme's draws taken from rng."""
+    noise = [rng.normal(z0.dim) for _ in range(noise_draws(spec.scheme))]
+    return FrozenStep(spec, grad, noise, hess=hess)
 
 
 def jacobian_fd(F: FrozenStep, z0: State, eps: float = 1e-5) -> np.ndarray:

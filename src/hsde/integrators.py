@@ -7,7 +7,7 @@ The SDE being discretized, for potential U, friction C > 0, diagonal mass M:
 
 Every scheme advances (r, theta) by one step of size eta, consuming a
 gradient provider bound to the current (possibly mini-batch, K-rescaled)
-potential and an RngStream. Schemes:
+potential and the step's standard-normal noise. Schemes:
 
 - EULER: explicit Euler-Maruyama, both updates from pre-step values.
 - LEAPFROG: half position drift, damped momentum kick with injected noise
@@ -26,8 +26,9 @@ potential and an RngStream. Schemes:
   eta^{1/2}, eta^{3/2}, eta^{5/2} stochastic corrections; needs a
   Hessian-vector provider.
 
-Noise draw order is part of each scheme's contract and is documented on the
-compiled stepper; replaying a stream reproduces a step bit-exactly.
+A stepper takes its step's noise as data, the `noise_draws(scheme)` normal
+vectors in the order listed on `compile_step`; the same draws give the same
+step bit for bit, however they were drawn.
 """
 
 from __future__ import annotations
@@ -227,12 +228,12 @@ def _constants(spec: IntegratorSpec) -> dict:
     return k
 
 
-def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
+def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
     """The stepper for one scheme over the constants in k.
 
     Every operation is elementwise, so the same code steps one chain
-    (constants are floats and d-vectors, state is (d,)) or R chains
-    (constants and state are (R, d) arrays).
+    (constants are floats and d-vectors, state and each noise draw are (d,))
+    or R chains (constants, state and each noise draw are (R, d) arrays).
     """
     eta, half_eta, eta_C, C, inv = (k["eta"], k["half_eta"], k["eta_C"], k["C"],
                                     k["inv"])
@@ -240,9 +241,9 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
     if scheme is Scheme.EULER:
         noise_std = k["noise_std"]
 
-        def stepper(r, th, grad, hess, rng):
+        def stepper(r, th, grad, hess, noise):
             th_new = th + eta * r * inv
-            r_new = r - eta_C * r * inv - eta * grad(th) + noise_std * rng.normal(d)
+            r_new = r - eta_C * r * inv - eta * grad(th) + noise_std * noise[0]
             return r_new, th_new
 
         return stepper
@@ -250,9 +251,9 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
     if scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
         noise_std = k["noise_std"]
 
-        def stepper(r, th, grad, hess, rng):
+        def stepper(r, th, grad, hess, noise):
             th_half = th + half_eta * r * inv
-            r_new = r - eta * grad(th_half) - eta_C * r * inv + noise_std * rng.normal(d)
+            r_new = r - eta * grad(th_half) - eta_C * r * inv + noise_std * noise[0]
             th_new = th_half + half_eta * r_new * inv
             return r_new, th_new
 
@@ -261,9 +262,9 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
     if scheme is Scheme.SPV:
         decay, noise_std, kick = k["decay"], k["noise_std"], k["kick"]
 
-        def stepper(r, th, grad, hess, rng):
+        def stepper(r, th, grad, hess, noise):
             th_half = th + half_eta * r * inv
-            r_new = decay * r - kick * grad(th_half) + noise_std * rng.normal(d)
+            r_new = decay * r - kick * grad(th_half) + noise_std * noise[0]
             th_new = th_half + half_eta * r_new * inv
             return r_new, th_new
 
@@ -272,10 +273,10 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
     if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
         decay, noise_std = k["decay"], k["noise_std"]
 
-        def stepper(r, th, grad, hess, rng):
+        def stepper(r, th, grad, hess, noise):
             for _ in range(n_inner):
                 r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
-            r = decay * r + noise_std * rng.normal(d)
+            r = decay * r + noise_std * noise[0]
             return r, th
 
         return stepper
@@ -283,10 +284,10 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
     if scheme is Scheme.SYMMETRIC:
         decay, noise_std = k["decay"], k["noise_std"]
 
-        def stepper(r, th, grad, hess, rng):
-            r = decay * r + noise_std * rng.normal(d)
+        def stepper(r, th, grad, hess, noise):
+            r = decay * r + noise_std * noise[0]
             r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
-            r = decay * r + noise_std * rng.normal(d)
+            r = decay * r + noise_std * noise[1]
             return r, th
 
         return stepper
@@ -298,7 +299,7 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
         amp_r, amp_mix, amp_mix_C = k["amp_r"], k["amp_mix"], k["amp_mix_C"]
         amp_high, amp_high_C, amp_high_CC = k["amp_high"], k["amp_high_C"], k["amp_high_CC"]
 
-        def stepper(r, th, grad, hess, rng):
+        def stepper(r, th, grad, hess, noise):
             th1 = th + c1_eta * r * inv
             g1 = grad(th1)
             r1 = (r - c1_eta * g1) / den1
@@ -313,8 +314,7 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
             g3 = grad(th3)
             r3 = (r + r_f * (F1 - F2) - eta * g3) / den3
 
-            w1 = rng.normal(d)
-            w2 = rng.normal(d)
+            w1, w2 = noise
             mix = w1 * 0.5 + w2
             th_new = th3 + amp_mix * mix * inv - amp_high_C * w1 * inv * inv
             r_new = (
@@ -334,16 +334,17 @@ def _kernel(scheme: Scheme, n_inner: int, d: int, k: dict) -> Callable:
 def compile_step(spec: IntegratorSpec) -> Callable:
     """Bake the spec's constants into a raw stepper.
 
-    The returned callable has signature (r, theta, grad, hess, rng) and
+    The returned callable has signature (r, theta, grad, hess, noise) and
     returns the new (r, theta) arrays without validation; callers own the
-    divergence check. Noise draws per call, in order:
+    divergence check. `noise` holds the step's `noise_draws(scheme)`
+    standard-normal d-vectors, in order:
 
-    EULER / LEAPFROG / SGHMC: one d-vector.
-    SPV / LIE_TROTTER / HMC_PARTIAL: one d-vector (momentum refresh).
-    SYMMETRIC: two d-vectors (first then second half refresh).
-    MT3: two d-vectors (w1, the sqrt-eta one, then w2).
+    EULER / LEAPFROG / SGHMC: one (the momentum kick's).
+    SPV / LIE_TROTTER / HMC_PARTIAL: one (the momentum refresh's).
+    SYMMETRIC: two (first then second half refresh).
+    MT3: two (w1, the sqrt-eta one, then w2).
     """
-    return _kernel(spec.scheme, spec.n_inner, spec.dim, _constants(spec))
+    return _kernel(spec.scheme, spec.n_inner, _constants(spec))
 
 
 def compile_ensemble_step(specs) -> Callable:
@@ -353,8 +354,8 @@ def compile_ensemble_step(specs) -> Callable:
     computes them and spread over row c of (R, d) arrays (same-shape numpy
     operations skip broadcasting, the slow path for small arrays), so each
     row gets the bits its own `compile_step` stepper would give. The specs
-    must share scheme, n_inner and dimension. `rng.normal(d)` must return
-    the (R, d) rows of the next draw; grad and hess map (R, d) to (R, d).
+    must share scheme, n_inner and dimension. Each of the `noise` draws is
+    (R, d), row c for chain c; grad and hess map (R, d) to (R, d).
     """
     specs = list(specs)
     if not specs:
@@ -366,19 +367,21 @@ def compile_ensemble_step(specs) -> Callable:
     per_chain = [_constants(s) for s in specs]
     stacked = {key: np.stack([np.broadcast_to(c[key], (first.dim,)) for c in per_chain])
                for key in per_chain[0]}
-    return _kernel(first.scheme, first.n_inner, first.dim, stacked)
+    return _kernel(first.scheme, first.n_inner, stacked)
 
 
 def step(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,
          hess: HessFn | None = None) -> State:
     """Apply one step of whatever scheme the spec selects: the single-step
-    call. MT3 needs the Hessian-vector provider `hess`; a non-finite result
-    raises DivergenceError."""
+    call, its noise drawn from `rng` one d-vector at a time. MT3 needs the
+    Hessian-vector provider `hess`; a non-finite result raises
+    DivergenceError."""
     if z.dim != spec.mass.dim:
         raise ValueError("state dimension does not match mass matrix")
     if spec.scheme is Scheme.MT3 and hess is None:
         raise ValueError("MT3 needs a Hessian-vector provider")
-    r, th = compile_step(spec)(z.r, z.theta, grad, hess, rng)
+    noise = [rng.normal(z.dim) for _ in range(noise_draws(spec.scheme))]
+    r, th = compile_step(spec)(z.r, z.theta, grad, hess, noise)
     # NaN or +-inf anywhere makes the sum non-finite
     if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
         raise DivergenceError(

@@ -181,10 +181,14 @@ def _quantiles(values: np.ndarray, qs: tuple) -> np.ndarray:
     """np.quantile(values, qs) of finite values by its default (linear)
     method, bit for bit, without the numpy.ma import (about 20 ms) that
     np.quantile makes on its first call."""
-    s = np.sort(values)
+    s = np.array(values, dtype=np.float64)
     pos = (s.size - 1) * np.asarray(qs, dtype=np.float64)
-    lo = np.floor(pos).astype(np.intp)
-    hi = np.minimum(lo + 1, s.size - 1)
+    # numpy's neighbours (index -1 for both at the top end, so gamma = pos + 1
+    # there) and its own partition call, so signed zeros land as in numpy
+    top = pos >= s.size - 1
+    lo = np.where(top, -1, np.floor(pos)).astype(np.intp)
+    hi = np.where(top, -1, lo + 1)
+    s.partition(sorted({0, -1, *lo.tolist(), *hi.tolist()}))
     gamma = pos - lo
     diff = s[hi] - s[lo]
     # numpy's lerp: from the nearer end, so gamma = 1 gives the upper value

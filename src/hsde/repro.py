@@ -287,6 +287,8 @@ def toy_histograms(eta: float, n: int, burn_in: int = 2000, thin: int = 1,
     Returns {mode: {"edges", "counts", "ks", "n"}}; 128 bins span the
     analytic posterior mean +- 6 posterior standard deviations.
     """
+    if n < 1:  # checked before either chain runs its burn-in
+        raise ValueError("n must be >= 1")
     p = reference_params()
     mean, var = toy_posterior(p)
     sig = float(np.sqrt(var))

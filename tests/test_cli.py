@@ -318,6 +318,19 @@ class TestToy:
                     == open(os.path.join(b, name)).read())
 
 
+    def test_rejects_zero_n_before_any_chain(self, runner, tmp_path, monkeypatch):
+        from hsde import repro
+
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before n was checked")
+
+        monkeypatch.setattr(repro, "run_exact_ensemble", no_chains)
+        result = runner.invoke(main, ["toy", "--n", "0", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert "n must" in result.output
+        assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
+
 class TestOpcheck:
     def test_outputs_and_fractions(self, runner, tmp_path):
         out = str(tmp_path / "run")
@@ -412,6 +425,57 @@ class TestReport:
         run_ok(runner, ["report", "--which", "bottleneck", "--n", "1000",
                         "--regen-golden", "--out", out])
         assert os.path.exists(os.path.join(out, "goldens_candidate.json"))
+
+    # an explicit 0 is a bad size, never a request for the default
+    @pytest.mark.parametrize("which, flag", [
+        ("bottleneck", "--n"), ("gap", "--n"), ("gap", "--reps"),
+        ("orders", "--n"), ("orders", "--reps"),
+    ])
+    def test_explicit_zero_exits_2_before_any_chain(self, runner, tmp_path,
+                                                    monkeypatch, which, flag):
+        from hsde import repro
+
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before the sizes were checked")
+
+        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_exact_ensemble", no_chains)
+        result = runner.invoke(main, ["report", "--which", which, flag, "0",
+                                      "--trials", "2", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert f"{flag[2:]} must" in result.output
+        assert not os.path.exists(tmp_path / "x" / "report.md")
+
+    @pytest.mark.parametrize("which, protocol_seed", [
+        ("bottleneck", 11), ("gap", 5), ("orders", 3),
+    ])
+    def test_sizes_and_seed_passed_only_when_given(self, runner, tmp_path,
+                                                  monkeypatch, which, protocol_seed):
+        import functools
+
+        from hsde import repro
+
+        name = {"bottleneck": "report_exact_bottleneck", "gap": "report_minibatch_gap",
+                "orders": "report_splitting_orders"}[which]
+        seen = []
+
+        # keeps the report's signature, where its defaults live
+        @functools.wraps(getattr(repro, name))
+        def spy(out_dir, **kw):
+            seen.append(kw)
+            return []
+
+        monkeypatch.setattr(repro, name, spy)
+        run_ok(runner, ["report", "--which", which, "--out", str(tmp_path / "a")])
+        assert read_meta(tmp_path / "a")["protocol_seed"] == str(protocol_seed)
+        run_ok(runner, ["report", "--which", which, "--n", "7", "--reps", "3",
+                        "--seed", "9", "--out", str(tmp_path / "b")])
+        assert read_meta(tmp_path / "b")["protocol_seed"] == "9"
+        default, given = seen
+        assert not {"n", "reps"} & set(default)
+        assert default["seed"] == protocol_seed
+        assert given["n"] == 7 and given["seed"] == 9
+        assert given.get("reps") == (None if which == "bottleneck" else 3)
 
     def test_which_is_required(self, runner):
         result = runner.invoke(main, ["report"])

@@ -109,6 +109,29 @@ class TestFrozenStep:
             with np.errstate(invalid="ignore"):
                 jacobian_fd(F, z0)
 
+    @pytest.mark.parametrize("scheme, noise", [
+        (Scheme.LEAPFROG, []),
+        (Scheme.LEAPFROG, [np.zeros(2), np.zeros(2)]),
+        (Scheme.SYMMETRIC, [np.zeros(2)]),
+        (Scheme.MT3, [np.zeros(2)] * 3),
+        (Scheme.LEAPFROG, [np.zeros(3)]),
+        (Scheme.LEAPFROG, [np.zeros((1, 2))]),
+        (Scheme.MT3, [np.zeros(2), np.zeros(1)]),
+    ])
+    def test_rejects_wrong_draw_count_or_shape(self, scheme, noise):
+        with pytest.raises(ValueError, match="noise draws"):
+            FrozenStep(make_spec(scheme, 2), quad_grad, noise, hess=quad_hess)
+
+    def test_pins_the_draws_a_step_takes(self):
+        # freeze_step draws the step's noise from the stream it is given
+        spec = make_spec(Scheme.SYMMETRIC, 2)
+        z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
+        F = freeze_step(spec, quad_grad, RngStream(5, 0), z0)
+        rng = RngStream(5, 0)
+        want = [rng.normal(2), rng.normal(2)]
+        for got, w in zip(F.noise, want, strict=True):
+            np.testing.assert_array_equal(got, w)
+
 
 class TestJacobianFd:
     def test_identity_at_zero_step(self):

@@ -11,6 +11,7 @@ from hsde.integrators import (
     IntegratorSpec,
     Scheme,
     compile_step,
+    noise_draws,
     ou_exact_step,
     partial_refresh_alpha,
     step,
@@ -57,7 +58,9 @@ def quad_hess(lam=LAM):
 def run_scalar(scheme, draws, **kw):
     spec = scalar_spec(scheme, **kw)
     z = State(r=np.array([R0]), theta=np.array([TH0]))
-    out = step(z, quad_grad(), spec, QueuedRng(draws), hess=quad_hess())
+    rng = QueuedRng(draws)
+    out = step(z, quad_grad(), spec, rng, hess=quad_hess())
+    assert rng.exhausted(), "the step used fewer draws than its oracle"
     return out.r[0], out.theta[0]
 
 
@@ -112,10 +115,12 @@ class TestOracleAgreement:
         )
 
     def test_ou_exact(self):
+        rng = QueuedRng([[W0]])
         got = ou_exact_step(
             np.array([R0]), np.array([0.55]), ETA, FRIC, MassMatrix(np.array([MASS])),
-            QueuedRng([[W0]]),
+            rng,
         )
+        assert rng.exhausted()
         want = QuadOracle(0, 0, ETA, FRIC, MASS).ou_exact(R0, 0.55, W0)
         assert got[0] == pytest.approx(want, rel=1e-13)
 
@@ -143,7 +148,9 @@ class TestOracleAgreement:
         z = State(r=r0, theta=th0)
         grad = lambda th: lam * (th - cen)
         hess = lambda th, v: lam * v
-        out = step(z, grad, spec, QueuedRng([d.copy() for d in draws]), hess=hess)
+        rng = QueuedRng([d.copy() for d in draws])
+        out = step(z, grad, spec, rng, hess=hess)
+        assert rng.exhausted()
 
         for i in range(3):
             oracle = QuadOracle(lam[i], cen[i], ETA, FRIC, mass[i])
@@ -159,6 +166,28 @@ class TestOracleAgreement:
             want = getattr(oracle, method)(*args)
             assert out.r[i] == pytest.approx(want[0], rel=1e-12, abs=1e-13)
             assert out.theta[i] == pytest.approx(want[1], rel=1e-12, abs=1e-13)
+
+
+class TestNoiseContract:
+    """A stepper reads every draw `noise_draws` promises."""
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_every_draw_moves_the_step(self, scheme):
+        mass = MassMatrix(np.array([1.0, 1.0] if scheme is Scheme.HMC_PARTIAL
+                                   else [1.5, 0.8]))
+        spec = IntegratorSpec(scheme, eta=ETA, friction=FRIC, mass=mass, n_inner=2,
+                              v_hat=0.4 if scheme is Scheme.SGHMC else 0.0)
+        stepper = compile_step(spec)
+        r0, th0 = np.array([R0, -0.2]), np.array([TH0, 0.6])
+        grad = lambda th: LAM * (th - CEN)
+        hess = lambda th, v: LAM * v
+        noise = [np.array([0.37, -1.2]), np.array([0.15, 0.9])][:noise_draws(scheme)]
+        base = stepper(r0, th0, grad, hess, noise)
+        for k in range(len(noise)):
+            moved = list(noise)
+            moved[k] = noise[k] + 0.5
+            out = stepper(r0, th0, grad, hess, moved)
+            assert not np.array_equal(out[0], base[0]), f"draw {k} unused"
 
 
 class TestIdentitiesAndReductions:

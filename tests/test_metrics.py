@@ -312,6 +312,17 @@ class TestQuantiles:
         values = np.array(values)
         assert same_bits(_quantiles(values, tuple(qs)), np.quantile(values, qs))
 
+    # a lone -0.0 keeps its sign, and -0.0 / 0.0 ties land where numpy's
+    # partition puts them
+    @pytest.mark.parametrize("values", [
+        [-0.0], [0.0, -0.0, -0.0, 0.0, 2.5], [-1.0, -0.0, 0.0, -0.0, 2.5, 2.5, 2.5],
+        [-1e300, -1e300, -0.0, 0.0, -0.0, 2.5],
+    ])
+    def test_signed_zeros(self, values):
+        qs = [0.0, 0.25, 1 / 3, 0.5, 0.75, 1.0]
+        values = np.array(values)
+        assert same_bits(_quantiles(values, tuple(qs)), np.quantile(values, qs))
+
     # self_distance's 20 distances put the median at gamma = 0.5 exactly,
     # where the two ends of numpy's lerp round differently
     def test_self_distance_levels(self):
