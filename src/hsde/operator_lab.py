@@ -17,7 +17,6 @@ through the random draw of test matrices.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -50,10 +49,13 @@ class SplitOrder(str, Enum):
     AVERAGED = "averaged"
 
 
-def _square_matrix(A, name: str = "matrix") -> np.ndarray:
+def _square_matrix(A, name: str = "matrix", stacked: bool = False) -> np.ndarray:
+    """A as a float copy; with `stacked`, an (m, n, n) stack is accepted too."""
     arr = np.array(A, dtype=np.float64, copy=True)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
-        raise ValueError(f"{name} must be a square 2-D matrix")
+    if (arr.ndim not in ((2, 3) if stacked else (2,)) or arr.shape[-1] != arr.shape[-2]
+            or arr.size == 0):
+        raise ValueError(f"{name} must be a square 2-D matrix"
+                         + (" or an (m, n, n) stack of them" if stacked else ""))
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite entries")
     return arr
@@ -96,38 +98,52 @@ class GeneratorSet:
 def matrix_exp(A) -> np.ndarray:
     """exp(A) by scaling-and-squaring with a 25-term Taylor series.
 
-    A is scaled by 2^-s until its 1-norm is below 1/2, the series is summed,
-    and the result squared s times. For n <= 64 this keeps the truncation
-    error far below the 1e-12 relative target.
+    A is one square matrix or an (m, n, n) stack of them, and the result has
+    its shape. Each matrix is scaled by 2^-s, with its own s, until its
+    1-norm is below 1/2, the series is summed, and the result squared s
+    times. For n <= 64 this keeps the truncation error far below the 1e-12
+    relative target. A matrix gives the same bits alone as inside a stack.
     """
-    A = _square_matrix(A, "A")
-    n = A.shape[0]
+    A = _square_matrix(A, "A", stacked=True)
+    single = A.ndim == 2
+    if single:
+        A = A[None]
+    n = A.shape[-1]
     if n > _MAX_DIM:
         raise ValueError(f"dimension {n} exceeds {_MAX_DIM}")
-    norm = float(np.linalg.norm(A, 1))
-    s = 0
-    if norm > 0.5:
-        s = int(np.ceil(np.log2(norm))) + 1
-    B = A / float(2**s)
+    # 1-norm: the largest absolute column sum, as np.linalg.norm(A, 1)
+    norms = np.abs(A).sum(axis=-2).max(axis=-1).tolist()
+    s = [int(np.ceil(np.log2(x))) + 1 if x > 0.5 else 0 for x in norms]
+    B = A / np.array([float(2**k) for k in s])[:, None, None]
     E = np.eye(n)
-    term = np.eye(n)
+    term = np.broadcast_to(np.eye(n), A.shape)
     for k in range(1, _TAYLOR_TERMS + 1):
         term = term @ B / k
         E = E + term
-    for _ in range(s):
-        E = E @ E
-    return E
+    # squaring pass p squares the matrices whose s exceeds p
+    for p in range(max(s)):
+        rows = [i for i, k in enumerate(s) if k > p]
+        Er = E[rows]
+        E[rows] = Er @ Er
+    return E[0] if single else E
 
 
-def _ordered_product(factors: Sequence[np.ndarray], order: Iterable[int]) -> np.ndarray:
-    out = np.eye(factors[0].shape[0])
+def _ordered_product(factors: np.ndarray, order: Iterable[int]) -> np.ndarray:
+    """Product of factors[:, i] over i in order, for each row of an
+    (m, K, n, n) stack."""
+    out = np.broadcast_to(np.eye(factors.shape[-1]), factors[:, 0].shape)
     for i in order:
-        out = out @ factors[i]
+        out = out @ factors[:, i]
     return out
 
 
-def _factor_exps(G: GeneratorSet, eta: float) -> list:
-    return [matrix_exp(eta * G.n_parts * L) for L in G.mats]
+def _factor_exps(mats: Sequence[np.ndarray], k: int, etas: Sequence[float]) -> np.ndarray:
+    """exp(eta*k*L) for every eta and every L in mats, from one matrix_exp
+    over the stack; shape (len(etas), len(mats), n, n)."""
+    n = mats[0].shape[0]
+    # eta*k is a Python float before it scales a matrix
+    scaled = np.stack([(eta * k) * L for eta in etas for L in mats])
+    return matrix_exp(scaled).reshape(len(etas), len(mats), n, n)
 
 
 def splitting_product(G: GeneratorSet, eta: float, order: SplitOrder) -> np.ndarray:
@@ -135,14 +151,15 @@ def splitting_product(G: GeneratorSet, eta: float, order: SplitOrder) -> np.ndar
     the mean of the two."""
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    return _splitting(_factor_exps(G, eta), SplitOrder(order))
+    return _splitting(_factor_exps(G.mats, G.n_parts, [eta]), SplitOrder(order))[0]
 
 
-def _splitting(factors: Sequence[np.ndarray], order: SplitOrder) -> np.ndarray:
-    forward = _ordered_product(factors, range(len(factors)))
+def _splitting(factors: np.ndarray, order: SplitOrder) -> np.ndarray:
+    """The splitting product for each row of an (m, K, n, n) factor stack."""
+    forward = _ordered_product(factors, range(factors.shape[1]))
     if order is SplitOrder.FORWARD:
         return forward
-    backward = _ordered_product(factors, reversed(range(len(factors))))
+    backward = _ordered_product(factors, reversed(range(factors.shape[1])))
     if order is SplitOrder.BACKWARD:
         return backward
     return 0.5 * (forward + backward)
@@ -156,14 +173,14 @@ def randomized_expectation(G: GeneratorSet, eta: float) -> np.ndarray:
         raise ValueError(
             f"exact permutation average limited to K <= {_MAX_PARTS_EXACT}, got {G.n_parts}"
         )
-    return _randomized(_factor_exps(G, eta))
+    return _randomized(_factor_exps(G.mats, G.n_parts, [eta]))[0]
 
 
-def _randomized(factors: Sequence[np.ndarray]) -> np.ndarray:
-    dim = factors[0].shape[0]
-    acc = np.zeros((dim, dim))
+def _randomized(factors: np.ndarray) -> np.ndarray:
+    """The K!-ordering mean for each row of an (m, K, n, n) factor stack."""
+    acc = np.zeros(factors[:, 0].shape)
     count = 0
-    for perm in itertools.permutations(range(len(factors))):
+    for perm in itertools.permutations(range(factors.shape[1])):
         acc += _ordered_product(factors, perm)
         count += 1
     return acc / count
@@ -220,25 +237,37 @@ def error_order_slope(etas, errors) -> tuple:
     return float(slope), float(r_squared)
 
 
-def spectral_norm(M, n_iters: int = 50) -> float:
+def spectral_norm(M, n_iters: int = 50):
     """Largest singular value by power iteration on M^T M.
 
-    Starts from the constant unit vector; 50 iterations resolve the trials
-    here far beyond slope-fit needs.
+    M is one 2-D matrix (a float is returned) or an (m, p, n) stack of them
+    (an array of m norms). Starts from the constant unit vector; 50
+    iterations resolve the trials here far beyond slope-fit needs. A matrix
+    whose iterate reaches norm 0 gets 0.0, and it gives the same bits alone
+    as inside a stack.
     """
     M = np.asarray(M, dtype=np.float64)
-    if M.ndim != 2:
-        raise ValueError("M must be 2-D")
-    G = M.T @ M
-    n = G.shape[0]
-    v = np.ones(n) / np.sqrt(n)
+    if M.ndim not in (2, 3):
+        raise ValueError("M must be 2-D or an (m, p, n) stack")
+    single = M.ndim == 2
+    if single:
+        M = M[None]
+    # M^T M through the transposed view: one syrk per matrix
+    G = np.swapaxes(M, -1, -2) @ M
+    m, n = G.shape[0], G.shape[-1]
+    v = np.full((m, n, 1), 1.0 / np.sqrt(n))
+    live = np.ones((m, 1, 1), dtype=bool)
     for _ in range(n_iters):
         w = G @ v
-        norm = math.sqrt(float(w.dot(w)))
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.sqrt(max(float(v @ (G @ v)), 0.0)))
+        norm = np.sqrt(np.swapaxes(w, -1, -2) @ w)
+        live &= norm != 0.0
+        if not live.any():
+            break
+        # a matrix that reached norm 0 keeps its last unit vector
+        np.divide(w, norm, out=v, where=live)
+    q = np.swapaxes(v, -1, -2) @ (G @ v)
+    out = np.where(live, np.sqrt(np.where(0.0 > q, 0.0, q)), 0.0)[:, 0, 0]
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -287,6 +316,16 @@ def run_order_trials(
         raise ValueError(f"k_choices must lie in 1..{_MAX_PARTS_EXACT}")
     if any(n < 1 or n > 8 for n in n_choices):
         raise ValueError("n_choices must lie in 1..8")
+    if not k_choices or not n_choices:
+        raise ValueError("k_choices and n_choices must each name at least one value")
+    # with one part, or with 1x1 parts that all commute, every product is
+    # the exact exponential up to rounding and there is no order to fit
+    if 1 in k_choices:
+        raise ValueError("K = 1 splits nothing: every product equals the exact "
+                         "exponential up to rounding; use K >= 2")
+    if 1 in n_choices:
+        raise ValueError("n = 1 makes the generators commuting scalars: every product "
+                         "equals the exact exponential up to rounding; use n >= 2")
     etas = tuple(float(e) for e in etas)
     if not all(e > 0 for e in etas):
         raise ValueError("eta must be > 0")
@@ -296,20 +335,16 @@ def run_order_trials(
         n = n_choices[rng.integers(len(n_choices))]
         mats = [rng.uniform(-1.0, 1.0, n * n).reshape(n, n) for _ in range(k)]
         G = GeneratorSet(tuple(mats))
-        # the exact semigroup and the factor exponentials, once per eta for
-        # every mode
-        errors = {mode: [] for mode in modes}
-        for eta in etas:
-            exact = matrix_exp(eta * k * G.total)
-            factors = _factor_exps(G, eta)
-            for mode, errs in errors.items():
-                if mode == "randomized":
-                    approx = _randomized(factors)
-                else:
-                    approx = _splitting(factors, SplitOrder(mode))
-                errs.append(spectral_norm(approx - exact))
-        for mode in modes:
-            slope, r2 = error_order_slope(etas, errors[mode])
+        # the exact semigroup and the K factor exponentials at every eta in
+        # one stack, every mode's products over all etas at once, and one
+        # spectral norm over all mode x eta errors
+        exps = _factor_exps((G.total, *G.mats), k, etas)
+        exact, factors = exps[:, 0], exps[:, 1:]
+        approx = [_randomized(factors) if mode == "randomized"
+                  else _splitting(factors, SplitOrder(mode)) for mode in modes]
+        errors = spectral_norm(np.concatenate([a - exact for a in approx]))
+        for mode, errs in zip(modes, errors.reshape(len(modes), len(etas)).tolist()):
+            slope, r2 = error_order_slope(etas, errs)
             out.append(
                 OrderTrial(
                     trial=t,
@@ -317,7 +352,7 @@ def run_order_trials(
                     dim=n,
                     mode=str(mode),
                     etas=etas,
-                    errors=tuple(errors[mode]),
+                    errors=tuple(errs),
                     slope=slope,
                     r_squared=r2,
                 )

@@ -533,6 +533,11 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
                             regen_golden: bool = False) -> list:
     """Operator-splitting order verification plus inner-loop-count
     independence of the sampler's fitted convergence order."""
+    # the sweeps' sizes, checked before the splitting trials run
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if reps < 1:
+        raise ValueError("reps must be >= 1")
     trials = run_order_trials(n_trials, RngStream(seed, 0))
     frac = {}
     for mode in ("forward", "averaged", "randomized"):

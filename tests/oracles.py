@@ -398,6 +398,26 @@ def reference_subset(rng, n, k):
     return out
 
 
+def reference_matrix_exp(A, terms=25):
+    """Scaling-and-squaring exponential of one matrix: the 1-norm from
+    `np.linalg.norm`, a `terms`-term Taylor series, then s squarings."""
+    A = np.asarray(A, dtype=np.float64)
+    n = A.shape[0]
+    norm = float(np.linalg.norm(A, 1))
+    s = 0
+    if norm > 0.5:
+        s = int(np.ceil(np.log2(norm))) + 1
+    B = A / float(2**s)
+    E = np.eye(n)
+    term = np.eye(n)
+    for k in range(1, terms + 1):
+        term = term @ B / k
+        E = E + term
+    for _ in range(s):
+        E = E @ E
+    return E
+
+
 def reference_spectral_norm(M, n_iters=50):
     """Power iteration on M^T M normalized with `np.linalg.norm`."""
     M = np.asarray(M, dtype=np.float64)

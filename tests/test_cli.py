@@ -271,7 +271,7 @@ class TestSweep:
         from hsde import repro
 
         def no_chains(*args, **kw):
-            raise AssertionError("a chain ran before the sizes were checked")
+            raise AssertionError("a chain or trial ran before the sizes were checked")
 
         monkeypatch.setattr(repro, "run_ensemble", no_chains)
         result = runner.invoke(main, ["sweep", flag, value, "--eta-grid", "0.1",
@@ -369,6 +369,26 @@ class TestOpcheck:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    # each choice is named in the message, and no trial starts
+    @pytest.mark.parametrize("flag, value, cause", [
+        ("--K", ",", "at least one"), ("--n", " , ", "at least one"),
+        ("--K", "1", "K = 1"), ("--K", "3,1", "K = 1"), ("--n", "1", "n = 1"),
+    ])
+    def test_degenerate_choices_exit_2_before_any_trial(self, runner, tmp_path,
+                                                        monkeypatch, flag, value, cause):
+        from hsde import operator_lab
+
+        def no_trials(*args, **kw):
+            raise AssertionError("a trial ran before the choices were checked")
+
+        monkeypatch.setattr(operator_lab, "GeneratorSet", no_trials)
+        monkeypatch.setattr(operator_lab, "_factor_exps", no_trials)
+        result = runner.invoke(main, ["opcheck", flag, value,
+                                      "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert cause in result.output
+        assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
 
 class TestGeom:
     HEADER = "scheme,eta,C,det_J,det_target,det_residual,symp_residual"
@@ -436,10 +456,11 @@ class TestReport:
         from hsde import repro
 
         def no_chains(*args, **kw):
-            raise AssertionError("a chain ran before the sizes were checked")
+            raise AssertionError("a chain or trial ran before the sizes were checked")
 
         monkeypatch.setattr(repro, "run_ensemble", no_chains)
         monkeypatch.setattr(repro, "run_exact_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_order_trials", no_chains)
         result = runner.invoke(main, ["report", "--which", which, flag, "0",
                                       "--trials", "2", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output

@@ -24,6 +24,7 @@ from hsde.operator_lab import (
 from .oracles import (
     expm_pade,
     log_of_product_exp,
+    reference_matrix_exp,
     reference_order_trials,
     reference_spectral_norm,
 )
@@ -327,6 +328,88 @@ class TestSpectralNorm:
                                                        rel=1e-9)
 
 
+def assert_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+def scaled_stack(rng, n, norms):
+    """Random n x n matrices rescaled to the given 1-norms (0 gives a zero
+    matrix), in that order."""
+    out = rng.normal(size=(len(norms), n, n))
+    for M, target in zip(out, norms):
+        M *= target / np.linalg.norm(M, 1)
+    return out
+
+
+class TestStackedLayers:
+    """An (m, n, n) stack gives each matrix the bits of the per-matrix
+    references and of the 2-D call."""
+
+    # 1-norms whose scaling counts s = 0, 4, 0, 6, 1, 3, 0 differ within one
+    # stack; the third matrix is zero
+    NORMS = (0.3, 7.0, 0.0, 30.0, 0.9, 2.5, 1e-3)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matrix_exp_mixed_scaling_counts(self, n):
+        A = scaled_stack(np.random.default_rng(n), n, self.NORMS)
+        E = matrix_exp(A)
+        assert E.shape == A.shape
+        for M, got in zip(A, E):
+            want = reference_matrix_exp(M)
+            assert_bits(got, want)
+            assert_bits(matrix_exp(M), want)
+        assert_bits(E[2], np.eye(n))
+
+    def test_matrix_exp_random_stacks(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            A = scaled_stack(rng, n, 10.0 ** rng.uniform(-3, 1.5, size=int(rng.integers(1, 9))))
+            for M, got in zip(A, matrix_exp(A)):
+                assert_bits(got, reference_matrix_exp(M))
+
+    def test_matrix_exp_2d_is_stack_of_one(self):
+        M = scaled_stack(np.random.default_rng(2), 4, (5.0,))
+        assert_bits(matrix_exp(M[0]), matrix_exp(M)[0])
+        assert matrix_exp(M[0]).shape == (4, 4)
+
+    def test_matrix_exp_rejects_bad_stacks(self):
+        for bad in (np.zeros((2, 2, 3)), np.zeros((0, 2, 2)), np.zeros((1, 1, 2, 2)),
+                    np.full((2, 2, 2), np.inf)):
+            with pytest.raises(ValueError):
+                matrix_exp(bad)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_spectral_norm_stack_with_zero_row(self, n):
+        M = scaled_stack(np.random.default_rng(20 + n), n, self.NORMS)
+        got = spectral_norm(M)
+        assert got.shape == (len(M),)
+        for A, g in zip(M, got.tolist()):
+            assert g == reference_spectral_norm(A)
+            assert g == spectral_norm(A)
+        assert got[2] == 0.0
+
+    def test_spectral_norm_iterate_reaching_zero(self):
+        # M maps the constant start vector to 0: the first iterate has norm
+        # 0, so this row gives 0.0 and its neighbours are untouched
+        rng = np.random.default_rng(4)
+        M = np.stack([rng.normal(size=(2, 2)), [[1.0, -1.0], [2.0, -2.0]],
+                      rng.normal(size=(2, 2))])
+        got = spectral_norm(M)
+        assert got[1] == 0.0 == reference_spectral_norm(M[1])
+        assert [got[0], got[2]] == [reference_spectral_norm(M[0]),
+                                    reference_spectral_norm(M[2])]
+
+    def test_spectral_norm_nonsquare_stack_and_2d(self):
+        M = np.random.default_rng(6).normal(size=(3, 5, 2))
+        assert spectral_norm(M).tolist() == [reference_spectral_norm(A) for A in M]
+        assert isinstance(spectral_norm(M[0]), float)
+        with pytest.raises(ValueError):
+            spectral_norm(np.zeros(3))
+
+
 class TestRunOrderTrials:
     def test_deterministic(self):
         a = run_order_trials(5, RngStream(7, 0))
@@ -364,6 +447,29 @@ class TestRunOrderTrials:
                                       (2, 3, 5), (2, 3, 6))
         assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
                 for t in got] == want
+
+    def test_large_k_and_n_match_reference(self):
+        etas = (0.1, 0.05, 0.025, 0.0125)
+        modes = ("forward", "averaged", "randomized")
+        for seed in (0, 9):
+            got = run_order_trials(3, RngStream(seed, 0), etas=etas, modes=modes,
+                                   k_choices=(2, 6), n_choices=(5, 8))
+            want = reference_order_trials(3, RngStream(seed, 0), etas, modes,
+                                          (2, 6), (5, 8))
+            assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
+                    for t in got] == want
+
+    @pytest.mark.parametrize("choices, match", [
+        ({"k_choices": ()}, "at least one"), ({"n_choices": []}, "at least one"),
+        ({"k_choices": (2, 1)}, "K = 1"), ({"n_choices": (1,)}, "n = 1"),
+        ({"k_choices": (7,)}, "1..6"), ({"n_choices": (9,)}, "1..8"),
+    ])
+    def test_rejects_degenerate_choices_before_drawing(self, choices, match):
+        rng = RngStream(0, 0)
+        with pytest.raises(ValueError, match=match):
+            run_order_trials(3, rng, **choices)
+        # nothing was drawn
+        assert rng.integers(1 << 30) == RngStream(0, 0).integers(1 << 30)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -356,6 +356,18 @@ class TestExactEnsembleRun:
                        ["full", "minibatch", "minibatch"], [3, 3, 8], [0, 0, 1],
                        burn_in=4000, n_samples=100, thinning=3)
 
+    def test_bottleneck_shape_burn_in_ends_mid_chunk(self):
+        # the bottleneck report's run: both modes on one stream, every step
+        # kept, the first kept step inside a default chunk
+        assert 300 % chain_module._CHUNK != 0
+        check_ensemble(reference_params(), [0.4, 0.4], ["full", "minibatch"],
+                       [11, 11], [0, 0], burn_in=300, n_samples=500, thinning=1)
+
+    def test_thinning_that_does_not_divide_the_chunk(self):
+        assert chain_module._CHUNK % 7 != 0
+        check_ensemble(reference_params(), [0.01, 0.4], ["minibatch", "full"],
+                       [12, 3], [1, 0], burn_in=100, n_samples=90, thinning=7)
+
     def test_traces_own_their_arrays(self):
         cfg = ChainConfig(n_samples=5, burn_in=3, thinning=2, seed=1)
         a, b = run_exact_ensemble(reference_params(), [0.4, 0.4],
