@@ -133,36 +133,39 @@ def _divergence(spec: IntegratorSpec, step_index: int, r, th, thetas, momenta):
 
 def _run_length(etas, cfgs, **per_chain) -> tuple[int, int, int]:
     """Check an ensemble's arguments: one entry per chain in each named list,
-    every eta > 0 and one run length. Returns (n_samples, burn_in, thinning)."""
+    every eta finite and > 0, and one run length. Returns (n_samples,
+    burn_in, thinning)."""
     R = len(cfgs)
     if R == 0 or any(len(arg) != R for arg in per_chain.values()):
         *names, last = per_chain
         raise ValueError(f"an ensemble needs one {', '.join(names)} and {last} per chain")
-    if not all(eta > 0 for eta in etas):
-        raise ValueError("running a chain requires eta > 0")
+    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
+        raise ValueError("running a chain requires a finite eta > 0")
     if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
         raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
     return cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
 
 
-def _traces(thetas, momenta, steps, cfgs, idx, wall, runs) -> list[Trace]:
+def _traces(thetas, momenta, cfgs, idx, wall, runs) -> list[Trace]:
     """One Trace per chain from an ensemble's (R, n, d) kept samples.
 
     runs[c] is (step duration, meta) with chain c's scheme, eta, friction,
     n_inner, v_hat, mode and K; the run length, seed, chain index, dimension
-    and the whole run's wall time complete its 14-key meta.
+    and the whole run's wall time complete its 14-key meta. The k-th kept
+    sample (k = 1..n) was taken at step burn_in + k thinning.
     """
-    R, n, d = thetas.shape
+    n, d = thetas.shape[1:]
     burn_in, thin = cfgs[0].burn_in, cfgs[0].thinning
     traces = []
     for c, (dt, meta) in enumerate(runs):
         meta.update(n_samples=n, burn_in=burn_in, thinning=thin, seed=cfgs[c].seed,
                     chain_index=idx[c], dim=d, wall_time_s=wall)
+        steps = np.arange(burn_in + thin, burn_in + n * thin + 1, thin, dtype=np.int64)
         traces.append(Trace(
             thetas=thetas[c],
             momenta=momenta[c],
-            steps=steps if c == R - 1 else steps.copy(),
-            times=steps.astype(float) * dt,
+            steps=steps,
+            times=steps * dt,
             meta=meta,
             effective_time=(burn_in + n * thin) * dt,
         ))
@@ -204,7 +207,6 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     n_draws = noise_draws(specs[0].scheme)
     thetas = np.empty((R, n, d))
     momenta = np.empty((R, n, d))
-    steps = np.empty(n, dtype=np.int64)
     r = np.stack([z.r for z in starts])
     th = np.stack([z.theta for z in starts])
 
@@ -255,12 +257,11 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
                 if i > burn_in and (i - burn_in) % thin == 0:
                     thetas[:, kept] = th
                     momenta[:, kept] = r
-                    steps[kept] = i
                     kept += 1
     if errors:
         raise errors[min(errors)]
 
-    return _traces(thetas, momenta, steps, cfgs, idx, time.perf_counter() - t0, [
+    return _traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
         (_step_duration(spec), {
             "scheme": spec.scheme.value, "eta": spec.eta, "friction": spec.friction,
             "n_inner": spec.n_inner, "v_hat": spec.v_hat, "mode": sched.mode.value,

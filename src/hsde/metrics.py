@@ -68,9 +68,9 @@ def ks_vs_gaussian(a: EmpiricalSample, mean: float, variance: float) -> float:
     """
     if not variance > 0:
         raise ValueError("variance must be > 0")
-    # in place, so once the erf's working arrays are gone at most two
-    # n-length arrays live at once: the CDF values and one gap against the
-    # empirical CDF's right or left limits
+    # in place, and the erf works a block at a time, so at most two n-length
+    # arrays live at once: the CDF values and one gap against the empirical
+    # CDF's right or left limits
     cdf = a.values - float(mean)
     cdf /= np.sqrt(float(variance))
     cdf /= np.sqrt(2.0)
@@ -121,8 +121,11 @@ def _horner(x: np.ndarray, coef: tuple) -> np.ndarray:
     return ans
 
 
+_ERF_BLOCK = 4096
+
+
 def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """erf of a float64 array, equal bit for bit to scipy.special.erf.
+    """erf of a 1-D float64 array, equal bit for bit to scipy.special.erf.
 
     |x| <= 1 (and NaN) takes the T/U rational form. Above 1, erf is
     1 - erfc(|x|) with the sign of x, where erfc is exp(-x^2) P/Q below 8 and
@@ -133,6 +136,14 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if out is None:
         out = np.empty_like(x)
+    # erf is elementwise, so blocks give the same bits while the masks,
+    # gathers and Horner temporaries stay a block long, not n long
+    for lo in range(0, len(x), _ERF_BLOCK):
+        _erf_block(x[lo:lo + _ERF_BLOCK], out[lo:lo + _ERF_BLOCK])
+    return out
+
+
+def _erf_block(x: np.ndarray, out: np.ndarray) -> None:
     inner = ~(np.abs(x) > 1.0)
     xi = x[inner]
     z = xi * xi
@@ -148,7 +159,6 @@ def _erf(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         e = np.fromiter(map(math.exp, (-(b * b)).tolist()), np.float64, b.size)
         erfc[sel] = e * _horner(b, num) / _horner(b, den)
     out[outer] = np.copysign(1.0 - erfc, xo)
-    return out
 
 
 def _max_gap(ranks: np.ndarray, n: int, cdf: np.ndarray) -> float:

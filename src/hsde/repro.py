@@ -46,7 +46,7 @@ from .potentials import (
     make_cycled_basis_dataset,
     make_logistic_demo,
 )
-from .toy_exact import ExactMode, reference_params, run_exact_ensemble, toy_posterior
+from .toy_exact import ExactMode, reference_params, run_exact_states, toy_posterior
 
 __all__ = [
     "GoldenRecord",
@@ -285,25 +285,36 @@ def toy_histograms(eta: float, n: int, burn_in: int = 2000, thin: int = 1,
     """Exact-kernel chains in both modes with marginal histograms.
 
     Returns {mode: {"edges", "counts", "ks", "n"}}; 128 bins span the
-    analytic posterior mean +- 6 posterior standard deviations.
+    analytic posterior mean +- 6 posterior standard deviations. Both chains
+    run on chain index 0 of seed.
     """
-    if n < 1:  # checked before either chain runs its burn-in
+    return _exact_histograms([(eta, seed)], n, burn_in, thin)[0]
+
+
+def _exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
+    """`toy_histograms` of each (eta, seed) in runs, in order, from one exact
+    ensemble of both modes per pair; n is checked before any chain runs."""
+    if n < 1:
         raise ValueError("n must be >= 1")
     p = reference_params()
     mean, var = toy_posterior(p)
     sig = float(np.sqrt(var))
     edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
     modes = (ExactMode.FULL, ExactMode.MINIBATCH)
-    cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
-    # only the positions outlive the run: momenta, steps and times go at once
-    positions = [t.thetas[:, 0] for t in
-                 run_exact_ensemble(p, [eta] * 2, modes, [cfg] * 2, [0, 0])]
-    out = {}
-    for mode, th in zip(modes, positions):
-        counts, _ = np.histogram(th, bins=edges)
-        ks = ks_vs_gaussian(EmpiricalSample(th), mean, var)
-        out[mode.value] = {"edges": edges, "counts": counts, "ks": float(ks),
-                           "n": int(n)}
+    etas, chain_modes, cfgs = zip(*[
+        (eta, mode, ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed))
+        for eta, seed in runs for mode in modes])
+    # only the positions outlive the run: the momenta go at once
+    thetas = run_exact_states(p, etas, chain_modes, cfgs, [0] * len(cfgs))[0]
+    out = []
+    for positions in thetas.reshape(len(runs), len(modes), n):
+        hists = {}
+        for mode, th in zip(modes, positions):
+            counts, _ = np.histogram(th, bins=edges)
+            ks = ks_vs_gaussian(EmpiricalSample(th), mean, var)
+            hists[mode.value] = {"edges": edges, "counts": counts, "ks": float(ks),
+                                 "n": int(n)}
+        out.append(hists)
     return out
 
 
@@ -447,8 +458,7 @@ def report_exact_bottleneck(out_dir, n: int = 100_000, seed: int = 11,
     """Exact-kernel check: full-batch mode matches the analytic posterior
     while mini-batch mode keeps a step-size-dependent distribution error
     that decays as the step shrinks."""
-    coarse = toy_histograms(eta=0.4, n=n, seed=seed)
-    fine = toy_histograms(eta=0.01, n=n, seed=seed + 1)
+    coarse, fine = _exact_histograms([(0.4, seed), (0.01, seed + 1)], n)
     ks_full = coarse["full"]["ks"]
     ks_mb = coarse["minibatch"]["ks"]
     ks_full_fine = fine["full"]["ks"]

@@ -20,11 +20,13 @@ the full-data curvature in A. The minibatch chain is exact in time yet
 converges to a visibly wrong law, isolating the batching error from any
 integrator error.
 
-`run_exact_ensemble` advances R such chains together as the rows of an
+`run_exact_states` advances R such chains together as the rows of an
 (R, 2) array, each on its own streams; noise and coins are drawn per chain
 a chunk of steps at a time, the coins from an iid K=2 batch schedule, so
-every chain's trace is bit-identical to the one it gives run alone.
-`run_exact_chain` is the one-chain ensemble.
+every chain's kept states are bit-identical to the ones it gives run alone.
+It returns them as (R, n, 1) blocks of positions and momenta, which
+`run_exact_ensemble` wraps into one trace per chain. `run_exact_chain` is
+the one-chain ensemble.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "toy_posterior",
     "run_exact_chain",
     "run_exact_ensemble",
+    "run_exact_states",
 ]
 
 
@@ -219,15 +222,16 @@ def _start(p: ToyParams, cfg: ChainConfig, chain_index: int) -> np.ndarray:
     return np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
 
 
-def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[Trace]:
+def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
     """Run R chains of exact transitions in lockstep as the rows of an (R, 2)
-    array, each traced like any integrator chain.
+    array and return their kept states as (thetas, momenta), each (R, n, 1).
 
     Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) on the shared
-    stream convention (noise 4c, init 4c+1, coin 4c+2), and its trace equals
-    the one that chain gives run alone, bit for bit. The chains share p and
-    the run length (n_samples, burn_in, thinning). Each trace's
-    meta["wall_time_s"] is the wall time of the whole run.
+    stream convention (noise 4c, init 4c+1, coin 4c+2), and its rows equal
+    the samples that chain gives run alone, bit for bit. The chains share p
+    and the run length (n_samples, burn_in, thinning); the k-th kept sample
+    (k = 1..n) is taken at step burn_in + k thinning. Every argument is
+    checked before any chain starts.
     """
     etas = [float(eta) for eta in etas]
     modes = [ExactMode(mode) for mode in modes]
@@ -237,7 +241,6 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
                                          index=idx)
     R = len(etas)
 
-    t0 = time.perf_counter()
     z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
     rngs = [RngStream(cfg.seed, 4 * i) for cfg, i in zip(cfgs, idx)]
     coins = [BatchSchedule(BatchMode.IID_UNIFORM, 2, RngStream(cfg.seed, 4 * i + 2))
@@ -254,8 +257,10 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
     total = burn_in + n * thin
     thetas = np.empty((R, n, 1))
     momenta = np.empty((R, n, 1))
-    steps = np.empty(n, dtype=np.int64)
     rows = np.arange(R)
+    # z - b and E (z - b), reused by every step
+    t = np.empty_like(z)
+    u = np.empty_like(z)
     kept = 0
     i = 0
     while i < total:
@@ -269,11 +274,16 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
         # the chunk's states; one buffer kept for the whole run instead
         # pins the heap and raises peak RSS by about 0.15 MB
         buf = np.empty((m, R, 2, 1))
-        # per row the one-chain arithmetic E @ (z - b) + b + L @ xi: stacked
-        # matmuls reproduce its bits, einsum does not
-        for j, (Ej, bj, nj) in enumerate(zip(E[rows, flips], b[rows, flips], noise)):
-            z = Ej @ (z - bj) + bj + nj
-            buf[j] = z
+        # per row the one-chain arithmetic E @ (z - b) + b + L @ xi, in the
+        # same operations and order, written into preallocated arrays:
+        # stacked matmuls reproduce its bits, einsum does not
+        for Ej, bj, nj, row in zip(list(E[rows, flips]), list(b[rows, flips]),
+                                   list(noise), list(buf)):
+            np.subtract(z, bj, out=t)
+            np.matmul(Ej, t, out=u)
+            np.add(u, bj, out=u)
+            np.add(u, nj, out=row)
+            z = row
         # the chunk's kept steps (burn_in + thin, burn_in + 2 thin, ...) and
         # their rows in buf, copied out once
         lo = max(i + 1, burn_in + 1)
@@ -281,11 +291,23 @@ def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[T
         rows_kept = slice(keep.start - i - 1, m, thin)
         momenta[:, kept:kept + len(keep)] = buf[rows_kept, :, 0].swapaxes(0, 1)
         thetas[:, kept:kept + len(keep)] = buf[rows_kept, :, 1].swapaxes(0, 1)
-        steps[kept:kept + len(keep)] = keep
         kept += len(keep)
         i += m
+    return thetas, momenta
 
-    return chain._traces(thetas, momenta, steps, cfgs, idx, time.perf_counter() - t0, [
+
+def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[Trace]:
+    """`run_exact_states` with each chain traced like any integrator chain.
+
+    Each trace's meta["wall_time_s"] is the wall time of the whole run.
+    """
+    etas = [float(eta) for eta in etas]
+    modes = [ExactMode(mode) for mode in modes]
+    cfgs = list(cfgs)
+    idx = [int(c) for c in chain_indices]
+    t0 = time.perf_counter()
+    thetas, momenta = run_exact_states(p, etas, modes, cfgs, idx)
+    return chain._traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
         (eta, {"scheme": "exact", "eta": eta, "friction": p.friction, "n_inner": 1,
                "v_hat": 0.0, "mode": mode.value,
                "K": 2 if mode is ExactMode.MINIBATCH else 1})

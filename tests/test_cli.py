@@ -324,11 +324,22 @@ class TestToy:
         def no_chains(*args, **kw):
             raise AssertionError("a chain ran before n was checked")
 
-        monkeypatch.setattr(repro, "run_exact_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_exact_states", no_chains)
         result = runner.invoke(main, ["toy", "--n", "0", "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output
         assert "n must" in result.output
         assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan"])
+@pytest.mark.parametrize("command", [["sample", "--model", "toy", "--scheme", "exact"],
+                                     ["toy"]], ids=["sample", "toy"])
+def test_exact_rejects_non_finite_eta_before_any_chain(runner, tmp_path, command, eta):
+    out = tmp_path / "x"
+    result = runner.invoke(main, command + ["--eta", eta, "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "finite eta" in result.output
+    assert not list(tmp_path.glob("**/*.csv"))
 
 
 class TestOpcheck:
@@ -459,7 +470,7 @@ class TestReport:
             raise AssertionError("a chain or trial ran before the sizes were checked")
 
         monkeypatch.setattr(repro, "run_ensemble", no_chains)
-        monkeypatch.setattr(repro, "run_exact_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_exact_states", no_chains)
         monkeypatch.setattr(repro, "run_order_trials", no_chains)
         result = runner.invoke(main, ["report", "--which", which, flag, "0",
                                       "--trials", "2", "--out", str(tmp_path / "x")])

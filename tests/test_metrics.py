@@ -1,6 +1,7 @@
 """Tests for distribution distances and moment errors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestKsVsGaussian:
         before = a.values.copy()
         assert ks_vs_gaussian(a, mean, var) == reference_ks_vs_gaussian(a.values, mean, var)
         assert a.values.tobytes() == before.tobytes()
+
+    def test_working_memory_is_two_sample_length_arrays(self):
+        # the CDF values and one gap array; the erf works a block at a time
+        n = 100_000
+        a = EmpiricalSample(np.random.default_rng(8).normal(0.3, 1.7, size=n))
+        want = reference_ks_vs_gaussian(a.values, 0.2, 2.5)
+        tracemalloc.start()
+        try:
+            got = ks_vs_gaussian(a, 0.2, 2.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 2.25 * 8 * n
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):

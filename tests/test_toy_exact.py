@@ -14,6 +14,7 @@ from hsde.toy_exact import (
     reference_params,
     run_exact_chain,
     run_exact_ensemble,
+    run_exact_states,
     toy_exact_step,
     toy_posterior,
     toy_transition,
@@ -328,6 +329,19 @@ class TestExactEnsembleMatchesReference:
         check_ensemble(reference_params(), [0.4, 0.4], ["full", "minibatch"],
                        [11, 11], [0, 0])
 
+    def test_bottleneck_report_layout(self):
+        # the report's one ensemble: two etas x two modes, seeds s and s + 1,
+        # all at chain index 0; each chain equals its one-chain run
+        p = reference_params()
+        etas, modes, seeds = [0.4, 0.4, 0.01, 0.01], ["full", "minibatch"] * 2, [11, 11, 12, 12]
+        check_ensemble(p, etas, modes, seeds, [0] * 4)
+        cfgs = [ChainConfig(n_samples=8, burn_in=31, thinning=5, seed=s) for s in seeds]
+        thetas, momenta = run_exact_states(p, etas, modes, cfgs, [0] * 4)
+        for c in range(4):
+            alone = run_exact_chain(p, etas[c], modes[c], cfgs[c])
+            assert_bits(thetas[c], alone.thetas)
+            assert_bits(momenta[c], alone.momenta)
+
     def test_mixed_etas_modes_seeds_and_indices(self):
         check_ensemble(reference_params(), [0.05, 0.4, 0.01, 1.3, 0.2],
                        ["minibatch", "full", "minibatch", "minibatch", "full"],
@@ -381,8 +395,9 @@ class TestExactEnsembleRun:
     def test_validation(self):
         p = reference_params()
         cfg = ChainConfig(n_samples=3, burn_in=2, thinning=1, seed=0)
-        with pytest.raises(ValueError, match="eta"):
-            run_exact_ensemble(p, [0.4, 0.0], ["full"] * 2, [cfg] * 2, [0, 1])
+        for bad in (0.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="eta"):
+                run_exact_ensemble(p, [0.4, bad], ["full"] * 2, [cfg] * 2, [0, 1])
         with pytest.raises(ValueError, match="one eta"):
             run_exact_ensemble(p, [0.4, 0.4], ["full"] * 2, [cfg], [0, 1])
         with pytest.raises(ValueError, match="one eta"):

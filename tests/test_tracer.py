@@ -34,7 +34,7 @@ print(json.dumps(sorted({{rec.names[i] for i in rec.name_id}})))
     for span in ("geometry.freeze_step", "geometry.jacobian_fd", "potentials.gradient",
                  "chain.run_chain", "chain.save_trace", "batching.make_schedule",
                  "core.normal", "operator_lab.matrix_exp", "operator_lab.spectral_norm",
-                 "operator_lab.run_order_trials", "toy_exact.run_exact_ensemble"):
+                 "operator_lab.run_order_trials", "toy_exact.run_exact_states"):
         assert span in got
     assert os.path.exists(tmp_path / "geom" / "summary.csv")
     assert os.path.exists(tmp_path / "sample" / "trace.csv")
