@@ -17,6 +17,13 @@ handed to the stepper as arrays, and the schedule is asked for a chunk of
 batch ids ahead; a stream gives the same numbers whether drawn one step at a
 time or a chunk at a time, so every chain's trace is bit-identical to the one
 it gives run alone. `run_chain` is the one-chain ensemble.
+
+The per-step bookkeeping is done once per chunk: the potential may gather
+the chunk's mini-batch operands up front (`Potential.chunk_batches`), the
+chunk's states are stacked once at its end, its kept rows are copied out
+together and the divergence check runs over all of its (step, chain) rows.
+A diverging chain is reported with the step, state and kept samples it
+had at its first non-finite step, exactly as a step-by-step check would.
 """
 
 from __future__ import annotations
@@ -113,22 +120,18 @@ def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
     return State(r=r, theta=theta)
 
 
-def _finite(r: np.ndarray, th: np.ndarray) -> bool:
-    """Whether sum(r) + sum(theta) is finite for every row: a chain has
-    diverged once NaN or +-inf appears anywhere in its state."""
-    if len(r) == 1:
-        # a lone chain's own test, the cheapest form on the longest runs
-        return math.isfinite(float(r.sum()) + float(th.sum()))
-    # finite row totals can only add up to inf, never to NaN, so a finite
-    # grand total clears every row and a non-finite one is rechecked per row
-    return math.isfinite(np.add.reduce(r.sum(axis=1) + th.sum(axis=1)))
-
-
 def _divergence(spec: IntegratorSpec, step_index: int, r, th, thetas, momenta):
     err = DivergenceError("chain diverged", r=r.copy(), theta=th.copy(),
                           step_index=step_index, eta=spec.eta, scheme=spec.scheme)
     err.partial = (thetas.copy(), momenta.copy())
     return err
+
+
+def _kept_rows(i: int, m: int, burn_in: int, thin: int) -> slice:
+    """The rows of a chunk of steps i+1..i+m (row j is step i+1+j) that a
+    trace keeps: steps burn_in + k thin, k >= 1."""
+    lo = max(i + 1, burn_in + 1)
+    return slice(lo + (burn_in - lo) % thin - i - 1, m, thin)
 
 
 def _run_length(etas, cfgs, **per_chain) -> tuple[int, int, int]:
@@ -183,9 +186,11 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     Each trace's meta["wall_time_s"] is the wall time of the whole run.
 
     If chains diverge, raises the DivergenceError of the first diverging
-    chain in list order, carrying its own step index, scheme, eta and kept
-    samples (`partial`). The run goes on until no earlier chain is left that
-    could diverge first.
+    chain in list order, carrying its own step index, state (`r`, `theta`),
+    scheme, eta and kept samples (`partial`). Divergence is checked once per
+    chunk of steps, over every step of the chunk, so each diverging chain is
+    found at its first non-finite step; the run goes on chunk by chunk
+    until no earlier chain is left that could diverge first.
     """
     specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
     idx = [int(c) for c in chain_indices]
@@ -211,7 +216,7 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     th = np.stack([z.theta for z in starts])
 
     stepper = compile_ensemble_step(specs)
-    ids = scale = None
+    scale = None
     if not all(full):
         # (R, d) like the state: same-shape products skip broadcasting
         scale = np.stack([np.full(d, 1.0 if f else float(s.n_batches))
@@ -232,32 +237,42 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     # the finiteness check below reports each chain once
     with np.errstate(all="ignore"):
         while i < total_steps and 0 not in errors:
-            # noise and batch ids for the next m steps, drawn per chain in the
-            # order its steps would draw them one by one; noise[j] holds step
-            # j's draws, each (R, d)
+            # noise and batch operands for the next m steps, drawn per chain
+            # in the order its steps would draw them one by one; noise[j]
+            # holds step j's draws, each (R, d)
             m = min(_CHUNK, total_steps - i)
             noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
                               for rng in rngs], axis=2)
-            if scale is not None:
-                ids_chunk = np.stack([s.take(m) for s in scheds], axis=1)
-            for j in range(m):
-                i += 1
-                if scale is not None:
-                    ids = ids_chunk[j]
-                r, th = stepper(r, th, grad, hess, noise[j])
-                if not _finite(r, th):
-                    bad = ~np.isfinite(r.sum(axis=1) + th.sum(axis=1))
-                    for c in np.flatnonzero(bad).tolist():
-                        if c not in errors:
-                            errors[c] = _divergence(specs[c], i, r[c], th[c],
-                                                    thetas[c, :kept], momenta[c, :kept])
-                    if 0 in errors:
-                        # no earlier chain is left to diverge first
-                        break
-                if i > burn_in and (i - burn_in) % thin == 0:
-                    thetas[:, kept] = th
-                    momenta[:, kept] = r
-                    kept += 1
+            batches = ([None] * m if scale is None else
+                       P.chunk_batches(np.stack([s.take(m) for s in scheds], axis=1)))
+            # the steppers return fresh arrays, so each step's state is kept
+            # by reference and the chunk's states are stacked once, (m, R, d)
+            rs, ths = [], []
+            for noise_j, ids in zip(noise, batches):
+                r, th = stepper(r, th, grad, hess, noise_j)
+                rs.append(r)
+                ths.append(th)
+            # the chunk's noise and operands (the loop variables hold views
+            # of them) are freed before the next chunk's are drawn
+            del noise, noise_j, ids
+            rs, ths = np.stack(rs), np.stack(ths)
+            rows = _kept_rows(i, m, burn_in, thin)
+            kept_r, kept_th = rs[rows].swapaxes(0, 1), ths[rows].swapaxes(0, 1)
+            n_kept = kept_r.shape[1]
+            momenta[:, kept:kept + n_kept] = kept_r
+            thetas[:, kept:kept + n_kept] = kept_th
+            kept += n_kept
+            # a chain has diverged once NaN or +-inf appears anywhere in its
+            # state, which makes its row sum non-finite
+            bad = ~np.isfinite(rs.sum(axis=2) + ths.sum(axis=2))
+            for c in np.flatnonzero(bad.any(axis=0)).tolist():
+                if c not in errors:
+                    j = int(bad[:, c].argmax())
+                    # samples kept before step i + 1 + j
+                    k = max(0, (i + j - burn_in) // thin)
+                    errors[c] = _divergence(specs[c], i + 1 + j, rs[j, c], ths[j, c],
+                                            thetas[c, :k], momenta[c, :k])
+            i += m
     if errors:
         raise errors[min(errors)]
 

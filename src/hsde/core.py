@@ -56,6 +56,18 @@ def format_float(x) -> str:
 _CSV_BLOCK = 4096
 
 
+def _conversion(column) -> str | None:
+    """The `%` conversion that writes a column's cells as `write_columns`
+    says, or None where each cell needs its own test: "%.17g" (the text of
+    `format_float`) for a float16/32/64 array, whose `.tolist()` gives
+    Python floats, and "%s" (str) for an integer or bool array."""
+    if not isinstance(column, np.ndarray):
+        return None
+    if column.dtype in (np.float16, np.float32, np.float64):
+        return "%.17g"
+    return "%s" if column.dtype.kind in "iub" else None
+
+
 def write_columns(path, header, columns) -> None:
     """Write a CSV from its header and equal-length columns, one line per row.
 
@@ -63,15 +75,20 @@ def write_columns(path, header, columns) -> None:
     cell through `str`. Columns may be lists or numpy arrays.
     """
     n = len(columns[0]) if columns else 0
+    conversions = [_conversion(col) for col in columns]
+    # one `%` template per row; a column of mixed cells is formatted cell by
+    # cell into strings first
+    row = ",".join(conv or "%s" for conv in conversions)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
             # .tolist() turns array cells into Python numbers, the fast path
             parts = [col[start:start + _CSV_BLOCK] for col in columns]
-            cells = [[format_float(v) if isinstance(v, float) else str(v) for v in
+            cells = [part.tolist() if conv else
+                     [format_float(v) if isinstance(v, float) else str(v) for v in
                       (part.tolist() if isinstance(part, np.ndarray) else part)]
-                     for part in parts]
-            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                     for part, conv in zip(parts, conversions)]
+            fh.write("\n".join(map(row.__mod__, zip(*cells))) + "\n")
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -176,8 +177,9 @@ class Potential:
         """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit.
 
         A raw path for the chain runner: no validation. thetas is (R, d);
-        batch_ids is None (every row on the full potential) or R integers
-        where -1 marks the full potential.
+        batch_ids is None (every row on the full potential), R integers
+        where -1 marks the full potential, or a step's argument from
+        `chunk_batches`.
         """
         keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
         if len(thetas) == 1:
@@ -198,6 +200,14 @@ class Potential:
         for c, key in enumerate(keys):
             out[c] = self._raw_hessian_vec(thetas[c], vs[c], key)
         return out
+
+    def chunk_batches(self, ids_chunk: np.ndarray):
+        """The batch argument of `gradient_many` / `hessian_vec_many` for
+        each step of a chunk, in step order: ids_chunk is (m, R) batch ids,
+        -1 marking the full potential. Here step j's argument is the row
+        ids_chunk[j]; a model may instead gather the chunk's operands once
+        and hand out each step's share."""
+        return ids_chunk
 
     def analytic_posterior(self) -> GaussianPosterior:
         raise AnalyticPosteriorUnavailable(
@@ -246,6 +256,22 @@ class Toy1D(Potential):
         return GaussianPosterior(mean=np.array([mean]), cov=np.array([[var]]))
 
 
+# the most bytes of design blocks `LinearGaussian.chunk_batches` gathers at
+# once: a whole chunk of steps for the CLI's models, a step or a few for a
+# large design, whose chunk of blocks can run to hundreds of MB
+_GATHER_BYTES = 1 << 19
+
+
+class _Operands(NamedTuple):
+    """A stacked LinearGaussian call's design blocks F (R or 1, rows, d),
+    their transposed view FT, targets y and prior weight w."""
+
+    F: np.ndarray
+    FT: np.ndarray
+    y: np.ndarray
+    w: float
+
+
 class LinearGaussian(Potential):
     """Linear regression: y = features @ theta + eps, eps ~ N(0, noise_var I)."""
 
@@ -264,12 +290,15 @@ class LinearGaussian(Potential):
         super().__init__(
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
-        # equal blocks as (K, rows, d) and (K, rows) for the stacked path
-        self._blocks = None
-        if self.n_obs % self.n_batches == 0 and Phi.flags.c_contiguous:
-            rows = self.n_obs // self.n_batches
-            self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
-                            y.reshape(self.n_batches, rows))
+        # operands of the stacked path: the full design, and equal blocks as
+        # (K, rows, d) and (K, rows)
+        self._full = self._blocks = None
+        if Phi.flags.c_contiguous:
+            self._full = _Operands(Phi[None], Phi[None].swapaxes(1, 2), y, 1.0)
+            if self.n_obs % self.n_batches == 0:
+                rows = self.n_obs // self.n_batches
+                self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
+                                y.reshape(self.n_batches, rows))
 
     @classmethod
     def from_csv(cls, path, noise_var, prior_var, n_batches=1) -> "LinearGaussian":
@@ -291,37 +320,58 @@ class LinearGaussian(Potential):
     def _nll_hess_vec(self, theta, v, sl):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
-    def _stacked(self, thetas, batch_ids):
-        """Design block, targets and prior weight gathered per row, or None
-        where only the per-row path is proven to give the same bits: a
-        single row, unequal blocks, full and mini-batch rows mixed."""
-        if len(thetas) < 2 or not self.features.flags.c_contiguous:
-            return None
-        if batch_ids is None:
-            return self.features[None], self.targets, 1.0
-        if self._blocks is None or batch_ids.min() < 0:
-            return None
+    def chunk_batches(self, ids_chunk):
+        """Where every id is an equal block's, step j's argument is its share
+        of the design blocks and targets gathered for a run of steps at
+        once, with the prior weight. Otherwise the per-step id rows, as for
+        any potential."""
+        if self._blocks is None or ids_chunk.min() < 0:
+            return super().chunk_batches(ids_chunk)
+        return self._gathered(ids_chunk)
+
+    def _gathered(self, ids_chunk):
         F, y = self._blocks
-        return F[batch_ids], y[batch_ids], 1.0 / self.n_batches
+        w = 1.0 / self.n_batches
+        run = max(1, _GATHER_BYTES // max(1, ids_chunk.shape[1] * F[0].nbytes))
+        for lo in range(0, len(ids_chunk), run):
+            ids = ids_chunk[lo:lo + run]
+            # each step's views are made as it comes up, the transposed
+            # operand among them: a gathered transposed copy would raise
+            # peak memory
+            for Fj, yj in zip(F[ids], y[ids]):
+                yield _Operands(Fj, Fj.swapaxes(1, 2), yj, w)
+
+    def _stacked(self, batch):
+        """The stacked path's operands for a batch argument (None, R ids or
+        a `chunk_batches` entry), or None where only the per-row path is
+        proven to give the same bits: unequal blocks, a design that is not
+        C-contiguous, full and mini-batch rows mixed."""
+        if isinstance(batch, _Operands):
+            return batch
+        if batch is None:
+            return self._full
+        if self._blocks is None or batch.min() < 0:
+            return None
+        return next(self.chunk_batches(batch[None]))
 
     # Stacked (R, rows, d) matmuls through the transposed view run the same
     # BLAS kernels as the per-row `features[sl].T @ resid`, so the bits match;
     # Gram-matrix forms, einsum and a contiguous transpose do not.
     def gradient_many(self, thetas, batch_ids=None):
-        stacked = self._stacked(thetas, batch_ids)
+        stacked = self._stacked(batch_ids)
         if stacked is None:
             return super().gradient_many(thetas, batch_ids)
-        Fb, yb, w = stacked
-        resid = (Fb @ thetas[..., None])[..., 0] - yb
-        grad = (np.swapaxes(Fb, 1, 2) @ resid[..., None])[..., 0] / self.noise_var
+        F, FT, y, w = stacked
+        resid = (F @ thetas[..., None])[..., 0] - y
+        grad = (FT @ resid[..., None])[..., 0] / self.noise_var
         return grad + w * (thetas / self.prior_var)
 
     def hessian_vec_many(self, thetas, vs, batch_ids=None):
-        stacked = self._stacked(thetas, batch_ids)
+        stacked = self._stacked(batch_ids)
         if stacked is None:
             return super().hessian_vec_many(thetas, vs, batch_ids)
-        Fb, _, w = stacked
-        hv = (np.swapaxes(Fb, 1, 2) @ (Fb @ vs[..., None]))[..., 0] / self.noise_var
+        F, FT, _, w = stacked
+        hv = (FT @ (F @ vs[..., None]))[..., 0] / self.noise_var
         return hv + w * (vs / self.prior_var)
 
     def analytic_posterior(self) -> GaussianPosterior:

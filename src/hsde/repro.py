@@ -214,6 +214,8 @@ def run_sweep(
         raise ValueError("n must be >= 1")
     if not 1 <= n_ks <= _ORACLE_N:
         raise ValueError(f"n_ks must be in [1, {_ORACLE_N}]")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     build_model(model_name, n_batches).analytic_posterior()
     tasks = []
     idx = 0
@@ -229,7 +231,9 @@ def run_sweep(
         # single-process run never repays
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # a forked pool starts all of its workers at once, and a worker
+        # beyond one per plan entry would get no work
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_task = list(pool.map(_run_cells, tasks))
     else:
         per_task = [_run_cells(t) for t in tasks]
@@ -543,11 +547,14 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
                             regen_golden: bool = False) -> list:
     """Operator-splitting order verification plus inner-loop-count
     independence of the sampler's fitted convergence order."""
-    # the sweeps' sizes, checked before the splitting trials run
+    # the sweeps' sizes and worker count, checked before the splitting
+    # trials run
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     trials = run_order_trials(n_trials, RngStream(seed, 0))
     frac = {}
     for mode in ("forward", "averaged", "randomized"):

@@ -284,14 +284,11 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
             np.add(u, bj, out=u)
             np.add(u, nj, out=row)
             z = row
-        # the chunk's kept steps (burn_in + thin, burn_in + 2 thin, ...) and
-        # their rows in buf, copied out once
-        lo = max(i + 1, burn_in + 1)
-        keep = range(lo + (burn_in - lo) % thin, i + m + 1, thin)
-        rows_kept = slice(keep.start - i - 1, m, thin)
-        momenta[:, kept:kept + len(keep)] = buf[rows_kept, :, 0].swapaxes(0, 1)
-        thetas[:, kept:kept + len(keep)] = buf[rows_kept, :, 1].swapaxes(0, 1)
-        kept += len(keep)
+        # the chunk's kept rows in buf, copied out once
+        block = buf[chain._kept_rows(i, m, burn_in, thin)]
+        momenta[:, kept:kept + len(block)] = block[:, :, 0].swapaxes(0, 1)
+        thetas[:, kept:kept + len(block)] = block[:, :, 1].swapaxes(0, 1)
+        kept += len(block)
         i += m
     return thetas, momenta
 

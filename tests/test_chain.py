@@ -7,6 +7,7 @@ import pytest
 
 from hsde import chain as chain_module
 from hsde import core as core_module
+from hsde import potentials as potentials_module
 from hsde.batching import make_schedule
 from hsde.chain import (
     ChainConfig,
@@ -245,6 +246,15 @@ class TestEnsembleMatchesReference:
     def test_dense_design_equal_blocks(self, scheme, mode):
         Case(dense_lingauss(32, 5, 4), scheme, mode).check()
 
+    # design blocks gathered three steps at a time: runs of 3, 3 and 1
+    # step per 7-step chunk
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
+    def test_blocks_gathered_in_runs(self, scheme, monkeypatch):
+        P = build_model("lingauss", 8)
+        monkeypatch.setattr(potentials_module, "_GATHER_BYTES",
+                            3 * len(ETAS) * P._blocks[0][0].nbytes)
+        Case(P, scheme, "perm").check()
+
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
     def test_dense_design_unequal_blocks(self, scheme, mode):
@@ -290,6 +300,16 @@ class TestEnsembleRun:
             run_ensemble(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
 
 
+def assert_same_error(err, ref):
+    """An ensemble's DivergenceError carries the reference loop's step,
+    scheme, state and kept samples, bit for bit."""
+    assert (err.step_index, err.scheme, err.eta) == (ref.step_index, ref.scheme, ref.eta)
+    assert_bits(err.r, ref.r)
+    assert_bits(err.theta, ref.theta)
+    assert_bits(err.partial[0], ref.partial[0])
+    assert_bits(err.partial[1], ref.partial[1])
+
+
 class TestEnsembleDivergence:
     # with light friction, leapfrog on the sweep model diverges at step 268
     # for eta = 2 and at step 143 for eta = 6
@@ -319,8 +339,7 @@ class TestEnsembleDivergence:
         assert err.scheme is Scheme.LEAPFROG
         assert err.eta == self.ETAS[1]
         assert err.partial[0].shape[0] == late.step_index - 1
-        assert_bits(err.partial[0], late.partial[0])
-        assert_bits(err.partial[1], late.partial[1])
+        assert_same_error(err, late)
 
     def test_lone_unstable_chain_reports_its_own_state(self):
         case = self.case()
@@ -332,9 +351,42 @@ class TestEnsembleDivergence:
             with pytest.raises(DivergenceError) as info:
                 case.run()
         err = info.value
-        assert (err.step_index, err.eta) == (ref.step_index, 6.0)
-        assert_bits(err.partial[0], ref.partial[0])
-        assert_bits(err.partial[1], ref.partial[1])
+        assert err.eta == 6.0
+        assert_same_error(err, ref)
+
+    # divergence is checked once per chunk (7 steps here); with light
+    # friction, leapfrog on the sweep model diverges at step 141 for eta =
+    # 6.2 (the first step of a chunk) and at step 147 for eta = 5.6 (the
+    # last step of the same chunk); chain 0 never diverges
+    @pytest.mark.usefixtures("small_chunks")
+    @pytest.mark.parametrize("etas, burn_in, thin, steps", [
+        ((0.1, 6.2), 0, 1, (141,)),
+        ((0.1, 5.6), 0, 1, (147,)),
+        # during burn-in: nothing kept yet
+        ((0.1, 5.6), 200, 1, (147,)),
+        # 15 samples kept, the last at step 145
+        ((0.1, 5.6), 100, 3, (147,)),
+        # two chains in one chunk, the higher-indexed one first: chain 1's
+        # error is raised
+        ((0.1, 5.6, 6.2), 0, 1, (147, 141)),
+    ], ids=["chunk-first-step", "chunk-last-step", "burn-in", "thinned",
+            "two-in-one-chunk"])
+    def test_chunk_level_check(self, etas, burn_in, thin, steps):
+        R = len(etas)
+        case = Case(build_model("lingauss", 8), Scheme.LEAPFROG, "perm", etas=etas,
+                    seeds=(4,) * R, indices=range(R), burn_in=burn_in,
+                    n_samples=300, thinning=thin, C=0.1)
+        refs = [self.reference_error(case, c) for c in range(1, R)]
+        assert tuple(ref.step_index for ref in refs) == steps
+        assert len({(step - 1) // chain_module._CHUNK for step in steps}) == 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                case.run()
+        err = info.value
+        assert err.eta == etas[1]
+        assert err.partial[0].shape[0] == max(0, (steps[0] - 1 - burn_in) // thin)
+        assert_same_error(err, refs[0])
 
 
 class TestStationaryMoments:

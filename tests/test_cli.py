@@ -265,6 +265,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("flag, value, message", [
         ("--n-ks", "0", "n_ks must"), ("--n-ks", "-4", "n_ks must"), ("--n", "0", "n must"),
+        ("--jobs", "0", "jobs must"), ("--jobs", "-2", "jobs must"),
     ])
     def test_rejects_bad_sizes_before_any_chain(self, runner, tmp_path, monkeypatch,
                                                 flag, value, message):
@@ -459,8 +460,8 @@ class TestReport:
 
     # an explicit 0 is a bad size, never a request for the default
     @pytest.mark.parametrize("which, flag", [
-        ("bottleneck", "--n"), ("gap", "--n"), ("gap", "--reps"),
-        ("orders", "--n"), ("orders", "--reps"),
+        ("bottleneck", "--n"), ("gap", "--n"), ("gap", "--reps"), ("gap", "--jobs"),
+        ("orders", "--n"), ("orders", "--reps"), ("orders", "--jobs"),
     ])
     def test_explicit_zero_exits_2_before_any_chain(self, runner, tmp_path,
                                                     monkeypatch, which, flag):

@@ -10,8 +10,10 @@ from hsde.core import (
     RngStream,
     State,
     as_vector,
+    format_float,
     hamiltonian,
     kinetic_energy,
+    write_columns,
 )
 
 from .oracles import reference_permutation, reference_subset
@@ -19,6 +21,36 @@ from .oracles import reference_permutation, reference_subset
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
+
+
+class TestWriteColumns:
+    # array columns of every dtype class the writer sorts (float arrays
+    # through one "%.17g", integer and bool arrays through "%s", the rest
+    # cell by cell) next to a list column of mixed cells
+    def test_every_column_kind_matches_cell_by_cell(self, tmp_path):
+        awkward = [-0.0, 5e-324, 1e300, 0.1, -1e-310, np.inf, -np.inf, np.nan]
+        with np.errstate(over="ignore"):
+            narrow = [np.array(awkward, dtype=np.float32),
+                      np.array(awkward, dtype=np.float16)]
+        columns = [
+            np.array(awkward),
+            *narrow,
+            np.array(awkward, dtype=np.longdouble),
+            np.array(awkward, dtype=np.complex128),
+            np.array([0, 1, 2, 3, -4, 5, 2**40, -(2**62)], dtype=np.int64),
+            np.arange(8, dtype=np.uint8),
+            np.arange(8) % 3 == 0,
+            np.array([0.5, "x", 3, None, 2.5, True, -0.0, np.float64(0.1)], dtype=object),
+            [0.5, "x", 3, None, np.float64(2.5), True, np.int64(-7), np.float32(0.1)],
+        ]
+        path = tmp_path / "t.csv"
+        write_columns(path, [f"c{k}" for k in range(len(columns))], columns)
+        cells = [[format_float(v) if isinstance(v, float) else str(v)
+                  for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+                 for col in columns]
+        want = [",".join(f"c{k}" for k in range(len(columns)))]
+        want += [",".join(row) for row in zip(*cells)]
+        assert path.read_text() == "\n".join(want) + "\n"
 
 
 class TestState:

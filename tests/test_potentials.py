@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsde.batching import make_schedule
 from hsde.core import RngStream
 from hsde.potentials import (
     AnalyticPosteriorUnavailable,
@@ -18,6 +19,7 @@ from hsde.potentials import (
     make_trig_dataset,
     trig_features,
 )
+from hsde.repro import build_model
 
 from .oracles import grad_fd, jac_fd
 
@@ -181,6 +183,31 @@ class TestLinearGaussian:
         for _ in range(10):
             v = rng.normal(size=3)
             assert v @ P.hessian_vec(np.zeros(3), v) > 0
+
+    # a lone chain's gradient and Hessian-vector calls take the stacked
+    # path, full batch or on a chunk's gathered blocks, and give the
+    # per-row bits
+    @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
+    @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks"])
+    def test_lone_row_stacked_path_matches_per_row(self, model, mode):
+        if model == "dense-equal-blocks":
+            rng = RngStream(3, 0)
+            P = LinearGaussian(rng.normal(32 * 5).reshape(32, 5), rng.normal(32),
+                               noise_var=1.5, prior_var=2.0, n_batches=4)
+        else:
+            P = build_model("lingauss", int(model[-1]))
+        m = 40
+        ids = make_schedule(mode, P.n_batches, RngStream(1, 2)).take(m)
+        batches = [None] * m if mode == "full" else P.chunk_batches(ids[:, None])
+        draws = RngStream(2, 0)
+        for b, batch in zip(ids.tolist(), batches):
+            assert P._stacked(batch) is not None
+            th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
+            key = None if b < 0 else b
+            got_g = P.gradient_many(th[None], batch)
+            got_h = P.hessian_vec_many(th[None], v[None], batch)
+            assert got_g.tobytes() == P.gradient(th, key)[None].tobytes()
+            assert got_h.tobytes() == P.hessian_vec(th, v, key)[None].tobytes()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

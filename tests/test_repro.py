@@ -187,6 +187,32 @@ class TestSweepEnsembles:
         assert one.slopes == two.slopes
         assert len(one.slopes) == 2
 
+    def test_pool_has_at_most_one_worker_per_plan_entry(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        # stands in for the pool without starting a process
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        plan = [("leapfrog", (0.4,)), ("spv", (0.4,))]
+        args = dict(n=20, reps=1, burn_in=10, seed=17, n_ks=10)
+        many = repro.run_sweep("lingauss", plan, jobs=10_000, **args)
+        assert sizes == [2]
+        assert many.rows == repro.run_sweep("lingauss", plan, jobs=1, **args).rows
+
     def test_divergence_raises_first_chain_in_cell_replica_order(self):
         etas = (0.1, 2.0, 6.0)
         first = None
