@@ -137,13 +137,15 @@ def _ordered_product(factors: np.ndarray, order: Iterable[int]) -> np.ndarray:
     return out
 
 
-def _factor_exps(mats: Sequence[np.ndarray], k: int, etas: Sequence[float]) -> np.ndarray:
-    """exp(eta*k*L) for every eta and every L in mats, from one matrix_exp
-    over the stack; shape (len(etas), len(mats), n, n)."""
-    n = mats[0].shape[0]
+def _factor_exps(gens: np.ndarray, k: int, etas: Sequence[float]) -> np.ndarray:
+    """exp(eta*k*L) for every eta and every L in each row of an (m, J, n, n)
+    generator stack, from one matrix_exp call; shape (m * len(etas), J, n, n),
+    rows in (generator row, eta) order."""
+    n = gens.shape[-1]
     # eta*k is a Python float before it scales a matrix
-    scaled = np.stack([(eta * k) * L for eta in etas for L in mats])
-    return matrix_exp(scaled).reshape(len(etas), len(mats), n, n)
+    scales = np.array([eta * k for eta in etas])[:, None, None, None]
+    exps = matrix_exp((scales * gens[:, None]).reshape(-1, n, n))
+    return exps.reshape(-1, gens.shape[1], n, n)
 
 
 def splitting_product(G: GeneratorSet, eta: float, order: SplitOrder) -> np.ndarray:
@@ -151,7 +153,8 @@ def splitting_product(G: GeneratorSet, eta: float, order: SplitOrder) -> np.ndar
     the mean of the two."""
     if not eta > 0:
         raise ValueError("eta must be > 0")
-    return _splitting(_factor_exps(G.mats, G.n_parts, [eta]), SplitOrder(order))[0]
+    factors = _factor_exps(np.stack(G.mats)[None], G.n_parts, [eta])
+    return _splitting(factors, SplitOrder(order))[0]
 
 
 def _splitting(factors: np.ndarray, order: SplitOrder) -> np.ndarray:
@@ -173,7 +176,7 @@ def randomized_expectation(G: GeneratorSet, eta: float) -> np.ndarray:
         raise ValueError(
             f"exact permutation average limited to K <= {_MAX_PARTS_EXACT}, got {G.n_parts}"
         )
-    return _randomized(_factor_exps(G.mats, G.n_parts, [eta]))[0]
+    return _randomized(_factor_exps(np.stack(G.mats)[None], G.n_parts, [eta]))[0]
 
 
 def _randomized(factors: np.ndarray) -> np.ndarray:
@@ -229,10 +232,16 @@ def error_order_slope(etas, errors) -> tuple:
     ly = np.log(y)
     if np.ptp(lx) == 0:
         raise ValueError("eta grid is degenerate (all equal)")
+    return _fit_slope(lx, ly)
+
+
+def _fit_slope(lx: np.ndarray, ly: np.ndarray) -> tuple:
+    """(slope, r_squared) of the least-squares line through checked logs."""
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     ss_res = float(np.dot(resid, resid))
-    ss_tot = float(np.dot(ly - ly.mean(), ly - ly.mean()))
+    dev = ly - ly.mean()
+    ss_tot = float(np.dot(dev, dev))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
     return float(slope), float(r_squared)
 
@@ -285,6 +294,11 @@ class OrderTrial:
 
 
 _DEFAULT_ETAS = (0.1, 0.05, 0.025, 0.0125)
+_MODES = ("forward", "backward", "averaged", "randomized")
+# the most bytes of matrices one pass of `run_order_trials` stacks for a
+# matrix_exp or spectral_norm call: 200 trials at the default choices fit
+# in one pass, and working memory does not grow with the trial count
+_PASS_BYTES = 1 << 19
 # fixed-order products lose an order relative to the symmetrized ones
 _SLOPE_BANDS = {
     "forward": (1.7, 2.3),
@@ -327,34 +341,70 @@ def run_order_trials(
         raise ValueError("n = 1 makes the generators commuting scalars: every product "
                          "equals the exact exponential up to rounding; use n >= 2")
     etas = tuple(float(e) for e in etas)
-    if not all(e > 0 for e in etas):
-        raise ValueError("eta must be > 0")
+    if len(etas) < 3:
+        raise ValueError("etas must name at least 3 step sizes for a slope fit")
+    if not all(0.0 < e < np.inf for e in etas):
+        raise ValueError("etas must be finite and > 0")
+    log_etas = np.log(np.array(etas))
+    if np.ptp(log_etas) == 0:
+        raise ValueError("eta grid is degenerate (all equal)")
+    modes = tuple(modes)
+    if not modes:
+        raise ValueError("modes must name at least one product mode")
+    for mode in modes:
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}; use one of {', '.join(_MODES)}")
+    # draw a pass of trials, stopping before one that would take the pass's
+    # stacks past _PASS_BYTES, then run it; the draws keep their order
     out = []
+    drawn, held = [], 0
     for t in range(n_trials):
         k = k_choices[rng.integers(len(k_choices))]
         n = n_choices[rng.integers(len(n_choices))]
-        mats = [rng.uniform(-1.0, 1.0, n * n).reshape(n, n) for _ in range(k)]
-        G = GeneratorSet(tuple(mats))
-        # the exact semigroup and the K factor exponentials at every eta in
-        # one stack, every mode's products over all etas at once, and one
-        # spectral norm over all mode x eta errors
-        exps = _factor_exps((G.total, *G.mats), k, etas)
+        mats = np.stack([rng.uniform(-1.0, 1.0, n * n).reshape(n, n) for _ in range(k)])
+        size = len(etas) * max(k + 1, len(modes)) * n * n * mats.itemsize
+        if drawn and held + size > _PASS_BYTES:
+            out += _order_pass(drawn, etas, log_etas, modes)
+            drawn, held = [], 0
+        drawn.append((t, mats))
+        held += size
+    return out + _order_pass(drawn, etas, log_etas, modes)
+
+
+def _order_pass(drawn: list, etas: tuple, log_etas: np.ndarray, modes: tuple) -> list:
+    """OrderTrials of the drawn [(trial, (K, n, n) generators)], in trial
+    order then mode order.
+
+    The trials of one (K, n) shape share one matrix_exp call over the exact
+    semigroup and the K factors at every eta, each mode's products over all
+    of them at once, and one spectral_norm call over every mode x eta error.
+    """
+    shapes = {}
+    for i, (_, mats) in enumerate(drawn):
+        shapes.setdefault(mats.shape, []).append(i)
+    errors = np.empty((len(drawn), len(modes), len(etas)))
+    for (k, n, _), rows in shapes.items():
+        mats = np.stack([drawn[i][1] for i in rows])
+        # the generators' sum, added in the order GeneratorSet.total adds them
+        total = np.zeros((len(rows), n, n))
+        for j in range(k):
+            total += mats[:, j]
+        exps = _factor_exps(np.concatenate([total[:, None], mats], axis=1), k, etas)
         exact, factors = exps[:, 0], exps[:, 1:]
         approx = [_randomized(factors) if mode == "randomized"
                   else _splitting(factors, SplitOrder(mode)) for mode in modes]
-        errors = spectral_norm(np.concatenate([a - exact for a in approx]))
-        for mode, errs in zip(modes, errors.reshape(len(modes), len(etas)).tolist()):
-            slope, r2 = error_order_slope(etas, errs)
-            out.append(
-                OrderTrial(
-                    trial=t,
-                    n_parts=k,
-                    dim=n,
-                    mode=str(mode),
-                    etas=etas,
-                    errors=tuple(errs),
-                    slope=slope,
-                    r_squared=r2,
-                )
-            )
+        errs = spectral_norm(np.concatenate([a - exact for a in approx]))
+        errors[rows] = errs.reshape(len(modes), len(rows), len(etas)).swapaxes(0, 1)
+    # error_order_slope's checks and logs, once for the pass
+    if not np.all(np.isfinite(errors)) or np.any(errors <= 0):
+        raise ValueError("etas and errors must be finite and > 0")
+    log_errors = np.log(errors)
+    out = []
+    for (t, mats), errs, logs in zip(drawn, errors.tolist(), log_errors):
+        k, n, _ = mats.shape
+        for mode, e, ly in zip(modes, errs, logs):
+            slope, r2 = _fit_slope(log_etas, ly)
+            out.append(OrderTrial(trial=t, n_parts=k, dim=n, mode=str(mode),
+                                  etas=etas, errors=tuple(e), slope=slope,
+                                  r_squared=r2))
     return out

@@ -370,6 +370,32 @@ class TestOpcheck:
         assert all(row.split(",")[1] == "2" and row.split(",")[2] == "5"
                    for row in rows)
 
+    # the CLI's tables are the one-trial-at-a-time reference's, to the byte
+    @pytest.mark.parametrize("seed, parts, dims", [
+        (0, (2, 3, 4), (2, 3, 4)), (3, (2, 5, 6), (2, 3, 8)),
+    ])
+    def test_csvs_match_reference_trials(self, runner, tmp_path, seed, parts, dims):
+        from hsde import repro
+        from hsde.core import RngStream
+        from hsde.operator_lab import OrderTrial
+
+        from .oracles import reference_order_trials
+
+        out = tmp_path / "run"
+        run_ok(runner, ["opcheck", "--seed", str(seed), "--K", ",".join(map(str, parts)),
+                        "--n", ",".join(map(str, dims)), "--out", str(out)])
+        etas = (0.1, 0.05, 0.025, 0.0125)
+        rows = reference_order_trials(100, RngStream(seed, 0), etas,
+                                      ("forward", "averaged", "randomized"), parts, dims)
+        trials = [OrderTrial(trial=t, n_parts=k, dim=n, mode=mode, etas=etas,
+                             errors=errs, slope=slope, r_squared=r2)
+                  for t, k, n, mode, errs, slope, r2 in rows]
+        errors, slopes = repro.trial_tables(trials)
+        repro.write_csv(tmp_path / "summary.csv", *errors)
+        repro.write_csv(tmp_path / "slopes.csv", *slopes)
+        for name in ("summary.csv", "slopes.csv"):
+            assert (out / name).read_bytes() == (tmp_path / name).read_bytes()
+
     def test_oversized_k_rejected(self, runner, tmp_path):
         result = runner.invoke(main, ["opcheck", "--K", "7",
                                       "--out", str(tmp_path / "x")])
@@ -395,6 +421,7 @@ class TestOpcheck:
 
         monkeypatch.setattr(operator_lab, "GeneratorSet", no_trials)
         monkeypatch.setattr(operator_lab, "_factor_exps", no_trials)
+        monkeypatch.setattr(operator_lab, "matrix_exp", no_trials)
         result = runner.invoke(main, ["opcheck", flag, value,
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output

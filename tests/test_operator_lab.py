@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsde import operator_lab
 from hsde.core import RngStream
 from hsde.operator_lab import (
     GeneratorSet,
@@ -436,17 +437,20 @@ class TestRunOrderTrials:
             assert np.mean(hits) >= 0.9, mode
 
     @pytest.mark.parametrize("modes", [("forward", "averaged", "randomized"),
-                                       ("randomized", "forward"), ("averaged",)])
+                                       ("randomized", "forward"), ("averaged",),
+                                       ("backward", "randomized", "averaged", "forward")])
     def test_shared_exponentials_change_no_bit(self, modes):
         # each (trial, eta) computes the semigroup and the factor
         # exponentials once for all modes; every error stays bit-identical
+        # and the stream is left where the reference leaves it
         etas = (0.1, 0.05, 0.025, 0.0125)
-        got = run_order_trials(12, RngStream(3, 0), etas=etas, modes=modes,
+        rng, ref_rng = RngStream(3, 0), RngStream(3, 0)
+        got = run_order_trials(12, rng, etas=etas, modes=modes,
                                k_choices=(2, 3, 5), n_choices=(2, 3, 6))
-        want = reference_order_trials(12, RngStream(3, 0), etas, modes,
-                                      (2, 3, 5), (2, 3, 6))
+        want = reference_order_trials(12, ref_rng, etas, modes, (2, 3, 5), (2, 3, 6))
         assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
                 for t in got] == want
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
     def test_large_k_and_n_match_reference(self):
         etas = (0.1, 0.05, 0.025, 0.0125)
@@ -471,8 +475,125 @@ class TestRunOrderTrials:
         # nothing was drawn
         assert rng.integers(1 << 30) == RngStream(0, 0).integers(1 << 30)
 
+    @pytest.mark.parametrize("bad, match", [
+        ({"etas": (float("inf"), 0.1, 0.05)}, "finite and > 0"),
+        ({"etas": (0.1, float("nan"), 0.05)}, "finite and > 0"),
+        ({"etas": (0.1, -0.05, 0.025)}, "finite and > 0"),
+        ({"etas": (0.1, 0.05)}, "at least 3"),
+        ({"etas": (0.1, 0.1, 0.1)}, "degenerate"),
+        ({"modes": ()}, "at least one product mode"),
+        ({"modes": ("forward", "sideways")}, "unknown mode 'sideways'"),
+    ])
+    def test_rejects_bad_etas_and_modes_before_drawing(self, monkeypatch, bad, match):
+        def no_work(A):
+            raise AssertionError("matrix_exp ran before the arguments were checked")
+
+        monkeypatch.setattr(operator_lab, "matrix_exp", no_work)
+        rng = RngStream(0, 0)
+        with pytest.raises(ValueError, match=match):
+            run_order_trials(3, rng, **bad)
+        assert rng.integers(1 << 30) == RngStream(0, 0).integers(1 << 30)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_order_trials(0, RngStream(0, 0))
         with pytest.raises(ValueError, match="eta"):
             run_order_trials(1, RngStream(0, 0), etas=(0.1, 0.0, 0.05))
+
+
+def _trial_rows(trials):
+    return [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
+            for t in trials]
+
+
+class _ZeroFirstGenerator(RngStream):
+    """A stream whose uniform draw number c is zeroed for c in `zeroed`; the
+    stream still advances past it."""
+
+    def __init__(self, seed, zeroed):
+        super().__init__(seed, 0)
+        self.zeroed, self.calls = zeroed, 0
+
+    def uniform(self, low, high, size):
+        out = super().uniform(low, high, size)
+        self.calls += 1
+        return 0.0 * out if self.calls - 1 in self.zeroed else out
+
+
+class TestOrderPasses:
+    """run_order_trials draws a pass of trials, then runs the trials of each
+    (K, n) shape in the pass together; every bit and draw is the
+    one-trial-at-a-time reference's."""
+
+    ETAS = (0.1, 0.05, 0.025, 0.0125)
+    MODES = ("forward", "averaged", "randomized", "backward")
+
+    def _record_passes(self, monkeypatch):
+        passes = []
+        real = operator_lab._order_pass
+
+        def recording(drawn, *args):
+            passes.append([mats.shape[:2] for _, mats in drawn])
+            return real(drawn, *args)
+
+        monkeypatch.setattr(operator_lab, "_order_pass", recording)
+        return passes
+
+    @pytest.mark.parametrize("seed, k_choices, n_choices", [
+        (0, (2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7, 8)),
+        (4, (2, 6), (2, 5, 8)),
+    ])
+    def test_small_passes_match_reference_bits_and_stream(self, monkeypatch, seed,
+                                                          k_choices, n_choices):
+        # a pass of two to four mid-sized trials: shapes share passes and
+        # recur across them
+        monkeypatch.setattr(operator_lab, "_PASS_BYTES", 20_000)
+        passes = self._record_passes(monkeypatch)
+        rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
+        got = run_order_trials(24, rng, self.ETAS, self.MODES, k_choices, n_choices)
+        want = reference_order_trials(24, ref_rng, self.ETAS, self.MODES,
+                                      k_choices, n_choices)
+        assert _trial_rows(got) == want
+        assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
+        assert len(passes) > 2
+        assert any(len(set(shapes)) > 1 for shapes in passes)
+        seen_in = {}
+        for p, shapes in enumerate(passes):
+            for shape in shapes:
+                seen_in.setdefault(shape, set()).add(p)
+        assert any(len(ps) > 1 for ps in seen_in.values())
+
+    @pytest.mark.parametrize("cap", [operator_lab._PASS_BYTES, 3000])
+    def test_failed_fit_raises_the_reference_error(self, monkeypatch, cap):
+        # with L_1 = 0 every product equals the exact exponential bit for
+        # bit, so trials 4 and 9 have zero errors and no slope
+        monkeypatch.setattr(operator_lab, "_PASS_BYTES", cap)
+        args = (12, self.ETAS, ("forward", "averaged"), (2,), (2, 3))
+        with pytest.raises(ValueError) as want:
+            reference_order_trials(args[0], _ZeroFirstGenerator(1, {8, 18}), *args[1:])
+        with pytest.raises(ValueError) as got:
+            run_order_trials(args[0], _ZeroFirstGenerator(1, {8, 18}), *args[1:])
+        assert str(got.value) == str(want.value) == "etas and errors must be finite and > 0"
+
+    def test_stacks_stay_under_the_pass_cap(self, monkeypatch):
+        sizes = {"matrix_exp": [], "spectral_norm": []}
+        for name in sizes:
+            real = getattr(operator_lab, name)
+
+            def recording(A, _real=real, _name=name):
+                sizes[_name].append(np.asarray(A).nbytes)
+                return _real(A)
+
+            monkeypatch.setattr(operator_lab, name, recording)
+        passes = self._record_passes(monkeypatch)
+        trials = run_order_trials(80, RngStream(2, 0), k_choices=(6,), n_choices=(8,))
+        assert len(trials) == 80 * 3
+        assert len(passes) > 1
+        for recorded in sizes.values():
+            assert len(recorded) == len(passes)
+            assert max(recorded) <= operator_lab._PASS_BYTES
+
+    def test_default_choices_run_200_trials_in_one_pass(self, monkeypatch):
+        passes = self._record_passes(monkeypatch)
+        run_order_trials(200, RngStream(0, 0))
+        assert len(passes) == 1
