@@ -46,8 +46,8 @@ from .integrators import (
 )
 from .potentials import Potential
 
-__all__ = ["ChainConfig", "Trace", "run_chain", "run_ensemble", "ergodic_average",
-           "acf1", "save_trace"]
+__all__ = ["ChainConfig", "Trace", "run_chain", "run_ensemble", "run_states",
+           "ergodic_average", "acf1", "save_trace"]
 
 _MULTI_TIME = (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
 
@@ -120,10 +120,12 @@ def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
     return State(r=r, theta=theta)
 
 
-def _divergence(spec: IntegratorSpec, step_index: int, r, th, thetas, momenta):
+def _divergence(spec: IntegratorSpec, chain: int, step_index: int, r, th, thetas,
+                momenta):
     err = DivergenceError("chain diverged", r=r.copy(), theta=th.copy(),
                           step_index=step_index, eta=spec.eta, scheme=spec.scheme)
-    err.partial = (thetas.copy(), momenta.copy())
+    err.chain = chain
+    err.partial = (thetas.copy(), None if momenta is None else momenta.copy())
     return err
 
 
@@ -184,10 +186,30 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     scheme, n_inner and the run length (n_samples, burn_in, thinning); step
     size, friction, mass, seed, start and schedule may differ per chain.
     Each trace's meta["wall_time_s"] is the wall time of the whole run.
+    Divergence is raised as `run_states` raises it.
+    """
+    specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
+    idx = [int(c) for c in chain_indices]
+    t0 = time.perf_counter()
+    thetas, momenta = run_states(P, specs, scheds, cfgs, idx)
+    return _traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
+        (_step_duration(spec), {
+            "scheme": spec.scheme.value, "eta": spec.eta, "friction": spec.friction,
+            "n_inner": spec.n_inner, "v_hat": spec.v_hat, "mode": sched.mode.value,
+            "K": sched.n_batches,
+        }) for spec, sched in zip(specs, scheds)])
+
+
+def run_states(P: Potential, specs, scheds, cfgs, chain_indices,
+               keep_momenta: bool = True) -> tuple:
+    """The kept states of `run_ensemble`'s chains as (thetas, momenta), each
+    (R, n_samples, d); with keep_momenta False, momenta is None and only
+    positions are held.
 
     If chains diverge, raises the DivergenceError of the first diverging
-    chain in list order, carrying its own step index, state (`r`, `theta`),
-    scheme, eta and kept samples (`partial`). Divergence is checked once per
+    chain in list order, carrying its position in the list (`chain`), its
+    own step index, state (`r`, `theta`), scheme, eta and kept samples
+    (`partial`: thetas, and momenta or None). Divergence is checked once per
     chunk of steps, over every step of the chunk, so each diverging chain is
     found at its first non-finite step; the run goes on chunk by chunk
     until no earlier chain is left that could diverge first.
@@ -203,7 +225,6 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
         if sched.mode is not BatchMode.FULL and sched.n_batches != P.n_batches:
             raise ValueError("schedule and potential disagree on the batch count")
 
-    t0 = time.perf_counter()
     starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
     rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, idx)]
     full = [s.mode is BatchMode.FULL for s in scheds]
@@ -211,7 +232,7 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
     d = P.dim
     n_draws = noise_draws(specs[0].scheme)
     thetas = np.empty((R, n, d))
-    momenta = np.empty((R, n, d))
+    momenta = np.empty((R, n, d)) if keep_momenta else None
     r = np.stack([z.r for z in starts])
     th = np.stack([z.theta for z in starts])
 
@@ -257,10 +278,11 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
             del noise, noise_j, ids
             rs, ths = np.stack(rs), np.stack(ths)
             rows = _kept_rows(i, m, burn_in, thin)
-            kept_r, kept_th = rs[rows].swapaxes(0, 1), ths[rows].swapaxes(0, 1)
-            n_kept = kept_r.shape[1]
-            momenta[:, kept:kept + n_kept] = kept_r
+            kept_th = ths[rows].swapaxes(0, 1)
+            n_kept = kept_th.shape[1]
             thetas[:, kept:kept + n_kept] = kept_th
+            if keep_momenta:
+                momenta[:, kept:kept + n_kept] = rs[rows].swapaxes(0, 1)
             kept += n_kept
             # a chain has diverged once NaN or +-inf appears anywhere in its
             # state, which makes its row sum non-finite
@@ -270,18 +292,13 @@ def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace
                     j = int(bad[:, c].argmax())
                     # samples kept before step i + 1 + j
                     k = max(0, (i + j - burn_in) // thin)
-                    errors[c] = _divergence(specs[c], i + 1 + j, rs[j, c], ths[j, c],
-                                            thetas[c, :k], momenta[c, :k])
+                    errors[c] = _divergence(specs[c], c, i + 1 + j, rs[j, c], ths[j, c],
+                                            thetas[c, :k],
+                                            momenta[c, :k] if keep_momenta else None)
             i += m
     if errors:
         raise errors[min(errors)]
-
-    return _traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
-        (_step_duration(spec), {
-            "scheme": spec.scheme.value, "eta": spec.eta, "friction": spec.friction,
-            "n_inner": spec.n_inner, "v_hat": spec.v_hat, "mode": sched.mode.value,
-            "K": sched.n_batches,
-        }) for spec, sched in zip(specs, scheds)])
+    return thetas, momenta
 
 
 def run_chain(P: Potential, spec: IntegratorSpec, sched: BatchSchedule,

@@ -29,6 +29,13 @@ potential and the step's standard-normal noise. Schemes:
 A stepper takes its step's noise as data, the `noise_draws(scheme)` normal
 vectors in the order listed on `compile_step`; the same draws give the same
 step bit for bit, however they were drawn.
+
+Unit factors are skipped: in IEEE-754, x * 1.0 is x bit for bit, so where
+every chain's M^-1 diagonal is exactly 1.0 (`MassMatrix.identity`, the mass
+of every CLI chain) a stepper leaves out each product by M^-1. The choice is
+made once, when the stepper is compiled, through one helper that each
+formula calls, so every scheme has one copy of its formulas and every input
+gets the bits the full products would give.
 """
 
 from __future__ import annotations
@@ -158,10 +165,18 @@ def ou_exact_step(r, f, eta: float, friction: float, mass: MassMatrix, rng: RngS
 
 
 def _det_leapfrog(r, th, grad: GradFn, half_eta, eta, inv):
-    th_half = th + half_eta * r * inv
+    th_half = th + inv(half_eta * r)
     r_new = r - eta * grad(th_half)
-    th_new = th_half + half_eta * r_new * inv
+    th_new = th_half + inv(half_eta * r_new)
     return r_new, th_new
+
+
+def _times(factor) -> Callable:
+    """x -> x * factor, or x itself where every entry of factor is exactly
+    1.0: x * 1.0 is x bit for bit, so the product is skipped."""
+    if np.all(np.asarray(factor) == 1.0):
+        return lambda x: x
+    return lambda x: x * factor
 
 
 _MT3_C1, _MT3_C2 = 7.0 / 24.0, 3.0 / 8.0
@@ -235,15 +250,16 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
     (constants are floats and d-vectors, state and each noise draw are (d,))
     or R chains (constants, state and each noise draw are (R, d) arrays).
     """
-    eta, half_eta, eta_C, C, inv = (k["eta"], k["half_eta"], k["eta_C"], k["C"],
-                                    k["inv"])
+    eta, half_eta, eta_C, C = k["eta"], k["half_eta"], k["eta_C"], k["C"]
+    # x * M^-1, chosen once here: the identity map for a unit mass
+    inv = _times(k["inv"])
 
     if scheme is Scheme.EULER:
         noise_std = k["noise_std"]
 
         def stepper(r, th, grad, hess, noise):
-            th_new = th + eta * r * inv
-            r_new = r - eta_C * r * inv - eta * grad(th) + noise_std * noise[0]
+            th_new = th + inv(eta * r)
+            r_new = r - inv(eta_C * r) - eta * grad(th) + noise_std * noise[0]
             return r_new, th_new
 
         return stepper
@@ -252,9 +268,9 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
         noise_std = k["noise_std"]
 
         def stepper(r, th, grad, hess, noise):
-            th_half = th + half_eta * r * inv
-            r_new = r - eta * grad(th_half) - eta_C * r * inv + noise_std * noise[0]
-            th_new = th_half + half_eta * r_new * inv
+            th_half = th + inv(half_eta * r)
+            r_new = r - eta * grad(th_half) - inv(eta_C * r) + noise_std * noise[0]
+            th_new = th_half + inv(half_eta * r_new)
             return r_new, th_new
 
         return stepper
@@ -263,9 +279,9 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
         decay, noise_std, kick = k["decay"], k["noise_std"], k["kick"]
 
         def stepper(r, th, grad, hess, noise):
-            th_half = th + half_eta * r * inv
+            th_half = th + inv(half_eta * r)
             r_new = decay * r - kick * grad(th_half) + noise_std * noise[0]
-            th_new = th_half + half_eta * r_new * inv
+            th_new = th_half + inv(half_eta * r_new)
             return r_new, th_new
 
         return stepper
@@ -300,29 +316,29 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
         amp_high, amp_high_C, amp_high_CC = k["amp_high"], k["amp_high_C"], k["amp_high_CC"]
 
         def stepper(r, th, grad, hess, noise):
-            th1 = th + c1_eta * r * inv
+            th1 = th + inv(c1_eta * r)
             g1 = grad(th1)
             r1 = (r - c1_eta * g1) / den1
-            F1 = -g1 - C * r1 * inv
+            F1 = -g1 - inv(C * r1)
 
-            th2 = th + th2_r * r * inv + th2_f1 * F1 * inv
+            th2 = th + inv(th2_r * r) + inv(th2_f1 * F1)
             g2 = grad(th2)
             r2 = (r + r_f * F1 - c2_eta * g2) / den2
-            F2 = -g2 - C * r2 * inv
+            F2 = -g2 - inv(C * r2)
 
-            th3 = th + eta * r * inv + th3_f1 * F1 * inv + th3_f2 * F2 * inv
+            th3 = th + inv(eta * r) + inv(th3_f1 * F1) + inv(th3_f2 * F2)
             g3 = grad(th3)
             r3 = (r + r_f * (F1 - F2) - eta * g3) / den3
 
             w1, w2 = noise
             mix = w1 * 0.5 + w2
-            th_new = th3 + amp_mix * mix * inv - amp_high_C * w1 * inv * inv
+            th_new = th3 + inv(amp_mix * mix) - inv(inv(amp_high_C * w1))
             r_new = (
                 r3
                 + amp_r * w1
-                - amp_mix_C * mix * inv
-                - amp_high * hess(th3, w1 * inv)
-                + amp_high_CC * w1 * inv * inv
+                - inv(amp_mix_C * mix)
+                - amp_high * hess(th3, inv(w1))
+                + inv(inv(amp_high_CC * w1))
             )
             return r_new, th_new
 

@@ -308,7 +308,13 @@ _SLOPE_BANDS = {
 
 
 def slope_band(mode: str) -> tuple:
-    return _SLOPE_BANDS[str(mode)]
+    return _SLOPE_BANDS[_mode_name(mode)]
+
+
+def _mode_name(mode) -> str:
+    """A product mode's name: a `SplitOrder` member's value, else the mode
+    itself (str() of a member is "SplitOrder.FORWARD", not its value)."""
+    return mode.value if isinstance(mode, SplitOrder) else mode
 
 
 def run_order_trials(
@@ -348,7 +354,7 @@ def run_order_trials(
     log_etas = np.log(np.array(etas))
     if np.ptp(log_etas) == 0:
         raise ValueError("eta grid is degenerate (all equal)")
-    modes = tuple(modes)
+    modes = tuple(_mode_name(mode) for mode in modes)
     if not modes:
         raise ValueError("modes must name at least one product mode")
     for mode in modes:
@@ -404,7 +410,7 @@ def _order_pass(drawn: list, etas: tuple, log_etas: np.ndarray, modes: tuple) ->
         k, n, _ = mats.shape
         for mode, e, ly in zip(modes, errs, logs):
             slope, r2 = _fit_slope(log_etas, ly)
-            out.append(OrderTrial(trial=t, n_parts=k, dim=n, mode=str(mode),
+            out.append(OrderTrial(trial=t, n_parts=k, dim=n, mode=mode,
                                   etas=etas, errors=tuple(e), slope=slope,
                                   r_squared=r2))
     return out

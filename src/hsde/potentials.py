@@ -17,6 +17,7 @@ keep them exact.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -272,6 +273,31 @@ class _Operands(NamedTuple):
     w: float
 
 
+class _Groups(tuple):
+    """A step's batch argument for an ensemble of full and mini-batch rows:
+    (rows, _Operands) per group, rows a slice or an index array."""
+
+
+def _by_group(stacked_fn, x, stacked):
+    """stacked_fn(x, operands), or for a mixed ensemble's _Groups one call
+    per group over its rows of x, gathered into one array."""
+    if not isinstance(stacked, _Groups):
+        return stacked_fn(x, stacked)
+    out = np.empty_like(x)
+    for rows, ops in stacked:
+        out[rows] = stacked_fn(x[rows], ops)
+    return out
+
+
+def _rows(mask: np.ndarray):
+    """The rows where mask is set, as a slice where they are contiguous
+    (a view, no copy) and as an index array otherwise."""
+    rows = np.flatnonzero(mask)
+    if rows[-1] - rows[0] + 1 == len(rows):
+        return slice(int(rows[0]), int(rows[-1]) + 1)
+    return rows
+
+
 class LinearGaussian(Potential):
     """Linear regression: y = features @ theta + eps, eps ~ N(0, noise_var I)."""
 
@@ -293,6 +319,7 @@ class LinearGaussian(Potential):
         # operands of the stacked path: the full design, and equal blocks as
         # (K, rows, d) and (K, rows)
         self._full = self._blocks = None
+        self._unit_prior = bool(np.all(self.prior_var == 1.0))
         if Phi.flags.c_contiguous:
             self._full = _Operands(Phi[None], Phi[None].swapaxes(1, 2), y, 1.0)
             if self.n_obs % self.n_batches == 0:
@@ -323,11 +350,25 @@ class LinearGaussian(Potential):
     def chunk_batches(self, ids_chunk):
         """Where every id is an equal block's, step j's argument is its share
         of the design blocks and targets gathered for a run of steps at
-        once, with the prior weight. Otherwise the per-step id rows, as for
-        any potential."""
-        if self._blocks is None or ids_chunk.min() < 0:
-            return super().chunk_batches(ids_chunk)
-        return self._gathered(ids_chunk)
+        once, with the prior weight. Where some chains run on the full
+        potential throughout the chunk and the rest on equal blocks, it is
+        the two stacked groups, full rows and gathered-block rows.
+        Otherwise the per-step id rows, as for any potential."""
+        steps = self._step_operands(ids_chunk)
+        return super().chunk_batches(ids_chunk) if steps is None else steps
+
+    def _step_operands(self, ids_chunk):
+        full = ids_chunk < 0
+        rows = full[0]
+        if self._blocks is None or (full != rows).any():
+            return None
+        if rows.all():
+            return itertools.repeat(self._full, len(ids_chunk))
+        if not rows.any():
+            return self._gathered(ids_chunk)
+        on_full, on_blocks = _rows(rows), _rows(~rows)
+        return (_Groups(((on_full, self._full), (on_blocks, ops)))
+                for ops in self._gathered(ids_chunk[:, on_blocks]))
 
     def _gathered(self, ids_chunk):
         F, y = self._blocks
@@ -345,34 +386,49 @@ class LinearGaussian(Potential):
         """The stacked path's operands for a batch argument (None, R ids or
         a `chunk_batches` entry), or None where only the per-row path is
         proven to give the same bits: unequal blocks, a design that is not
-        C-contiguous, full and mini-batch rows mixed."""
-        if isinstance(batch, _Operands):
+        C-contiguous."""
+        if isinstance(batch, (_Operands, _Groups)):
             return batch
         if batch is None:
             return self._full
-        if self._blocks is None or batch.min() < 0:
-            return None
-        return next(self.chunk_batches(batch[None]))
+        steps = self._step_operands(batch[None])
+        return None if steps is None else next(steps)
+
+    def _prior_term(self, x, w):
+        # x / 1.0 and 1.0 * x are x bit for bit: unit factors are skipped
+        if not self._unit_prior:
+            x = x / self.prior_var
+        return x if w == 1.0 else w * x
+
+    def _over_noise(self, x):
+        return x if self.noise_var == 1.0 else x / self.noise_var
 
     # Stacked (R, rows, d) matmuls through the transposed view run the same
     # BLAS kernels as the per-row `features[sl].T @ resid`, so the bits match;
-    # Gram-matrix forms, einsum and a contiguous transpose do not.
+    # Gram-matrix forms, einsum and a contiguous transpose do not. A mixed
+    # ensemble makes one such call per group.
     def gradient_many(self, thetas, batch_ids=None):
         stacked = self._stacked(batch_ids)
         if stacked is None:
             return super().gradient_many(thetas, batch_ids)
-        F, FT, y, w = stacked
+        return _by_group(self._gradient_stacked, thetas, stacked)
+
+    def _gradient_stacked(self, thetas, ops):
+        F, FT, y, w = ops
         resid = (F @ thetas[..., None])[..., 0] - y
-        grad = (FT @ resid[..., None])[..., 0] / self.noise_var
-        return grad + w * (thetas / self.prior_var)
+        grad = self._over_noise((FT @ resid[..., None])[..., 0])
+        return grad + self._prior_term(thetas, w)
 
     def hessian_vec_many(self, thetas, vs, batch_ids=None):
         stacked = self._stacked(batch_ids)
         if stacked is None:
             return super().hessian_vec_many(thetas, vs, batch_ids)
-        F, FT, _, w = stacked
-        hv = (FT @ (F @ vs[..., None]))[..., 0] / self.noise_var
-        return hv + w * (vs / self.prior_var)
+        return _by_group(self._hessian_vec_stacked, vs, stacked)
+
+    def _hessian_vec_stacked(self, vs, ops):
+        F, FT, _, w = ops
+        hv = self._over_noise((FT @ (F @ vs[..., None]))[..., 0])
+        return hv + self._prior_term(vs, w)
 
     def analytic_posterior(self) -> GaussianPosterior:
         precision = self.features.T @ self.features / self.noise_var + np.diag(

@@ -15,10 +15,17 @@ Each report writes a markdown summary plus a machine-readable `checks.csv`,
 compares measured numbers against frozen golden values, and refuses to
 assert a slope when the fit quality is poor (status "inconclusive" rather
 than a false pass/fail).
+
+A sweep runs one ensemble per scheme across its batch modes: `run_sweeps`
+steps a plan pair's full-batch and mini-batch chains (every mode, cell and
+replica) together, keeping positions only, and splits the rows by mode
+afterwards; each mode's result is what `run_sweep`, its one-mode case,
+gives for that mode alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 from dataclasses import dataclass, replace
@@ -27,9 +34,9 @@ from importlib import resources
 import numpy as np
 
 from .batching import make_schedule
-from .chain import ChainConfig, run_ensemble
+from .chain import ChainConfig, run_states
 from .core import MassMatrix, RngStream, write_columns
-from .integrators import IntegratorSpec, Scheme
+from .integrators import DivergenceError, IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
     GeneratorSet,
@@ -54,6 +61,7 @@ __all__ = [
     "build_model",
     "sweep_model",
     "run_sweep",
+    "run_sweeps",
     "toy_histograms",
     "histogram_table",
     "trial_tables",
@@ -119,15 +127,21 @@ def _derive_cell_seed(seed: int, cell_index: int) -> int:
     return (seed + 1_000_003 * (cell_index + 1)) % 2**64
 
 
-def _run_cells(args: tuple) -> list:
-    """One ensemble over every (eta cell, replica) chain of one scheme; one
-    row per cell, computed from that cell's replicas in order."""
-    (model_name, n_batches, mode, scheme, cells, friction, n_inner, v_hat,
+def _run_cells(args: tuple) -> tuple:
+    """One ensemble over every (mode, eta cell, replica) chain of one scheme.
+
+    Returns the rows of each mode, one row per cell computed from that
+    cell's replicas in order, and None; or None and the DivergenceError of
+    the first diverging chain in (mode, cell, replica) order, its
+    `mode_index` set to the index of that chain's mode.
+    """
+    (model_name, modes, scheme, cells, friction, n_inner, v_hat,
      n, reps, burn_in, thin, n_ks) = args
-    model = build_model(model_name, n_batches)
+    model = build_model(model_name, _model_batches(modes))
     post = model.analytic_posterior()
+    runs = list(itertools.product(modes, cells))
     specs, scheds, cfgs, chain_indices = [], [], [], []
-    for eta, cell_seed in cells:
+    for (mode, n_batches), (eta, cell_seed) in runs:
         spec = IntegratorSpec(
             scheme=scheme,
             eta=eta,
@@ -140,23 +154,29 @@ def _run_cells(args: tuple) -> list:
                           init="prior", seed=cell_seed)
         for rep in range(reps):
             specs.append(spec)
-            scheds.append(make_schedule(mode, model.n_batches,
+            scheds.append(make_schedule(mode, n_batches,
                                         RngStream(cell_seed, 4 * rep + 2)))
             cfgs.append(cfg)
             chain_indices.append(rep)
-    traces = run_ensemble(model, specs, scheds, cfgs, chain_indices) if specs else []
+    try:
+        # a sweep reads positions only
+        thetas = (run_states(model, specs, scheds, cfgs, chain_indices,
+                             keep_momenta=False)[0] if specs else [])
+    except DivergenceError as err:
+        err.mode_index = err.chain // (len(cells) * reps)
+        return None, err
 
     rows = []
-    for cell, (eta, _) in enumerate(cells):
+    for cell, ((mode, n_batches), (eta, _)) in enumerate(runs):
         ks_vals = []
         mean_dev = np.zeros(model.dim)
         var_dev = np.zeros(model.dim)
-        for trace in traces[cell * reps:(cell + 1) * reps]:
-            tail = trace.thetas[-min(n_ks, n):, 0]
+        for th in thetas[cell * reps:(cell + 1) * reps]:
+            tail = th[-min(n_ks, n):, 0]
             ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
                                           post.mean[0], post.cov[0, 0]))
-            mean_dev += trace.thetas.mean(axis=0) - post.mean
-            var_dev += trace.thetas.var(axis=0) - np.diag(post.cov)
+            mean_dev += th.mean(axis=0) - post.mean
+            var_dev += th.var(axis=0) - np.diag(post.cov)
         # signed deviations pooled over replicas and coordinates before taking
         # magnitude: the bias is shared, the noise averages out
         rows.append({
@@ -169,7 +189,18 @@ def _run_cells(args: tuple) -> list:
             "mean_err": float(abs(np.mean(mean_dev / reps))),
             "var_err": float(abs(np.mean(var_dev / reps))),
         })
-    return rows
+    return [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))], None
+
+
+def _model_batches(modes) -> int:
+    """The batch count of the model a sweep's modes share: the one K above
+    1 among them, or 1. A full-batch chain sees the full potential, which
+    does not depend on K."""
+    if any(k < 1 for _, k in modes):
+        raise ValueError("n_batches must be >= 1")
+    if len({k for _, k in modes if k > 1}) > 1:
+        raise ValueError("modes of one sweep must share n_batches where it is above 1")
+    return max(k for _, k in modes)
 
 
 @dataclass(frozen=True)
@@ -198,14 +229,41 @@ def run_sweep(
     n_inner: int = 1,
     v_hat: float = 0.0,
 ) -> SweepResult:
-    """Run every (scheme, eta) cell of the plan and fit per-scheme slopes.
+    """Run every (scheme, eta) cell of the plan in one batch mode and fit
+    per-scheme slopes: `run_sweeps` with the one mode (mode, n_batches)."""
+    return run_sweeps(model_name, plan, [(mode, n_batches)], friction=friction,
+                      n=n, reps=reps, burn_in=burn_in, thin=thin, seed=seed,
+                      n_ks=n_ks, jobs=jobs, n_inner=n_inner, v_hat=v_hat)[0]
+
+
+def run_sweeps(
+    model_name: str,
+    plan: list,
+    modes: list,
+    friction: float = 2.0,
+    n: int = 2000,
+    reps: int = 4,
+    burn_in: int = 2000,
+    thin: int = 1,
+    seed: int = 0,
+    n_ks: int = 200,
+    jobs: int = 1,
+    n_inner: int = 1,
+    v_hat: float = 0.0,
+) -> list:
+    """Run every (scheme, eta) cell of the plan in each batch mode and fit
+    per-scheme slopes; one SweepResult per (mode, n_batches) in `modes`,
+    equal to what `run_sweep` gives for that mode alone.
 
     `plan` is a list of (scheme, eta_grid) pairs. Each pair runs as one
-    ensemble of len(eta_grid) x reps chains; `jobs` > 1 spreads the pairs
-    over worker processes. Raises the model's analytic-posterior error for
-    models without a closed-form posterior, and the DivergenceError of the
-    first diverging chain in (cell, replica) order. Output rows are
-    deterministic in (config, seed) regardless of `jobs`.
+    ensemble of len(modes) x len(eta_grid) x reps chains, every mode's
+    chains on the same cell seeds; `jobs` > 1 spreads the pairs over worker
+    processes. Modes whose n_batches is above 1 must share it. Raises the
+    model's analytic-posterior error for models without a closed-form
+    posterior, and the DivergenceError of the first diverging chain in
+    (mode, plan pair, cell, replica) order, the order separate `run_sweep`
+    calls would meet it in. Output rows are deterministic in (config, seed)
+    regardless of `jobs`.
     """
     # checked before any chain runs, not where the values are first used
     if reps < 1:
@@ -216,7 +274,10 @@ def run_sweep(
         raise ValueError(f"n_ks must be in [1, {_ORACLE_N}]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    build_model(model_name, n_batches).analytic_posterior()
+    modes = [(mode, int(k)) for mode, k in modes]
+    if not modes:
+        raise ValueError("a sweep needs at least one batch mode")
+    post = build_model(model_name, _model_batches(modes)).analytic_posterior()
     tasks = []
     idx = 0
     for scheme, etas in plan:
@@ -224,7 +285,7 @@ def run_sweep(
         for eta in etas:
             cells.append((float(eta), _derive_cell_seed(seed, idx)))
             idx += 1
-        tasks.append((model_name, n_batches, mode, Scheme(scheme), cells, friction,
+        tasks.append((model_name, modes, Scheme(scheme), cells, friction,
                       n_inner, v_hat, n, reps, burn_in, thin, n_ks))
     if jobs > 1 and len(tasks) > 1:
         # imported here: the process machinery costs start-up time that a
@@ -236,21 +297,36 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             per_task = list(pool.map(_run_cells, tasks))
     else:
-        per_task = [_run_cells(t) for t in tasks]
-    rows = [row for task_rows in per_task for row in task_rows]
+        per_task = []
+        for task in tasks:
+            per_task.append(_run_cells(task))
+            # no later pair's chain can come before a first-mode divergence
+            if per_task[-1][1] is not None and per_task[-1][1].mode_index == 0:
+                break
+    errors = [(err.mode_index, t) for t, (_, err) in enumerate(per_task) if err is not None]
+    if errors:
+        raise per_task[min(errors)[1]][1]
 
     # one self-distance calibration per sweep: the KS level two independent
     # n_ks-subsamples of the exact posterior show against each other
-    post = build_model(model_name, n_batches).analytic_posterior()
     oracle_rng = RngStream(seed, 3_000_001)
     oracle = EmpiricalSample(
         post.mean[0] + np.sqrt(post.cov[0, 0]) * oracle_rng.normal(_ORACLE_N)
     )
     q05, _, q95 = self_distance(oracle, n_ks, 20, RngStream(seed, 3_000_002))
-    for row in rows:
-        row["ks_q05_self"] = float(q05)
-        row["ks_q95_self"] = float(q95)
+    results = []
+    for m, (mode, n_batches) in enumerate(modes):
+        rows = [row for per_mode, _ in per_task for row in per_mode[m]]
+        for row in rows:
+            row["ks_q05_self"] = float(q05)
+            row["ks_q95_self"] = float(q95)
+        results.append(SweepResult(rows=rows,
+                                   slopes=_fit_slopes(plan, rows, mode, n_batches)))
+    return results
 
+
+def _fit_slopes(plan: list, rows: list, mode: str, n_batches: int) -> list:
+    """One var_err slope row per plan pair with at least 3 cells."""
     slopes = []
     pos = 0
     for scheme, etas in plan:
@@ -271,7 +347,7 @@ def run_sweep(
             "r_squared": float(r2),
             "n_points": len(etas),
         })
-    return SweepResult(rows=rows, slopes=slopes)
+    return slopes
 
 
 SWEEP_ROW_FIELDS = ["scheme", "eta", "K", "mode", "n", "ks",
@@ -507,15 +583,18 @@ def report_minibatch_gap(out_dir, n: int = 20_000, reps: int = 4,
     variance-error slope collapses under mini-batching, the second-order
     inner-loop scheme's does not."""
     plans = {"mt3": [("mt3", GAP_GRID_MT3)], "lie-trotter": [("lie-trotter", GAP_GRID_LT)]}
+    modes = [("full", 1), ("perm", GAP_BATCHES)]
     slopes = {}
     r2s = {}
     all_rows = []
     all_slope_rows = []
+    # one sweep per scheme, both modes in one ensemble; the schemes stay
+    # separate sweeps, as a two-pair plan would give the second scheme's
+    # cells other seeds
     for label, plan in plans.items():
-        for mode, k in (("full", 1), ("perm", GAP_BATCHES)):
-            res = run_sweep("lingauss", plan, mode=mode, n_batches=k,
-                            friction=GAP_FRICTION, n=n, reps=reps,
-                            seed=seed, jobs=jobs)
+        results = run_sweeps("lingauss", plan, modes, friction=GAP_FRICTION, n=n,
+                             reps=reps, seed=seed, jobs=jobs)
+        for (mode, _), res in zip(modes, results):
             slopes[(label, mode)] = res.slopes[0]["slope"]
             r2s[(label, mode)] = res.slopes[0]["r_squared"]
             all_rows.extend(res.rows)

@@ -20,7 +20,9 @@ in code paths disjoint from the package implementation:
   one-sample Gaussian Kolmogorov distance, which the faster forms in the
   package must reproduce bit for bit,
 - the earlier one-row-at-a-time CSV writers (trace, dict rows, report
-  checks), whose bytes the shared column writer must reproduce.
+  checks), whose bytes the shared column writer must reproduce,
+- the step formulas with every product by M^-1 written out, which the
+  steppers that skip unit factors must reproduce bit for bit.
 
 These act as the frozen oracles that implementation outputs are compared to.
 """
@@ -544,3 +546,77 @@ def reference_checks_csv(path, checks) -> None:
         lines.append(f"{c.name},{c.status},{_fmt_17g(c.value)},{c.target}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def reference_kernel(scheme, n_inner, k):
+    """The stepper of every scheme over the constants k (as
+    `integrators._constants` builds them), with every product by M^-1 kept:
+    the formulas as they stood before unit factors were skipped."""
+    from hsde.integrators import Scheme
+
+    scheme = Scheme(scheme)
+    eta, half_eta, eta_C, C, inv = k["eta"], k["half_eta"], k["eta_C"], k["C"], k["inv"]
+
+    def det_leapfrog(r, th, grad):
+        th_half = th + half_eta * r * inv
+        r_new = r - eta * grad(th_half)
+        th_new = th_half + half_eta * r_new * inv
+        return r_new, th_new
+
+    if scheme is Scheme.EULER:
+        def stepper(r, th, grad, hess, noise):
+            th_new = th + eta * r * inv
+            r_new = r - eta_C * r * inv - eta * grad(th) + k["noise_std"] * noise[0]
+            return r_new, th_new
+    elif scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
+        def stepper(r, th, grad, hess, noise):
+            th_half = th + half_eta * r * inv
+            r_new = (r - eta * grad(th_half) - eta_C * r * inv
+                     + k["noise_std"] * noise[0])
+            th_new = th_half + half_eta * r_new * inv
+            return r_new, th_new
+    elif scheme is Scheme.SPV:
+        def stepper(r, th, grad, hess, noise):
+            th_half = th + half_eta * r * inv
+            r_new = k["decay"] * r - k["kick"] * grad(th_half) + k["noise_std"] * noise[0]
+            th_new = th_half + half_eta * r_new * inv
+            return r_new, th_new
+    elif scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
+        def stepper(r, th, grad, hess, noise):
+            for _ in range(n_inner):
+                r, th = det_leapfrog(r, th, grad)
+            return k["decay"] * r + k["noise_std"] * noise[0], th
+    elif scheme is Scheme.SYMMETRIC:
+        def stepper(r, th, grad, hess, noise):
+            r = k["decay"] * r + k["noise_std"] * noise[0]
+            r, th = det_leapfrog(r, th, grad)
+            return k["decay"] * r + k["noise_std"] * noise[1], th
+    else:
+        def stepper(r, th, grad, hess, noise):
+            th1 = th + k["c1_eta"] * r * inv
+            g1 = grad(th1)
+            r1 = (r - k["c1_eta"] * g1) / k["den1"]
+            F1 = -g1 - C * r1 * inv
+
+            th2 = th + k["th2_r"] * r * inv + k["th2_f1"] * F1 * inv
+            g2 = grad(th2)
+            r2 = (r + k["r_f"] * F1 - k["c2_eta"] * g2) / k["den2"]
+            F2 = -g2 - C * r2 * inv
+
+            th3 = th + eta * r * inv + k["th3_f1"] * F1 * inv + k["th3_f2"] * F2 * inv
+            g3 = grad(th3)
+            r3 = (r + k["r_f"] * (F1 - F2) - eta * g3) / k["den3"]
+
+            w1, w2 = noise
+            mix = w1 * 0.5 + w2
+            th_new = th3 + k["amp_mix"] * mix * inv - k["amp_high_C"] * w1 * inv * inv
+            r_new = (
+                r3
+                + k["amp_r"] * w1
+                - k["amp_mix_C"] * mix * inv
+                - k["amp_high"] * hess(th3, w1 * inv)
+                + k["amp_high_CC"] * w1 * inv * inv
+            )
+            return r_new, th_new
+    return stepper
+

@@ -16,6 +16,7 @@ from hsde.chain import (
     ergodic_average,
     run_chain,
     run_ensemble,
+    run_states,
     save_trace,
 )
 from hsde.core import MassMatrix, RngStream, State
@@ -272,6 +273,14 @@ class TestEnsembleMatchesReference:
         Case(P, Scheme.MT3, ("full", "perm", "iid", "perm", "full"),
              inits=[None, start, None, None, start]).check()
 
+    # a sweep's merged ensemble: full rows then block rows, each group one
+    # stacked call over a view of the state
+    @pytest.mark.parametrize("model", ["lingauss", "dense-equal-blocks"])
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LIE_TROTTER])
+    def test_full_and_block_groups(self, scheme, model):
+        P = build_model("lingauss", 8) if model == "lingauss" else dense_lingauss(32, 5, 4)
+        Case(P, scheme, ("full", "full", "perm", "perm", "perm")).check()
+
 
 class TestEnsembleRun:
     def test_default_chunks_and_buffer_refill(self):
@@ -298,6 +307,34 @@ class TestEnsembleRun:
         cfgs = [case.cfgs[0], ChainConfig(n_samples=3, burn_in=31, thinning=5, seed=1)]
         with pytest.raises(ValueError, match="share"):
             run_ensemble(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
+
+
+class TestPositionsOnly:
+    def test_run_states_keeps_thetas_only_when_asked(self):
+        case = Case(build_model("lingauss", 8), Scheme.MT3,
+                    ("full", "perm", "iid", "perm", "full"))
+        traces = case.run()
+        scheds = [case.sched(c) for c in range(5)]
+        thetas, momenta = run_states(case.P, case.specs, scheds, case.cfgs, case.indices,
+                                     keep_momenta=False)
+        assert momenta is None
+        for c, trace in enumerate(traces):
+            assert_bits(thetas[c], trace.thetas)
+
+    def test_divergence_without_momenta(self):
+        case = TestEnsembleDivergence().case()
+        with pytest.raises(DivergenceError) as kept:
+            case.run()
+        scheds = [case.sched(c) for c in range(4)]
+        with pytest.raises(DivergenceError) as info:
+            run_states(case.P, case.specs, scheds, case.cfgs, case.indices,
+                       keep_momenta=False)
+        err, ref = info.value, kept.value
+        assert (err.chain, err.step_index, err.eta) == (ref.chain, ref.step_index, ref.eta)
+        assert err.chain == 1
+        assert_bits(err.r, ref.r)
+        assert_bits(err.partial[0], ref.partial[0])
+        assert err.partial[1] is None
 
 
 def assert_same_error(err, ref):

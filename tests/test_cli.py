@@ -274,7 +274,7 @@ class TestSweep:
         def no_chains(*args, **kw):
             raise AssertionError("a chain or trial ran before the sizes were checked")
 
-        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_states", no_chains)
         result = runner.invoke(main, ["sweep", flag, value, "--eta-grid", "0.1",
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2, result.output
@@ -497,7 +497,7 @@ class TestReport:
         def no_chains(*args, **kw):
             raise AssertionError("a chain or trial ran before the sizes were checked")
 
-        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_states", no_chains)
         monkeypatch.setattr(repro, "run_exact_states", no_chains)
         monkeypatch.setattr(repro, "run_order_trials", no_chains)
         result = runner.invoke(main, ["report", "--which", which, flag, "0",

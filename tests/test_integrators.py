@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsde.core import MassMatrix, RngStream, State
+from hsde import integrators as integrators_module
 from hsde.integrators import (
     DivergenceError,
     IntegratorSpec,
     Scheme,
+    compile_ensemble_step,
     compile_step,
     noise_draws,
     ou_exact_step,
@@ -17,7 +19,7 @@ from hsde.integrators import (
     step,
 )
 
-from .oracles import QuadOracle
+from .oracles import QuadOracle, reference_kernel
 
 
 class QueuedRng:
@@ -472,3 +474,78 @@ class TestValidationAndDivergence:
         a = step(z, quad_grad(), spec, RngStream(31, 7), hess=quad_hess())
         b = step(z, quad_grad(), spec, RngStream(31, 7), hess=quad_hess())
         assert a.r[0] == b.r[0] and a.theta[0] == b.theta[0]
+
+
+def _kernel_spec(scheme, eta, C, mass):
+    multi = scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
+    return IntegratorSpec(scheme, eta=eta, friction=C, mass=mass,
+                          n_inner=3 if multi else 1,
+                          v_hat=0.4 * C if scheme is Scheme.SGHMC else 0.0)
+
+
+def _nonlinear_grad_hess(d, rng):
+    lam = rng.uniform(0.3, 3.0, d)
+    cen = rng.normal(size=d)
+    return (lambda th: lam * (th - cen) + 0.2 * np.sin(th),
+            lambda th, v: lam * v + 0.2 * np.cos(th) * v)
+
+
+# every scheme on a unit mass, and every scheme but the unit-mass-only
+# partial-refresh HMC on a non-unit diagonal mass
+KERNEL_CASES = [(s, "identity") for s in Scheme] + [
+    (s, "diagonal") for s in Scheme if s is not Scheme.HMC_PARTIAL]
+
+
+class TestUnitFactorsSkipped:
+    """A stepper on an exactly-unit M^-1 leaves its products by M^-1 out;
+    every scheme must still give, bit for bit, what the formulas with every
+    product written out give, on a unit mass and on any other."""
+
+    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
+    def test_single_chain_matches_reference_formulas(self, scheme, mass):
+        d = 5
+        rng = np.random.default_rng(17)
+        grad, hess = _nonlinear_grad_hess(d, rng)
+        for trial in range(20):
+            M = (MassMatrix.identity(d) if mass == "identity"
+                 else MassMatrix(rng.uniform(0.2, 4.0, d)))
+            spec = _kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
+            want_step = reference_kernel(scheme, spec.n_inner,
+                                         integrators_module._constants(spec))
+            r, th = (3.0 * rng.normal(size=d) for _ in range(2))
+            noise = [rng.normal(size=d) for _ in range(noise_draws(scheme))]
+            got = compile_step(spec)(r, th, grad, hess, noise)
+            want = want_step(r, th, grad, hess, noise)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
+    def test_ensemble_rows_match_reference_formulas(self, scheme, mass):
+        # row c of an ensemble step equals chain c's step by the reference
+        # formulas; one non-unit mass among the rows keeps every product
+        R, d = 4, 3
+        rng = np.random.default_rng(29)
+        grad, hess = _nonlinear_grad_hess(d, rng)
+        masses = [MassMatrix.identity(d)] * R
+        if mass == "diagonal":
+            masses[2] = MassMatrix(rng.uniform(0.2, 4.0, d))
+        specs = [_kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
+                 for M in masses]
+        r, th = (3.0 * rng.normal(size=(R, d)) for _ in range(2))
+        noise = [rng.normal(size=(R, d)) for _ in range(noise_draws(scheme))]
+        got_r, got_th = compile_ensemble_step(specs)(r, th, grad, hess, noise)
+        for c, spec in enumerate(specs):
+            want_r, want_th = reference_kernel(
+                scheme, spec.n_inner, integrators_module._constants(spec))(
+                r[c], th[c], grad, hess, [w[c] for w in noise])
+            assert got_r[c].tobytes() == want_r.tobytes()
+            assert got_th[c].tobytes() == want_th.tobytes()
+
+    def test_unit_factor_is_skipped_only_when_exact(self):
+        x = np.array([0.1, -0.0, 3.0])
+        assert integrators_module._times(np.ones((4, 3)))(x) is x
+        assert integrators_module._times(1.0)(x) is x
+        for factor in (np.array([1.0, 1.0, 1.0 + 2**-52]), np.full(3, 2.0)):
+            out = integrators_module._times(factor)(x)
+            assert out is not x
+            assert out.tobytes() == (x * factor).tobytes()

@@ -427,6 +427,26 @@ class TestRunOrderTrials:
             assert 2 <= t.dim <= 4
             assert len(t.errors) == 4
 
+    def test_split_order_members_are_stored_by_value(self, tmp_path):
+        # str() of a SplitOrder member is "SplitOrder.FORWARD", which no
+        # band knows; a member must give what its value gives, CSV included
+        from hsde.repro import trial_tables, write_csv
+
+        members = run_order_trials(3, RngStream(4, 0),
+                                   modes=(SplitOrder.FORWARD, SplitOrder.AVERAGED))
+        names = run_order_trials(3, RngStream(4, 0), modes=("forward", "averaged"))
+        assert members == names
+        assert [type(t.mode) for t in members] == [str] * 6
+        for t in members:
+            assert slope_band(t.mode) == slope_band(SplitOrder(t.mode))
+        for k, trials in enumerate((members, names)):
+            fields, rows = trial_tables(trials)[1]
+            write_csv(tmp_path / f"slopes{k}.csv", fields, rows)
+        text = (tmp_path / "slopes0.csv").read_text()
+        assert text == (tmp_path / "slopes1.csv").read_text()
+        assert [line.split(",")[3] for line in text.splitlines()[1:]] == [
+            "forward", "averaged"] * 3
+
     def test_slope_bands_hold_on_random_draws(self):
         trials = run_order_trials(20, RngStream(7, 0))
         by_mode = {}

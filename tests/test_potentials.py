@@ -209,6 +209,35 @@ class TestLinearGaussian:
             assert got_g.tobytes() == P.gradient(th, key)[None].tobytes()
             assert got_h.tobytes() == P.hessian_vec(th, v, key)[None].tobytes()
 
+    # the stacked path skips a unit noise variance, unit prior variances and
+    # a unit prior weight, and serves an ensemble of full and block rows as
+    # two stacked groups: every row must keep the per-row bits
+    @pytest.mark.parametrize("noise_var, prior_var", [
+        (1.0, 1.0), (1.5, 1.0), (1.0, [2.0, 0.5, 1.0, 3.0]), (0.7, 2.0)])
+    @pytest.mark.parametrize("rows", [
+        "all-full", "all-blocks", "full-then-blocks", "blocks-then-full", "interleaved"])
+    def test_stacked_rows_match_per_row(self, noise_var, prior_var, rows):
+        full = {"all-full": "FFFFFF", "all-blocks": "BBBBBB",
+                "full-then-blocks": "FFBBBB", "blocks-then-full": "BBBBBF",
+                "interleaved": "BFBBFB"}[rows]
+        rng = RngStream(5, 0)
+        P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
+                           noise_var=noise_var, prior_var=prior_var, n_batches=8)
+        R, m = len(full), 6
+        ids = np.stack([make_schedule("full" if f == "F" else "perm", 8,
+                                      RngStream(3, c)).take(m)
+                        for c, f in enumerate(full)], axis=1)
+        for j, batch in enumerate(P.chunk_batches(ids)):
+            assert P._stacked(batch) is not None
+            th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
+            keys = ids[j].tolist()
+            want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
+            want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
+                               for c, k in enumerate(keys)])
+            for arg in (batch, ids[j]) + ((None,) if rows == "all-full" else ()):
+                assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
+                assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             LinearGaussian(np.zeros((3, 2)), np.zeros(4), 1.0, 1.0)

@@ -128,7 +128,7 @@ class TestRunSweep:
         def no_chains(*args, **kw):
             raise AssertionError("a chain ran before the sizes were checked")
 
-        monkeypatch.setattr(repro, "run_ensemble", no_chains)
+        monkeypatch.setattr(repro, "run_states", no_chains)
         with pytest.raises(ValueError, match=match):
             self.run(**bad)
 
@@ -236,6 +236,91 @@ class TestSweepEnsembles:
         err = info.value
         assert (err.step_index, err.eta) == (expected.step_index, etas[cell])
         assert err.partial[0].tobytes() == expected.partial[0].tobytes()
+
+
+class TestMergedSweeps:
+    """`run_sweeps` runs a plan pair's modes as one ensemble; each mode's
+    result must equal the `run_sweep` call for that mode alone."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("model, modes", [
+        ("lingauss", [("full", 1), ("perm", 8)]),
+        ("lingauss", [("perm", 8), ("iid", 8), ("full", 8)]),
+        ("toy", [("full", 1), ("perm", 2)]),
+    ])
+    def test_equals_separate_sweeps(self, model, modes, jobs):
+        plan = [("mt3", (0.4, 0.283, 0.2)), ("lie-trotter", (0.4, 0.2, 0.1))]
+        args = dict(friction=2.0, n=60, reps=2, burn_in=40, seed=19, n_ks=30, jobs=jobs)
+        merged = repro.run_sweeps(model, plan, modes, **args)
+        assert len(merged) == len(modes)
+        for (mode, k), res in zip(modes, merged):
+            alone = repro.run_sweep(model, plan, mode=mode, n_batches=k, **args)
+            assert res.rows == alone.rows
+            assert res.slopes == alone.slopes
+            assert all(row["mode"] == mode and row["K"] == k for row in res.rows)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_divergence_equals_separate_sweeps(self, jobs):
+        # leapfrog with light friction diverges at eta 2 and 6 in both modes
+        plan = [("leapfrog", (0.1,)), ("leapfrog", (2.0, 6.0))]
+        args = dict(friction=0.1, n=300, reps=2, burn_in=0, seed=4, jobs=jobs)
+        with pytest.raises(DivergenceError) as alone:
+            repro.run_sweep("lingauss", plan, mode="full", n_batches=1, **args)
+        with pytest.raises(DivergenceError) as merged:
+            repro.run_sweeps("lingauss", plan, [("full", 1), ("perm", 8)], **args)
+        err, ref = merged.value, alone.value
+        assert (err.step_index, err.scheme, err.eta) == (ref.step_index, ref.scheme, ref.eta)
+        assert err.partial[0].tobytes() == ref.partial[0].tobytes()
+        assert err.partial[1] is ref.partial[1] is None
+
+    def test_first_divergence_in_mode_then_pair_order(self, monkeypatch):
+        # the first pair diverges in its second mode only, the second pair in
+        # its first: separate calls meet the second pair's error first
+        def fake_states(P, specs, scheds, cfgs, idx, keep_momenta=True):
+            for c, (spec, sched) in enumerate(zip(specs, scheds)):
+                if (spec.scheme.value, sched.mode.value) in (("leapfrog", "perm"),
+                                                             ("spv", "full")):
+                    err = DivergenceError("chain diverged", step_index=10 + c,
+                                          eta=spec.eta, scheme=spec.scheme)
+                    err.chain, err.partial = c, (np.zeros((0, P.dim)), None)
+                    raise err
+            return np.zeros((len(specs), cfgs[0].n_samples, P.dim)), None
+
+        monkeypatch.setattr(repro, "run_states", fake_states)
+        plan = [("leapfrog", (0.3, 0.2)), ("spv", (0.3, 0.2))]
+        args = dict(n=5, reps=2, burn_in=0, seed=1)
+        with pytest.raises(DivergenceError) as alone:
+            repro.run_sweep("lingauss", plan, mode="full", **args)
+        with pytest.raises(DivergenceError) as merged:
+            repro.run_sweeps("lingauss", plan, [("full", 1), ("perm", 8)], **args)
+        assert alone.value.scheme.value == "spv"
+        assert (merged.value.scheme, merged.value.step_index) == (
+            alone.value.scheme, alone.value.step_index)
+
+    def test_modes_must_share_batch_count(self, monkeypatch):
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before the modes were checked")
+
+        monkeypatch.setattr(repro, "run_states", no_chains)
+        plan = [("leapfrog", (0.4,))]
+        for modes, match in (([("perm", 8), ("iid", 4)], "share"),
+                             ([("full", 1), ("perm", 0)], "n_batches"),
+                             ([], "mode")):
+            with pytest.raises(ValueError, match=match):
+                repro.run_sweeps("lingauss", plan, modes, n=10, reps=1)
+
+    def test_gap_report_sweeps_each_scheme_once(self, tmp_path, monkeypatch):
+        calls = []
+        run_sweeps = repro.run_sweeps
+
+        def counted(*args, **kw):
+            calls.append(args[1])
+            return run_sweeps(*args, **kw)
+
+        monkeypatch.setattr(repro, "run_sweeps", counted)
+        repro.report_minibatch_gap(tmp_path, n=30, reps=1)
+        assert calls == [[("mt3", repro.GAP_GRID_MT3)],
+                         [("lie-trotter", repro.GAP_GRID_LT)]]
 
 
 class TestToyHistograms:
