@@ -11,12 +11,13 @@ isolation. A trace keeps every `thinning`-th state after `burn_in` steps;
 defaults follow the oracle protocol used throughout the verification suite
 (burn-in 2000, thinning 500).
 
-`run_ensemble` advances R chains together as the rows of (R, d) arrays, each
+`run_states` advances R chains together as the rows of (R, d) arrays, each
 on its own streams above. Noise is drawn per chain in chunks of steps and
 handed to the stepper as arrays, and the schedule is asked for a chunk of
 batch ids ahead; a stream gives the same numbers whether drawn one step at a
-time or a chunk at a time, so every chain's trace is bit-identical to the one
-it gives run alone. `run_chain` is the one-chain ensemble.
+time or a chunk at a time, so every chain's kept states are bit-identical to
+the ones it gives run alone. `run_chain` runs one chain this way and wraps
+its states into a `Trace`.
 
 The per-step bookkeeping is done once per chunk: the potential may gather
 the chunk's mini-batch operands up front (`Potential.chunk_batches`), the
@@ -29,14 +30,13 @@ had at its first non-finite step, exactly as a step-by-step check would.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .batching import BatchMode, BatchSchedule
-from .core import RngStream, State, format_float, write_columns
+from .core import RngStream, State, write_columns
 from .integrators import (
     DivergenceError,
     IntegratorSpec,
@@ -46,8 +46,8 @@ from .integrators import (
 )
 from .potentials import Potential
 
-__all__ = ["ChainConfig", "Trace", "run_chain", "run_ensemble", "run_states",
-           "ergodic_average", "acf1", "save_trace"]
+__all__ = ["ChainConfig", "Trace", "run_chain", "run_states", "ergodic_average",
+           "acf1", "save_trace"]
 
 _MULTI_TIME = (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
 
@@ -80,17 +80,17 @@ class ChainConfig:
 
 @dataclass
 class Trace:
-    """Kept samples plus full reproducibility metadata.
+    """Kept samples of one chain.
 
     thetas and momenta are (n_samples, d); steps holds the global step index
-    each sample was taken at and times its simulated time.
+    each sample was taken at, times its simulated time, and effective_time
+    the simulated time of the whole run.
     """
 
     thetas: np.ndarray
     momenta: np.ndarray
     steps: np.ndarray
     times: np.ndarray
-    meta: dict
     effective_time: float
 
     @property
@@ -151,60 +151,27 @@ def _run_length(etas, cfgs, **per_chain) -> tuple[int, int, int]:
     return cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
 
 
-def _traces(thetas, momenta, cfgs, idx, wall, runs) -> list[Trace]:
-    """One Trace per chain from an ensemble's (R, n, d) kept samples.
-
-    runs[c] is (step duration, meta) with chain c's scheme, eta, friction,
-    n_inner, v_hat, mode and K; the run length, seed, chain index, dimension
-    and the whole run's wall time complete its 14-key meta. The k-th kept
-    sample (k = 1..n) was taken at step burn_in + k thinning.
-    """
-    n, d = thetas.shape[1:]
-    burn_in, thin = cfgs[0].burn_in, cfgs[0].thinning
-    traces = []
-    for c, (dt, meta) in enumerate(runs):
-        meta.update(n_samples=n, burn_in=burn_in, thinning=thin, seed=cfgs[c].seed,
-                    chain_index=idx[c], dim=d, wall_time_s=wall)
-        steps = np.arange(burn_in + thin, burn_in + n * thin + 1, thin, dtype=np.int64)
-        traces.append(Trace(
-            thetas=thetas[c],
-            momenta=momenta[c],
-            steps=steps,
-            times=steps * dt,
-            meta=meta,
-            effective_time=(burn_in + n * thin) * dt,
-        ))
-    return traces
-
-
-def run_ensemble(P: Potential, specs, scheds, cfgs, chain_indices) -> list[Trace]:
-    """Run R independent chains in lockstep as the rows of (R, d) arrays.
-
-    Chain c is (specs[c], scheds[c], cfgs[c], chain_indices[c]) with its
-    own streams, and its trace equals the one that chain gives run alone,
-    bit for bit. The chains share the potential, the
-    scheme, n_inner and the run length (n_samples, burn_in, thinning); step
-    size, friction, mass, seed, start and schedule may differ per chain.
-    Each trace's meta["wall_time_s"] is the wall time of the whole run.
-    Divergence is raised as `run_states` raises it.
-    """
-    specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
-    idx = [int(c) for c in chain_indices]
-    t0 = time.perf_counter()
-    thetas, momenta = run_states(P, specs, scheds, cfgs, idx)
-    return _traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
-        (_step_duration(spec), {
-            "scheme": spec.scheme.value, "eta": spec.eta, "friction": spec.friction,
-            "n_inner": spec.n_inner, "v_hat": spec.v_hat, "mode": sched.mode.value,
-            "K": sched.n_batches,
-        }) for spec, sched in zip(specs, scheds)])
+def _trace(thetas, momenta, cfg: ChainConfig, dt: float) -> Trace:
+    """The Trace of one chain's (n, d) kept samples, each step lasting dt of
+    simulated time. The k-th kept sample (k = 1..n) was taken at step
+    burn_in + k thinning."""
+    n, burn_in, thin = thetas.shape[0], cfg.burn_in, cfg.thinning
+    steps = np.arange(burn_in + thin, burn_in + n * thin + 1, thin, dtype=np.int64)
+    return Trace(thetas=thetas, momenta=momenta, steps=steps, times=steps * dt,
+                 effective_time=(burn_in + n * thin) * dt)
 
 
 def run_states(P: Potential, specs, scheds, cfgs, chain_indices,
                keep_momenta: bool = True) -> tuple:
-    """The kept states of `run_ensemble`'s chains as (thetas, momenta), each
-    (R, n_samples, d); with keep_momenta False, momenta is None and only
-    positions are held.
+    """Run R independent chains in lockstep as the rows of (R, d) arrays and
+    return their kept states as (thetas, momenta), each (R, n_samples, d);
+    with keep_momenta False, momenta is None and only positions are held.
+
+    Chain c is (specs[c], scheds[c], cfgs[c], chain_indices[c]) with its
+    own streams, and its rows equal the ones that chain gives run alone,
+    bit for bit. The chains share the potential, the scheme, n_inner and
+    the run length (n_samples, burn_in, thinning); step size, friction,
+    mass, seed, start and schedule may differ per chain.
 
     If chains diverge, raises the DivergenceError of the first diverging
     chain in list order, carrying its position in the list (`chain`), its
@@ -305,11 +272,11 @@ def run_chain(P: Potential, spec: IntegratorSpec, sched: BatchSchedule,
               cfg: ChainConfig, chain_index: int = 0) -> Trace:
     """Run one chain; deterministic given (cfg.seed, chain_index).
 
-    The one-chain ensemble. Raises DivergenceError (with step index and the
-    samples kept so far attached as `partial`) if the state leaves the
-    finite range.
+    Raises DivergenceError (with step index and the samples kept so far
+    attached as `partial`) if the state leaves the finite range.
     """
-    return run_ensemble(P, [spec], [sched], [cfg], [chain_index])[0]
+    thetas, momenta = run_states(P, [spec], [sched], [cfg], [chain_index])
+    return _trace(thetas[0], momenta[0], cfg, _step_duration(spec))
 
 
 def ergodic_average(trace: Trace, phi: Callable[[State], float]) -> float:
@@ -336,11 +303,11 @@ def acf1(trace: Trace, coord: int = 0, which: str = "theta") -> float:
     return float(np.dot(x[:-1], x[1:]) / denom)
 
 
-def save_trace(trace: Trace, csv_path, meta_path=None) -> None:
-    """Write the kept samples as CSV and the metadata as key = value lines.
+def save_trace(trace: Trace, csv_path) -> None:
+    """Write the kept samples as CSV.
 
     The CSV contains no wall-clock fields, so reruns with the same seed are
-    byte-identical; wall time lives only in the metadata file.
+    byte-identical.
     """
     d = trace.dim
     header = (
@@ -350,9 +317,3 @@ def save_trace(trace: Trace, csv_path, meta_path=None) -> None:
     )
     write_columns(csv_path, header,
                   [trace.steps, trace.times, *trace.thetas.T, *trace.momenta.T])
-    if meta_path is not None:
-        keys = sorted(trace.meta)
-        with open(meta_path, "w") as fh:
-            for k in keys:
-                fh.write(f"{k} = {trace.meta[k]}\n")
-            fh.write(f"effective_time = {format_float(trace.effective_time)}\n")

@@ -47,6 +47,8 @@ from .potentials import AnalyticPosteriorUnavailable
 from .toy_exact import ExactMode, reference_params, run_exact_chain
 
 _MODELS = click.Choice(["toy", "lingauss", "logistic2d"])
+# a sweep scores every cell against the closed-form posterior
+_SWEEP_MODELS = click.Choice(["toy", "lingauss"])
 _SCHEMES = click.Choice([s.value for s in Scheme] + ["exact"])
 _MODES = click.Choice(["full", "perm", "iid"])
 
@@ -241,7 +243,7 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
 
 
 @main.command()
-@click.option("--model", type=_MODELS, default="lingauss", show_default=True)
+@click.option("--model", type=_SWEEP_MODELS, default="lingauss", show_default=True)
 @click.option("--scheme", type=_SCHEMES, multiple=True,
               default=("leapfrog",), show_default=True,
               help="May be given several times; each scheme runs the grid.")
@@ -439,7 +441,9 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
               help="Replicate chains per cell where applicable.")
 @click.option("--trials", type=int, default=100, show_default=True,
               help="Random generator sets (orders report).")
-@click.option("--jobs", type=int, default=1, show_default=True)
+@click.option("--jobs", type=int, default=1, show_default=True,
+              help="Worker processes for a sweep's plan pairs. The gap and orders "
+                   "reports run one plan pair per sweep, so they never start a pool.")
 @click.option("--regen-golden", is_flag=True, default=False,
               help="Also write goldens_candidate.json with the fresh values.")
 @_common_options

@@ -9,10 +9,10 @@ Conventions used throughout the package:
 - Randomness flows through `RngStream`, a counter-based generator keyed by
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
-- Every CSV is written by `write_columns`, every float in a CSV or metadata
-  file by `format_float`. Both are shared by `chain`, `repro` and `cli` and
-  stay out of `__all__`, like `as_vector`: perfbench's tracer wraps every
-  `__all__` function, and a span per cell would swamp its trace.
+- Every CSV is written by `write_columns` (for `chain` and `repro`), every
+  float in a CSV or in `meta.txt` by `format_float`. Both stay out of
+  `__all__`, like `as_vector`: perfbench's tracer wraps every `__all__`
+  function, and a span per cell would swamp its trace.
 """
 
 from __future__ import annotations
@@ -144,12 +144,13 @@ class RngStream:
 
     Wraps a Philox bit generator so that the draw sequence is a pure function
     of the key: the same (seed, stream) replays bit-exactly, and distinct
-    stream ids are statistically independent. Normal draws are served from an
-    internal block buffer; the buffered sequence is part of the contract
-    (replays are exact), only raw-bit consumption granularity is internal.
+    stream ids are statistically independent. Each kind of draw gives the
+    same numbers however a run of draws of that kind is split into calls:
+    `normal(a)` then `normal(b)` reads what `normal(a + b)` reads. A stream
+    that interleaves kinds (normal with integers, uniform or subset) reads
+    another sequence than its kinds drawn apart, so every stream the package
+    builds draws one kind only.
     """
-
-    _BLOCK = 8192
 
     def __init__(self, seed: int, stream: int = 0):
         seed = int(seed)
@@ -159,20 +160,12 @@ class RngStream:
         self.seed = seed
         self.stream = stream
         self._gen = Generator(Philox(key=np.array([seed, stream], dtype=np.uint64)))
-        self._buf = np.empty(0)
-        self._pos = 0
 
     def normal(self, d: int) -> np.ndarray:
         """d iid standard-normal draws, advancing the stream."""
         if d < 1:
             raise ValueError("d must be >= 1")
-        if self._pos + d > self._buf.size:
-            fresh = self._gen.standard_normal(max(self._BLOCK, d))
-            self._buf = np.concatenate([self._buf[self._pos :], fresh])
-            self._pos = 0
-        out = self._buf[self._pos : self._pos + d].copy()
-        self._pos += d
-        return out
+        return self._gen.standard_normal(d)
 
     def integers(self, n, size=None):
         """Uniform draws from {0, ..., n-1}.
@@ -215,7 +208,7 @@ class RngStream:
         return perms
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
-        """size iid U(low, high) draws; served raw, not through the normal buffer."""
+        """size iid U(low, high) draws."""
         if size < 1:
             raise ValueError("size must be >= 1")
         if not low < high:

@@ -28,8 +28,6 @@ __all__ = [
     "jacobian_fd",
     "det_target_leapfrog",
     "det_target_lie_trotter",
-    "det_residual_leapfrog",
-    "det_residual_lie_trotter",
     "symplectic_residual",
     "symplectic_form",
 ]
@@ -112,20 +110,6 @@ def det_target_lie_trotter(
     prod_i exp(-n_inner eta C / M_ii); matches the exact flow's contraction
     e^{-C tr(M^-1) t} over the simulated time t = n_inner * eta."""
     return float(np.prod(np.exp(-n_inner * eta * friction * mass.inv_diag)))
-
-
-def det_residual_leapfrog(
-    J: np.ndarray, eta: float, friction: float, mass: MassMatrix
-) -> float:
-    return abs(float(np.linalg.det(_square_even(J))) -
-               det_target_leapfrog(eta, friction, mass))
-
-
-def det_residual_lie_trotter(
-    J: np.ndarray, eta: float, friction: float, mass: MassMatrix, n_inner: int
-) -> float:
-    return abs(float(np.linalg.det(_square_even(J))) -
-               det_target_lie_trotter(eta, friction, mass, n_inner))
 
 
 def symplectic_form(d: int) -> np.ndarray:

@@ -52,8 +52,6 @@ __all__ = [
     "Scheme",
     "IntegratorSpec",
     "DivergenceError",
-    "ou_exact_step",
-    "partial_refresh_alpha",
     "compile_step",
     "compile_ensemble_step",
     "noise_draws",
@@ -137,31 +135,6 @@ class IntegratorSpec:
     @property
     def dim(self) -> int:
         return self.mass.dim
-
-
-def partial_refresh_alpha(eta: float, n_inner: int, friction: float) -> float:
-    """Momentum-retention coefficient alpha = exp(-eta * n_inner * friction)."""
-    return float(np.exp(-float(eta) * int(n_inner) * float(friction)))
-
-
-def ou_exact_step(r, f, eta: float, friction: float, mass: MassMatrix, rng: RngStream):
-    """Exact OU transition for dr = -f dt - C M^-1 r dt + sqrt(2C) dW.
-
-    Returns e^{-C M^-1 eta}(r - mu) + mu + sqrt(M (1 - e^{-2 C M^-1 eta})) w
-    with the fixed point mu = -(M/C) f. friction = 0 returns the deterministic
-    limit r - eta f and consumes no randomness.
-    """
-    r = np.asarray(r, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    if r.shape != f.shape or r.shape != (mass.dim,):
-        raise ValueError("r and f must both match the mass dimension")
-    if friction == 0.0:
-        return r - eta * f
-    x = friction * eta * mass.inv_diag
-    decay = np.exp(-x)
-    mu = -(mass.diag / friction) * f
-    noise_std = np.sqrt(mass.diag * -np.expm1(-2.0 * x))
-    return decay * (r - mu) + mu + noise_std * rng.normal(r.size)
 
 
 def _det_leapfrog(r, th, grad: GradFn, half_eta, eta, inv):

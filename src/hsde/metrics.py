@@ -46,10 +46,6 @@ class EmpiricalSample:
     def n(self) -> int:
         return self.values.size
 
-    @classmethod
-    def from_trace(cls, trace, coord: int = 0) -> "EmpiricalSample":
-        return cls(trace.thetas[:, coord])
-
 
 def kolmogorov_distance(a: EmpiricalSample, b: EmpiricalSample) -> float:
     """sup |F_a - F_b| over the pooled points, with right-continuous

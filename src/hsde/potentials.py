@@ -16,7 +16,6 @@ keep them exact.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 from dataclasses import dataclass
@@ -34,17 +33,15 @@ __all__ = [
     "LinearGaussian",
     "Logistic2D",
     "make_logistic_demo",
-    "make_trig_dataset",
     "make_cycled_basis_dataset",
-    "trig_features",
     "batch_bounds",
 ]
 
 
 def _special(name: str):
     """A scipy.special function, imported on first use: importing scipy is
-    about half of a CLI call's start-up, and only the logistic model and the
-    synthetic datasets need it."""
+    about half of a CLI call's start-up, and only the logistic model and its
+    synthetic dataset need it."""
     import scipy.special
 
     return getattr(scipy.special, name)
@@ -78,10 +75,6 @@ class GaussianPosterior:
     @property
     def dim(self) -> int:
         return self.mean.size
-
-    @property
-    def marginal_std(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.cov))
 
 
 def batch_bounds(n_obs: int, n_batches: int) -> list[tuple[int, int]]:
@@ -231,13 +224,6 @@ class Toy1D(Potential):
         self.noise_var = float(noise_var)
         super().__init__(dim=1, n_obs=x.size, prior_var=prior_var, n_batches=n_batches)
 
-    @classmethod
-    def from_csv(cls, path, noise_var, prior_var, n_batches=1) -> "Toy1D":
-        cols = _read_csv_columns(path)
-        if "x" not in cols:
-            raise ValueError("CSV must have an 'x' column")
-        return cls(cols["x"], noise_var, prior_var, n_batches)
-
     def _nll_value(self, theta, sl):
         resid = self.observations[sl] - theta[0]
         return 0.5 * float(np.dot(resid, resid)) / self.noise_var
@@ -326,15 +312,6 @@ class LinearGaussian(Potential):
                 rows = self.n_obs // self.n_batches
                 self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
                                 y.reshape(self.n_batches, rows))
-
-    @classmethod
-    def from_csv(cls, path, noise_var, prior_var, n_batches=1) -> "LinearGaussian":
-        cols = _read_csv_columns(path)
-        if "y" not in cols:
-            raise ValueError("CSV must have a 'y' column")
-        names = [k for k in cols if k != "y"]
-        Phi = np.column_stack([cols[k] for k in names])
-        return cls(Phi, cols["y"], noise_var, prior_var, n_batches)
 
     def _nll_value(self, theta, sl):
         resid = self.features[sl] @ theta - self.targets[sl]
@@ -462,15 +439,6 @@ class Logistic2D(Potential):
             dim=2, n_obs=X.shape[0], prior_var=prior_var, n_batches=n_batches
         )
 
-    @classmethod
-    def from_csv(cls, path, prior_var=1.0, n_batches=1) -> "Logistic2D":
-        cols = _read_csv_columns(path)
-        if "label" not in cols:
-            raise ValueError("CSV must have a 'label' column")
-        names = [k for k in cols if k != "label"]
-        X = np.column_stack([cols[k] for k in names])
-        return cls(X, cols["label"].astype(int), prior_var, n_batches)
-
     def _margins(self, theta, sl):
         return self.signs[sl] * (self.features[sl] @ theta)
 
@@ -505,44 +473,6 @@ def make_logistic_demo(n_obs: int, rng: RngStream, weights=(1.5, -1.0),
     return Logistic2D(X, labels, n_batches=n_batches)
 
 
-def trig_features(x, n_basis: int, omegas=None) -> np.ndarray:
-    """Feature rows sqrt(2/D) cos(omega_k x - pi/4) for scalar inputs x."""
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if omegas is None:
-        omegas = np.arange(1, n_basis + 1, dtype=np.float64)
-    omegas = as_vector(omegas, "omegas")
-    if omegas.size != n_basis:
-        raise ValueError("omegas must have one frequency per basis function")
-    return np.sqrt(2.0 / n_basis) * np.cos(np.outer(x, omegas) - np.pi / 4.0)
-
-
-def make_trig_dataset(
-    n_obs: int,
-    n_basis: int = 256,
-    noise_var: float = 0.1,
-    rng: RngStream | None = None,
-    omegas=None,
-    x_range=(0.0, 2.0 * np.pi),
-):
-    """Synthetic regression data on a trigonometric feature map.
-
-    True weights are drawn from the N(0, I) prior; inputs are uniform on
-    x_range (derived from normal draws through the CDF to stay on one RNG
-    contract). Returns (inputs, features, targets, true_weights).
-    """
-    if rng is None:
-        rng = RngStream(seed=0, stream=0)
-    lo, hi = float(x_range[0]), float(x_range[1])
-    if not hi > lo:
-        raise ValueError("x_range must be increasing")
-    u = _special("ndtr")(rng.normal(n_obs))
-    x = lo + (hi - lo) * u
-    Phi = trig_features(x, n_basis, omegas)
-    w_true = rng.normal(n_basis)
-    y = Phi @ w_true + np.sqrt(noise_var) * rng.normal(n_obs)
-    return x, Phi, y, w_true
-
-
 def make_cycled_basis_dataset(dim: int = 4, n_rows: int = 32, row_scale: float | None = None):
     """Deterministic design whose batches all share the same curvature.
 
@@ -560,20 +490,3 @@ def make_cycled_basis_dataset(dim: int = 4, n_rows: int = 32, row_scale: float |
     for i in range(n_rows):
         Phi[i, i % dim] = row_scale
     return Phi, np.zeros(n_rows)
-
-
-def _read_csv_columns(path) -> dict[str, np.ndarray]:
-    """Read a headed CSV into column arrays (header order preserved)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: empty CSV")
-    header = [name.strip() for name in rows[0]]
-    data = {name: [] for name in header}
-    for row in rows[1:]:
-        if len(row) != len(header):
-            raise ValueError(f"{path}: row width does not match header")
-        for name, cell in zip(header, row):
-            data[name].append(float(cell))
-    return {name: np.array(vals) for name, vals in data.items()}

@@ -24,15 +24,14 @@ integrator error.
 (R, 2) array, each on its own streams; noise and coins are drawn per chain
 a chunk of steps at a time, the coins from an iid K=2 batch schedule, so
 every chain's kept states are bit-identical to the ones it gives run alone.
-It returns them as (R, n, 1) blocks of positions and momenta, which
-`run_exact_ensemble` wraps into one trace per chain. `run_exact_chain` is
-the one-chain ensemble.
+It returns them as (R, n, 1) blocks of positions and momenta;
+`run_exact_chain` runs one chain this way and wraps its states into a
+trace like any integrator chain's.
 """
 
 from __future__ import annotations
 
 import enum
-import time
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -50,10 +49,8 @@ __all__ = [
     "reference_params",
     "matexp2",
     "toy_transition",
-    "toy_exact_step",
     "toy_posterior",
     "run_exact_chain",
-    "run_exact_ensemble",
     "run_exact_states",
 ]
 
@@ -190,24 +187,6 @@ def _kernel(p: ToyParams, eta: float, center: float):
     return E, b, _sqrt_psd(cov)
 
 
-def toy_exact_step(z0, eta: float, p: ToyParams, mode, rng: RngStream,
-                   coin_rng: RngStream | None = None) -> np.ndarray:
-    """One exact transition; minibatch mode flips a fair coin for the center.
-
-    The coin is drawn from coin_rng when given (the chain runner routes it
-    through the schedule stream), else from rng.
-    """
-    mode = ExactMode(mode)
-    z0 = np.asarray(z0, dtype=np.float64).reshape(2)
-    if mode is ExactMode.FULL:
-        center = p.center_full
-    else:
-        picker = rng if coin_rng is None else coin_rng
-        center = p.centers[picker.integers(2)]
-    E, b, L = _kernel(p, float(eta), center)
-    return E @ (z0 - b) + b + L @ rng.normal(2)
-
-
 def toy_posterior(p: ToyParams) -> tuple[float, float]:
     """(posterior mean, posterior variance) of theta."""
     return p.center_full, p.sigma_l2
@@ -293,28 +272,13 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
     return thetas, momenta
 
 
-def run_exact_ensemble(p: ToyParams, etas, modes, cfgs, chain_indices) -> list[Trace]:
-    """`run_exact_states` with each chain traced like any integrator chain.
-
-    Each trace's meta["wall_time_s"] is the wall time of the whole run.
-    """
-    etas = [float(eta) for eta in etas]
-    modes = [ExactMode(mode) for mode in modes]
-    cfgs = list(cfgs)
-    idx = [int(c) for c in chain_indices]
-    t0 = time.perf_counter()
-    thetas, momenta = run_exact_states(p, etas, modes, cfgs, idx)
-    return chain._traces(thetas, momenta, cfgs, idx, time.perf_counter() - t0, [
-        (eta, {"scheme": "exact", "eta": eta, "friction": p.friction, "n_inner": 1,
-               "v_hat": 0.0, "mode": mode.value,
-               "K": 2 if mode is ExactMode.MINIBATCH else 1})
-        for eta, mode in zip(etas, modes)])
-
-
 def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
                     chain_index: int = 0) -> Trace:
-    """Chain of exact transitions: the one-chain exact ensemble.
+    """Chain of exact transitions: one chain of `run_exact_states`, each
+    step lasting eta of simulated time.
 
     Uses the shared stream convention: noise 4c, init 4c+1, coin 4c+2.
     """
-    return run_exact_ensemble(p, [eta], [mode], [cfg], [chain_index])[0]
+    eta = float(eta)
+    thetas, momenta = run_exact_states(p, [eta], [mode], [cfg], [chain_index])
+    return chain._trace(thetas[0], momenta[0], cfg, eta)

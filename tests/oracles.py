@@ -506,9 +506,9 @@ def _fmt_17g(x) -> str:
     return format(float(x), ".17g")
 
 
-def reference_save_trace(trace, csv_path, meta_path=None) -> None:
+def reference_save_trace(trace, csv_path) -> None:
     """Trace CSV one row at a time, every sample cell through float() and
-    `.17g`, plus the key = value metadata file."""
+    `.17g`."""
     d = trace.dim
     header = (["step", "time"] + [f"theta_{j}" for j in range(d)]
               + [f"r_{j}" for j in range(d)])
@@ -520,11 +520,6 @@ def reference_save_trace(trace, csv_path, meta_path=None) -> None:
         lines.append(",".join(row))
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-    if meta_path is not None:
-        with open(meta_path, "w") as fh:
-            for k in sorted(trace.meta):
-                fh.write(f"{k} = {trace.meta[k]}\n")
-            fh.write(f"effective_time = {_fmt_17g(trace.effective_time)}\n")
 
 
 def reference_write_csv(path, fields, rows) -> None:

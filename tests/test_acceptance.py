@@ -100,13 +100,14 @@ def test_03_full_batch_convergence_order_slopes():
 def test_04_minibatch_slope_gap_at_k8():
     t0 = time.perf_counter()
     slopes = {}
+    modes = [("full", 1), ("perm", repro.GAP_BATCHES)]
+    # one sweep per scheme, its full and K=8 chains in one ensemble
     for scheme, grid in (("mt3", repro.GAP_GRID_MT3),
                          ("lie-trotter", repro.GAP_GRID_LT)):
-        for mode, k in (("full", 1), ("perm", repro.GAP_BATCHES)):
-            res = repro.run_sweep("lingauss", [(scheme, grid)], mode=mode,
-                                  n_batches=k, friction=repro.GAP_FRICTION,
-                                  n=20_000, reps=4, burn_in=2000, seed=5,
-                                  n_ks=200)
+        results = repro.run_sweeps("lingauss", [(scheme, grid)], modes,
+                                   friction=repro.GAP_FRICTION, n=20_000, reps=4,
+                                   burn_in=2000, seed=5, n_ks=200)
+        for (mode, _), res in zip(modes, results):
             slopes[(scheme, mode)] = res.slopes[0]
     mt3_gap = (slopes[("mt3", "full")]["slope"]
                - slopes[("mt3", "perm")]["slope"])

@@ -15,7 +15,6 @@ from hsde.chain import (
     acf1,
     ergodic_average,
     run_chain,
-    run_ensemble,
     run_states,
     save_trace,
 )
@@ -58,7 +57,6 @@ def synthetic_trace(series):
         momenta=np.zeros_like(series),
         steps=np.arange(1, n + 1),
         times=np.arange(1, n + 1, dtype=float),
-        meta={},
         effective_time=float(n),
     )
 
@@ -79,8 +77,7 @@ class TestRunChain:
         cfg = ChainConfig(n_samples=0, burn_in=5, thinning=2, seed=1)
         t = run_chain(P, spec_for(P, eta=0.1), full_sched(1), cfg)
         assert t.n_samples == 0
-        assert t.meta["scheme"] == "leapfrog"
-        assert t.meta["K"] == 1
+        assert t.steps.shape == (0,) and t.times.shape == (0,)
         assert t.effective_time == pytest.approx(5 * 0.1)
 
     def test_step_and_time_bookkeeping(self):
@@ -143,7 +140,6 @@ class TestRunChain:
             P, spec_for(P, eta=0.1),
             make_schedule("perm", 2, RngStream(7, 2)), cfg,
         )
-        assert t_mb.meta["mode"] == "perm" and t_mb.meta["K"] == 2
         assert not np.array_equal(t_full.thetas, t_mb.thetas)
 
 
@@ -190,26 +186,31 @@ class Case:
         return make_schedule(self.modes[c], self.P.n_batches,
                              RngStream(self.cfgs[c].seed, 4 * self.indices[c] + 2))
 
-    def run(self):
+    def run(self, keep_momenta=True):
         scheds = [self.sched(c) for c in range(len(self.specs))]
-        return run_ensemble(self.P, self.specs, scheds, self.cfgs, self.indices)
+        return run_states(self.P, self.specs, scheds, self.cfgs, self.indices,
+                          keep_momenta=keep_momenta)
 
     def reference(self, c):
         return reference_chain(self.P, self.specs[c], self.sched(c), self.cfgs[c],
                                self.indices[c])
 
     def check(self):
-        traces = self.run()
-        assert len(traces) == len(self.specs)
-        for c, trace in enumerate(traces):
-            thetas, momenta, steps, times, effective = self.reference(c)
-            assert_bits(trace.thetas, thetas)
-            assert_bits(trace.momenta, momenta)
+        """Each chain's ensemble rows and its `run_chain` trace equal the
+        reference loop."""
+        thetas, momenta = self.run()
+        assert thetas.shape[0] == momenta.shape[0] == len(self.specs)
+        for c in range(len(self.specs)):
+            ref_thetas, ref_momenta, steps, times, effective = self.reference(c)
+            assert_bits(thetas[c], ref_thetas)
+            assert_bits(momenta[c], ref_momenta)
+            trace = run_chain(self.P, self.specs[c], self.sched(c), self.cfgs[c],
+                              self.indices[c])
+            assert_bits(trace.thetas, ref_thetas)
+            assert_bits(trace.momenta, ref_momenta)
             assert_bits(trace.steps, steps)
             assert_bits(trace.times, times)
             assert trace.effective_time == effective
-            assert trace.meta["eta"] == self.specs[c].eta
-            assert trace.meta["chain_index"] == self.indices[c]
 
 
 @pytest.fixture
@@ -231,11 +232,8 @@ class TestEnsembleMatchesReference:
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("scheme", [Scheme.LEAPFROG, Scheme.MT3, Scheme.SYMMETRIC])
     def test_single_chain(self, scheme, mode):
-        case = Case(build_model("lingauss", 8), scheme, mode, etas=(0.15,),
-                    seeds=(5,), indices=(2,))
-        case.check()
-        trace = run_chain(case.P, case.specs[0], case.sched(0), case.cfgs[0], 2)
-        assert_bits(trace.thetas, case.reference(0)[0])
+        Case(build_model("lingauss", 8), scheme, mode, etas=(0.15,),
+             seeds=(5,), indices=(2,)).check()
 
     @pytest.mark.parametrize("K", [1, 8])
     @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LIE_TROTTER])
@@ -284,8 +282,7 @@ class TestEnsembleMatchesReference:
 
 class TestEnsembleRun:
     def test_default_chunks_and_buffer_refill(self):
-        # 1120 MT3 steps draw 8960 normals per chain: several default chunks
-        # and one refill of the stream's 8192-normal buffer
+        # 1120 MT3 steps draw 8960 normals per chain in several default chunks
         case = Case(build_model("lingauss", 8), Scheme.MT3, "iid",
                     etas=(0.1, 0.2, 0.15), seeds=(1, 2, 3), indices=(0, 1, 2),
                     burn_in=1000, n_samples=60, thinning=2)
@@ -297,8 +294,8 @@ class TestEnsembleRun:
         a = Case(P, Scheme.LEAPFROG, "full", etas=(0.1,), seeds=(1,), indices=(0,))
         b = Case(P, Scheme.SPV, "full", etas=(0.1,), seeds=(1,), indices=(1,))
         with pytest.raises(ValueError, match="scheme"):
-            run_ensemble(P, a.specs + b.specs, [a.sched(0), b.sched(0)],
-                         a.cfgs + b.cfgs, [0, 1])
+            run_states(P, a.specs + b.specs, [a.sched(0), b.sched(0)],
+                       a.cfgs + b.cfgs, [0, 1])
 
     def test_run_lengths_must_match(self):
         P = build_model("lingauss", 1)
@@ -306,29 +303,24 @@ class TestEnsembleRun:
                     indices=(0, 1))
         cfgs = [case.cfgs[0], ChainConfig(n_samples=3, burn_in=31, thinning=5, seed=1)]
         with pytest.raises(ValueError, match="share"):
-            run_ensemble(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
+            run_states(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
 
 
 class TestPositionsOnly:
     def test_run_states_keeps_thetas_only_when_asked(self):
         case = Case(build_model("lingauss", 8), Scheme.MT3,
                     ("full", "perm", "iid", "perm", "full"))
-        traces = case.run()
-        scheds = [case.sched(c) for c in range(5)]
-        thetas, momenta = run_states(case.P, case.specs, scheds, case.cfgs, case.indices,
-                                     keep_momenta=False)
+        kept, _ = case.run()
+        thetas, momenta = case.run(keep_momenta=False)
         assert momenta is None
-        for c, trace in enumerate(traces):
-            assert_bits(thetas[c], trace.thetas)
+        assert_bits(thetas, kept)
 
     def test_divergence_without_momenta(self):
         case = TestEnsembleDivergence().case()
         with pytest.raises(DivergenceError) as kept:
             case.run()
-        scheds = [case.sched(c) for c in range(4)]
         with pytest.raises(DivergenceError) as info:
-            run_states(case.P, case.specs, scheds, case.cfgs, case.indices,
-                       keep_momenta=False)
+            case.run(keep_momenta=False)
         err, ref = info.value, kept.value
         assert (err.chain, err.step_index, err.eta) == (ref.chain, ref.step_index, ref.eta)
         assert err.chain == 1
@@ -500,11 +492,8 @@ class TestPersistence:
         cfg = ChainConfig(n_samples=5, burn_in=10, thinning=3, seed=9)
         t = run_chain(P, spec_for(P, eta=0.1), full_sched(9), cfg)
 
-        p1, m1 = tmp_path / "a.csv", tmp_path / "a.meta.txt"
-        p2 = tmp_path / "b.csv"
-        save_trace(t, p1, m1)
-        save_trace(t, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        p1 = tmp_path / "a.csv"
+        save_trace(t, p1)
 
         lines = p1.read_text().strip().split("\n")
         assert lines[0] == "step,time,theta_0,theta_1,r_0,r_1"
@@ -514,10 +503,6 @@ class TestPersistence:
         # %.17g round-trips float64 exactly
         assert float(row[2]) == t.thetas[0, 0]
         assert "wall_time" not in p1.read_text()
-
-        meta = m1.read_text()
-        for key in ("scheme = leapfrog", "seed = 9", "wall_time_s", "effective_time"):
-            assert key in meta
 
     @pytest.mark.parametrize("block", [3, None])
     def test_bytes_match_row_writer(self, tmp_path, monkeypatch, block):
@@ -536,22 +521,19 @@ class TestPersistence:
             Trace(thetas=np.stack([awkward, awkward[::-1]], axis=1),
                   momenta=np.stack([0.1 * np.arange(8), -awkward], axis=1),
                   steps=np.arange(3, 11, dtype=np.int64), times=awkward + 0.2,
-                  meta={"scheme": "leapfrog", "eta": 0.1, "seed": 2},
                   effective_time=0.1 + 0.2),
             Trace(thetas=np.float32([[0.1], [1 / 3]]), momenta=np.float32([[-0.0], [7.0]]),
-                  steps=np.array([1, 2]), times=np.array([0.1, 0.2]), meta={},
+                  steps=np.array([1, 2]), times=np.array([0.1, 0.2]),
                   effective_time=5e-324),
             Trace(thetas=np.empty((0, 3)), momenta=np.empty((0, 3)),
-                  steps=np.empty(0, dtype=np.int64), times=np.empty(0), meta={"dim": 3},
+                  steps=np.empty(0, dtype=np.int64), times=np.empty(0),
                   effective_time=0.0),
         ]
         for k, t in enumerate(traces):
-            new, old = tmp_path / f"new{k}", tmp_path / f"old{k}"
-            save_trace(t, new.with_suffix(".csv"), new.with_suffix(".txt"))
-            reference_save_trace(t, old.with_suffix(".csv"), old.with_suffix(".txt"))
-            for suffix in (".csv", ".txt"):
-                assert (new.with_suffix(suffix).read_bytes()
-                        == old.with_suffix(suffix).read_bytes())
+            new, old = tmp_path / f"new{k}.csv", tmp_path / f"old{k}.csv"
+            save_trace(t, new)
+            reference_save_trace(t, old)
+            assert new.read_bytes() == old.read_bytes()
 
     def test_rerun_same_seed_same_bytes(self, tmp_path):
         P = toy_twin()

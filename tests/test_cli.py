@@ -254,6 +254,17 @@ class TestSweep:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    # a sweep scores its cells against the closed-form posterior, which the
+    # logistic model lacks: click rejects it before a run directory exists
+    def test_rejects_model_without_posterior(self, runner, tmp_path):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", "--model", "logistic2d",
+                                      "--eta-grid", "0.1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "logistic2d" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert not os.path.exists(out)
+
     # zero replicas leave nothing to average: no NaN row and no warning
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_rejects_zero_reps(self, runner, tmp_path):

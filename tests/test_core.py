@@ -22,7 +22,6 @@ finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 
-
 class TestWriteColumns:
     # array columns of every dtype class the writer sorts (float arrays
     # through one "%.17g", integer and bool arrays through "%s", the rest
@@ -177,7 +176,7 @@ class TestRngStream:
         assert abs(np.var(draws) - 1.0) < 7e-3
 
     def test_buffer_boundary_consistency(self):
-        # draws spanning refills must be a prefix-stable sequence
+        # draws split at any boundary must be a prefix-stable sequence
         a = RngStream(seed=5, stream=2)
         chunks = [a.normal(3000) for _ in range(4)]
         joined = np.concatenate(chunks)
@@ -221,7 +220,7 @@ class TestRngStream:
     def test_chunked_draws_equal_per_step_draws(self, d, chunk_steps, seed, stream):
         # the chain runner draws a chunk of m steps as one normal(m * d) call
         # where a lone step draws normal(d); both must read the same numbers
-        steps = 2 * RngStream._BLOCK // d + 1  # crosses two buffer refills
+        steps = 2 * 8192 // d + 1
         per_step = RngStream(seed, stream)
         one_by_one = np.concatenate([per_step.normal(d) for _ in range(steps)])
         chunked = RngStream(seed, stream)
@@ -233,7 +232,7 @@ class TestRngStream:
             i += 1
         assert one_by_one.tobytes() == np.concatenate(parts).tobytes()
         # and the two streams carry on identically
-        for size in (d, 3 * d + 1, RngStream._BLOCK):
+        for size in (d, 3 * d + 1, 8192):
             assert per_step.normal(size).tobytes() == chunked.normal(size).tobytes()
 
     @settings(max_examples=40, deadline=None)

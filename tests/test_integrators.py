@@ -14,8 +14,6 @@ from hsde.integrators import (
     compile_ensemble_step,
     compile_step,
     noise_draws,
-    ou_exact_step,
-    partial_refresh_alpha,
     step,
 )
 
@@ -55,6 +53,14 @@ def quad_grad(lam=LAM, cen=CEN):
 
 def quad_hess(lam=LAM):
     return lambda th, v: lam * v
+
+
+def spv_momentum(r, f, eta, friction, mass, rng):
+    """The momentum of one SPV step under the constant force f: the exact
+    OU update of dr = -f dt - C M^-1 r dt + sqrt(2C) dW over time eta."""
+    r = np.asarray(r, dtype=np.float64)
+    spec = IntegratorSpec(Scheme.SPV, eta=eta, friction=friction, mass=mass)
+    return step(State(r=r, theta=np.zeros_like(r)), lambda th: f, spec, rng).r
 
 
 def run_scalar(scheme, draws, **kw):
@@ -118,7 +124,7 @@ class TestOracleAgreement:
 
     def test_ou_exact(self):
         rng = QueuedRng([[W0]])
-        got = ou_exact_step(
+        got = spv_momentum(
             np.array([R0]), np.array([0.55]), ETA, FRIC, MassMatrix(np.array([MASS])),
             rng,
         )
@@ -295,20 +301,20 @@ class TestIdentitiesAndReductions:
 
 class TestOuExact:
     def test_zero_time_identity(self):
-        out = ou_exact_step(
+        out = spv_momentum(
             np.array([1.0]), np.array([0.3]), 0.0, 1.0, MassMatrix.identity(1),
             QueuedRng([[9.0]]),
         )
         assert out[0] == 1.0
 
     def test_frozen_noise_closed_form(self):
-        out = ou_exact_step(
+        out = spv_momentum(
             np.array([1.0]), np.zeros(1), 0.5, 1.0, MassMatrix.identity(1),
             QueuedRng([[0.0]]),
         )
         assert out[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert out[0] == pytest.approx(0.60653, abs=5e-6)
-        shifted = ou_exact_step(
+        shifted = spv_momentum(
             np.array([1.0]), np.zeros(1), 0.5, 1.0, MassMatrix.identity(1),
             QueuedRng([[1.0]]),
         )
@@ -316,9 +322,10 @@ class TestOuExact:
         assert shifted[0] - out[0] == pytest.approx(0.79506, abs=5e-6)
 
     def test_frictionless_limit(self):
-        out = ou_exact_step(
+        # the step still draws its noise, which the zero friction zeroes
+        out = spv_momentum(
             np.array([2.0]), np.array([0.5]), 0.3, 0.0, MassMatrix.identity(1),
-            QueuedRng([]),
+            QueuedRng([[9.0]]),
         )
         assert out[0] == pytest.approx(2.0 - 0.3 * 0.5, rel=1e-15)
 
@@ -326,7 +333,7 @@ class TestOuExact:
         d = 1_000_000
         mass = MassMatrix(np.full(d, 2.5))
         rng = RngStream(99, 0)
-        out = ou_exact_step(np.full(d, 3.0), np.zeros(d), 50.0, 1.0, mass, rng)
+        out = spv_momentum(np.full(d, 3.0), np.zeros(d), 50.0, 1.0, mass, rng)
         assert abs(np.mean(out)) < 4.0 * np.sqrt(2.5 / d)
         assert abs(np.var(out) - 2.5) < 4.0 * 2.5 * np.sqrt(2.0 / d)
 
@@ -336,14 +343,14 @@ class TestOuExact:
         f = np.array([0.0])
 
         def coeffs(eta):
-            mean = ou_exact_step(np.array([r0]), f, eta, C, mass, QueuedRng([[0.0]]))[0]
-            hi = ou_exact_step(np.array([r0]), f, eta, C, mass, QueuedRng([[1.0]]))[0]
+            mean = spv_momentum(np.array([r0]), f, eta, C, mass, QueuedRng([[0.0]]))[0]
+            hi = spv_momentum(np.array([r0]), f, eta, C, mass, QueuedRng([[1.0]]))[0]
             return mean, hi - mean
 
         m1, s1 = coeffs(0.3)
         # propagate the first step's output mean through the second step
         mass1 = MassMatrix(np.array([m]))
-        m12 = ou_exact_step(np.array([m1]), f, 0.5, C, mass1, QueuedRng([[0.0]]))[0]
+        m12 = spv_momentum(np.array([m1]), f, 0.5, C, mass1, QueuedRng([[0.0]]))[0]
         _, s2 = coeffs(0.5)
         decay2 = np.exp(-C * 0.5 / m)
         var12 = (s1 * decay2) ** 2 + s2**2
@@ -372,10 +379,13 @@ class TestEquivalenceAndAlpha:
             np.testing.assert_array_equal(a.theta, b.theta)
 
     def test_alpha_value(self):
-        assert partial_refresh_alpha(0.01, 10, 5.0) == pytest.approx(
-            np.exp(-0.5), rel=1e-15
-        )
-        assert partial_refresh_alpha(0.01, 10, 5.0) == pytest.approx(0.60653, abs=5e-6)
+        # with no force and no noise the refresh leaves r' = alpha r,
+        # alpha = exp(-eta n_inner C)
+        spec = scalar_spec(Scheme.HMC_PARTIAL, eta=0.01, C=5.0, m=1.0, n_inner=10)
+        z = State(r=np.array([1.0]), theta=np.array([TH0]))
+        alpha = step(z, lambda th: np.zeros_like(th), spec, QueuedRng([[0.0]])).r[0]
+        assert alpha == pytest.approx(np.exp(-0.5), rel=1e-15)
+        assert alpha == pytest.approx(0.60653, abs=5e-6)
 
     def test_alpha_one_is_pure_leapfrog_loop(self):
         spec = scalar_spec(Scheme.HMC_PARTIAL, C=0.0, m=1.0, n_inner=3)

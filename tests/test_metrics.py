@@ -43,7 +43,6 @@ def make_trace(thetas):
         momenta=np.zeros((n, d)),
         steps=np.arange(n),
         times=np.arange(n, dtype=float),
-        meta={},
         effective_time=float(n),
     )
 
@@ -61,11 +60,6 @@ class TestEmpiricalSample:
             EmpiricalSample([1.0, np.nan])
         with pytest.raises(ValueError):
             EmpiricalSample([np.inf])
-
-    def test_from_trace_picks_coordinate(self):
-        t = make_trace([[1.0, 10.0], [0.0, 30.0], [2.0, 20.0]])
-        np.testing.assert_array_equal(EmpiricalSample.from_trace(t, 1).values,
-                                      [10.0, 20.0, 30.0])
 
     def test_does_not_alias_input(self):
         raw = np.array([2.0, 1.0])
@@ -273,7 +267,7 @@ class TestMomentErrors:
         post = GaussianPosterior(np.array([0.0]), np.array([[1.0]]))
         empty = Trace(
             thetas=np.zeros((0, 1)), momenta=np.zeros((0, 1)),
-            steps=np.zeros(0, dtype=int), times=np.zeros(0), meta={},
+            steps=np.zeros(0, dtype=int), times=np.zeros(0),
             effective_time=0.0,
         )
         with pytest.raises(ValueError):

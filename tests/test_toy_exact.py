@@ -10,12 +10,11 @@ from hsde.core import RngStream, State
 from hsde.toy_exact import (
     ExactMode,
     ToyParams,
+    _kernel,
     matexp2,
     reference_params,
     run_exact_chain,
-    run_exact_ensemble,
     run_exact_states,
-    toy_exact_step,
     toy_posterior,
     toy_transition,
 )
@@ -177,39 +176,59 @@ class TestToyTransition:
             assert np.linalg.norm(mean - b) > 1e-6
 
 
+def one_step(p, eta, mode, seeds, start=Z0):
+    """The states after one exact step from `start`, one chain per seed."""
+    z0 = State(r=start[:1], theta=start[1:])
+    cfgs = [ChainConfig(n_samples=1, burn_in=0, thinning=1, init=z0, seed=s)
+            for s in seeds]
+    thetas, momenta = run_exact_states(p, [eta] * len(seeds), [mode] * len(seeds),
+                                       cfgs, [0] * len(seeds))
+    return np.concatenate([momenta[:, 0], thetas[:, 0]], axis=1)
+
+
+def apply_kernel(kernel, z0, xi):
+    """E (z0 - b) + b + L xi for each row of xi, as the runner's arithmetic."""
+    E, b, L = kernel
+    return (E @ (z0 - b) + b)[None, :] + xi @ L.T
+
+
 class TestToyExactStep:
     def test_zero_time_returns_input(self):
         p = reference_params()
-        out = toy_exact_step(Z0, 0.0, p, ExactMode.FULL, RngStream(1, 0))
-        np.testing.assert_allclose(out, Z0, atol=1e-14)
+        out = apply_kernel(_kernel(p, 0.0, p.center_full), Z0,
+                           RngStream(1, 0).normal(2)[None, :])
+        np.testing.assert_allclose(out[0], Z0, atol=1e-14)
 
     def test_deterministic_given_stream(self):
         p = reference_params()
-        a = toy_exact_step(Z0, ETA, p, "minibatch", RngStream(3, 0))
-        b = toy_exact_step(Z0, ETA, p, "minibatch", RngStream(3, 0))
-        np.testing.assert_array_equal(a, b)
+        a = one_step(p, ETA, "minibatch", [3, 3, 4])
+        b = one_step(p, ETA, "minibatch", [3])
+        assert_bits(a[0], b[0])
+        assert_bits(a[1], b[0])
+        assert not np.array_equal(a[2], b[0])
 
     def test_coin_stream_separation(self):
+        # the noise comes from stream 4c and the coin from stream 4c + 2:
+        # each one-step output is one of the two centers' kernels applied to
+        # the noise stream's draws, and across seeds both centers occur
         p = reference_params()
-        outs = {
-            float(
-                toy_exact_step(
-                    Z0, ETA, p, "minibatch", RngStream(5, 0),
-                    coin_rng=RngStream(seed, 2),
-                )[1]
-            )
-            for seed in range(8)
-        }
-        # same noise stream, different coins: exactly two possible outputs
-        assert len(outs) == 2
+        seeds = list(range(8))
+        outs = one_step(p, ETA, "minibatch", seeds)
+        picked = set()
+        for s, out in zip(seeds, outs):
+            xi = RngStream(s, 0).normal(2)[None, :]
+            candidates = [apply_kernel(_kernel(p, ETA, c), Z0, xi)[0] for c in p.centers]
+            hits = [k for k, cand in enumerate(candidates) if np.allclose(out, cand,
+                                                                         rtol=1e-13, atol=1e-15)]
+            assert len(hits) == 1
+            picked.add(hits[0])
+        assert picked == {0, 1}
 
     def test_single_step_moments(self):
         p = reference_params()
         n = 200_000
-        rng = RngStream(11, 0)
-        draws = np.empty((n, 2))
-        for i in range(n):
-            draws[i] = toy_exact_step(Z0, ETA, p, ExactMode.FULL, rng)
+        xi = RngStream(11, 0).normal(2 * n).reshape(n, 2)
+        draws = apply_kernel(_kernel(p, ETA, p.center_full), Z0, xi)
         mean, cov = toy_transition(Z0, ETA, p, p.center_full)
         se = float(np.sqrt(np.diag(cov) / n).max())
         np.testing.assert_allclose(draws.mean(axis=0), mean, atol=4 * se)
@@ -243,8 +262,6 @@ class TestExactChain:
         b = run_exact_chain(p, ETA, "full", cfg)
         np.testing.assert_array_equal(a.thetas, b.thetas)
         np.testing.assert_array_equal(a.steps, np.arange(10, 38, 3))
-        assert a.meta["scheme"] == "exact"
-        assert a.meta["K"] == 1
         assert a.effective_time == pytest.approx((7 + 30) * ETA)
 
     def test_fixed_init(self):
@@ -271,7 +288,6 @@ class TestExactChain:
         mean, var = toy_posterior(p)
         ks = ks_to_gaussian(t.thetas[:, 0], mean, np.sqrt(var))
         assert ks > 0.06
-        assert t.meta["K"] == 2
 
     def test_eta_validation(self):
         with pytest.raises(ValueError):
@@ -287,23 +303,26 @@ def assert_bits(a, b):
 
 def check_ensemble(p, etas, modes, seeds, indices, inits=None, burn_in=31,
                    n_samples=8, thinning=5):
-    """Every chain of the exact ensemble equals the one-chain reference loop."""
+    """Every chain's rows of the exact ensemble and its `run_exact_chain`
+    trace equal the one-chain reference loop; returns the traces."""
     inits = inits or ["prior"] * len(etas)
     cfgs = [ChainConfig(n_samples=n_samples, burn_in=burn_in, thinning=thinning,
                         seed=seed, init=init) for seed, init in zip(seeds, inits)]
-    traces = run_exact_ensemble(p, etas, modes, cfgs, indices)
-    assert len(traces) == len(etas)
-    for c, trace in enumerate(traces):
-        thetas, momenta, steps, times, effective = reference_exact_chain(
+    thetas, momenta = run_exact_states(p, etas, modes, cfgs, indices)
+    assert thetas.shape[0] == momenta.shape[0] == len(etas)
+    traces = []
+    for c in range(len(etas)):
+        ref_thetas, ref_momenta, steps, times, effective = reference_exact_chain(
             p, etas[c], modes[c], cfgs[c], indices[c])
-        assert_bits(trace.thetas, thetas)
-        assert_bits(trace.momenta, momenta)
+        assert_bits(thetas[c], ref_thetas)
+        assert_bits(momenta[c], ref_momenta)
+        trace = run_exact_chain(p, etas[c], modes[c], cfgs[c], indices[c])
+        assert_bits(trace.thetas, ref_thetas)
+        assert_bits(trace.momenta, ref_momenta)
         assert_bits(trace.steps, steps)
         assert_bits(trace.times, times)
         assert trace.effective_time == effective
-        assert trace.meta["eta"] == etas[c]
-        assert trace.meta["mode"] == ExactMode(modes[c]).value
-        assert trace.meta["chain_index"] == indices[c]
+        traces.append(trace)
     return traces
 
 
@@ -318,11 +337,7 @@ def small_chunks(monkeypatch):
 class TestExactEnsembleMatchesReference:
     @pytest.mark.parametrize("mode", ["full", "minibatch"])
     def test_single_chain(self, mode):
-        p = reference_params()
-        check_ensemble(p, [0.15], [mode], [5], [2])
-        cfg = ChainConfig(n_samples=8, burn_in=31, thinning=5, seed=5)
-        assert_bits(run_exact_chain(p, 0.15, mode, cfg, 2).thetas,
-                    reference_exact_chain(p, 0.15, mode, cfg, 2)[0])
+        check_ensemble(reference_params(), [0.15], [mode], [5], [2])
 
     def test_two_modes_on_one_stream(self):
         # the histogram runs: both modes on seed s, chain index 0
@@ -332,15 +347,8 @@ class TestExactEnsembleMatchesReference:
     def test_bottleneck_report_layout(self):
         # the report's one ensemble: two etas x two modes, seeds s and s + 1,
         # all at chain index 0; each chain equals its one-chain run
-        p = reference_params()
-        etas, modes, seeds = [0.4, 0.4, 0.01, 0.01], ["full", "minibatch"] * 2, [11, 11, 12, 12]
-        check_ensemble(p, etas, modes, seeds, [0] * 4)
-        cfgs = [ChainConfig(n_samples=8, burn_in=31, thinning=5, seed=s) for s in seeds]
-        thetas, momenta = run_exact_states(p, etas, modes, cfgs, [0] * 4)
-        for c in range(4):
-            alone = run_exact_chain(p, etas[c], modes[c], cfgs[c])
-            assert_bits(thetas[c], alone.thetas)
-            assert_bits(momenta[c], alone.momenta)
+        check_ensemble(reference_params(), [0.4, 0.4, 0.01, 0.01], ["full", "minibatch"] * 2,
+                       [11, 11, 12, 12], [0] * 4)
 
     def test_mixed_etas_modes_seeds_and_indices(self):
         check_ensemble(reference_params(), [0.05, 0.4, 0.01, 1.3, 0.2],
@@ -363,8 +371,7 @@ class TestExactEnsembleMatchesReference:
 
 class TestExactEnsembleRun:
     def test_default_chunks_and_buffer_refill(self):
-        # 4300 steps draw 8600 normals per chain: many default chunks and one
-        # refill of the stream's 8192-normal buffer
+        # 4300 steps draw 8600 normals per chain in many default chunks
         assert 4300 > 2 * chain_module._CHUNK
         check_ensemble(reference_params(), [0.4, 0.4, 0.07],
                        ["full", "minibatch", "minibatch"], [3, 3, 8], [0, 0, 1],
@@ -383,27 +390,34 @@ class TestExactEnsembleRun:
                        [12, 3], [1, 0], burn_in=100, n_samples=90, thinning=7)
 
     def test_traces_own_their_arrays(self):
+        # a trace shares no array with another trace or with itself, so
+        # writing into one leaves a rerun and its own other fields alone
         cfg = ChainConfig(n_samples=5, burn_in=3, thinning=2, seed=1)
-        a, b = run_exact_ensemble(reference_params(), [0.4, 0.4],
-                                  ["full", "minibatch"], [cfg, cfg], [0, 1])
-        before = b.steps.copy(), b.thetas.copy()
+        a = run_exact_chain(reference_params(), 0.4, "minibatch", cfg)
+        fields = (a.thetas, a.momenta, a.steps, a.times)
+        assert not any(np.shares_memory(x, y) for i, x in enumerate(fields)
+                       for y in fields[i + 1:])
+        before = a.momenta.copy(), a.times.copy()
         a.steps[:] = -1
         a.thetas[:] = np.nan
-        assert_bits(b.steps, before[0])
-        assert_bits(b.thetas, before[1])
+        assert_bits(a.momenta, before[0])
+        assert_bits(a.times, before[1])
+        b = run_exact_chain(reference_params(), 0.4, "minibatch", cfg)
+        assert_bits(b.momenta, before[0])
+        assert not np.isnan(b.thetas).any()
 
     def test_validation(self):
         p = reference_params()
         cfg = ChainConfig(n_samples=3, burn_in=2, thinning=1, seed=0)
         for bad in (0.0, np.inf, np.nan):
             with pytest.raises(ValueError, match="eta"):
-                run_exact_ensemble(p, [0.4, bad], ["full"] * 2, [cfg] * 2, [0, 1])
+                run_exact_states(p, [0.4, bad], ["full"] * 2, [cfg] * 2, [0, 1])
         with pytest.raises(ValueError, match="one eta"):
-            run_exact_ensemble(p, [0.4, 0.4], ["full"] * 2, [cfg], [0, 1])
+            run_exact_states(p, [0.4, 0.4], ["full"] * 2, [cfg], [0, 1])
         with pytest.raises(ValueError, match="one eta"):
-            run_exact_ensemble(p, [], [], [], [])
+            run_exact_states(p, [], [], [], [])
         other = ChainConfig(n_samples=4, burn_in=2, thinning=1, seed=0)
         with pytest.raises(ValueError, match="share"):
-            run_exact_ensemble(p, [0.4, 0.4], ["full"] * 2, [cfg, other], [0, 1])
+            run_exact_states(p, [0.4, 0.4], ["full"] * 2, [cfg, other], [0, 1])
         with pytest.raises(ValueError):
-            run_exact_ensemble(p, [0.4], ["perm"], [cfg], [0])
+            run_exact_states(p, [0.4], ["perm"], [cfg], [0])
