@@ -102,12 +102,14 @@ def _apply_config(ctx: click.Context, config: str | None) -> None:
             ctx.params[param.name] = param.type.convert(text, param, ctx)
 
 
-def _run_dir(out: str | None, command: str, seed: int) -> str:
+def _run_dir(out: str | None, command: str, seed: int) -> tuple[str, bool]:
+    """The run directory, made if missing, and whether this call made it."""
     if out is None:
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
         out = os.path.join("runs", f"{command}-{stamp}-{seed}")
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
-    return out
+    return out, made
 
 
 def _write_meta(out_dir: str, command: str, params: dict, wall: float,
@@ -132,17 +134,22 @@ def _execute(ctx: click.Context, command: str, body) -> None:
     kw.pop("config", None)
     out = kw.pop("out", None)
     t0 = time.perf_counter()
+    out_dir, made = None, False
     try:
-        out_dir = _run_dir(out, command, kw.get("seed", 0))
+        out_dir, made = _run_dir(out, command, kw.get("seed", 0))
         extra = body(out_dir, **kw)
         _write_meta(out_dir, command, kw, time.perf_counter() - t0, extra)
-    except click.UsageError:
-        raise
+    except (click.UsageError, ValueError) as err:
+        # bad input leaves no empty run directory behind, and never removes
+        # one the caller named that was there before
+        if made and not os.listdir(out_dir):
+            os.rmdir(out_dir)
+        if isinstance(err, click.UsageError):
+            raise
+        raise click.UsageError(str(err))
     except DivergenceError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_DIVERGED)
-    except ValueError as err:
-        raise click.UsageError(str(err))
     except OSError as err:
         click.echo(f"error: {err}", err=True)
         sys.exit(EXIT_IO)
@@ -282,10 +289,10 @@ def _do_sweep(out_dir, model, scheme, eta_grid, friction, batches, mode,
     if not etas:
         raise click.UsageError("--eta-grid is empty")
     plan = [(s, etas) for s in scheme]
-    res = repro.run_sweep(model, plan, mode=mode, n_batches=batches,
-                          friction=friction, n=n, reps=reps, burn_in=burn_in,
-                          thin=thin, seed=seed, n_ks=n_ks, jobs=jobs,
-                          n_inner=n_inner, v_hat=v_hat)
+    res = repro.run_sweeps(model, plan, [(mode, batches)],
+                           friction=friction, n=n, reps=reps, burn_in=burn_in,
+                           thin=thin, seed=seed, n_ks=n_ks, jobs=jobs,
+                           n_inner=n_inner, v_hat=v_hat)[0]
     repro.write_csv(os.path.join(out_dir, "summary.csv"),
                     repro.SWEEP_ROW_FIELDS, res.rows)
     repro.write_csv(os.path.join(out_dir, "slopes.csv"),
@@ -310,8 +317,7 @@ def toy(ctx, **_kw):
 
 
 def _do_toy(out_dir, eta, n, burn_in, thin, seed):
-    hists = repro.toy_histograms(eta=eta, n=n, burn_in=burn_in, thin=thin,
-                                 seed=seed)
+    hists = repro.exact_histograms([(eta, seed)], n, burn_in, thin)[0]
     summary = []
     for mode, data in hists.items():
         repro.write_csv(os.path.join(out_dir, f"hist_{mode}.csv"),
@@ -442,8 +448,8 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
 @click.option("--trials", type=int, default=100, show_default=True,
               help="Random generator sets (orders report).")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Worker processes for a sweep's plan pairs. The gap and orders "
-                   "reports run one plan pair per sweep, so they never start a pool.")
+              help="Checked (>= 1) and otherwise ignored: every report sweep has "
+                   "one plan pair, so no report starts a worker pool.")
 @click.option("--regen-golden", is_flag=True, default=False,
               help="Also write goldens_candidate.json with the fresh values.")
 @_common_options
@@ -458,13 +464,15 @@ def report(ctx, **_kw):
 
 
 def _do_report(out_dir, which, n, reps, trials, jobs, regen_golden, seed):
+    if jobs < 1:
+        raise click.UsageError("jobs must be >= 1")
     fn = {"bottleneck": repro.report_exact_bottleneck, "gap": repro.report_minibatch_gap,
           "orders": repro.report_splitting_orders}[which]
     params = inspect.signature(fn).parameters
     # a report ignores options it does not take, and n, reps and seed left
     # unset keep its defaults: seed 0 (the default) selects the frozen
     # protocol seed the golden values were produced with
-    given = {"n": n, "reps": reps, "n_trials": trials, "jobs": jobs, "seed": seed or None}
+    given = {"n": n, "reps": reps, "n_trials": trials, "seed": seed or None}
     kw = {key: value for key, value in given.items() if key in params and value is not None}
     eff_seed = kw.setdefault("seed", params["seed"].default)
     checks = fn(out_dir, regen_golden=regen_golden, **kw)

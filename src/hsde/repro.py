@@ -19,12 +19,12 @@ than a false pass/fail).
 A sweep runs one ensemble per scheme across its batch modes: `run_sweeps`
 steps a plan pair's full-batch and mini-batch chains (every mode, cell and
 replica) together, keeping positions only, and splits the rows by mode
-afterwards; each mode's result is what `run_sweep`, its one-mode case,
-gives for that mode alone.
+afterwards; each mode's result is what a sweep of that mode alone gives.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -36,7 +36,7 @@ import numpy as np
 from .batching import make_schedule
 from .chain import ChainConfig, run_states
 from .core import MassMatrix, RngStream, write_columns
-from .integrators import DivergenceError, IntegratorSpec, Scheme
+from .integrators import IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
     GeneratorSet,
@@ -60,9 +60,8 @@ __all__ = [
     "CheckResult",
     "build_model",
     "sweep_model",
-    "run_sweep",
     "run_sweeps",
-    "toy_histograms",
+    "exact_histograms",
     "histogram_table",
     "trial_tables",
     "load_goldens",
@@ -127,29 +126,28 @@ def _derive_cell_seed(seed: int, cell_index: int) -> int:
     return (seed + 1_000_003 * (cell_index + 1)) % 2**64
 
 
-def _run_cells(args: tuple) -> tuple:
-    """One ensemble over every (mode, eta cell, replica) chain of one scheme.
+@dataclass(frozen=True)
+class SweepResult:
+    rows: list
+    slopes: list
 
-    Returns the rows of each mode, one row per cell computed from that
-    cell's replicas in order, and None; or None and the DivergenceError of
-    the first diverging chain in (mode, cell, replica) order, its
-    `mode_index` set to the index of that chain's mode.
+
+def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
+               friction: float, n_inner: int, v_hat: float, n: int, reps: int,
+               burn_in: int, thin: int, n_ks: int) -> list:
+    """One ensemble over every (mode, eta cell, replica) chain of one plan
+    pair; one SweepResult per mode, with a row per cell computed from that
+    cell's replicas in order.
+
+    Raises the DivergenceError of the first diverging chain in (mode, cell,
+    replica) order.
     """
-    (model_name, modes, scheme, cells, friction, n_inner, v_hat,
-     n, reps, burn_in, thin, n_ks) = args
-    model = build_model(model_name, _model_batches(modes))
-    post = model.analytic_posterior()
     runs = list(itertools.product(modes, cells))
+    mass = MassMatrix.identity(model.dim)
     specs, scheds, cfgs, chain_indices = [], [], [], []
     for (mode, n_batches), (eta, cell_seed) in runs:
-        spec = IntegratorSpec(
-            scheme=scheme,
-            eta=eta,
-            friction=friction,
-            mass=MassMatrix.identity(model.dim),
-            n_inner=n_inner,
-            v_hat=v_hat,
-        )
+        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction, mass=mass,
+                              n_inner=n_inner, v_hat=v_hat)
         cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
                           init="prior", seed=cell_seed)
         for rep in range(reps):
@@ -158,13 +156,9 @@ def _run_cells(args: tuple) -> tuple:
                                         RngStream(cell_seed, 4 * rep + 2)))
             cfgs.append(cfg)
             chain_indices.append(rep)
-    try:
-        # a sweep reads positions only
-        thetas = (run_states(model, specs, scheds, cfgs, chain_indices,
-                             keep_momenta=False)[0] if specs else [])
-    except DivergenceError as err:
-        err.mode_index = err.chain // (len(cells) * reps)
-        return None, err
+    # a sweep reads positions only
+    thetas = (run_states(model, specs, scheds, cfgs, chain_indices,
+                         keep_momenta=False)[0] if specs else [])
 
     rows = []
     for cell, ((mode, n_batches), (eta, _)) in enumerate(runs):
@@ -189,7 +183,21 @@ def _run_cells(args: tuple) -> tuple:
             "mean_err": float(abs(np.mean(mean_dev / reps))),
             "var_err": float(abs(np.mean(var_dev / reps))),
         })
-    return [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))], None
+    per_mode = [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))]
+    return [SweepResult(rows=r, slopes=_fit_slope(r)) for r in per_mode]
+
+
+def _fit_slope(rows: list) -> list:
+    """The var_err slope row of one plan pair's cells in one mode; none
+    below 3 cells."""
+    if len(rows) < 3:
+        return []
+    # floored so an error that hits machine zero cannot blow up the fit
+    errs = [max(r["var_err"], 1e-15) for r in rows]
+    slope, r2 = error_order_slope([r["eta"] for r in rows], errs)
+    return [{"scheme": rows[0]["scheme"], "K": rows[0]["K"], "mode": rows[0]["mode"],
+             "metric": "var_err", "slope": float(slope), "r_squared": float(r2),
+             "n_points": len(rows)}]
 
 
 def _model_batches(modes) -> int:
@@ -203,37 +211,8 @@ def _model_batches(modes) -> int:
     return max(k for _, k in modes)
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: list
-    slopes: list
-
-
 # exact-posterior draws behind a sweep's self-distance calibration
 _ORACLE_N = 100_000
-
-
-def run_sweep(
-    model_name: str,
-    plan: list,
-    mode: str = "full",
-    n_batches: int = 1,
-    friction: float = 2.0,
-    n: int = 2000,
-    reps: int = 4,
-    burn_in: int = 2000,
-    thin: int = 1,
-    seed: int = 0,
-    n_ks: int = 200,
-    jobs: int = 1,
-    n_inner: int = 1,
-    v_hat: float = 0.0,
-) -> SweepResult:
-    """Run every (scheme, eta) cell of the plan in one batch mode and fit
-    per-scheme slopes: `run_sweeps` with the one mode (mode, n_batches)."""
-    return run_sweeps(model_name, plan, [(mode, n_batches)], friction=friction,
-                      n=n, reps=reps, burn_in=burn_in, thin=thin, seed=seed,
-                      n_ks=n_ks, jobs=jobs, n_inner=n_inner, v_hat=v_hat)[0]
 
 
 def run_sweeps(
@@ -252,18 +231,17 @@ def run_sweeps(
     v_hat: float = 0.0,
 ) -> list:
     """Run every (scheme, eta) cell of the plan in each batch mode and fit
-    per-scheme slopes; one SweepResult per (mode, n_batches) in `modes`,
-    equal to what `run_sweep` gives for that mode alone.
+    per-scheme slopes; one SweepResult per (mode, n_batches) in `modes`.
 
     `plan` is a list of (scheme, eta_grid) pairs. Each pair runs as one
     ensemble of len(modes) x len(eta_grid) x reps chains, every mode's
-    chains on the same cell seeds; `jobs` > 1 spreads the pairs over worker
+    chains on the same cell seeds, so a mode's result does not depend on
+    the other modes swept with it; `jobs` > 1 spreads the pairs over worker
     processes. Modes whose n_batches is above 1 must share it. Raises the
     model's analytic-posterior error for models without a closed-form
     posterior, and the DivergenceError of the first diverging chain in
-    (mode, plan pair, cell, replica) order, the order separate `run_sweep`
-    calls would meet it in. Output rows are deterministic in (config, seed)
-    regardless of `jobs`.
+    (plan pair, mode, cell, replica) order. Output rows are deterministic in
+    (config, seed) regardless of `jobs`.
     """
     # checked before any chain runs, not where the values are first used
     if reps < 1:
@@ -277,35 +255,28 @@ def run_sweeps(
     modes = [(mode, int(k)) for mode, k in modes]
     if not modes:
         raise ValueError("a sweep needs at least one batch mode")
-    post = build_model(model_name, _model_batches(modes)).analytic_posterior()
-    tasks = []
-    idx = 0
+    model = build_model(model_name, _model_batches(modes))
+    post = model.analytic_posterior()
+    schemes, cells = [], []
+    cell_index = itertools.count()
     for scheme, etas in plan:
-        cells = []
-        for eta in etas:
-            cells.append((float(eta), _derive_cell_seed(seed, idx)))
-            idx += 1
-        tasks.append((model_name, modes, Scheme(scheme), cells, friction,
-                      n_inner, v_hat, n, reps, burn_in, thin, n_ks))
-    if jobs > 1 and len(tasks) > 1:
+        schemes.append(Scheme(scheme))
+        cells.append([(float(eta), _derive_cell_seed(seed, next(cell_index)))
+                      for eta in etas])
+    run = functools.partial(_run_cells, model=model, post=post, modes=modes,
+                            friction=friction, n_inner=n_inner, v_hat=v_hat, n=n,
+                            reps=reps, burn_in=burn_in, thin=thin, n_ks=n_ks)
+    if jobs > 1 and len(schemes) > 1:
         # imported here: the process machinery costs start-up time that a
         # single-process run never repays
         from concurrent.futures import ProcessPoolExecutor
 
         # a forked pool starts all of its workers at once, and a worker
         # beyond one per plan entry would get no work
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            per_task = list(pool.map(_run_cells, tasks))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(schemes))) as pool:
+            per_pair = list(pool.map(run, schemes, cells))
     else:
-        per_task = []
-        for task in tasks:
-            per_task.append(_run_cells(task))
-            # no later pair's chain can come before a first-mode divergence
-            if per_task[-1][1] is not None and per_task[-1][1].mode_index == 0:
-                break
-    errors = [(err.mode_index, t) for t, (_, err) in enumerate(per_task) if err is not None]
-    if errors:
-        raise per_task[min(errors)[1]][1]
+        per_pair = list(map(run, schemes, cells))
 
     # one self-distance calibration per sweep: the KS level two independent
     # n_ks-subsamples of the exact posterior show against each other
@@ -315,39 +286,14 @@ def run_sweeps(
     )
     q05, _, q95 = self_distance(oracle, n_ks, 20, RngStream(seed, 3_000_002))
     results = []
-    for m, (mode, n_batches) in enumerate(modes):
-        rows = [row for per_mode, _ in per_task for row in per_mode[m]]
+    for m in range(len(modes)):
+        rows = [row for pair in per_pair for row in pair[m].rows]
         for row in rows:
             row["ks_q05_self"] = float(q05)
             row["ks_q95_self"] = float(q95)
         results.append(SweepResult(rows=rows,
-                                   slopes=_fit_slopes(plan, rows, mode, n_batches)))
+                                   slopes=[s for pair in per_pair for s in pair[m].slopes]))
     return results
-
-
-def _fit_slopes(plan: list, rows: list, mode: str, n_batches: int) -> list:
-    """One var_err slope row per plan pair with at least 3 cells."""
-    slopes = []
-    pos = 0
-    for scheme, etas in plan:
-        scheme = Scheme(scheme)
-        cell_rows = rows[pos:pos + len(etas)]
-        pos += len(etas)
-        if len(etas) < 3:
-            continue
-        # floored so an error that hits machine zero cannot blow up the fit
-        errs = [max(r["var_err"], 1e-15) for r in cell_rows]
-        slope, r2 = error_order_slope([r["eta"] for r in cell_rows], errs)
-        slopes.append({
-            "scheme": str(scheme.value),
-            "K": int(n_batches),
-            "mode": str(mode),
-            "metric": "var_err",
-            "slope": float(slope),
-            "r_squared": float(r2),
-            "n_points": len(etas),
-        })
-    return slopes
 
 
 SWEEP_ROW_FIELDS = ["scheme", "eta", "K", "mode", "n", "ks",
@@ -360,20 +306,14 @@ SLOPE_ROW_FIELDS = ["scheme", "K", "mode", "metric", "slope", "r_squared",
 # exact-kernel runs
 
 
-def toy_histograms(eta: float, n: int, burn_in: int = 2000, thin: int = 1,
-                   seed: int = 0) -> dict:
-    """Exact-kernel chains in both modes with marginal histograms.
+def exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
+    """Exact-kernel chains in both modes with marginal histograms, one
+    {mode: {"edges", "counts", "ks", "n"}} per (eta, seed) in runs, in order.
 
-    Returns {mode: {"edges", "counts", "ks", "n"}}; 128 bins span the
-    analytic posterior mean +- 6 posterior standard deviations. Both chains
-    run on chain index 0 of seed.
+    128 bins span the analytic posterior mean +- 6 posterior standard
+    deviations. Each pair's chains run on chain index 0 of its seed, and
+    all of them as one exact ensemble; n is checked before any chain runs.
     """
-    return _exact_histograms([(eta, seed)], n, burn_in, thin)[0]
-
-
-def _exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
-    """`toy_histograms` of each (eta, seed) in runs, in order, from one exact
-    ensemble of both modes per pair; n is checked before any chain runs."""
     if n < 1:
         raise ValueError("n must be >= 1")
     p = reference_params()
@@ -384,8 +324,8 @@ def _exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
     etas, chain_modes, cfgs = zip(*[
         (eta, mode, ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed))
         for eta, seed in runs for mode in modes])
-    # only the positions outlive the run: the momenta go at once
-    thetas = run_exact_states(p, etas, chain_modes, cfgs, [0] * len(cfgs))[0]
+    thetas = run_exact_states(p, etas, chain_modes, cfgs, [0] * len(cfgs),
+                              keep_momenta=False)[0]
     out = []
     for positions in thetas.reshape(len(runs), len(modes), n):
         hists = {}
@@ -399,7 +339,7 @@ def _exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
 
 
 def histogram_table(hist: dict) -> tuple[list, list]:
-    """(fields, rows) of one mode of `toy_histograms`: one row per bin."""
+    """(fields, rows) of one mode of `exact_histograms`: one row per bin."""
     edges = hist["edges"].tolist()
     rows = [{"bin_left": lo, "bin_right": hi, "count": count}
             for lo, hi, count in zip(edges[:-1], edges[1:], hist["counts"].tolist())]
@@ -538,7 +478,7 @@ def report_exact_bottleneck(out_dir, n: int = 100_000, seed: int = 11,
     """Exact-kernel check: full-batch mode matches the analytic posterior
     while mini-batch mode keeps a step-size-dependent distribution error
     that decays as the step shrinks."""
-    coarse, fine = _exact_histograms([(0.4, seed), (0.01, seed + 1)], n)
+    coarse, fine = exact_histograms([(0.4, seed), (0.01, seed + 1)], n)
     ks_full = coarse["full"]["ks"]
     ks_mb = coarse["minibatch"]["ks"]
     ks_full_fine = fine["full"]["ks"]
@@ -577,8 +517,7 @@ GAP_BATCHES = 8
 
 
 def report_minibatch_gap(out_dir, n: int = 20_000, reps: int = 4,
-                         seed: int = 5, jobs: int = 1,
-                         regen_golden: bool = False) -> list:
+                         seed: int = 5, regen_golden: bool = False) -> list:
     """Paired full-batch vs K=8 sweeps: the third-order scheme's fitted
     variance-error slope collapses under mini-batching, the second-order
     inner-loop scheme's does not."""
@@ -593,7 +532,7 @@ def report_minibatch_gap(out_dir, n: int = 20_000, reps: int = 4,
     # cells other seeds
     for label, plan in plans.items():
         results = run_sweeps("lingauss", plan, modes, friction=GAP_FRICTION, n=n,
-                             reps=reps, seed=seed, jobs=jobs)
+                             reps=reps, seed=seed)
         for (mode, _), res in zip(modes, results):
             slopes[(label, mode)] = res.slopes[0]["slope"]
             r2s[(label, mode)] = res.slopes[0]["r_squared"]
@@ -622,18 +561,15 @@ def report_minibatch_gap(out_dir, n: int = 20_000, reps: int = 4,
 
 
 def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
-                            n: int = 20_000, reps: int = 2, jobs: int = 1,
+                            n: int = 20_000, reps: int = 2,
                             regen_golden: bool = False) -> list:
     """Operator-splitting order verification plus inner-loop-count
     independence of the sampler's fitted convergence order."""
-    # the sweeps' sizes and worker count, checked before the splitting
-    # trials run
+    # the sweeps' sizes, checked before the splitting trials run
     if n < 1:
         raise ValueError("n must be >= 1")
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
     trials = run_order_trials(n_trials, RngStream(seed, 0))
     frac = {}
     for mode in ("forward", "averaged", "randomized"):
@@ -649,9 +585,9 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
     lt_slopes = {}
     lt_r2 = {}
     for n_inner in (1, 10):
-        res = run_sweep("lingauss", [("lie-trotter", GAP_GRID_LT)],
-                        friction=GAP_FRICTION, n=n, reps=reps, seed=seed,
-                        jobs=jobs, n_inner=n_inner)
+        res = run_sweeps("lingauss", [("lie-trotter", GAP_GRID_LT)], [("full", 1)],
+                         friction=GAP_FRICTION, n=n, reps=reps, seed=seed,
+                         n_inner=n_inner)[0]
         lt_slopes[n_inner] = res.slopes[0]["slope"]
         lt_r2[n_inner] = res.slopes[0]["r_squared"]
     nl_gap = abs(lt_slopes[1] - lt_slopes[10])

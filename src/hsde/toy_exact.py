@@ -201,9 +201,11 @@ def _start(p: ToyParams, cfg: ChainConfig, chain_index: int) -> np.ndarray:
     return np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
 
 
-def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
+def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
+                     keep_momenta: bool = True):
     """Run R chains of exact transitions in lockstep as the rows of an (R, 2)
-    array and return their kept states as (thetas, momenta), each (R, n, 1).
+    array and return their kept states as (thetas, momenta), each (R, n, 1);
+    with keep_momenta False, momenta is None and only positions are held.
 
     Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) on the shared
     stream convention (noise 4c, init 4c+1, coin 4c+2), and its rows equal
@@ -235,7 +237,7 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
 
     total = burn_in + n * thin
     thetas = np.empty((R, n, 1))
-    momenta = np.empty((R, n, 1))
+    momenta = np.empty((R, n, 1)) if keep_momenta else None
     rows = np.arange(R)
     # z - b and E (z - b), reused by every step
     t = np.empty_like(z)
@@ -265,7 +267,8 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices):
             z = row
         # the chunk's kept rows in buf, copied out once
         block = buf[chain._kept_rows(i, m, burn_in, thin)]
-        momenta[:, kept:kept + len(block)] = block[:, :, 0].swapaxes(0, 1)
+        if keep_momenta:
+            momenta[:, kept:kept + len(block)] = block[:, :, 0].swapaxes(0, 1)
         thetas[:, kept:kept + len(block)] = block[:, :, 1].swapaxes(0, 1)
         kept += len(block)
         i += m

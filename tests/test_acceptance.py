@@ -59,8 +59,7 @@ def test_01_exact_full_chain_matches_posterior():
 
 def test_02_minibatch_bottleneck_at_zero_discretization_error():
     t0 = time.perf_counter()
-    coarse = repro.toy_histograms(eta=0.4, n=100_000, seed=11)
-    fine = repro.toy_histograms(eta=0.01, n=100_000, seed=12)
+    coarse, fine = repro.exact_histograms([(0.4, 11), (0.01, 12)], n=100_000)
     ks_f, ks_m = coarse["full"]["ks"], coarse["minibatch"]["ks"]
     ks_ff, ks_mf = fine["full"]["ks"], fine["minibatch"]["ks"]
     dt = time.perf_counter() - t0
@@ -80,9 +79,8 @@ def test_03_full_batch_convergence_order_slopes():
     plan = [("euler", SLOPE_GRID_LOW), ("lie-trotter", SLOPE_GRID_HIGH),
             ("spv", SLOPE_GRID_HIGH), ("symmetric", SLOPE_GRID_HIGH),
             ("mt3", SLOPE_GRID_HIGH)]
-    res = repro.run_sweep("lingauss", plan, mode="full", n_batches=1,
-                          friction=3.5, n=100_000, reps=4, burn_in=2000,
-                          seed=707, n_ks=200)
+    res, = repro.run_sweeps("lingauss", plan, [("full", 1)], friction=3.5,
+                            n=100_000, reps=4, burn_in=2000, seed=707, n_ks=200)
     bars = {"euler": 0.8, "lie-trotter": 1.6, "spv": 1.6, "symmetric": 1.6,
             "mt3": 2.5}
     dt = time.perf_counter() - t0
@@ -228,10 +226,9 @@ def test_08_hmc_equals_lie_trotter_and_inner_count_free_slopes():
 
     slopes = {}
     for n_inner in (1, 10):
-        res = repro.run_sweep("lingauss", [("lie-trotter", SLOPE_GRID_HIGH)],
-                              mode="full", n_batches=1, friction=3.5,
-                              n=20_000, reps=4, burn_in=2000, seed=505,
-                              n_ks=200, n_inner=n_inner)
+        res, = repro.run_sweeps("lingauss", [("lie-trotter", SLOPE_GRID_HIGH)],
+                                [("full", 1)], friction=3.5, n=20_000, reps=4,
+                                burn_in=2000, seed=505, n_ks=200, n_inner=n_inner)
         slopes[n_inner] = res.slopes[0]
     gap = abs(slopes[1]["slope"] - slopes[10]["slope"])
     r2_min = min(slopes[1]["r_squared"], slopes[10]["r_squared"])

@@ -304,6 +304,35 @@ class TestSweep:
         assert result.exit_code == 3
         assert "diverged" in result.output
 
+    # the process pool re-raises the first diverging plan pair's error, so
+    # the error line does not depend on the worker count
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_divergence_line_does_not_depend_on_jobs(self, runner, tmp_path):
+        lines = []
+        for jobs in ("1", "2"):
+            result = runner.invoke(main, ["sweep", "--scheme", "leapfrog", "--scheme", "euler",
+                                          "--eta-grid", "0.1,2.0,6.0", "-C", "0.1",
+                                          "--n", "300", "--burn-in", "0", "--reps", "2",
+                                          "--jobs", jobs, "--out", str(tmp_path / jobs)])
+            assert result.exit_code == 3, result.output
+            lines.append(result.output.strip().splitlines()[-1])
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("error: chain diverged") and "scheme=leapfrog" in lines[0]
+
+
+# bad input exits 2 without leaving an empty run directory, and never
+# removes a run directory that was there before
+@pytest.mark.parametrize("command", [["sweep", "--reps", "0", "--eta-grid", "0.1"],
+                                     ["toy", "--n", "0"]], ids=["sweep", "toy"])
+def test_exit_2_leaves_no_empty_run_dir(runner, tmp_path, command):
+    result = runner.invoke(main, command + ["--out", str(tmp_path / "new")])
+    assert result.exit_code == 2, result.output
+    assert not os.path.exists(tmp_path / "new")
+    (tmp_path / "old").mkdir()
+    result = runner.invoke(main, command + ["--out", str(tmp_path / "old")])
+    assert result.exit_code == 2, result.output
+    assert os.path.isdir(tmp_path / "old")
+
 
 class TestToy:
     ARGS = ["toy", "--eta", "0.4", "--n", "500", "--burn-in", "50",
@@ -498,7 +527,8 @@ class TestReport:
 
     # an explicit 0 is a bad size, never a request for the default
     @pytest.mark.parametrize("which, flag", [
-        ("bottleneck", "--n"), ("gap", "--n"), ("gap", "--reps"), ("gap", "--jobs"),
+        ("bottleneck", "--n"), ("bottleneck", "--jobs"), ("gap", "--n"), ("gap", "--reps"),
+        ("gap", "--jobs"),
         ("orders", "--n"), ("orders", "--reps"), ("orders", "--jobs"),
     ])
     def test_explicit_zero_exits_2_before_any_chain(self, runner, tmp_path,

@@ -75,11 +75,10 @@ class TestModels:
 class TestRunSweep:
     PLAN = [("leapfrog", (0.4, 0.283, 0.2))]
 
-    def run(self, **kw):
-        args = dict(mode="full", n_batches=1, friction=2.0, n=120, reps=2,
-                    burn_in=100, seed=17, n_ks=60)
+    def run(self, mode="full", n_batches=1, **kw):
+        args = dict(friction=2.0, n=120, reps=2, burn_in=100, seed=17, n_ks=60)
         args.update(kw)
-        return repro.run_sweep("lingauss", self.PLAN, **args)
+        return repro.run_sweeps("lingauss", self.PLAN, [(mode, n_batches)], **args)[0]
 
     def test_row_schema(self):
         res = self.run()
@@ -97,13 +96,13 @@ class TestRunSweep:
 
     def test_cells_use_distinct_seeds(self):
         plan = [("leapfrog", (0.3, 0.3))]
-        res = repro.run_sweep("lingauss", plan, n=80, reps=1, burn_in=50,
-                              seed=17, n_ks=40)
+        res = repro.run_sweeps("lingauss", plan, [("full", 1)], n=80, reps=1,
+                               burn_in=50, seed=17, n_ks=40)[0]
         assert res.rows[0]["ks"] != res.rows[1]["ks"]
 
     def test_short_grid_fits_no_slope(self):
-        res = repro.run_sweep("lingauss", [("leapfrog", (0.4, 0.2))], n=80,
-                              reps=1, burn_in=50, seed=17, n_ks=40)
+        res = repro.run_sweeps("lingauss", [("leapfrog", (0.4, 0.2))], [("full", 1)],
+                               n=80, reps=1, burn_in=50, seed=17, n_ks=40)[0]
         assert len(res.rows) == 2
         assert res.slopes == []
 
@@ -116,8 +115,8 @@ class TestRunSweep:
 
     def test_no_closed_form_posterior_rejected(self):
         with pytest.raises(AnalyticPosteriorUnavailable):
-            repro.run_sweep("logistic2d", self.PLAN, n=50, reps=1,
-                            burn_in=20, seed=0)
+            repro.run_sweeps("logistic2d", self.PLAN, [("full", 1)], n=50, reps=1,
+                             burn_in=20, seed=0)
 
     @pytest.mark.parametrize("bad, match", [
         (dict(n=0), "n must"), (dict(n=-3), "n must"),
@@ -133,8 +132,8 @@ class TestRunSweep:
             self.run(**bad)
 
     def test_n_ks_at_oracle_size_accepted(self):
-        res = repro.run_sweep("lingauss", [("leapfrog", (0.4,))], n=20, reps=1,
-                              burn_in=5, seed=17, n_ks=100_000)
+        res = repro.run_sweeps("lingauss", [("leapfrog", (0.4,))], [("full", 1)], n=20,
+                               reps=1, burn_in=5, seed=17, n_ks=100_000)[0]
         assert res.rows[0]["n"] == 20
 
     def test_perm_mode_builds_batched_model(self):
@@ -158,9 +157,8 @@ class TestSweepEnsembles:
 
     def test_rows_match_reference_loop(self):
         plan = [("mt3", (0.4, 0.2)), ("leapfrog", (0.3,))]
-        res = repro.run_sweep("lingauss", plan, mode="perm", n_batches=8,
-                              friction=2.0, n=40, reps=2, burn_in=30, seed=23,
-                              n_ks=25)
+        res = repro.run_sweeps("lingauss", plan, [("perm", 8)], friction=2.0, n=40,
+                               reps=2, burn_in=30, seed=23, n_ks=25)[0]
         post = repro.build_model("lingauss", 8).analytic_posterior()
         cells = [(scheme, eta) for scheme, etas in plan for eta in etas]
         for cell, ((scheme, eta), row) in enumerate(zip(cells, res.rows)):
@@ -181,8 +179,8 @@ class TestSweepEnsembles:
     def test_jobs_do_not_change_rows_or_slopes(self):
         plan = [("leapfrog", (0.4, 0.283, 0.2)), ("spv", (0.4, 0.283, 0.2))]
         args = dict(n=60, reps=2, burn_in=40, seed=17, n_ks=30)
-        one = repro.run_sweep("lingauss", plan, jobs=1, **args)
-        two = repro.run_sweep("lingauss", plan, jobs=2, **args)
+        one = repro.run_sweeps("lingauss", plan, [("full", 1)], jobs=1, **args)[0]
+        two = repro.run_sweeps("lingauss", plan, [("full", 1)], jobs=2, **args)[0]
         assert one.rows == two.rows
         assert one.slopes == two.slopes
         assert len(one.slopes) == 2
@@ -203,15 +201,15 @@ class TestSweepEnsembles:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, tasks):
-                return map(fn, tasks)
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         plan = [("leapfrog", (0.4,)), ("spv", (0.4,))]
         args = dict(n=20, reps=1, burn_in=10, seed=17, n_ks=10)
-        many = repro.run_sweep("lingauss", plan, jobs=10_000, **args)
+        many = repro.run_sweeps("lingauss", plan, [("full", 1)], jobs=10_000, **args)
         assert sizes == [2]
-        assert many.rows == repro.run_sweep("lingauss", plan, jobs=1, **args).rows
+        assert many == repro.run_sweeps("lingauss", plan, [("full", 1)], jobs=1, **args)
 
     def test_divergence_raises_first_chain_in_cell_replica_order(self):
         etas = (0.1, 2.0, 6.0)
@@ -230,9 +228,8 @@ class TestSweepEnsembles:
         # a later chain diverges sooner, so lockstep order alone would pick it
         assert min(steps.values()) < expected.step_index
         with pytest.raises(DivergenceError) as info:
-            repro.run_sweep("lingauss", [("leapfrog", etas)], mode="perm",
-                            n_batches=8, friction=0.1, n=300, reps=2,
-                            burn_in=0, seed=4)
+            repro.run_sweeps("lingauss", [("leapfrog", etas)], [("perm", 8)],
+                             friction=0.1, n=300, reps=2, burn_in=0, seed=4)
         err = info.value
         assert (err.step_index, err.eta) == (expected.step_index, etas[cell])
         assert err.partial[0].tobytes() == expected.partial[0].tobytes()
@@ -240,7 +237,7 @@ class TestSweepEnsembles:
 
 class TestMergedSweeps:
     """`run_sweeps` runs a plan pair's modes as one ensemble; each mode's
-    result must equal the `run_sweep` call for that mode alone."""
+    result must equal a sweep of that mode alone."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("model, modes", [
@@ -254,7 +251,7 @@ class TestMergedSweeps:
         merged = repro.run_sweeps(model, plan, modes, **args)
         assert len(merged) == len(modes)
         for (mode, k), res in zip(modes, merged):
-            alone = repro.run_sweep(model, plan, mode=mode, n_batches=k, **args)
+            alone, = repro.run_sweeps(model, plan, [(mode, k)], **args)
             assert res.rows == alone.rows
             assert res.slopes == alone.slopes
             assert all(row["mode"] == mode and row["K"] == k for row in res.rows)
@@ -265,7 +262,7 @@ class TestMergedSweeps:
         plan = [("leapfrog", (0.1,)), ("leapfrog", (2.0, 6.0))]
         args = dict(friction=0.1, n=300, reps=2, burn_in=0, seed=4, jobs=jobs)
         with pytest.raises(DivergenceError) as alone:
-            repro.run_sweep("lingauss", plan, mode="full", n_batches=1, **args)
+            repro.run_sweeps("lingauss", plan, [("full", 1)], **args)
         with pytest.raises(DivergenceError) as merged:
             repro.run_sweeps("lingauss", plan, [("full", 1), ("perm", 8)], **args)
         err, ref = merged.value, alone.value
@@ -273,9 +270,10 @@ class TestMergedSweeps:
         assert err.partial[0].tobytes() == ref.partial[0].tobytes()
         assert err.partial[1] is ref.partial[1] is None
 
-    def test_first_divergence_in_mode_then_pair_order(self, monkeypatch):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_first_divergence_in_pair_then_mode_order(self, monkeypatch, jobs):
         # the first pair diverges in its second mode only, the second pair in
-        # its first: separate calls meet the second pair's error first
+        # its first: the first pair's error wins, as it comes first in the plan
         def fake_states(P, specs, scheds, cfgs, idx, keep_momenta=True):
             for c, (spec, sched) in enumerate(zip(specs, scheds)):
                 if (spec.scheme.value, sched.mode.value) in (("leapfrog", "perm"),
@@ -288,14 +286,11 @@ class TestMergedSweeps:
 
         monkeypatch.setattr(repro, "run_states", fake_states)
         plan = [("leapfrog", (0.3, 0.2)), ("spv", (0.3, 0.2))]
-        args = dict(n=5, reps=2, burn_in=0, seed=1)
-        with pytest.raises(DivergenceError) as alone:
-            repro.run_sweep("lingauss", plan, mode="full", **args)
-        with pytest.raises(DivergenceError) as merged:
+        args = dict(n=5, reps=2, burn_in=0, seed=1, jobs=jobs)
+        with pytest.raises(DivergenceError) as info:
             repro.run_sweeps("lingauss", plan, [("full", 1), ("perm", 8)], **args)
-        assert alone.value.scheme.value == "spv"
-        assert (merged.value.scheme, merged.value.step_index) == (
-            alone.value.scheme, alone.value.step_index)
+        # chain 4 of the first pair's ensemble: its first perm chain
+        assert (info.value.scheme.value, info.value.step_index) == ("leapfrog", 14)
 
     def test_modes_must_share_batch_count(self, monkeypatch):
         def no_chains(*args, **kw):
@@ -325,7 +320,7 @@ class TestMergedSweeps:
 
 class TestToyHistograms:
     def test_structure_and_counts(self):
-        out = repro.toy_histograms(eta=0.4, n=3000, burn_in=300, seed=5)
+        out, = repro.exact_histograms([(0.4, 5)], n=3000, burn_in=300)
         assert set(out) == {"full", "minibatch"}
         for data in out.values():
             assert len(data["edges"]) == 129
@@ -333,7 +328,7 @@ class TestToyHistograms:
             assert 0.0 < data["ks"] < 1.0
 
     def test_modes_differ_at_coarse_step(self):
-        out = repro.toy_histograms(eta=0.4, n=3000, burn_in=300, seed=5)
+        out, = repro.exact_histograms([(0.4, 5)], n=3000, burn_in=300)
         assert out["minibatch"]["ks"] > out["full"]["ks"]
 
     def test_bottleneck_report_equals_reference_loop(self, tmp_path):

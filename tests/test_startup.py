@@ -74,11 +74,11 @@ print(json.dumps({"before": before, "after": loaded(),
 def test_parallel_sweep_imports_pool_on_first_use():
     got = fresh_python(PRELUDE + f"""
 from hsde import repro
-res = repro.run_sweep("lingauss", {SWEEP_PLAN!r}, jobs=2, **{SWEEP_ARGS!r})
+res, = repro.run_sweeps("lingauss", {SWEEP_PLAN!r}, [("full", 1)], jobs=2, **{SWEEP_ARGS!r})
 print(json.dumps({{"loaded": loaded(), "rows": res.rows, "slopes": res.slopes}}))
 """)
     assert "concurrent.futures.process" in got["loaded"]
     assert "scipy" not in got["loaded"]
-    one = repro.run_sweep("lingauss", SWEEP_PLAN, jobs=1, **SWEEP_ARGS)
+    one, = repro.run_sweeps("lingauss", SWEEP_PLAN, [("full", 1)], jobs=1, **SWEEP_ARGS)
     assert got["rows"] == one.rows
     assert got["slopes"] == one.slopes

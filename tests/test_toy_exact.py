@@ -389,6 +389,18 @@ class TestExactEnsembleRun:
         check_ensemble(reference_params(), [0.01, 0.4], ["minibatch", "full"],
                        [12, 3], [1, 0], burn_in=100, n_samples=90, thinning=7)
 
+    def test_positions_alone_equal_the_full_run(self):
+        # the histogram runs hold positions only; dropping the momenta must
+        # leave every position bit where it was
+        p = reference_params()
+        cfg = ChainConfig(n_samples=600, burn_in=50, thinning=1, seed=11)
+        args = (p, [0.4, 0.4], ["full", "minibatch"], [cfg] * 2, [0, 0])
+        thetas, momenta = run_exact_states(*args)
+        alone, none = run_exact_states(*args, keep_momenta=False)
+        assert none is None
+        assert momenta.shape == thetas.shape
+        assert_bits(alone, thetas)
+
     def test_traces_own_their_arrays(self):
         # a trace shares no array with another trace or with itself, so
         # writing into one leaves a rerun and its own other fields alone
