@@ -32,8 +32,9 @@ import numpy as np
 from . import repro
 from .batching import make_schedule
 from .chain import ChainConfig, DivergenceError, run_chain, save_trace
-from .core import MassMatrix, RngStream, State, format_float
+from .core import MassMatrix, RngStream, State, format_float, write_columns
 from .geometry import (
+    check_eps,
     det_target_leapfrog,
     det_target_lie_trotter,
     freeze_step,
@@ -102,14 +103,22 @@ def _apply_config(ctx: click.Context, config: str | None) -> None:
             ctx.params[param.name] = param.type.convert(text, param, ctx)
 
 
-def _run_dir(out: str | None, command: str, seed: int) -> tuple[str, bool]:
-    """The run directory, made if missing, and whether this call made it."""
+def _run_dir(out: str | None, command: str, seed: int, made: list) -> str:
+    """The run directory, made if missing; each directory made here is
+    appended to `made`, outermost first, as soon as it exists."""
     if out is None:
         stamp = datetime.now().strftime("%Y%m%d-%H%M%S")
         out = os.path.join("runs", f"{command}-{stamp}-{seed}")
-    made = not os.path.isdir(out)
-    os.makedirs(out, exist_ok=True)
-    return out, made
+    missing = []
+    head = os.path.normpath(out)
+    while head and not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    for path in reversed(missing):
+        os.mkdir(path)
+        made.append(path)
+    os.makedirs(out, exist_ok=True)  # raises where out names a file
+    return out
 
 
 def _write_meta(out_dir: str, command: str, params: dict, wall: float,
@@ -134,25 +143,30 @@ def _execute(ctx: click.Context, command: str, body) -> None:
     kw.pop("config", None)
     out = kw.pop("out", None)
     t0 = time.perf_counter()
-    out_dir, made = None, False
+    made = []
     try:
-        out_dir, made = _run_dir(out, command, kw.get("seed", 0))
-        extra = body(out_dir, **kw)
-        _write_meta(out_dir, command, kw, time.perf_counter() - t0, extra)
-    except (click.UsageError, ValueError) as err:
-        # bad input leaves no empty run directory behind, and never removes
-        # one the caller named that was there before
-        if made and not os.listdir(out_dir):
-            os.rmdir(out_dir)
-        if isinstance(err, click.UsageError):
-            raise
-        raise click.UsageError(str(err))
-    except DivergenceError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_DIVERGED)
-    except OSError as err:
-        click.echo(f"error: {err}", err=True)
-        sys.exit(EXIT_IO)
+        try:
+            out_dir = _run_dir(out, command, kw.get("seed", 0), made)
+            extra = body(out_dir, **kw)
+            _write_meta(out_dir, command, kw, time.perf_counter() - t0, extra)
+        except ValueError as err:
+            raise click.UsageError(str(err))
+        except DivergenceError as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_DIVERGED)
+        except OSError as err:
+            click.echo(f"error: {err}", err=True)
+            sys.exit(EXIT_IO)
+    except BaseException:
+        # a failed run leaves behind none of the directories it made that
+        # are still empty, innermost first, and never removes one that was
+        # there before
+        for path in reversed(made):
+            try:
+                os.rmdir(path)
+            except OSError:
+                break
+        raise
     click.echo(out_dir)
 
 
@@ -372,6 +386,10 @@ def _do_opcheck(out_dir, trials, parts, dims, seed):
 # geom
 
 
+# the most bytes of probe points and their images one `jacobian_fd` call
+# steps: a few hundred states at once, and working memory does not grow
+# with --states
+_GEOM_PASS_BYTES = 1 << 19
 _GEOM_SCHEMES = click.Choice(["euler", "leapfrog", "sghmc", "spv", "symmetric",
                               "lie-trotter", "hmc"])
 
@@ -399,6 +417,7 @@ def geom(ctx, **_kw):
 def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
     if states < 1:
         raise click.UsageError("--states must be >= 1")
+    check_eps(eps)
     potential = repro.build_model(model, 1)
     d = potential.dim
     mass = MassMatrix.identity(d)
@@ -413,25 +432,30 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
     else:
         target = det_target_lie_trotter(eta, friction, mass, n_inner)
 
-    grad = potential.gradient
-    hess = potential.hessian_vec
+    grad, hess = potential.gradient_many, potential.hessian_vec_many
     draw = RngStream(seed, 1)
-    rows = []
-    for idx in range(states):
-        z0 = State(r=draw.normal(d), theta=draw.normal(d))
-        F = freeze_step(spec, grad, RngStream(seed, 4 * idx), z0, hess=hess)
-        J = jacobian_fd(F, z0, eps=eps)
-        det = float(np.linalg.det(J))
-        # one row per probe state, in draw order
-        rows.append({"scheme": scheme, "eta": eta, "C": friction,
-                     "det_J": det, "det_target": float(target),
-                     "det_residual": abs(det - target),
-                     "symp_residual": float(symplectic_residual(J))})
-    repro.write_csv(os.path.join(out_dir, "summary.csv"),
-                    ["scheme", "eta", "C", "det_J", "det_target",
-                     "det_residual", "symp_residual"], rows)
-    worst = max(r["det_residual"] for r in rows)
-    return {"max_det_residual": format_float(worst)}
+    # 4d points of 2d floats per state, in and out
+    per_pass = max(1, _GEOM_PASS_BYTES // (128 * d * d))
+    dets, symps = [], []
+    for lo in range(0, states, per_pass):
+        count = min(per_pass, states - lo)
+        # each state's r then its theta, in draw order: one call reads what
+        # 2 * count calls of normal(d) read
+        probes = [State(r=r, theta=th) for r, th in draw.normal(2 * d * count).reshape(-1, 2, d)]
+        steps = [freeze_step(spec, grad, RngStream(seed, 4 * idx), z0, hess=hess)
+                 for idx, z0 in enumerate(probes, start=lo)]
+        J = jacobian_fd(steps, probes, eps=eps)
+        dets.append(np.linalg.det(J))
+        symps.append(symplectic_residual(J))
+    det = np.concatenate(dets)
+    residual = np.abs(det - target)
+    # one row per probe state, in draw order
+    write_columns(os.path.join(out_dir, "summary.csv"),
+                  ["scheme", "eta", "C", "det_J", "det_target", "det_residual",
+                   "symp_residual"],
+                  [[scheme] * states, np.full(states, eta), np.full(states, friction), det,
+                   np.full(states, target), residual, np.concatenate(symps)])
+    return {"max_det_residual": format_float(residual.max())}
 
 
 # ---------------------------------------------------------------------------

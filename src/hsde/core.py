@@ -9,8 +9,8 @@ Conventions used throughout the package:
 - Randomness flows through `RngStream`, a counter-based generator keyed by
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
-- Every CSV is written by `write_columns` (for `chain` and `repro`), every
-  float in a CSV or in `meta.txt` by `format_float`. Both stay out of
+- Every CSV is written by `write_columns` (for `chain`, `repro` and `cli`),
+  every float in a CSV or in `meta.txt` by `format_float`. Both stay out of
   `__all__`, like `as_vector`: perfbench's tracer wraps every `__all__`
   function, and a span per cell would swamp its trace.
 """
@@ -175,12 +175,13 @@ class RngStream:
         bounds. However a sequence of draws is split into calls, it reads
         the same numbers and leaves the stream in the same state.
         """
-        if size is None and not isinstance(n, np.ndarray):
-            if n < 1:
-                raise ValueError("n must be >= 1")
-            return int(self._gen.integers(0, n))
-        if np.any(np.asarray(n) < 1):
+        bounds = isinstance(n, np.ndarray)
+        # a scalar bound is checked in plain Python: np.any on it costs a
+        # third of a small sized call
+        if np.any(n < 1) if bounds else n < 1:
             raise ValueError("n must be >= 1")
+        if size is None and not bounds:
+            return int(self._gen.integers(0, n))
         return self._gen.integers(0, n, size)
 
     def permutation(self, n: int) -> np.ndarray:

@@ -12,6 +12,15 @@ the two structural properties checked here:
   the fully explicit scheme keeps an O(eta^2) defect.
 
 Phase-space ordering everywhere is momentum block first: z = [r, theta].
+
+Probe states are checked as a stack: `jacobian_fd` steps the 4d points
+z +- eps e_n of S states, each state's pinned draws repeated over its rows,
+as the rows of one (4dS, d) array pair through one stepper call, with the
+row gradient and Hessian-vector providers a chain ensemble uses. Every step
+formula is elementwise and the row providers give each row the bits of a
+one-point call, so each state's Jacobian has the bits it would get alone;
+`np.linalg.det` and `symplectic_residual` take the (S, 2d, 2d) stack and
+keep those bits too.
 """
 
 from __future__ import annotations
@@ -38,10 +47,13 @@ _EPS_RANGE = (1e-7, 1e-3)
 class FrozenStep:
     """One integrator step with its noise draws pinned.
 
-    Calling it maps (r, theta) -> (r', theta') with the exact same noise
-    vectors injected every time, so the map is deterministic and smooth and
-    finite differences through it are meaningful. `noise` holds the
-    scheme's `noise_draws` vectors, each of the spec's dimension.
+    Calling it maps (r, theta) -> (r', theta'), one point of (d,) arrays or
+    the rows of (R, d) arrays, with the exact same noise vectors injected
+    every time, so the map is deterministic and smooth and finite
+    differences through it are meaningful. `noise` holds the scheme's
+    `noise_draws` vectors, each of the spec's dimension; grad and hess are
+    row providers, (R, d) -> (R, d), as `Potential.gradient_many` and
+    `Potential.hessian_vec_many`.
     """
 
     def __init__(self, spec: IntegratorSpec, grad, noise, hess=None):
@@ -53,19 +65,26 @@ class FrozenStep:
                              f"draws of shape ({spec.dim},)")
         self._grad = grad
         self._hess = hess
-        self._stepper = compile_step(spec)
 
     def __call__(self, r: np.ndarray, theta: np.ndarray) -> tuple:
-        r_new, th_new = self._stepper(
-            np.asarray(r, dtype=np.float64),
-            np.asarray(theta, dtype=np.float64),
-            self._grad,
-            self._hess,
-            self.noise,
-        )
-        if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
-            raise ValueError("frozen step produced non-finite output")
-        return r_new, th_new
+        r = np.asarray(r, dtype=np.float64)
+        theta = np.asarray(theta, dtype=np.float64)
+        r_new, th_new = _step_rows([self], np.atleast_2d(r), np.atleast_2d(theta))
+        return (r_new, th_new) if r.ndim == 2 else (r_new[0], th_new[0])
+
+
+def _step_rows(steps: list, r: np.ndarray, theta: np.ndarray) -> tuple:
+    """The frozen maps at the rows of (R, d) r and theta: the rows fall into
+    len(steps) equal blocks, block s stepped with steps[s]'s draws, all
+    through one stepper call."""
+    F = steps[0]
+    block = len(r) // len(steps)
+    noise = [np.repeat(np.stack([s.noise[j] for s in steps]), block, axis=0)
+             for j in range(len(F.noise))]
+    r_new, th_new = compile_step(F.spec)(r, theta, F._grad, F._hess, noise)
+    if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
+        raise ValueError("frozen step produced non-finite output")
+    return r_new, th_new
 
 
 def freeze_step(
@@ -76,26 +95,47 @@ def freeze_step(
     return FrozenStep(spec, grad, noise, hess=hess)
 
 
-def jacobian_fd(F: FrozenStep, z0: State, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of the frozen map at z0.
-
-    Rows and columns are ordered momentum block first, position block
-    second: entry (m, n) is d psi_m / d z_n for z = [r, theta].
-    """
+def check_eps(eps: float) -> None:
+    """Reject a finite-difference step outside the range `jacobian_fd` takes."""
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         raise ValueError(f"eps must lie in [{_EPS_RANGE[0]}, {_EPS_RANGE[1]}]")
-    d = z0.dim
-    base = np.concatenate([z0.r, z0.theta])
-    J = np.empty((2 * d, 2 * d))
-    for n in range(2 * d):
-        plus = base.copy()
-        minus = base.copy()
-        plus[n] += eps
-        minus[n] -= eps
-        rp, tp = F(plus[:d], plus[d:])
-        rm, tm = F(minus[:d], minus[d:])
-        J[:, n] = np.concatenate([rp - rm, tp - tm]) / (2.0 * eps)
-    return J
+
+
+def jacobian_fd(F, z0, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian of the frozen map at z0.
+
+    F and z0 are one FrozenStep and one State, or equal-length sequences of
+    S of each (probe states with their own pinned draws, one spec and one
+    pair of providers between them); the result is one (2d, 2d) matrix or
+    an (S, 2d, 2d) stack. All 4dS points z0 +- eps e_n are stepped as the
+    rows of one (4dS, d) pair. Rows and columns are ordered momentum block
+    first, position block second: entry (m, n) is d psi_m / d z_n for
+    z = [r, theta].
+    """
+    check_eps(eps)
+    single = isinstance(z0, State)
+    steps, states = ([F], [z0]) if single else (list(F), list(z0))
+    if not states or len(steps) != len(states):
+        raise ValueError("need one frozen step per probe state")
+    first = steps[0]
+    if any(s.spec is not first.spec or s._grad != first._grad or s._hess != first._hess
+           for s in steps):
+        raise ValueError("the frozen steps must share one spec and one pair of providers")
+    d = first.spec.dim
+    n = 2 * d
+    # points[s, 0, c] is state s with column c moved by +eps, points[s, 1, c]
+    # by -eps; every other entry keeps its bits
+    points = np.repeat(np.stack([np.concatenate([z.r, z.theta]) for z in states]),
+                       2 * n, axis=0).reshape(len(states), 2, n, n)
+    cols = np.arange(n)
+    points[:, 0, cols, cols] += eps
+    points[:, 1, cols, cols] -= eps
+    points = points.reshape(-1, n)
+    r_new, th_new = _step_rows(steps, np.ascontiguousarray(points[:, :d]),
+                               np.ascontiguousarray(points[:, d:]))
+    image = np.concatenate([r_new, th_new], axis=1).reshape(len(states), 2, n, n)
+    J = np.ascontiguousarray(((image[:, 0] - image[:, 1]) / (2.0 * eps)).swapaxes(1, 2))
+    return J[0] if single else J
 
 
 def det_target_leapfrog(eta: float, friction: float, mass: MassMatrix) -> float:
@@ -120,17 +160,20 @@ def symplectic_form(d: int) -> np.ndarray:
     return form
 
 
-def symplectic_residual(J: np.ndarray) -> float:
-    """Spectral norm of Omega^T form Omega - form; zero iff the map preserves
-    the canonical two-form."""
-    J = _square_even(J)
-    d = J.shape[0] // 2
-    form = symplectic_form(d)
-    return spectral_norm(J.T @ form @ J - form)
+def symplectic_residual(J: np.ndarray):
+    """Spectral norm of J^T form J - form; zero iff the map preserves the
+    canonical two-form.
 
-
-def _square_even(J) -> np.ndarray:
+    J is one square matrix of even dimension (a float is returned) or an
+    (S, 2d, 2d) stack of them (an array of S residuals); a matrix gives the
+    same bits alone as inside a stack.
+    """
     J = np.asarray(J, dtype=np.float64)
-    if J.ndim != 2 or J.shape[0] != J.shape[1] or J.shape[0] % 2 != 0:
-        raise ValueError("Jacobian must be square with even dimension")
-    return J
+    if J.ndim not in (2, 3) or J.shape[-1] != J.shape[-2] or J.shape[-1] % 2 != 0:
+        raise ValueError("Jacobian must be square with even dimension, or a stack of such")
+    single = J.ndim == 2
+    if single:
+        J = J[None]
+    form = symplectic_form(J.shape[-1] // 2)
+    out = spectral_norm(J.swapaxes(1, 2) @ form @ J - form)
+    return float(out[0]) if single else out

@@ -22,7 +22,11 @@ in code paths disjoint from the package implementation:
 - the earlier one-row-at-a-time CSV writers (trace, dict rows, report
   checks), whose bytes the shared column writer must reproduce,
 - the step formulas with every product by M^-1 written out, which the
-  steppers that skip unit factors must reproduce bit for bit.
+  steppers that skip unit factors must reproduce bit for bit,
+- the geom command's earlier per-state loop (one column of one probe
+  state's Jacobian at a time, with the one-point gradient), whose volume
+  factors and symplectic residuals the stacked probe pass must reproduce
+  bit for bit.
 
 These act as the frozen oracles that implementation outputs are compared to.
 """
@@ -615,3 +619,41 @@ def reference_kernel(scheme, n_inner, k):
             return r_new, th_new
     return stepper
 
+
+
+def reference_geom_states(spec, potential, seed, states, eps=1e-5):
+    """(det J, symplectic residual) per probe state, in draw order, as the
+    geom command computed them one state at a time: the state's r then its
+    theta drawn by two `normal(d)` calls on stream (seed, 1), its step's
+    draws on stream (seed, 4 idx), and a central-difference Jacobian built
+    column by column from one-point steps with `Potential.gradient` and
+    `Potential.hessian_vec`; then det and the spectral norm of
+    J^T form J - form for that one matrix."""
+    from hsde.core import RngStream
+    from hsde.integrators import compile_step, noise_draws
+    from hsde.operator_lab import spectral_norm
+
+    d = potential.dim
+    stepper = compile_step(spec)
+    form = np.zeros((2 * d, 2 * d))
+    form[:d, d:] = -np.eye(d)
+    form[d:, :d] = np.eye(d)
+    draw = RngStream(seed, 1)
+    out = []
+    for idx in range(states):
+        base = np.concatenate([draw.normal(d), draw.normal(d)])
+        rng = RngStream(seed, 4 * idx)
+        noise = [rng.normal(d) for _ in range(noise_draws(spec.scheme))]
+        J = np.empty((2 * d, 2 * d))
+        for n in range(2 * d):
+            plus = base.copy()
+            minus = base.copy()
+            plus[n] += eps
+            minus[n] -= eps
+            rp, tp = stepper(plus[:d], plus[d:], potential.gradient,
+                             potential.hessian_vec, noise)
+            rm, tm = stepper(minus[:d], minus[d:], potential.gradient,
+                             potential.hessian_vec, noise)
+            J[:, n] = np.concatenate([rp - rm, tp - tm]) / (2.0 * eps)
+        out.append((float(np.linalg.det(J)), spectral_norm(J.T @ form @ J - form)))
+    return out

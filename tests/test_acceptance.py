@@ -178,8 +178,8 @@ def test_07_quasi_symplecticity_identities():
                 spec = IntegratorSpec(scheme=scheme, eta=eta,
                                       friction=friction, mass=mass,
                                       n_inner=n_in)
-                F = freeze_step(spec, model.gradient, RngStream(70, 4 * idx),
-                                z0, hess=model.hessian_vec)
+                F = freeze_step(spec, model.gradient_many, RngStream(70, 4 * idx),
+                                z0, hess=model.hessian_vec_many)
                 det = float(np.linalg.det(jacobian_fd(F, z0)))
                 rel = abs(det - target) / abs(target)
                 if sink == "lf":
@@ -195,8 +195,8 @@ def test_07_quasi_symplecticity_identities():
     resid = {}
     for scheme in (Scheme.EULER, Scheme.LEAPFROG):
         spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0, mass=mass)
-        F = freeze_step(spec, model.gradient, RngStream(71, 2), z0,
-                        hess=model.hessian_vec)
+        F = freeze_step(spec, model.gradient_many, RngStream(71, 2), z0,
+                        hess=model.hessian_vec_many)
         resid[scheme] = symplectic_residual(jacobian_fd(F, z0))
     ratio = resid[Scheme.EULER] / max(resid[Scheme.LEAPFROG], 1e-300)
     dt = time.perf_counter() - t0

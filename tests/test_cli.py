@@ -334,6 +334,64 @@ def test_exit_2_leaves_no_empty_run_dir(runner, tmp_path, command):
     assert os.path.isdir(tmp_path / "old")
 
 
+# a failed run leaves none of the directories it made behind while they
+# are empty, whatever its exit code, and never removes one that was there
+class TestFailedRunCleanup:
+    # the chains overflow on purpose before the divergence check trips
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", [
+        ["sweep", "--scheme", "leapfrog", "--eta-grid", "0.1,2.0,6.0", "-C", "0.1",
+         "--n", "300", "--burn-in", "0", "--reps", "2"],
+        ["sample", "--model", "lingauss", "--eta", "50", "--n", "100"],
+    ], ids=["sweep", "sample"])
+    def test_divergence(self, runner, tmp_path, command):
+        result = runner.invoke(main, command + ["--out", str(tmp_path / "new")])
+        assert result.exit_code == 3, result.output
+        assert os.listdir(tmp_path) == []
+
+    def test_io_error(self, runner, tmp_path, monkeypatch):
+        from hsde import cli
+
+        def full_disk(*args, **kw):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_trace", full_disk)
+        result = runner.invoke(main, SAMPLE_FAST + ["--out", str(tmp_path / "new")])
+        assert result.exit_code == 4, result.output
+        assert os.listdir(tmp_path) == []
+
+    def test_default_out_parent(self, runner, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["toy", "--n", "0"])
+        assert result.exit_code == 2, result.output
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "runs").mkdir()
+        result = runner.invoke(main, ["toy", "--n", "0"])
+        assert result.exit_code == 2, result.output
+        assert os.listdir(tmp_path / "runs") == []
+
+    def test_nested_out(self, runner, tmp_path):
+        result = runner.invoke(main, ["toy", "--n", "0", "--out", str(tmp_path / "new/a/b")])
+        assert result.exit_code == 2, result.output
+        assert os.listdir(tmp_path) == []
+        (tmp_path / "new").mkdir()
+        result = runner.invoke(main, ["toy", "--n", "0", "--out", str(tmp_path / "new/a/b")])
+        assert result.exit_code == 2, result.output
+        assert os.listdir(tmp_path / "new") == []
+
+    def test_nonempty_directory_stays(self, runner, tmp_path, monkeypatch):
+        from hsde import cli
+
+        def half_written(trace, path):
+            open(path, "w").close()
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "save_trace", half_written)
+        result = runner.invoke(main, SAMPLE_FAST + ["--out", str(tmp_path / "new/a")])
+        assert result.exit_code == 4, result.output
+        assert os.listdir(tmp_path / "new/a") == ["trace.csv"]
+
+
 class TestToy:
     ARGS = ["toy", "--eta", "0.4", "--n", "500", "--burn-in", "50",
             "--seed", "2"]
@@ -502,6 +560,89 @@ class TestGeom:
         result = runner.invoke(main, ["geom", "--states", "0",
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+
+    def test_rejects_eps_before_any_draw(self, runner, tmp_path, monkeypatch):
+        from hsde.core import RngStream
+
+        def no_draws(*args, **kw):
+            raise AssertionError("a probe state was drawn before eps was checked")
+
+        monkeypatch.setattr(RngStream, "normal", no_draws)
+        result = runner.invoke(main, ["geom", "--eps", "1e-2", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 2, result.output
+        assert "eps must lie in" in result.output
+        assert not os.path.exists(tmp_path / "x")
+
+    @staticmethod
+    def count_stepper_calls(monkeypatch):
+        """Record the row count of every stepper call geometry makes."""
+        from hsde import geometry
+
+        compile_step = geometry.compile_step
+        calls = []
+
+        def counting(spec):
+            stepper = compile_step(spec)
+
+            def step(r, *rest):
+                calls.append(len(r))
+                return stepper(r, *rest)
+            return step
+
+        monkeypatch.setattr(geometry, "compile_step", counting)
+        return calls
+
+    # the CSV is the per-state loop's, to the byte, with passes of three
+    # states so that seven straddle two pass boundaries
+    @pytest.mark.parametrize("model", ["lingauss", "toy", "logistic2d"])
+    @pytest.mark.parametrize("scheme", ["euler", "leapfrog", "sghmc", "spv", "symmetric",
+                                        "lie-trotter", "hmc"])
+    def test_csv_matches_the_per_state_loop(self, runner, tmp_path, monkeypatch,
+                                            scheme, model):
+        from hsde import cli, repro
+        from hsde.core import MassMatrix, format_float
+        from hsde.integrators import IntegratorSpec
+
+        from .oracles import reference_geom_states
+
+        potential = repro.build_model(model, 1)
+        d = potential.dim
+        monkeypatch.setattr(cli, "_GEOM_PASS_BYTES", 3 * 128 * d * d)
+        calls = self.count_stepper_calls(monkeypatch)
+        out = tmp_path / "run"
+        run_ok(runner, ["geom", "--scheme", scheme, "--model", model, "--nl", "2",
+                        "--eta", "0.15", "-C", "1.1", "--states", "7", "--seed", "3",
+                        "--out", str(out)])
+        assert calls == [3 * 4 * d, 3 * 4 * d, 4 * d]
+        spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=1.1,
+                              mass=MassMatrix.identity(d), n_inner=2)
+        want = reference_geom_states(spec, potential, 3, 7)
+        rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
+        assert [(row[3], row[6]) for row in rows] == [
+            (format_float(det), format_float(symp)) for det, symp in want]
+        assert [row[5] for row in rows] == [
+            format_float(abs(det - float(row[4]))) for (det, _), row in zip(want, rows)]
+
+    def test_one_stepper_call_per_pass(self, runner, tmp_path, monkeypatch):
+        calls = self.count_stepper_calls(monkeypatch)
+        run_ok(runner, ["geom", "--states", "100", "--out", str(tmp_path / "a")])
+        assert calls == [100 * 4 * 4]
+        del calls[:]
+        run_ok(runner, ["geom", "--states", "600", "--out", str(tmp_path / "b")])
+        assert calls == [256 * 16, 256 * 16, 88 * 16]
+
+    def test_memory_does_not_grow_with_states(self, runner, tmp_path):
+        import tracemalloc
+
+        run_ok(runner, ["geom", "--states", "10", "--out", str(tmp_path / "warm")])
+        tracemalloc.start()
+        try:
+            run_ok(runner, ["geom", "--states", "1200", "--out", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 3.3 MB in passes of 256 states; one pass of all 1,200 takes 14 MB
+        assert peak < 6e6
 
 
 class TestReport:

@@ -13,8 +13,11 @@ from hsde.geometry import (
     symplectic_form,
     symplectic_residual,
 )
+from hsde import repro
 from hsde.integrators import IntegratorSpec, Scheme
 from hsde.potentials import LinearGaussian, Logistic2D
+
+from .oracles import reference_geom_states
 
 ALL_SCHEMES = list(Scheme)
 
@@ -173,8 +176,8 @@ class TestJacobianFd:
         }
         lg = lingauss_model()
         lo = logistic_model()
-        models["lingauss"] = (lg.gradient, lambda th, v: lg.hessian_vec(th, v), 3)
-        models["logistic"] = (lo.gradient, lambda th, v: lo.hessian_vec(th, v), 2)
+        models["lingauss"] = (lg.gradient_many, lg.hessian_vec_many, 3)
+        models["logistic"] = (lo.gradient_many, lo.hessian_vec_many, 2)
         rng = np.random.default_rng(7)
         for name, (grad, hess, d) in models.items():
             z0 = State(r=rng.normal(size=d) * 0.3, theta=rng.normal(size=d) * 0.3)
@@ -206,7 +209,7 @@ class TestDeterminantTargets:
             d = 2
         else:
             lo = logistic_model()
-            grad = lo.gradient
+            grad = lo.gradient_many
             d = 2
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.12, friction=1.1,
                               mass=MassMatrix(np.array([1.0, 1.6])))
@@ -304,3 +307,85 @@ class TestSymplecticResidual:
             symplectic_residual(np.eye(3))
         with pytest.raises(ValueError):
             symplectic_residual(np.zeros((2, 4)))
+
+
+# the schemes `hsde geom` probes, and its three models
+GEOM_SCHEMES = [Scheme.EULER, Scheme.LEAPFROG, Scheme.SGHMC, Scheme.SPV,
+                Scheme.SYMMETRIC, Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL]
+GEOM_MODELS = ["lingauss", "toy", "logistic2d"]
+
+
+def probe_stack(spec, potential, seed, states, eps=1e-5):
+    """The probe states and frozen steps the geom command builds: r then
+    theta of each state from one draw on stream (seed, 1), its step's draws
+    on stream (seed, 4 idx), the row providers."""
+    d = potential.dim
+    z = RngStream(seed, 1).normal(2 * d * states).reshape(-1, 2, d)
+    probes = [State(r=r, theta=th) for r, th in z]
+    steps = [freeze_step(spec, potential.gradient_many, RngStream(seed, 4 * idx), z0,
+                         hess=potential.hessian_vec_many)
+             for idx, z0 in enumerate(probes)]
+    return steps, probes
+
+
+class TestProbeStack:
+    # the partial-refresh scheme takes unit mass only
+    @pytest.mark.parametrize("scheme, model, unit_mass", [
+        pytest.param(s, m, unit, id=f"{s.value}-{m}-{'unit' if unit else 'mass'}")
+        for s in GEOM_SCHEMES for m in GEOM_MODELS for unit in (True, False)
+        if unit or s is not Scheme.HMC_PARTIAL])
+    def test_stacks_match_the_per_state_loop(self, scheme, model, unit_mass):
+        potential = repro.build_model(model, 1)
+        d = potential.dim
+        mass = (MassMatrix.identity(d) if unit_mass
+                else MassMatrix(np.linspace(0.6, 1.9, d) if d > 1 else [1.7]))
+        spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=1.3, mass=mass,
+                              n_inner=2)
+        steps, probes = probe_stack(spec, potential, seed=3, states=7)
+        # one stack of four states and one of three, as two passes would run
+        J = np.concatenate([jacobian_fd(steps[:4], probes[:4]),
+                            jacobian_fd(steps[4:], probes[4:])])
+        got = list(zip(np.linalg.det(J).tolist(), symplectic_residual(J).tolist()))
+        assert got == reference_geom_states(spec, potential, 3, 7)
+
+    def test_single_state_is_the_stack_of_one(self):
+        potential = repro.build_model("logistic2d", 1)
+        spec = make_spec(Scheme.MT3, potential.dim)
+        steps, probes = probe_stack(spec, potential, seed=5, states=4)
+        J = jacobian_fd(steps, probes)
+        assert J.shape == (4, 4, 4)
+        for F, z0, Js in zip(steps, probes, J):
+            assert jacobian_fd(F, z0).tobytes() == Js.tobytes()
+            assert jacobian_fd([F], [z0])[0].tobytes() == Js.tobytes()
+
+    def test_det_and_residual_same_bits_alone_as_in_a_stack(self):
+        J = np.random.default_rng(4).normal(size=(9, 6, 6))
+        dets = np.linalg.det(J)
+        res = symplectic_residual(J)
+        assert res.shape == (9,)
+        for i in range(9):
+            assert np.linalg.det(J[i]).tobytes() == dets[i].tobytes()
+            alone = symplectic_residual(J[i])
+            assert isinstance(alone, float) and alone == res[i]
+
+    def test_rejects_mismatched_stacks(self):
+        potential = repro.build_model("lingauss", 1)
+        spec = make_spec(Scheme.LEAPFROG, potential.dim)
+        steps, probes = probe_stack(spec, potential, seed=1, states=3)
+        with pytest.raises(ValueError, match="one frozen step per probe state"):
+            jacobian_fd(steps[:2], probes)
+        with pytest.raises(ValueError, match="one frozen step per probe state"):
+            jacobian_fd([], [])
+        other = make_spec(Scheme.LEAPFROG, potential.dim)
+        odd = freeze_step(other, potential.gradient_many, RngStream(1, 0), probes[0])
+        with pytest.raises(ValueError, match="share one spec"):
+            jacobian_fd([odd] + steps[1:], probes)
+        odd = freeze_step(spec, quad_grad, RngStream(1, 0), probes[0])
+        with pytest.raises(ValueError, match="share one spec"):
+            jacobian_fd([odd] + steps[1:], probes)
+
+    def test_residual_rejects_odd_stacks(self):
+        with pytest.raises(ValueError):
+            symplectic_residual(np.zeros((2, 3, 3)))
+        with pytest.raises(ValueError):
+            symplectic_residual(np.zeros((2, 2, 4, 4)))
