@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import RngStream
 
-__all__ = ["BatchMode", "BatchSchedule", "make_schedule"]
+__all__ = ["BatchMode", "BatchSchedule"]
 
 
 class BatchMode(str, enum.Enum):
@@ -48,20 +48,13 @@ class BatchSchedule:
     def next(self) -> tuple[int | None, float]:
         if self.mode is BatchMode.FULL:
             return None, 1.0
-        scale = float(self.n_batches)
-        if self.mode is BatchMode.IID_UNIFORM:
-            return self.rng.integers(self.n_batches), scale
-        if self._sweep is None or self._cursor >= self.n_batches:
-            self._sweep = self.rng.permutation(self.n_batches)
-            self._cursor = 0
-        batch = int(self._sweep[self._cursor])
-        self._cursor += 1
-        return batch, scale
+        return int(self.take(1)[0]), float(self.n_batches)
 
     def take(self, m: int) -> np.ndarray:
         """Batch ids of the next m steps as an int64 array, -1 marking the
-        full batch: what m `next` calls would give, leaving the schedule in
-        the state they would leave, with one draw call at most."""
+        full batch, with one draw call at most. However a run of steps is
+        split into calls, it reads the same ids and leaves the schedule in
+        the same state; `next` is one step of it."""
         if self.mode is BatchMode.FULL:
             return np.full(m, -1, dtype=np.int64)
         if self.mode is BatchMode.IID_UNIFORM:
@@ -79,7 +72,3 @@ class BatchSchedule:
         self._cursor = need - (len(perms) - 1) * K
         return np.concatenate([head, perms.ravel()[:need]])
 
-
-def make_schedule(mode, n_batches: int, rng: RngStream) -> BatchSchedule:
-    """Build a schedule; mode may be a BatchMode or its string value."""
-    return BatchSchedule(BatchMode(mode), n_batches, rng)

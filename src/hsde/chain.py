@@ -4,12 +4,15 @@ Stream convention (seed fixed, per chain index c):
 
     noise draws   -> RngStream(seed, 4c)
     initial state -> RngStream(seed, 4c + 1)
-    batch schedule-> RngStream(seed, 4c + 2)   (built by the caller)
+    batch schedule-> RngStream(seed, 4c + 2)
 
 so parallel chains are independent and any chain is reproducible in
-isolation. A trace keeps every `thinning`-th state after `burn_in` steps;
-defaults follow the oracle protocol used throughout the verification suite
-(burn-in 2000, thinning 500).
+isolation. `run_loop` builds each chain's noise stream and batch schedule,
+for this module's integrator chains and for the exact-kernel chains of
+`toy_exact` alike; each runner draws its own start. A trace keeps every
+`thinning`-th state after `burn_in` steps; defaults follow the oracle
+protocol used throughout the verification suite (burn-in 2000, thinning
+500).
 
 `run_states` advances R chains together as the rows of (R, d) arrays, each
 on its own streams above. Noise is drawn per chain in chunks of steps and
@@ -120,35 +123,11 @@ def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
     return State(r=r, theta=theta)
 
 
-def _divergence(spec: IntegratorSpec, chain: int, step_index: int, r, th, thetas,
-                momenta):
-    err = DivergenceError("chain diverged", r=r.copy(), theta=th.copy(),
-                          step_index=step_index, eta=spec.eta, scheme=spec.scheme)
-    err.chain = chain
-    err.partial = (thetas.copy(), None if momenta is None else momenta.copy())
-    return err
-
-
 def _kept_rows(i: int, m: int, burn_in: int, thin: int) -> slice:
     """The rows of a chunk of steps i+1..i+m (row j is step i+1+j) that a
     trace keeps: steps burn_in + k thin, k >= 1."""
     lo = max(i + 1, burn_in + 1)
     return slice(lo + (burn_in - lo) % thin - i - 1, m, thin)
-
-
-def _run_length(etas, cfgs, **per_chain) -> tuple[int, int, int]:
-    """Check an ensemble's arguments: one entry per chain in each named list,
-    every eta finite and > 0, and one run length. Returns (n_samples,
-    burn_in, thinning)."""
-    R = len(cfgs)
-    if R == 0 or any(len(arg) != R for arg in per_chain.values()):
-        *names, last = per_chain
-        raise ValueError(f"an ensemble needs one {', '.join(names)} and {last} per chain")
-    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
-        raise ValueError("running a chain requires a finite eta > 0")
-    if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
-        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
-    return cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
 
 
 def _trace(thetas, momenta, cfg: ChainConfig, dt: float) -> Trace:
@@ -161,63 +140,41 @@ def _trace(thetas, momenta, cfg: ChainConfig, dt: float) -> Trace:
                  effective_time=(burn_in + n * thin) * dt)
 
 
-def run_states(P: Potential, specs, scheds, cfgs, chain_indices,
-               keep_momenta: bool = True) -> tuple:
-    """Run R independent chains in lockstep as the rows of (R, d) arrays and
-    return their kept states as (thetas, momenta), each (R, n_samples, d);
-    with keep_momenta False, momenta is None and only positions are held.
+def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
+             keep_momenta: bool = True, **per_chain) -> tuple:
+    """The chain loop of `run_states` and `toy_exact.run_exact_states`.
 
-    Chain c is (specs[c], scheds[c], cfgs[c], chain_indices[c]) with its
-    own streams, and its rows equal the ones that chain gives run alone,
-    bit for bit. The chains share the potential, the scheme, n_inner and
-    the run length (n_samples, burn_in, thinning); step size, friction,
-    mass, seed, start and schedule may differ per chain.
+    Chain c steps with eta etas[c] in batch mode modes[c] over n_batches
+    batches on the streams of (cfgs[c].seed, chain_indices[c]); per_chain
+    names the caller's own per-chain list for the argument check. Once the
+    arguments are checked, `setup()` gives (scheme, n_draws, r, th,
+    advance): the scheme a divergence error names, the d-vectors of noise
+    one step draws, the (R, d) start, and `advance(r, th, noise, ids)`,
+    which takes the chains m steps on from (r, th), step j with the draws
+    noise[j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking the full
+    potential, and returns their (m, R, d) states (rs, ths).
 
-    If chains diverge, raises the DivergenceError of the first diverging
-    chain in list order, carrying its position in the list (`chain`), its
-    own step index, state (`r`, `theta`), scheme, eta and kept samples
-    (`partial`: thetas, and momenta or None). Divergence is checked once per
-    chunk of steps, over every step of the chunk, so each diverging chain is
-    found at its first non-finite step; the run goes on chunk by chunk
-    until no earlier chain is left that could diverge first.
+    Returns and raises as `run_states` does.
     """
-    specs, scheds, cfgs = list(specs), list(scheds), list(cfgs)
-    idx = [int(c) for c in chain_indices]
-    n, burn_in, thin = _run_length([s.eta for s in specs], cfgs, spec=specs,
-                                   schedule=scheds, config=cfgs, index=idx)
-    R = len(specs)
-    for spec, sched in zip(specs, scheds):
-        if P.dim != spec.mass.dim:
-            raise ValueError("potential and mass matrix dimensions differ")
-        if sched.mode is not BatchMode.FULL and sched.n_batches != P.n_batches:
-            raise ValueError("schedule and potential disagree on the batch count")
-
-    starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
-    rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, idx)]
-    full = [s.mode is BatchMode.FULL for s in scheds]
+    # one entry per chain in each list, every eta finite and > 0, one run length
+    per_chain.update(mode=modes, config=cfgs, index=chain_indices)
+    R = len(cfgs)
+    if R == 0 or any(len(arg) != R for arg in per_chain.values()):
+        *names, last = per_chain
+        raise ValueError(f"an ensemble needs one {', '.join(names)} and {last} per chain")
+    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
+        raise ValueError("running a chain requires a finite eta > 0")
+    if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
+        raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
+    n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
+    scheds = [BatchSchedule(mode, n_batches, RngStream(c.seed, 4 * i + 2))
+              for mode, c, i in zip(modes, cfgs, chain_indices)]
+    rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, chain_indices)]
+    scheme, n_draws, r, th, advance = setup()
+    d = th.shape[1]
     total_steps = burn_in + n * thin
-    d = P.dim
-    n_draws = noise_draws(specs[0].scheme)
     thetas = np.empty((R, n, d))
     momenta = np.empty((R, n, d)) if keep_momenta else None
-    r = np.stack([z.r for z in starts])
-    th = np.stack([z.theta for z in starts])
-
-    stepper = compile_ensemble_step(specs)
-    scale = None
-    if not all(full):
-        # (R, d) like the state: same-shape products skip broadcasting
-        scale = np.stack([np.full(d, 1.0 if f else float(s.n_batches))
-                          for f, s in zip(full, scheds)])
-
-    def grad(x):
-        g = P.gradient_many(x, ids)
-        return g if scale is None else scale * g
-
-    def hess(x, v):
-        h = P.hessian_vec_many(x, v, ids)
-        return h if scale is None else scale * h
-
     errors: dict = {}
     kept = 0
     i = 0
@@ -225,25 +182,17 @@ def run_states(P: Potential, specs, scheds, cfgs, chain_indices,
     # the finiteness check below reports each chain once
     with np.errstate(all="ignore"):
         while i < total_steps and 0 not in errors:
-            # noise and batch operands for the next m steps, drawn per chain
-            # in the order its steps would draw them one by one; noise[j]
-            # holds step j's draws, each (R, d)
+            # noise and batch ids for the next m steps, drawn per chain in
+            # the order its steps would draw them one by one
             m = min(_CHUNK, total_steps - i)
             noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
                               for rng in rngs], axis=2)
-            batches = ([None] * m if scale is None else
-                       P.chunk_batches(np.stack([s.take(m) for s in scheds], axis=1)))
-            # the steppers return fresh arrays, so each step's state is kept
-            # by reference and the chunk's states are stacked once, (m, R, d)
-            rs, ths = [], []
-            for noise_j, ids in zip(noise, batches):
-                r, th = stepper(r, th, grad, hess, noise_j)
-                rs.append(r)
-                ths.append(th)
-            # the chunk's noise and operands (the loop variables hold views
-            # of them) are freed before the next chunk's are drawn
-            del noise, noise_j, ids
-            rs, ths = np.stack(rs), np.stack(ths)
+            ids = np.stack([s.take(m) for s in scheds], axis=1)
+            rs, ths = advance(r, th, noise, ids)
+            # freed before the next chunk's are drawn, and the last states
+            # copied so that the chunk's are too
+            del noise, ids
+            r, th = rs[-1].copy(), ths[-1].copy()
             rows = _kept_rows(i, m, burn_in, thin)
             kept_th = ths[rows].swapaxes(0, 1)
             n_kept = kept_th.shape[1]
@@ -259,23 +208,91 @@ def run_states(P: Potential, specs, scheds, cfgs, chain_indices,
                     j = int(bad[:, c].argmax())
                     # samples kept before step i + 1 + j
                     k = max(0, (i + j - burn_in) // thin)
-                    errors[c] = _divergence(specs[c], c, i + 1 + j, rs[j, c], ths[j, c],
-                                            thetas[c, :k],
-                                            momenta[c, :k] if keep_momenta else None)
+                    err = errors[c] = DivergenceError(
+                        "chain diverged", r=rs[j, c].copy(), theta=ths[j, c].copy(),
+                        step_index=i + 1 + j, eta=etas[c], scheme=scheme)
+                    err.chain = c
+                    err.partial = (thetas[c, :k].copy(),
+                                   momenta[c, :k].copy() if keep_momenta else None)
             i += m
     if errors:
         raise errors[min(errors)]
     return thetas, momenta
 
 
-def run_chain(P: Potential, spec: IntegratorSpec, sched: BatchSchedule,
-              cfg: ChainConfig, chain_index: int = 0) -> Trace:
-    """Run one chain; deterministic given (cfg.seed, chain_index).
+def run_states(P: Potential, specs, modes, cfgs, chain_indices,
+               keep_momenta: bool = True) -> tuple:
+    """Run R independent chains in lockstep as the rows of (R, d) arrays and
+    return their kept states as (thetas, momenta), each (R, n_samples, d);
+    with keep_momenta False, momenta is None and only positions are held.
+
+    Chain c is (specs[c], modes[c], cfgs[c], chain_indices[c]) with its
+    own streams, its batch schedule in mode modes[c] over the potential's
+    n_batches, and its rows equal the ones that chain gives run alone, bit
+    for bit. The chains share the potential, the scheme, n_inner and the
+    run length (n_samples, burn_in, thinning); step size, friction, mass,
+    seed, start and batch mode may differ per chain.
+
+    If chains diverge, raises the DivergenceError of the first diverging
+    chain in list order, carrying its position in the list (`chain`), its
+    own step index, state (`r`, `theta`), scheme, eta and kept samples
+    (`partial`: thetas, and momenta or None). Divergence is checked once per
+    chunk of steps, over every step of the chunk, so each diverging chain is
+    found at its first non-finite step; the run goes on chunk by chunk
+    until no earlier chain is left that could diverge first.
+    """
+    specs, cfgs = list(specs), list(cfgs)
+    modes = [BatchMode(mode) for mode in modes]
+    idx = [int(c) for c in chain_indices]
+
+    def setup():
+        # checks that the specs share a dimension, so one stands for all below
+        stepper = compile_ensemble_step(specs)
+        if P.dim != specs[0].mass.dim:
+            raise ValueError("potential and mass matrix dimensions differ")
+        starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
+        scale = None
+        if any(mode is not BatchMode.FULL for mode in modes):
+            # (R, d) like the state: same-shape products skip broadcasting
+            scale = np.stack([np.full(P.dim, 1.0 if mode is BatchMode.FULL
+                                      else float(P.n_batches)) for mode in modes])
+
+        def advance(r, th, noise, ids):
+            def grad(x):
+                g = P.gradient_many(x, batch)
+                return g if scale is None else scale * g
+
+            def hess(x, v):
+                h = P.hessian_vec_many(x, v, batch)
+                return h if scale is None else scale * h
+
+            # the steppers return fresh arrays, so each step's state is kept
+            # by reference and the chunk's states are stacked once
+            rs, ths = [], []
+            for noise_j, batch in zip(noise, [None] * len(noise) if scale is None
+                                      else P.chunk_batches(ids)):
+                r, th = stepper(r, th, grad, hess, noise_j)
+                rs.append(r)
+                ths.append(th)
+            return np.stack(rs), np.stack(ths)
+
+        scheme = specs[0].scheme
+        return (scheme, noise_draws(scheme), np.stack([z.r for z in starts]),
+                np.stack([z.theta for z in starts]), advance)
+
+    return run_loop(setup, [s.eta for s in specs], modes, P.n_batches, cfgs, idx,
+                    keep_momenta, spec=specs)
+
+
+def run_chain(P: Potential, spec: IntegratorSpec, mode, cfg: ChainConfig,
+              chain_index: int = 0) -> Trace:
+    """Run one chain in batch mode `mode`; deterministic given (cfg.seed,
+    chain_index).
 
     Raises DivergenceError (with step index and the samples kept so far
     attached as `partial`) if the state leaves the finite range.
     """
-    thetas, momenta = run_states(P, [spec], [sched], [cfg], [chain_index])
+    thetas, momenta = run_states(P, [spec], [mode], [cfg], [chain_index])
     return _trace(thetas[0], momenta[0], cfg, _step_duration(spec))
 
 

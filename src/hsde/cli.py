@@ -30,18 +30,16 @@ import click
 import numpy as np
 
 from . import repro
-from .batching import make_schedule
 from .chain import ChainConfig, DivergenceError, run_chain, save_trace
-from .core import MassMatrix, RngStream, State, format_float, write_columns
+from .core import MassMatrix, RngStream, format_float, write_columns
 from .geometry import (
     check_eps,
     det_target_leapfrog,
     det_target_lie_trotter,
-    freeze_step,
     jacobian_fd,
     symplectic_residual,
 )
-from .integrators import IntegratorSpec, Scheme
+from .integrators import IntegratorSpec, Scheme, noise_draws
 from .metrics import EmpiricalSample, ks_vs_gaussian, moment_errors
 from .operator_lab import run_order_trials, slope_band
 from .potentials import AnalyticPosteriorUnavailable
@@ -241,8 +239,7 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
                               mass=MassMatrix.identity(potential.dim),
                               n_inner=n_inner, v_hat=v_hat)
-        sched = make_schedule(mode, potential.n_batches, RngStream(seed, 2))
-        trace = run_chain(potential, spec, sched, cfg)
+        trace = run_chain(potential, spec, mode, cfg)
     save_trace(trace, os.path.join(out_dir, "trace.csv"))
     extra = {"effective_time": format_float(trace.effective_time),
              "kept": trace.n_samples}
@@ -433,6 +430,7 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
         target = det_target_lie_trotter(eta, friction, mass, n_inner)
 
     grad, hess = potential.gradient_many, potential.hessian_vec_many
+    n_draws = noise_draws(spec.scheme)
     draw = RngStream(seed, 1)
     # 4d points of 2d floats per state, in and out
     per_pass = max(1, _GEOM_PASS_BYTES // (128 * d * d))
@@ -441,10 +439,11 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
         count = min(per_pass, states - lo)
         # each state's r then its theta, in draw order: one call reads what
         # 2 * count calls of normal(d) read
-        probes = [State(r=r, theta=th) for r, th in draw.normal(2 * d * count).reshape(-1, 2, d)]
-        steps = [freeze_step(spec, grad, RngStream(seed, 4 * idx), z0, hess=hess)
-                 for idx, z0 in enumerate(probes, start=lo)]
-        J = jacobian_fd(steps, probes, eps=eps)
+        z = draw.normal(2 * d * count).reshape(count, 2 * d)
+        # each state's step draws from its own stream, (n_draws, count, d)
+        noise = np.stack([RngStream(seed, 4 * idx).normal(n_draws * d).reshape(n_draws, d)
+                          for idx in range(lo, lo + count)], axis=1)
+        J = jacobian_fd(spec, grad, hess, z, noise, eps=eps)
         dets.append(np.linalg.det(J))
         symps.append(symplectic_residual(J))
     det = np.concatenate(dets)
@@ -500,13 +499,10 @@ def _do_report(out_dir, which, n, reps, trials, jobs, regen_golden, seed):
     kw = {key: value for key, value in given.items() if key in params and value is not None}
     eff_seed = kw.setdefault("seed", params["seed"].default)
     checks = fn(out_dir, regen_golden=regen_golden, **kw)
-    statuses = [c.status for c in checks]
-    overall = ("fail" if "fail" in statuses
-               else "inconclusive" if "inconclusive" in statuses else "pass")
     for c in checks:
         click.echo(f"{c.status.upper():12s} {c.name}: {c.value:.6g} "
                    f"(target {c.target})")
-    return {"overall": overall, "checks": len(checks),
+    return {"overall": repro.overall_status(checks), "checks": len(checks),
             "protocol_seed": eff_seed}
 
 

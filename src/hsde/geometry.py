@@ -27,13 +27,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MassMatrix, RngStream, State
-from .integrators import IntegratorSpec, compile_step, noise_draws
+from .core import MassMatrix
+from .integrators import DivergenceError, IntegratorSpec, compile_step, noise_draws
 from .operator_lab import spectral_norm
 
 __all__ = [
-    "FrozenStep",
-    "freeze_step",
     "jacobian_fd",
     "det_target_leapfrog",
     "det_target_lie_trotter",
@@ -44,98 +42,52 @@ __all__ = [
 _EPS_RANGE = (1e-7, 1e-3)
 
 
-class FrozenStep:
-    """One integrator step with its noise draws pinned.
-
-    Calling it maps (r, theta) -> (r', theta'), one point of (d,) arrays or
-    the rows of (R, d) arrays, with the exact same noise vectors injected
-    every time, so the map is deterministic and smooth and finite
-    differences through it are meaningful. `noise` holds the scheme's
-    `noise_draws` vectors, each of the spec's dimension; grad and hess are
-    row providers, (R, d) -> (R, d), as `Potential.gradient_many` and
-    `Potential.hessian_vec_many`.
-    """
-
-    def __init__(self, spec: IntegratorSpec, grad, noise, hess=None):
-        self.spec = spec
-        self.noise = tuple(np.asarray(w, dtype=np.float64) for w in noise)
-        n_draws = noise_draws(spec.scheme)
-        if len(self.noise) != n_draws or any(w.shape != (spec.dim,) for w in self.noise):
-            raise ValueError(f"a {spec.scheme.value} step takes {n_draws} noise "
-                             f"draws of shape ({spec.dim},)")
-        self._grad = grad
-        self._hess = hess
-
-    def __call__(self, r: np.ndarray, theta: np.ndarray) -> tuple:
-        r = np.asarray(r, dtype=np.float64)
-        theta = np.asarray(theta, dtype=np.float64)
-        r_new, th_new = _step_rows([self], np.atleast_2d(r), np.atleast_2d(theta))
-        return (r_new, th_new) if r.ndim == 2 else (r_new[0], th_new[0])
-
-
-def _step_rows(steps: list, r: np.ndarray, theta: np.ndarray) -> tuple:
-    """The frozen maps at the rows of (R, d) r and theta: the rows fall into
-    len(steps) equal blocks, block s stepped with steps[s]'s draws, all
-    through one stepper call."""
-    F = steps[0]
-    block = len(r) // len(steps)
-    noise = [np.repeat(np.stack([s.noise[j] for s in steps]), block, axis=0)
-             for j in range(len(F.noise))]
-    r_new, th_new = compile_step(F.spec)(r, theta, F._grad, F._hess, noise)
-    if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
-        raise ValueError("frozen step produced non-finite output")
-    return r_new, th_new
-
-
-def freeze_step(
-    spec: IntegratorSpec, grad, rng: RngStream, z0: State, hess=None
-) -> FrozenStep:
-    """Pin the noise of one step at z0, the scheme's draws taken from rng."""
-    noise = [rng.normal(z0.dim) for _ in range(noise_draws(spec.scheme))]
-    return FrozenStep(spec, grad, noise, hess=hess)
-
-
 def check_eps(eps: float) -> None:
     """Reject a finite-difference step outside the range `jacobian_fd` takes."""
     if not _EPS_RANGE[0] <= eps <= _EPS_RANGE[1]:
         raise ValueError(f"eps must lie in [{_EPS_RANGE[0]}, {_EPS_RANGE[1]}]")
 
 
-def jacobian_fd(F, z0, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of the frozen map at z0.
+def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobians of one step of the spec's scheme, its
+    noise pinned, at S probe states.
 
-    F and z0 are one FrozenStep and one State, or equal-length sequences of
-    S of each (probe states with their own pinned draws, one spec and one
-    pair of providers between them); the result is one (2d, 2d) matrix or
-    an (S, 2d, 2d) stack. All 4dS points z0 +- eps e_n are stepped as the
-    rows of one (4dS, d) pair. Rows and columns are ordered momentum block
-    first, position block second: entry (m, n) is d psi_m / d z_n for
-    z = [r, theta].
+    z is the (S, 2d) stack of states, r then theta; noise holds the
+    scheme's `noise_draws` draws, each (S, d), row s the draw pinned for
+    state s. grad and hess are row providers, (R, d) -> (R, d), as
+    `Potential.gradient_many` and `Potential.hessian_vec_many`. Returns the
+    (S, 2d, 2d) stack; rows and columns are ordered momentum block first,
+    position block second: entry (s, m, n) is d psi_m / d z_n at state s.
+    Raises DivergenceError, naming the scheme and eta, if a step leaves the
+    finite range.
     """
     check_eps(eps)
-    single = isinstance(z0, State)
-    steps, states = ([F], [z0]) if single else (list(F), list(z0))
-    if not states or len(steps) != len(states):
-        raise ValueError("need one frozen step per probe state")
-    first = steps[0]
-    if any(s.spec is not first.spec or s._grad != first._grad or s._hess != first._hess
-           for s in steps):
-        raise ValueError("the frozen steps must share one spec and one pair of providers")
-    d = first.spec.dim
+    d = spec.dim
     n = 2 * d
+    z = np.asarray(z, dtype=np.float64)
+    if z.ndim != 2 or z.shape[1] != n or len(z) == 0:
+        raise ValueError(f"probe states must be a nonempty (S, {n}) array")
+    S = len(z)
+    noise = [np.asarray(w, dtype=np.float64) for w in noise]
+    n_draws = noise_draws(spec.scheme)
+    if len(noise) != n_draws or any(w.shape != (S, d) for w in noise):
+        raise ValueError(f"a {spec.scheme.value} step takes {n_draws} noise draws "
+                         f"of shape ({S}, {d})")
     # points[s, 0, c] is state s with column c moved by +eps, points[s, 1, c]
     # by -eps; every other entry keeps its bits
-    points = np.repeat(np.stack([np.concatenate([z.r, z.theta]) for z in states]),
-                       2 * n, axis=0).reshape(len(states), 2, n, n)
+    points = np.repeat(z, 2 * n, axis=0).reshape(S, 2, n, n)
     cols = np.arange(n)
     points[:, 0, cols, cols] += eps
     points[:, 1, cols, cols] -= eps
     points = points.reshape(-1, n)
-    r_new, th_new = _step_rows(steps, np.ascontiguousarray(points[:, :d]),
-                               np.ascontiguousarray(points[:, d:]))
-    image = np.concatenate([r_new, th_new], axis=1).reshape(len(states), 2, n, n)
-    J = np.ascontiguousarray(((image[:, 0] - image[:, 1]) / (2.0 * eps)).swapaxes(1, 2))
-    return J[0] if single else J
+    r_new, th_new = compile_step(spec)(
+        np.ascontiguousarray(points[:, :d]), np.ascontiguousarray(points[:, d:]),
+        grad, hess, [np.repeat(w, 2 * n, axis=0) for w in noise])
+    if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
+        raise DivergenceError("frozen step produced non-finite output", eta=spec.eta,
+                              scheme=spec.scheme)
+    image = np.concatenate([r_new, th_new], axis=1).reshape(S, 2, n, n)
+    return np.ascontiguousarray(((image[:, 0] - image[:, 1]) / (2.0 * eps)).swapaxes(1, 2))
 
 
 def det_target_leapfrog(eta: float, friction: float, mass: MassMatrix) -> float:

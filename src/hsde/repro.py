@@ -33,7 +33,7 @@ from importlib import resources
 
 import numpy as np
 
-from .batching import make_schedule
+from .batching import BatchMode
 from .chain import ChainConfig, run_states
 from .core import MassMatrix, RngStream, write_columns
 from .integrators import IntegratorSpec, Scheme
@@ -65,6 +65,7 @@ __all__ = [
     "histogram_table",
     "trial_tables",
     "load_goldens",
+    "overall_status",
     "report_exact_bottleneck",
     "report_minibatch_gap",
     "report_splitting_orders",
@@ -73,10 +74,6 @@ __all__ = [
 ]
 
 MODEL_NAMES = ("toy", "lingauss", "logistic2d")
-
-_TOY_OBSERVATIONS = (4.0, -3.2)
-_TOY_NOISE_VAR = 2.0
-_TOY_PRIOR_VAR = 0.5
 
 # the regression benchmark is part of the protocol: targets are drawn once
 # from a pinned stream so every run sees the same batch centers
@@ -106,8 +103,9 @@ def sweep_model(n_batches: int = 1) -> LinearGaussian:
 def build_model(name: str, n_batches: int = 1):
     """The three desk-scale models selectable from the command line."""
     if name == "toy":
-        return Toy1D(_TOY_OBSERVATIONS, noise_var=_TOY_NOISE_VAR,
-                     prior_var=_TOY_PRIOR_VAR, n_batches=n_batches)
+        p = reference_params()
+        return Toy1D((p.x1, p.x2), noise_var=p.sigma_x2, prior_var=p.sigma_theta2,
+                     n_batches=n_batches)
     if name == "lingauss":
         return sweep_model(n_batches)
     if name == "logistic2d":
@@ -144,20 +142,19 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
     """
     runs = list(itertools.product(modes, cells))
     mass = MassMatrix.identity(model.dim)
-    specs, scheds, cfgs, chain_indices = [], [], [], []
-    for (mode, n_batches), (eta, cell_seed) in runs:
+    specs, chain_modes, cfgs, chain_indices = [], [], [], []
+    for (mode, _), (eta, cell_seed) in runs:
         spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction, mass=mass,
                               n_inner=n_inner, v_hat=v_hat)
         cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
                           init="prior", seed=cell_seed)
         for rep in range(reps):
             specs.append(spec)
-            scheds.append(make_schedule(mode, n_batches,
-                                        RngStream(cell_seed, 4 * rep + 2)))
+            chain_modes.append(mode)
             cfgs.append(cfg)
             chain_indices.append(rep)
     # a sweep reads positions only
-    thetas = (run_states(model, specs, scheds, cfgs, chain_indices,
+    thetas = (run_states(model, specs, chain_modes, cfgs, chain_indices,
                          keep_momenta=False)[0] if specs else [])
 
     rows = []
@@ -202,12 +199,13 @@ def _fit_slope(rows: list) -> list:
 
 def _model_batches(modes) -> int:
     """The batch count of the model a sweep's modes share: the one K above
-    1 among them, or 1. A full-batch chain sees the full potential, which
-    does not depend on K."""
+    1 among them, or 1. Every mini-batch mode runs on the model's K; a
+    full-batch chain sees the full potential, which does not depend on K,
+    so a full mode may also give 1."""
     if any(k < 1 for _, k in modes):
         raise ValueError("n_batches must be >= 1")
-    if len({k for _, k in modes if k > 1}) > 1:
-        raise ValueError("modes of one sweep must share n_batches where it is above 1")
+    if len({k for mode, k in modes if k > 1 or BatchMode(mode) is not BatchMode.FULL}) > 1:
+        raise ValueError("modes of one sweep must share n_batches; a full-batch mode may give 1")
     return max(k for _, k in modes)
 
 
@@ -421,6 +419,13 @@ class CheckResult:
     target: str
 
 
+def overall_status(checks: list) -> str:
+    """A report's status: fail if any check fails, else inconclusive if any
+    check is, else pass."""
+    statuses = {c.status for c in checks}
+    return next((s for s in ("fail", "inconclusive") if s in statuses), "pass")
+
+
 def write_csv(path, fields: list, rows: list) -> None:
     """Plain CSV of dict rows with floats at full precision; trivially
     byte-stable."""
@@ -437,15 +442,10 @@ def write_report_files(out_dir, title: str, checks: list, extra_csv=None,
                    [float(c.value) for c in checks], [c.target for c in checks]])
 
     md = [f"# {title}", ""]
-    worst = "pass"
     for c in checks:
         mark = {"pass": "PASS", "fail": "FAIL", "inconclusive": "INCONCLUSIVE"}[c.status]
         md.append(f"- **{mark}** `{c.name}`: value {c.value:.6g}, target {c.target}")
-        if c.status == "fail":
-            worst = "fail"
-        elif c.status == "inconclusive" and worst == "pass":
-            worst = "inconclusive"
-    md += ["", f"Overall: **{worst.upper()}**", ""]
+    md += ["", f"Overall: **{overall_status(checks).upper()}**", ""]
     with open(os.path.join(out_dir, "report.md"), "w") as fh:
         fh.write("\n".join(md))
 

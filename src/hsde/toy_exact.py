@@ -21,8 +21,9 @@ converges to a visibly wrong law, isolating the batching error from any
 integrator error.
 
 `run_exact_states` advances R such chains together as the rows of an
-(R, 2) array, each on its own streams; noise and coins are drawn per chain
-a chunk of steps at a time, the coins from an iid K=2 batch schedule, so
+(R, 2) array, each on its own streams, through the chain loop integrator
+chains run on (`chain.run_loop`): noise and coins are drawn per chain a
+chunk of steps at a time, the coins from an iid K=2 batch schedule, so
 every chain's kept states are bit-identical to the ones it gives run alone.
 It returns them as (R, n, 1) blocks of positions and momenta;
 `run_exact_chain` runs one chain this way and wraps its states into a
@@ -37,9 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import chain
-from .batching import BatchMode, BatchSchedule
-from .chain import ChainConfig, Trace
+from .batching import BatchMode
+from .chain import ChainConfig, Trace, _trace, run_loop
 from .core import RngStream, State
 from .operator_lab import matrix_exp
 
@@ -215,64 +215,50 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
     checked before any chain starts.
     """
     etas = [float(eta) for eta in etas]
-    modes = [ExactMode(mode) for mode in modes]
+    # the coins are an iid schedule over the two observations; a full
+    # chain's schedule draws nothing
+    modes = [BatchMode.IID_UNIFORM if ExactMode(mode) is ExactMode.MINIBATCH
+             else BatchMode.FULL for mode in modes]
     cfgs = list(cfgs)
     idx = [int(c) for c in chain_indices]
-    n, burn_in, thin = chain._run_length(etas, cfgs, eta=etas, mode=modes, config=cfgs,
-                                         index=idx)
-    R = len(etas)
 
-    z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
-    rngs = [RngStream(cfg.seed, 4 * i) for cfg, i in zip(cfgs, idx)]
-    coins = [BatchSchedule(BatchMode.IID_UNIFORM, 2, RngStream(cfg.seed, 4 * i + 2))
-             if mode is ExactMode.MINIBATCH else None
-             for mode, cfg, i in zip(modes, cfgs, idx)]
-    # kernels indexed [chain, coin]: a mini-batch coin picks the center
-    # p.centers[coin], a full chain's coin stays 0
-    tables = [[_kernel(p, eta, center) for center in
-               (p.centers if mode is ExactMode.MINIBATCH else (p.center_full,) * 2)]
-              for eta, mode in zip(etas, modes)]
-    E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
-    b = b[..., None]
+    def setup():
+        z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
+        # kernels indexed [chain, batch id]: a mini-batch coin picks the
+        # center p.centers[coin], a full chain's id -1 the full center
+        tables = [[_kernel(p, eta, center) for center in (*p.centers, p.center_full)]
+                  for eta in etas]
+        E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
+        b = b[..., None]
+        rows = np.arange(len(etas))
+        # z - b and E (z - b), reused by every step
+        t = np.empty_like(z)
+        u = np.empty_like(z)
 
-    total = burn_in + n * thin
-    thetas = np.empty((R, n, 1))
-    momenta = np.empty((R, n, 1)) if keep_momenta else None
-    rows = np.arange(R)
-    # z - b and E (z - b), reused by every step
-    t = np.empty_like(z)
-    u = np.empty_like(z)
-    kept = 0
-    i = 0
-    while i < total:
-        # coins and noise for the next m steps, drawn per chain in the order
-        # its steps would draw them one by one
-        m = min(chain._CHUNK, total - i)
-        flips = np.stack([np.zeros(m, dtype=np.int64) if s is None else s.take(m)
-                          for s in coins], axis=1)
-        xi = np.stack([rng.normal(2 * m).reshape(m, 2) for rng in rngs], axis=1)
-        noise = L[rows, flips] @ xi[..., None]
-        # the chunk's states; one buffer kept for the whole run instead
-        # pins the heap and raises peak RSS by about 0.15 MB
-        buf = np.empty((m, R, 2, 1))
-        # per row the one-chain arithmetic E @ (z - b) + b + L @ xi, in the
-        # same operations and order, written into preallocated arrays:
-        # stacked matmuls reproduce its bits, einsum does not
-        for Ej, bj, nj, row in zip(list(E[rows, flips]), list(b[rows, flips]),
-                                   list(noise), list(buf)):
-            np.subtract(z, bj, out=t)
-            np.matmul(Ej, t, out=u)
-            np.add(u, bj, out=u)
-            np.add(u, nj, out=row)
-            z = row
-        # the chunk's kept rows in buf, copied out once
-        block = buf[chain._kept_rows(i, m, burn_in, thin)]
-        if keep_momenta:
-            momenta[:, kept:kept + len(block)] = block[:, :, 0].swapaxes(0, 1)
-        thetas[:, kept:kept + len(block)] = block[:, :, 1].swapaxes(0, 1)
-        kept += len(block)
-        i += m
-    return thetas, momenta
+        def advance(r, th, noise, ids):
+            z = np.stack([r, th], axis=1)
+            # each step's two draws as an (m, R, 2, 1) operand; a contiguous
+            # one keeps the stacked matmul on its BLAS path and its bits
+            xi = np.ascontiguousarray(noise.transpose(0, 2, 1, 3))
+            noise = L[rows, ids] @ xi
+            # the chunk's states; one buffer kept for the whole run instead
+            # pins the heap and raises peak RSS by about 0.15 MB
+            buf = np.empty((len(ids), len(rows), 2, 1))
+            # per row the one-chain arithmetic E @ (z - b) + b + L @ xi, in
+            # the same operations and order, written into preallocated
+            # arrays: stacked matmuls reproduce its bits, einsum does not
+            for Ej, bj, nj, row in zip(list(E[rows, ids]), list(b[rows, ids]),
+                                       list(noise), list(buf)):
+                np.subtract(z, bj, out=t)
+                np.matmul(Ej, t, out=u)
+                np.add(u, bj, out=u)
+                np.add(u, nj, out=row)
+                z = row
+            return buf[:, :, 0], buf[:, :, 1]
+
+        return "exact", 2, z[:, 0], z[:, 1], advance
+
+    return run_loop(setup, etas, modes, 2, cfgs, idx, keep_momenta, eta=etas)
 
 
 def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
@@ -284,4 +270,4 @@ def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
     """
     eta = float(eta)
     thetas, momenta = run_exact_states(p, [eta], [mode], [cfg], [chain_index])
-    return chain._trace(thetas[0], momenta[0], cfg, eta)
+    return _trace(thetas[0], momenta[0], cfg, eta)

@@ -16,14 +16,12 @@ import numpy as np
 from click.testing import CliRunner
 
 from hsde import repro
-from hsde.batching import make_schedule
 from hsde.chain import ChainConfig, run_chain
 from hsde.cli import main as cli_main
-from hsde.core import MassMatrix, RngStream, State
+from hsde.core import MassMatrix, RngStream
 from hsde.geometry import (
     det_target_leapfrog,
     det_target_lie_trotter,
-    freeze_step,
     jacobian_fd,
     symplectic_residual,
 )
@@ -167,37 +165,35 @@ def test_07_quasi_symplecticity_identities():
         model = repro.build_model(model_name, 1)
         d = model.dim
         mass = MassMatrix.identity(d)
-        draw = RngStream(70, 0)
         lf_target = det_target_leapfrog(eta, friction, mass)
         lt_target = det_target_lie_trotter(eta, friction, mass, n_inner)
-        for idx in range(10):
-            z0 = State(r=draw.normal(d), theta=draw.normal(d))
-            for scheme, n_in, target, sink in (
-                    (Scheme.LEAPFROG, 1, lf_target, "lf"),
-                    (Scheme.LIE_TROTTER, n_inner, lt_target, "lt")):
-                spec = IntegratorSpec(scheme=scheme, eta=eta,
-                                      friction=friction, mass=mass,
-                                      n_inner=n_in)
-                F = freeze_step(spec, model.gradient_many, RngStream(70, 4 * idx),
-                                z0, hess=model.hessian_vec_many)
-                det = float(np.linalg.det(jacobian_fd(F, z0)))
-                rel = abs(det - target) / abs(target)
-                if sink == "lf":
-                    worst_lf = max(worst_lf, rel)
-                else:
-                    worst_lt = max(worst_lt, rel)
+        # 10 states, each r then theta, and each state's pinned draw from
+        # its own stream
+        z = RngStream(70, 0).normal(2 * d * 10).reshape(10, 2 * d)
+        noise = [np.stack([RngStream(70, 4 * idx).normal(d) for idx in range(10)])]
+        for scheme, n_in, target, sink in (
+                (Scheme.LEAPFROG, 1, lf_target, "lf"),
+                (Scheme.LIE_TROTTER, n_inner, lt_target, "lt")):
+            spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
+                                  mass=mass, n_inner=n_in)
+            J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
+            rel = float(np.max(np.abs(np.linalg.det(J) - target))) / abs(target)
+            if sink == "lf":
+                worst_lf = max(worst_lf, rel)
+            else:
+                worst_lt = max(worst_lt, rel)
 
     # frictionless limit: the structure residual separates the schemes
     model = repro.build_model("lingauss", 1)
     mass = MassMatrix.identity(model.dim)
-    z0 = State(r=RngStream(71, 0).normal(model.dim),
-               theta=RngStream(71, 1).normal(model.dim))
+    z = np.concatenate([RngStream(71, 0).normal(model.dim),
+                        RngStream(71, 1).normal(model.dim)])[None]
+    noise = [RngStream(71, 2).normal(model.dim)[None]]
     resid = {}
     for scheme in (Scheme.EULER, Scheme.LEAPFROG):
         spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0, mass=mass)
-        F = freeze_step(spec, model.gradient_many, RngStream(71, 2), z0,
-                        hess=model.hessian_vec_many)
-        resid[scheme] = symplectic_residual(jacobian_fd(F, z0))
+        J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
+        resid[scheme] = symplectic_residual(J[0])
     ratio = resid[Scheme.EULER] / max(resid[Scheme.LEAPFROG], 1e-300)
     dt = time.perf_counter() - t0
     ok = worst_lf < 1e-6 and worst_lt < 1e-6 and ratio >= 10.0 and dt < 10.0
@@ -216,9 +212,7 @@ def test_08_hmc_equals_lie_trotter_and_inner_count_free_slopes():
         spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=2.5,
                               mass=MassMatrix.identity(4), n_inner=5)
         cfg = ChainConfig(n_samples=2000, burn_in=200, thinning=1, seed=31)
-        traces[scheme] = run_chain(model, spec,
-                                   make_schedule("full", 1, RngStream(31, 2)),
-                                   cfg)
+        traces[scheme] = run_chain(model, spec, "full", cfg)
     same = (np.array_equal(traces[Scheme.LIE_TROTTER].thetas,
                            traces[Scheme.HMC_PARTIAL].thetas)
             and np.array_equal(traces[Scheme.LIE_TROTTER].momenta,
@@ -246,8 +240,7 @@ def test_09_stationary_momentum_variance():
     spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.005, friction=5.0,
                           mass=MassMatrix.identity(4))
     cfg = ChainConfig(n_samples=100_000, burn_in=2000, thinning=1, seed=909)
-    trace = run_chain(model, spec, make_schedule("full", 1, RngStream(909, 2)),
-                      cfg)
+    trace = run_chain(model, spec, "full", cfg)
     r = trace.momenta
     var = r.var(axis=0)
     acf1 = np.array([np.corrcoef(r[:-1, j], r[1:, j])[0, 1]

@@ -5,27 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsde.batching import BatchMode, make_schedule
+from hsde.batching import BatchMode, BatchSchedule
 from hsde.core import RngStream
 from hsde.potentials import LinearGaussian
 
 
 def test_full_mode_emits_marker_forever():
-    sched = make_schedule(BatchMode.FULL, 1, RngStream(0, 0))
+    sched = BatchSchedule(BatchMode.FULL, 1, RngStream(0, 0))
     for _ in range(10):
         assert sched.next() == (None, 1.0)
 
 
 def test_k1_random_modes_reduce_to_single_batch():
     for mode in (BatchMode.PERMUTATION_SWEEP, BatchMode.IID_UNIFORM):
-        sched = make_schedule(mode, 1, RngStream(0, 0))
+        sched = BatchSchedule(mode, 1, RngStream(0, 0))
         for _ in range(5):
             batch, scale = sched.next()
             assert batch == 0 and scale == 1.0
 
 
 def test_permutation_sweeps_are_permutations():
-    sched = make_schedule("perm", 3, RngStream(5, 0))
+    sched = BatchSchedule("perm", 3, RngStream(5, 0))
     for _ in range(50):
         sweep = [sched.next()[0] for _ in range(3)]
         assert sorted(sweep) == [0, 1, 2]
@@ -33,21 +33,21 @@ def test_permutation_sweeps_are_permutations():
 
 def test_sweep_completeness_counts():
     K, sweeps = 5, 40
-    sched = make_schedule(BatchMode.PERMUTATION_SWEEP, K, RngStream(6, 0))
+    sched = BatchSchedule(BatchMode.PERMUTATION_SWEEP, K, RngStream(6, 0))
     ids = [sched.next()[0] for _ in range(K * sweeps)]
     for b in range(K):
         assert ids.count(b) == sweeps
 
 
 def test_sweeps_vary_across_sweeps():
-    sched = make_schedule("perm", 6, RngStream(7, 0))
+    sched = BatchSchedule("perm", 6, RngStream(7, 0))
     sweeps = {tuple(sched.next()[0] for _ in range(6)) for _ in range(30)}
     assert len(sweeps) > 1
 
 
 def test_iid_frequencies():
     K, n = 4, 100_000
-    sched = make_schedule(BatchMode.IID_UNIFORM, K, RngStream(8, 0))
+    sched = BatchSchedule(BatchMode.IID_UNIFORM, K, RngStream(8, 0))
     ids = np.array([sched.next()[0] for _ in range(n)])
     for b in range(K):
         assert abs(np.mean(ids == b) - 0.25) < 0.01
@@ -55,16 +55,16 @@ def test_iid_frequencies():
 
 def test_scale_is_k_for_random_modes():
     for mode in ("perm", "iid"):
-        sched = make_schedule(mode, 7, RngStream(9, 0))
+        sched = BatchSchedule(mode, 7, RngStream(9, 0))
         assert sched.next()[1] == 7.0
 
 
 def test_seed_determinism():
-    a = make_schedule("perm", 4, RngStream(11, 3))
-    b = make_schedule("perm", 4, RngStream(11, 3))
+    a = BatchSchedule("perm", 4, RngStream(11, 3))
+    b = BatchSchedule("perm", 4, RngStream(11, 3))
     assert [a.next() for _ in range(20)] == [b.next() for _ in range(20)]
-    c = make_schedule("iid", 4, RngStream(11, 4))
-    d = make_schedule("iid", 4, RngStream(11, 4))
+    c = BatchSchedule("iid", 4, RngStream(11, 4))
+    d = BatchSchedule("iid", 4, RngStream(11, 4))
     assert [c.next() for _ in range(20)] == [d.next() for _ in range(20)]
 
 
@@ -79,8 +79,8 @@ def test_seed_determinism():
 def test_take_interleaved_with_next_equals_next_alone(mode, K, calls, seed):
     # take(m) must read what m next() calls read and leave the schedule
     # where they would, whatever the cursor inside a sweep
-    chunked = make_schedule(mode, K, RngStream(seed, 2))
-    stepped = make_schedule(mode, K, RngStream(seed, 2))
+    chunked = BatchSchedule(mode, K, RngStream(seed, 2))
+    stepped = BatchSchedule(mode, K, RngStream(seed, 2))
     got, want = [], []
     for use_take, m in calls:
         if use_take:
@@ -106,15 +106,15 @@ def test_take_draws_once_per_chunk():
 
     for mode in ("iid", "perm"):
         calls.clear()
-        make_schedule(mode, 8, Counting(0, 2)).take(256)
+        BatchSchedule(mode, 8, Counting(0, 2)).take(256)
         assert len(calls) == 1
 
 
 def test_k_below_one_rejected():
     with pytest.raises(ValueError):
-        make_schedule("iid", 0, RngStream(0, 0))
+        BatchSchedule("iid", 0, RngStream(0, 0))
     with pytest.raises(ValueError):
-        make_schedule("bogus", 2, RngStream(0, 0))
+        BatchSchedule("bogus", 2, RngStream(0, 0))
 
 
 class TestUnbiasedness:
@@ -127,7 +127,7 @@ class TestUnbiasedness:
         self.full = self.P.gradient(self.theta)
 
     def test_permutation_sweep_exact_over_one_sweep(self):
-        sched = make_schedule("perm", 6, RngStream(21, 0))
+        sched = BatchSchedule("perm", 6, RngStream(21, 0))
         acc = np.zeros(3)
         for _ in range(6):
             batch, scale = sched.next()
@@ -135,7 +135,7 @@ class TestUnbiasedness:
         np.testing.assert_allclose(acc / 6.0, self.full, rtol=1e-12)
 
     def test_iid_unbiased_within_mc_error(self):
-        sched = make_schedule("iid", 6, RngStream(22, 0))
+        sched = BatchSchedule("iid", 6, RngStream(22, 0))
         n = 10_000
         draws = np.empty((n, 3))
         for i in range(n):

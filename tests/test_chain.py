@@ -8,7 +8,7 @@ import pytest
 from hsde import chain as chain_module
 from hsde import core as core_module
 from hsde import potentials as potentials_module
-from hsde.batching import make_schedule
+from hsde.batching import BatchSchedule
 from hsde.chain import (
     ChainConfig,
     Trace,
@@ -45,10 +45,6 @@ def spec_for(P, scheme=Scheme.LEAPFROG, eta=0.01, C=2.0, **kw):
                           mass=MassMatrix.identity(P.dim), **kw)
 
 
-def full_sched(seed=0, chain_index=0):
-    return make_schedule("full", 1, RngStream(seed, 4 * chain_index + 2))
-
-
 def synthetic_trace(series):
     series = np.asarray(series, dtype=float).reshape(-1, 1)
     n = series.shape[0]
@@ -66,7 +62,7 @@ class TestRunChain:
         P = toy_twin()
         cfg = ChainConfig(n_samples=20, burn_in=50, thinning=3, seed=41)
         runs = [
-            run_chain(P, spec_for(P, eta=0.1), full_sched(41), cfg)
+            run_chain(P, spec_for(P, eta=0.1), "full", cfg)
             for _ in range(2)
         ]
         np.testing.assert_array_equal(runs[0].thetas, runs[1].thetas)
@@ -75,7 +71,7 @@ class TestRunChain:
     def test_empty_trace_valid_meta(self):
         P = toy_twin()
         cfg = ChainConfig(n_samples=0, burn_in=5, thinning=2, seed=1)
-        t = run_chain(P, spec_for(P, eta=0.1), full_sched(1), cfg)
+        t = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
         assert t.n_samples == 0
         assert t.steps.shape == (0,) and t.times.shape == (0,)
         assert t.effective_time == pytest.approx(5 * 0.1)
@@ -83,7 +79,7 @@ class TestRunChain:
     def test_step_and_time_bookkeeping(self):
         P = toy_twin()
         cfg = ChainConfig(n_samples=4, burn_in=10, thinning=5, seed=2)
-        t = run_chain(P, spec_for(P, eta=0.2), full_sched(2), cfg)
+        t = run_chain(P, spec_for(P, eta=0.2), "full", cfg)
         np.testing.assert_array_equal(t.steps, [15, 20, 25, 30])
         np.testing.assert_allclose(t.times, np.array([15, 20, 25, 30]) * 0.2)
         assert t.effective_time == pytest.approx(30 * 0.2)
@@ -92,7 +88,7 @@ class TestRunChain:
         P = toy_twin()
         spec = spec_for(P, scheme=Scheme.LIE_TROTTER, eta=0.05, n_inner=4)
         cfg = ChainConfig(n_samples=2, burn_in=0, thinning=5, seed=3)
-        t = run_chain(P, spec, full_sched(3), cfg)
+        t = run_chain(P, spec, "full", cfg)
         assert t.effective_time == pytest.approx(10 * 0.05 * 4)
 
     def test_fixed_init_respected(self):
@@ -100,14 +96,14 @@ class TestRunChain:
         z0 = State(r=np.array([0.25]), theta=np.array([1.5]))
         cfg = ChainConfig(n_samples=1, burn_in=0, thinning=1, init=z0, seed=4)
         spec = spec_for(P, eta=1e-9, C=0.0)
-        t = run_chain(P, spec, full_sched(4), cfg)
+        t = run_chain(P, spec, "full", cfg)
         assert abs(t.thetas[0, 0] - 1.5) < 1e-6
 
     def test_prior_init_uses_chain_index_stream(self):
         P = toy_twin()
         cfg = ChainConfig(n_samples=1, burn_in=0, thinning=1, seed=5)
-        a = run_chain(P, spec_for(P, eta=0.1), full_sched(5, 0), cfg, chain_index=0)
-        b = run_chain(P, spec_for(P, eta=0.1), full_sched(5, 1), cfg, chain_index=1)
+        a = run_chain(P, spec_for(P, eta=0.1), "full", cfg, chain_index=0)
+        b = run_chain(P, spec_for(P, eta=0.1), "full", cfg, chain_index=1)
         assert a.thetas[0, 0] != b.thetas[0, 0]
 
     def test_divergence_reports_step_and_partial(self):
@@ -116,7 +112,7 @@ class TestRunChain:
         spec = spec_for(P, eta=1.0, C=0.1)
         cfg = ChainConfig(n_samples=100, burn_in=0, thinning=1, seed=6)
         with pytest.raises(DivergenceError) as err, np.errstate(all="ignore"):
-            run_chain(P, spec, full_sched(6), cfg)
+            run_chain(P, spec, "full", cfg)
         assert err.value.step_index is not None
         assert hasattr(err.value, "partial")
 
@@ -124,22 +120,13 @@ class TestRunChain:
         P = toy_twin()
         spec = IntegratorSpec(Scheme.LEAPFROG, 0.0, 2.0, MassMatrix.identity(1))
         with pytest.raises(ValueError):
-            run_chain(P, spec, full_sched(), ChainConfig(n_samples=1, seed=0))
-
-    def test_schedule_batch_count_must_match(self):
-        P = toy_twin(n_batches=2)
-        sched = make_schedule("perm", 3, RngStream(0, 2))
-        with pytest.raises(ValueError):
-            run_chain(P, spec_for(P, eta=0.1), sched, ChainConfig(n_samples=1, seed=0))
+            run_chain(P, spec, "full", ChainConfig(n_samples=1, seed=0))
 
     def test_minibatch_chain_runs_and_differs_from_full(self):
         P = toy_twin(n_batches=2)
         cfg = ChainConfig(n_samples=30, burn_in=20, thinning=2, seed=7)
-        t_full = run_chain(P, spec_for(P, eta=0.1), full_sched(7), cfg)
-        t_mb = run_chain(
-            P, spec_for(P, eta=0.1),
-            make_schedule("perm", 2, RngStream(7, 2)), cfg,
-        )
+        t_full = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
+        t_mb = run_chain(P, spec_for(P, eta=0.1), "perm", cfg)
         assert not np.array_equal(t_full.thetas, t_mb.thetas)
 
 
@@ -163,8 +150,8 @@ INDICES = (0, 1, 0, 2, 3)
 
 
 class Case:
-    """R chains on one potential; each schedule is built twice from its
-    stream key, once for the ensemble and once for the reference loop."""
+    """R chains on one potential, each in its batch mode; the reference loop
+    builds a chain's schedule from its stream key as the runner does."""
 
     def __init__(self, P, scheme, modes, etas=ETAS, seeds=SEEDS, indices=INDICES,
                  burn_in=31, n_samples=8, thinning=5, C=2.0, inits=None):
@@ -182,17 +169,14 @@ class Case:
                      for seed, init in zip(seeds, inits)]
         self.indices = list(indices)
 
-    def sched(self, c):
-        return make_schedule(self.modes[c], self.P.n_batches,
-                             RngStream(self.cfgs[c].seed, 4 * self.indices[c] + 2))
-
     def run(self, keep_momenta=True):
-        scheds = [self.sched(c) for c in range(len(self.specs))]
-        return run_states(self.P, self.specs, scheds, self.cfgs, self.indices,
+        return run_states(self.P, self.specs, self.modes, self.cfgs, self.indices,
                           keep_momenta=keep_momenta)
 
     def reference(self, c):
-        return reference_chain(self.P, self.specs[c], self.sched(c), self.cfgs[c],
+        sched = BatchSchedule(self.modes[c], self.P.n_batches,
+                              RngStream(self.cfgs[c].seed, 4 * self.indices[c] + 2))
+        return reference_chain(self.P, self.specs[c], sched, self.cfgs[c],
                                self.indices[c])
 
     def check(self):
@@ -204,7 +188,7 @@ class Case:
             ref_thetas, ref_momenta, steps, times, effective = self.reference(c)
             assert_bits(thetas[c], ref_thetas)
             assert_bits(momenta[c], ref_momenta)
-            trace = run_chain(self.P, self.specs[c], self.sched(c), self.cfgs[c],
+            trace = run_chain(self.P, self.specs[c], self.modes[c], self.cfgs[c],
                               self.indices[c])
             assert_bits(trace.thetas, ref_thetas)
             assert_bits(trace.momenta, ref_momenta)
@@ -294,8 +278,7 @@ class TestEnsembleRun:
         a = Case(P, Scheme.LEAPFROG, "full", etas=(0.1,), seeds=(1,), indices=(0,))
         b = Case(P, Scheme.SPV, "full", etas=(0.1,), seeds=(1,), indices=(1,))
         with pytest.raises(ValueError, match="scheme"):
-            run_states(P, a.specs + b.specs, [a.sched(0), b.sched(0)],
-                       a.cfgs + b.cfgs, [0, 1])
+            run_states(P, a.specs + b.specs, ["full"] * 2, a.cfgs + b.cfgs, [0, 1])
 
     def test_run_lengths_must_match(self):
         P = build_model("lingauss", 1)
@@ -303,7 +286,7 @@ class TestEnsembleRun:
                     indices=(0, 1))
         cfgs = [case.cfgs[0], ChainConfig(n_samples=3, burn_in=31, thinning=5, seed=1)]
         with pytest.raises(ValueError, match="share"):
-            run_states(P, case.specs, [case.sched(0), case.sched(1)], cfgs, [0, 1])
+            run_states(P, case.specs, ["full"] * 2, cfgs, [0, 1])
 
 
 class TestPositionsOnly:
@@ -372,8 +355,8 @@ class TestEnsembleDivergence:
 
     def test_lone_unstable_chain_reports_its_own_state(self):
         case = self.case()
-        case.specs, case.cfgs, case.indices = (
-            case.specs[2:], case.cfgs[2:], case.indices[2:])
+        case.specs, case.modes, case.cfgs, case.indices = (
+            case.specs[2:], case.modes[2:], case.cfgs[2:], case.indices[2:])
         ref = self.reference_error(case, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -425,7 +408,7 @@ class TestStationaryMoments:
         post = P.analytic_posterior()
         spec = spec_for(P, scheme=scheme, eta=0.01, C=2.0)
         cfg = ChainConfig(n_samples=1500, burn_in=2000, thinning=100, seed=101)
-        t = run_chain(P, spec, full_sched(101), cfg)
+        t = run_chain(P, spec, "full", cfg)
 
         # thinning lag is 1.0 time units; relaxation rate is C/2 = 1, so
         # kept samples have lag-1 correlation near exp(-1)
@@ -445,7 +428,7 @@ class TestStationaryMoments:
         results = []
         for thinning, n in ((1, 4000), (10, 4000)):
             cfg = ChainConfig(n_samples=n, burn_in=2000, thinning=thinning, seed=55)
-            t = run_chain(P, spec_for(P, eta=0.2, C=2.0), full_sched(55), cfg)
+            t = run_chain(P, spec_for(P, eta=0.2, C=2.0), "full", cfg)
             results.append(t.thetas[:, 0].mean())
         # variance of each estimate ~ sigma^2 * (2/rate) / simulated time
         sd = np.sqrt(1.0 / 3.0 * 2.0 * (1.0 / 800.0 + 1.0 / 8000.0))
@@ -456,7 +439,7 @@ class TestDiagnostics:
     def test_ergodic_average_constant(self):
         P = toy_twin()
         cfg = ChainConfig(n_samples=7, burn_in=0, thinning=1, seed=8)
-        t = run_chain(P, spec_for(P, eta=0.1), full_sched(8), cfg)
+        t = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
         assert ergodic_average(t, lambda z: 1.0) == 1.0
 
     def test_ergodic_average_reads_state(self):
@@ -490,7 +473,7 @@ class TestPersistence:
     def test_csv_layout_and_determinism(self, tmp_path):
         P = lingauss2()
         cfg = ChainConfig(n_samples=5, burn_in=10, thinning=3, seed=9)
-        t = run_chain(P, spec_for(P, eta=0.1), full_sched(9), cfg)
+        t = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
 
         p1 = tmp_path / "a.csv"
         save_trace(t, p1)
@@ -514,7 +497,7 @@ class TestPersistence:
             monkeypatch.setattr(core_module, "_CSV_BLOCK", block)
         awkward = np.array([-0.0, 5e-324, 1e300, 0.1, -1e-310, np.inf, -np.inf, np.nan])
         P = lingauss2()
-        ran = run_chain(P, spec_for(P, eta=0.1), full_sched(9),
+        ran = run_chain(P, spec_for(P, eta=0.1), "full",
                         ChainConfig(n_samples=4100, burn_in=10, thinning=1, seed=9))
         traces = [
             ran,
@@ -540,7 +523,7 @@ class TestPersistence:
         cfg = ChainConfig(n_samples=8, burn_in=4, thinning=2, seed=10)
         paths = []
         for name in ("r1.csv", "r2.csv"):
-            t = run_chain(P, spec_for(P, eta=0.1), full_sched(10), cfg)
+            t = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
             path = tmp_path / name
             save_trace(t, path)
             paths.append(path)

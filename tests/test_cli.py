@@ -561,6 +561,17 @@ class TestGeom:
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
 
+    # the step overflows on purpose before the finiteness check trips
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nonfinite_step_exits_3(self, runner, tmp_path):
+        result = runner.invoke(main, ["geom", "--eta", "1e200", "--states", "2",
+                                      "--out", str(tmp_path / "new")])
+        assert result.exit_code == 3, result.output
+        errors = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1
+        assert "non-finite" in errors[0] and "scheme=leapfrog eta=1e+200" in errors[0]
+        assert os.listdir(tmp_path) == []
+
     def test_rejects_eps_before_any_draw(self, runner, tmp_path, monkeypatch):
         from hsde.core import RngStream
 

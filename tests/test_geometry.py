@@ -5,16 +5,14 @@ import pytest
 
 from hsde.core import MassMatrix, RngStream, State
 from hsde.geometry import (
-    FrozenStep,
     det_target_leapfrog,
     det_target_lie_trotter,
-    freeze_step,
     jacobian_fd,
     symplectic_form,
     symplectic_residual,
 )
 from hsde import repro
-from hsde.integrators import IntegratorSpec, Scheme
+from hsde.integrators import DivergenceError, IntegratorSpec, Scheme, compile_step, noise_draws
 from hsde.potentials import LinearGaussian, Logistic2D
 
 from .oracles import reference_geom_states
@@ -80,58 +78,79 @@ def assemble_blocks(blocks):
     return J
 
 
+def pinned(spec, rng, d):
+    """One state's pinned step draws from rng, each (1, d)."""
+    return [rng.normal(d)[None] for _ in range(noise_draws(spec.scheme))]
+
+
+def jac(spec, grad, rng, z0, hess=None, eps=1e-5):
+    """The Jacobian at the one state z0, its step's draws taken from rng."""
+    z = np.concatenate([z0.r, z0.theta])[None]
+    return jacobian_fd(spec, grad, hess, z, pinned(spec, rng, z0.dim), eps)[0]
+
+
 class TestFrozenStep:
     def test_repeat_calls_bitwise_identical(self):
         spec = make_spec(Scheme.LEAPFROG, 2)
         z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
-        F = freeze_step(spec, quad_grad, RngStream(0, 0), z0)
-        r1, t1 = F(z0.r, z0.theta)
-        r2, t2 = F(z0.r, z0.theta)
-        np.testing.assert_array_equal(r1, r2)
-        np.testing.assert_array_equal(t1, t2)
+        J1 = jac(spec, quad_grad, RngStream(0, 0), z0)
+        J2 = jac(spec, quad_grad, RngStream(0, 0), z0)
+        assert J1.tobytes() == J2.tobytes()
 
     def test_different_noise_same_jacobian(self):
         # additive noise shifts the map but never its linearization
         spec = make_spec(Scheme.LEAPFROG, 2)
         z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
-        Fa = freeze_step(spec, quad_grad, RngStream(0, 0), z0)
-        Fb = freeze_step(spec, quad_grad, RngStream(99, 0), z0)
-        assert not np.array_equal(Fa(z0.r, z0.theta)[0], Fb(z0.r, z0.theta)[0])
-        Ja = jacobian_fd(Fa, z0)
-        Jb = jacobian_fd(Fb, z0)
+        na, nb = pinned(spec, RngStream(0, 0), 2), pinned(spec, RngStream(99, 0), 2)
+        step = compile_step(spec)
+        assert not np.array_equal(step(z0.r[None], z0.theta[None], quad_grad, None, na)[0],
+                                  step(z0.r[None], z0.theta[None], quad_grad, None, nb)[0])
+        Ja = jac(spec, quad_grad, RngStream(0, 0), z0)
+        Jb = jac(spec, quad_grad, RngStream(99, 0), z0)
         np.testing.assert_allclose(Ja, Jb, atol=1e-9)
 
     def test_nonfinite_output_raises(self):
         spec = make_spec(Scheme.LEAPFROG, 1)
         z0 = State(r=np.array([0.0]), theta=np.array([1.0]))
         bad_grad = lambda th: th * np.inf
-        F = freeze_step(spec, bad_grad, RngStream(0, 0), z0)
-        with pytest.raises(ValueError):
+        with pytest.raises(DivergenceError, match="scheme=leapfrog eta=0.1"):
             with np.errstate(invalid="ignore"):
-                jacobian_fd(F, z0)
+                jac(spec, bad_grad, RngStream(0, 0), z0)
 
     @pytest.mark.parametrize("scheme, noise", [
         (Scheme.LEAPFROG, []),
-        (Scheme.LEAPFROG, [np.zeros(2), np.zeros(2)]),
-        (Scheme.SYMMETRIC, [np.zeros(2)]),
-        (Scheme.MT3, [np.zeros(2)] * 3),
-        (Scheme.LEAPFROG, [np.zeros(3)]),
-        (Scheme.LEAPFROG, [np.zeros((1, 2))]),
-        (Scheme.MT3, [np.zeros(2), np.zeros(1)]),
+        (Scheme.LEAPFROG, [np.zeros((1, 2)), np.zeros((1, 2))]),
+        (Scheme.SYMMETRIC, [np.zeros((1, 2))]),
+        (Scheme.MT3, [np.zeros((1, 2))] * 3),
+        (Scheme.LEAPFROG, [np.zeros((1, 3))]),
+        (Scheme.LEAPFROG, [np.zeros(2)]),
+        (Scheme.MT3, [np.zeros((1, 2)), np.zeros((1, 1))]),
     ])
     def test_rejects_wrong_draw_count_or_shape(self, scheme, noise):
         with pytest.raises(ValueError, match="noise draws"):
-            FrozenStep(make_spec(scheme, 2), quad_grad, noise, hess=quad_hess)
+            jacobian_fd(make_spec(scheme, 2), quad_grad, quad_hess, np.zeros((1, 4)), noise)
 
     def test_pins_the_draws_a_step_takes(self):
-        # freeze_step draws the step's noise from the stream it is given
+        # every point of the difference is stepped with the state's draws:
+        # on a nonquadratic potential the draws move the Jacobian, and it
+        # equals the one built column by column from steps with those draws
+        model = logistic_model()
         spec = make_spec(Scheme.SYMMETRIC, 2)
-        z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
-        F = freeze_step(spec, quad_grad, RngStream(5, 0), z0)
-        rng = RngStream(5, 0)
-        want = [rng.normal(2), rng.normal(2)]
-        for got, w in zip(F.noise, want, strict=True):
-            np.testing.assert_array_equal(got, w)
+        z = np.array([[0.3, -0.1, 1.0, 0.5]])
+        noise = pinned(spec, RngStream(5, 0), 2)
+        J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)[0]
+        other = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z,
+                            pinned(spec, RngStream(6, 0), 2))[0]
+        assert not np.array_equal(J, other)
+        step = compile_step(spec)
+        for c in range(4):
+            ends = []
+            for sign in (1.0, -1.0):
+                pt = z.copy()
+                pt[0, c] += sign * 1e-5
+                ends.append(np.concatenate(step(pt[:, :2], pt[:, 2:], model.gradient_many,
+                                                model.hessian_vec_many, noise), axis=1)[0])
+            assert ((ends[0] - ends[1]) / 2e-5).tobytes() == J[:, c].tobytes()
 
 
 class TestJacobianFd:
@@ -139,9 +158,7 @@ class TestJacobianFd:
         z0 = State(r=np.array([0.4, -1.2]), theta=np.array([0.9, 0.1]))
         for scheme in ALL_SCHEMES:
             spec = make_spec(scheme, 2, eta=0.0)
-            F = freeze_step(spec, quad_grad, RngStream(1, 0), z0,
-                            hess=quad_hess)
-            J = jacobian_fd(F, z0)
+            J = jac(spec, quad_grad, RngStream(1, 0), z0, hess=quad_hess)
             np.testing.assert_allclose(J, np.eye(4), atol=1e-8, err_msg=str(scheme))
 
     @pytest.mark.parametrize("scheme,block_fn", [
@@ -154,19 +171,17 @@ class TestJacobianFd:
         spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
                               mass=MassMatrix(masses))
         z0 = State(r=np.array([0.7, -0.2]), theta=np.array([-0.9, 0.4]))
-        F = freeze_step(spec, quad_grad, RngStream(2, 0), z0)
-        J = jacobian_fd(F, z0)
+        J = jac(spec, quad_grad, RngStream(2, 0), z0)
         want = assemble_blocks([block_fn(eta, friction, m) for m in masses])
         np.testing.assert_allclose(J, want, atol=1e-6)
 
     def test_eps_bounds_enforced(self):
         spec = make_spec(Scheme.LEAPFROG, 1)
         z0 = State(r=np.array([0.0]), theta=np.array([0.0]))
-        F = freeze_step(spec, quad_grad, RngStream(0, 0), z0)
         with pytest.raises(ValueError):
-            jacobian_fd(F, z0, eps=1e-8)
+            jac(spec, quad_grad, RngStream(0, 0), z0, eps=1e-8)
         with pytest.raises(ValueError):
-            jacobian_fd(F, z0, eps=1e-2)
+            jac(spec, quad_grad, RngStream(0, 0), z0, eps=1e-2)
 
     def test_richardson_consistency_all_schemes_all_models(self):
         models = {
@@ -183,9 +198,8 @@ class TestJacobianFd:
             z0 = State(r=rng.normal(size=d) * 0.3, theta=rng.normal(size=d) * 0.3)
             for scheme in ALL_SCHEMES:
                 spec = make_spec(scheme, d, eta=0.1, n_inner=2)
-                F = freeze_step(spec, grad, RngStream(3, 0), z0, hess=hess)
-                J1 = jacobian_fd(F, z0, eps=1e-5)
-                J2 = jacobian_fd(F, z0, eps=5e-6)
+                J1 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=1e-5)
+                J2 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=5e-6)
                 assert np.abs(J1 - J2).max() < 1e-5, f"{name}/{scheme}"
 
 
@@ -194,8 +208,7 @@ class TestDeterminantTargets:
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=2.0,
                               mass=MassMatrix.identity(2))
         z0 = State(r=np.array([0.2, -0.4]), theta=np.array([0.6, 1.1]))
-        F = freeze_step(spec, quad_grad, RngStream(4, 0), z0)
-        J = jacobian_fd(F, z0)
+        J = jac(spec, quad_grad, RngStream(4, 0), z0)
         assert det_target_leapfrog(0.1, 2.0, spec.mass) == pytest.approx(0.64)
         assert abs(np.linalg.det(J) - det_target_leapfrog(0.1, 2.0, spec.mass)) < 1e-6
 
@@ -217,8 +230,7 @@ class TestDeterminantTargets:
         rng = np.random.default_rng(11)
         for _ in range(10):
             z0 = State(r=rng.normal(size=d), theta=rng.normal(size=d))
-            F = freeze_step(spec, grad, RngStream(5, 0), z0)
-            J = jacobian_fd(F, z0)
+            J = jac(spec, grad, RngStream(5, 0), z0)
             assert abs(np.linalg.det(J) - target) < 1e-6
 
     def test_lie_trotter_reference_value(self):
@@ -226,8 +238,7 @@ class TestDeterminantTargets:
         spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.1, friction=2.0,
                               mass=mass, n_inner=1)
         z0 = State(r=np.array([0.5]), theta=np.array([-0.3]))
-        F = freeze_step(spec, quad_grad, RngStream(6, 0), z0)
-        J = jacobian_fd(F, z0)
+        J = jac(spec, quad_grad, RngStream(6, 0), z0)
         assert det_target_lie_trotter(0.1, 2.0, mass, 1) == pytest.approx(
             np.exp(-0.2), rel=1e-12)
         assert abs(np.linalg.det(J) - det_target_lie_trotter(0.1, 2.0, mass, 1)) < 1e-6
@@ -237,8 +248,7 @@ class TestDeterminantTargets:
         spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.05, friction=1.5,
                               mass=mass, n_inner=3)
         z0 = State(r=np.array([0.2, 0.1]), theta=np.array([0.4, -0.6]))
-        F = freeze_step(spec, quad_grad, RngStream(7, 0), z0)
-        J = jacobian_fd(F, z0)
+        J = jac(spec, quad_grad, RngStream(7, 0), z0)
         assert abs(np.linalg.det(J) - det_target_lie_trotter(0.05, 1.5, mass, 3)) < 1e-6
 
     def test_lie_trotter_frictionless_target_is_one(self):
@@ -269,15 +279,13 @@ class TestSymplecticResidual:
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=0.0,
                               mass=MassMatrix(np.array([1.0, 1.7])))
         z0 = State(r=np.array([0.4, -0.2]), theta=np.array([0.8, 0.3]))
-        F = freeze_step(spec, quad_grad, RngStream(8, 0), z0)
-        assert symplectic_residual(jacobian_fd(F, z0)) < 1e-8
+        assert symplectic_residual(jac(spec, quad_grad, RngStream(8, 0), z0)) < 1e-8
 
     def test_frictionless_explicit_step_is_not(self):
         spec = IntegratorSpec(scheme=Scheme.EULER, eta=0.1, friction=0.0,
                               mass=MassMatrix.identity(1))
         z0 = State(r=np.array([0.4]), theta=np.array([0.8]))
-        F = freeze_step(spec, quad_grad, RngStream(9, 0), z0)
-        res = symplectic_residual(jacobian_fd(F, z0))
+        res = symplectic_residual(jac(spec, quad_grad, RngStream(9, 0), z0))
         # for the 1-d quadratic the defect is exactly eta^2
         assert res > 1e-3
         assert res == pytest.approx(0.01, rel=1e-3)
@@ -288,8 +296,7 @@ class TestSymplecticResidual:
         for scheme in (Scheme.EULER, Scheme.LEAPFROG):
             spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0,
                                   mass=MassMatrix.identity(2))
-            F = freeze_step(spec, quad_grad, RngStream(10, 0), z0)
-            residuals[scheme] = symplectic_residual(jacobian_fd(F, z0))
+            residuals[scheme] = symplectic_residual(jac(spec, quad_grad, RngStream(10, 0), z0))
         assert residuals[Scheme.EULER] > 10 * residuals[Scheme.LEAPFROG]
 
     def test_leapfrog_residual_shrinks_with_friction(self):
@@ -298,8 +305,7 @@ class TestSymplecticResidual:
         for friction in (1.0, 0.1, 0.01):
             spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1,
                                   friction=friction, mass=MassMatrix.identity(1))
-            F = freeze_step(spec, quad_grad, RngStream(11, 0), z0)
-            res.append(symplectic_residual(jacobian_fd(F, z0)))
+            res.append(symplectic_residual(jac(spec, quad_grad, RngStream(11, 0), z0)))
         assert res[0] > res[1] > res[2]
 
     def test_rejects_odd_dimension(self):
@@ -315,17 +321,16 @@ GEOM_SCHEMES = [Scheme.EULER, Scheme.LEAPFROG, Scheme.SGHMC, Scheme.SPV,
 GEOM_MODELS = ["lingauss", "toy", "logistic2d"]
 
 
-def probe_stack(spec, potential, seed, states, eps=1e-5):
-    """The probe states and frozen steps the geom command builds: r then
+def probe_stack(spec, potential, seed, states):
+    """The probe states and pinned draws the geom command builds: r then
     theta of each state from one draw on stream (seed, 1), its step's draws
-    on stream (seed, 4 idx), the row providers."""
+    on stream (seed, 4 idx), as (states, 2d) and (n_draws, states, d)."""
     d = potential.dim
-    z = RngStream(seed, 1).normal(2 * d * states).reshape(-1, 2, d)
-    probes = [State(r=r, theta=th) for r, th in z]
-    steps = [freeze_step(spec, potential.gradient_many, RngStream(seed, 4 * idx), z0,
-                         hess=potential.hessian_vec_many)
-             for idx, z0 in enumerate(probes)]
-    return steps, probes
+    z = RngStream(seed, 1).normal(2 * d * states).reshape(states, 2 * d)
+    n_draws = noise_draws(spec.scheme)
+    noise = np.stack([RngStream(seed, 4 * idx).normal(n_draws * d).reshape(n_draws, d)
+                      for idx in range(states)], axis=1)
+    return z, noise
 
 
 class TestProbeStack:
@@ -341,22 +346,24 @@ class TestProbeStack:
                 else MassMatrix(np.linspace(0.6, 1.9, d) if d > 1 else [1.7]))
         spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=1.3, mass=mass,
                               n_inner=2)
-        steps, probes = probe_stack(spec, potential, seed=3, states=7)
+        z, noise = probe_stack(spec, potential, seed=3, states=7)
+        grad, hess = potential.gradient_many, potential.hessian_vec_many
         # one stack of four states and one of three, as two passes would run
-        J = np.concatenate([jacobian_fd(steps[:4], probes[:4]),
-                            jacobian_fd(steps[4:], probes[4:])])
+        J = np.concatenate([jacobian_fd(spec, grad, hess, z[:4], noise[:, :4]),
+                            jacobian_fd(spec, grad, hess, z[4:], noise[:, 4:])])
         got = list(zip(np.linalg.det(J).tolist(), symplectic_residual(J).tolist()))
         assert got == reference_geom_states(spec, potential, 3, 7)
 
     def test_single_state_is_the_stack_of_one(self):
         potential = repro.build_model("logistic2d", 1)
         spec = make_spec(Scheme.MT3, potential.dim)
-        steps, probes = probe_stack(spec, potential, seed=5, states=4)
-        J = jacobian_fd(steps, probes)
+        z, noise = probe_stack(spec, potential, seed=5, states=4)
+        grad, hess = potential.gradient_many, potential.hessian_vec_many
+        J = jacobian_fd(spec, grad, hess, z, noise)
         assert J.shape == (4, 4, 4)
-        for F, z0, Js in zip(steps, probes, J):
-            assert jacobian_fd(F, z0).tobytes() == Js.tobytes()
-            assert jacobian_fd([F], [z0])[0].tobytes() == Js.tobytes()
+        for s, Js in enumerate(J):
+            alone = jacobian_fd(spec, grad, hess, z[s:s + 1], noise[:, s:s + 1])
+            assert alone.tobytes() == Js.tobytes()
 
     def test_det_and_residual_same_bits_alone_as_in_a_stack(self):
         J = np.random.default_rng(4).normal(size=(9, 6, 6))
@@ -371,18 +378,13 @@ class TestProbeStack:
     def test_rejects_mismatched_stacks(self):
         potential = repro.build_model("lingauss", 1)
         spec = make_spec(Scheme.LEAPFROG, potential.dim)
-        steps, probes = probe_stack(spec, potential, seed=1, states=3)
-        with pytest.raises(ValueError, match="one frozen step per probe state"):
-            jacobian_fd(steps[:2], probes)
-        with pytest.raises(ValueError, match="one frozen step per probe state"):
-            jacobian_fd([], [])
-        other = make_spec(Scheme.LEAPFROG, potential.dim)
-        odd = freeze_step(other, potential.gradient_many, RngStream(1, 0), probes[0])
-        with pytest.raises(ValueError, match="share one spec"):
-            jacobian_fd([odd] + steps[1:], probes)
-        odd = freeze_step(spec, quad_grad, RngStream(1, 0), probes[0])
-        with pytest.raises(ValueError, match="share one spec"):
-            jacobian_fd([odd] + steps[1:], probes)
+        z, noise = probe_stack(spec, potential, seed=1, states=3)
+        grad, hess = potential.gradient_many, potential.hessian_vec_many
+        with pytest.raises(ValueError, match="noise draws"):
+            jacobian_fd(spec, grad, hess, z, noise[:, :2])
+        for bad in (z[:, :-1], z[0], z[:0], z[None]):
+            with pytest.raises(ValueError, match="probe states"):
+                jacobian_fd(spec, grad, hess, bad, noise)
 
     def test_residual_rejects_odd_stacks(self):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsde.batching import make_schedule
+from hsde.batching import BatchSchedule
 from hsde.core import RngStream
 from hsde.potentials import (
     AnalyticPosteriorUnavailable,
@@ -195,7 +195,7 @@ class TestLinearGaussian:
         else:
             P = build_model("lingauss", int(model[-1]))
         m = 40
-        ids = make_schedule(mode, P.n_batches, RngStream(1, 2)).take(m)
+        ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
         batches = [None] * m if mode == "full" else P.chunk_batches(ids[:, None])
         draws = RngStream(2, 0)
         for b, batch in zip(ids.tolist(), batches):
@@ -222,7 +222,7 @@ class TestLinearGaussian:
         P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
                            noise_var=noise_var, prior_var=prior_var, n_batches=8)
         R, m = len(full), 6
-        ids = np.stack([make_schedule("full" if f == "F" else "perm", 8,
+        ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
         for j, batch in enumerate(P.chunk_batches(ids)):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsde import repro
-from hsde.batching import make_schedule
+from hsde.batching import BatchMode, BatchSchedule
 from hsde.chain import ChainConfig
 from hsde.core import MassMatrix, RngStream
 from hsde.integrators import DivergenceError, IntegratorSpec
@@ -152,7 +152,7 @@ class TestSweepEnsembles:
         cell_seed = repro._derive_cell_seed(seed, cell)
         spec = IntegratorSpec(scheme, eta, friction, MassMatrix.identity(model.dim))
         cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=1, seed=cell_seed)
-        sched = make_schedule("perm", 8, RngStream(cell_seed, 4 * rep + 2))
+        sched = BatchSchedule("perm", 8, RngStream(cell_seed, 4 * rep + 2))
         return reference_chain(model, spec, sched, cfg, rep)[0]
 
     def test_rows_match_reference_loop(self):
@@ -274,10 +274,10 @@ class TestMergedSweeps:
     def test_first_divergence_in_pair_then_mode_order(self, monkeypatch, jobs):
         # the first pair diverges in its second mode only, the second pair in
         # its first: the first pair's error wins, as it comes first in the plan
-        def fake_states(P, specs, scheds, cfgs, idx, keep_momenta=True):
-            for c, (spec, sched) in enumerate(zip(specs, scheds)):
-                if (spec.scheme.value, sched.mode.value) in (("leapfrog", "perm"),
-                                                             ("spv", "full")):
+        def fake_states(P, specs, modes, cfgs, idx, keep_momenta=True):
+            for c, (spec, mode) in enumerate(zip(specs, modes)):
+                if (spec.scheme.value, BatchMode(mode).value) in (("leapfrog", "perm"),
+                                                                  ("spv", "full")):
                     err = DivergenceError("chain diverged", step_index=10 + c,
                                           eta=spec.eta, scheme=spec.scheme)
                     err.chain, err.partial = c, (np.zeros((0, P.dim)), None)
@@ -299,6 +299,7 @@ class TestMergedSweeps:
         monkeypatch.setattr(repro, "run_states", no_chains)
         plan = [("leapfrog", (0.4,))]
         for modes, match in (([("perm", 8), ("iid", 4)], "share"),
+                             ([("iid", 1), ("perm", 8)], "share"),
                              ([("full", 1), ("perm", 0)], "n_batches"),
                              ([], "mode")):
             with pytest.raises(ValueError, match=match):
@@ -419,6 +420,17 @@ class TestReportFiles:
         repro.write_report_files(
             tmp_path, "Demo", [repro.CheckResult("a", "pass", 1.0, "> 0")])
         assert "Overall: **PASS**" in (tmp_path / "report.md").read_text()
+
+    # fail outranks inconclusive, which outranks pass; report.md and the
+    # CLI's meta.txt both read this one status
+    @pytest.mark.parametrize("statuses, want", [
+        (("pass", "inconclusive", "fail"), "fail"), (("inconclusive", "pass"), "inconclusive"),
+        (("pass",), "pass"), ((), "pass")])
+    def test_overall_status(self, tmp_path, statuses, want):
+        checks = [repro.CheckResult(f"c{i}", s, 0.0, "") for i, s in enumerate(statuses)]
+        assert repro.overall_status(checks) == want
+        repro.write_report_files(tmp_path, "Demo", checks)
+        assert f"Overall: **{want.upper()}**" in (tmp_path / "report.md").read_text()
 
     def test_slope_check_inconclusive_on_poor_fit(self):
         res = repro._slope_check("s", 2.0, 0.5, ">= 1", True)

@@ -13,9 +13,8 @@ import sys
 
 import hsde
 from hsde import repro
-from hsde.batching import make_schedule
 from hsde.chain import ChainConfig, run_chain
-from hsde.core import MassMatrix, RngStream
+from hsde.core import MassMatrix
 from hsde.integrators import IntegratorSpec, Scheme
 
 HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
@@ -48,8 +47,7 @@ def logistic_trace():
     model = repro.build_model("logistic2d", 2)
     spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.2, friction=2.0,
                           mass=MassMatrix.identity(model.dim))
-    sched = make_schedule("iid", model.n_batches, RngStream(3, 2))
-    return run_chain(model, spec, sched, ChainConfig(n_samples=40, burn_in=10,
+    return run_chain(model, spec, "iid", ChainConfig(n_samples=40, burn_in=10,
                                                      thinning=1, seed=3))
 
 

@@ -33,8 +33,8 @@ print(json.dumps(sorted({{rec.names[i] for i in rec.name_id}})))
 """)
     # no command calls the one-point `Potential.gradient` any more; install
     # still fails if that method goes
-    for span in ("geometry.freeze_step", "geometry.jacobian_fd", "chain.run_chain", "chain.save_trace", "batching.make_schedule",
-                 "core.normal", "operator_lab.matrix_exp", "operator_lab.spectral_norm",
+    for span in ("geometry.jacobian_fd", "chain.run_chain", "chain.save_trace", "core.normal",
+                 "operator_lab.matrix_exp", "operator_lab.spectral_norm",
                  "operator_lab.run_order_trials", "toy_exact.run_exact_states"):
         assert span in got
     assert os.path.exists(tmp_path / "geom" / "summary.csv")
