@@ -22,12 +22,15 @@ time or a chunk at a time, so every chain's kept states are bit-identical to
 the ones it gives run alone. `run_chain` runs one chain this way and wraps
 its states into a `Trace`.
 
-The per-step bookkeeping is done once per chunk: the potential may gather
-the chunk's mini-batch operands up front (`Potential.chunk_batches`), the
-chunk's states are stacked once at its end, its kept rows are copied out
-together and the divergence check runs over all of its (step, chain) rows.
-A diverging chain is reported with the step, state and kept samples it
-had at its first non-finite step, exactly as a step-by-step check would.
+The per-step bookkeeping is done once per chunk: the potential resolves the
+chunk's mini-batch operands up front and hands each step its gradient and
+Hessian-vector providers (`Potential.step_providers`), each step writes its
+state straight into its rows of the chunk's (m, R, d) arrays and its
+intermediates into the stepper's scratch arrays, the chunk's kept rows are
+copied out together and the divergence check runs over all of its (step,
+chain) rows. A diverging chain is reported with
+the step, state and kept samples it had at its first non-finite step,
+exactly as a step-by-step check would.
 """
 
 from __future__ import annotations
@@ -258,23 +261,14 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
                                       else float(P.n_batches)) for mode in modes])
 
         def advance(r, th, noise, ids):
-            def grad(x):
-                g = P.gradient_many(x, batch)
-                return g if scale is None else scale * g
-
-            def hess(x, v):
-                h = P.hessian_vec_many(x, v, batch)
-                return h if scale is None else scale * h
-
-            # the steppers return fresh arrays, so each step's state is kept
-            # by reference and the chunk's states are stacked once
-            rs, ths = [], []
-            for noise_j, batch in zip(noise, [None] * len(noise) if scale is None
-                                      else P.chunk_batches(ids)):
-                r, th = stepper(r, th, grad, hess, noise_j)
-                rs.append(r)
-                ths.append(th)
-            return np.stack(rs), np.stack(ths)
+            # each step writes its state straight into its rows of the
+            # chunk's arrays and reads the step before from there
+            rs, ths = np.empty((2, len(ids)) + r.shape)
+            for noise_j, r_out, th_out, (grad, hess) in zip(
+                    noise, rs, ths, P.step_providers(ids, scale)):
+                stepper(r, th, grad, hess, noise_j, r_out, th_out)
+                r, th = r_out, th_out
+            return rs, ths
 
         scheme = specs[0].scheme
         return (scheme, noise_draws(scheme), np.stack([z.r for z in starts]),

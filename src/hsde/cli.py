@@ -420,15 +420,6 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
     mass = MassMatrix.identity(d)
     spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
                           mass=mass, n_inner=n_inner)
-    # exact OU sub-steps contract volume by exp(-eta C / M_ii) per unit of
-    # simulated time; linear-friction kicks contract by (1 - eta C / M_ii)
-    if scheme in ("euler", "leapfrog", "sghmc"):
-        target = det_target_leapfrog(eta, friction, mass)
-    elif scheme in ("spv", "symmetric"):
-        target = det_target_lie_trotter(eta, friction, mass, 1)
-    else:
-        target = det_target_lie_trotter(eta, friction, mass, n_inner)
-
     grad, hess = potential.gradient_many, potential.hessian_vec_many
     n_draws = noise_draws(spec.scheme)
     draw = RngStream(seed, 1)
@@ -447,6 +438,16 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
         dets.append(np.linalg.det(J))
         symps.append(symplectic_residual(J))
     det = np.concatenate(dets)
+    # exact OU sub-steps contract volume by exp(-eta C / M_ii) per unit of
+    # simulated time; linear-friction kicks contract by (1 - eta C / M_ii).
+    # Worked out once every step is known to be finite, so a step size that
+    # diverges reports its error alone
+    if scheme in ("euler", "leapfrog", "sghmc"):
+        target = det_target_leapfrog(eta, friction, mass)
+    elif scheme in ("spv", "symmetric"):
+        target = det_target_lie_trotter(eta, friction, mass, 1)
+    else:
+        target = det_target_lie_trotter(eta, friction, mass, n_inner)
     residual = np.abs(det - target)
     # one row per probe state, in draw order
     write_columns(os.path.join(out_dir, "summary.csv"),

@@ -16,7 +16,7 @@ Phase-space ordering everywhere is momentum block first: z = [r, theta].
 Probe states are checked as a stack: `jacobian_fd` steps the 4d points
 z +- eps e_n of S states, each state's pinned draws repeated over its rows,
 as the rows of one (4dS, d) array pair through one stepper call, with the
-row gradient and Hessian-vector providers a chain ensemble uses. Every step
+row providers `Potential.gradient_many` / `hessian_vec_many`. Every step
 formula is elementwise and the row providers give each row the bits of a
 one-point call, so each state's Jacobian has the bits it would get alone;
 `np.linalg.det` and `symplectic_residual` take the (S, 2d, 2d) stack and
@@ -80,10 +80,13 @@ def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -
     points[:, 0, cols, cols] += eps
     points[:, 1, cols, cols] -= eps
     points = points.reshape(-1, n)
-    r_new, th_new = compile_step(spec)(
-        np.ascontiguousarray(points[:, :d]), np.ascontiguousarray(points[:, d:]),
-        grad, hess, [np.repeat(w, 2 * n, axis=0) for w in noise])
-    if not np.isfinite(np.sum(r_new) + np.sum(th_new)):
+    # a diverging step overflows: no warnings, the check below reports it
+    with np.errstate(all="ignore"):
+        r_new, th_new = compile_step(spec)(
+            np.ascontiguousarray(points[:, :d]), np.ascontiguousarray(points[:, d:]),
+            grad, hess, [np.repeat(w, 2 * n, axis=0) for w in noise])
+        finite = np.isfinite(np.sum(r_new) + np.sum(th_new))
+    if not finite:
         raise DivergenceError("frozen step produced non-finite output", eta=spec.eta,
                               scheme=spec.scheme)
     image = np.concatenate([r_new, th_new], axis=1).reshape(S, 2, n, n)

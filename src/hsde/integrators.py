@@ -28,14 +28,18 @@ potential and the step's standard-normal noise. Schemes:
 
 A stepper takes its step's noise as data, the `noise_draws(scheme)` normal
 vectors in the order listed on `compile_step`; the same draws give the same
-step bit for bit, however they were drawn.
+step bit for bit, however they were drawn. It writes the new state into
+output arrays its caller owns (a chain loop passes the rows of its chunk)
+and keeps its intermediates in scratch arrays made when it is compiled, so
+a step allocates nothing; `compile_step` wraps it for callers that want
+fresh arrays back. Each scheme's formulas exist once, as that in-place
+sequence of numpy calls.
 
 Unit factors are skipped: in IEEE-754, x * 1.0 is x bit for bit, so where
 every chain's M^-1 diagonal is exactly 1.0 (`MassMatrix.identity`, the mass
 of every CLI chain) a stepper leaves out each product by M^-1. The choice is
-made once, when the stepper is compiled, through one helper that each
-formula calls, so every scheme has one copy of its formulas and every input
-gets the bits the full products would give.
+made once, when the stepper is compiled, and every input gets the bits the
+full products would give.
 """
 
 from __future__ import annotations
@@ -137,19 +141,10 @@ class IntegratorSpec:
         return self.mass.dim
 
 
-def _det_leapfrog(r, th, grad: GradFn, half_eta, eta, inv):
-    th_half = th + inv(half_eta * r)
-    r_new = r - eta * grad(th_half)
-    th_new = th_half + inv(half_eta * r_new)
-    return r_new, th_new
-
-
-def _times(factor) -> Callable:
-    """x -> x * factor, or x itself where every entry of factor is exactly
-    1.0: x * 1.0 is x bit for bit, so the product is skipped."""
-    if np.all(np.asarray(factor) == 1.0):
-        return lambda x: x
-    return lambda x: x * factor
+def _non_unit(factor):
+    """factor, or None where every entry of it is exactly 1.0: x * 1.0 is x
+    bit for bit, so a stepper skips that product."""
+    return None if np.all(np.asarray(factor) == 1.0) else factor
 
 
 _MT3_C1, _MT3_C2 = 7.0 / 24.0, 3.0 / 8.0
@@ -216,68 +211,123 @@ def _constants(spec: IntegratorSpec) -> dict:
     return k
 
 
-def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
-    """The stepper for one scheme over the constants in k.
+def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
+    """The stepper for one scheme over the constants in k, on states of shape
+    `shape`.
 
     Every operation is elementwise, so the same code steps one chain
     (constants are floats and d-vectors, state and each noise draw are (d,))
     or R chains (constants, state and each noise draw are (R, d) arrays).
+    `stepper(r, th, grad, hess, noise, r_out, th_out)` writes the new state
+    into r_out and th_out, which must not overlap r or th, and keeps its
+    intermediates in scratch arrays made here, once, so a step allocates
+    nothing. grad(x) and hess(x, v) return arrays that the stepper only
+    reads, and only until its next call of the same provider. Each formula,
+    given in the comment above it, runs as the numpy calls its expression
+    makes, on the same operands and in the same order: the bits are the
+    expression's.
     """
     eta, half_eta, eta_C, C = k["eta"], k["half_eta"], k["eta_C"], k["C"]
-    # x * M^-1, chosen once here: the identity map for a unit mass
-    inv = _times(k["inv"])
+    # inv(y) in the formulas below is y * M^-1: one product by this factor,
+    # left out where it is None (a unit mass)
+    inv = _non_unit(k["inv"])
+    mul, add, sub, div, neg = np.multiply, np.add, np.subtract, np.divide, np.negative
+    decay, noise_std = k.get("decay"), k.get("noise_std")
+    a, b, x = (np.empty(shape) for _ in range(3))
+
+    def det_leapfrog(r, th, grad, r_out, th_out):
+        # th_half = th + inv(half_eta r), r' = r - eta grad(th_half),
+        # th' = th_half + inv(half_eta r'); r_out may be r and th_out th
+        mul(half_eta, r, a)
+        if inv is not None: mul(a, inv, a)
+        add(th, a, x)
+        mul(eta, grad(x), a)
+        sub(r, a, r_out)
+        mul(half_eta, r_out, a)
+        if inv is not None: mul(a, inv, a)
+        add(x, a, th_out)
+
+    def refresh(r, w, r_out):
+        # r' = decay r + noise_std w
+        mul(decay, r, a)
+        mul(noise_std, w, b)
+        add(a, b, r_out)
 
     if scheme is Scheme.EULER:
-        noise_std = k["noise_std"]
-
-        def stepper(r, th, grad, hess, noise):
-            th_new = th + inv(eta * r)
-            r_new = r - inv(eta_C * r) - eta * grad(th) + noise_std * noise[0]
-            return r_new, th_new
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # th' = th + inv(eta r)
+            mul(eta, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, th_out)
+            # r' = r - inv(eta_C r) - eta grad(th) + noise_std w
+            mul(eta_C, r, a)
+            if inv is not None: mul(a, inv, a)
+            sub(r, a, a)
+            mul(eta, grad(th), b)
+            sub(a, b, a)
+            mul(noise_std, noise[0], b)
+            add(a, b, r_out)
 
         return stepper
 
     if scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
-        noise_std = k["noise_std"]
-
-        def stepper(r, th, grad, hess, noise):
-            th_half = th + inv(half_eta * r)
-            r_new = r - eta * grad(th_half) - inv(eta_C * r) + noise_std * noise[0]
-            th_new = th_half + inv(half_eta * r_new)
-            return r_new, th_new
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # th_half = th + inv(half_eta r)
+            mul(half_eta, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, x)
+            # r' = r - eta grad(th_half) - inv(eta_C r) + noise_std w
+            mul(eta, grad(x), a)
+            sub(r, a, a)
+            mul(eta_C, r, b)
+            if inv is not None: mul(b, inv, b)
+            sub(a, b, a)
+            mul(noise_std, noise[0], b)
+            add(a, b, r_out)
+            # th' = th_half + inv(half_eta r')
+            mul(half_eta, r_out, a)
+            if inv is not None: mul(a, inv, a)
+            add(x, a, th_out)
 
         return stepper
 
     if scheme is Scheme.SPV:
-        decay, noise_std, kick = k["decay"], k["noise_std"], k["kick"]
+        kick = k["kick"]
 
-        def stepper(r, th, grad, hess, noise):
-            th_half = th + inv(half_eta * r)
-            r_new = decay * r - kick * grad(th_half) + noise_std * noise[0]
-            th_new = th_half + inv(half_eta * r_new)
-            return r_new, th_new
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # th_half = th + inv(half_eta r)
+            mul(half_eta, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, x)
+            # r' = decay r - kick grad(th_half) + noise_std w
+            mul(decay, r, a)
+            mul(kick, grad(x), b)
+            sub(a, b, a)
+            mul(noise_std, noise[0], b)
+            add(a, b, r_out)
+            # th' = th_half + inv(half_eta r')
+            mul(half_eta, r_out, a)
+            if inv is not None: mul(a, inv, a)
+            add(x, a, th_out)
 
         return stepper
 
     if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        decay, noise_std = k["decay"], k["noise_std"]
-
-        def stepper(r, th, grad, hess, noise):
-            for _ in range(n_inner):
-                r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
-            r = decay * r + noise_std * noise[0]
-            return r, th
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # n_inner deterministic leapfrogs, then one momentum refresh
+            det_leapfrog(r, th, grad, r_out, th_out)
+            for _ in range(n_inner - 1):
+                det_leapfrog(r_out, th_out, grad, r_out, th_out)
+            refresh(r_out, noise[0], r_out)
 
         return stepper
 
     if scheme is Scheme.SYMMETRIC:
-        decay, noise_std = k["decay"], k["noise_std"]
-
-        def stepper(r, th, grad, hess, noise):
-            r = decay * r + noise_std * noise[0]
-            r, th = _det_leapfrog(r, th, grad, half_eta, eta, inv)
-            r = decay * r + noise_std * noise[1]
-            return r, th
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # half refresh, deterministic leapfrog, half refresh
+            refresh(r, noise[0], r_out)
+            det_leapfrog(r_out, th, grad, r_out, th_out)
+            refresh(r_out, noise[1], r_out)
 
         return stepper
 
@@ -287,33 +337,85 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict) -> Callable:
         th2_r, th2_f1, th3_f1, th3_f2 = k["th2_r"], k["th2_f1"], k["th3_f1"], k["th3_f2"]
         amp_r, amp_mix, amp_mix_C = k["amp_r"], k["amp_mix"], k["amp_mix_C"]
         amp_high, amp_high_C, amp_high_CC = k["amp_high"], k["amp_high_C"], k["amp_high_CC"]
+        c, F1, F2 = (np.empty(shape) for _ in range(3))
 
-        def stepper(r, th, grad, hess, noise):
-            th1 = th + inv(c1_eta * r)
-            g1 = grad(th1)
-            r1 = (r - c1_eta * g1) / den1
-            F1 = -g1 - inv(C * r1)
+        def stepper(r, th, grad, hess, noise, r_out, th_out):
+            # th1 = th + inv(c1_eta r), g1 = grad(th1)
+            mul(c1_eta, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, x)
+            g = grad(x)
+            # r1 = (r - c1_eta g1) / den1, F1 = -g1 - inv(C r1)
+            mul(c1_eta, g, a)
+            sub(r, a, a)
+            div(a, den1, a)
+            neg(g, F1)
+            mul(C, a, a)
+            if inv is not None: mul(a, inv, a)
+            sub(F1, a, F1)
 
-            th2 = th + inv(th2_r * r) + inv(th2_f1 * F1)
-            g2 = grad(th2)
-            r2 = (r + r_f * F1 - c2_eta * g2) / den2
-            F2 = -g2 - inv(C * r2)
+            # th2 = th + inv(th2_r r) + inv(th2_f1 F1), g2 = grad(th2)
+            mul(th2_r, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, x)
+            mul(th2_f1, F1, a)
+            if inv is not None: mul(a, inv, a)
+            add(x, a, x)
+            g = grad(x)
+            # r2 = (r + r_f F1 - c2_eta g2) / den2, F2 = -g2 - inv(C r2)
+            mul(r_f, F1, a)
+            add(r, a, a)
+            mul(c2_eta, g, b)
+            sub(a, b, a)
+            div(a, den2, a)
+            neg(g, F2)
+            mul(C, a, a)
+            if inv is not None: mul(a, inv, a)
+            sub(F2, a, F2)
 
-            th3 = th + inv(eta * r) + inv(th3_f1 * F1) + inv(th3_f2 * F2)
-            g3 = grad(th3)
-            r3 = (r + r_f * (F1 - F2) - eta * g3) / den3
+            # th3 = th + inv(eta r) + inv(th3_f1 F1) + inv(th3_f2 F2),
+            # g3 = grad(th3)
+            mul(eta, r, a)
+            if inv is not None: mul(a, inv, a)
+            add(th, a, x)
+            mul(th3_f1, F1, a)
+            if inv is not None: mul(a, inv, a)
+            add(x, a, x)
+            mul(th3_f2, F2, a)
+            if inv is not None: mul(a, inv, a)
+            add(x, a, x)
+            g = grad(x)
+            # r3 = (r + r_f (F1 - F2) - eta g3) / den3, into a
+            sub(F1, F2, a)
+            mul(r_f, a, a)
+            add(r, a, a)
+            mul(eta, g, b)
+            sub(a, b, a)
+            div(a, den3, a)
 
             w1, w2 = noise
-            mix = w1 * 0.5 + w2
-            th_new = th3 + inv(amp_mix * mix) - inv(inv(amp_high_C * w1))
-            r_new = (
-                r3
-                + amp_r * w1
-                - inv(amp_mix_C * mix)
-                - amp_high * hess(th3, inv(w1))
-                + inv(inv(amp_high_CC * w1))
-            )
-            return r_new, th_new
+            # mix = w1 0.5 + w2, into b
+            mul(w1, 0.5, b)
+            add(b, w2, b)
+            # th' = th3 + inv(amp_mix mix) - inv(inv(amp_high_C w1))
+            mul(amp_mix, b, c)
+            if inv is not None: mul(c, inv, c)
+            add(x, c, th_out)
+            mul(amp_high_C, w1, c)
+            if inv is not None: mul(mul(c, inv, c), inv, c)
+            sub(th_out, c, th_out)
+            # r' = r3 + amp_r w1 - inv(amp_mix_C mix)
+            #      - amp_high hess(th3, inv(w1)) + inv(inv(amp_high_CC w1))
+            mul(amp_r, w1, c)
+            add(a, c, r_out)
+            mul(amp_mix_C, b, c)
+            if inv is not None: mul(c, inv, c)
+            sub(r_out, c, r_out)
+            mul(amp_high, hess(x, w1 if inv is None else mul(w1, inv, c)), c)
+            sub(r_out, c, r_out)
+            mul(amp_high_CC, w1, c)
+            if inv is not None: mul(mul(c, inv, c), inv, c)
+            add(r_out, c, r_out)
 
         return stepper
 
@@ -324,16 +426,25 @@ def compile_step(spec: IntegratorSpec) -> Callable:
     """Bake the spec's constants into a raw stepper.
 
     The returned callable has signature (r, theta, grad, hess, noise) and
-    returns the new (r, theta) arrays without validation; callers own the
-    divergence check. `noise` holds the step's `noise_draws(scheme)`
-    standard-normal d-vectors, in order:
+    returns the new (r, theta) as fresh arrays without validation; callers
+    own the divergence check. grad(x) and hess(x, v) return arrays. `noise`
+    holds the step's `noise_draws(scheme)` standard-normal d-vectors, in
+    order:
 
     EULER / LEAPFROG / SGHMC: one (the momentum kick's).
     SPV / LIE_TROTTER / HMC_PARTIAL: one (the momentum refresh's).
     SYMMETRIC: two (first then second half refresh).
     MT3: two (w1, the sqrt-eta one, then w2).
     """
-    return _kernel(spec.scheme, spec.n_inner, _constants(spec))
+    k = _constants(spec)
+
+    def step(r, th, grad, hess, noise):
+        r_out, th_out = np.empty(np.shape(r)), np.empty(np.shape(th))
+        _kernel(spec.scheme, spec.n_inner, k, r_out.shape)(
+            r, th, grad, hess, noise, r_out, th_out)
+        return r_out, th_out
+
+    return step
 
 
 def compile_ensemble_step(specs) -> Callable:
@@ -343,8 +454,12 @@ def compile_ensemble_step(specs) -> Callable:
     computes them and spread over row c of (R, d) arrays (same-shape numpy
     operations skip broadcasting, the slow path for small arrays), so each
     row gets the bits its own `compile_step` stepper would give. The specs
-    must share scheme, n_inner and dimension. Each of the `noise` draws is
-    (R, d), row c for chain c; grad and hess map (R, d) to (R, d).
+    must share scheme, n_inner and dimension. The stepper is
+    `(r, th, grad, hess, noise, r_out, th_out)`: it writes the step from
+    (r, th) into the (R, d) arrays r_out and th_out, which must not overlap
+    r or th, and allocates nothing. Each of the `noise` draws is (R, d), row
+    c for chain c; grad and hess map (R, d) to (R, d) arrays that the
+    stepper only reads.
     """
     specs = list(specs)
     if not specs:
@@ -356,7 +471,7 @@ def compile_ensemble_step(specs) -> Callable:
     per_chain = [_constants(s) for s in specs]
     stacked = {key: np.stack([np.broadcast_to(c[key], (first.dim,)) for c in per_chain])
                for key in per_chain[0]}
-    return _kernel(first.scheme, first.n_inner, stacked)
+    return _kernel(first.scheme, first.n_inner, stacked, (len(specs), first.dim))
 
 
 def step(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,

@@ -8,7 +8,8 @@ the raw sub-potential
     U_i(theta) = nll over block i + (1/K) * prior(theta)
 
 so that sum_i U_i = U exactly. The K-rescaling used by mini-batch simulation
-(multiply gradients by K) is applied by the caller, never baked in here.
+(multiply gradients by K) is chosen by the caller, which hands the factor to
+`Potential.step_providers`; it is never baked in here.
 
 All gradients and Hessian-vector products are hand-derived; the three models
 keep them exact.
@@ -19,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -171,9 +171,8 @@ class Potential:
         """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit.
 
         A raw path for the chain runner: no validation. thetas is (R, d);
-        batch_ids is None (every row on the full potential), R integers
-        where -1 marks the full potential, or a step's argument from
-        `chunk_batches`.
+        batch_ids is None (every row on the full potential) or R integers
+        where -1 marks the full potential.
         """
         keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
         if len(thetas) == 1:
@@ -195,13 +194,28 @@ class Potential:
             out[c] = self._raw_hessian_vec(thetas[c], vs[c], key)
         return out
 
-    def chunk_batches(self, ids_chunk: np.ndarray):
-        """The batch argument of `gradient_many` / `hessian_vec_many` for
-        each step of a chunk, in step order: ids_chunk is (m, R) batch ids,
-        -1 marking the full potential. Here step j's argument is the row
-        ids_chunk[j]; a model may instead gather the chunk's operands once
-        and hand out each step's share."""
-        return ids_chunk
+    def step_providers(self, ids_chunk: np.ndarray, scale=None):
+        """The gradient and Hessian-vector providers of each step of a
+        chunk, in step order: ids_chunk is (m, R) batch ids, -1 marking the
+        full potential, and step j's pair (grad, hess) maps (R, d) rows x
+        (and v) to the array whose row c is `gradient_many` /
+        `hessian_vec_many` at batch ids_chunk[j, c], times scale ((R, d))
+        where given. A result may be overwritten by the provider's next
+        call. Here each step calls the per-row path and scales its fresh
+        result in place; a model may instead resolve the chunk's operands
+        once and write into arrays it owns."""
+        mul = np.multiply
+
+        def grad(x):
+            g = self.gradient_many(x, batch)
+            return g if scale is None else mul(scale, g, g)
+
+        def hess(x, v):
+            h = self.hessian_vec_many(x, v, batch)
+            return h if scale is None else mul(scale, h, h)
+
+        for batch in ids_chunk:
+            yield grad, hess
 
     def analytic_posterior(self) -> GaussianPosterior:
         raise AnalyticPosteriorUnavailable(
@@ -243,36 +257,10 @@ class Toy1D(Potential):
         return GaussianPosterior(mean=np.array([mean]), cov=np.array([[var]]))
 
 
-# the most bytes of design blocks `LinearGaussian.chunk_batches` gathers at
-# once: a whole chunk of steps for the CLI's models, a step or a few for a
+# the most bytes of design blocks `LinearGaussian` gathers at once for a
+# chunk of steps: a whole chunk for the CLI's models, a step or a few for a
 # large design, whose chunk of blocks can run to hundreds of MB
 _GATHER_BYTES = 1 << 19
-
-
-class _Operands(NamedTuple):
-    """A stacked LinearGaussian call's design blocks F (R or 1, rows, d),
-    their transposed view FT, targets y and prior weight w."""
-
-    F: np.ndarray
-    FT: np.ndarray
-    y: np.ndarray
-    w: float
-
-
-class _Groups(tuple):
-    """A step's batch argument for an ensemble of full and mini-batch rows:
-    (rows, _Operands) per group, rows a slice or an index array."""
-
-
-def _by_group(stacked_fn, x, stacked):
-    """stacked_fn(x, operands), or for a mixed ensemble's _Groups one call
-    per group over its rows of x, gathered into one array."""
-    if not isinstance(stacked, _Groups):
-        return stacked_fn(x, stacked)
-    out = np.empty_like(x)
-    for rows, ops in stacked:
-        out[rows] = stacked_fn(x[rows], ops)
-    return out
 
 
 def _rows(mask: np.ndarray):
@@ -307,7 +295,7 @@ class LinearGaussian(Potential):
         self._full = self._blocks = None
         self._unit_prior = bool(np.all(self.prior_var == 1.0))
         if Phi.flags.c_contiguous:
-            self._full = _Operands(Phi[None], Phi[None].swapaxes(1, 2), y, 1.0)
+            self._full = (Phi[None], Phi[None].swapaxes(1, 2), y)
             if self.n_obs % self.n_batches == 0:
                 rows = self.n_obs // self.n_batches
                 self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
@@ -324,88 +312,184 @@ class LinearGaussian(Potential):
     def _nll_hess_vec(self, theta, v, sl):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
-    def chunk_batches(self, ids_chunk):
-        """Where every id is an equal block's, step j's argument is its share
-        of the design blocks and targets gathered for a run of steps at
-        once, with the prior weight. Where some chains run on the full
-        potential throughout the chunk and the rest on equal blocks, it is
-        the two stacked groups, full rows and gathered-block rows.
-        Otherwise the per-step id rows, as for any potential."""
-        steps = self._step_operands(ids_chunk)
-        return super().chunk_batches(ids_chunk) if steps is None else steps
+    def step_providers(self, ids_chunk, scale=None):
+        """Where the stacked path serves the chunk, its operands are
+        resolved once here: each step's pair is the same two providers,
+        pointed at that step's operands, writing into arrays they own."""
+        groups = self._chunk_groups(ids_chunk)
+        if groups is None:
+            return super().step_providers(ids_chunk, scale)
+        return self._providers(groups, ids_chunk.shape[1], scale)
 
-    def _step_operands(self, ids_chunk):
+    def _chunk_groups(self, ids_chunk):
+        """The stacked operands of a chunk of (m, R) batch ids, per group of
+        rows (rows, w, size, steps): rows a slice or an index array, w the
+        group's prior weight and steps each step's (F, FT, y) in turn,
+        design blocks F (n or 1, size, d), their transposed view FT and
+        targets y. One group where every chain runs on the full potential
+        or every id is an equal block's, the blocks gathered for a run of
+        steps at once; two, full rows and gathered-block rows, where some
+        chains run on the full potential throughout the chunk and the rest
+        on equal blocks. None where only the per-row path is proven to give
+        the same bits: unequal blocks, a design that is not C-contiguous."""
         full = ids_chunk < 0
-        rows = full[0]
-        if self._blocks is None or (full != rows).any():
+        on_full = full[0]
+        if (full != on_full).any():
             return None
-        if rows.all():
-            return itertools.repeat(self._full, len(ids_chunk))
-        if not rows.any():
-            return self._gathered(ids_chunk)
-        on_full, on_blocks = _rows(rows), _rows(~rows)
-        return (_Groups(((on_full, self._full), (on_blocks, ops)))
-                for ops in self._gathered(ids_chunk[:, on_blocks]))
+        if on_full.all():
+            return None if self._full is None else [
+                (slice(None), *self._full_steps(ids_chunk))]
+        if self._blocks is None:
+            return None
+        if not on_full.any():
+            return [(slice(None), *self._gathered(ids_chunk))]
+        on_full, on_blocks = _rows(on_full), _rows(~on_full)
+        return [(on_full, *self._full_steps(ids_chunk[:, on_full])),
+                (on_blocks, *self._gathered(ids_chunk[:, on_blocks]))]
+
+    def _full_steps(self, ids_chunk):
+        """(w, size, steps) of a full group: the same operands every step,
+        the targets repeated per row (same-shape operations skip
+        broadcasting, the slow path for small arrays)."""
+        F, FT, y = self._full
+        y_rows = np.tile(y, (ids_chunk.shape[1], 1))
+        return 1.0, self.n_obs, itertools.repeat((F, FT, y_rows), len(ids_chunk))
 
     def _gathered(self, ids_chunk):
+        """(w, size, steps) of a block group: each step's design blocks,
+        their transposed view and targets, gathered a run of steps at a
+        time."""
         F, y = self._blocks
-        w = 1.0 / self.n_batches
         run = max(1, _GATHER_BYTES // max(1, ids_chunk.shape[1] * F[0].nbytes))
-        for lo in range(0, len(ids_chunk), run):
-            ids = ids_chunk[lo:lo + run]
-            # each step's views are made as it comes up, the transposed
-            # operand among them: a gathered transposed copy would raise
-            # peak memory
-            for Fj, yj in zip(F[ids], y[ids]):
-                yield _Operands(Fj, Fj.swapaxes(1, 2), yj, w)
+
+        def steps():
+            for lo in range(0, len(ids_chunk), run):
+                ids = ids_chunk[lo:lo + run]
+                # the run's transposed operand is a view: a gathered
+                # transposed copy would raise peak memory
+                F_run = F[ids]
+                yield from zip(F_run, F_run.swapaxes(2, 3), y[ids])
+
+        return 1.0 / self.n_batches, F.shape[1], steps()
 
     def _stacked(self, batch):
-        """The stacked path's operands for a batch argument (None, R ids or
-        a `chunk_batches` entry), or None where only the per-row path is
-        proven to give the same bits: unequal blocks, a design that is not
-        C-contiguous."""
-        if isinstance(batch, (_Operands, _Groups)):
-            return batch
+        """The `_chunk_groups` of one step's batch argument (None or R ids),
+        or None where only the per-row path gives the same bits. The full
+        group of None keeps its targets unrepeated: a one-off call over
+        many rows saves little by skipping broadcasting."""
         if batch is None:
-            return self._full
-        steps = self._step_operands(batch[None])
-        return None if steps is None else next(steps)
+            return None if self._full is None else [
+                (slice(None), 1.0, self.n_obs, (self._full,))]
+        return self._chunk_groups(np.asarray(batch)[None])
 
-    def _prior_term(self, x, w):
-        # x / 1.0 and 1.0 * x are x bit for bit: unit factors are skipped
-        if not self._unit_prior:
-            x = x / self.prior_var
-        return x if w == 1.0 else w * x
+    def _providers(self, groups, R, scale=None):
+        """Per step of `groups`, over R rows, the (grad, hess) pair of
+        `step_providers`. A mixed ensemble's pair runs each group's
+        providers over its rows, which write straight into their rows of
+        the shared result where the rows are contiguous."""
+        if len(groups) == 1:
+            (_, w, size, steps), = groups
+            grad, hess, follow = self._stacked_rows(R, w, size, scale)
+            return ((grad, hess) for _ in follow(steps))
+        mul = np.multiply
+        g_all, h_all = np.empty((R, self.dim)), np.empty((R, self.dim))
+        parts, follows = [], []
+        for rows, w, size, steps in groups:
+            contiguous = isinstance(rows, slice)
+            outs = (g_all[rows], h_all[rows]) if contiguous else ()
+            n = len(range(R)[rows]) if contiguous else len(rows)
+            grad_g, hess_g, follow = self._stacked_rows(n, w, size, None, *outs)
+            parts.append((rows, grad_g, hess_g, not contiguous))
+            follows.append(follow(steps))
 
-    def _over_noise(self, x):
-        return x if self.noise_var == 1.0 else x / self.noise_var
+        def grad(x):
+            for rows, grad_g, _, scatter in parts:
+                g = grad_g(x[rows])
+                if scatter:
+                    g_all[rows] = g
+            return g_all if scale is None else mul(scale, g_all, g_all)
 
-    # Stacked (R, rows, d) matmuls through the transposed view run the same
+        def hess(x, v):
+            for rows, _, hess_g, scatter in parts:
+                h = hess_g(x[rows], v[rows])
+                if scatter:
+                    h_all[rows] = h
+            return h_all if scale is None else mul(scale, h_all, h_all)
+
+        return ((grad, hess) for _ in zip(*follows))
+
+    # Stacked (n, size, d) matmuls through the transposed view run the same
     # BLAS kernels as the per-row `features[sl].T @ resid`, so the bits match;
     # Gram-matrix forms, einsum and a contiguous transpose do not. A mixed
     # ensemble makes one such call per group.
-    def gradient_many(self, thetas, batch_ids=None):
-        stacked = self._stacked(batch_ids)
-        if stacked is None:
-            return super().gradient_many(thetas, batch_ids)
-        return _by_group(self._gradient_stacked, thetas, stacked)
+    def _stacked_rows(self, n, w, size, scale=None, g=None, hv=None):
+        """(grad, hess, follow) for n stacked rows of prior weight w on
+        operands of `size` data rows: grad(x) and hess(x, v) map (n, d) rows
+        to their gradients and Hessian-vector products, times scale where
+        given, in the (n, d) arrays g and hv (made here unless given),
+        overwritten by each call; `follow(steps)` is a generator that
+        points both at each step's (F, FT, y) in turn.
 
-    def _gradient_stacked(self, thetas, ops):
-        F, FT, y, w = ops
-        resid = (F @ thetas[..., None])[..., 0] - y
-        grad = self._over_noise((FT @ resid[..., None])[..., 0])
-        return grad + self._prior_term(thetas, w)
+        Each is the per-row formula's numpy calls in order, written into
+        arrays made here once; unit factors are skipped (x / 1.0 and
+        1.0 * x are x bit for bit).
+        """
+        mul, add, sub, div, matmul = np.multiply, np.add, np.subtract, np.divide, np.matmul
+        # factors spread over (n, d), as the stepper's constants are
+        row_d = (n, self.dim)
+        noise_var = None if self.noise_var == 1.0 else np.full(row_d, self.noise_var)
+        prior_var = None if self._unit_prior else np.tile(self.prior_var, (n, 1))
+        w = None if w == 1.0 else np.full(row_d, w)
+        # F @ x, then the residual in place; F @ v
+        Fx = np.empty((n, size, 1))
+        Fx_2d = Fx[..., 0]
+        g = (np.empty((n, self.dim)) if g is None else g)[..., None]
+        hv = (np.empty((n, self.dim)) if hv is None else hv)[..., None]
+        g_2d, hv_2d = g[..., 0], hv[..., 0]
+        p = np.empty((n, self.dim))
+        F = FT = y = None
+
+        def grad(x):
+            # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
+            matmul(F, x[..., None], Fx)
+            sub(Fx_2d, y, Fx_2d)
+            matmul(FT, Fx, g)
+            if noise_var is not None:
+                div(g_2d, noise_var, g_2d)
+            q = x if prior_var is None else div(x, prior_var, p)
+            add(g_2d, q if w is None else mul(w, q, p), g_2d)
+            return g_2d if scale is None else mul(scale, g_2d, g_2d)
+
+        def hess(x, v):
+            # (FT @ (F @ v)) / noise_var + w (v / prior_var)
+            matmul(F, v[..., None], Fx)
+            matmul(FT, Fx, hv)
+            if noise_var is not None:
+                div(hv_2d, noise_var, hv_2d)
+            q = v if prior_var is None else div(v, prior_var, p)
+            add(hv_2d, q if w is None else mul(w, q, p), hv_2d)
+            return hv_2d if scale is None else mul(scale, hv_2d, hv_2d)
+
+        def follow(steps):
+            nonlocal F, FT, y
+            for F, FT, y in steps:
+                yield
+
+        return grad, hess, follow
+
+    def gradient_many(self, thetas, batch_ids=None):
+        groups = self._stacked(batch_ids)
+        if groups is None:
+            return super().gradient_many(thetas, batch_ids)
+        grad, _ = next(self._providers(groups, len(thetas)))
+        return grad(thetas)
 
     def hessian_vec_many(self, thetas, vs, batch_ids=None):
-        stacked = self._stacked(batch_ids)
-        if stacked is None:
+        groups = self._stacked(batch_ids)
+        if groups is None:
             return super().hessian_vec_many(thetas, vs, batch_ids)
-        return _by_group(self._hessian_vec_stacked, vs, stacked)
-
-    def _hessian_vec_stacked(self, vs, ops):
-        F, FT, _, w = ops
-        hv = self._over_noise((FT @ (F @ vs[..., None]))[..., 0])
-        return hv + self._prior_term(vs, w)
+        _, hess = next(self._providers(groups, len(thetas)))
+        return hess(thetas, vs)
 
     def analytic_posterior(self) -> GaussianPosterior:
         precision = self.features.T @ self.features / self.noise_var + np.diag(

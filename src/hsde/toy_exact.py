@@ -234,6 +234,7 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
         # z - b and E (z - b), reused by every step
         t = np.empty_like(z)
         u = np.empty_like(z)
+        sub, matmul, add = np.subtract, np.matmul, np.add
 
         def advance(r, th, noise, ids):
             z = np.stack([r, th], axis=1)
@@ -247,12 +248,11 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
             # per row the one-chain arithmetic E @ (z - b) + b + L @ xi, in
             # the same operations and order, written into preallocated
             # arrays: stacked matmuls reproduce its bits, einsum does not
-            for Ej, bj, nj, row in zip(list(E[rows, ids]), list(b[rows, ids]),
-                                       list(noise), list(buf)):
-                np.subtract(z, bj, out=t)
-                np.matmul(Ej, t, out=u)
-                np.add(u, bj, out=u)
-                np.add(u, nj, out=row)
+            for Ej, bj, nj, row in zip(E[rows, ids], b[rows, ids], noise, buf):
+                sub(z, bj, t)
+                matmul(Ej, t, u)
+                add(u, bj, u)
+                add(u, nj, row)
                 z = row
             return buf[:, :, 0], buf[:, :, 1]
 

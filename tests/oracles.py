@@ -289,10 +289,13 @@ def log_of_product_exp(A, B):
     return np.real(Z)
 
 
-def reference_chain(P, spec, sched, cfg, chain_index=0):
+def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
     """One chain, one public `step()` per step and one `normal(d)` call per
     noise draw, with gradients from `Potential.gradient` / `hessian_vec`
-    (times K on a mini-batch).
+    (times K on a mini-batch). With formulas set, each step is instead
+    `reference_kernel`'s fresh-array expressions, checked for divergence
+    as `step()` checks it: a loop that shares no step code with the
+    package.
 
     Follows the chain stream convention (noise on 4c, initial state on
     4c + 1; the caller builds the schedule on 4c + 2). Returns (thetas,
@@ -300,8 +303,20 @@ def reference_chain(P, spec, sched, cfg, chain_index=0):
     step's DivergenceError with `step_index` and `partial` (the kept
     thetas and momenta) set.
     """
+    from hsde import integrators
     from hsde.core import RngStream, State
-    from hsde.integrators import DivergenceError, Scheme, step
+    from hsde.integrators import DivergenceError, Scheme, noise_draws, step
+
+    if formulas:
+        kernel = reference_kernel(spec.scheme, spec.n_inner, integrators._constants(spec))
+
+        def step(z, grad, spec, rng, hess):
+            noise = [rng.normal(z.dim) for _ in range(noise_draws(spec.scheme))]
+            r, th = kernel(z.r, z.theta, grad, hess, noise)
+            if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
+                raise DivergenceError("non-finite state after step", r=r, theta=th,
+                                      eta=spec.eta, scheme=spec.scheme)
+            return State(r=r, theta=th)
 
     d = P.dim
     if isinstance(cfg.init, State):

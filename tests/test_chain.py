@@ -173,19 +173,20 @@ class Case:
         return run_states(self.P, self.specs, self.modes, self.cfgs, self.indices,
                           keep_momenta=keep_momenta)
 
-    def reference(self, c):
+    def reference(self, c, formulas=False):
         sched = BatchSchedule(self.modes[c], self.P.n_batches,
                               RngStream(self.cfgs[c].seed, 4 * self.indices[c] + 2))
         return reference_chain(self.P, self.specs[c], sched, self.cfgs[c],
-                               self.indices[c])
+                               self.indices[c], formulas=formulas)
 
-    def check(self):
+    def check(self, formulas=False):
         """Each chain's ensemble rows and its `run_chain` trace equal the
-        reference loop."""
+        reference loop (stepping by `reference_kernel`'s formulas where
+        formulas is set)."""
         thetas, momenta = self.run()
         assert thetas.shape[0] == momenta.shape[0] == len(self.specs)
         for c in range(len(self.specs)):
-            ref_thetas, ref_momenta, steps, times, effective = self.reference(c)
+            ref_thetas, ref_momenta, steps, times, effective = self.reference(c, formulas)
             assert_bits(thetas[c], ref_thetas)
             assert_bits(momenta[c], ref_momenta)
             trace = run_chain(self.P, self.specs[c], self.modes[c], self.cfgs[c],
@@ -262,6 +263,47 @@ class TestEnsembleMatchesReference:
     def test_full_and_block_groups(self, scheme, model):
         P = build_model("lingauss", 8) if model == "lingauss" else dense_lingauss(32, 5, 4)
         Case(P, scheme, ("full", "full", "perm", "perm", "perm")).check()
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestRunStatesMatchFormulas:
+    """`run_states` steps write into the chunk's rows and its providers into
+    arrays they own; every kept state must still equal a fresh-array loop
+    over `reference_kernel`'s formulas and the one-point gradients, which
+    shares no step code with the package."""
+
+    @pytest.mark.parametrize("modes", [
+        "full", "perm", "iid", ("full", "full", "perm", "perm", "perm")],
+        ids=["full", "perm", "iid", "full+perm"])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_lingauss(self, scheme, modes):
+        Case(build_model("lingauss", 8), scheme, modes).check(formulas=True)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_logistic_iid(self, scheme):
+        Case(build_model("logistic2d", 2), scheme, "iid").check(formulas=True)
+
+    def test_toy_exact_kernel(self):
+        from hsde.toy_exact import reference_params
+
+        from .test_toy_exact import check_ensemble
+
+        check_ensemble(reference_params(), [0.4, 0.05, 0.2, 0.1],
+                       ["minibatch", "full", "full", "minibatch"], [3, 3, 4, 5],
+                       [0, 1, 0, 2])
+
+    def test_diverging_chain(self):
+        # chain 1 (eta 2) diverges first, at step 268 as before steps wrote
+        # into buffers
+        case = TestEnsembleDivergence().case()
+        with pytest.raises(DivergenceError) as info, np.errstate(all="ignore"):
+            case.reference(1, formulas=True)
+        ref = info.value
+        assert ref.step_index == 268
+        with pytest.raises(DivergenceError) as info:
+            case.run()
+        assert info.value.chain == 1
+        assert_same_error(info.value, ref)
 
 
 class TestEnsembleRun:

@@ -572,6 +572,24 @@ class TestGeom:
         assert "non-finite" in errors[0] and "scheme=leapfrog eta=1e+200" in errors[0]
         assert os.listdir(tmp_path) == []
 
+    def test_nonfinite_step_prints_no_warnings(self, tmp_path):
+        # a fresh interpreter: numpy warns once per call site, so an earlier
+        # test could hide a warning from an in-process run
+        import subprocess
+        import sys
+
+        import hsde
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(hsde.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONWARNINGS="default")
+        done = subprocess.run([sys.executable, "-m", "hsde.cli", "geom", "--eta", "1e200",
+                               "--states", "2", "--out", str(tmp_path / "new")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 3
+        assert "RuntimeWarning" not in done.stderr
+        assert done.stderr.strip().splitlines() == [
+            "error: frozen step produced non-finite output scheme=leapfrog eta=1e+200"]
+
     def test_rejects_eps_before_any_draw(self, runner, tmp_path, monkeypatch):
         from hsde.core import RngStream
 

@@ -184,7 +184,8 @@ class TestLinearGaussian:
 
     # a lone chain's gradient and Hessian-vector calls take the stacked
     # path, full batch or on a chunk's gathered blocks, and give the
-    # per-row bits
+    # per-row bits: one step's `gradient_many` calls and the chunk's
+    # `step_providers`, whose providers write into arrays they own
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks"])
     def test_lone_row_stacked_path_matches_per_row(self, model, mode):
@@ -196,16 +197,20 @@ class TestLinearGaussian:
             P = build_model("lingauss", int(model[-1]))
         m = 40
         ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
-        batches = [None] * m if mode == "full" else P.chunk_batches(ids[:, None])
+        assert P._chunk_groups(ids[:, None]) is not None
+        batches = [None] * m if mode == "full" else ids[:, None]
         draws = RngStream(2, 0)
-        for b, batch in zip(ids.tolist(), batches):
+        for b, batch, (grad, hess) in zip(ids.tolist(), batches,
+                                          P.step_providers(ids[:, None])):
             assert P._stacked(batch) is not None
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
             key = None if b < 0 else b
-            got_g = P.gradient_many(th[None], batch)
-            got_h = P.hessian_vec_many(th[None], v[None], batch)
-            assert got_g.tobytes() == P.gradient(th, key)[None].tobytes()
-            assert got_h.tobytes() == P.hessian_vec(th, v, key)[None].tobytes()
+            want_g = P.gradient(th, key)[None].tobytes()
+            want_h = P.hessian_vec(th, v, key)[None].tobytes()
+            assert P.gradient_many(th[None], batch).tobytes() == want_g
+            assert P.hessian_vec_many(th[None], v[None], batch).tobytes() == want_h
+            assert grad(th[None]).tobytes() == want_g
+            assert hess(th[None], v[None]).tobytes() == want_h
 
     # the stacked path skips a unit noise variance, unit prior variances and
     # a unit prior weight, and serves an ensemble of full and block rows as
@@ -225,14 +230,17 @@ class TestLinearGaussian:
         ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
-        for j, batch in enumerate(P.chunk_batches(ids)):
-            assert P._stacked(batch) is not None
+        assert P._chunk_groups(ids) is not None
+        for j, (grad, hess) in enumerate(P.step_providers(ids)):
+            assert P._stacked(ids[j]) is not None
             th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
             keys = ids[j].tolist()
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
             want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
                                for c, k in enumerate(keys)])
-            for arg in (batch, ids[j]) + ((None,) if rows == "all-full" else ()):
+            assert grad(th).tobytes() == want_g.tobytes()
+            assert hess(th, v).tobytes() == want_h.tobytes()
+            for arg in (ids[j],) + ((None,) if rows == "all-full" else ()):
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
 
