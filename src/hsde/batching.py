@@ -32,8 +32,9 @@ class BatchMode(str, enum.Enum):
 class BatchSchedule:
     """Deterministic-given-seed emitter of (batch id, gradient scale) pairs.
 
-    Batch ids are 0-based; the full-batch marker is None. Owned by a single
-    chain; `next` and `take` mutate the cursor.
+    Batch ids are 0-based; the full-batch marker is None from `next` and -1
+    in the arrays `take` returns. Owned by a single chain; `next` and `take`
+    mutate the cursor.
     """
 
     def __init__(self, mode: BatchMode, n_batches: int, rng: RngStream):

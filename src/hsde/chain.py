@@ -22,15 +22,17 @@ time or a chunk at a time, so every chain's kept states are bit-identical to
 the ones it gives run alone. `run_chain` runs one chain this way and wraps
 its states into a `Trace`.
 
-The per-step bookkeeping is done once per chunk: the potential resolves the
-chunk's mini-batch operands up front and hands each step its gradient and
-Hessian-vector providers (`Potential.step_providers`), each step writes its
-state straight into its rows of the chunk's (m, R, d) arrays and its
-intermediates into the stepper's scratch arrays, the chunk's kept rows are
-copied out together and the divergence check runs over all of its (step,
-chain) rows. A diverging chain is reported with
-the step, state and kept samples it had at its first non-finite step,
-exactly as a step-by-step check would.
+The per-step bookkeeping is done once per chunk, and so is the stepper
+call: the potential resolves the chunk's mini-batch operands up front into
+step-indexed gradient and Hessian-vector providers
+(`Potential.step_providers`), the scheme's stepper takes every step of the
+chunk in one call, writing each step's state straight into its rows of the
+chunk's (m, R, d) arrays and its intermediates into scratch arrays, the
+chunk's kept rows are copied out together and the divergence check runs
+over all of its (step, chain) rows. One chain steps d-vectors and an
+ensemble (R, d) rows. A diverging chain is reported with the step, state
+and kept samples it had at its first non-finite step, exactly as a
+step-by-step check would.
 """
 
 from __future__ import annotations
@@ -154,8 +156,9 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     advance): the scheme a divergence error names, the d-vectors of noise
     one step draws, the (R, d) start, and `advance(r, th, noise, ids)`,
     which takes the chains m steps on from (r, th), step j with the draws
-    noise[j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking the full
-    potential, and returns their (m, R, d) states (rs, ths).
+    noise[:, j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking the
+    full potential, and returns their (m, R, d) states (rs, ths); it may
+    overwrite noise.
 
     Returns and raises as `run_states` does.
     """
@@ -186,10 +189,11 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     with np.errstate(all="ignore"):
         while i < total_steps and 0 not in errors:
             # noise and batch ids for the next m steps, drawn per chain in
-            # the order its steps would draw them one by one
+            # the order its steps would draw them one by one; the noise is
+            # laid out draw by draw, (n_draws, m, R, d)
             m = min(_CHUNK, total_steps - i)
             noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
-                              for rng in rngs], axis=2)
+                              .swapaxes(0, 1) for rng in rngs], axis=2)
             ids = np.stack([s.take(m) for s in scheds], axis=1)
             rs, ths = advance(r, th, noise, ids)
             # freed before the next chunk's are drawn, and the last states
@@ -232,9 +236,13 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
     Chain c is (specs[c], modes[c], cfgs[c], chain_indices[c]) with its
     own streams, its batch schedule in mode modes[c] over the potential's
     n_batches, and its rows equal the ones that chain gives run alone, bit
-    for bit. The chains share the potential, the scheme, n_inner and the
-    run length (n_samples, burn_in, thinning); step size, friction, mass,
-    seed, start and batch mode may differ per chain.
+    for bit. Each chunk of steps is one call of the scheme's stepper
+    (`integrators.compile_ensemble_step`) over the chunk's step-indexed
+    providers; a lone chain (R = 1) steps d-vectors, as `run_chain` runs
+    it, and R > 1 chains the rows of (R, d) arrays. The chains share the
+    potential, the scheme, n_inner and the run length (n_samples, burn_in,
+    thinning); step size, friction, mass, seed, start and batch mode may
+    differ per chain.
 
     If chains diverge, raises the DivergenceError of the first diverging
     chain in list order, carrying its position in the list (`chain`), its
@@ -254,20 +262,24 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
         if P.dim != specs[0].mass.dim:
             raise ValueError("potential and mass matrix dimensions differ")
         starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
+        # one chain steps d-vectors, R chains the rows of (R, d) arrays
+        shape = (P.dim,) if len(specs) == 1 else (len(specs), P.dim)
         scale = None
         if any(mode is not BatchMode.FULL for mode in modes):
-            # (R, d) like the state: same-shape products skip broadcasting
+            # shaped like the state: same-shape products skip broadcasting
             scale = np.stack([np.full(P.dim, 1.0 if mode is BatchMode.FULL
-                                      else float(P.n_batches)) for mode in modes])
+                                      else float(P.n_batches)) for mode in modes]
+                             ).reshape(shape)
 
         def advance(r, th, noise, ids):
-            # each step writes its state straight into its rows of the
-            # chunk's arrays and reads the step before from there
-            rs, ths = np.empty((2, len(ids)) + r.shape)
-            for noise_j, r_out, th_out, (grad, hess) in zip(
-                    noise, rs, ths, P.step_providers(ids, scale)):
-                stepper(r, th, grad, hess, noise_j, r_out, th_out)
-                r, th = r_out, th_out
+            # one stepper call per chunk, writing each step's state
+            # straight into its rows of the chunk's arrays
+            m = len(ids)
+            rs, ths = np.empty((2, m) + r.shape)
+            grad, hess = P.step_providers(ids, scale)
+            stepper(r.reshape(shape), th.reshape(shape), grad, hess,
+                    noise.reshape(noise.shape[:2] + shape), rs.reshape((m,) + shape),
+                    ths.reshape((m,) + shape))
             return rs, ths
 
         scheme = specs[0].scheme

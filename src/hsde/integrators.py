@@ -26,14 +26,15 @@ potential and the step's standard-normal noise. Schemes:
   eta^{1/2}, eta^{3/2}, eta^{5/2} stochastic corrections; needs a
   Hessian-vector provider.
 
-A stepper takes its step's noise as data, the `noise_draws(scheme)` normal
-vectors in the order listed on `compile_step`; the same draws give the same
-step bit for bit, however they were drawn. It writes the new state into
-output arrays its caller owns (a chain loop passes the rows of its chunk)
-and keeps its intermediates in scratch arrays made when it is compiled, so
-a step allocates nothing; `compile_step` wraps it for callers that want
-fresh arrays back. Each scheme's formulas exist once, as that in-place
-sequence of numpy calls.
+A stepper advances a whole chunk of steps per call. It takes each step's
+noise as data, the `noise_draws(scheme)` normal vectors in the order listed
+on `compile_step`; the same draws give the same step bit for bit, however
+they were drawn. It writes each step's state into output arrays its caller
+owns (a chain loop passes its chunk's) and keeps its intermediates in
+scratch arrays made when it is compiled, so a step allocates nothing;
+`compile_step` runs it as a chunk of one step for callers that want fresh
+arrays back. Each scheme's formulas exist once, as that in-place sequence
+of numpy calls.
 
 Unit factors are skipped: in IEEE-754, x * 1.0 is x bit for bit, so where
 every chain's M^-1 diagonal is exactly 1.0 (`MassMatrix.identity`, the mass
@@ -159,10 +160,9 @@ def _constants(spec: IntegratorSpec) -> dict:
     """Everything a stepper multiplies by, from the spec's Python-float eta.
 
     Scalar products are formed here in the order the step formulas evaluate
-    them (eta * C * r is (eta * C) * r), so a stepper gets the same bits
-    whether it receives them as floats or as arrays. Ensembles stack these
-    per chain rather than recomputing them on arrays, where eta**1.5 and
-    friends can round differently in the last bit.
+    them (eta * C * r is (eta * C) * r), as Python floats; `_spread` then
+    spreads them over arrays rather than recomputing them on arrays, where
+    eta**1.5 and friends can round differently in the last bit.
     """
     eta = spec.eta
     C = spec.friction
@@ -211,21 +211,39 @@ def _constants(spec: IntegratorSpec) -> dict:
     return k
 
 
+def _spread(specs) -> dict:
+    """The constants of `_constants` for each spec, spread over (d,) for one
+    spec and stacked over (R, d) for R, row c from specs[c]: same-shape numpy
+    operations skip broadcasting, the slow path for small arrays, and each
+    row gets the bits its own spec's constants give."""
+    per_chain = [_constants(s) for s in specs]
+    d = specs[0].dim
+    shape = (d,) if len(specs) == 1 else (len(specs), d)
+    return {key: np.stack([np.broadcast_to(c[key], (d,)) for c in per_chain]).reshape(shape)
+            for key in per_chain[0]}
+
+
 def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
-    """The stepper for one scheme over the constants in k, on states of shape
-    `shape`.
+    """The chunk stepper for one scheme over the constants in k, on states of
+    shape `shape`.
 
     Every operation is elementwise, so the same code steps one chain
-    (constants are floats and d-vectors, state and each noise draw are (d,))
-    or R chains (constants, state and each noise draw are (R, d) arrays).
-    `stepper(r, th, grad, hess, noise, r_out, th_out)` writes the new state
-    into r_out and th_out, which must not overlap r or th, and keeps its
-    intermediates in scratch arrays made here, once, so a step allocates
-    nothing. grad(x) and hess(x, v) return arrays that the stepper only
-    reads, and only until its next call of the same provider. Each formula,
-    given in the comment above it, runs as the numpy calls its expression
-    makes, on the same operands and in the same order: the bits are the
-    expression's.
+    (constants, state and each noise draw are (d,)) or R chains (all
+    (R, d)); constants broadcast over the state where their shapes differ.
+    `stepper(r, th, grad, hess, noise, rs, ths)` takes m steps from (r, th)
+    and writes step j's state into rs[j] and ths[j], which must not overlap
+    r or th: noise is the chunk's (n_draws, m) + shape array of standard
+    normals, draw i of step j at noise[i, j], which the stepper overwrites
+    with its noise-only products, and grad(j, x) and hess(j, x, v) are
+    step j's providers, returning arrays that the stepper only reads, and
+    only until its next call of the same provider. Intermediates live in
+    scratch arrays made here, once, so a chunk allocates nothing.
+
+    Each formula, given in the comment above it, runs as the numpy calls its
+    expression makes, on the same operands and in the same order: the bits
+    are the expression's. A chunk forms the noise-only products of all its
+    steps at once, and a step keeps the product of its r' that the next
+    step would form again.
     """
     eta, half_eta, eta_C, C = k["eta"], k["half_eta"], k["eta_C"], k["C"]
     # inv(y) in the formulas below is y * M^-1: one product by this factor,
@@ -233,101 +251,109 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
     inv = _non_unit(k["inv"])
     mul, add, sub, div, neg = np.multiply, np.add, np.subtract, np.divide, np.negative
     decay, noise_std = k.get("decay"), k.get("noise_std")
-    a, b, x = (np.empty(shape) for _ in range(3))
+    # h = inv(half_eta r) for a step's r, kept where the next step starts
+    # from that r
+    a, b, x, h = (np.empty(shape) for _ in range(4))
 
-    def det_leapfrog(r, th, grad, r_out, th_out):
+    def det_leapfrogs(j, r, th, grad, r_out, th_out, count):
+        # count deterministic leapfrogs from (r, th), into (r_out, th_out):
         # th_half = th + inv(half_eta r), r' = r - eta grad(th_half),
-        # th' = th_half + inv(half_eta r'); r_out may be r and th_out th
-        mul(half_eta, r, a)
-        if inv is not None: mul(a, inv, a)
-        add(th, a, x)
-        mul(eta, grad(x), a)
-        sub(r, a, r_out)
-        mul(half_eta, r_out, a)
-        if inv is not None: mul(a, inv, a)
-        add(x, a, th_out)
+        # th' = th_half + inv(half_eta r')
+        mul(half_eta, r, h)
+        if inv is not None: mul(h, inv, h)
+        for _ in range(count):
+            add(th, h, x)
+            mul(eta, grad(j, x), a)
+            sub(r, a, r_out)
+            mul(half_eta, r_out, h)
+            if inv is not None: mul(h, inv, h)
+            add(x, h, th_out)
+            r, th = r_out, th_out
 
-    def refresh(r, w, r_out):
-        # r' = decay r + noise_std w
+    def refresh(r, noise_w, r_out):
+        # r' = decay r + noise_std w, noise_w holding noise_std w
         mul(decay, r, a)
-        mul(noise_std, w, b)
-        add(a, b, r_out)
+        add(a, noise_w, r_out)
+
+    def scale_noise(noise, ths):
+        # noise_std w, the momentum kick's or refresh's, for every draw of
+        # the chunk at once, in place: noise_std is spread over ths, which
+        # the steps write later, so that no product broadcasts (numpy's
+        # broadcasting loop allocates a buffer)
+        ths[...] = noise_std
+        for w in noise:
+            mul(ths, w, w)
 
     if scheme is Scheme.EULER:
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # th' = th + inv(eta r)
-            mul(eta, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, th_out)
-            # r' = r - inv(eta_C r) - eta grad(th) + noise_std w
-            mul(eta_C, r, a)
-            if inv is not None: mul(a, inv, a)
-            sub(r, a, a)
-            mul(eta, grad(th), b)
-            sub(a, b, a)
-            mul(noise_std, noise[0], b)
-            add(a, b, r_out)
+        def stepper(r, th, grad, hess, noise, rs, ths):
+            scale_noise(noise, ths)
+            for j, (kick_w, r_out, th_out) in enumerate(zip(noise[0], rs, ths)):
+                # th' = th + inv(eta r)
+                mul(eta, r, a)
+                if inv is not None: mul(a, inv, a)
+                add(th, a, th_out)
+                # r' = r - inv(eta_C r) - eta grad(th) + noise_std w
+                mul(eta_C, r, a)
+                if inv is not None: mul(a, inv, a)
+                sub(r, a, a)
+                mul(eta, grad(j, th), b)
+                sub(a, b, a)
+                add(a, kick_w, r_out)
+                r, th = r_out, th_out
 
         return stepper
 
-    if scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # th_half = th + inv(half_eta r)
-            mul(half_eta, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, x)
-            # r' = r - eta grad(th_half) - inv(eta_C r) + noise_std w
-            mul(eta, grad(x), a)
-            sub(r, a, a)
-            mul(eta_C, r, b)
-            if inv is not None: mul(b, inv, b)
-            sub(a, b, a)
-            mul(noise_std, noise[0], b)
-            add(a, b, r_out)
-            # th' = th_half + inv(half_eta r')
-            mul(half_eta, r_out, a)
-            if inv is not None: mul(a, inv, a)
-            add(x, a, th_out)
+    if scheme in (Scheme.LEAPFROG, Scheme.SGHMC, Scheme.SPV):
+        spv, kick = scheme is Scheme.SPV, k.get("kick")
 
-        return stepper
-
-    if scheme is Scheme.SPV:
-        kick = k["kick"]
-
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # th_half = th + inv(half_eta r)
-            mul(half_eta, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, x)
-            # r' = decay r - kick grad(th_half) + noise_std w
-            mul(decay, r, a)
-            mul(kick, grad(x), b)
-            sub(a, b, a)
-            mul(noise_std, noise[0], b)
-            add(a, b, r_out)
-            # th' = th_half + inv(half_eta r')
-            mul(half_eta, r_out, a)
-            if inv is not None: mul(a, inv, a)
-            add(x, a, th_out)
+        def stepper(r, th, grad, hess, noise, rs, ths):
+            scale_noise(noise, ths)
+            mul(half_eta, r, h)
+            if inv is not None: mul(h, inv, h)
+            for j, (kick_w, r_out, th_out) in enumerate(zip(noise[0], rs, ths)):
+                # th_half = th + inv(half_eta r)
+                add(th, h, x)
+                if spv:
+                    # r' = decay r - kick grad(th_half) + noise_std w
+                    mul(decay, r, a)
+                    mul(kick, grad(j, x), b)
+                else:
+                    # r' = r - eta grad(th_half) - inv(eta_C r) + noise_std w
+                    mul(eta, grad(j, x), a)
+                    sub(r, a, a)
+                    mul(eta_C, r, b)
+                    if inv is not None: mul(b, inv, b)
+                sub(a, b, a)
+                add(a, kick_w, r_out)
+                # th' = th_half + inv(half_eta r')
+                mul(half_eta, r_out, h)
+                if inv is not None: mul(h, inv, h)
+                add(x, h, th_out)
+                r, th = r_out, th_out
 
         return stepper
 
     if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # n_inner deterministic leapfrogs, then one momentum refresh
-            det_leapfrog(r, th, grad, r_out, th_out)
-            for _ in range(n_inner - 1):
-                det_leapfrog(r_out, th_out, grad, r_out, th_out)
-            refresh(r_out, noise[0], r_out)
+        def stepper(r, th, grad, hess, noise, rs, ths):
+            scale_noise(noise, ths)
+            for j, (refresh_w, r_out, th_out) in enumerate(zip(noise[0], rs, ths)):
+                # n_inner deterministic leapfrogs, then one momentum refresh
+                det_leapfrogs(j, r, th, grad, r_out, th_out, n_inner)
+                refresh(r_out, refresh_w, r_out)
+                r, th = r_out, th_out
 
         return stepper
 
     if scheme is Scheme.SYMMETRIC:
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # half refresh, deterministic leapfrog, half refresh
-            refresh(r, noise[0], r_out)
-            det_leapfrog(r_out, th, grad, r_out, th_out)
-            refresh(r_out, noise[1], r_out)
+        def stepper(r, th, grad, hess, noise, rs, ths):
+            scale_noise(noise, ths)
+            for j, (w1, w2, r_out, th_out) in enumerate(
+                    zip(*noise, rs, ths)):
+                # half refresh, deterministic leapfrog, half refresh
+                refresh(r, w1, r_out)
+                det_leapfrogs(j, r_out, th, grad, r_out, th_out, 1)
+                refresh(r_out, w2, r_out)
+                r, th = r_out, th_out
 
         return stepper
 
@@ -339,83 +365,86 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
         amp_high, amp_high_C, amp_high_CC = k["amp_high"], k["amp_high_C"], k["amp_high_CC"]
         c, F1, F2 = (np.empty(shape) for _ in range(3))
 
-        def stepper(r, th, grad, hess, noise, r_out, th_out):
-            # th1 = th + inv(c1_eta r), g1 = grad(th1)
-            mul(c1_eta, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, x)
-            g = grad(x)
-            # r1 = (r - c1_eta g1) / den1, F1 = -g1 - inv(C r1)
-            mul(c1_eta, g, a)
-            sub(r, a, a)
-            div(a, den1, a)
-            neg(g, F1)
-            mul(C, a, a)
-            if inv is not None: mul(a, inv, a)
-            sub(F1, a, F1)
+        def stepper(r, th, grad, hess, noise, rs, ths):
+            w1s, mixes = noise
+            # mix = w1 0.5 + w2 for every step, into w2's place; rs, written by
+            # the steps only, holds w1 0.5 until then
+            mul(w1s, 0.5, rs)
+            add(rs, mixes, mixes)
+            for j, (w1, mix, r_out, th_out) in enumerate(zip(w1s, mixes, rs, ths)):
+                # th1 = th + inv(c1_eta r), g1 = grad(th1)
+                mul(c1_eta, r, a)
+                if inv is not None: mul(a, inv, a)
+                add(th, a, x)
+                g = grad(j, x)
+                # r1 = (r - c1_eta g1) / den1, F1 = -g1 - inv(C r1)
+                mul(c1_eta, g, a)
+                sub(r, a, a)
+                div(a, den1, a)
+                neg(g, F1)
+                mul(C, a, a)
+                if inv is not None: mul(a, inv, a)
+                sub(F1, a, F1)
 
-            # th2 = th + inv(th2_r r) + inv(th2_f1 F1), g2 = grad(th2)
-            mul(th2_r, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, x)
-            mul(th2_f1, F1, a)
-            if inv is not None: mul(a, inv, a)
-            add(x, a, x)
-            g = grad(x)
-            # r2 = (r + r_f F1 - c2_eta g2) / den2, F2 = -g2 - inv(C r2)
-            mul(r_f, F1, a)
-            add(r, a, a)
-            mul(c2_eta, g, b)
-            sub(a, b, a)
-            div(a, den2, a)
-            neg(g, F2)
-            mul(C, a, a)
-            if inv is not None: mul(a, inv, a)
-            sub(F2, a, F2)
+                # th2 = th + inv(th2_r r) + inv(th2_f1 F1), g2 = grad(th2)
+                mul(th2_r, r, a)
+                if inv is not None: mul(a, inv, a)
+                add(th, a, x)
+                mul(th2_f1, F1, a)
+                if inv is not None: mul(a, inv, a)
+                add(x, a, x)
+                g = grad(j, x)
+                # r2 = (r + r_f F1 - c2_eta g2) / den2, F2 = -g2 - inv(C r2)
+                mul(r_f, F1, a)
+                add(r, a, a)
+                mul(c2_eta, g, b)
+                sub(a, b, a)
+                div(a, den2, a)
+                neg(g, F2)
+                mul(C, a, a)
+                if inv is not None: mul(a, inv, a)
+                sub(F2, a, F2)
 
-            # th3 = th + inv(eta r) + inv(th3_f1 F1) + inv(th3_f2 F2),
-            # g3 = grad(th3)
-            mul(eta, r, a)
-            if inv is not None: mul(a, inv, a)
-            add(th, a, x)
-            mul(th3_f1, F1, a)
-            if inv is not None: mul(a, inv, a)
-            add(x, a, x)
-            mul(th3_f2, F2, a)
-            if inv is not None: mul(a, inv, a)
-            add(x, a, x)
-            g = grad(x)
-            # r3 = (r + r_f (F1 - F2) - eta g3) / den3, into a
-            sub(F1, F2, a)
-            mul(r_f, a, a)
-            add(r, a, a)
-            mul(eta, g, b)
-            sub(a, b, a)
-            div(a, den3, a)
+                # th3 = th + inv(eta r) + inv(th3_f1 F1) + inv(th3_f2 F2),
+                # g3 = grad(th3)
+                mul(eta, r, a)
+                if inv is not None: mul(a, inv, a)
+                add(th, a, x)
+                mul(th3_f1, F1, a)
+                if inv is not None: mul(a, inv, a)
+                add(x, a, x)
+                mul(th3_f2, F2, a)
+                if inv is not None: mul(a, inv, a)
+                add(x, a, x)
+                g = grad(j, x)
+                # r3 = (r + r_f (F1 - F2) - eta g3) / den3, into a
+                sub(F1, F2, a)
+                mul(r_f, a, a)
+                add(r, a, a)
+                mul(eta, g, b)
+                sub(a, b, a)
+                div(a, den3, a)
 
-            w1, w2 = noise
-            # mix = w1 0.5 + w2, into b
-            mul(w1, 0.5, b)
-            add(b, w2, b)
-            # th' = th3 + inv(amp_mix mix) - inv(inv(amp_high_C w1))
-            mul(amp_mix, b, c)
-            if inv is not None: mul(c, inv, c)
-            add(x, c, th_out)
-            mul(amp_high_C, w1, c)
-            if inv is not None: mul(mul(c, inv, c), inv, c)
-            sub(th_out, c, th_out)
-            # r' = r3 + amp_r w1 - inv(amp_mix_C mix)
-            #      - amp_high hess(th3, inv(w1)) + inv(inv(amp_high_CC w1))
-            mul(amp_r, w1, c)
-            add(a, c, r_out)
-            mul(amp_mix_C, b, c)
-            if inv is not None: mul(c, inv, c)
-            sub(r_out, c, r_out)
-            mul(amp_high, hess(x, w1 if inv is None else mul(w1, inv, c)), c)
-            sub(r_out, c, r_out)
-            mul(amp_high_CC, w1, c)
-            if inv is not None: mul(mul(c, inv, c), inv, c)
-            add(r_out, c, r_out)
+                # th' = th3 + inv(amp_mix mix) - inv(inv(amp_high_C w1))
+                mul(amp_mix, mix, c)
+                if inv is not None: mul(c, inv, c)
+                add(x, c, th_out)
+                mul(amp_high_C, w1, c)
+                if inv is not None: mul(mul(c, inv, c), inv, c)
+                sub(th_out, c, th_out)
+                # r' = r3 + amp_r w1 - inv(amp_mix_C mix)
+                #      - amp_high hess(th3, inv(w1)) + inv(inv(amp_high_CC w1))
+                mul(amp_r, w1, c)
+                add(a, c, r_out)
+                mul(amp_mix_C, mix, c)
+                if inv is not None: mul(c, inv, c)
+                sub(r_out, c, r_out)
+                mul(amp_high, hess(j, x, w1 if inv is None else mul(w1, inv, c)), c)
+                sub(r_out, c, r_out)
+                mul(amp_high_CC, w1, c)
+                if inv is not None: mul(mul(c, inv, c), inv, c)
+                add(r_out, c, r_out)
+                r, th = r_out, th_out
 
         return stepper
 
@@ -423,43 +452,46 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
 
 
 def compile_step(spec: IntegratorSpec) -> Callable:
-    """Bake the spec's constants into a raw stepper.
+    """One step of the spec's scheme: the chunk stepper of `_kernel` over
+    the spec's constants spread over (d,), taking a chunk of one step.
 
     The returned callable has signature (r, theta, grad, hess, noise) and
     returns the new (r, theta) as fresh arrays without validation; callers
-    own the divergence check. grad(x) and hess(x, v) return arrays. `noise`
-    holds the step's `noise_draws(scheme)` standard-normal d-vectors, in
-    order:
+    own the divergence check. r and theta are d-vectors, or (S, d) stacks
+    of them that step in one call; grad(x) and hess(x, v) return arrays of
+    x's shape. `noise` holds the step's `noise_draws(scheme)` standard-normal
+    draws, each of r's shape, in order:
 
     EULER / LEAPFROG / SGHMC: one (the momentum kick's).
     SPV / LIE_TROTTER / HMC_PARTIAL: one (the momentum refresh's).
     SYMMETRIC: two (first then second half refresh).
     MT3: two (w1, the sqrt-eta one, then w2).
     """
-    k = _constants(spec)
+    k = _spread([spec])
 
     def step(r, th, grad, hess, noise):
-        r_out, th_out = np.empty(np.shape(r)), np.empty(np.shape(th))
-        _kernel(spec.scheme, spec.n_inner, k, r_out.shape)(
-            r, th, grad, hess, noise, r_out, th_out)
-        return r_out, th_out
+        shape = np.shape(r)
+        rs, ths = np.empty((1,) + shape), np.empty((1,) + shape)
+        # a copy: the stepper overwrites its noise
+        noise = np.array(noise, dtype=np.float64)[:, None]
+        _kernel(spec.scheme, spec.n_inner, k, shape)(
+            r, th, lambda j, x: grad(x), lambda j, x, v: hess(x, v), noise, rs, ths)
+        return rs[0], ths[0]
 
     return step
 
 
 def compile_ensemble_step(specs) -> Callable:
-    """One raw stepper for R chains held as the rows of (R, d) arrays.
+    """The chunk stepper of `_kernel` for R chains: one chain steps
+    d-vectors, R > 1 chains the rows of (R, d) arrays.
 
-    Row c uses specs[c]'s constants, computed exactly as `compile_step`
-    computes them and spread over row c of (R, d) arrays (same-shape numpy
-    operations skip broadcasting, the slow path for small arrays), so each
-    row gets the bits its own `compile_step` stepper would give. The specs
-    must share scheme, n_inner and dimension. The stepper is
-    `(r, th, grad, hess, noise, r_out, th_out)`: it writes the step from
-    (r, th) into the (R, d) arrays r_out and th_out, which must not overlap
-    r or th, and allocates nothing. Each of the `noise` draws is (R, d), row
-    c for chain c; grad and hess map (R, d) to (R, d) arrays that the
-    stepper only reads.
+    Chain c uses specs[c]'s constants, spread over the state's shape (see
+    `_spread`), so each row gets the bits its own `compile_step` stepper
+    would give. The specs must share scheme, n_inner and dimension. The
+    stepper is `(r, th, grad, hess, noise, rs, ths)`, as `_kernel` says:
+    noise is (n_draws, m, d) or (n_draws, m, R, d), row c of each draw for
+    chain c, and grad(j, x) and hess(j, x, v) map states to arrays of their
+    shape.
     """
     specs = list(specs)
     if not specs:
@@ -468,10 +500,8 @@ def compile_ensemble_step(specs) -> Callable:
     for s in specs:
         if (s.scheme, s.n_inner, s.dim) != (first.scheme, first.n_inner, first.dim):
             raise ValueError("ensemble specs must share scheme, n_inner and dimension")
-    per_chain = [_constants(s) for s in specs]
-    stacked = {key: np.stack([np.broadcast_to(c[key], (first.dim,)) for c in per_chain])
-               for key in per_chain[0]}
-    return _kernel(first.scheme, first.n_inner, stacked, (len(specs), first.dim))
+    shape = (first.dim,) if len(specs) == 1 else (len(specs), first.dim)
+    return _kernel(first.scheme, first.n_inner, _spread(specs), shape)
 
 
 def step(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,

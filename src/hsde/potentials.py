@@ -17,7 +17,6 @@ keep them exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -195,27 +194,32 @@ class Potential:
         return out
 
     def step_providers(self, ids_chunk: np.ndarray, scale=None):
-        """The gradient and Hessian-vector providers of each step of a
-        chunk, in step order: ids_chunk is (m, R) batch ids, -1 marking the
-        full potential, and step j's pair (grad, hess) maps (R, d) rows x
-        (and v) to the array whose row c is `gradient_many` /
-        `hessian_vec_many` at batch ids_chunk[j, c], times scale ((R, d))
-        where given. A result may be overwritten by the provider's next
-        call. Here each step calls the per-row path and scales its fresh
-        result in place; a model may instead resolve the chunk's operands
-        once and write into arrays it owns."""
+        """The step-indexed gradient and Hessian-vector providers of a chunk
+        of steps: ids_chunk is (m, R) batch ids, -1 marking the full
+        potential, and step j's are grad(j, x) and hess(j, x, v). For one
+        chain (R = 1) they map d-vectors to `gradient` / `hessian_vec` at
+        batch ids_chunk[j, 0]; for R chains they map (R, d) rows to the
+        array whose row c is `gradient_many` / `hessian_vec_many` at batch
+        ids_chunk[j, c]. Either is times scale, shaped as x, where given.
+        A result may be overwritten by the provider's next call. Here each
+        call takes the per-row path and scales its fresh result in place; a
+        model may instead resolve the chunk's operands once and write into
+        arrays it owns."""
         mul = np.multiply
+        one = ids_chunk.shape[1] == 1
+        keys = ids_chunk[:, 0].tolist() if one else ids_chunk
 
-        def grad(x):
-            g = self.gradient_many(x, batch)
+        def grad(j, x):
+            g = (self._raw_gradient(x, keys[j]) if one
+                 else self.gradient_many(x, keys[j]))
             return g if scale is None else mul(scale, g, g)
 
-        def hess(x, v):
-            h = self.hessian_vec_many(x, v, batch)
+        def hess(j, x, v):
+            h = (self._raw_hessian_vec(x, v, keys[j]) if one
+                 else self.hessian_vec_many(x, v, keys[j]))
             return h if scale is None else mul(scale, h, h)
 
-        for batch in ids_chunk:
-            yield grad, hess
+        return grad, hess
 
     def analytic_posterior(self) -> GaussianPosterior:
         raise AnalyticPosteriorUnavailable(
@@ -291,7 +295,8 @@ class LinearGaussian(Potential):
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
         # operands of the stacked path: the full design, and equal blocks as
-        # (K, rows, d) and (K, rows)
+        # (K, rows, d) and (K, rows); the one-row path takes views of any
+        # C-contiguous design
         self._full = self._blocks = None
         self._unit_prior = bool(np.all(self.prior_var == 1.0))
         if Phi.flags.c_contiguous:
@@ -313,25 +318,48 @@ class LinearGaussian(Potential):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
     def step_providers(self, ids_chunk, scale=None):
-        """Where the stacked path serves the chunk, its operands are
-        resolved once here: each step's pair is the same two providers,
-        pointed at that step's operands, writing into arrays they own."""
-        groups = self._chunk_groups(ids_chunk)
-        if groups is None:
-            return super().step_providers(ids_chunk, scale)
-        return self._providers(groups, ids_chunk.shape[1], scale)
+        """A lone chain on a C-contiguous design takes the one-row path,
+        and an ensemble the stacked path where it serves the chunk: the
+        chunk's operands are resolved once here, and the providers read
+        step j's and write into arrays they own."""
+        if ids_chunk.shape[1] == 1:
+            ops = self._row_steps(ids_chunk[:, 0])
+            if ops is not None:
+                return self._row_providers((self.dim,), *ops, scale)
+        else:
+            groups = self._chunk_groups(ids_chunk)
+            if groups is not None:
+                return self._providers(groups, ids_chunk.shape[1], scale)
+        return super().step_providers(ids_chunk, scale)
+
+    def _row_steps(self, ids):
+        """(w, step_ops) of a lone chain's chunk of batch ids: step_ops(j) is
+        step j's (F, FT, y, Fx), views F of its batch's design rows and FT of
+        their transpose, targets y and a scratch Fx for F @ x, and w is the
+        prior weight its batches share. None where the design is not
+        C-contiguous or the chunk mixes the full potential with blocks."""
+        full = ids < 0
+        if self._full is None or full.any() != full.all():
+            return None
+        distinct, where = np.unique(ids, return_inverse=True)
+        views = []
+        for b in distinct.tolist():
+            sl, w = self._slices[b]
+            F = self.features[sl]
+            views.append((F, F.T, self.targets[sl], np.empty(len(F))))
+        return w, [views[i] for i in where.tolist()].__getitem__
 
     def _chunk_groups(self, ids_chunk):
         """The stacked operands of a chunk of (m, R) batch ids, per group of
-        rows (rows, w, size, steps): rows a slice or an index array, w the
-        group's prior weight and steps each step's (F, FT, y) in turn,
-        design blocks F (n or 1, size, d), their transposed view FT and
-        targets y. One group where every chain runs on the full potential
-        or every id is an equal block's, the blocks gathered for a run of
-        steps at once; two, full rows and gathered-block rows, where some
-        chains run on the full potential throughout the chunk and the rest
-        on equal blocks. None where only the per-row path is proven to give
-        the same bits: unequal blocks, a design that is not C-contiguous."""
+        rows (rows, w, size, step_ops): rows a slice or an index array, w
+        the group's prior weight and step_ops(j) step j's (F, FT, y), design
+        blocks F (n or 1, size, d), their transposed view FT and targets y.
+        One group where every chain runs on the full potential or every id
+        is an equal block's, the blocks gathered for a run of steps at once;
+        two, full rows and gathered-block rows, where some chains run on the
+        full potential throughout the chunk and the rest on equal blocks.
+        None where only the per-row path is proven to give the same bits:
+        unequal blocks, a design that is not C-contiguous."""
         full = ids_chunk < 0
         on_full = full[0]
         if (full != on_full).any():
@@ -348,29 +376,33 @@ class LinearGaussian(Potential):
                 (on_blocks, *self._gathered(ids_chunk[:, on_blocks]))]
 
     def _full_steps(self, ids_chunk):
-        """(w, size, steps) of a full group: the same operands every step,
+        """(w, size, step_ops) of a full group: the same operands every step,
         the targets repeated per row (same-shape operations skip
         broadcasting, the slow path for small arrays)."""
         F, FT, y = self._full
         y_rows = np.tile(y, (ids_chunk.shape[1], 1))
-        return 1.0, self.n_obs, itertools.repeat((F, FT, y_rows), len(ids_chunk))
+        return 1.0, self.n_obs, lambda j: (F, FT, y_rows)
 
     def _gathered(self, ids_chunk):
-        """(w, size, steps) of a block group: each step's design blocks,
+        """(w, size, step_ops) of a block group: each step's design blocks,
         their transposed view and targets, gathered a run of steps at a
         time."""
         F, y = self._blocks
         run = max(1, _GATHER_BYTES // max(1, ids_chunk.shape[1] * F[0].nbytes))
+        held = [-1, None]
 
-        def steps():
-            for lo in range(0, len(ids_chunk), run):
+        def step_ops(j):
+            # read in step order, so one run is held at a time
+            lo = j - j % run
+            if lo != held[0]:
                 ids = ids_chunk[lo:lo + run]
                 # the run's transposed operand is a view: a gathered
                 # transposed copy would raise peak memory
                 F_run = F[ids]
-                yield from zip(F_run, F_run.swapaxes(2, 3), y[ids])
+                held[:] = lo, list(zip(F_run, F_run.swapaxes(2, 3), y[ids]))
+            return held[1][j - lo]
 
-        return 1.0 / self.n_batches, F.shape[1], steps()
+        return 1.0 / self.n_batches, F.shape[1], step_ops
 
     def _stacked(self, batch):
         """The `_chunk_groups` of one step's batch argument (None or R ids),
@@ -379,117 +411,132 @@ class LinearGaussian(Potential):
         many rows saves little by skipping broadcasting."""
         if batch is None:
             return None if self._full is None else [
-                (slice(None), 1.0, self.n_obs, (self._full,))]
+                (slice(None), 1.0, self.n_obs, lambda j: self._full)]
         return self._chunk_groups(np.asarray(batch)[None])
 
     def _providers(self, groups, R, scale=None):
-        """Per step of `groups`, over R rows, the (grad, hess) pair of
-        `step_providers`. A mixed ensemble's pair runs each group's
+        """The step-indexed (grad, hess) of `step_providers` for `groups`
+        over R stacked rows. A mixed ensemble's pair runs each group's
         providers over its rows, which write straight into their rows of
         the shared result where the rows are contiguous."""
         if len(groups) == 1:
-            (_, w, size, steps), = groups
-            grad, hess, follow = self._stacked_rows(R, w, size, scale)
-            return ((grad, hess) for _ in follow(steps))
+            (_, w, size, step_ops), = groups
+            return self._row_providers((R, self.dim), w, step_ops, scale, size)
         mul = np.multiply
         g_all, h_all = np.empty((R, self.dim)), np.empty((R, self.dim))
-        parts, follows = [], []
-        for rows, w, size, steps in groups:
+        parts = []
+        for rows, w, size, step_ops in groups:
             contiguous = isinstance(rows, slice)
             outs = (g_all[rows], h_all[rows]) if contiguous else ()
             n = len(range(R)[rows]) if contiguous else len(rows)
-            grad_g, hess_g, follow = self._stacked_rows(n, w, size, None, *outs)
+            grad_g, hess_g = self._row_providers((n, self.dim), w, step_ops, None, size,
+                                                 *outs)
             parts.append((rows, grad_g, hess_g, not contiguous))
-            follows.append(follow(steps))
 
-        def grad(x):
+        def grad(j, x):
             for rows, grad_g, _, scatter in parts:
-                g = grad_g(x[rows])
+                g = grad_g(j, x[rows])
                 if scatter:
                     g_all[rows] = g
             return g_all if scale is None else mul(scale, g_all, g_all)
 
-        def hess(x, v):
+        def hess(j, x, v):
             for rows, _, hess_g, scatter in parts:
-                h = hess_g(x[rows], v[rows])
+                h = hess_g(j, x[rows], v[rows])
                 if scatter:
                     h_all[rows] = h
             return h_all if scale is None else mul(scale, h_all, h_all)
 
-        return ((grad, hess) for _ in zip(*follows))
+        return grad, hess
 
-    # Stacked (n, size, d) matmuls through the transposed view run the same
-    # BLAS kernels as the per-row `features[sl].T @ resid`, so the bits match;
+    # One row's np.dot on a 2-D block and its transposed view, and stacked
+    # (n, size, d) matmuls through the transposed view, run the same BLAS
+    # gemv as the per-row `features[sl].T @ resid`, so the bits match;
     # Gram-matrix forms, einsum and a contiguous transpose do not. A mixed
     # ensemble makes one such call per group.
-    def _stacked_rows(self, n, w, size, scale=None, g=None, hv=None):
-        """(grad, hess, follow) for n stacked rows of prior weight w on
-        operands of `size` data rows: grad(x) and hess(x, v) map (n, d) rows
-        to their gradients and Hessian-vector products, times scale where
-        given, in the (n, d) arrays g and hv (made here unless given),
-        overwritten by each call; `follow(steps)` is a generator that
-        points both at each step's (F, FT, y) in turn.
+    def _row_providers(self, shape, w, step_ops, scale=None, size=None, g=None, hv=None):
+        """(grad, hess) over states of `shape`, (d,) for one row and (n, d)
+        for n stacked rows, of prior weight w: grad(j, x) and hess(j, x, v)
+        are the gradient and Hessian-vector product on step_ops(j)'s operands
+        (see `_row_steps` and `_chunk_groups`; stacked operands have `size`
+        data rows), times scale where given, written into the arrays g and
+        hv of `shape` (made here unless given) and overwritten by each call.
 
         Each is the per-row formula's numpy calls in order, written into
         arrays made here once; unit factors are skipped (x / 1.0 and
         1.0 * x are x bit for bit).
         """
-        mul, add, sub, div, matmul = np.multiply, np.add, np.subtract, np.divide, np.matmul
-        # factors spread over (n, d), as the stepper's constants are
-        row_d = (n, self.dim)
-        noise_var = None if self.noise_var == 1.0 else np.full(row_d, self.noise_var)
-        prior_var = None if self._unit_prior else np.tile(self.prior_var, (n, 1))
-        w = None if w == 1.0 else np.full(row_d, w)
-        # F @ x, then the residual in place; F @ v
-        Fx = np.empty((n, size, 1))
-        Fx_2d = Fx[..., 0]
-        g = (np.empty((n, self.dim)) if g is None else g)[..., None]
-        hv = (np.empty((n, self.dim)) if hv is None else hv)[..., None]
-        g_2d, hv_2d = g[..., 0], hv[..., 0]
-        p = np.empty((n, self.dim))
-        F = FT = y = None
+        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+        # factors spread over the state's shape, as the stepper's constants are
+        noise_var = None if self.noise_var == 1.0 else np.full(shape, self.noise_var)
+        prior_var = (None if self._unit_prior
+                     else np.ascontiguousarray(np.broadcast_to(self.prior_var, shape)))
+        w = None if w == 1.0 else np.full(shape, w)
+        g = np.empty(shape) if g is None else g
+        hv = np.empty(shape) if hv is None else hv
+        p = np.empty(shape)
 
-        def grad(x):
+        def finish(out, u):
+            # out / noise_var + w (u / prior_var), times scale
+            if noise_var is not None:
+                div(out, noise_var, out)
+            q = u if prior_var is None else div(u, prior_var, p)
+            add(out, q if w is None else mul(w, q, p), out)
+            return out if scale is None else mul(scale, out, out)
+
+        if len(shape) == 1:
+            dot = np.dot
+
+            def grad(j, x):
+                # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
+                F, FT, y, Fx = step_ops(j)
+                dot(F, x, Fx)
+                sub(Fx, y, Fx)
+                return finish(dot(FT, Fx, g), x)
+
+            def hess(j, x, v):
+                # (FT @ (F @ v)) / noise_var + w (v / prior_var)
+                F, FT, _, Fx = step_ops(j)
+                return finish(dot(FT, dot(F, v, Fx), hv), v)
+
+            return grad, hess
+
+        matmul = np.matmul
+        # F @ x, then the residual in place; F @ v
+        Fx = np.empty((shape[0], size, 1))
+        Fx_2d = Fx[..., 0]
+        g_3d, hv_3d = g[..., None], hv[..., None]
+
+        def grad(j, x):
             # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
+            F, FT, y = step_ops(j)
             matmul(F, x[..., None], Fx)
             sub(Fx_2d, y, Fx_2d)
-            matmul(FT, Fx, g)
-            if noise_var is not None:
-                div(g_2d, noise_var, g_2d)
-            q = x if prior_var is None else div(x, prior_var, p)
-            add(g_2d, q if w is None else mul(w, q, p), g_2d)
-            return g_2d if scale is None else mul(scale, g_2d, g_2d)
+            matmul(FT, Fx, g_3d)
+            return finish(g, x)
 
-        def hess(x, v):
+        def hess(j, x, v):
             # (FT @ (F @ v)) / noise_var + w (v / prior_var)
+            F, FT, _ = step_ops(j)
             matmul(F, v[..., None], Fx)
-            matmul(FT, Fx, hv)
-            if noise_var is not None:
-                div(hv_2d, noise_var, hv_2d)
-            q = v if prior_var is None else div(v, prior_var, p)
-            add(hv_2d, q if w is None else mul(w, q, p), hv_2d)
-            return hv_2d if scale is None else mul(scale, hv_2d, hv_2d)
+            matmul(FT, Fx, hv_3d)
+            return finish(hv, v)
 
-        def follow(steps):
-            nonlocal F, FT, y
-            for F, FT, y in steps:
-                yield
-
-        return grad, hess, follow
+        return grad, hess
 
     def gradient_many(self, thetas, batch_ids=None):
         groups = self._stacked(batch_ids)
         if groups is None:
             return super().gradient_many(thetas, batch_ids)
-        grad, _ = next(self._providers(groups, len(thetas)))
-        return grad(thetas)
+        grad, _ = self._providers(groups, len(thetas))
+        return grad(0, thetas)
 
     def hessian_vec_many(self, thetas, vs, batch_ids=None):
         groups = self._stacked(batch_ids)
         if groups is None:
             return super().hessian_vec_many(thetas, vs, batch_ids)
-        _, hess = next(self._providers(groups, len(thetas)))
-        return hess(thetas, vs)
+        _, hess = self._providers(groups, len(thetas))
+        return hess(0, thetas, vs)
 
     def analytic_posterior(self) -> GaussianPosterior:
         precision = self.features.T @ self.features / self.noise_var + np.diag(

@@ -240,7 +240,7 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
             z = np.stack([r, th], axis=1)
             # each step's two draws as an (m, R, 2, 1) operand; a contiguous
             # one keeps the stacked matmul on its BLAS path and its bits
-            xi = np.ascontiguousarray(noise.transpose(0, 2, 1, 3))
+            xi = np.ascontiguousarray(noise.transpose(1, 2, 0, 3))
             noise = L[rows, ids] @ xi
             # the chunk's states; one buffer kept for the whole run instead
             # pins the heap and raises peak RSS by about 0.15 MB

@@ -443,6 +443,41 @@ class TestEnsembleDivergence:
         assert_same_error(err, refs[0])
 
 
+@pytest.mark.usefixtures("small_chunks")
+class TestOneChainPath:
+    """A lone chain steps d-vectors, through `LinearGaussian`'s one-row
+    providers where its design allows; an ensemble steps (R, d) rows through
+    the stacked or per-row providers. Each must give the other's bits."""
+
+    @pytest.mark.parametrize("model, mode", [
+        ("lingauss", "full"), ("lingauss", "perm"), ("lingauss", "iid"),
+        ("toy", "full"), ("toy", "perm"), ("logistic2d", "iid")])
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_trace_equals_ensemble_row(self, scheme, model, mode):
+        case = Case(build_model(model, 8 if model == "lingauss" else 2), scheme, mode,
+                    etas=ETAS[:3], seeds=SEEDS[:3], indices=INDICES[:3])
+        thetas, momenta = case.run()
+        for c in range(3):
+            trace = run_chain(case.P, case.specs[c], case.modes[c], case.cfgs[c],
+                              case.indices[c])
+            assert_bits(trace.thetas, thetas[c])
+            assert_bits(trace.momenta, momenta[c])
+
+    def test_diverging_lone_chain(self):
+        # eta = 6 diverges at step 143, mid-chunk, with 142 samples kept
+        case = TestEnsembleDivergence().case()
+        spec, mode, cfg, index = (x[3] for x in (case.specs, case.modes, case.cfgs,
+                                                 case.indices))
+        ref = TestEnsembleDivergence().reference_error(case, 3)
+        assert ref.step_index == 143
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as info:
+                run_chain(case.P, spec, mode, cfg, index)
+        assert info.value.chain == 0
+        assert_same_error(info.value, ref)
+
+
 class TestStationaryMoments:
     @pytest.mark.parametrize("scheme", [Scheme.LEAPFROG, Scheme.SPV])
     def test_small_eta_matches_analytic_posterior(self, scheme):

@@ -543,24 +543,26 @@ class TestUnitFactorsSkipped:
                  for M in masses]
         r, th = (3.0 * rng.normal(size=(R, d)) for _ in range(2))
         noise = [rng.normal(size=(R, d)) for _ in range(noise_draws(scheme))]
-        got_r, got_th = np.empty((R, d)), np.empty((R, d))
-        compile_ensemble_step(specs)(r, th, grad, hess, noise, got_r, got_th)
+        got_r, got_th = np.empty((1, R, d)), np.empty((1, R, d))
+        compile_ensemble_step(specs)(r, th, lambda j, x: grad(x), lambda j, x, v: hess(x, v),
+                                     np.stack(noise)[:, None], got_r, got_th)
         for c, spec in enumerate(specs):
             want_r, want_th = reference_kernel(
                 scheme, spec.n_inner, integrators_module._constants(spec))(
                 r[c], th[c], grad, hess, [w[c] for w in noise])
-            assert got_r[c].tobytes() == want_r.tobytes()
-            assert got_th[c].tobytes() == want_th.tobytes()
+            assert got_r[0, c].tobytes() == want_r.tobytes()
+            assert got_th[0, c].tobytes() == want_th.tobytes()
 
-    # the buffer-writing stepper as a chain loop drives it: several steps,
-    # each written into rows of preallocated arrays, the output pair of one
-    # step read as the next step's input and written again two steps on,
-    # with providers that, like a potential's, return one array they
-    # overwrite on every call
+    # the chunk stepper as the chain loop drives it: two chunk calls, the
+    # second from the first's last state, each step written into its rows of
+    # the chunk's preallocated arrays, with step-indexed providers that, like
+    # a potential's, return one array they overwrite on every call. One
+    # chain steps d-vectors, an ensemble (R, d) rows; the product a step
+    # keeps for the next crosses the boundary
     @pytest.mark.parametrize("R", [1, 4], ids=["single-chain", "ensemble"])
     @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
     def test_buffer_steps_match_reference_formulas(self, scheme, mass, R):
-        d, n_steps = 3, 5
+        d, chunks = 3, (5, 4)
         rng = np.random.default_rng(41)
         grad, hess = _nonlinear_grad_hess(d, rng)
         masses = [MassMatrix.identity(d)] * R
@@ -568,36 +570,81 @@ class TestUnitFactorsSkipped:
             masses[-1] = MassMatrix(rng.uniform(0.2, 4.0, d))
         specs = [_kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
                  for M in masses]
-        g_buf, h_buf = np.empty((R, d)), np.empty((R, d))
+        shape = (d,) if R == 1 else (R, d)
+        g_buf, h_buf, seen = np.empty(shape), np.empty(shape), []
 
-        def grad_rows(x):
+        def grad_rows(j, x):
+            seen.append(j)
             g_buf[...] = grad(x)
             return g_buf
 
-        def hess_rows(x, v):
+        def hess_rows(j, x, v):
             h_buf[...] = hess(x, v)
             return h_buf
 
-        r0, th0 = (3.0 * rng.normal(size=(R, d)) for _ in range(2))
-        noise = rng.normal(size=(n_steps, noise_draws(scheme), R, d))
+        r0, th0 = (3.0 * rng.normal(size=shape) for _ in range(2))
+        noise = rng.normal(size=(noise_draws(scheme), sum(chunks)) + shape)
         stepper = compile_ensemble_step(specs)
-        # two output pairs used in turn: step j writes pair j % 2
-        pairs = [(np.empty((R, d)), np.empty((R, d))) for _ in range(2)]
-        r, th = r0, th0
-        got = []
-        for j in range(n_steps):
-            r_out, th_out = pairs[j % 2]
-            stepper(r, th, grad_rows, hess_rows, noise[j], r_out, th_out)
-            got.append((r_out.copy(), th_out.copy()))
-            r, th = r_out, th_out
+        r, th, got, lo = r0, th0, [], 0
+        for m in chunks:
+            rs, ths = np.empty((m,) + shape), np.empty((m,) + shape)
+            stepper(r, th, grad_rows, hess_rows, noise[:, lo:lo + m].copy(), rs, ths)
+            got.extend(zip(rs, ths))
+            r, th, lo = rs[-1], ths[-1], lo + m
+        # every step asks its own providers, in step order
+        assert sorted(set(seen)) == list(range(max(chunks)))
         for c, spec in enumerate(specs):
+            row = (lambda a: a) if R == 1 else (lambda a: a[c])
             want_step = reference_kernel(scheme, spec.n_inner,
                                          integrators_module._constants(spec))
-            r, th = r0[c], th0[c]
-            for j in range(n_steps):
-                r, th = want_step(r, th, grad, hess, list(noise[j, :, c]))
-                assert got[j][0][c].tobytes() == r.tobytes()
-                assert got[j][1][c].tobytes() == th.tobytes()
+            r, th = row(r0), row(th0)
+            for j in range(sum(chunks)):
+                r, th = want_step(r, th, grad, hess, [row(w) for w in noise[:, j]])
+                assert row(got[j][0]).tobytes() == r.tobytes()
+                assert row(got[j][1]).tobytes() == th.tobytes()
+            # compile_step is a chunk of one step, and leaves its noise be
+            draws = [row(w).copy() for w in noise[:, 0]]
+            one = compile_step(spec)(row(r0), row(th0), grad, hess, draws)
+            assert one[0].tobytes() == row(got[0][0]).tobytes()
+            assert one[1].tobytes() == row(got[0][1]).tobytes()
+            assert all(w.tobytes() == row(v).tobytes() for w, v in zip(draws, noise[:, 0]))
+
+    # a chunk allocates nothing per step: its traced peak over 1,024 steps
+    # is that of 64 steps, give or take a few KiB of interpreter noise
+    @pytest.mark.parametrize("R", [1, 4], ids=["single-chain", "ensemble"])
+    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
+    def test_chunk_allocates_nothing_per_step(self, scheme, mass, R):
+        import tracemalloc
+
+        d = 3
+        rng = np.random.default_rng(7)
+        masses = [MassMatrix.identity(d)] * R
+        if mass == "diagonal":
+            masses[-1] = MassMatrix(rng.uniform(0.2, 4.0, d))
+        specs = [_kernel_spec(scheme, 0.1, 1.0, M) for M in masses]
+        shape = (d,) if R == 1 else (R, d)
+        stepper = compile_ensemble_step(specs)
+        g_buf, h_buf = np.empty(shape), np.empty(shape)
+
+        def grad(j, x):
+            return np.negative(x, g_buf)
+
+        def hess(j, x, v):
+            return np.negative(v, h_buf)
+
+        r, th = np.zeros(shape), np.ones(shape)
+        peaks = []
+        for m in (64, 1024):
+            noise = rng.normal(size=(noise_draws(scheme), m) + shape)
+            rs, ths = np.empty((m,) + shape), np.empty((m,) + shape)
+            stepper(r, th, grad, hess, noise.copy(), rs, ths)
+            tracemalloc.start()
+            try:
+                stepper(r, th, grad, hess, noise, rs, ths)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4096, peaks
 
     def test_unit_factor_is_skipped_only_when_exact(self):
         assert integrators_module._non_unit(np.ones((4, 3))) is None

@@ -182,35 +182,41 @@ class TestLinearGaussian:
             v = rng.normal(size=3)
             assert v @ P.hessian_vec(np.zeros(3), v) > 0
 
-    # a lone chain's gradient and Hessian-vector calls take the stacked
-    # path, full batch or on a chunk's gathered blocks, and give the
-    # per-row bits: one step's `gradient_many` calls and the chunk's
-    # `step_providers`, whose providers write into arrays they own
+    # a lone chain's providers take the one-row path, np.dot on d-vectors
+    # and views of the design, full batch or on a chunk's blocks (equal or
+    # not), and give the bits of the stacked (1, d) path and of the
+    # one-point calls, times the mini-batch scale K where given
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
-    @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks"])
-    def test_lone_row_stacked_path_matches_per_row(self, model, mode):
-        if model == "dense-equal-blocks":
+    @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks",
+                                       "dense-unequal-blocks"])
+    def test_one_row_path_matches_stacked_and_per_row(self, model, mode, scaled):
+        if model.startswith("dense"):
             rng = RngStream(3, 0)
-            P = LinearGaussian(rng.normal(32 * 5).reshape(32, 5), rng.normal(32),
-                               noise_var=1.5, prior_var=2.0, n_batches=4)
+            n = 32 if model == "dense-equal-blocks" else 30
+            P = LinearGaussian(rng.normal(n * 5).reshape(n, 5), rng.normal(n),
+                               noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0, 0.25],
+                               n_batches=4)
         else:
             P = build_model("lingauss", int(model[-1]))
-        m = 40
+        m, K = 40, float(P.n_batches)
         ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
-        assert P._chunk_groups(ids[:, None]) is not None
-        batches = [None] * m if mode == "full" else ids[:, None]
+        assert P._row_steps(ids) is not None
+        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
         draws = RngStream(2, 0)
-        for b, batch, (grad, hess) in zip(ids.tolist(), batches,
-                                          P.step_providers(ids[:, None])):
-            assert P._stacked(batch) is not None
+        for j, b in enumerate(ids.tolist()):
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
-            key = None if b < 0 else b
-            want_g = P.gradient(th, key)[None].tobytes()
-            want_h = P.hessian_vec(th, v, key)[None].tobytes()
-            assert P.gradient_many(th[None], batch).tobytes() == want_g
-            assert P.hessian_vec_many(th[None], v[None], batch).tobytes() == want_h
-            assert grad(th[None]).tobytes() == want_g
-            assert hess(th[None], v[None]).tobytes() == want_h
+            key, batch = (None, None) if b < 0 else (b, ids[j:j + 1])
+            # unequal blocks are served per row, the full design stacked
+            assert (P._stacked(batch) is None) == (model == "dense-unequal-blocks" and b >= 0)
+            want_g = P.gradient_many(th[None], batch)[0]
+            want_h = P.hessian_vec_many(th[None], v[None], batch)[0]
+            assert want_g.tobytes() == P.gradient(th, key).tobytes()
+            assert want_h.tobytes() == P.hessian_vec(th, v, key).tobytes()
+            if scaled:
+                want_g, want_h = K * want_g, K * want_h
+            assert grad(j, th).tobytes() == want_g.tobytes()
+            assert hess(j, th, v).tobytes() == want_h.tobytes()
 
     # the stacked path skips a unit noise variance, unit prior variances and
     # a unit prior weight, and serves an ensemble of full and block rows as
@@ -231,15 +237,16 @@ class TestLinearGaussian:
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
         assert P._chunk_groups(ids) is not None
-        for j, (grad, hess) in enumerate(P.step_providers(ids)):
+        grad, hess = P.step_providers(ids)
+        for j in range(m):
             assert P._stacked(ids[j]) is not None
             th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
             keys = ids[j].tolist()
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
             want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
                                for c, k in enumerate(keys)])
-            assert grad(th).tobytes() == want_g.tobytes()
-            assert hess(th, v).tobytes() == want_h.tobytes()
+            assert grad(j, th).tobytes() == want_g.tobytes()
+            assert hess(j, th, v).tobytes() == want_h.tobytes()
             for arg in (ids[j],) + ((None,) if rows == "all-full" else ()):
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
