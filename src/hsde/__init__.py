@@ -14,7 +14,7 @@ lab verifies the splitting-error orders that drive the observed rates.
 """
 
 from hsde.chain import ChainConfig, Trace, run_chain, save_trace
-from hsde.core import MassMatrix, RngStream, State, hamiltonian, kinetic_energy
+from hsde.core import MassMatrix, RngStream, State
 from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
 
 __version__ = "0.1.0"
@@ -28,8 +28,6 @@ __all__ = [
     "Scheme",
     "State",
     "Trace",
-    "hamiltonian",
-    "kinetic_energy",
     "run_chain",
     "save_trace",
     "__version__",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -54,8 +53,7 @@ from .integrators import (
 )
 from .potentials import Potential
 
-__all__ = ["ChainConfig", "Trace", "run_chain", "run_states", "ergodic_average",
-           "acf1", "save_trace"]
+__all__ = ["ChainConfig", "Trace", "run_chain", "run_states", "save_trace"]
 
 _MULTI_TIME = (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
 
@@ -300,30 +298,6 @@ def run_chain(P: Potential, spec: IntegratorSpec, mode, cfg: ChainConfig,
     """
     thetas, momenta = run_states(P, [spec], [mode], [cfg], [chain_index])
     return _trace(thetas[0], momenta[0], cfg, _step_duration(spec))
-
-
-def ergodic_average(trace: Trace, phi: Callable[[State], float]) -> float:
-    """Arithmetic mean of phi over the kept states."""
-    if trace.n_samples == 0:
-        raise ValueError("ergodic average of an empty trace")
-    total = 0.0
-    for i in range(trace.n_samples):
-        total += float(phi(State(r=trace.momenta[i], theta=trace.thetas[i])))
-    return total / trace.n_samples
-
-
-def acf1(trace: Trace, coord: int = 0, which: str = "theta") -> float:
-    """Lag-1 sample autocorrelation of one coordinate of the kept samples."""
-    if which not in ("theta", "r"):
-        raise ValueError("which must be 'theta' or 'r'")
-    series = (trace.thetas if which == "theta" else trace.momenta)[:, coord]
-    if series.size < 3:
-        raise ValueError("need at least 3 samples for acf1")
-    x = series - series.mean()
-    denom = float(np.dot(x, x))
-    if denom == 0.0:
-        raise ValueError("constant series has no autocorrelation")
-    return float(np.dot(x[:-1], x[1:]) / denom)
 
 
 def save_trace(trace: Trace, csv_path) -> None:

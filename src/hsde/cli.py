@@ -240,19 +240,25 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
                               mass=MassMatrix.identity(potential.dim),
                               n_inner=n_inner, v_hat=v_hat)
         trace = run_chain(potential, spec, mode, cfg)
-    save_trace(trace, os.path.join(out_dir, "trace.csv"))
     extra = {"effective_time": format_float(trace.effective_time),
              "kept": trace.n_samples}
     try:
         post = repro.build_model(model, 1).analytic_posterior()
     except AnalyticPosteriorUnavailable:
-        return extra
-    mean_err, var_err = moment_errors(trace, post)
-    ks = ks_vs_gaussian(EmpiricalSample(trace.thetas[:, 0]),
-                        post.mean[0], post.cov[0, 0])
-    extra.update(ks_coord0=format_float(ks),
-                 mean_err=format_float(mean_err.max()),
-                 var_err=format_float(var_err.max()))
+        post = None
+    if post is not None:
+        # a chain that grows huge without leaving the finite range overflows
+        # its summary: no warnings, it is reported as a divergence before
+        # any output is written
+        with np.errstate(all="ignore"):
+            mean_err, var_err = moment_errors(trace, post)
+            ks = ks_vs_gaussian(EmpiricalSample(trace.thetas[:, 0]),
+                                post.mean[0], post.cov[0, 0])
+        summary = (ks, mean_err.max(), var_err.max())
+        if not np.all(np.isfinite(summary)):
+            raise DivergenceError("chain summary is not finite", eta=eta, scheme=scheme)
+        extra.update(zip(("ks_coord0", "mean_err", "var_err"), map(format_float, summary)))
+    save_trace(trace, os.path.join(out_dir, "trace.csv"))
     return extra
 
 

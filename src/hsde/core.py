@@ -1,4 +1,4 @@
-"""Phase-space state, mass-matrix handling, energies, and the seeded RNG contract.
+"""Phase-space state, mass-matrix handling, and the seeded RNG contract.
 
 Conventions used throughout the package:
 
@@ -18,7 +18,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 # numpy loads its random module on first use; loaded here, its cost stays in
@@ -29,8 +28,6 @@ __all__ = [
     "State",
     "MassMatrix",
     "RngStream",
-    "kinetic_energy",
-    "hamiltonian",
 ]
 
 _U64 = 2**64
@@ -231,16 +228,3 @@ class RngStream:
             out.append(swap.get(j, j))
             swap[j] = swap.get(i, i)
         return np.array(out, dtype=np.int64)
-
-
-def kinetic_energy(r: np.ndarray, M: MassMatrix) -> float:
-    """T(r) = 1/2 r^T M^-1 r for diagonal M. Nonnegative."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (M.dim,):
-        raise ValueError(f"momentum has dimension {r.shape}, mass expects ({M.dim},)")
-    return 0.5 * float(np.dot(r, r * M.inv_diag))
-
-
-def hamiltonian(z: State, potential_value: Callable[[np.ndarray], float], M: MassMatrix) -> float:
-    """H(z) = U(theta) + T(r)."""
-    return float(potential_value(z.theta)) + kinetic_energy(z.r, M)

@@ -11,8 +11,9 @@ so that sum_i U_i = U exactly. The K-rescaling used by mini-batch simulation
 (multiply gradients by K) is chosen by the caller, which hands the factor to
 `Potential.step_providers`; it is never baked in here.
 
-All gradients and Hessian-vector products are hand-derived; the three models
-keep them exact.
+All gradients and Hessian-vector products are hand-derived and exact. The
+command line's 1-d conjugate toy model is a `LinearGaussian` on a column of
+ones, so both Gaussian models share one gradient path.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "GaussianPosterior",
     "AnalyticPosteriorUnavailable",
     "Potential",
-    "Toy1D",
     "LinearGaussian",
     "Logistic2D",
     "make_logistic_demo",
@@ -90,6 +90,12 @@ def batch_bounds(n_obs: int, n_batches: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
+
+
+def _id_row(R: int, batch_ids) -> np.ndarray:
+    """The (1, R) chunk of batch ids of one step's R rows; None is every row
+    on the full potential (-1)."""
+    return np.full((1, R), -1) if batch_ids is None else np.asarray(batch_ids)[None]
 
 
 class Potential:
@@ -167,31 +173,23 @@ class Potential:
         return self._nll_hess_vec(theta, v, sl) + w * (v / self.prior_var)
 
     def gradient_many(self, thetas: np.ndarray, batch_ids=None) -> np.ndarray:
-        """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit.
+        """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit, in a
+        fresh (R, d) array: one step of `step_providers`.
 
-        A raw path for the chain runner: no validation. thetas is (R, d);
+        A raw path for stacked callers: no validation. thetas is (R, d);
         batch_ids is None (every row on the full potential) or R integers
         where -1 marks the full potential.
         """
-        keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
-        if len(thetas) == 1:
-            return self._raw_gradient(thetas[0], keys[0])[None]
-        out = np.empty_like(thetas)
-        for c, key in enumerate(keys):
-            out[c] = self._raw_gradient(thetas[c], key)
-        return out
+        grad, _ = self.step_providers(_id_row(len(thetas), batch_ids))
+        return grad(0, thetas[0])[None] if len(thetas) == 1 else grad(0, thetas)
 
     def hessian_vec_many(self, thetas: np.ndarray, vs: np.ndarray,
                          batch_ids=None) -> np.ndarray:
         """Row c is `hessian_vec(thetas[c], vs[c], batch_ids[c])`; raw, as
         `gradient_many`."""
-        keys = (-1,) * len(thetas) if batch_ids is None else batch_ids
-        if len(thetas) == 1:
-            return self._raw_hessian_vec(thetas[0], vs[0], keys[0])[None]
-        out = np.empty_like(vs)
-        for c, key in enumerate(keys):
-            out[c] = self._raw_hessian_vec(thetas[c], vs[c], key)
-        return out
+        _, hess = self.step_providers(_id_row(len(thetas), batch_ids))
+        return (hess(0, thetas[0], vs[0])[None] if len(thetas) == 1
+                else hess(0, thetas, vs))
 
     def step_providers(self, ids_chunk: np.ndarray, scale=None):
         """The step-indexed gradient and Hessian-vector providers of a chunk
@@ -199,24 +197,31 @@ class Potential:
         potential, and step j's are grad(j, x) and hess(j, x, v). For one
         chain (R = 1) they map d-vectors to `gradient` / `hessian_vec` at
         batch ids_chunk[j, 0]; for R chains they map (R, d) rows to the
-        array whose row c is `gradient_many` / `hessian_vec_many` at batch
+        array whose row c is `gradient` / `hessian_vec` of row c at batch
         ids_chunk[j, c]. Either is times scale, shaped as x, where given.
         A result may be overwritten by the provider's next call. Here each
-        call takes the per-row path and scales its fresh result in place; a
-        model may instead resolve the chunk's operands once and write into
+        call takes the per-row formula (`_raw_gradient` /
+        `_raw_hessian_vec`) row by row and scales its fresh result in place;
+        a model may instead resolve the chunk's operands once and write into
         arrays it owns."""
         mul = np.multiply
         one = ids_chunk.shape[1] == 1
-        keys = ids_chunk[:, 0].tolist() if one else ids_chunk
+        keys = ids_chunk.tolist()
+
+        def per_row(formula, keys_j, *xs):
+            if one:
+                return formula(*xs, keys_j[0])
+            out = np.empty_like(xs[-1])
+            for c, key in enumerate(keys_j):
+                out[c] = formula(*(x[c] for x in xs), key)
+            return out
 
         def grad(j, x):
-            g = (self._raw_gradient(x, keys[j]) if one
-                 else self.gradient_many(x, keys[j]))
+            g = per_row(self._raw_gradient, keys[j], x)
             return g if scale is None else mul(scale, g, g)
 
         def hess(j, x, v):
-            h = (self._raw_hessian_vec(x, v, keys[j]) if one
-                 else self.hessian_vec_many(x, v, keys[j]))
+            h = per_row(self._raw_hessian_vec, keys[j], x, v)
             return h if scale is None else mul(scale, h, h)
 
         return grad, hess
@@ -231,56 +236,17 @@ class Potential:
         return np.sqrt(self.prior_var) * rng.normal(self.dim)
 
 
-class Toy1D(Potential):
-    """Scalar conjugate model: x_i ~ N(theta, noise_var), theta ~ N(0, prior_var)."""
-
-    def __init__(self, observations, noise_var: float, prior_var: float, n_batches: int = 1):
-        x = as_vector(observations, "observations")
-        if noise_var <= 0:
-            raise ValueError("noise_var must be > 0")
-        self.observations = x
-        self.noise_var = float(noise_var)
-        super().__init__(dim=1, n_obs=x.size, prior_var=prior_var, n_batches=n_batches)
-
-    def _nll_value(self, theta, sl):
-        resid = self.observations[sl] - theta[0]
-        return 0.5 * float(np.dot(resid, resid)) / self.noise_var
-
-    def _nll_grad(self, theta, sl):
-        resid = theta[0] - self.observations[sl]
-        return np.array([float(np.sum(resid)) / self.noise_var])
-
-    def _nll_hess_vec(self, theta, v, sl):
-        count = sl.stop - sl.start
-        return np.array([count / self.noise_var * v[0]])
-
-    def analytic_posterior(self) -> GaussianPosterior:
-        precision = 1.0 / self.prior_var[0] + self.n_obs / self.noise_var
-        var = 1.0 / precision
-        mean = var * float(np.sum(self.observations)) / self.noise_var
-        return GaussianPosterior(mean=np.array([mean]), cov=np.array([[var]]))
-
-
 # the most bytes of design blocks `LinearGaussian` gathers at once for a
 # chunk of steps: a whole chunk for the CLI's models, a step or a few for a
 # large design, whose chunk of blocks can run to hundreds of MB
 _GATHER_BYTES = 1 << 19
 
 
-def _rows(mask: np.ndarray):
-    """The rows where mask is set, as a slice where they are contiguous
-    (a view, no copy) and as an index array otherwise."""
-    rows = np.flatnonzero(mask)
-    if rows[-1] - rows[0] + 1 == len(rows):
-        return slice(int(rows[0]), int(rows[-1]) + 1)
-    return rows
-
-
 class LinearGaussian(Potential):
     """Linear regression: y = features @ theta + eps, eps ~ N(0, noise_var I)."""
 
     def __init__(self, features, targets, noise_var: float, prior_var, n_batches: int = 1):
-        Phi = np.array(features, dtype=np.float64, copy=True)
+        Phi = np.array(features, dtype=np.float64, copy=True, order="C")
         y = as_vector(targets, "targets") if np.size(targets) else np.zeros(0)
         if Phi.ndim != 2:
             raise ValueError("features must be a 2-D matrix")
@@ -295,16 +261,15 @@ class LinearGaussian(Potential):
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
         # operands of the stacked path: the full design, and equal blocks as
-        # (K, rows, d) and (K, rows); the one-row path takes views of any
-        # C-contiguous design
-        self._full = self._blocks = None
+        # (K, rows, d) and (K, rows); the one-row path takes views of the
+        # design's rows
+        self._full = (Phi[None], Phi[None].swapaxes(1, 2), y)
+        self._blocks = None
         self._unit_prior = bool(np.all(self.prior_var == 1.0))
-        if Phi.flags.c_contiguous:
-            self._full = (Phi[None], Phi[None].swapaxes(1, 2), y)
-            if self.n_obs % self.n_batches == 0:
-                rows = self.n_obs // self.n_batches
-                self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
-                                y.reshape(self.n_batches, rows))
+        if self.n_obs % self.n_batches == 0:
+            rows = self.n_obs // self.n_batches
+            self._blocks = (Phi.reshape(self.n_batches, rows, self.dim),
+                            y.reshape(self.n_batches, rows))
 
     def _nll_value(self, theta, sl):
         resid = self.features[sl] @ theta - self.targets[sl]
@@ -318,10 +283,10 @@ class LinearGaussian(Potential):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
     def step_providers(self, ids_chunk, scale=None):
-        """A lone chain on a C-contiguous design takes the one-row path,
-        and an ensemble the stacked path where it serves the chunk: the
-        chunk's operands are resolved once here, and the providers read
-        step j's and write into arrays they own."""
+        """A lone chain takes the one-row path, and an ensemble the stacked
+        path where it serves the chunk: the chunk's operands are resolved
+        once here, and the providers read step j's and write into arrays
+        they own."""
         if ids_chunk.shape[1] == 1:
             ops = self._row_steps(ids_chunk[:, 0])
             if ops is not None:
@@ -336,10 +301,10 @@ class LinearGaussian(Potential):
         """(w, step_ops) of a lone chain's chunk of batch ids: step_ops(j) is
         step j's (F, FT, y, Fx), views F of its batch's design rows and FT of
         their transpose, targets y and a scratch Fx for F @ x, and w is the
-        prior weight its batches share. None where the design is not
-        C-contiguous or the chunk mixes the full potential with blocks."""
+        prior weight its batches share. None where the chunk mixes the full
+        potential with blocks."""
         full = ids < 0
-        if self._full is None or full.any() != full.all():
+        if full.any() != full.all():
             return None
         distinct, where = np.unique(ids, return_inverse=True)
         views = []
@@ -351,27 +316,33 @@ class LinearGaussian(Potential):
 
     def _chunk_groups(self, ids_chunk):
         """The stacked operands of a chunk of (m, R) batch ids, per group of
-        rows (rows, w, size, step_ops): rows a slice or an index array, w
-        the group's prior weight and step_ops(j) step j's (F, FT, y), design
-        blocks F (n or 1, size, d), their transposed view FT and targets y.
-        One group where every chain runs on the full potential or every id
-        is an equal block's, the blocks gathered for a run of steps at once;
-        two, full rows and gathered-block rows, where some chains run on the
-        full potential throughout the chunk and the rest on equal blocks.
-        None where only the per-row path is proven to give the same bits:
-        unequal blocks, a design that is not C-contiguous."""
+        rows (rows, w, size, step_ops): rows a slice, w the group's prior
+        weight and step_ops(j) step j's (F, FT, y), design blocks F (n or 1,
+        size, d), their transposed view FT and targets y. One group where
+        every chain runs on the full potential or every id is an equal
+        block's, the blocks gathered for a run of steps at once; two, full
+        rows and gathered-block rows, where some chains run on the full
+        potential throughout the chunk and the rest on equal blocks, and
+        each kind of row is one contiguous run (a sweep's mode-major
+        layout). None where the per-row path serves the chunk: unequal
+        blocks, rows that switch between the full potential and blocks, or
+        full and block rows interleaved."""
         full = ids_chunk < 0
         on_full = full[0]
         if (full != on_full).any():
             return None
         if on_full.all():
-            return None if self._full is None else [
-                (slice(None), *self._full_steps(ids_chunk))]
+            return [(slice(None), *self._full_steps(ids_chunk))]
         if self._blocks is None:
             return None
         if not on_full.any():
             return [(slice(None), *self._gathered(ids_chunk))]
-        on_full, on_blocks = _rows(on_full), _rows(~on_full)
+        cuts = np.flatnonzero(on_full[1:] != on_full[:-1])
+        if len(cuts) > 1:
+            return None
+        cut = int(cuts[0]) + 1
+        on_full, on_blocks = ((slice(cut), slice(cut, None)) if on_full[0]
+                              else (slice(cut, None), slice(cut)))
         return [(on_full, *self._full_steps(ids_chunk[:, on_full])),
                 (on_blocks, *self._gathered(ids_chunk[:, on_blocks]))]
 
@@ -404,47 +375,28 @@ class LinearGaussian(Potential):
 
         return 1.0 / self.n_batches, F.shape[1], step_ops
 
-    def _stacked(self, batch):
-        """The `_chunk_groups` of one step's batch argument (None or R ids),
-        or None where only the per-row path gives the same bits. The full
-        group of None keeps its targets unrepeated: a one-off call over
-        many rows saves little by skipping broadcasting."""
-        if batch is None:
-            return None if self._full is None else [
-                (slice(None), 1.0, self.n_obs, lambda j: self._full)]
-        return self._chunk_groups(np.asarray(batch)[None])
-
     def _providers(self, groups, R, scale=None):
         """The step-indexed (grad, hess) of `step_providers` for `groups`
         over R stacked rows. A mixed ensemble's pair runs each group's
         providers over its rows, which write straight into their rows of
-        the shared result where the rows are contiguous."""
+        the shared result."""
         if len(groups) == 1:
             (_, w, size, step_ops), = groups
             return self._row_providers((R, self.dim), w, step_ops, scale, size)
         mul = np.multiply
         g_all, h_all = np.empty((R, self.dim)), np.empty((R, self.dim))
-        parts = []
-        for rows, w, size, step_ops in groups:
-            contiguous = isinstance(rows, slice)
-            outs = (g_all[rows], h_all[rows]) if contiguous else ()
-            n = len(range(R)[rows]) if contiguous else len(rows)
-            grad_g, hess_g = self._row_providers((n, self.dim), w, step_ops, None, size,
-                                                 *outs)
-            parts.append((rows, grad_g, hess_g, not contiguous))
+        parts = [(rows, *self._row_providers(g_all[rows].shape, w, step_ops, None, size,
+                                             g_all[rows], h_all[rows]))
+                 for rows, w, size, step_ops in groups]
 
         def grad(j, x):
-            for rows, grad_g, _, scatter in parts:
-                g = grad_g(j, x[rows])
-                if scatter:
-                    g_all[rows] = g
+            for rows, grad_g, _ in parts:
+                grad_g(j, x[rows])
             return g_all if scale is None else mul(scale, g_all, g_all)
 
         def hess(j, x, v):
-            for rows, _, hess_g, scatter in parts:
-                h = hess_g(j, x[rows], v[rows])
-                if scatter:
-                    h_all[rows] = h
+            for rows, _, hess_g in parts:
+                hess_g(j, x[rows], v[rows])
             return h_all if scale is None else mul(scale, h_all, h_all)
 
         return grad, hess
@@ -523,20 +475,6 @@ class LinearGaussian(Potential):
             return finish(hv, v)
 
         return grad, hess
-
-    def gradient_many(self, thetas, batch_ids=None):
-        groups = self._stacked(batch_ids)
-        if groups is None:
-            return super().gradient_many(thetas, batch_ids)
-        grad, _ = self._providers(groups, len(thetas))
-        return grad(0, thetas)
-
-    def hessian_vec_many(self, thetas, vs, batch_ids=None):
-        groups = self._stacked(batch_ids)
-        if groups is None:
-            return super().hessian_vec_many(thetas, vs, batch_ids)
-        _, hess = self._providers(groups, len(thetas))
-        return hess(0, thetas, vs)
 
     def analytic_posterior(self) -> GaussianPosterior:
         precision = self.features.T @ self.features / self.noise_var + np.diag(

@@ -36,7 +36,7 @@ import numpy as np
 from .batching import BatchMode
 from .chain import ChainConfig, run_states
 from .core import MassMatrix, RngStream, write_columns
-from .integrators import IntegratorSpec, Scheme
+from .integrators import DivergenceError, IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
     GeneratorSet,
@@ -49,7 +49,6 @@ from .operator_lab import (
 )
 from .potentials import (
     LinearGaussian,
-    Toy1D,
     make_cycled_basis_dataset,
     make_logistic_demo,
 )
@@ -104,8 +103,9 @@ def build_model(name: str, n_batches: int = 1):
     """The three desk-scale models selectable from the command line."""
     if name == "toy":
         p = reference_params()
-        return Toy1D((p.x1, p.x2), noise_var=p.sigma_x2, prior_var=p.sigma_theta2,
-                     n_batches=n_batches)
+        # each x_i ~ N(theta, sigma_x^2) is a linear model on a column of ones
+        return LinearGaussian(np.ones((2, 1)), (p.x1, p.x2), noise_var=p.sigma_x2,
+                              prior_var=p.sigma_theta2, n_batches=n_batches)
     if name == "lingauss":
         return sweep_model(n_batches)
     if name == "logistic2d":
@@ -138,7 +138,8 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
     cell's replicas in order.
 
     Raises the DivergenceError of the first diverging chain in (mode, cell,
-    replica) order.
+    replica) order, and then that of the first cell, in (mode, cell) order,
+    whose summary is not finite.
     """
     runs = list(itertools.product(modes, cells))
     mass = MassMatrix.identity(model.dim)
@@ -162,24 +163,24 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
         ks_vals = []
         mean_dev = np.zeros(model.dim)
         var_dev = np.zeros(model.dim)
-        for th in thetas[cell * reps:(cell + 1) * reps]:
-            tail = th[-min(n_ks, n):, 0]
-            ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
-                                          post.mean[0], post.cov[0, 0]))
-            mean_dev += th.mean(axis=0) - post.mean
-            var_dev += th.var(axis=0) - np.diag(post.cov)
-        # signed deviations pooled over replicas and coordinates before taking
-        # magnitude: the bias is shared, the noise averages out
-        rows.append({
-            "scheme": str(scheme.value),
-            "eta": float(eta),
-            "K": int(n_batches),
-            "mode": str(mode),
-            "n": int(n),
-            "ks": float(np.mean(ks_vals)),
-            "mean_err": float(abs(np.mean(mean_dev / reps))),
-            "var_err": float(abs(np.mean(var_dev / reps))),
-        })
+        # chains that grow huge without leaving the finite range overflow
+        # their cell's summary: no warnings, the check below reports it
+        with np.errstate(all="ignore"):
+            for th in thetas[cell * reps:(cell + 1) * reps]:
+                tail = th[-min(n_ks, n):, 0]
+                ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
+                                              post.mean[0], post.cov[0, 0]))
+                mean_dev += th.mean(axis=0) - post.mean
+                var_dev += th.var(axis=0) - np.diag(post.cov)
+            # signed deviations pooled over replicas and coordinates before
+            # taking magnitude: the bias is shared, the noise averages out
+            summary = {"ks": float(np.mean(ks_vals)),
+                       "mean_err": float(abs(np.mean(mean_dev / reps))),
+                       "var_err": float(abs(np.mean(var_dev / reps)))}
+        if not np.all(np.isfinite(list(summary.values()))):
+            raise DivergenceError("cell summary is not finite", eta=eta, scheme=scheme)
+        rows.append({"scheme": str(scheme.value), "eta": float(eta), "K": int(n_batches),
+                     "mode": str(mode), "n": int(n), **summary})
     per_mode = [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))]
     return [SweepResult(rows=r, slopes=_fit_slope(r)) for r in per_mode]
 
@@ -238,7 +239,8 @@ def run_sweeps(
     processes. Modes whose n_batches is above 1 must share it. Raises the
     model's analytic-posterior error for models without a closed-form
     posterior, and the DivergenceError of the first diverging chain in
-    (plan pair, mode, cell, replica) order. Output rows are deterministic in
+    (plan pair, mode, cell, replica) order or, failing that, of the first
+    cell whose summary is not finite. Output rows are deterministic in
     (config, seed) regardless of `jobs`.
     """
     # checked before any chain runs, not where the values are first used

@@ -12,15 +12,13 @@ from hsde.batching import BatchSchedule
 from hsde.chain import (
     ChainConfig,
     Trace,
-    acf1,
-    ergodic_average,
     run_chain,
     run_states,
     save_trace,
 )
 from hsde.core import MassMatrix, RngStream, State
 from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
-from hsde.potentials import LinearGaussian, Toy1D
+from hsde.potentials import LinearGaussian
 from hsde.repro import build_model
 
 from .oracles import reference_chain, reference_save_trace
@@ -43,18 +41,6 @@ def lingauss2():
 def spec_for(P, scheme=Scheme.LEAPFROG, eta=0.01, C=2.0, **kw):
     return IntegratorSpec(scheme, eta=eta, friction=C,
                           mass=MassMatrix.identity(P.dim), **kw)
-
-
-def synthetic_trace(series):
-    series = np.asarray(series, dtype=float).reshape(-1, 1)
-    n = series.shape[0]
-    return Trace(
-        thetas=series,
-        momenta=np.zeros_like(series),
-        steps=np.arange(1, n + 1),
-        times=np.arange(1, n + 1, dtype=float),
-        effective_time=float(n),
-    )
 
 
 class TestRunChain:
@@ -510,40 +496,6 @@ class TestStationaryMoments:
         # variance of each estimate ~ sigma^2 * (2/rate) / simulated time
         sd = np.sqrt(1.0 / 3.0 * 2.0 * (1.0 / 800.0 + 1.0 / 8000.0))
         assert abs(results[0] - results[1]) < 4 * sd
-
-
-class TestDiagnostics:
-    def test_ergodic_average_constant(self):
-        P = toy_twin()
-        cfg = ChainConfig(n_samples=7, burn_in=0, thinning=1, seed=8)
-        t = run_chain(P, spec_for(P, eta=0.1), "full", cfg)
-        assert ergodic_average(t, lambda z: 1.0) == 1.0
-
-    def test_ergodic_average_reads_state(self):
-        t = synthetic_trace([1.0, 2.0, 3.0])
-        assert ergodic_average(t, lambda z: z.theta[0]) == pytest.approx(2.0)
-
-    def test_ergodic_average_empty_errors(self):
-        t = synthetic_trace(np.zeros((0,)))
-        with pytest.raises(ValueError):
-            ergodic_average(t, lambda z: 1.0)
-
-    def test_acf1_alternating(self):
-        n = 100
-        t = synthetic_trace([1.0, -1.0] * (n // 2))
-        assert abs(acf1(t) - (-1.0)) <= 2.0 / n
-
-    def test_acf1_iid_band(self):
-        series = np.random.default_rng(17).normal(size=10_000)
-        assert abs(acf1(synthetic_trace(series))) < 4.0 / np.sqrt(10_000)
-
-    def test_acf1_constant_errors(self):
-        with pytest.raises(ValueError):
-            acf1(synthetic_trace([2.0, 2.0, 2.0]))
-        with pytest.raises(ValueError):
-            acf1(synthetic_trace([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            acf1(synthetic_trace([1.0, 2.0, 3.0]), which="momentum")
 
 
 class TestPersistence:

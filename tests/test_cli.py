@@ -349,6 +349,24 @@ class TestFailedRunCleanup:
         assert result.exit_code == 3, result.output
         assert os.listdir(tmp_path) == []
 
+    # chains that grow to about 1e260 stay finite but overflow the summary's
+    # variance: a divergence, reported before any output is written and
+    # without numpy's overflow warning
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command, line", [
+        (["sample", "--model", "lingauss", "--scheme", "euler", "--eta", "3.0", "--K", "8",
+          "--mode", "iid", "--n", "300", "--burn-in", "50", "--seed", "1"],
+         "error: chain summary is not finite scheme=euler eta=3.0"),
+        (["sweep", "--model", "lingauss", "--scheme", "euler", "--eta-grid", "3.0,2.9,2.8",
+          "--n", "300", "--burn-in", "50", "--seed", "1"],
+         "error: cell summary is not finite scheme=euler eta=3.0"),
+    ], ids=["sample", "sweep"])
+    def test_overflowing_summary(self, runner, tmp_path, command, line):
+        result = runner.invoke(main, command + ["--out", str(tmp_path / "new")])
+        assert result.exit_code == 3, result.output
+        assert result.output.strip() == line
+        assert os.listdir(tmp_path) == []
+
     def test_io_error(self, runner, tmp_path, monkeypatch):
         from hsde import cli
 

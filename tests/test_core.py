@@ -11,8 +11,6 @@ from hsde.core import (
     State,
     as_vector,
     format_float,
-    hamiltonian,
-    kinetic_energy,
     write_columns,
 )
 
@@ -91,55 +89,6 @@ class TestMassMatrix:
             MassMatrix(diag=np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             MassMatrix(diag=np.array([-1.0]))
-
-
-class TestKineticEnergy:
-    def test_zero_momentum(self):
-        assert kinetic_energy(np.zeros(3), MassMatrix.identity(3)) == 0.0
-
-    def test_hand_value_identity_mass(self):
-        # 0.5 * (3^2 + 4^2) = 12.5
-        r = np.array([3.0, 4.0])
-        assert kinetic_energy(r, MassMatrix.identity(2)) == pytest.approx(12.5)
-
-    def test_hand_value_scaled_mass(self):
-        # 0.5 * 2^2 / 4 = 0.5
-        r = np.array([2.0])
-        M = MassMatrix(diag=np.array([4.0]))
-        assert kinetic_energy(r, M) == pytest.approx(0.5)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=6))
-    def test_nonnegative(self, vals):
-        r = np.array(vals)
-        assert kinetic_energy(r, MassMatrix.identity(r.size)) >= 0.0
-
-    @given(st.lists(finite_floats, min_size=1, max_size=6), st.integers(0, 5))
-    def test_permutation_invariant_under_joint_shuffle(self, vals, seed):
-        r = np.array(vals)
-        m = np.abs(r) + 1.0
-        perm = np.random.default_rng(seed).permutation(r.size)
-        before = kinetic_energy(r, MassMatrix(diag=m))
-        after = kinetic_energy(r[perm], MassMatrix(diag=m[perm]))
-        assert np.isclose(before, after, rtol=1e-12, atol=1e-300)
-
-    @given(st.lists(finite_floats, min_size=1, max_size=6))
-    def test_quadratic_scaling(self, vals):
-        r = np.array(vals)
-        M = MassMatrix.identity(r.size)
-        assert np.isclose(
-            kinetic_energy(2.0 * r, M), 4.0 * kinetic_energy(r, M), rtol=1e-12
-        )
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            kinetic_energy(np.zeros(2), MassMatrix.identity(3))
-
-
-def test_hamiltonian_sums_potential_and_kinetic():
-    z = State(r=np.array([1.0, 0.0]), theta=np.array([2.0, 2.0]))
-    M = MassMatrix.identity(2)
-    value = hamiltonian(z, lambda th: float(np.sum(th**2)), M)
-    assert value == pytest.approx(8.0 + 0.5)
 
 
 def test_as_vector_validates():

@@ -12,7 +12,6 @@ from hsde.potentials import (
     GaussianPosterior,
     LinearGaussian,
     Logistic2D,
-    Toy1D,
     batch_bounds,
     make_cycled_basis_dataset,
     make_logistic_demo,
@@ -28,7 +27,21 @@ TOY_PRIOR_VAR = 0.5
 
 
 def toy(n_batches=1):
-    return Toy1D(TOY_X, TOY_NOISE_VAR, TOY_PRIOR_VAR, n_batches=n_batches)
+    # each x_i ~ N(theta, noise_var) is a linear model on a column of ones
+    return LinearGaussian(np.ones((2, 1)), TOY_X, TOY_NOISE_VAR, TOY_PRIOR_VAR,
+                          n_batches=n_batches)
+
+
+def toy_formulas(theta, v, key, K):
+    """The scalar model's own gradient and Hessian-vector formulas at batch
+    key (-1 for the full potential): sum(theta - x) / noise_var + w theta /
+    prior_var and count / noise_var * v + w v / prior_var over the batch's
+    observations x, w its prior weight."""
+    lo, hi = (0, TOY_X.size) if key < 0 else batch_bounds(TOY_X.size, K)[key]
+    w = 1.0 if key < 0 else 1.0 / K
+    g = np.array([float(np.sum(theta[0] - TOY_X[lo:hi])) / TOY_NOISE_VAR])
+    h = np.array([(hi - lo) / TOY_NOISE_VAR * v[0]])
+    return g + w * (theta / TOY_PRIOR_VAR), h + w * (v / TOY_PRIOR_VAR)
 
 
 def small_lingauss(n_batches=1):
@@ -61,7 +74,7 @@ class TestBatchBounds:
             batch_bounds(3, 4)
 
 
-class TestToy1D:
+class TestToyModel:
     def test_posterior_matches_conjugate_formula(self):
         # independent route: v = noise/prior + n, var = noise/v, mean = sum(x)/v
         post = toy().analytic_posterior()
@@ -97,6 +110,41 @@ class TestToy1D:
         P = toy(n_batches=2)
         hv = P.hessian_vec(np.zeros(1), np.ones(1), batch=0)
         assert 2.0 * hv[0] == pytest.approx(3.0, rel=1e-14)
+
+    # the command line's toy model keeps the bits of the scalar formulas on
+    # every gradient path: one-point calls, `gradient_many`, and a chunk's
+    # providers for one chain and for three (all full, all blocks, full and
+    # block rows), times the mini-batch scale K where given
+    @pytest.mark.parametrize("K", [1, 2])
+    def test_cli_model_keeps_scalar_formulas(self, K):
+        P = build_model("toy", K)
+        draws, m = RngStream(6, 0), 5
+        blocks = (np.arange(m * 3).reshape(m, 3) + np.arange(m)[:, None]) % K
+        chunks = [np.full((m, 3), -1), blocks, np.concatenate(
+            [np.full((m, 1), -1), blocks[:, 1:]], axis=1)]
+        chunks += [c[:, :1] for c in chunks] + [blocks[:, 2:]]
+        for ids in chunks:
+            R = ids.shape[1]
+            # shaped as a provider's state: one chain steps d-vectors
+            for scale in (None, np.full((1,) if R == 1 else (R, 1), float(K))):
+                grad, hess = P.step_providers(ids, scale)
+                for j, keys in enumerate(ids.tolist()):
+                    th, v = (4.0 * draws.normal(R).reshape(R, 1) for _ in range(2))
+                    want = [toy_formulas(th[c], v[c], k, K) for c, k in enumerate(keys)]
+                    want_g = np.stack([g for g, _ in want])
+                    want_h = np.stack([h for _, h in want])
+                    for c, k in enumerate(keys):
+                        batch = None if k < 0 else k
+                        assert P.gradient(th[c], batch).tobytes() == want_g[c].tobytes()
+                        assert (P.hessian_vec(th[c], v[c], batch).tobytes()
+                                == want_h[c].tobytes())
+                    assert P.gradient_many(th, ids[j]).tobytes() == want_g.tobytes()
+                    assert P.hessian_vec_many(th, v, ids[j]).tobytes() == want_h.tobytes()
+                    if scale is not None:
+                        want_g, want_h = scale * want_g, scale * want_h
+                    x, u = (th[0], v[0]) if R == 1 else (th, v)
+                    assert grad(j, x).tobytes() == want_g.tobytes()
+                    assert hess(j, x, u).tobytes() == want_h.tobytes()
 
 
 class TestPartitionIdentity:
@@ -160,9 +208,7 @@ class TestLinearGaussian:
         np.testing.assert_allclose(post.cov, np.diag([2.0, 0.5]))
 
     def test_single_feature_replica_agrees_with_scalar_model(self):
-        P = LinearGaussian(
-            np.ones((2, 1)), TOY_X, noise_var=TOY_NOISE_VAR, prior_var=TOY_PRIOR_VAR
-        )
+        P = build_model("toy")
         a, b = P.analytic_posterior(), toy().analytic_posterior()
         assert abs(a.mean[0] - b.mean[0]) < 1e-12
         assert abs(a.cov[0, 0] - b.cov[0, 0]) < 1e-12
@@ -184,8 +230,9 @@ class TestLinearGaussian:
 
     # a lone chain's providers take the one-row path, np.dot on d-vectors
     # and views of the design, full batch or on a chunk's blocks (equal or
-    # not), and give the bits of the stacked (1, d) path and of the
-    # one-point calls, times the mini-batch scale K where given
+    # not), and give the bits of the stacked (1, d) path where it serves the
+    # chunk and of the one-point calls, times the mini-batch scale K where
+    # given
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks",
@@ -203,12 +250,15 @@ class TestLinearGaussian:
         ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
         assert P._row_steps(ids) is not None
         grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
+        # unequal blocks are served per row, the full design and equal blocks
+        # stacked
+        groups = P._chunk_groups(ids[:, None])
+        assert (groups is None) == (model == "dense-unequal-blocks" and mode != "full")
+        stacked = groups and P._providers(groups, 1, np.full((1, P.dim), K) if scaled else None)
         draws = RngStream(2, 0)
         for j, b in enumerate(ids.tolist()):
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
             key, batch = (None, None) if b < 0 else (b, ids[j:j + 1])
-            # unequal blocks are served per row, the full design stacked
-            assert (P._stacked(batch) is None) == (model == "dense-unequal-blocks" and b >= 0)
             want_g = P.gradient_many(th[None], batch)[0]
             want_h = P.hessian_vec_many(th[None], v[None], batch)[0]
             assert want_g.tobytes() == P.gradient(th, key).tobytes()
@@ -217,10 +267,14 @@ class TestLinearGaussian:
                 want_g, want_h = K * want_g, K * want_h
             assert grad(j, th).tobytes() == want_g.tobytes()
             assert hess(j, th, v).tobytes() == want_h.tobytes()
+            if stacked:
+                assert stacked[0](j, th[None])[0].tobytes() == want_g.tobytes()
+                assert stacked[1](j, th[None], v[None])[0].tobytes() == want_h.tobytes()
 
     # the stacked path skips a unit noise variance, unit prior variances and
-    # a unit prior weight, and serves an ensemble of full and block rows as
-    # two stacked groups: every row must keep the per-row bits
+    # a unit prior weight, and serves an ensemble of full and block rows,
+    # each one contiguous run, as two stacked groups; interleaved rows take
+    # the per-row path: every row must keep the per-row bits
     @pytest.mark.parametrize("noise_var, prior_var", [
         (1.0, 1.0), (1.5, 1.0), (1.0, [2.0, 0.5, 1.0, 3.0]), (0.7, 2.0)])
     @pytest.mark.parametrize("rows", [
@@ -236,10 +290,9 @@ class TestLinearGaussian:
         ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
-        assert P._chunk_groups(ids) is not None
+        assert (P._chunk_groups(ids) is None) == (rows == "interleaved")
         grad, hess = P.step_providers(ids)
         for j in range(m):
-            assert P._stacked(ids[j]) is not None
             th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
             keys = ids[j].tolist()
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
