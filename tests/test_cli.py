@@ -360,7 +360,12 @@ class TestFailedRunCleanup:
         (["sweep", "--model", "lingauss", "--scheme", "euler", "--eta-grid", "3.0,2.9,2.8",
           "--n", "300", "--burn-in", "50", "--seed", "1"],
          "error: cell summary is not finite scheme=euler eta=3.0"),
-    ], ids=["sample", "sweep"])
+        # a finite first cell; the first of two overflowing cells in grid
+        # order is named, not the largest eta
+        (["sweep", "--model", "lingauss", "--scheme", "euler", "--eta-grid", "0.5,2.9,3.0",
+          "--n", "300", "--burn-in", "50", "--seed", "1"],
+         "error: cell summary is not finite scheme=euler eta=2.9"),
+    ], ids=["sample", "sweep", "sweep-first-overflowing-cell"])
     def test_overflowing_summary(self, runner, tmp_path, command, line):
         result = runner.invoke(main, command + ["--out", str(tmp_path / "new")])
         assert result.exit_code == 3, result.output

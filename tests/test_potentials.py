@@ -175,6 +175,32 @@ class TestPartitionIdentity:
         assert P.value(theta, batch=i) <= P.value(theta) + 1e-12
 
 
+class TestManyRows:
+    # `gradient_many` and `hessian_vec_many` are one step of a provider that
+    # may write into arrays it owns, yet each call returns a fresh (R, d)
+    # array, row c the one-point call's bits at row c's batch
+    @pytest.mark.parametrize("R", [1, 3])
+    @pytest.mark.parametrize("make", [toy, small_lingauss, small_logistic])
+    def test_results_are_fresh_rows_of_one_point_calls(self, make, R):
+        P = make(2)
+        ids = np.array([-1, 0, 1][-R:])
+        th, v = (np.random.default_rng(R).normal(size=(R, P.dim)) for _ in range(2))
+        want_g = np.stack([P.gradient(th[c], None if k < 0 else k)
+                           for c, k in enumerate(ids.tolist())])
+        want_h = np.stack([P.hessian_vec(th[c], v[c], None if k < 0 else k)
+                           for c, k in enumerate(ids.tolist())])
+        for many, args, want in ((P.gradient_many, (th,), want_g),
+                                 (P.hessian_vec_many, (th, v), want_h)):
+            first = many(*args, ids)
+            assert first.shape == (R, P.dim)
+            assert not any(np.shares_memory(first, a) for a in args)
+            assert first.tobytes() == want.tobytes()
+            first[:] = np.nan
+            second = many(*args, ids)
+            assert not np.shares_memory(first, second)
+            assert second.tobytes() == want.tobytes()
+
+
 class TestFiniteDifferenceAgreement:
     @pytest.mark.parametrize("make", [toy, small_lingauss, small_logistic])
     def test_gradient_matches_fd(self, make):
@@ -303,6 +329,69 @@ class TestLinearGaussian:
             for arg in (ids[j],) + ((None,) if rows == "all-full" else ()):
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
+
+    # a mixed ensemble's full rows and block rows, each one contiguous run,
+    # are split at the one cut between them: the full group on the whole
+    # design at prior weight 1, the block group on equal blocks at 1/K
+    @pytest.mark.parametrize("full", ["FFBBBB", "BBBBBF", "FBBBBB", "BBBBFF"])
+    def test_chunk_groups_split_at_the_cut(self, full):
+        rng = RngStream(5, 0)
+        P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
+                           noise_var=1.5, prior_var=2.0, n_batches=8)
+        m = 6
+        ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
+                                      RngStream(3, c)).take(m)
+                        for c, f in enumerate(full)], axis=1)
+        (rows_f, w_f, size_f, ops_f), (rows_b, w_b, size_b, ops_b) = P._chunk_groups(ids)
+        cols = np.arange(len(full))
+        assert "".join(full[c] for c in cols[rows_f]) == "F" * full.count("F")
+        assert "".join(full[c] for c in cols[rows_b]) == "B" * full.count("B")
+        assert (w_f, size_f) == (1.0, 32)
+        assert (w_b, size_b) == (1.0 / 8, 4)
+        for j in range(m):
+            F, FT, y = ops_b(j)
+            blocks = ids[j, rows_b]
+            np.testing.assert_array_equal(F, P.features.reshape(8, 4, 4)[blocks])
+            np.testing.assert_array_equal(FT, F.swapaxes(1, 2))
+            np.testing.assert_array_equal(y, P.targets.reshape(8, 4)[blocks])
+            F, _, y = ops_f(j)
+            np.testing.assert_array_equal(F[0], P.features)
+            np.testing.assert_array_equal(y, np.tile(P.targets, (full.count("F"), 1)))
+
+    # the model copies its design C-ordered: a Fortran-ordered or strided
+    # design gives the bits of a C-ordered one on every gradient path, and a
+    # later write to the caller's array does not reach the model
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_design_layout_keeps_bits(self, layout):
+        rng = RngStream(8, 0)
+        Phi, y = rng.normal(32 * 4).reshape(32, 4), rng.normal(32)
+        src = {"C": Phi.copy(), "F": np.asfortranarray(Phi),
+               "strided": np.repeat(Phi, 2, axis=1)[:, ::2]}[layout]
+        assert src.flags.c_contiguous == (layout == "C")
+        kw = dict(noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0], n_batches=8)
+        ref, P = LinearGaussian(Phi, y, **kw), LinearGaussian(src, y, **kw)
+        src[:] = 0.0
+        assert P.features.flags.c_contiguous
+        m = 5
+        ids = np.stack([BatchSchedule(mode, 8, RngStream(4, c)).take(m)
+                        for c, mode in enumerate(["full", "perm", "iid"])], axis=1)
+        for chunk in (ids, ids[:, 1:], ids[:, :1], ids[:, 2:]):
+            R = chunk.shape[1]
+            pairs = [M.step_providers(chunk) for M in (ref, P)]
+            for j, keys in enumerate(chunk.tolist()):
+                th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
+                x, u = (th[0], v[0]) if R == 1 else (th, v)
+                (g_ref, h_ref), (g, h) = pairs
+                assert g(j, x).tobytes() == g_ref(j, x).tobytes()
+                assert h(j, x, u).tobytes() == h_ref(j, x, u).tobytes()
+                for M in (ref, P):
+                    assert M.gradient_many(th, chunk[j]).tobytes() == g_ref(j, x).tobytes()
+                for c, k in enumerate(keys):
+                    batch = None if k < 0 else k
+                    assert (P.gradient(th[c], batch).tobytes()
+                            == ref.gradient(th[c], batch).tobytes())
+                    assert (P.hessian_vec(th[c], v[c], batch).tobytes()
+                            == ref.hessian_vec(th[c], v[c], batch).tobytes())
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
