@@ -24,6 +24,8 @@ __all__ = ["BatchMode", "BatchSchedule"]
 
 
 class BatchMode(str, enum.Enum):
+    """How a chain's steps pick their batches (see module docstring)."""
+
     FULL = "full"
     PERMUTATION_SWEEP = "perm"
     IID_UNIFORM = "iid"

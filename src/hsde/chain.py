@@ -7,12 +7,12 @@ Stream convention (seed fixed, per chain index c):
     batch schedule-> RngStream(seed, 4c + 2)
 
 so parallel chains are independent and any chain is reproducible in
-isolation. `run_loop` builds each chain's noise stream and batch schedule,
-for this module's integrator chains and for the exact-kernel chains of
-`toy_exact` alike; each runner draws its own start. A trace keeps every
-`thinning`-th state after `burn_in` steps; defaults follow the oracle
-protocol used throughout the verification suite (burn-in 2000, thinning
-500).
+isolation. `run_loop` alone builds a chain's streams, for this module's
+integrator chains and for the exact-kernel chains of `toy_exact` alike;
+each runner draws its own start from the initial-state stream it is given.
+A trace keeps every `thinning`-th state after `burn_in` steps; defaults
+follow the oracle protocol used throughout the verification suite (burn-in
+2000, thinning 500).
 
 `run_states` advances R chains together as the rows of (R, d) arrays, each
 on its own streams above. Noise is drawn per chain in chunks of steps and
@@ -115,12 +115,11 @@ def _step_duration(spec: IntegratorSpec) -> float:
 
 
 def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
-                   chain_index: int) -> State:
+                   rng: RngStream) -> State:
     if isinstance(cfg.init, State):
         if cfg.init.dim != P.dim:
             raise ValueError("initial state dimension does not match potential")
         return cfg.init
-    rng = RngStream(cfg.seed, 4 * chain_index + 1)
     theta = P.sample_prior(rng)
     r = spec.mass.sqrt_diag * rng.normal(P.dim)
     return State(r=r, theta=theta)
@@ -171,10 +170,11 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
         raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
     n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning
-    scheds = [BatchSchedule(mode, n_batches, RngStream(c.seed, 4 * i + 2))
-              for mode, c, i in zip(modes, cfgs, chain_indices)]
-    rngs = [RngStream(c.seed, 4 * i) for c, i in zip(cfgs, chain_indices)]
-    scheme, n_draws, r, th, advance = setup()
+    # chain c's streams: noise 4c, initial state 4c + 1, batch schedule 4c + 2
+    rngs, inits, coins = zip(*[[RngStream(c.seed, 4 * i + k) for k in range(3)]
+                               for c, i in zip(cfgs, chain_indices)])
+    scheds = [BatchSchedule(mode, n_batches, coin) for mode, coin in zip(modes, coins)]
+    scheme, n_draws, r, th, advance = setup(inits)
     d = th.shape[1]
     total_steps = burn_in + n * thin
     thetas = np.empty((R, n, d))
@@ -252,14 +252,13 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
     """
     specs, cfgs = list(specs), list(cfgs)
     modes = [BatchMode(mode) for mode in modes]
-    idx = [int(c) for c in chain_indices]
 
-    def setup():
+    def setup(inits):
         # checks that the specs share a dimension, so one stands for all below
         stepper = compile_ensemble_step(specs)
         if P.dim != specs[0].mass.dim:
             raise ValueError("potential and mass matrix dimensions differ")
-        starts = [_initial_state(P, s, c, i) for s, c, i in zip(specs, cfgs, idx)]
+        starts = [_initial_state(P, s, c, rng) for s, c, rng in zip(specs, cfgs, inits)]
         # one chain steps d-vectors, R chains the rows of (R, d) arrays
         shape = (P.dim,) if len(specs) == 1 else (len(specs), P.dim)
         scale = None
@@ -284,8 +283,8 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
         return (scheme, noise_draws(scheme), np.stack([z.r for z in starts]),
                 np.stack([z.theta for z in starts]), advance)
 
-    return run_loop(setup, [s.eta for s in specs], modes, P.n_batches, cfgs, idx,
-                    keep_momenta, spec=specs)
+    return run_loop(setup, [s.eta for s in specs], modes, P.n_batches, cfgs,
+                    [int(c) for c in chain_indices], keep_momenta, spec=specs)
 
 
 def run_chain(P: Potential, spec: IntegratorSpec, mode, cfg: ChainConfig,

@@ -41,9 +41,9 @@ from .geometry import (
 )
 from .integrators import IntegratorSpec, Scheme, noise_draws
 from .metrics import EmpiricalSample, ks_vs_gaussian, moment_errors
-from .operator_lab import run_order_trials, slope_band
+from .operator_lab import band_fraction, run_order_trials
 from .potentials import AnalyticPosteriorUnavailable
-from .toy_exact import ExactMode, reference_params, run_exact_chain
+from .toy_exact import reference_params, run_exact_chain
 
 _MODELS = click.Choice(["toy", "lingauss", "logistic2d"])
 # a sweep scores every cell against the closed-form posterior
@@ -224,16 +224,12 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
     if scheme == "exact":
         if model != "toy":
             raise click.UsageError("the exact kernel exists only for the toy model")
-        if mode == "perm":
-            raise click.UsageError(
-                "the exact kernel has no permutation variant; use full or iid")
         inherent = 1 if mode == "full" else 2
         if batches not in (1, inherent):
             raise click.UsageError(
                 f"the exact {mode} kernel implies --K {inherent}")
-        emode = ExactMode.FULL if mode == "full" else ExactMode.MINIBATCH
         p = dataclasses.replace(reference_params(), friction=friction)
-        trace = run_exact_chain(p, eta, emode, cfg)
+        trace = run_exact_chain(p, eta, mode, cfg)
     else:
         potential = repro.build_model(model, batches)
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
@@ -374,15 +370,8 @@ def _do_opcheck(out_dir, trials, parts, dims, seed):
     errors, slopes = repro.trial_tables(results)
     repro.write_csv(os.path.join(out_dir, "summary.csv"), *errors)
     repro.write_csv(os.path.join(out_dir, "slopes.csv"), *slopes)
-    extra = {}
-    for mode in ("forward", "averaged", "randomized"):
-        vals = [t.slope for t in results if t.mode == mode]
-        if not vals:
-            continue
-        lo, hi = slope_band(mode)
-        frac = float(np.mean([lo <= v <= hi for v in vals]))
-        extra[f"{mode}_band_fraction"] = format_float(frac)
-    return extra
+    return {f"{mode}_band_fraction": format_float(band_fraction(results, mode))
+            for mode in ("forward", "averaged", "randomized")}
 
 
 # ---------------------------------------------------------------------------

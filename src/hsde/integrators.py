@@ -68,6 +68,8 @@ HessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class Scheme(str, enum.Enum):
+    """A one-step integrator, named by its CLI spelling (see module docstring)."""
+
     EULER = "euler"
     LEAPFROG = "leapfrog"
     SPV = "spv"
@@ -126,8 +128,8 @@ class IntegratorSpec:
             raise ValueError("friction must be finite and >= 0")
         if self.n_inner < 1:
             raise ValueError("n_inner must be >= 1")
-        if self.v_hat < 0:
-            raise ValueError("v_hat must be >= 0")
+        if not np.isfinite(self.v_hat) or self.v_hat < 0:
+            raise ValueError("v_hat must be finite and >= 0")
         if self.scheme is Scheme.SGHMC and self.v_hat > self.friction:
             raise ValueError(
                 "SGHMC needs v_hat <= friction for a PSD injected-noise covariance"

@@ -44,6 +44,8 @@ _TAYLOR_TERMS = 25
 
 
 class SplitOrder(str, Enum):
+    """The order one sweep of the splitting multiplies its factors in."""
+
     FORWARD = "forward"
     BACKWARD = "backward"
     AVERAGED = "averaged"
@@ -309,6 +311,14 @@ _SLOPE_BANDS = {
 
 def slope_band(mode: str) -> tuple:
     return _SLOPE_BANDS[_mode_name(mode)]
+
+
+def band_fraction(trials, mode) -> float:
+    """The fraction of `mode`'s trials whose fitted slope lies inside
+    `slope_band(mode)`."""
+    lo, hi = slope_band(mode)
+    mode = _mode_name(mode)
+    return float(np.mean([lo <= t.slope <= hi for t in trials if t.mode == mode]))
 
 
 def _mode_name(mode) -> str:

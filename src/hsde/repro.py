@@ -40,10 +40,10 @@ from .integrators import DivergenceError, IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
     GeneratorSet,
+    band_fraction,
     error_order_slope,
     matrix_exp,
     run_order_trials,
-    slope_band,
     spectral_norm,
     splitting_product,
 )
@@ -52,7 +52,7 @@ from .potentials import (
     make_cycled_basis_dataset,
     make_logistic_demo,
 )
-from .toy_exact import ExactMode, reference_params, run_exact_states, toy_posterior
+from .toy_exact import reference_params, run_exact_states
 
 __all__ = [
     "GoldenRecord",
@@ -306,9 +306,14 @@ SLOPE_ROW_FIELDS = ["scheme", "K", "mode", "metric", "slope", "r_squared",
 # exact-kernel runs
 
 
+# the exact-kernel outputs' labels and the batch modes their chains run in
+_EXACT_MODES = {"full": BatchMode.FULL, "minibatch": BatchMode.IID_UNIFORM}
+
+
 def exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
-    """Exact-kernel chains in both modes with marginal histograms, one
-    {mode: {"edges", "counts", "ks", "n"}} per (eta, seed) in runs, in order.
+    """Exact-kernel chains, full and iid mini-batch, with marginal histograms:
+    one {"full" | "minibatch": {"edges", "counts", "ks", "n"}} per (eta,
+    seed) in runs, in order.
 
     128 bins span the analytic posterior mean +- 6 posterior standard
     deviations. Each pair's chains run on chain index 0 of its seed, and
@@ -317,23 +322,22 @@ def exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
     if n < 1:
         raise ValueError("n must be >= 1")
     p = reference_params()
-    mean, var = toy_posterior(p)
+    mean, var = p.center_full, p.sigma_l2
     sig = float(np.sqrt(var))
     edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
-    modes = (ExactMode.FULL, ExactMode.MINIBATCH)
     etas, chain_modes, cfgs = zip(*[
         (eta, mode, ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed))
-        for eta, seed in runs for mode in modes])
+        for eta, seed in runs for mode in _EXACT_MODES.values()])
     thetas = run_exact_states(p, etas, chain_modes, cfgs, [0] * len(cfgs),
                               keep_momenta=False)[0]
     out = []
-    for positions in thetas.reshape(len(runs), len(modes), n):
+    for positions in thetas.reshape(len(runs), len(_EXACT_MODES), n):
         hists = {}
-        for mode, th in zip(modes, positions):
+        for label, th in zip(_EXACT_MODES, positions):
             counts, _ = np.histogram(th, bins=edges)
             ks = ks_vs_gaussian(EmpiricalSample(th), mean, var)
-            hists[mode.value] = {"edges": edges, "counts": counts, "ks": float(ks),
-                                 "n": int(n)}
+            hists[label] = {"edges": edges, "counts": counts, "ks": float(ks),
+                            "n": int(n)}
         out.append(hists)
     return out
 
@@ -377,6 +381,7 @@ class GoldenRecord:
 
 
 def load_goldens() -> dict:
+    """The frozen reference numbers shipped in data/goldens.json, by key."""
     path = resources.files("hsde").joinpath("data/goldens.json")
     with path.open("r") as fh:
         raw = json.load(fh)
@@ -415,6 +420,8 @@ def _golden_checks(values: dict, regen: bool) -> tuple[list, dict | None]:
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One report check: its value, the target it is held to, and its status."""
+
     name: str
     status: str
     value: float
@@ -573,11 +580,7 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     trials = run_order_trials(n_trials, RngStream(seed, 0))
-    frac = {}
-    for mode in ("forward", "averaged", "randomized"):
-        lo, hi = slope_band(mode)
-        hits = [lo <= t.slope <= hi for t in trials if t.mode == mode]
-        frac[mode] = float(np.mean(hits))
+    frac = {mode: band_fraction(trials, mode) for mode in ("forward", "averaged", "randomized")}
 
     # K = 1 splitting degenerates to the exact exponential
     G = GeneratorSet((np.array([[0.0, 1.0], [-1.0, 0.0]]),))

@@ -13,18 +13,19 @@ linear,
                                                      [ 1,  0          ]],
 
 so its time-eta transition is Gaussian with closed-form mean and covariance.
-Sampling that Gaussian is a zero-discretization-error integrator: "full"
-mode keeps the center c = xbar fixed; "minibatch" mode flips a fair coin
-each step between the sub-potential centers c_i = 2 x_i / v while keeping
-the full-data curvature in A. The minibatch chain is exact in time yet
-converges to a visibly wrong law, isolating the batching error from any
-integrator error.
+Sampling that Gaussian is a zero-discretization-error integrator. A chain
+runs in a batch mode (`BatchMode`) over the two observations: "full" keeps
+the center c = xbar fixed; "iid" flips a fair coin each step between the
+sub-potential centers c_i = 2 x_i / v, and "perm" visits both centers in
+a random order every two steps; both mini-batch modes keep the full-data
+curvature in A. A mini-batch chain is exact in time yet converges to a visibly wrong
+law, isolating the batching error from any integrator error.
 
 `run_exact_states` advances R such chains together as the rows of an
 (R, 2) array, each on its own streams, through the chain loop integrator
-chains run on (`chain.run_loop`): noise and coins are drawn per chain a
-chunk of steps at a time, the coins from an iid K=2 batch schedule, so
-every chain's kept states are bit-identical to the ones it gives run alone.
+chains run on (`chain.run_loop`): noise and batch ids are drawn per chain a
+chunk of steps at a time from the chain's K = 2 batch schedule, so every
+chain's kept states are bit-identical to the ones it gives run alone.
 It returns them as (R, n, 1) blocks of positions and momenta;
 `run_exact_chain` runs one chain this way and wraps its states into a
 trace like any integrator chain's.
@@ -32,32 +33,23 @@ trace like any integrator chain's.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .batching import BatchMode
 from .chain import ChainConfig, Trace, _trace, run_loop
 from .core import RngStream, State
 from .operator_lab import matrix_exp
 
 __all__ = [
     "ToyParams",
-    "ExactMode",
     "reference_params",
     "matexp2",
     "toy_transition",
-    "toy_posterior",
     "run_exact_chain",
     "run_exact_states",
 ]
-
-
-class ExactMode(str, enum.Enum):
-    FULL = "full"
-    MINIBATCH = "minibatch"
 
 
 @dataclass(frozen=True)
@@ -187,17 +179,12 @@ def _kernel(p: ToyParams, eta: float, center: float):
     return E, b, _sqrt_psd(cov)
 
 
-def toy_posterior(p: ToyParams) -> tuple[float, float]:
-    """(posterior mean, posterior variance) of theta."""
-    return p.center_full, p.sigma_l2
-
-
-def _start(p: ToyParams, cfg: ChainConfig, chain_index: int) -> np.ndarray:
+def _start(p: ToyParams, cfg: ChainConfig, rng: RngStream) -> np.ndarray:
     if isinstance(cfg.init, State):
         if cfg.init.dim != 1:
             raise ValueError("the scalar model needs a 1-D state")
         return np.array([cfg.init.r[0], cfg.init.theta[0]])
-    draws = RngStream(cfg.seed, 4 * chain_index + 1).normal(2)
+    draws = rng.normal(2)
     return np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
 
 
@@ -207,25 +194,21 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
     array and return their kept states as (thetas, momenta), each (R, n, 1);
     with keep_momenta False, momenta is None and only positions are held.
 
-    Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) on the shared
-    stream convention (noise 4c, init 4c+1, coin 4c+2), and its rows equal
-    the samples that chain gives run alone, bit for bit. The chains share p
-    and the run length (n_samples, burn_in, thinning); the k-th kept sample
-    (k = 1..n) is taken at step burn_in + k thinning. Every argument is
-    checked before any chain starts.
+    Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) with its own
+    streams and a `BatchMode` schedule over the two observations, as
+    `chain.run_states` runs it, and its rows equal the samples that chain
+    gives run alone, bit for bit. The chains share p and the run length
+    (n_samples, burn_in, thinning); the k-th kept sample (k = 1..n) is
+    taken at step burn_in + k thinning. Every argument is checked before
+    any chain starts.
     """
     etas = [float(eta) for eta in etas]
-    # the coins are an iid schedule over the two observations; a full
-    # chain's schedule draws nothing
-    modes = [BatchMode.IID_UNIFORM if ExactMode(mode) is ExactMode.MINIBATCH
-             else BatchMode.FULL for mode in modes]
     cfgs = list(cfgs)
-    idx = [int(c) for c in chain_indices]
 
-    def setup():
-        z = np.stack([_start(p, cfg, i) for cfg, i in zip(cfgs, idx)])[:, :, None]
-        # kernels indexed [chain, batch id]: a mini-batch coin picks the
-        # center p.centers[coin], a full chain's id -1 the full center
+    def setup(inits):
+        z = np.stack([_start(p, cfg, rng) for cfg, rng in zip(cfgs, inits)])[:, :, None]
+        # kernels indexed [chain, batch id]: a mini-batch id picks the
+        # center p.centers[id], a full chain's id -1 the full center
         tables = [[_kernel(p, eta, center) for center in (*p.centers, p.center_full)]
                   for eta in etas]
         E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
@@ -258,16 +241,14 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
 
         return "exact", 2, z[:, 0], z[:, 1], advance
 
-    return run_loop(setup, etas, modes, 2, cfgs, idx, keep_momenta, eta=etas)
+    return run_loop(setup, etas, list(modes), 2, cfgs, [int(c) for c in chain_indices],
+                    keep_momenta, eta=etas)
 
 
 def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
                     chain_index: int = 0) -> Trace:
-    """Chain of exact transitions: one chain of `run_exact_states`, each
-    step lasting eta of simulated time.
-
-    Uses the shared stream convention: noise 4c, init 4c+1, coin 4c+2.
-    """
+    """Chain of exact transitions in batch mode `mode`: one chain of
+    `run_exact_states`, each step lasting eta of simulated time."""
     eta = float(eta)
     thetas, momenta = run_exact_states(p, [eta], [mode], [cfg], [chain_index])
     return _trace(thetas[0], momenta[0], cfg, eta)

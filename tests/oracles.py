@@ -362,32 +362,37 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
 
 
 def reference_exact_chain(p, eta, mode, cfg, chain_index=0):
-    """One exact-kernel chain stepped one 2-vector at a time: a coin
-    `integers(2)` call on stream 4c + 2 (mini-batch mode) and one `normal(2)`
-    call on stream 4c per step, from the package's cached kernels.
+    """One exact-kernel chain in batch mode `mode` stepped one 2-vector at a
+    time, from the package's cached kernels: per step one `normal(2)` call
+    on stream 4c and, on stream 4c + 2, one coin `integers(2)` call (iid)
+    or one `BatchSchedule("perm", 2, ...).next()` call (perm).
 
     Returns (thetas, momenta, steps, times, effective_time).
     """
+    from hsde.batching import BatchMode, BatchSchedule
     from hsde.core import RngStream, State
-    from hsde.toy_exact import ExactMode, _kernel
+    from hsde.toy_exact import _kernel
 
-    mode = ExactMode(mode)
+    mode = BatchMode(mode)
     rng = RngStream(cfg.seed, 4 * chain_index)
     coin = RngStream(cfg.seed, 4 * chain_index + 2)
+    sweep = BatchSchedule(BatchMode.PERMUTATION_SWEEP, 2, coin)
     if isinstance(cfg.init, State):
         z = np.array([cfg.init.r[0], cfg.init.theta[0]])
     else:
         draws = RngStream(cfg.seed, 4 * chain_index + 1).normal(2)
         z = np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
     full_kernel = _kernel(p, float(eta), p.center_full)
-    kernels = {c: _kernel(p, float(eta), c) for c in p.centers}
+    kernels = [_kernel(p, float(eta), c) for c in p.centers]
     total = cfg.burn_in + cfg.n_samples * cfg.thinning
     thetas, momenta, steps = [], [], []
     for i in range(1, total + 1):
-        if mode is ExactMode.FULL:
+        if mode is BatchMode.FULL:
             E, b, L = full_kernel
+        elif mode is BatchMode.IID_UNIFORM:
+            E, b, L = kernels[coin.integers(2)]
         else:
-            E, b, L = kernels[p.centers[coin.integers(2)]]
+            E, b, L = kernels[sweep.next()[0]]
         z = E @ (z - b) + b + L @ rng.normal(2)
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
             momenta.append(z[0])

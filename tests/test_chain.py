@@ -275,7 +275,7 @@ class TestRunStatesMatchFormulas:
         from .test_toy_exact import check_ensemble
 
         check_ensemble(reference_params(), [0.4, 0.05, 0.2, 0.1],
-                       ["minibatch", "full", "full", "minibatch"], [3, 3, 4, 5],
+                       ["iid", "full", "perm", "iid"], [3, 3, 4, 5],
                        [0, 1, 0, 2])
 
     def test_diverging_chain(self):

@@ -5,12 +5,18 @@ covered elsewhere. Exit-code contract: 0 success, 2 bad configuration,
 3 divergence, 4 filesystem trouble.
 """
 
+import io
 import os
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from hsde.chain import ChainConfig
 from hsde.cli import main
+from hsde.toy_exact import reference_params
+
+from .oracles import reference_exact_chain
 
 
 @pytest.fixture()
@@ -88,12 +94,34 @@ class TestSample:
                         "--burn-in", "10", "--out", out])
         assert os.path.exists(os.path.join(out, "trace.csv"))
 
-    def test_exact_rejects_perm(self, runner, tmp_path):
+    def test_exact_perm_implies_two_batches(self, runner, tmp_path):
+        out = tmp_path / "x"
         result = runner.invoke(main, ["sample", "--model", "toy", "--scheme",
-                                      "exact", "--mode", "perm",
-                                      "--out", str(tmp_path / "x")])
+                                      "exact", "--mode", "perm", "--K", "3",
+                                      "--out", str(out)])
         assert result.exit_code == 2
-        assert "no permutation variant" in result.output
+        assert "the exact perm kernel implies --K 2" in result.output
+        assert not os.path.exists(out)
+
+    def test_exact_perm_kernel(self, runner, tmp_path):
+        args = ["sample", "--model", "toy", "--scheme", "exact", "--mode", "perm",
+                "--K", "2", "--eta", "0.4", "--n", "40", "--burn-in", "10", "--seed", "3"]
+        a, b = str(tmp_path / "a"), str(tmp_path / "b")
+        run_ok(runner, args + ["--out", a])
+        run_ok(runner, args + ["--out", b])
+        with open(os.path.join(a, "trace.csv"), "rb") as fh:
+            text = fh.read()
+        with open(os.path.join(b, "trace.csv"), "rb") as fh:
+            assert fh.read() == text
+        # the rows are the one-step reference chain's, bit for bit: .17g
+        # round-trips every float64
+        thetas, momenta, steps, times, _ = reference_exact_chain(
+            reference_params(), 0.4, "perm",
+            ChainConfig(n_samples=40, burn_in=10, thinning=1, seed=3))
+        rows = np.loadtxt(io.StringIO(text.decode()), delimiter=",", skiprows=1)
+        for got, want in zip(rows.T, (steps, times, thetas[:, 0], momenta[:, 0])):
+            assert got.tobytes() == want.astype(np.float64).tobytes()
+        assert read_meta(a)["mode"] == "perm"
 
     def test_exact_needs_toy_model(self, runner, tmp_path):
         result = runner.invoke(main, ["sample", "--model", "lingauss",
@@ -370,6 +398,21 @@ class TestFailedRunCleanup:
         result = runner.invoke(main, command + ["--out", str(tmp_path / "new")])
         assert result.exit_code == 3, result.output
         assert result.output.strip() == line
+        assert os.listdir(tmp_path) == []
+
+    # a non-finite v_hat is bad input, whatever the scheme, and is rejected
+    # before any chain runs
+    @pytest.mark.parametrize("command", [
+        ["sample", "--model", "lingauss", "--scheme", "sghmc", "--vhat", "nan"],
+        ["sample", "--model", "lingauss", "--scheme", "leapfrog", "--vhat", "nan"],
+        ["sample", "--model", "lingauss", "--scheme", "sghmc", "--vhat", "inf"],
+        ["sweep", "--scheme", "sghmc", "--vhat", "nan"],
+    ], ids=["sample-sghmc", "sample-leapfrog", "sample-sghmc-inf", "sweep-sghmc"])
+    def test_non_finite_vhat(self, runner, tmp_path, command):
+        result = runner.invoke(main, command + ["--n", "5", "--burn-in", "5",
+                                                "--out", str(tmp_path / "new")])
+        assert result.exit_code == 2, result.output
+        assert "v_hat must be finite and >= 0" in result.output
         assert os.listdir(tmp_path) == []
 
     def test_io_error(self, runner, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Integrator tests: exact-arithmetic oracle agreement, reductions, identities."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -440,6 +442,11 @@ class TestValidationAndDivergence:
             IntegratorSpec(Scheme.LIE_TROTTER, eta=0.1, friction=1.0, mass=M1, n_inner=0)
         with pytest.raises(ValueError):
             IntegratorSpec(Scheme.SGHMC, eta=0.1, friction=1.0, mass=M1, v_hat=1.5)
+        # every scheme checks v_hat, though only SGHMC uses it
+        for scheme, v_hat in itertools.product((Scheme.SGHMC, Scheme.LEAPFROG),
+                                               (np.nan, np.inf, -np.inf, -0.5)):
+            with pytest.raises(ValueError, match="v_hat must be finite and >= 0"):
+                IntegratorSpec(scheme, eta=0.1, friction=1.0, mass=M1, v_hat=v_hat)
         with pytest.raises(ValueError):
             IntegratorSpec(
                 Scheme.HMC_PARTIAL, eta=0.1, friction=1.0,

@@ -1,5 +1,6 @@
 """Tests for the dense-matrix splitting-order bench."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -455,6 +456,16 @@ class TestRunOrderTrials:
             by_mode.setdefault(t.mode, []).append(lo <= t.slope <= hi)
         for mode, hits in by_mode.items():
             assert np.mean(hits) >= 0.9, mode
+
+    def test_band_fraction_counts_one_modes_trials_inside_its_band(self):
+        # the band's ends count as inside; other modes' trials are ignored
+        base = run_order_trials(1, RngStream(7, 0), modes=("forward", "averaged"))
+        slopes = {"forward": (1.7, 2.3, 1.69, 2.31, 2.0), "averaged": (2.0, 3.0)}
+        trials = [dataclasses.replace(t, slope=s) for t in base
+                  for s in slopes[t.mode]]
+        assert operator_lab.band_fraction(trials, "forward") == 3 / 5
+        assert operator_lab.band_fraction(trials, SplitOrder.FORWARD) == 3 / 5
+        assert operator_lab.band_fraction(trials, "averaged") == 1 / 2
 
     @pytest.mark.parametrize("modes", [("forward", "averaged", "randomized"),
                                        ("randomized", "forward"), ("averaged",),

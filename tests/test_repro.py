@@ -19,7 +19,7 @@ from hsde.core import MassMatrix, RngStream
 from hsde.integrators import DivergenceError, IntegratorSpec
 from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
-from hsde.toy_exact import reference_params, toy_posterior
+from hsde.toy_exact import reference_params
 
 from .oracles import (
     reference_chain,
@@ -339,21 +339,22 @@ class TestToyHistograms:
         checks = {c.name: c.value for c in
                   repro.report_exact_bottleneck(tmp_path, n=n, seed=seed)}
         p = reference_params()
-        mean, var = toy_posterior(p)
+        mean, var = p.center_full, p.sigma_l2
         sig = float(np.sqrt(var))
         edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
         ks = {}
         for eta, s in ((0.4, seed), (0.01, seed + 1)):
-            for mode in ("full", "minibatch"):
+            # the report labels its iid mini-batch chain "minibatch"
+            for label, mode in (("full", "full"), ("minibatch", "iid")):
                 cfg = ChainConfig(n_samples=n, burn_in=2000, thinning=1, seed=s)
                 th = reference_exact_chain(p, eta, mode, cfg)[0][:, 0]
-                ks[eta, mode] = reference_ks_vs_gaussian(np.sort(th), mean, var)
+                ks[eta, label] = reference_ks_vs_gaussian(np.sort(th), mean, var)
                 if eta == 0.4:
                     counts, _ = np.histogram(th, bins=edges)
                     lines = ["bin_left,bin_right,count"] + [
                         f"{edges[i]:.17g},{edges[i + 1]:.17g},{counts[i]}"
                         for i in range(128)]
-                    got = (tmp_path / f"hist_{mode}.csv").read_text()
+                    got = (tmp_path / f"hist_{label}.csv").read_text()
                     assert got == "\n".join(lines) + "\n"
         assert checks["full_ks_small"] == ks[0.4, "full"]
         assert checks["minibatch_ks_large"] == ks[0.4, "minibatch"]

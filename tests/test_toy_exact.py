@@ -7,15 +7,14 @@ from scipy.special import erf
 from hsde import chain as chain_module
 from hsde.chain import ChainConfig
 from hsde.core import RngStream, State
+from hsde.batching import BatchMode
 from hsde.toy_exact import (
-    ExactMode,
     ToyParams,
     _kernel,
     matexp2,
     reference_params,
     run_exact_chain,
     run_exact_states,
-    toy_posterior,
     toy_transition,
 )
 
@@ -201,8 +200,8 @@ class TestToyExactStep:
 
     def test_deterministic_given_stream(self):
         p = reference_params()
-        a = one_step(p, ETA, "minibatch", [3, 3, 4])
-        b = one_step(p, ETA, "minibatch", [3])
+        a = one_step(p, ETA, "iid", [3, 3, 4])
+        b = one_step(p, ETA, "iid", [3])
         assert_bits(a[0], b[0])
         assert_bits(a[1], b[0])
         assert not np.array_equal(a[2], b[0])
@@ -213,7 +212,7 @@ class TestToyExactStep:
         # the noise stream's draws, and across seeds both centers occur
         p = reference_params()
         seeds = list(range(8))
-        outs = one_step(p, ETA, "minibatch", seeds)
+        outs = one_step(p, ETA, "iid", seeds)
         picked = set()
         for s, out in zip(seeds, outs):
             xi = RngStream(s, 0).normal(2)[None, :]
@@ -239,17 +238,17 @@ class TestToyExactStep:
 
 class TestToyPosterior:
     def test_reference_values(self):
-        mean, var = toy_posterior(reference_params())
+        p = reference_params()
+        mean, var = p.center_full, p.sigma_l2
         assert mean == pytest.approx(0.13333333333, rel=1e-9)
         assert var == pytest.approx(0.33333333333, rel=1e-9)
 
     def test_symmetric_observations(self):
-        mean, _ = toy_posterior(ToyParams(2.0, 0.5, 1.5, -1.5, 1.0))
-        assert mean == 0.0
+        assert ToyParams(2.0, 0.5, 1.5, -1.5, 1.0).center_full == 0.0
 
     def test_flat_prior_limit(self):
         p = ToyParams(2.0, 1e12, 4.0, -3.2, 1.0)
-        mean, var = toy_posterior(p)
+        mean, var = p.center_full, p.sigma_l2
         assert mean == pytest.approx((4.0 - 3.2) / 2.0, rel=1e-9)
         assert var == pytest.approx(1.0, rel=1e-9)
 
@@ -274,8 +273,8 @@ class TestExactChain:
     def test_full_mode_samples_posterior(self):
         p = reference_params()
         cfg = ChainConfig(n_samples=4000, burn_in=500, thinning=5, seed=33)
-        t = run_exact_chain(p, ETA, ExactMode.FULL, cfg)
-        mean, var = toy_posterior(p)
+        t = run_exact_chain(p, ETA, BatchMode.FULL, cfg)
+        mean, var = p.center_full, p.sigma_l2
         ks = ks_to_gaussian(t.thetas[:, 0], mean, np.sqrt(var))
         assert ks < 0.04
         # exact momentum marginal is N(0, 1)
@@ -284,8 +283,8 @@ class TestExactChain:
     def test_minibatch_mode_misses_posterior(self):
         p = reference_params()
         cfg = ChainConfig(n_samples=4000, burn_in=500, thinning=5, seed=33)
-        t = run_exact_chain(p, ETA, "minibatch", cfg)
-        mean, var = toy_posterior(p)
+        t = run_exact_chain(p, ETA, "iid", cfg)
+        mean, var = p.center_full, p.sigma_l2
         ks = ks_to_gaussian(t.thetas[:, 0], mean, np.sqrt(var))
         assert ks > 0.06
 
@@ -335,36 +334,44 @@ def small_chunks(monkeypatch):
 
 @pytest.mark.usefixtures("small_chunks")
 class TestExactEnsembleMatchesReference:
-    @pytest.mark.parametrize("mode", ["full", "minibatch"])
+    @pytest.mark.parametrize("mode", ["full", "iid"])
     def test_single_chain(self, mode):
         check_ensemble(reference_params(), [0.15], [mode], [5], [2])
 
+    @pytest.mark.parametrize("seed, index", [(0, 0), (5, 2), (11, 0), (2**40, 7)])
+    @pytest.mark.parametrize("eta", [0.01, 0.15, 0.4, 1.3])
+    def test_perm_rows_match_one_step_reference(self, seed, index, eta):
+        # 7-step chunks end in the middle of a two-step sweep every other
+        # chunk, so the schedule's carried sweep is read on every refill
+        check_ensemble(reference_params(), [eta], ["perm"], [seed], [index])
+
     def test_two_modes_on_one_stream(self):
         # the histogram runs: both modes on seed s, chain index 0
-        check_ensemble(reference_params(), [0.4, 0.4], ["full", "minibatch"],
+        check_ensemble(reference_params(), [0.4, 0.4], ["full", "iid"],
                        [11, 11], [0, 0])
 
     def test_bottleneck_report_layout(self):
         # the report's one ensemble: two etas x two modes, seeds s and s + 1,
         # all at chain index 0; each chain equals its one-chain run
-        check_ensemble(reference_params(), [0.4, 0.4, 0.01, 0.01], ["full", "minibatch"] * 2,
+        check_ensemble(reference_params(), [0.4, 0.4, 0.01, 0.01], ["full", "iid"] * 2,
                        [11, 11, 12, 12], [0] * 4)
 
     def test_mixed_etas_modes_seeds_and_indices(self):
-        check_ensemble(reference_params(), [0.05, 0.4, 0.01, 1.3, 0.2],
-                       ["minibatch", "full", "minibatch", "minibatch", "full"],
-                       [11, 11, 12, 13, 11], [0, 1, 0, 2, 3])
+        check_ensemble(reference_params(), [0.05, 0.4, 0.01, 1.3, 0.2, 0.4, 0.01, 1.3],
+                       ["iid", "full", "iid", "iid", "full", "perm", "perm",
+                        BatchMode.PERMUTATION_SWEEP],
+                       [11, 11, 12, 13, 11, 11, 12, 3], [0, 1, 0, 2, 3, 4, 1, 0])
 
     def test_fixed_starts(self):
         starts = [State(r=np.array([0.5]), theta=np.array([3.0])), "prior",
                   State(r=np.array([-1.0]), theta=np.array([-2.0]))]
         check_ensemble(ToyParams(1.3, 0.8, -1.0, 2.5, 3.1), [0.3, 0.1, 0.3],
-                       ["minibatch", "full", "full"], [4, 4, 7], [0, 1, 0],
+                       ["iid", "full", "full"], [4, 4, 7], [0, 1, 0],
                        inits=starts, burn_in=0, n_samples=20, thinning=1)
 
     def test_empty_trace(self):
         traces = check_ensemble(reference_params(), [0.4, 0.2],
-                                ["full", "minibatch"], [1, 2], [0, 0],
+                                ["full", "iid"], [1, 2], [0, 0],
                                 burn_in=9, n_samples=0)
         assert all(t.n_samples == 0 for t in traces)
 
@@ -373,20 +380,20 @@ class TestExactEnsembleRun:
     def test_default_chunks_and_buffer_refill(self):
         # 4300 steps draw 8600 normals per chain in many default chunks
         assert 4300 > 2 * chain_module._CHUNK
-        check_ensemble(reference_params(), [0.4, 0.4, 0.07],
-                       ["full", "minibatch", "minibatch"], [3, 3, 8], [0, 0, 1],
+        check_ensemble(reference_params(), [0.4, 0.4, 0.07, 0.07],
+                       ["full", "iid", "iid", "perm"], [3, 3, 8, 8], [0, 0, 1, 2],
                        burn_in=4000, n_samples=100, thinning=3)
 
     def test_bottleneck_shape_burn_in_ends_mid_chunk(self):
         # the bottleneck report's run: both modes on one stream, every step
         # kept, the first kept step inside a default chunk
         assert 300 % chain_module._CHUNK != 0
-        check_ensemble(reference_params(), [0.4, 0.4], ["full", "minibatch"],
+        check_ensemble(reference_params(), [0.4, 0.4], ["full", "iid"],
                        [11, 11], [0, 0], burn_in=300, n_samples=500, thinning=1)
 
     def test_thinning_that_does_not_divide_the_chunk(self):
         assert chain_module._CHUNK % 7 != 0
-        check_ensemble(reference_params(), [0.01, 0.4], ["minibatch", "full"],
+        check_ensemble(reference_params(), [0.01, 0.4], ["iid", "full"],
                        [12, 3], [1, 0], burn_in=100, n_samples=90, thinning=7)
 
     def test_positions_alone_equal_the_full_run(self):
@@ -394,7 +401,7 @@ class TestExactEnsembleRun:
         # leave every position bit where it was
         p = reference_params()
         cfg = ChainConfig(n_samples=600, burn_in=50, thinning=1, seed=11)
-        args = (p, [0.4, 0.4], ["full", "minibatch"], [cfg] * 2, [0, 0])
+        args = (p, [0.4, 0.4], ["full", "iid"], [cfg] * 2, [0, 0])
         thetas, momenta = run_exact_states(*args)
         alone, none = run_exact_states(*args, keep_momenta=False)
         assert none is None
@@ -405,7 +412,7 @@ class TestExactEnsembleRun:
         # a trace shares no array with another trace or with itself, so
         # writing into one leaves a rerun and its own other fields alone
         cfg = ChainConfig(n_samples=5, burn_in=3, thinning=2, seed=1)
-        a = run_exact_chain(reference_params(), 0.4, "minibatch", cfg)
+        a = run_exact_chain(reference_params(), 0.4, "iid", cfg)
         fields = (a.thetas, a.momenta, a.steps, a.times)
         assert not any(np.shares_memory(x, y) for i, x in enumerate(fields)
                        for y in fields[i + 1:])
@@ -414,7 +421,7 @@ class TestExactEnsembleRun:
         a.thetas[:] = np.nan
         assert_bits(a.momenta, before[0])
         assert_bits(a.times, before[1])
-        b = run_exact_chain(reference_params(), 0.4, "minibatch", cfg)
+        b = run_exact_chain(reference_params(), 0.4, "iid", cfg)
         assert_bits(b.momenta, before[0])
         assert not np.isnan(b.thetas).any()
 
@@ -431,5 +438,6 @@ class TestExactEnsembleRun:
         other = ChainConfig(n_samples=4, burn_in=2, thinning=1, seed=0)
         with pytest.raises(ValueError, match="share"):
             run_exact_states(p, [0.4, 0.4], ["full"] * 2, [cfg, other], [0, 1])
-        with pytest.raises(ValueError):
-            run_exact_states(p, [0.4], ["perm"], [cfg], [0])
+        # the exact kernel takes the chains' batch modes, and no other name
+        with pytest.raises(ValueError, match="minibatch"):
+            run_exact_states(p, [0.4], ["minibatch"], [cfg], [0])
