@@ -19,7 +19,6 @@ divergence, 4 filesystem errors.
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 import os
 import sys
@@ -43,7 +42,7 @@ from .integrators import IntegratorSpec, Scheme, noise_draws
 from .metrics import EmpiricalSample, ks_vs_gaussian, moment_errors
 from .operator_lab import band_fraction, run_order_trials
 from .potentials import AnalyticPosteriorUnavailable
-from .toy_exact import reference_params, run_exact_chain
+from .toy_exact import run_exact_chain
 
 _MODELS = click.Choice(["toy", "lingauss", "logistic2d"])
 # a sweep scores every cell against the closed-form posterior
@@ -222,14 +221,15 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         raise click.UsageError("--n must be >= 1")
     cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
     if scheme == "exact":
-        if model != "toy":
-            raise click.UsageError("the exact kernel exists only for the toy model")
+        # the exact kernel has no inner steps and no credited friction
+        if n_inner != 1 or v_hat != 0:
+            raise click.UsageError("the exact kernel takes neither --nl nor --vhat")
         inherent = 1 if mode == "full" else 2
         if batches not in (1, inherent):
             raise click.UsageError(
                 f"the exact {mode} kernel implies --K {inherent}")
-        p = dataclasses.replace(reference_params(), friction=friction)
-        trace = run_exact_chain(p, eta, mode, cfg)
+        trace = run_exact_chain(repro.build_model(model, inherent), eta, mode, cfg,
+                                friction=friction)
     else:
         potential = repro.build_model(model, batches)
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,

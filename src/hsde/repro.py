@@ -52,7 +52,7 @@ from .potentials import (
     make_cycled_basis_dataset,
     make_logistic_demo,
 )
-from .toy_exact import reference_params, run_exact_states
+from .toy_exact import run_exact_states
 
 __all__ = [
     "GoldenRecord",
@@ -102,10 +102,10 @@ def sweep_model(n_batches: int = 1) -> LinearGaussian:
 def build_model(name: str, n_batches: int = 1):
     """The three desk-scale models selectable from the command line."""
     if name == "toy":
-        p = reference_params()
-        # each x_i ~ N(theta, sigma_x^2) is a linear model on a column of ones
-        return LinearGaussian(np.ones((2, 1)), (p.x1, p.x2), noise_var=p.sigma_x2,
-                              prior_var=p.sigma_theta2, n_batches=n_batches)
+        # the conjugate scalar model: observations x_i ~ N(theta, noise_var),
+        # a linear model on a column of ones, and the prior N(0, prior_var)
+        return LinearGaussian(np.ones((2, 1)), (4.0, -3.2), noise_var=2.0,
+                              prior_var=0.5, n_batches=n_batches)
     if name == "lingauss":
         return sweep_model(n_batches)
     if name == "logistic2d":
@@ -308,6 +308,8 @@ SLOPE_ROW_FIELDS = ["scheme", "K", "mode", "metric", "slope", "r_squared",
 
 # the exact-kernel outputs' labels and the batch modes their chains run in
 _EXACT_MODES = {"full": BatchMode.FULL, "minibatch": BatchMode.IID_UNIFORM}
+# the friction of the exact-kernel outputs' chains
+_EXACT_FRICTION = 2.0
 
 
 def exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
@@ -321,15 +323,16 @@ def exact_histograms(runs, n: int, burn_in: int = 2000, thin: int = 1) -> list:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    p = reference_params()
-    mean, var = p.center_full, p.sigma_l2
+    P = build_model("toy", 2)
+    post = P.analytic_posterior()
+    mean, var = post.mean[0], post.cov[0, 0]
     sig = float(np.sqrt(var))
     edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
     etas, chain_modes, cfgs = zip(*[
         (eta, mode, ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed))
         for eta, seed in runs for mode in _EXACT_MODES.values()])
-    thetas = run_exact_states(p, etas, chain_modes, cfgs, [0] * len(cfgs),
-                              keep_momenta=False)[0]
+    thetas = run_exact_states(P, etas, chain_modes, cfgs, [0] * len(cfgs),
+                              keep_momenta=False, friction=_EXACT_FRICTION)[0]
     out = []
     for positions in thetas.reshape(len(runs), len(_EXACT_MODES), n):
         hists = {}

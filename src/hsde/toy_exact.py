@@ -1,31 +1,29 @@
-"""Exact transition kernels for the conjugate scalar model.
+"""Exact transition kernels for one-parameter linear-Gaussian models.
 
-The model: two observations x1, x2 with likelihood N(theta, sigma_x^2) and
-prior N(0, sigma_theta^2). Its posterior is N(xbar, sigma_l^2) with
+On a `LinearGaussian` with one parameter, batch b's K-scaled potential
+(K U_b for a block, U for the full potential) is a quadratic with curvature
+H_b and center c_b, both read from the model: H_b = s U_b''(0) and
+c_b = -s U_b'(0) / H_b, with s = K for a block and 1 for the full
+potential. On it the damped Hamiltonian SDE on z = (r, theta) is linear,
 
-    v = sigma_x^2 / sigma_theta^2 + 2,   sigma_l^2 = sigma_x^2 / v,
-    xbar = (x1 + x2) / v.
+    dz = A (z - [0, c_b]) dt + sqrt(2C) dW_r,     A = [[-C, -H_b],
+                                                       [ 1,  0  ]],
 
-For a quadratic potential the damped Hamiltonian SDE on z = (r, theta) is
-linear,
-
-    dz = A (z - [0, c]) dt + sqrt(2C) dW_r,     A = [[-C, -1/sigma_l^2],
-                                                     [ 1,  0          ]],
-
-so its time-eta transition is Gaussian with closed-form mean and covariance.
-Sampling that Gaussian is a zero-discretization-error integrator. A chain
-runs in a batch mode (`BatchMode`) over the two observations: "full" keeps
-the center c = xbar fixed; "iid" flips a fair coin each step between the
-sub-potential centers c_i = 2 x_i / v, and "perm" visits both centers in
-a random order every two steps; both mini-batch modes keep the full-data
-curvature in A. A mini-batch chain is exact in time yet converges to a visibly wrong
-law, isolating the batching error from any integrator error.
+with stationary law diag(1, 1/H_b), so its time-eta transition is Gaussian
+with closed-form mean and covariance. Sampling that Gaussian is a
+zero-discretization-error integrator. A chain runs in a batch mode
+(`BatchMode`) over the model's K batches: "full" keeps the full potential's
+kernel; "iid" draws a block's kernel each step and "perm" visits every
+block's once per sweep of K steps. A mini-batch chain is exact in time yet
+converges to a visibly wrong law, isolating the batching error from any
+integrator error. The command line runs them on the conjugate toy,
+`repro.build_model("toy", K)`, whose constants are defined there alone.
 
 `run_exact_states` advances R such chains together as the rows of an
 (R, 2) array, each on its own streams, through the chain loop integrator
 chains run on (`chain.run_loop`): noise and batch ids are drawn per chain a
-chunk of steps at a time from the chain's K = 2 batch schedule, so every
-chain's kept states are bit-identical to the ones it gives run alone.
+chunk of steps at a time from the chain's batch schedule, so every chain's
+kept states are bit-identical to the ones it gives run alone.
 It returns them as (R, n, 1) blocks of positions and momenta;
 `run_exact_chain` runs one chain this way and wraps its states into a
 trace like any integrator chain's.
@@ -33,81 +31,20 @@ trace like any integrator chain's.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+import math
 
 import numpy as np
 
 from .chain import ChainConfig, Trace, _trace, run_loop
 from .core import RngStream, State
 from .operator_lab import matrix_exp
+from .potentials import LinearGaussian
 
 __all__ = [
-    "ToyParams",
-    "reference_params",
     "matexp2",
-    "toy_transition",
     "run_exact_chain",
     "run_exact_states",
 ]
-
-
-@dataclass(frozen=True)
-class ToyParams:
-    """Model constants; derived quantities are exposed as properties."""
-
-    sigma_x2: float
-    sigma_theta2: float
-    x1: float
-    x2: float
-    friction: float
-
-    def __post_init__(self):
-        for name in ("sigma_x2", "sigma_theta2", "friction"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
-        if not np.all(np.isfinite([self.x1, self.x2])):
-            raise ValueError("observations must be finite")
-        # the linear drift must be a stable (Hurwitz) matrix, and the target
-        # law diag(1, sigma_l^2) must solve its stationary Lyapunov equation
-        A, S = self.drift, self.stationary_cov
-        if not np.all(np.linalg.eigvals(A).real < 0):
-            raise ValueError("drift matrix is not Hurwitz")
-        residual = A @ S + S @ A.T + np.diag([2.0 * self.friction, 0.0])
-        if np.abs(residual).max() > 1e-12:
-            raise ValueError("stationary covariance identity violated")
-
-    @property
-    def v(self) -> float:
-        return self.sigma_x2 / self.sigma_theta2 + 2.0
-
-    @property
-    def sigma_l2(self) -> float:
-        return self.sigma_x2 / self.v
-
-    @property
-    def center_full(self) -> float:
-        return (self.x1 + self.x2) / self.v
-
-    @property
-    def centers(self) -> tuple[float, float]:
-        return (2.0 * self.x1 / self.v, 2.0 * self.x2 / self.v)
-
-    @property
-    def drift(self) -> np.ndarray:
-        return np.array([[-self.friction, -1.0 / self.sigma_l2], [1.0, 0.0]])
-
-    @property
-    def stationary_cov(self) -> np.ndarray:
-        return np.diag([1.0, self.sigma_l2])
-
-
-def reference_params() -> ToyParams:
-    """The parameter set used throughout the verification suite."""
-    return ToyParams(sigma_x2=2.0, sigma_theta2=0.5, x1=4.0, x2=-3.2, friction=2.0)
 
 
 def matexp2(A, t: float) -> np.ndarray:
@@ -137,79 +74,77 @@ def matexp2(A, t: float) -> np.ndarray:
     return np.exp(m * t) * (c * np.eye(2) + k * D)
 
 
-def toy_transition(z0, eta: float, p: ToyParams, center: float):
-    """Mean and covariance of z(eta) started from the point z0 = (r, theta).
-
-    mean = e^{eta A}(z0 - b) + b with b = (0, center);
-    cov  = S - e^{eta A} S e^{eta A^T} with S = diag(1, sigma_l^2).
-    The covariance is symmetrized and tiny negative eigenvalues from
-    rounding (>= -1e-12) are clamped to zero.
-    """
-    if eta < 0:
-        raise ValueError("eta must be >= 0")
-    z0 = np.asarray(z0, dtype=np.float64).reshape(2)
-    E = matexp2(p.drift, eta)
-    b = np.array([0.0, float(center)])
-    mean = E @ (z0 - b) + b
-    S = p.stationary_cov
-    cov = S - E @ S @ E.T
-    cov = 0.5 * (cov + cov.T)
-    return mean, _clamp_psd(cov)
-
-
-def _clamp_psd(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _psd_root(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+    """L with L L^T = cov, for a symmetric cov that rounding may leave with
+    eigenvalues down to -tol: those are clamped to zero, cov rebuilt, and L
+    taken as its eigen square root."""
     vals, vecs = np.linalg.eigh(cov)
     if vals.min() < -tol:
         raise ValueError(f"covariance eigenvalue {vals.min()} below -{tol}")
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * vals) @ vecs.T
+    vals, vecs = np.linalg.eigh((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
+    return vecs * np.sqrt(np.clip(vals, 0.0, None))
 
 
-def _sqrt_psd(cov: np.ndarray) -> np.ndarray:
-    vals, vecs = np.linalg.eigh(cov)
-    vals = np.clip(vals, 0.0, None)
-    return vecs * np.sqrt(vals)
+def _generator(P: LinearGaussian, friction: float, batch: int):
+    """(A, S, c): the drift, stationary covariance and center of the flow on
+    batch `batch`'s K-scaled potential, -1 the full potential."""
+    key = None if batch < 0 else batch
+    s = 1.0 if key is None else float(P.n_batches)
+    zero = np.zeros(1)
+    H = s * P.hessian_vec(zero, np.ones(1), key)[0]
+    center = -(s * P.gradient(zero, key)[0]) / H
+    return np.array([[-friction, -H], [1.0, 0.0]]), np.diag([1.0, 1.0 / H]), center
 
 
-@lru_cache(maxsize=128)
-def _kernel(p: ToyParams, eta: float, center: float):
-    E = matexp2(p.drift, eta)
-    b = np.array([0.0, center])
-    _, cov = toy_transition(np.zeros(2), eta, p, center)
-    return E, b, _sqrt_psd(cov)
+def _kernel(P: LinearGaussian, friction: float, eta: float, batch: int):
+    """(E, b, L) of one exact step of length eta on batch `batch`: from z the
+    step goes to E (z - b) + b + L xi, xi standard normal, with
+    E = exp(eta A), b = (0, c) and L L^T = S - E S E^T, symmetrized."""
+    A, S, center = _generator(P, friction, batch)
+    E = matexp2(A, eta)
+    cov = S - E @ S @ E.T
+    return E, np.array([0.0, center]), _psd_root(0.5 * (cov + cov.T))
 
 
-def _start(p: ToyParams, cfg: ChainConfig, rng: RngStream) -> np.ndarray:
+def _start(P: LinearGaussian, cfg: ChainConfig, rng: RngStream) -> np.ndarray:
     if isinstance(cfg.init, State):
         if cfg.init.dim != 1:
             raise ValueError("the scalar model needs a 1-D state")
         return np.array([cfg.init.r[0], cfg.init.theta[0]])
     draws = rng.normal(2)
-    return np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
+    return np.array([draws[0], np.sqrt(P.prior_var[0]) * draws[1]])
 
 
-def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
-                     keep_momenta: bool = True):
-    """Run R chains of exact transitions in lockstep as the rows of an (R, 2)
-    array and return their kept states as (thetas, momenta), each (R, n, 1);
-    with keep_momenta False, momenta is None and only positions are held.
+def run_exact_states(P: LinearGaussian, etas, modes, cfgs, chain_indices,
+                     keep_momenta: bool = True, *, friction: float):
+    """Run R chains of exact transitions on the one-parameter model P with
+    friction C in lockstep as the rows of an (R, 2) array and return their
+    kept states as (thetas, momenta), each (R, n, 1); with keep_momenta
+    False, momenta is None and only positions are held.
 
     Chain c is (etas[c], modes[c], cfgs[c], chain_indices[c]) with its own
-    streams and a `BatchMode` schedule over the two observations, as
+    streams and a `BatchMode` schedule over P's n_batches, as
     `chain.run_states` runs it, and its rows equal the samples that chain
-    gives run alone, bit for bit. The chains share p and the run length
-    (n_samples, burn_in, thinning); the k-th kept sample (k = 1..n) is
-    taken at step burn_in + k thinning. Every argument is checked before
-    any chain starts.
+    gives run alone, bit for bit. The chains share P, the friction and the
+    run length (n_samples, burn_in, thinning); the k-th kept sample
+    (k = 1..n) is taken at step burn_in + k thinning. Every argument is
+    checked before any chain starts: P must be a one-parameter
+    `LinearGaussian` and the friction finite and > 0.
     """
+    if not (isinstance(P, LinearGaussian) and P.dim == 1):
+        raise ValueError("the exact kernel exists only for one-parameter "
+                         "linear-Gaussian models")
+    friction = float(friction)
+    if not (math.isfinite(friction) and friction > 0):
+        raise ValueError("the exact kernel needs a finite friction > 0")
     etas = [float(eta) for eta in etas]
     cfgs = list(cfgs)
 
     def setup(inits):
-        z = np.stack([_start(p, cfg, rng) for cfg, rng in zip(cfgs, inits)])[:, :, None]
-        # kernels indexed [chain, batch id]: a mini-batch id picks the
-        # center p.centers[id], a full chain's id -1 the full center
-        tables = [[_kernel(p, eta, center) for center in (*p.centers, p.center_full)]
+        z = np.stack([_start(P, cfg, rng) for cfg, rng in zip(cfgs, inits)])[:, :, None]
+        # kernels indexed [chain, batch id]: a mini-batch id picks its
+        # block's kernel, a full chain's id -1 the full potential's
+        tables = [[_kernel(P, friction, eta, k) for k in (*range(P.n_batches), -1)]
                   for eta in etas]
         E, b, L = (np.array([[k[part] for k in t] for t in tables]) for part in range(3))
         b = b[..., None]
@@ -241,14 +176,15 @@ def run_exact_states(p: ToyParams, etas, modes, cfgs, chain_indices,
 
         return "exact", 2, z[:, 0], z[:, 1], advance
 
-    return run_loop(setup, etas, list(modes), 2, cfgs, [int(c) for c in chain_indices],
-                    keep_momenta, eta=etas)
+    return run_loop(setup, etas, list(modes), P.n_batches, cfgs,
+                    [int(c) for c in chain_indices], keep_momenta, eta=etas)
 
 
-def run_exact_chain(p: ToyParams, eta: float, mode, cfg: ChainConfig,
-                    chain_index: int = 0) -> Trace:
+def run_exact_chain(P: LinearGaussian, eta: float, mode, cfg: ChainConfig,
+                    chain_index: int = 0, *, friction: float) -> Trace:
     """Chain of exact transitions in batch mode `mode`: one chain of
     `run_exact_states`, each step lasting eta of simulated time."""
     eta = float(eta)
-    thetas, momenta = run_exact_states(p, [eta], [mode], [cfg], [chain_index])
+    thetas, momenta = run_exact_states(P, [eta], [mode], [cfg], [chain_index],
+                                       friction=friction)
     return _trace(thetas[0], momenta[0], cfg, eta)

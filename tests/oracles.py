@@ -15,6 +15,10 @@ in code paths disjoint from the package implementation:
   semantics every chain of an ensemble run must reproduce bit for bit, and
   the same for the exact toy kernel (one 2-vector, one coin and one
   normal(2) draw per step),
+- the conjugate toy's constants in closed form (`Toy`: v, sigma_l^2 and
+  the centers 2 x_i / v) and the exact-step tables built from them, which
+  the package's kernels, read from the toy's `LinearGaussian`, must
+  reproduce bit for bit on the reference toy,
 - one-draw-per-swap Fisher-Yates permutations and subsets, and the earlier
   formulas of the splitting-order trials, the power-iteration norm and the
   one-sample Gaussian Kolmogorov distance, which the faster forms in the
@@ -32,6 +36,8 @@ These act as the frozen oracles that implementation outputs are compared to.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -361,17 +367,86 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
             steps, steps.astype(float) * dt, total * dt)
 
 
-def reference_exact_chain(p, eta, mode, cfg, chain_index=0):
-    """One exact-kernel chain in batch mode `mode` stepped one 2-vector at a
-    time, from the package's cached kernels: per step one `normal(2)` call
-    on stream 4c and, on stream 4c + 2, one coin `integers(2)` call (iid)
-    or one `BatchSchedule("perm", 2, ...).next()` call (perm).
+@dataclass(frozen=True)
+class Toy:
+    """The conjugate scalar model in closed form: observations x1, x2, each
+    N(theta, sigma_x2), and the prior N(0, sigma_theta2). Its posterior is
+    N(center_full, sigma_l2) with v = sigma_x2 / sigma_theta2 + 2,
+    sigma_l2 = sigma_x2 / v and center_full = (x1 + x2) / v; with the
+    K = 2 gradient scaling, observation i's sub-potential has the full
+    curvature and the center 2 x_i / v."""
+
+    sigma_x2: float
+    sigma_theta2: float
+    x1: float
+    x2: float
+
+    @property
+    def v(self) -> float:
+        return self.sigma_x2 / self.sigma_theta2 + 2.0
+
+    @property
+    def sigma_l2(self) -> float:
+        return self.sigma_x2 / self.v
+
+    @property
+    def center_full(self) -> float:
+        return (self.x1 + self.x2) / self.v
+
+    @property
+    def centers(self) -> tuple[float, float]:
+        return (2.0 * self.x1 / self.v, 2.0 * self.x2 / self.v)
+
+    def drift(self, friction: float) -> np.ndarray:
+        return np.array([[-friction, -1.0 / self.sigma_l2], [1.0, 0.0]])
+
+    @property
+    def stationary_cov(self) -> np.ndarray:
+        return np.diag([1.0, self.sigma_l2])
+
+    def model(self, n_batches: int = 2):
+        """The toy as the package's `LinearGaussian` on a column of ones."""
+        from hsde.potentials import LinearGaussian
+
+        return LinearGaussian(np.ones((2, 1)), (self.x1, self.x2), noise_var=self.sigma_x2,
+                              prior_var=self.sigma_theta2, n_batches=n_batches)
+
+
+# the toy `repro.build_model("toy")` builds
+REFERENCE_TOY = Toy(sigma_x2=2.0, sigma_theta2=0.5, x1=4.0, x2=-3.2)
+
+
+def toy_kernel_tables(toy: Toy, friction: float, eta: float) -> dict:
+    """The exact step's (E, b, L) per batch id from the closed-form
+    constants: -1 the full potential, 0 and 1 the two observations' K = 2
+    sub-potentials. E = exp(eta A) (`matexp2`), b = (0, center) and L the
+    eigen square root of S - E S E^T, symmetrized, its eigenvalues clamped
+    at zero and the matrix rebuilt before the root is taken."""
+    from hsde.toy_exact import matexp2
+
+    E = matexp2(toy.drift(friction), eta)
+    S = toy.stationary_cov
+    cov = S - E @ S @ E.T
+    cov = 0.5 * (cov + cov.T)
+    vals, vecs = np.linalg.eigh(cov)
+    assert vals.min() >= -1e-12
+    cov = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    vals, vecs = np.linalg.eigh(cov)
+    L = vecs * np.sqrt(np.clip(vals, 0.0, None))
+    centers = {-1: toy.center_full, 0: toy.centers[0], 1: toy.centers[1]}
+    return {k: (E, np.array([0.0, c]), L) for k, c in centers.items()}
+
+
+def reference_exact_chain(toy, eta, mode, cfg, chain_index=0, *, friction):
+    """One exact-kernel chain on `toy` in batch mode `mode` stepped one
+    2-vector at a time with `toy_kernel_tables`: per step one `normal(2)`
+    call on stream 4c and, on stream 4c + 2, one coin `integers(2)` call
+    (iid) or one `BatchSchedule("perm", 2, ...).next()` call (perm).
 
     Returns (thetas, momenta, steps, times, effective_time).
     """
     from hsde.batching import BatchMode, BatchSchedule
     from hsde.core import RngStream, State
-    from hsde.toy_exact import _kernel
 
     mode = BatchMode(mode)
     rng = RngStream(cfg.seed, 4 * chain_index)
@@ -381,14 +456,13 @@ def reference_exact_chain(p, eta, mode, cfg, chain_index=0):
         z = np.array([cfg.init.r[0], cfg.init.theta[0]])
     else:
         draws = RngStream(cfg.seed, 4 * chain_index + 1).normal(2)
-        z = np.array([draws[0], np.sqrt(p.sigma_theta2) * draws[1]])
-    full_kernel = _kernel(p, float(eta), p.center_full)
-    kernels = [_kernel(p, float(eta), c) for c in p.centers]
+        z = np.array([draws[0], np.sqrt(toy.sigma_theta2) * draws[1]])
+    kernels = toy_kernel_tables(toy, float(friction), float(eta))
     total = cfg.burn_in + cfg.n_samples * cfg.thinning
     thetas, momenta, steps = [], [], []
     for i in range(1, total + 1):
         if mode is BatchMode.FULL:
-            E, b, L = full_kernel
+            E, b, L = kernels[-1]
         elif mode is BatchMode.IID_UNIFORM:
             E, b, L = kernels[coin.integers(2)]
         else:

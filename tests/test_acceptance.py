@@ -35,7 +35,7 @@ from hsde.operator_lab import (
     slope_band,
     spectral_norm,
 )
-from hsde.toy_exact import reference_params, run_exact_chain
+from hsde.toy_exact import run_exact_chain
 
 
 def _report(idx: int, ok: bool, detail: str) -> None:
@@ -45,10 +45,11 @@ def _report(idx: int, ok: bool, detail: str) -> None:
 
 def test_01_exact_full_chain_matches_posterior():
     t0 = time.perf_counter()
-    p = reference_params()
-    mean, var = p.center_full, p.sigma_l2
+    P = repro.build_model("toy")
+    post = P.analytic_posterior()
+    mean, var = post.mean[0], post.cov[0, 0]
     cfg = ChainConfig(n_samples=100_000, burn_in=2000, thinning=1, seed=11)
-    trace = run_exact_chain(p, 0.4, "full", cfg)
+    trace = run_exact_chain(P, 0.4, "full", cfg, friction=2.0)
     ks = ks_vs_gaussian(EmpiricalSample(trace.thetas[:, 0]), mean, var)
     dt = time.perf_counter() - t0
     ok = ks < 0.012 and dt < 10.0

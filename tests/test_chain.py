@@ -270,11 +270,10 @@ class TestRunStatesMatchFormulas:
         Case(build_model("logistic2d", 2), scheme, "iid").check(formulas=True)
 
     def test_toy_exact_kernel(self):
-        from hsde.toy_exact import reference_params
-
+        from .oracles import REFERENCE_TOY
         from .test_toy_exact import check_ensemble
 
-        check_ensemble(reference_params(), [0.4, 0.05, 0.2, 0.1],
+        check_ensemble(REFERENCE_TOY, [0.4, 0.05, 0.2, 0.1],
                        ["iid", "full", "perm", "iid"], [3, 3, 4, 5],
                        [0, 1, 0, 2])
 

@@ -5,6 +5,7 @@ covered elsewhere. Exit-code contract: 0 success, 2 bad configuration,
 3 divergence, 4 filesystem trouble.
 """
 
+import hashlib
 import io
 import os
 
@@ -14,9 +15,8 @@ from click.testing import CliRunner
 
 from hsde.chain import ChainConfig
 from hsde.cli import main
-from hsde.toy_exact import reference_params
 
-from .oracles import reference_exact_chain
+from .oracles import REFERENCE_TOY, reference_exact_chain
 
 
 @pytest.fixture()
@@ -116,18 +116,42 @@ class TestSample:
         # the rows are the one-step reference chain's, bit for bit: .17g
         # round-trips every float64
         thetas, momenta, steps, times, _ = reference_exact_chain(
-            reference_params(), 0.4, "perm",
-            ChainConfig(n_samples=40, burn_in=10, thinning=1, seed=3))
+            REFERENCE_TOY, 0.4, "perm",
+            ChainConfig(n_samples=40, burn_in=10, thinning=1, seed=3), friction=2.0)
         rows = np.loadtxt(io.StringIO(text.decode()), delimiter=",", skiprows=1)
         for got, want in zip(rows.T, (steps, times, thetas[:, 0], momenta[:, 0])):
             assert got.tobytes() == want.astype(np.float64).tobytes()
         assert read_meta(a)["mode"] == "perm"
 
-    def test_exact_needs_toy_model(self, runner, tmp_path):
-        result = runner.invoke(main, ["sample", "--model", "lingauss",
-                                      "--scheme", "exact",
-                                      "--out", str(tmp_path / "x")])
+    @pytest.mark.parametrize("args, message", [
+        (["--model", "lingauss"], "one-parameter linear-Gaussian"),
+        (["--model", "logistic2d"], "one-parameter linear-Gaussian"),
+        (["--model", "lingauss", "--mode", "perm", "--K", "2"], "one-parameter linear-Gaussian"),
+        (["-C", "0"], "finite friction > 0"),
+        (["-C", "-1"], "finite friction > 0"),
+        (["-C", "inf"], "finite friction > 0"),
+        (["-C", "nan"], "finite friction > 0"),
+        (["--mode", "iid", "-C", "inf"], "finite friction > 0"),
+    ])
+    def test_exact_kernel_refuses_before_running(self, runner, tmp_path, args, message):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sample", "--model", "toy", "--scheme", "exact",
+                                      "--n", "5", "--burn-in", "5", *args, "--out", str(out)])
         assert result.exit_code == 2
+        assert message in result.output
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("args", [["--nl", "0"], ["--nl", "3"], ["--vhat", "nan"],
+                                      ["--vhat", "0.5"], ["--vhat", "nan", "--nl", "0"]])
+    def test_exact_refuses_integrator_options(self, runner, tmp_path, args):
+        # the exact kernel has no inner steps and credits no friction to
+        # gradient noise, so neither option can be echoed as if it were used
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sample", "--model", "toy", "--scheme", "exact",
+                                      "--n", "5", "--burn-in", "5", *args, "--out", str(out)])
+        assert result.exit_code == 2
+        assert "the exact kernel takes neither --nl nor --vhat" in result.output
+        assert not os.path.exists(out)
 
     def test_exact_rejects_contradictory_batches(self, runner, tmp_path):
         result = runner.invoke(main, ["sample", "--model", "toy", "--scheme",
@@ -494,6 +518,27 @@ class TestToy:
         assert result.exit_code == 2, result.output
         assert "n must" in result.output
         assert not os.path.exists(tmp_path / "x" / "summary.csv")
+
+
+# sha256 of each CSV of two exact-kernel runs; the toy_*_ks goldens
+# (tolerance 1e-6) cannot see a last-bit drift of the kernel tables
+FROZEN_EXACT_CSVS = [
+    (["toy", "--n", "2000", "--seed", "3"], {
+        "hist_full.csv": "41ff7d6991b520c832cb5fba1ecbc74cd1191fbdecd032dd289e7193211648e8",
+        "hist_minibatch.csv": "a170d465024ceba58e8491c4072e341947cf1f7e3a4f2292e20d2cfcf08f2d4e",
+        "summary.csv": "a7f5dba12b8c546b0eeb6131f588ba62c915663c8b7f5910b25f24fda817c975"}),
+    (["sample", "--model", "toy", "--scheme", "exact", "--mode", "perm", "--K", "2",
+      "-C", "3.5", "--n", "500", "--seed", "5"], {
+        "trace.csv": "14e5dc057e8af15860a1f309a4614a06189c0d9c8356adafee62553679e0de21"}),
+]
+
+
+@pytest.mark.parametrize("args, digests", FROZEN_EXACT_CSVS, ids=["toy", "sample-perm"])
+def test_exact_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
+    run_ok(runner, args + ["--out", str(tmp_path)])
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in tmp_path.glob("*.csv")}
+    assert got == digests
 
 
 @pytest.mark.parametrize("eta", ["inf", "nan"])

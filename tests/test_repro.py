@@ -19,9 +19,9 @@ from hsde.core import MassMatrix, RngStream
 from hsde.integrators import DivergenceError, IntegratorSpec
 from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
-from hsde.toy_exact import reference_params
 
 from .oracles import (
+    REFERENCE_TOY,
     reference_chain,
     reference_checks_csv,
     reference_exact_chain,
@@ -338,8 +338,7 @@ class TestToyHistograms:
         n, seed = 3000, 11
         checks = {c.name: c.value for c in
                   repro.report_exact_bottleneck(tmp_path, n=n, seed=seed)}
-        p = reference_params()
-        mean, var = p.center_full, p.sigma_l2
+        mean, var = REFERENCE_TOY.center_full, REFERENCE_TOY.sigma_l2
         sig = float(np.sqrt(var))
         edges = np.linspace(mean - 6 * sig, mean + 6 * sig, 129)
         ks = {}
@@ -347,7 +346,7 @@ class TestToyHistograms:
             # the report labels its iid mini-batch chain "minibatch"
             for label, mode in (("full", "full"), ("minibatch", "iid")):
                 cfg = ChainConfig(n_samples=n, burn_in=2000, thinning=1, seed=s)
-                th = reference_exact_chain(p, eta, mode, cfg)[0][:, 0]
+                th = reference_exact_chain(REFERENCE_TOY, eta, mode, cfg, friction=2.0)[0][:, 0]
                 ks[eta, label] = reference_ks_vs_gaussian(np.sort(th), mean, var)
                 if eta == 0.4:
                     counts, _ = np.histogram(th, bins=edges)
