@@ -114,14 +114,13 @@ def _step_duration(spec: IntegratorSpec) -> float:
     return spec.eta * mult
 
 
-def _initial_state(P: Potential, spec: IntegratorSpec, cfg: ChainConfig,
-                   rng: RngStream) -> State:
+def _initial_state(P: Potential, cfg: ChainConfig, rng: RngStream) -> State:
     if isinstance(cfg.init, State):
         if cfg.init.dim != P.dim:
             raise ValueError("initial state dimension does not match potential")
         return cfg.init
     theta = P.sample_prior(rng)
-    r = spec.mass.sqrt_diag * rng.normal(P.dim)
+    r = rng.normal(P.dim)
     return State(r=r, theta=theta)
 
 
@@ -239,7 +238,7 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
     providers; a lone chain (R = 1) steps d-vectors, as `run_chain` runs
     it, and R > 1 chains the rows of (R, d) arrays. The chains share the
     potential, the scheme, n_inner and the run length (n_samples, burn_in,
-    thinning); step size, friction, mass, seed, start and batch mode may
+    thinning); step size, friction, v_hat, seed, start and batch mode may
     differ per chain.
 
     If chains diverge, raises the DivergenceError of the first diverging
@@ -254,11 +253,9 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
     modes = [BatchMode(mode) for mode in modes]
 
     def setup(inits):
-        # checks that the specs share a dimension, so one stands for all below
-        stepper = compile_ensemble_step(specs)
-        if P.dim != specs[0].mass.dim:
-            raise ValueError("potential and mass matrix dimensions differ")
-        starts = [_initial_state(P, s, c, rng) for s, c, rng in zip(specs, cfgs, inits)]
+        # checks that the specs share scheme and n_inner
+        stepper = compile_ensemble_step(specs, P.dim)
+        starts = [_initial_state(P, c, rng) for c, rng in zip(cfgs, inits)]
         # one chain steps d-vectors, R chains the rows of (R, d) arrays
         shape = (P.dim,) if len(specs) == 1 else (len(specs), P.dim)
         scale = None

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import repro
 from .chain import ChainConfig, DivergenceError, run_chain, save_trace
-from .core import MassMatrix, RngStream, format_float, write_columns
+from .core import RngStream, format_float, write_columns
 from .geometry import (
     check_eps,
     det_target_leapfrog,
@@ -233,7 +233,6 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
     else:
         potential = repro.build_model(model, batches)
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
-                              mass=MassMatrix.identity(potential.dim),
                               n_inner=n_inner, v_hat=v_hat)
         trace = run_chain(potential, spec, mode, cfg)
     extra = {"effective_time": format_float(trace.effective_time),
@@ -412,9 +411,8 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
     check_eps(eps)
     potential = repro.build_model(model, 1)
     d = potential.dim
-    mass = MassMatrix.identity(d)
     spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
-                          mass=mass, n_inner=n_inner)
+                          n_inner=n_inner)
     grad, hess = potential.gradient_many, potential.hessian_vec_many
     n_draws = noise_draws(spec.scheme)
     draw = RngStream(seed, 1)
@@ -433,16 +431,16 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
         dets.append(np.linalg.det(J))
         symps.append(symplectic_residual(J))
     det = np.concatenate(dets)
-    # exact OU sub-steps contract volume by exp(-eta C / M_ii) per unit of
-    # simulated time; linear-friction kicks contract by (1 - eta C / M_ii).
+    # an exact OU refresh over simulated time t contracts volume by
+    # exp(-C t) per coordinate, a linear-friction kick by (1 - eta C).
     # Worked out once every step is known to be finite, so a step size that
     # diverges reports its error alone
     if scheme in ("euler", "leapfrog", "sghmc"):
-        target = det_target_leapfrog(eta, friction, mass)
+        target = det_target_leapfrog(eta, friction, d)
     elif scheme in ("spv", "symmetric"):
-        target = det_target_lie_trotter(eta, friction, mass, 1)
+        target = det_target_lie_trotter(eta, friction, d, 1)
     else:
-        target = det_target_lie_trotter(eta, friction, mass, n_inner)
+        target = det_target_lie_trotter(eta, friction, d, n_inner)
     residual = np.abs(det - target)
     # one row per probe state, in draw order
     write_columns(os.path.join(out_dir, "summary.csv"),

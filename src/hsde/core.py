@@ -1,11 +1,9 @@
-"""Phase-space state, mass-matrix handling, and the seeded RNG contract.
+"""Phase-space state and the seeded RNG contract.
 
 Conventions used throughout the package:
 
 - A phase-space point is z = (r, theta): momentum first, position second,
   both 1-D float arrays of equal length d.
-- The mass matrix M is diagonal; every formula that needs M^-1, sqrt(M) or
-  exp(-c M^-1 t) is elementwise.
 - Randomness flows through `RngStream`, a counter-based generator keyed by
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
@@ -17,7 +15,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 # numpy loads its random module on first use; loaded here, its cost stays in
@@ -26,7 +24,6 @@ from numpy.random import Generator, Philox
 
 __all__ = [
     "State",
-    "MassMatrix",
     "RngStream",
 ]
 
@@ -106,34 +103,6 @@ class State:
     @property
     def dim(self) -> int:
         return self.r.size
-
-
-@dataclass(frozen=True)
-class MassMatrix:
-    """Diagonal, strictly positive mass matrix."""
-
-    diag: np.ndarray
-    inv_diag: np.ndarray = field(init=False, repr=False, compare=False)
-    sqrt_diag: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        diag = as_vector(self.diag, "mass diagonal")
-        if not np.all(np.isfinite(diag)) or np.any(diag <= 0):
-            raise ValueError("mass diagonal entries must be finite and > 0")
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "inv_diag", 1.0 / diag)
-        object.__setattr__(self, "sqrt_diag", np.sqrt(diag))
-
-    @classmethod
-    def identity(cls, d: int) -> "MassMatrix":
-        return cls(np.ones(d))
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-    def is_identity(self) -> bool:
-        return bool(np.all(self.diag == 1.0))
 
 
 class RngStream:

@@ -5,8 +5,8 @@ deterministic map psi of phase space. Its finite-difference Jacobian exposes
 the two structural properties checked here:
 
 - the determinant equals a z-independent friction factor (volume contracts
-  by exactly det(I - eta C M^-1) per velocity-verlet step, and by
-  exp(-n_inner eta C tr M^-1) per inner-loop step with exact momentum decay),
+  by exactly (1 - eta C)^d per velocity-verlet step, and by
+  exp(-n_inner eta C d) per inner-loop step with exact momentum decay),
 - as the friction is turned off, the map approaches a symplectic one, with
   Omega^T J Omega = J recovered at machine scale for velocity-verlet while
   the fully explicit scheme keeps an O(eta^2) defect.
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MassMatrix
 from .integrators import DivergenceError, IntegratorSpec, compile_step, noise_draws
 from .operator_lab import spectral_norm
 
@@ -52,7 +51,7 @@ def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -
     """Central-difference Jacobians of one step of the spec's scheme, its
     noise pinned, at S probe states.
 
-    z is the (S, 2d) stack of states, r then theta; noise holds the
+    z is the (S, 2d) stack of states, r then theta, d >= 1; noise holds the
     scheme's `noise_draws` draws, each (S, d), row s the draw pinned for
     state s. grad and hess are row providers, (R, d) -> (R, d), as
     `Potential.gradient_many` and `Potential.hessian_vec_many`. Returns the
@@ -62,12 +61,11 @@ def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -
     finite range.
     """
     check_eps(eps)
-    d = spec.dim
-    n = 2 * d
     z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or z.shape[1] != n or len(z) == 0:
-        raise ValueError(f"probe states must be a nonempty (S, {n}) array")
-    S = len(z)
+    if z.ndim != 2 or len(z) == 0 or z.shape[1] == 0 or z.shape[1] % 2:
+        raise ValueError("probe states must be a nonempty (S, 2d) array, d >= 1")
+    S, n = z.shape
+    d = n // 2
     noise = [np.asarray(w, dtype=np.float64) for w in noise]
     n_draws = noise_draws(spec.scheme)
     if len(noise) != n_draws or any(w.shape != (S, d) for w in noise):
@@ -93,18 +91,17 @@ def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -
     return np.ascontiguousarray(((image[:, 0] - image[:, 1]) / (2.0 * eps)).swapaxes(1, 2))
 
 
-def det_target_leapfrog(eta: float, friction: float, mass: MassMatrix) -> float:
-    """Volume factor of one velocity-verlet step: prod_i (1 - eta C / M_ii)."""
-    return float(np.prod(1.0 - eta * friction * mass.inv_diag))
+def det_target_leapfrog(eta: float, friction: float, d: int) -> float:
+    """Volume factor of one velocity-verlet step in d dimensions:
+    (1 - eta C)^d."""
+    return float(np.prod(1.0 - np.full(d, eta * friction)))
 
 
-def det_target_lie_trotter(
-    eta: float, friction: float, mass: MassMatrix, n_inner: int
-) -> float:
-    """Volume factor of one inner-loop step with exact momentum decay:
-    prod_i exp(-n_inner eta C / M_ii); matches the exact flow's contraction
-    e^{-C tr(M^-1) t} over the simulated time t = n_inner * eta."""
-    return float(np.prod(np.exp(-n_inner * eta * friction * mass.inv_diag)))
+def det_target_lie_trotter(eta: float, friction: float, d: int, n_inner: int) -> float:
+    """Volume factor of one inner-loop step with exact momentum decay in d
+    dimensions: e^{-n_inner eta C d}, the exact flow's contraction e^{-C d t}
+    over the simulated time t = n_inner * eta."""
+    return float(np.prod(np.exp(np.full(d, -n_inner * eta * friction))))
 
 
 def symplectic_form(d: int) -> np.ndarray:

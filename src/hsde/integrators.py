@@ -1,9 +1,10 @@
 """One-step transition kernels for the damped Hamiltonian SDE.
 
-The SDE being discretized, for potential U, friction C > 0, diagonal mass M:
+The SDE being discretized, for potential U and friction C > 0, at unit
+mass:
 
-    d theta = M^-1 r dt
-    d r     = -grad U(theta) dt - C M^-1 r dt + sqrt(2C) dW
+    d theta = r dt
+    d r     = -grad U(theta) dt - C r dt + sqrt(2C) dW
 
 Every scheme advances (r, theta) by one step of size eta, consuming a
 gradient provider bound to the current (possibly mini-batch, K-rescaled)
@@ -17,12 +18,12 @@ potential and the step's standard-normal noise. Schemes:
   mid-point gradient, half drift.
 - LIE_TROTTER: n_inner deterministic leapfrog steps, then one exact OU
   momentum refresh over time n_inner * eta.
-- HMC_PARTIAL: identical path law to LIE_TROTTER, restricted to M = I, with
-  the refresh written as r' = alpha r + sqrt(1 - alpha^2) w,
+- HMC_PARTIAL: LIE_TROTTER's stepper, its refresh read as the partial
+  momentum refresh r' = alpha r + sqrt(1 - alpha^2) w,
   alpha = exp(-eta n_inner C).
 - SYMMETRIC: half OU refresh, deterministic leapfrog, half OU refresh.
 - MT3: three-stage quasi-symplectic scheme of weak third order with
-  implicit-in-r stages (solved in closed form for diagonal M) and
+  implicit-in-r stages (solved in closed form) and
   eta^{1/2}, eta^{3/2}, eta^{5/2} stochastic corrections; needs a
   Hessian-vector provider.
 
@@ -35,12 +36,6 @@ scratch arrays made when it is compiled, so a step allocates nothing;
 `compile_step` runs it as a chunk of one step for callers that want fresh
 arrays back. Each scheme's formulas exist once, as that in-place sequence
 of numpy calls.
-
-Unit factors are skipped: in IEEE-754, x * 1.0 is x bit for bit, so where
-every chain's M^-1 diagonal is exactly 1.0 (`MassMatrix.identity`, the mass
-of every CLI chain) a stepper leaves out each product by M^-1. The choice is
-made once, when the stepper is compiled, and every input gets the bits the
-full products would give.
 """
 
 from __future__ import annotations
@@ -51,8 +46,6 @@ from typing import Callable
 
 import numpy as np
 
-from .core import MassMatrix, RngStream, State
-
 __all__ = [
     "Scheme",
     "IntegratorSpec",
@@ -60,11 +53,7 @@ __all__ = [
     "compile_step",
     "compile_ensemble_step",
     "noise_draws",
-    "step",
 ]
-
-GradFn = Callable[[np.ndarray], np.ndarray]
-HessFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class Scheme(str, enum.Enum):
@@ -112,7 +101,6 @@ class IntegratorSpec:
     scheme: Scheme
     eta: float
     friction: float
-    mass: MassMatrix
     n_inner: int = 1
     v_hat: float = 0.0
 
@@ -134,20 +122,6 @@ class IntegratorSpec:
             raise ValueError(
                 "SGHMC needs v_hat <= friction for a PSD injected-noise covariance"
             )
-        if self.scheme is Scheme.HMC_PARTIAL and not self.mass.is_identity():
-            raise ValueError(
-                "the partial-refresh HMC scheme is defined with identity mass only"
-            )
-
-    @property
-    def dim(self) -> int:
-        return self.mass.dim
-
-
-def _non_unit(factor):
-    """factor, or None where every entry of it is exactly 1.0: x * 1.0 is x
-    bit for bit, so a stepper skips that product."""
-    return None if np.all(np.asarray(factor) == 1.0) else factor
 
 
 _MT3_C1, _MT3_C2 = 7.0 / 24.0, 3.0 / 8.0
@@ -158,20 +132,22 @@ def noise_draws(scheme) -> int:
     return 2 if Scheme(scheme) in (Scheme.SYMMETRIC, Scheme.MT3) else 1
 
 
-def _constants(spec: IntegratorSpec) -> dict:
-    """Everything a stepper multiplies by, from the spec's Python-float eta.
+def _constants(spec: IntegratorSpec, d: int) -> dict:
+    """Everything a stepper multiplies by, from the spec's Python-float eta,
+    for d-vector states.
 
     Scalar products are formed here in the order the step formulas evaluate
     them (eta * C * r is (eta * C) * r), as Python floats; `_spread` then
     spreads them over arrays rather than recomputing them on arrays, where
-    eta**1.5 and friends can round differently in the last bit.
+    eta**1.5 and friends can round differently in the last bit. The OU
+    decays and noise scales are taken on (d,) arrays, not scalars: numpy's
+    array loops for exp and expm1 may round differently from its scalar
+    path, and the steppers' bits are the array loops'.
     """
     eta = spec.eta
     C = spec.friction
-    inv = spec.mass.inv_diag
-    diag = spec.mass.diag
     scheme = spec.scheme
-    k = {"eta": eta, "half_eta": 0.5 * eta, "eta_C": eta * C, "C": C, "inv": inv}
+    k = {"eta": eta, "half_eta": 0.5 * eta, "eta_C": eta * C, "C": C}
 
     if scheme is Scheme.EULER:
         k["noise_std"] = np.sqrt(2.0 * C * eta)
@@ -179,27 +155,27 @@ def _constants(spec: IntegratorSpec) -> dict:
         v_hat = spec.v_hat if scheme is Scheme.SGHMC else 0.0
         k["noise_std"] = np.sqrt(2.0 * (C - v_hat) * eta)
     elif scheme is Scheme.SPV:
-        x = C * eta * inv
+        x = np.full(d, C * eta)
         k["decay"] = np.exp(-x)
-        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x))
+        k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x))
         # eta * (1 - e^{-x}) / x, continuous at x = 0 where it equals eta;
         # this times grad recovers the leapfrog kick in the frictionless limit
-        kick = np.full(spec.dim, eta)
+        kick = np.full(d, eta)
         nz = x > 0
         kick[nz] = eta * -np.expm1(-x[nz]) / x[nz]
         k["kick"] = kick
     elif scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        x = C * spec.n_inner * eta * inv
+        x = np.full(d, C * spec.n_inner * eta)
         k["decay"] = np.exp(-x)
-        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x))
+        k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x))
     elif scheme is Scheme.SYMMETRIC:
-        x_half = C * (0.5 * eta) * inv
+        x_half = np.full(d, C * (0.5 * eta))
         k["decay"] = np.exp(-x_half)
-        k["noise_std"] = np.sqrt(diag * -np.expm1(-2.0 * x_half))
+        k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x_half))
     elif scheme is Scheme.MT3:
-        k["den1"] = 1.0 + _MT3_C1 * eta * C * inv
-        k["den2"] = 1.0 + _MT3_C2 * eta * C * inv
-        k["den3"] = 1.0 + eta * C * inv
+        k["den1"] = 1.0 + _MT3_C1 * eta * C
+        k["den2"] = 1.0 + _MT3_C2 * eta * C
+        k["den3"] = 1.0 + eta * C
         s2c = np.sqrt(2.0 * C)
         amp_mix = eta**1.5 * s2c
         amp_high = eta**2.5 / 6.0 * s2c
@@ -213,13 +189,12 @@ def _constants(spec: IntegratorSpec) -> dict:
     return k
 
 
-def _spread(specs) -> dict:
+def _spread(specs, d: int) -> dict:
     """The constants of `_constants` for each spec, spread over (d,) for one
     spec and stacked over (R, d) for R, row c from specs[c]: same-shape numpy
     operations skip broadcasting, the slow path for small arrays, and each
     row gets the bits its own spec's constants give."""
-    per_chain = [_constants(s) for s in specs]
-    d = specs[0].dim
+    per_chain = [_constants(s, d) for s in specs]
     shape = (d,) if len(specs) == 1 else (len(specs), d)
     return {key: np.stack([np.broadcast_to(c[key], (d,)) for c in per_chain]).reshape(shape)
             for key in per_chain[0]}
@@ -248,27 +223,22 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
     step would form again.
     """
     eta, half_eta, eta_C, C = k["eta"], k["half_eta"], k["eta_C"], k["C"]
-    # inv(y) in the formulas below is y * M^-1: one product by this factor,
-    # left out where it is None (a unit mass)
-    inv = _non_unit(k["inv"])
     mul, add, sub, div, neg = np.multiply, np.add, np.subtract, np.divide, np.negative
     decay, noise_std = k.get("decay"), k.get("noise_std")
-    # h = inv(half_eta r) for a step's r, kept where the next step starts
-    # from that r
+    # h = half_eta r for a step's r, kept where the next step starts from
+    # that r
     a, b, x, h = (np.empty(shape) for _ in range(4))
 
     def det_leapfrogs(j, r, th, grad, r_out, th_out, count):
         # count deterministic leapfrogs from (r, th), into (r_out, th_out):
-        # th_half = th + inv(half_eta r), r' = r - eta grad(th_half),
-        # th' = th_half + inv(half_eta r')
+        # th_half = th + half_eta r, r' = r - eta grad(th_half),
+        # th' = th_half + half_eta r'
         mul(half_eta, r, h)
-        if inv is not None: mul(h, inv, h)
         for _ in range(count):
             add(th, h, x)
             mul(eta, grad(j, x), a)
             sub(r, a, r_out)
             mul(half_eta, r_out, h)
-            if inv is not None: mul(h, inv, h)
             add(x, h, th_out)
             r, th = r_out, th_out
 
@@ -290,13 +260,11 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
         def stepper(r, th, grad, hess, noise, rs, ths):
             scale_noise(noise, ths)
             for j, (kick_w, r_out, th_out) in enumerate(zip(noise[0], rs, ths)):
-                # th' = th + inv(eta r)
+                # th' = th + eta r
                 mul(eta, r, a)
-                if inv is not None: mul(a, inv, a)
                 add(th, a, th_out)
-                # r' = r - inv(eta_C r) - eta grad(th) + noise_std w
+                # r' = r - eta_C r - eta grad(th) + noise_std w
                 mul(eta_C, r, a)
-                if inv is not None: mul(a, inv, a)
                 sub(r, a, a)
                 mul(eta, grad(j, th), b)
                 sub(a, b, a)
@@ -311,25 +279,22 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
         def stepper(r, th, grad, hess, noise, rs, ths):
             scale_noise(noise, ths)
             mul(half_eta, r, h)
-            if inv is not None: mul(h, inv, h)
             for j, (kick_w, r_out, th_out) in enumerate(zip(noise[0], rs, ths)):
-                # th_half = th + inv(half_eta r)
+                # th_half = th + half_eta r
                 add(th, h, x)
                 if spv:
                     # r' = decay r - kick grad(th_half) + noise_std w
                     mul(decay, r, a)
                     mul(kick, grad(j, x), b)
                 else:
-                    # r' = r - eta grad(th_half) - inv(eta_C r) + noise_std w
+                    # r' = r - eta grad(th_half) - eta_C r + noise_std w
                     mul(eta, grad(j, x), a)
                     sub(r, a, a)
                     mul(eta_C, r, b)
-                    if inv is not None: mul(b, inv, b)
                 sub(a, b, a)
                 add(a, kick_w, r_out)
-                # th' = th_half + inv(half_eta r')
+                # th' = th_half + half_eta r'
                 mul(half_eta, r_out, h)
-                if inv is not None: mul(h, inv, h)
                 add(x, h, th_out)
                 r, th = r_out, th_out
 
@@ -374,29 +339,25 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
             mul(w1s, 0.5, rs)
             add(rs, mixes, mixes)
             for j, (w1, mix, r_out, th_out) in enumerate(zip(w1s, mixes, rs, ths)):
-                # th1 = th + inv(c1_eta r), g1 = grad(th1)
+                # th1 = th + c1_eta r, g1 = grad(th1)
                 mul(c1_eta, r, a)
-                if inv is not None: mul(a, inv, a)
                 add(th, a, x)
                 g = grad(j, x)
-                # r1 = (r - c1_eta g1) / den1, F1 = -g1 - inv(C r1)
+                # r1 = (r - c1_eta g1) / den1, F1 = -g1 - C r1
                 mul(c1_eta, g, a)
                 sub(r, a, a)
                 div(a, den1, a)
                 neg(g, F1)
                 mul(C, a, a)
-                if inv is not None: mul(a, inv, a)
                 sub(F1, a, F1)
 
-                # th2 = th + inv(th2_r r) + inv(th2_f1 F1), g2 = grad(th2)
+                # th2 = th + th2_r r + th2_f1 F1, g2 = grad(th2)
                 mul(th2_r, r, a)
-                if inv is not None: mul(a, inv, a)
                 add(th, a, x)
                 mul(th2_f1, F1, a)
-                if inv is not None: mul(a, inv, a)
                 add(x, a, x)
                 g = grad(j, x)
-                # r2 = (r + r_f F1 - c2_eta g2) / den2, F2 = -g2 - inv(C r2)
+                # r2 = (r + r_f F1 - c2_eta g2) / den2, F2 = -g2 - C r2
                 mul(r_f, F1, a)
                 add(r, a, a)
                 mul(c2_eta, g, b)
@@ -404,19 +365,14 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
                 div(a, den2, a)
                 neg(g, F2)
                 mul(C, a, a)
-                if inv is not None: mul(a, inv, a)
                 sub(F2, a, F2)
 
-                # th3 = th + inv(eta r) + inv(th3_f1 F1) + inv(th3_f2 F2),
-                # g3 = grad(th3)
+                # th3 = th + eta r + th3_f1 F1 + th3_f2 F2, g3 = grad(th3)
                 mul(eta, r, a)
-                if inv is not None: mul(a, inv, a)
                 add(th, a, x)
                 mul(th3_f1, F1, a)
-                if inv is not None: mul(a, inv, a)
                 add(x, a, x)
                 mul(th3_f2, F2, a)
-                if inv is not None: mul(a, inv, a)
                 add(x, a, x)
                 g = grad(j, x)
                 # r3 = (r + r_f (F1 - F2) - eta g3) / den3, into a
@@ -427,24 +383,20 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
                 sub(a, b, a)
                 div(a, den3, a)
 
-                # th' = th3 + inv(amp_mix mix) - inv(inv(amp_high_C w1))
+                # th' = th3 + amp_mix mix - amp_high_C w1
                 mul(amp_mix, mix, c)
-                if inv is not None: mul(c, inv, c)
                 add(x, c, th_out)
                 mul(amp_high_C, w1, c)
-                if inv is not None: mul(mul(c, inv, c), inv, c)
                 sub(th_out, c, th_out)
-                # r' = r3 + amp_r w1 - inv(amp_mix_C mix)
-                #      - amp_high hess(th3, inv(w1)) + inv(inv(amp_high_CC w1))
+                # r' = r3 + amp_r w1 - amp_mix_C mix
+                #      - amp_high hess(th3, w1) + amp_high_CC w1
                 mul(amp_r, w1, c)
                 add(a, c, r_out)
                 mul(amp_mix_C, mix, c)
-                if inv is not None: mul(c, inv, c)
                 sub(r_out, c, r_out)
-                mul(amp_high, hess(j, x, w1 if inv is None else mul(w1, inv, c)), c)
+                mul(amp_high, hess(j, x, w1), c)
                 sub(r_out, c, r_out)
                 mul(amp_high_CC, w1, c)
-                if inv is not None: mul(mul(c, inv, c), inv, c)
                 add(r_out, c, r_out)
                 r, th = r_out, th_out
 
@@ -455,7 +407,8 @@ def _kernel(scheme: Scheme, n_inner: int, k: dict, shape) -> Callable:
 
 def compile_step(spec: IntegratorSpec) -> Callable:
     """One step of the spec's scheme: the chunk stepper of `_kernel` over
-    the spec's constants spread over (d,), taking a chunk of one step.
+    the spec's constants spread over (d,), d the states' last axis, taking a
+    chunk of one step.
 
     The returned callable has signature (r, theta, grad, hess, noise) and
     returns the new (r, theta) as fresh arrays without validation; callers
@@ -469,27 +422,25 @@ def compile_step(spec: IntegratorSpec) -> Callable:
     SYMMETRIC: two (first then second half refresh).
     MT3: two (w1, the sqrt-eta one, then w2).
     """
-    k = _spread([spec])
-
     def step(r, th, grad, hess, noise):
         shape = np.shape(r)
         rs, ths = np.empty((1,) + shape), np.empty((1,) + shape)
         # a copy: the stepper overwrites its noise
         noise = np.array(noise, dtype=np.float64)[:, None]
-        _kernel(spec.scheme, spec.n_inner, k, shape)(
+        _kernel(spec.scheme, spec.n_inner, _spread([spec], shape[-1]), shape)(
             r, th, lambda j, x: grad(x), lambda j, x, v: hess(x, v), noise, rs, ths)
         return rs[0], ths[0]
 
     return step
 
 
-def compile_ensemble_step(specs) -> Callable:
-    """The chunk stepper of `_kernel` for R chains: one chain steps
-    d-vectors, R > 1 chains the rows of (R, d) arrays.
+def compile_ensemble_step(specs, d: int) -> Callable:
+    """The chunk stepper of `_kernel` for R chains of dimension d: one chain
+    steps d-vectors, R > 1 chains the rows of (R, d) arrays.
 
     Chain c uses specs[c]'s constants, spread over the state's shape (see
     `_spread`), so each row gets the bits its own `compile_step` stepper
-    would give. The specs must share scheme, n_inner and dimension. The
+    would give. The specs must share scheme and n_inner. The
     stepper is `(r, th, grad, hess, noise, rs, ths)`, as `_kernel` says:
     noise is (n_draws, m, d) or (n_draws, m, R, d), row c of each draw for
     chain c, and grad(j, x) and hess(j, x, v) map states to arrays of their
@@ -499,29 +450,8 @@ def compile_ensemble_step(specs) -> Callable:
     if not specs:
         raise ValueError("an ensemble needs at least one spec")
     first = specs[0]
-    for s in specs:
-        if (s.scheme, s.n_inner, s.dim) != (first.scheme, first.n_inner, first.dim):
-            raise ValueError("ensemble specs must share scheme, n_inner and dimension")
-    shape = (first.dim,) if len(specs) == 1 else (len(specs), first.dim)
-    return _kernel(first.scheme, first.n_inner, _spread(specs), shape)
+    if any((s.scheme, s.n_inner) != (first.scheme, first.n_inner) for s in specs):
+        raise ValueError("ensemble specs must share scheme and n_inner")
+    shape = (d,) if len(specs) == 1 else (len(specs), d)
+    return _kernel(first.scheme, first.n_inner, _spread(specs, d), shape)
 
-
-def step(z: State, grad: GradFn, spec: IntegratorSpec, rng: RngStream,
-         hess: HessFn | None = None) -> State:
-    """Apply one step of whatever scheme the spec selects: the single-step
-    call, its noise drawn from `rng` one d-vector at a time. MT3 needs the
-    Hessian-vector provider `hess`; a non-finite result raises
-    DivergenceError."""
-    if z.dim != spec.mass.dim:
-        raise ValueError("state dimension does not match mass matrix")
-    if spec.scheme is Scheme.MT3 and hess is None:
-        raise ValueError("MT3 needs a Hessian-vector provider")
-    noise = [rng.normal(z.dim) for _ in range(noise_draws(spec.scheme))]
-    r, th = compile_step(spec)(z.r, z.theta, grad, hess, noise)
-    # NaN or +-inf anywhere makes the sum non-finite
-    if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
-        raise DivergenceError(
-            "non-finite state after step", r=r, theta=th, eta=spec.eta,
-            scheme=spec.scheme,
-        )
-    return State(r=r, theta=th)

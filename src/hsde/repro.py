@@ -35,7 +35,7 @@ import numpy as np
 
 from .batching import BatchMode
 from .chain import ChainConfig, run_states
-from .core import MassMatrix, RngStream, write_columns
+from .core import RngStream, write_columns
 from .integrators import DivergenceError, IntegratorSpec, Scheme
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
@@ -142,10 +142,9 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
     whose summary is not finite.
     """
     runs = list(itertools.product(modes, cells))
-    mass = MassMatrix.identity(model.dim)
     specs, chain_modes, cfgs, chain_indices = [], [], [], []
     for (mode, _), (eta, cell_seed) in runs:
-        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction, mass=mass,
+        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
                               n_inner=n_inner, v_hat=v_hat)
         cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
                           init="prior", seed=cell_seed)

@@ -52,8 +52,14 @@ def matexp2(A, t: float) -> np.ndarray:
 
     Writes A = m I + D with m = tr(A)/2, where D squares to q^2 I with
     q^2 = m^2 - det(A); then exp(tD) is cosh/sinh (q^2 > 0) or cos/sin
-    (q^2 < 0) in D. Near the defective case |q^2 t^2| ~ 0 it falls back to
-    the operator lab's scaled Taylor series with repeated squaring.
+    (q^2 < 0) in D. Where cosh(q t) overflows, e^{mt} cosh(q t) and
+    e^{mt} sinh(q t) / q are taken as half the sum and half the difference
+    of e^{(m +- q) t}, which stay finite wherever exp(t A) is bounded (an
+    overdamped generator, say); of the eigenvalues m +- q, the one that m
+    and q nearly cancel in is taken as det(A) over the other. Near the
+    defective case |q^2 t^2| ~ 0 it falls back to the operator lab's scaled
+    Taylor series with repeated squaring. Raises ValueError where
+    m^2 - det(A) overflows.
     """
     A = np.asarray(A, dtype=np.float64)
     if A.shape != (2, 2) or not np.all(np.isfinite(A)):
@@ -61,13 +67,31 @@ def matexp2(A, t: float) -> np.ndarray:
     t = float(t)
     m = 0.5 * (A[0, 0] + A[1, 1])
     D = A - m * np.eye(2)
-    q2 = m * m - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
-    s = q2 * t * t
+    det = A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
+    with np.errstate(over="ignore"):
+        q2 = m * m - det
+        s = q2 * t * t
+    if not np.isfinite(q2):
+        raise ValueError("exp(t A) has no closed form here: "
+                         "(tr A / 2)^2 - det A overflows")
     if abs(s) < 1e-8:
         return matrix_exp(t * A)
     if q2 > 0:
         q = np.sqrt(q2)
-        c, k = np.cosh(q * t), np.sinh(q * t) / q
+        # q t and the exponents below may overflow to infinities, which
+        # cosh and exp take to their limits
+        with np.errstate(over="ignore"):
+            c = np.cosh(q * t)
+            if np.isinf(c):
+                if m < 0:
+                    lo = m - q
+                    hi = det / lo
+                else:
+                    hi = m + q
+                    lo = det / hi
+                up, down = np.exp(hi * t), np.exp(lo * t)
+                return 0.5 * (up + down) * np.eye(2) + 0.5 * (up - down) / q * D
+        k = np.sinh(q * t) / q
     else:
         w = np.sqrt(-q2)
         c, k = np.cos(w * t), np.sin(w * t) / w
@@ -99,9 +123,15 @@ def _generator(P: LinearGaussian, friction: float, batch: int):
 def _kernel(P: LinearGaussian, friction: float, eta: float, batch: int):
     """(E, b, L) of one exact step of length eta on batch `batch`: from z the
     step goes to E (z - b) + b + L xi, xi standard normal, with
-    E = exp(eta A), b = (0, c) and L L^T = S - E S E^T, symmetrized."""
+    E = exp(eta A), b = (0, c) and L L^T = S - E S E^T, symmetrized.
+    Raises ValueError where E has no closed form (where C^2 / 4
+    overflows)."""
     A, S, center = _generator(P, friction, batch)
-    E = matexp2(A, eta)
+    try:
+        E = matexp2(A, eta)
+    except ValueError as err:
+        raise ValueError(f"no exact kernel at friction {friction} and eta {eta}: "
+                         f"{err}") from None
     cov = S - E @ S @ E.T
     return E, np.array([0.0, center]), _psd_root(0.5 * (cov + cov.T))
 
@@ -129,7 +159,8 @@ def run_exact_states(P: LinearGaussian, etas, modes, cfgs, chain_indices,
     run length (n_samples, burn_in, thinning); the k-th kept sample
     (k = 1..n) is taken at step burn_in + k thinning. Every argument is
     checked before any chain starts: P must be a one-parameter
-    `LinearGaussian` and the friction finite and > 0.
+    `LinearGaussian`, the friction finite and > 0, and every kernel table
+    must have its closed form.
     """
     if not (isinstance(P, LinearGaussian) and P.dim == 1):
         raise ValueError("the exact kernel exists only for one-parameter "

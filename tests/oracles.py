@@ -5,13 +5,15 @@ in code paths disjoint from the package implementation:
 
 - exact-arithmetic (sympy) single-step evaluation of every integrator scheme
   on a scalar quadratic potential U(theta) = lam/2 (theta - c)^2,
+- `step`, one step of any scheme with its noise drawn one d-vector at a
+  time and a divergence check: the single-step call over `compile_step`,
 - an RK4 integrator for the first/second-moment ODEs of the 2-D linear SDE
   behind the conjugate toy model,
 - composite Simpson quadrature for its covariance integral,
 - a brute-force O(n*m) two-sample Kolmogorov distance,
 - central finite differences for gradients and Jacobians,
 - scipy's Pade matrix exponential / logarithm as the semigroup reference,
-- a plain one-chain sampling loop over the public single-step API, the
+- a plain one-chain sampling loop over `step`, the
   semantics every chain of an ensemble run must reproduce bit for bit, and
   the same for the exact toy kernel (one 2-vector, one coin and one
   normal(2) draw per step),
@@ -25,8 +27,8 @@ in code paths disjoint from the package implementation:
   package must reproduce bit for bit,
 - the earlier one-row-at-a-time CSV writers (trace, dict rows, report
   checks), whose bytes the shared column writer must reproduce,
-- the step formulas with every product by M^-1 written out, which the
-  steppers that skip unit factors must reproduce bit for bit,
+- the step formulas as fresh-array expressions, which the in-place chunk
+  steppers must reproduce bit for bit,
 - the geom command's earlier per-state loop (one column of one probe
   state's Jacobian at a time, with the one-point gradient), whose volume
   factors and symplectic residuals the stacked probe pass must reproduce
@@ -57,37 +59,37 @@ def _f(expr) -> float:
 
 
 class QuadOracle:
-    """One integrator step on U(theta) = lam/2 (theta - c)^2, scalar state.
+    """One integrator step on U(theta) = lam/2 (theta - c)^2, scalar state,
+    unit mass.
 
     All arithmetic is exact (sympy) until the final float conversion. Noise
     values are injected explicitly; each method documents the draw order it
     consumes, mirroring the package's documented order.
     """
 
-    def __init__(self, lam, c, eta, C, m=1):
+    def __init__(self, lam, c, eta, C):
         self.lam = _num(lam)
         self.c = _num(c)
         self.eta = _num(eta)
         self.C = _num(C)
-        self.m = _num(m)
 
     def grad(self, theta):
         return self.lam * (theta - self.c)
 
     def euler(self, r, th, w0):
         r, th, w0 = map(_num, (r, th, w0))
-        eta, C, m = self.eta, self.C, self.m
-        th1 = th + eta * r / m
-        r1 = r - eta * C * r / m - eta * self.grad(th) + sp.sqrt(2 * C * eta) * w0
+        eta, C = self.eta, self.C
+        th1 = th + eta * r
+        r1 = r - eta * C * r - eta * self.grad(th) + sp.sqrt(2 * C * eta) * w0
         return _f(r1), _f(th1)
 
     def leapfrog(self, r, th, w0, noise_scale=None):
         r, th, w0 = map(_num, (r, th, w0))
-        eta, C, m = self.eta, self.C, self.m
+        eta, C = self.eta, self.C
         scale = sp.sqrt(2 * C * eta) if noise_scale is None else _num(noise_scale)
-        th_half = th + eta / 2 * r / m
-        r1 = r - eta * self.grad(th_half) - eta * C * r / m + scale * w0
-        th1 = th_half + eta / 2 * r1 / m
+        th_half = th + eta / 2 * r
+        r1 = r - eta * self.grad(th_half) - eta * C * r + scale * w0
+        th1 = th_half + eta / 2 * r1
         return _f(r1), _f(th1)
 
     def sghmc(self, r, th, w0, v_hat):
@@ -96,24 +98,24 @@ class QuadOracle:
         )
 
     def _det_leapfrog(self, r, th):
-        eta, m = self.eta, self.m
-        th_half = th + eta / 2 * r / m
+        eta = self.eta
+        th_half = th + eta / 2 * r
         r1 = r - eta * self.grad(th_half)
-        th1 = th_half + eta / 2 * r1 / m
+        th1 = th_half + eta / 2 * r1
         return r1, th1
 
     def lie_trotter(self, r, th, w0, n_inner=1):
         r, th, w0 = map(_num, (r, th, w0))
         for _ in range(n_inner):
             r, th = self._det_leapfrog(r, th)
-        a = sp.exp(-self.C * n_inner * self.eta / self.m)
-        r = a * r + sp.sqrt(self.m * (1 - a**2)) * w0
+        a = sp.exp(-self.C * n_inner * self.eta)
+        r = a * r + sp.sqrt(1 - a**2) * w0
         return _f(r), _f(th)
 
     def symmetric(self, r, th, w0, w1):
         r, th, w0, w1 = map(_num, (r, th, w0, w1))
-        a = sp.exp(-self.C * (self.eta / 2) / self.m)
-        std = sp.sqrt(self.m * (1 - a**2))
+        a = sp.exp(-self.C * (self.eta / 2))
+        std = sp.sqrt(1 - a**2)
         r = a * r + std * w0
         r, th = self._det_leapfrog(r, th)
         r = a * r + std * w1
@@ -121,66 +123,66 @@ class QuadOracle:
 
     def spv(self, r, th, w0):
         r, th, w0 = map(_num, (r, th, w0))
-        eta, C, m = self.eta, self.C, self.m
-        th_half = th + eta / 2 * r / m
-        a = sp.exp(-C * eta / m)
-        r1 = a * r - (1 - a) * (m / C) * self.grad(th_half) + sp.sqrt(m * (1 - a**2)) * w0
-        th1 = th_half + eta / 2 * r1 / m
+        eta, C = self.eta, self.C
+        th_half = th + eta / 2 * r
+        a = sp.exp(-C * eta)
+        r1 = a * r - (1 - a) / C * self.grad(th_half) + sp.sqrt(1 - a**2) * w0
+        th1 = th_half + eta / 2 * r1
         return _f(r1), _f(th1)
 
     def ou_exact(self, r, f, w0):
         r, f, w0 = map(_num, (r, f, w0))
-        eta, C, m = self.eta, self.C, self.m
+        eta, C = self.eta, self.C
         if C == 0:
             return _f(r - eta * f)
-        a = sp.exp(-C * eta / m)
-        mu = -(m / C) * f
-        return _f(a * (r - mu) + mu + sp.sqrt(m * (1 - a**2)) * w0)
+        a = sp.exp(-C * eta)
+        mu = -f / C
+        return _f(a * (r - mu) + mu + sp.sqrt(1 - a**2) * w0)
 
     def mt3(self, r, th, w1, w2):
         """Three-stage third-order step; draws w1 (sqrt-eta noise) then w2."""
         r, th, w1, w2 = map(_num, (r, th, w1, w2))
-        eta, C, m, lam = self.eta, self.C, self.m, self.lam
-        c1, c2, c3 = sp.Rational(7, 24), sp.Rational(3, 8), sp.Integer(1)
+        eta, C, lam = self.eta, self.C, self.lam
+        c1, c2 = sp.Rational(7, 24), sp.Rational(3, 8)
 
         def force(theta_s, r_s):
-            return -self.grad(theta_s) - C * r_s / m
+            return -self.grad(theta_s) - C * r_s
 
-        th1 = th + c1 * eta * r / m
-        r1 = (r - c1 * eta * self.grad(th1)) / (1 + c1 * eta * C / m)
+        th1 = th + c1 * eta * r
+        r1 = (r - c1 * eta * self.grad(th1)) / (1 + c1 * eta * C)
         F1 = force(th1, r1)
 
-        th2 = th + sp.Rational(25, 24) * eta * r / m + eta**2 / 2 * F1 / m
+        th2 = th + sp.Rational(25, 24) * eta * r + eta**2 / 2 * F1
         r2 = (r + sp.Rational(2, 3) * eta * F1 - c2 * eta * self.grad(th2)) / (
-            1 + c2 * eta * C / m
+            1 + c2 * eta * C
         )
         F2 = force(th2, r2)
 
         th3 = (
             th
-            + eta * r / m
-            + sp.Rational(17, 36) * eta**2 * F1 / m
-            + sp.Rational(1, 36) * eta**2 * F2 / m
+            + eta * r
+            + sp.Rational(17, 36) * eta**2 * F1
+            + sp.Rational(1, 36) * eta**2 * F2
         )
         r3 = (
             r
             + sp.Rational(2, 3) * eta * F1
             - sp.Rational(2, 3) * eta * F2
             - eta * self.grad(th3)
-        ) / (1 + eta * C / m)
+        ) / (1 + eta * C)
 
         s2c = sp.sqrt(2 * C)
         th_new = (
             th3
-            + eta ** sp.Rational(3, 2) * s2c * (w1 / 2 + w2) / m
-            - eta ** sp.Rational(5, 2) / 6 * C * s2c * w1 / m**2
+            + eta ** sp.Rational(3, 2) * s2c * (w1 / 2 + w2)
+            - eta ** sp.Rational(5, 2) / 6 * C * s2c * w1
         )
         r_new = (
             r3
             + sp.sqrt(eta) * s2c * w1
-            - eta ** sp.Rational(3, 2) * C * s2c * (w1 / 2 + w2) / m
-            - eta ** sp.Rational(5, 2) / 6 * s2c * lam * w1 / m
-            + eta ** sp.Rational(5, 2) / 6 * C**2 * s2c * w1 / m**2
+            - eta ** sp.Rational(3, 2) * C * s2c * (w1 / 2 + w2)
+            - eta ** sp.Rational(5, 2) / 6 * s2c * lam * w1
+            + eta ** sp.Rational(5, 2) / 6 * C**2 * s2c * w1
         )
         return _f(r_new), _f(th_new)
 
@@ -295,8 +297,27 @@ def log_of_product_exp(A, B):
     return np.real(Z)
 
 
+def step(z, grad, spec, rng, hess=None):
+    """One step of whatever scheme the spec selects from the State z: the
+    single-step call `compile_step`, its noise drawn from `rng` one d-vector
+    at a time. MT3 needs the Hessian-vector provider `hess`; a non-finite
+    result raises DivergenceError."""
+    from hsde.core import State
+    from hsde.integrators import DivergenceError, Scheme, compile_step, noise_draws
+
+    if spec.scheme is Scheme.MT3 and hess is None:
+        raise ValueError("MT3 needs a Hessian-vector provider")
+    noise = [rng.normal(z.dim) for _ in range(noise_draws(spec.scheme))]
+    r, th = compile_step(spec)(z.r, z.theta, grad, hess, noise)
+    # NaN or +-inf anywhere makes the sum non-finite
+    if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
+        raise DivergenceError("non-finite state after step", r=r, theta=th,
+                              eta=spec.eta, scheme=spec.scheme)
+    return State(r=r, theta=th)
+
+
 def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
-    """One chain, one public `step()` per step and one `normal(d)` call per
+    """One chain, one `step()` per step and one `normal(d)` call per
     noise draw, with gradients from `Potential.gradient` / `hessian_vec`
     (times K on a mini-batch). With formulas set, each step is instead
     `reference_kernel`'s fresh-array expressions, checked for divergence
@@ -311,12 +332,15 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
     """
     from hsde import integrators
     from hsde.core import RngStream, State
-    from hsde.integrators import DivergenceError, Scheme, noise_draws, step
+    from hsde.integrators import DivergenceError, Scheme, noise_draws
 
+    d = P.dim
+    one_step = step
     if formulas:
-        kernel = reference_kernel(spec.scheme, spec.n_inner, integrators._constants(spec))
+        kernel = reference_kernel(spec.scheme, spec.n_inner,
+                                  integrators._constants(spec, d))
 
-        def step(z, grad, spec, rng, hess):
+        def one_step(z, grad, spec, rng, hess):
             noise = [rng.normal(z.dim) for _ in range(noise_draws(spec.scheme))]
             r, th = kernel(z.r, z.theta, grad, hess, noise)
             if not np.isfinite(float(np.sum(r)) + float(np.sum(th))):
@@ -324,13 +348,12 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
                                       eta=spec.eta, scheme=spec.scheme)
             return State(r=r, theta=th)
 
-    d = P.dim
     if isinstance(cfg.init, State):
         z = cfg.init
     else:
         init_rng = RngStream(cfg.seed, 4 * chain_index + 1)
         theta = P.sample_prior(init_rng)
-        z = State(r=spec.mass.sqrt_diag * init_rng.normal(d), theta=theta)
+        z = State(r=init_rng.normal(d), theta=theta)
     rng = RngStream(cfg.seed, 4 * chain_index)
     K = float(sched.n_batches)
     total = cfg.burn_in + cfg.n_samples * cfg.thinning
@@ -350,7 +373,7 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
             def hess(th, v, b=batch):
                 return K * P.hessian_vec(th, v, b)
         try:
-            z = step(z, grad, spec, rng, hess=hess)
+            z = one_step(z, grad, spec, rng, hess=hess)
         except DivergenceError as err:
             err.step_index = i
             err.partial = (np.array(thetas).reshape(-1, d),
@@ -643,36 +666,36 @@ def reference_checks_csv(path, checks) -> None:
 
 def reference_kernel(scheme, n_inner, k):
     """The stepper of every scheme over the constants k (as
-    `integrators._constants` builds them), with every product by M^-1 kept:
-    the formulas as they stood before unit factors were skipped."""
+    `integrators._constants` builds them), each step formula one expression
+    on fresh arrays."""
     from hsde.integrators import Scheme
 
     scheme = Scheme(scheme)
-    eta, half_eta, eta_C, C, inv = k["eta"], k["half_eta"], k["eta_C"], k["C"], k["inv"]
+    eta, half_eta, eta_C, C = k["eta"], k["half_eta"], k["eta_C"], k["C"]
 
     def det_leapfrog(r, th, grad):
-        th_half = th + half_eta * r * inv
+        th_half = th + half_eta * r
         r_new = r - eta * grad(th_half)
-        th_new = th_half + half_eta * r_new * inv
+        th_new = th_half + half_eta * r_new
         return r_new, th_new
 
     if scheme is Scheme.EULER:
         def stepper(r, th, grad, hess, noise):
-            th_new = th + eta * r * inv
-            r_new = r - eta_C * r * inv - eta * grad(th) + k["noise_std"] * noise[0]
+            th_new = th + eta * r
+            r_new = r - eta_C * r - eta * grad(th) + k["noise_std"] * noise[0]
             return r_new, th_new
     elif scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
         def stepper(r, th, grad, hess, noise):
-            th_half = th + half_eta * r * inv
-            r_new = (r - eta * grad(th_half) - eta_C * r * inv
+            th_half = th + half_eta * r
+            r_new = (r - eta * grad(th_half) - eta_C * r
                      + k["noise_std"] * noise[0])
-            th_new = th_half + half_eta * r_new * inv
+            th_new = th_half + half_eta * r_new
             return r_new, th_new
     elif scheme is Scheme.SPV:
         def stepper(r, th, grad, hess, noise):
-            th_half = th + half_eta * r * inv
+            th_half = th + half_eta * r
             r_new = k["decay"] * r - k["kick"] * grad(th_half) + k["noise_std"] * noise[0]
-            th_new = th_half + half_eta * r_new * inv
+            th_new = th_half + half_eta * r_new
             return r_new, th_new
     elif scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
         def stepper(r, th, grad, hess, noise):
@@ -686,29 +709,29 @@ def reference_kernel(scheme, n_inner, k):
             return k["decay"] * r + k["noise_std"] * noise[1], th
     else:
         def stepper(r, th, grad, hess, noise):
-            th1 = th + k["c1_eta"] * r * inv
+            th1 = th + k["c1_eta"] * r
             g1 = grad(th1)
             r1 = (r - k["c1_eta"] * g1) / k["den1"]
-            F1 = -g1 - C * r1 * inv
+            F1 = -g1 - C * r1
 
-            th2 = th + k["th2_r"] * r * inv + k["th2_f1"] * F1 * inv
+            th2 = th + k["th2_r"] * r + k["th2_f1"] * F1
             g2 = grad(th2)
             r2 = (r + k["r_f"] * F1 - k["c2_eta"] * g2) / k["den2"]
-            F2 = -g2 - C * r2 * inv
+            F2 = -g2 - C * r2
 
-            th3 = th + eta * r * inv + k["th3_f1"] * F1 * inv + k["th3_f2"] * F2 * inv
+            th3 = th + eta * r + k["th3_f1"] * F1 + k["th3_f2"] * F2
             g3 = grad(th3)
             r3 = (r + k["r_f"] * (F1 - F2) - eta * g3) / k["den3"]
 
             w1, w2 = noise
             mix = w1 * 0.5 + w2
-            th_new = th3 + k["amp_mix"] * mix * inv - k["amp_high_C"] * w1 * inv * inv
+            th_new = th3 + k["amp_mix"] * mix - k["amp_high_C"] * w1
             r_new = (
                 r3
                 + k["amp_r"] * w1
-                - k["amp_mix_C"] * mix * inv
-                - k["amp_high"] * hess(th3, w1 * inv)
-                + k["amp_high_CC"] * w1 * inv * inv
+                - k["amp_mix_C"] * mix
+                - k["amp_high"] * hess(th3, w1)
+                + k["amp_high_CC"] * w1
             )
             return r_new, th_new
     return stepper

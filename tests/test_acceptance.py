@@ -18,7 +18,7 @@ from click.testing import CliRunner
 from hsde import repro
 from hsde.chain import ChainConfig, run_chain
 from hsde.cli import main as cli_main
-from hsde.core import MassMatrix, RngStream
+from hsde.core import RngStream
 from hsde.geometry import (
     det_target_leapfrog,
     det_target_lie_trotter,
@@ -165,9 +165,8 @@ def test_07_quasi_symplecticity_identities():
     for model_name in ("lingauss", "logistic2d"):
         model = repro.build_model(model_name, 1)
         d = model.dim
-        mass = MassMatrix.identity(d)
-        lf_target = det_target_leapfrog(eta, friction, mass)
-        lt_target = det_target_lie_trotter(eta, friction, mass, n_inner)
+        lf_target = det_target_leapfrog(eta, friction, d)
+        lt_target = det_target_lie_trotter(eta, friction, d, n_inner)
         # 10 states, each r then theta, and each state's pinned draw from
         # its own stream
         z = RngStream(70, 0).normal(2 * d * 10).reshape(10, 2 * d)
@@ -176,7 +175,7 @@ def test_07_quasi_symplecticity_identities():
                 (Scheme.LEAPFROG, 1, lf_target, "lf"),
                 (Scheme.LIE_TROTTER, n_inner, lt_target, "lt")):
             spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
-                                  mass=mass, n_inner=n_in)
+                                  n_inner=n_in)
             J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
             rel = float(np.max(np.abs(np.linalg.det(J) - target))) / abs(target)
             if sink == "lf":
@@ -186,13 +185,12 @@ def test_07_quasi_symplecticity_identities():
 
     # frictionless limit: the structure residual separates the schemes
     model = repro.build_model("lingauss", 1)
-    mass = MassMatrix.identity(model.dim)
     z = np.concatenate([RngStream(71, 0).normal(model.dim),
                         RngStream(71, 1).normal(model.dim)])[None]
     noise = [RngStream(71, 2).normal(model.dim)[None]]
     resid = {}
     for scheme in (Scheme.EULER, Scheme.LEAPFROG):
-        spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0, mass=mass)
+        spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0)
         J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
         resid[scheme] = symplectic_residual(J[0])
     ratio = resid[Scheme.EULER] / max(resid[Scheme.LEAPFROG], 1e-300)
@@ -210,8 +208,7 @@ def test_08_hmc_equals_lie_trotter_and_inner_count_free_slopes():
     model = repro.sweep_model(1)
     traces = {}
     for scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=2.5,
-                              mass=MassMatrix.identity(4), n_inner=5)
+        spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=2.5, n_inner=5)
         cfg = ChainConfig(n_samples=2000, burn_in=200, thinning=1, seed=31)
         traces[scheme] = run_chain(model, spec, "full", cfg)
     same = (np.array_equal(traces[Scheme.LIE_TROTTER].thetas,
@@ -238,8 +235,7 @@ def test_08_hmc_equals_lie_trotter_and_inner_count_free_slopes():
 def test_09_stationary_momentum_variance():
     t0 = time.perf_counter()
     model = repro.sweep_model(1)
-    spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.005, friction=5.0,
-                          mass=MassMatrix.identity(4))
+    spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.005, friction=5.0)
     cfg = ChainConfig(n_samples=100_000, burn_in=2000, thinning=1, seed=909)
     trace = run_chain(model, spec, "full", cfg)
     r = trace.momenta

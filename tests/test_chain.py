@@ -16,7 +16,7 @@ from hsde.chain import (
     run_states,
     save_trace,
 )
-from hsde.core import MassMatrix, RngStream, State
+from hsde.core import RngStream, State
 from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
 from hsde.potentials import LinearGaussian
 from hsde.repro import build_model
@@ -39,8 +39,7 @@ def lingauss2():
 
 
 def spec_for(P, scheme=Scheme.LEAPFROG, eta=0.01, C=2.0, **kw):
-    return IntegratorSpec(scheme, eta=eta, friction=C,
-                          mass=MassMatrix.identity(P.dim), **kw)
+    return IntegratorSpec(scheme, eta=eta, friction=C, **kw)
 
 
 class TestRunChain:
@@ -104,7 +103,7 @@ class TestRunChain:
 
     def test_eta_zero_rejected(self):
         P = toy_twin()
-        spec = IntegratorSpec(Scheme.LEAPFROG, 0.0, 2.0, MassMatrix.identity(1))
+        spec = IntegratorSpec(Scheme.LEAPFROG, 0.0, 2.0)
         with pytest.raises(ValueError):
             run_chain(P, spec, "full", ChainConfig(n_samples=1, seed=0))
 
@@ -129,26 +128,33 @@ def dense_lingauss(n_rows=32, dim=5, n_batches=4):
                           n_batches=n_batches)
 
 
-# mixed step sizes, seeds and chain indices, as a sweep ensemble has them
+# mixed step sizes, seeds and chain indices, as a sweep ensemble has them,
+# and mixed frictions and SGHMC v_hat, each row with its own step constants
 ETAS = (0.05, 0.12, 0.08, 0.2, 0.1)
 SEEDS = (11, 11, 12, 13, 11)
 INDICES = (0, 1, 0, 2, 3)
+FRICTIONS = (2.0, 1.5, 2.5, 1.0, 3.0)
+V_HATS = (0.5, 0.2, 0.8, 0.0, 0.4)
 
 
 class Case:
     """R chains on one potential, each in its batch mode; the reference loop
-    builds a chain's schedule from its stream key as the runner does."""
+    builds a chain's schedule from its stream key as the runner does. Chain
+    c's friction and SGHMC v_hat are FRICTIONS[c] and V_HATS[c] (cycled),
+    or C and 0.5 for every chain where C is given."""
 
     def __init__(self, P, scheme, modes, etas=ETAS, seeds=SEEDS, indices=INDICES,
-                 burn_in=31, n_samples=8, thinning=5, C=2.0, inits=None):
+                 burn_in=31, n_samples=8, thinning=5, C=None, inits=None):
         R = len(etas)
         self.P = P
         self.modes = modes if isinstance(modes, tuple) else (modes,) * R
         multi = scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
+        frictions, v_hats = (FRICTIONS, V_HATS) if C is None else ((C,), (0.5,))
         self.specs = [IntegratorSpec(
-            scheme, eta=eta, friction=C, mass=MassMatrix.identity(P.dim),
+            scheme, eta=eta, friction=frictions[c % len(frictions)],
             n_inner=2 if multi else 1,
-            v_hat=0.5 if scheme is Scheme.SGHMC else 0.0) for eta in etas]
+            v_hat=v_hats[c % len(v_hats)] if scheme is Scheme.SGHMC else 0.0)
+            for c, eta in enumerate(etas)]
         inits = inits or ["prior"] * R
         self.cfgs = [ChainConfig(n_samples=n_samples, burn_in=burn_in,
                                  thinning=thinning, seed=seed, init=init)

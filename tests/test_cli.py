@@ -132,6 +132,8 @@ class TestSample:
         (["-C", "inf"], "finite friction > 0"),
         (["-C", "nan"], "finite friction > 0"),
         (["--mode", "iid", "-C", "inf"], "finite friction > 0"),
+        (["-C", "1e155"], "no exact kernel at friction"),
+        (["--mode", "perm", "--K", "2", "-C", "1e300"], "no exact kernel at friction"),
     ])
     def test_exact_kernel_refuses_before_running(self, runner, tmp_path, args, message):
         out = tmp_path / "x"
@@ -140,6 +142,16 @@ class TestSample:
         assert result.exit_code == 2
         assert message in result.output
         assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("friction", ["2e4", "1e6", "1e10"])
+    def test_exact_kernel_runs_strongly_overdamped(self, runner, tmp_path, friction):
+        # cosh(q eta) overflows here, the transition does not: no warning,
+        # a finite trace and exit 0
+        out = tmp_path / "x"
+        run_ok(runner, ["sample", "--model", "toy", "--scheme", "exact", "-C", friction,
+                        "--eta", "0.1", "--n", "5", "--burn-in", "5", "--out", str(out)])
+        rows = np.loadtxt(out / "trace.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (5, 4) and np.all(np.isfinite(rows))
 
     @pytest.mark.parametrize("args", [["--nl", "0"], ["--nl", "3"], ["--vhat", "nan"],
                                       ["--vhat", "0.5"], ["--vhat", "nan", "--nl", "0"]])
@@ -520,9 +532,10 @@ class TestToy:
         assert not os.path.exists(tmp_path / "x" / "summary.csv")
 
 
-# sha256 of each CSV of two exact-kernel runs; the toy_*_ks goldens
-# (tolerance 1e-6) cannot see a last-bit drift of the kernel tables
-FROZEN_EXACT_CSVS = [
+# sha256 of each CSV of a few runs. The toy_*_ks goldens (tolerance 1e-6)
+# cannot see a last-bit drift of the exact kernel tables, and no golden at
+# all sees one of an integrator step or a det_target formula
+FROZEN_CSVS = [
     (["toy", "--n", "2000", "--seed", "3"], {
         "hist_full.csv": "41ff7d6991b520c832cb5fba1ecbc74cd1191fbdecd032dd289e7193211648e8",
         "hist_minibatch.csv": "a170d465024ceba58e8491c4072e341947cf1f7e3a4f2292e20d2cfcf08f2d4e",
@@ -530,11 +543,29 @@ FROZEN_EXACT_CSVS = [
     (["sample", "--model", "toy", "--scheme", "exact", "--mode", "perm", "--K", "2",
       "-C", "3.5", "--n", "500", "--seed", "5"], {
         "trace.csv": "14e5dc057e8af15860a1f309a4614a06189c0d9c8356adafee62553679e0de21"}),
+    (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "8", "--mode", "perm",
+      "--n", "300"], {
+        "trace.csv": "0e8853f3bac8d5af8b2e39c902d573d816109a3e2952051887d1b13f724639b1"}),
+    (["sample", "--model", "logistic2d", "--scheme", "spv", "--n", "300"], {
+        "trace.csv": "77be765dbfc302dc46100f1052b33dd005e81df5c741ae05c4a286cb65167518"}),
+    (["sample", "--model", "toy", "--scheme", "hmc", "--nl", "5", "--K", "2", "--mode", "iid",
+      "--n", "300"], {
+        "trace.csv": "fd40872c54709f1f2681d4bc38b03c867b70564a65742f37c9908a1991fded54"}),
+    (["sweep", "--scheme", "euler", "--scheme", "symmetric", "--scheme", "sghmc",
+      "--vhat", "0.5", "--K", "4", "--mode", "iid", "--n", "200", "--burn-in", "200"], {
+        "slopes.csv": "534d7023e171f244bb42ff433081daf66fcf8277e37464eb225a356c327c38c3",
+        "summary.csv": "88c974c4fcececfad590e2d40469497fb415f5c9959bdcbd92d65bea442e3282"}),
+    (["geom", "--scheme", "lie-trotter", "--nl", "3", "--states", "20"], {
+        "summary.csv": "fb4a3626f9aa03b7418b9e67df6801c01ada37443d5ec9c3e6d780ab1028cbad"}),
+    (["geom", "--scheme", "leapfrog", "--states", "20"], {
+        "summary.csv": "a883a41faecec391a8f44ee8daef8cc89cbccc99ae1b59bd1b2cea3bfadb16a4"}),
 ]
 
 
-@pytest.mark.parametrize("args, digests", FROZEN_EXACT_CSVS, ids=["toy", "sample-perm"])
-def test_exact_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
+@pytest.mark.parametrize("args, digests", FROZEN_CSVS, ids=[
+    "toy", "sample-perm", "sample-mt3", "sample-spv-logistic", "sample-hmc",
+    "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog"])
+def test_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
     run_ok(runner, args + ["--out", str(tmp_path)])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}
@@ -740,7 +771,7 @@ class TestGeom:
     def test_csv_matches_the_per_state_loop(self, runner, tmp_path, monkeypatch,
                                             scheme, model):
         from hsde import cli, repro
-        from hsde.core import MassMatrix, format_float
+        from hsde.core import format_float
         from hsde.integrators import IntegratorSpec
 
         from .oracles import reference_geom_states
@@ -754,8 +785,7 @@ class TestGeom:
                         "--eta", "0.15", "-C", "1.1", "--states", "7", "--seed", "3",
                         "--out", str(out)])
         assert calls == [3 * 4 * d, 3 * 4 * d, 4 * d]
-        spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=1.1,
-                              mass=MassMatrix.identity(d), n_inner=2)
+        spec = IntegratorSpec(scheme=scheme, eta=0.15, friction=1.1, n_inner=2)
         want = reference_geom_states(spec, potential, 3, 7)
         rows = [line.split(",") for line in (out / "summary.csv").read_text().splitlines()[1:]]
         assert [(row[3], row[6]) for row in rows] == [

@@ -1,4 +1,4 @@
-"""Tests for state containers, mass matrix handling, and the RNG stream."""
+"""Tests for state containers, the CSV writer and the RNG stream."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsde.core import (
-    MassMatrix,
     RngStream,
     State,
     as_vector,
@@ -69,26 +68,6 @@ class TestState:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             State(r=np.array([np.nan]), theta=np.array([0.0]))
-
-
-class TestMassMatrix:
-    def test_identity(self):
-        M = MassMatrix.identity(3)
-        assert M.is_identity()
-        np.testing.assert_array_equal(M.diag, np.ones(3))
-        np.testing.assert_array_equal(M.inv_diag, np.ones(3))
-
-    def test_inverse_and_sqrt(self):
-        M = MassMatrix(diag=np.array([4.0, 0.25]))
-        np.testing.assert_allclose(M.inv_diag, [0.25, 4.0])
-        np.testing.assert_allclose(M.sqrt_diag, [2.0, 0.5])
-        assert not M.is_identity()
-
-    def test_nonpositive_rejected(self):
-        with pytest.raises(ValueError):
-            MassMatrix(diag=np.array([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            MassMatrix(diag=np.array([-1.0]))
 
 
 def test_as_vector_validates():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from hsde.core import MassMatrix, RngStream, State
+from hsde.core import RngStream, State
 from hsde.geometry import (
     det_target_leapfrog,
     det_target_lie_trotter,
@@ -28,15 +28,9 @@ def quad_hess(theta, v):
     return v
 
 
-def make_spec(scheme, d, eta=0.1, friction=1.7, n_inner=1):
-    # the inner-loop-with-momentum-resample scheme requires unit mass
-    if scheme is Scheme.HMC_PARTIAL:
-        mass = MassMatrix.identity(d)
-    else:
-        mass = MassMatrix(np.linspace(1.0, 2.0, d))
+def make_spec(scheme, eta=0.1, friction=1.7, n_inner=1):
     n_inner = n_inner if scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL) else 1
-    return IntegratorSpec(scheme=scheme, eta=eta, friction=friction, mass=mass,
-                          n_inner=n_inner)
+    return IntegratorSpec(scheme=scheme, eta=eta, friction=friction, n_inner=n_inner)
 
 
 def logistic_model():
@@ -53,17 +47,17 @@ def lingauss_model():
     return LinearGaussian(X, y, noise_var=0.7, prior_var=1.5)
 
 
-def leapfrog_affine_block(eta, friction, m):
+def leapfrog_affine_block(eta, friction):
     """Hand-derived single-coordinate Jacobian of one velocity-verlet step
     on U = theta^2/2: theta* = theta + a r, r' = r(1-X) - eta theta,
-    theta' = theta(1 - a eta) + a(2-X) r, with a = eta/2m, X = eta^2/2m + eta C/m."""
-    a = eta / (2.0 * m)
-    X = eta**2 / (2.0 * m) + eta * friction / m
+    theta' = theta(1 - a eta) + a(2-X) r, with a = eta/2, X = eta^2/2 + eta C."""
+    a = eta / 2.0
+    X = eta**2 / 2.0 + eta * friction
     return np.array([[1.0 - X, -eta], [a * (2.0 - X), 1.0 - a * eta]])
 
 
-def euler_affine_block(eta, friction, m):
-    return np.array([[1.0 - eta * friction / m, -eta], [eta / m, 1.0]])
+def euler_affine_block(eta, friction):
+    return np.array([[1.0 - eta * friction, -eta], [eta, 1.0]])
 
 
 def assemble_blocks(blocks):
@@ -91,7 +85,7 @@ def jac(spec, grad, rng, z0, hess=None, eps=1e-5):
 
 class TestFrozenStep:
     def test_repeat_calls_bitwise_identical(self):
-        spec = make_spec(Scheme.LEAPFROG, 2)
+        spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
         J1 = jac(spec, quad_grad, RngStream(0, 0), z0)
         J2 = jac(spec, quad_grad, RngStream(0, 0), z0)
@@ -99,7 +93,7 @@ class TestFrozenStep:
 
     def test_different_noise_same_jacobian(self):
         # additive noise shifts the map but never its linearization
-        spec = make_spec(Scheme.LEAPFROG, 2)
+        spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
         na, nb = pinned(spec, RngStream(0, 0), 2), pinned(spec, RngStream(99, 0), 2)
         step = compile_step(spec)
@@ -110,7 +104,7 @@ class TestFrozenStep:
         np.testing.assert_allclose(Ja, Jb, atol=1e-9)
 
     def test_nonfinite_output_raises(self):
-        spec = make_spec(Scheme.LEAPFROG, 1)
+        spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.0]), theta=np.array([1.0]))
         bad_grad = lambda th: th * np.inf
         with pytest.raises(DivergenceError, match="scheme=leapfrog eta=0.1"):
@@ -128,14 +122,14 @@ class TestFrozenStep:
     ])
     def test_rejects_wrong_draw_count_or_shape(self, scheme, noise):
         with pytest.raises(ValueError, match="noise draws"):
-            jacobian_fd(make_spec(scheme, 2), quad_grad, quad_hess, np.zeros((1, 4)), noise)
+            jacobian_fd(make_spec(scheme), quad_grad, quad_hess, np.zeros((1, 4)), noise)
 
     def test_pins_the_draws_a_step_takes(self):
         # every point of the difference is stepped with the state's draws:
         # on a nonquadratic potential the draws move the Jacobian, and it
         # equals the one built column by column from steps with those draws
         model = logistic_model()
-        spec = make_spec(Scheme.SYMMETRIC, 2)
+        spec = make_spec(Scheme.SYMMETRIC)
         z = np.array([[0.3, -0.1, 1.0, 0.5]])
         noise = pinned(spec, RngStream(5, 0), 2)
         J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)[0]
@@ -157,7 +151,7 @@ class TestJacobianFd:
     def test_identity_at_zero_step(self):
         z0 = State(r=np.array([0.4, -1.2]), theta=np.array([0.9, 0.1]))
         for scheme in ALL_SCHEMES:
-            spec = make_spec(scheme, 2, eta=0.0)
+            spec = make_spec(scheme, eta=0.0)
             J = jac(spec, quad_grad, RngStream(1, 0), z0, hess=quad_hess)
             np.testing.assert_allclose(J, np.eye(4), atol=1e-8, err_msg=str(scheme))
 
@@ -167,16 +161,14 @@ class TestJacobianFd:
     ])
     def test_matches_hand_affine_coefficients(self, scheme, block_fn):
         eta, friction = 0.23, 1.7
-        masses = [1.0, 2.0]
-        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
-                              mass=MassMatrix(masses))
+        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction)
         z0 = State(r=np.array([0.7, -0.2]), theta=np.array([-0.9, 0.4]))
         J = jac(spec, quad_grad, RngStream(2, 0), z0)
-        want = assemble_blocks([block_fn(eta, friction, m) for m in masses])
+        want = assemble_blocks([block_fn(eta, friction)] * 2)
         np.testing.assert_allclose(J, want, atol=1e-6)
 
     def test_eps_bounds_enforced(self):
-        spec = make_spec(Scheme.LEAPFROG, 1)
+        spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.0]), theta=np.array([0.0]))
         with pytest.raises(ValueError):
             jac(spec, quad_grad, RngStream(0, 0), z0, eps=1e-8)
@@ -197,7 +189,7 @@ class TestJacobianFd:
         for name, (grad, hess, d) in models.items():
             z0 = State(r=rng.normal(size=d) * 0.3, theta=rng.normal(size=d) * 0.3)
             for scheme in ALL_SCHEMES:
-                spec = make_spec(scheme, d, eta=0.1, n_inner=2)
+                spec = make_spec(scheme, eta=0.1, n_inner=2)
                 J1 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=1e-5)
                 J2 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=5e-6)
                 assert np.abs(J1 - J2).max() < 1e-5, f"{name}/{scheme}"
@@ -205,15 +197,19 @@ class TestJacobianFd:
 
 class TestDeterminantTargets:
     def test_leapfrog_reference_value(self):
-        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=2.0,
-                              mass=MassMatrix.identity(2))
+        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=2.0)
         z0 = State(r=np.array([0.2, -0.4]), theta=np.array([0.6, 1.1]))
         J = jac(spec, quad_grad, RngStream(4, 0), z0)
-        assert det_target_leapfrog(0.1, 2.0, spec.mass) == pytest.approx(0.64)
-        assert abs(np.linalg.det(J) - det_target_leapfrog(0.1, 2.0, spec.mass)) < 1e-6
+        assert det_target_leapfrog(0.1, 2.0, 2) == pytest.approx(0.64)
+        assert abs(np.linalg.det(J) - det_target_leapfrog(0.1, 2.0, 2)) < 1e-6
+
+    def test_leapfrog_target_is_the_dth_power(self):
+        for d in (1, 3, 7):
+            assert det_target_leapfrog(0.13, 1.9, d) == pytest.approx(
+                (1.0 - 0.13 * 1.9) ** d, rel=1e-14)
 
     def test_leapfrog_frictionless_target_is_one(self):
-        assert det_target_leapfrog(0.3, 0.0, MassMatrix(np.array([2.0, 0.5]))) == 1.0
+        assert det_target_leapfrog(0.3, 0.0, 2) == 1.0
 
     @pytest.mark.parametrize("model", ["quad", "logistic"])
     def test_leapfrog_det_independent_of_state(self, model):
@@ -224,9 +220,8 @@ class TestDeterminantTargets:
             lo = logistic_model()
             grad = lo.gradient_many
             d = 2
-        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.12, friction=1.1,
-                              mass=MassMatrix(np.array([1.0, 1.6])))
-        target = det_target_leapfrog(0.12, 1.1, spec.mass)
+        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.12, friction=1.1)
+        target = det_target_leapfrog(0.12, 1.1, d)
         rng = np.random.default_rng(11)
         for _ in range(10):
             z0 = State(r=rng.normal(size=d), theta=rng.normal(size=d))
@@ -234,34 +229,29 @@ class TestDeterminantTargets:
             assert abs(np.linalg.det(J) - target) < 1e-6
 
     def test_lie_trotter_reference_value(self):
-        mass = MassMatrix.identity(1)
-        spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.1, friction=2.0,
-                              mass=mass, n_inner=1)
+        spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.1, friction=2.0, n_inner=1)
         z0 = State(r=np.array([0.5]), theta=np.array([-0.3]))
         J = jac(spec, quad_grad, RngStream(6, 0), z0)
-        assert det_target_lie_trotter(0.1, 2.0, mass, 1) == pytest.approx(
+        assert det_target_lie_trotter(0.1, 2.0, 1, 1) == pytest.approx(
             np.exp(-0.2), rel=1e-12)
-        assert abs(np.linalg.det(J) - det_target_lie_trotter(0.1, 2.0, mass, 1)) < 1e-6
+        assert abs(np.linalg.det(J) - det_target_lie_trotter(0.1, 2.0, 1, 1)) < 1e-6
 
     def test_lie_trotter_multi_inner(self):
-        mass = MassMatrix(np.array([1.0, 2.0]))
-        spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.05, friction=1.5,
-                              mass=mass, n_inner=3)
+        spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.05, friction=1.5, n_inner=3)
         z0 = State(r=np.array([0.2, 0.1]), theta=np.array([0.4, -0.6]))
         J = jac(spec, quad_grad, RngStream(7, 0), z0)
-        assert abs(np.linalg.det(J) - det_target_lie_trotter(0.05, 1.5, mass, 3)) < 1e-6
+        assert abs(np.linalg.det(J) - det_target_lie_trotter(0.05, 1.5, 2, 3)) < 1e-6
 
     def test_lie_trotter_frictionless_target_is_one(self):
-        assert det_target_lie_trotter(0.3, 0.0, MassMatrix.identity(3), 5) == 1.0
+        assert det_target_lie_trotter(0.3, 0.0, 3, 5) == 1.0
 
     def test_lie_trotter_target_matches_exact_flow_contraction(self):
         # over simulated time t = n_inner*eta the exact dynamics contract
-        # phase volume by exp(-C tr(M^-1) t); the inner-loop target equals it
-        mass = MassMatrix(np.array([1.3, 0.7, 2.2]))
-        eta, friction, n_inner = 0.08, 1.9, 4
+        # phase volume by exp(-C d t); the inner-loop target equals it
+        d, eta, friction, n_inner = 3, 0.08, 1.9, 4
         t = n_inner * eta
-        flow = np.exp(-friction * float(np.sum(mass.inv_diag)) * t)
-        got = det_target_lie_trotter(eta, friction, mass, n_inner)
+        flow = np.exp(-friction * d * t)
+        got = det_target_lie_trotter(eta, friction, d, n_inner)
         assert got == pytest.approx(flow, rel=1e-14)
 
     def test_rejects_odd_jacobian(self):
@@ -276,14 +266,12 @@ class TestSymplecticResidual:
         np.testing.assert_array_equal(form.T, -form)
 
     def test_frictionless_leapfrog_is_symplectic(self):
-        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=0.0,
-                              mass=MassMatrix(np.array([1.0, 1.7])))
+        spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=0.0)
         z0 = State(r=np.array([0.4, -0.2]), theta=np.array([0.8, 0.3]))
         assert symplectic_residual(jac(spec, quad_grad, RngStream(8, 0), z0)) < 1e-8
 
     def test_frictionless_explicit_step_is_not(self):
-        spec = IntegratorSpec(scheme=Scheme.EULER, eta=0.1, friction=0.0,
-                              mass=MassMatrix.identity(1))
+        spec = IntegratorSpec(scheme=Scheme.EULER, eta=0.1, friction=0.0)
         z0 = State(r=np.array([0.4]), theta=np.array([0.8]))
         res = symplectic_residual(jac(spec, quad_grad, RngStream(9, 0), z0))
         # for the 1-d quadratic the defect is exactly eta^2
@@ -294,8 +282,7 @@ class TestSymplecticResidual:
         z0 = State(r=np.array([0.4, 0.1]), theta=np.array([0.8, -0.5]))
         residuals = {}
         for scheme in (Scheme.EULER, Scheme.LEAPFROG):
-            spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0,
-                                  mass=MassMatrix.identity(2))
+            spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0)
             residuals[scheme] = symplectic_residual(jac(spec, quad_grad, RngStream(10, 0), z0))
         assert residuals[Scheme.EULER] > 10 * residuals[Scheme.LEAPFROG]
 
@@ -303,8 +290,7 @@ class TestSymplecticResidual:
         z0 = State(r=np.array([0.4]), theta=np.array([0.8]))
         res = []
         for friction in (1.0, 0.1, 0.01):
-            spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1,
-                                  friction=friction, mass=MassMatrix.identity(1))
+            spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=friction)
             res.append(symplectic_residual(jac(spec, quad_grad, RngStream(11, 0), z0)))
         assert res[0] > res[1] > res[2]
 
@@ -334,18 +320,13 @@ def probe_stack(spec, potential, seed, states):
 
 
 class TestProbeStack:
-    # the partial-refresh scheme takes unit mass only
-    @pytest.mark.parametrize("scheme, model, unit_mass", [
-        pytest.param(s, m, unit, id=f"{s.value}-{m}-{'unit' if unit else 'mass'}")
-        for s in GEOM_SCHEMES for m in GEOM_MODELS for unit in (True, False)
-        if unit or s is not Scheme.HMC_PARTIAL])
-    def test_stacks_match_the_per_state_loop(self, scheme, model, unit_mass):
+    # a frictionless step takes the OU schemes' zero-decay branches
+    @pytest.mark.parametrize("scheme, model, friction", [
+        pytest.param(s, m, C, id=f"{s.value}-{m}-C{C}")
+        for s in GEOM_SCHEMES for m in GEOM_MODELS for C in (1.3, 0.0)])
+    def test_stacks_match_the_per_state_loop(self, scheme, model, friction):
         potential = repro.build_model(model, 1)
-        d = potential.dim
-        mass = (MassMatrix.identity(d) if unit_mass
-                else MassMatrix(np.linspace(0.6, 1.9, d) if d > 1 else [1.7]))
-        spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=1.3, mass=mass,
-                              n_inner=2)
+        spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=friction, n_inner=2)
         z, noise = probe_stack(spec, potential, seed=3, states=7)
         grad, hess = potential.gradient_many, potential.hessian_vec_many
         # one stack of four states and one of three, as two passes would run
@@ -356,7 +337,7 @@ class TestProbeStack:
 
     def test_single_state_is_the_stack_of_one(self):
         potential = repro.build_model("logistic2d", 1)
-        spec = make_spec(Scheme.MT3, potential.dim)
+        spec = make_spec(Scheme.MT3)
         z, noise = probe_stack(spec, potential, seed=5, states=4)
         grad, hess = potential.gradient_many, potential.hessian_vec_many
         J = jacobian_fd(spec, grad, hess, z, noise)
@@ -377,7 +358,7 @@ class TestProbeStack:
 
     def test_rejects_mismatched_stacks(self):
         potential = repro.build_model("lingauss", 1)
-        spec = make_spec(Scheme.LEAPFROG, potential.dim)
+        spec = make_spec(Scheme.LEAPFROG)
         z, noise = probe_stack(spec, potential, seed=1, states=3)
         grad, hess = potential.gradient_many, potential.hessian_vec_many
         with pytest.raises(ValueError, match="noise draws"):
@@ -385,6 +366,16 @@ class TestProbeStack:
         for bad in (z[:, :-1], z[0], z[:0], z[None]):
             with pytest.raises(ValueError, match="probe states"):
                 jacobian_fd(spec, grad, hess, bad, noise)
+
+    def test_rejects_odd_width_or_empty_states(self):
+        # d is read from z: an odd or zero width has no (r, theta) split
+        spec = make_spec(Scheme.LEAPFROG)
+        for bad in (np.zeros((2, 3)), np.zeros((1, 1)), np.zeros((2, 0)), np.zeros((0, 4))):
+            with pytest.raises(ValueError, match="probe states"):
+                jacobian_fd(spec, quad_grad, quad_hess, bad, [np.zeros((len(bad), 2))])
+        # an even width sets d, and the draws must match it
+        with pytest.raises(ValueError, match=r"noise draws of shape \(1, 3\)"):
+            jacobian_fd(spec, quad_grad, quad_hess, np.zeros((1, 6)), [np.zeros((1, 2))])
 
     def test_residual_rejects_odd_stacks(self):
         with pytest.raises(ValueError):

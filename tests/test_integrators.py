@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsde.core import MassMatrix, RngStream, State
+from hsde.core import RngStream, State
 from hsde import integrators as integrators_module
 from hsde.integrators import (
     DivergenceError,
@@ -16,10 +16,9 @@ from hsde.integrators import (
     compile_ensemble_step,
     compile_step,
     noise_draws,
-    step,
 )
 
-from .oracles import QuadOracle, reference_kernel
+from .oracles import QuadOracle, reference_kernel, step
 
 
 class QueuedRng:
@@ -40,13 +39,13 @@ class QueuedRng:
 
 
 # shared scalar test point, deliberately non-special values
-LAM, CEN, ETA, FRIC, MASS = 1.3, 0.4, 0.23, 1.7, 2.0
+LAM, CEN, ETA, FRIC = 1.3, 0.4, 0.23, 1.7
 R0, TH0 = 0.7, -0.9
 W0, W1 = 0.37, -1.2
 
 
-def scalar_spec(scheme, eta=ETA, C=FRIC, m=MASS, **kw):
-    return IntegratorSpec(scheme, eta=eta, friction=C, mass=MassMatrix(np.array([m])), **kw)
+def scalar_spec(scheme, eta=ETA, C=FRIC, **kw):
+    return IntegratorSpec(scheme, eta=eta, friction=C, **kw)
 
 
 def quad_grad(lam=LAM, cen=CEN):
@@ -57,11 +56,11 @@ def quad_hess(lam=LAM):
     return lambda th, v: lam * v
 
 
-def spv_momentum(r, f, eta, friction, mass, rng):
+def spv_momentum(r, f, eta, friction, rng):
     """The momentum of one SPV step under the constant force f: the exact
-    OU update of dr = -f dt - C M^-1 r dt + sqrt(2C) dW over time eta."""
+    OU update of dr = -f dt - C r dt + sqrt(2C) dW over time eta."""
     r = np.asarray(r, dtype=np.float64)
-    spec = IntegratorSpec(Scheme.SPV, eta=eta, friction=friction, mass=mass)
+    spec = IntegratorSpec(Scheme.SPV, eta=eta, friction=friction)
     return step(State(r=r, theta=np.zeros_like(r)), lambda th: f, spec, rng).r
 
 
@@ -77,8 +76,8 @@ def run_scalar(scheme, draws, **kw):
 class TestOracleAgreement:
     """Each scheme must reproduce the exact-arithmetic reference step."""
 
-    def oracle(self, eta=ETA, C=FRIC, m=MASS):
-        return QuadOracle(LAM, CEN, eta, C, m)
+    def oracle(self, eta=ETA, C=FRIC):
+        return QuadOracle(LAM, CEN, eta, C)
 
     def check(self, got, want):
         assert got[0] == pytest.approx(want[0], rel=1e-13, abs=1e-14)
@@ -109,8 +108,8 @@ class TestOracleAgreement:
         )
 
     def test_hmc_partial(self):
-        got = run_scalar(Scheme.HMC_PARTIAL, [[W0]], m=1.0, n_inner=2)
-        want = self.oracle(m=1.0).lie_trotter(R0, TH0, W0, n_inner=2)
+        got = run_scalar(Scheme.HMC_PARTIAL, [[W0]], n_inner=2)
+        want = self.oracle().lie_trotter(R0, TH0, W0, n_inner=2)
         self.check(got, want)
 
     def test_symmetric(self):
@@ -126,12 +125,9 @@ class TestOracleAgreement:
 
     def test_ou_exact(self):
         rng = QueuedRng([[W0]])
-        got = spv_momentum(
-            np.array([R0]), np.array([0.55]), ETA, FRIC, MassMatrix(np.array([MASS])),
-            rng,
-        )
+        got = spv_momentum(np.array([R0]), np.array([0.55]), ETA, FRIC, rng)
         assert rng.exhausted()
-        want = QuadOracle(0, 0, ETA, FRIC, MASS).ou_exact(R0, 0.55, W0)
+        want = QuadOracle(0, 0, ETA, FRIC).ou_exact(R0, 0.55, W0)
         assert got[0] == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize(
@@ -145,16 +141,15 @@ class TestOracleAgreement:
             (Scheme.MT3, 2),
         ],
     )
-    def test_elementwise_over_diagonal_mass(self, scheme, n_draws):
+    def test_elementwise_over_coordinates(self, scheme, n_draws):
         # a separable quadratic in d=3 must behave as three scalar problems
         lam = np.array([0.5, 1.3, 2.2])
         cen = np.array([0.0, 0.4, -1.0])
-        mass = np.array([1.0, 2.0, 0.5])
         r0 = np.array([0.7, -0.2, 1.1])
         th0 = np.array([-0.9, 0.3, 0.05])
         draws = [np.array([0.37, -1.2, 0.8]), np.array([0.15, 0.9, -0.4])][:n_draws]
 
-        spec = IntegratorSpec(scheme, eta=ETA, friction=FRIC, mass=MassMatrix(mass))
+        spec = IntegratorSpec(scheme, eta=ETA, friction=FRIC)
         z = State(r=r0, theta=th0)
         grad = lambda th: lam * (th - cen)
         hess = lambda th, v: lam * v
@@ -163,7 +158,7 @@ class TestOracleAgreement:
         assert rng.exhausted()
 
         for i in range(3):
-            oracle = QuadOracle(lam[i], cen[i], ETA, FRIC, mass[i])
+            oracle = QuadOracle(lam[i], cen[i], ETA, FRIC)
             method = {
                 Scheme.EULER: "euler",
                 Scheme.LEAPFROG: "leapfrog",
@@ -183,9 +178,7 @@ class TestNoiseContract:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_every_draw_moves_the_step(self, scheme):
-        mass = MassMatrix(np.array([1.0, 1.0] if scheme is Scheme.HMC_PARTIAL
-                                   else [1.5, 0.8]))
-        spec = IntegratorSpec(scheme, eta=ETA, friction=FRIC, mass=mass, n_inner=2,
+        spec = IntegratorSpec(scheme, eta=ETA, friction=FRIC, n_inner=2,
                               v_hat=0.4 if scheme is Scheme.SGHMC else 0.0)
         stepper = compile_step(spec)
         r0, th0 = np.array([R0, -0.2]), np.array([TH0, 0.6])
@@ -203,8 +196,7 @@ class TestNoiseContract:
 class TestIdentitiesAndReductions:
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_zero_step_is_identity(self, scheme):
-        m = 1.0 if scheme is Scheme.HMC_PARTIAL else 2.0
-        spec = scalar_spec(scheme, eta=0.0, m=m)
+        spec = scalar_spec(scheme, eta=0.0)
         z = State(r=np.array([R0]), theta=np.array([TH0]))
         rng = RngStream(0, 0)
         out = step(z, quad_grad(), spec, rng, hess=quad_hess())
@@ -222,22 +214,22 @@ class TestIdentitiesAndReductions:
 
     @pytest.mark.parametrize("scheme", [Scheme.EULER, Scheme.LEAPFROG])
     def test_free_flight(self, scheme):
-        spec = scalar_spec(scheme, C=0.0, m=2.0, eta=0.4)
+        spec = scalar_spec(scheme, C=0.0, eta=0.4)
         z = State(r=np.array([1.5]), theta=np.array([2.0]))
         out = step(z, lambda th: np.zeros_like(th), spec, QueuedRng([[0.0]]))
-        assert out.theta[0] == pytest.approx(2.0 + 0.4 * 1.5 / 2.0, rel=1e-15)
+        assert out.theta[0] == pytest.approx(2.0 + 0.4 * 1.5, rel=1e-15)
         assert out.r[0] == pytest.approx(1.5, rel=1e-15)
 
     def test_leapfrog_hand_example(self):
         # U = theta^2/2, M=I, C=0, eta=0.1 from (r, theta) = (0, 1)
-        spec = scalar_spec(Scheme.LEAPFROG, eta=0.1, C=0.0, m=1.0)
+        spec = scalar_spec(Scheme.LEAPFROG, eta=0.1, C=0.0)
         z = State(r=np.array([0.0]), theta=np.array([1.0]))
         out = step(z, lambda th: th, spec, QueuedRng([[0.0]]))
         assert out.r[0] == pytest.approx(-0.1, rel=1e-15)
         assert out.theta[0] == pytest.approx(0.995, rel=1e-15)
 
     def test_euler_hand_example(self):
-        spec = scalar_spec(Scheme.EULER, eta=0.1, C=0.0, m=1.0)
+        spec = scalar_spec(Scheme.EULER, eta=0.1, C=0.0)
         z = State(r=np.array([0.0]), theta=np.array([1.0]))
         out = step(z, lambda th: th, spec, QueuedRng([[0.0]]))
         assert out.r[0] == pytest.approx(-0.1, rel=1e-15)
@@ -281,18 +273,18 @@ class TestIdentitiesAndReductions:
 
     def test_sghmc_noise_std_value(self):
         # eta=0.01, C=5, v_hat=1 -> injected std sqrt(0.08)
-        spec = scalar_spec(Scheme.SGHMC, eta=0.01, C=5.0, m=1.0, v_hat=1.0)
+        spec = scalar_spec(Scheme.SGHMC, eta=0.01, C=5.0, v_hat=1.0)
         z = State(r=np.array([0.0]), theta=np.array([0.0]))
         out = step(z, lambda th: np.zeros_like(th), spec, QueuedRng([[1.0]]))
         assert out.r[0] == pytest.approx(np.sqrt(0.08), rel=1e-12)
         assert out.r[0] == pytest.approx(0.28284, rel=1e-4)
 
     def test_mt3_zero_forcing_zero_friction(self):
-        spec = scalar_spec(Scheme.MT3, C=0.0, m=2.0, eta=0.3)
+        spec = scalar_spec(Scheme.MT3, C=0.0, eta=0.3)
         z = State(r=np.array([1.2]), theta=np.array([0.5]))
         out = step(z, lambda th: np.zeros_like(th), spec,
                    QueuedRng([[5.0], [7.0]]), hess=lambda th, v: np.zeros_like(v))
-        assert out.theta[0] == pytest.approx(0.5 + 0.3 * 1.2 / 2.0, rel=1e-15)
+        assert out.theta[0] == pytest.approx(0.5 + 0.3 * 1.2, rel=1e-15)
         assert out.r[0] == pytest.approx(1.2, rel=1e-15)
 
     def test_mt3_stage_one_multiplier_arithmetic(self):
@@ -304,20 +296,20 @@ class TestIdentitiesAndReductions:
 class TestOuExact:
     def test_zero_time_identity(self):
         out = spv_momentum(
-            np.array([1.0]), np.array([0.3]), 0.0, 1.0, MassMatrix.identity(1),
+            np.array([1.0]), np.array([0.3]), 0.0, 1.0,
             QueuedRng([[9.0]]),
         )
         assert out[0] == 1.0
 
     def test_frozen_noise_closed_form(self):
         out = spv_momentum(
-            np.array([1.0]), np.zeros(1), 0.5, 1.0, MassMatrix.identity(1),
+            np.array([1.0]), np.zeros(1), 0.5, 1.0,
             QueuedRng([[0.0]]),
         )
         assert out[0] == pytest.approx(np.exp(-0.5), rel=1e-12)
         assert out[0] == pytest.approx(0.60653, abs=5e-6)
         shifted = spv_momentum(
-            np.array([1.0]), np.zeros(1), 0.5, 1.0, MassMatrix.identity(1),
+            np.array([1.0]), np.zeros(1), 0.5, 1.0,
             QueuedRng([[1.0]]),
         )
         assert shifted[0] - out[0] == pytest.approx(np.sqrt(-np.expm1(-1.0)), rel=1e-12)
@@ -326,35 +318,32 @@ class TestOuExact:
     def test_frictionless_limit(self):
         # the step still draws its noise, which the zero friction zeroes
         out = spv_momentum(
-            np.array([2.0]), np.array([0.5]), 0.3, 0.0, MassMatrix.identity(1),
+            np.array([2.0]), np.array([0.5]), 0.3, 0.0,
             QueuedRng([[9.0]]),
         )
         assert out[0] == pytest.approx(2.0 - 0.3 * 0.5, rel=1e-15)
 
-    def test_long_time_reaches_mass_stationary_law(self):
+    def test_long_time_reaches_stationary_law(self):
         d = 1_000_000
-        mass = MassMatrix(np.full(d, 2.5))
         rng = RngStream(99, 0)
-        out = spv_momentum(np.full(d, 3.0), np.zeros(d), 50.0, 1.0, mass, rng)
-        assert abs(np.mean(out)) < 4.0 * np.sqrt(2.5 / d)
-        assert abs(np.var(out) - 2.5) < 4.0 * 2.5 * np.sqrt(2.0 / d)
+        out = spv_momentum(np.full(d, 3.0), np.zeros(d), 50.0, 1.0, rng)
+        assert abs(np.mean(out)) < 4.0 * np.sqrt(1.0 / d)
+        assert abs(np.var(out) - 1.0) < 4.0 * np.sqrt(2.0 / d)
 
     def test_semigroup_mean_and_variance(self):
-        m, C, r0 = 2.0, 1.7, 0.9
-        mass = MassMatrix(np.array([m]))
+        C, r0 = 1.7, 0.9
         f = np.array([0.0])
 
         def coeffs(eta):
-            mean = spv_momentum(np.array([r0]), f, eta, C, mass, QueuedRng([[0.0]]))[0]
-            hi = spv_momentum(np.array([r0]), f, eta, C, mass, QueuedRng([[1.0]]))[0]
+            mean = spv_momentum(np.array([r0]), f, eta, C, QueuedRng([[0.0]]))[0]
+            hi = spv_momentum(np.array([r0]), f, eta, C, QueuedRng([[1.0]]))[0]
             return mean, hi - mean
 
         m1, s1 = coeffs(0.3)
         # propagate the first step's output mean through the second step
-        mass1 = MassMatrix(np.array([m]))
-        m12 = spv_momentum(np.array([m1]), f, 0.5, C, mass1, QueuedRng([[0.0]]))[0]
+        m12 = spv_momentum(np.array([m1]), f, 0.5, C, QueuedRng([[0.0]]))[0]
         _, s2 = coeffs(0.5)
-        decay2 = np.exp(-C * 0.5 / m)
+        decay2 = np.exp(-C * 0.5)
         var12 = (s1 * decay2) ** 2 + s2**2
         m_direct, s_direct = coeffs(0.8)
         assert m12 == pytest.approx(m_direct, rel=1e-14)
@@ -364,17 +353,16 @@ class TestOuExact:
 class TestEquivalenceAndAlpha:
     def test_hmc_bit_identical_to_lie_trotter(self):
         z = State(r=np.array([R0, -0.3]), theta=np.array([TH0, 0.8]))
-        mass = MassMatrix.identity(2)
         grad = lambda th: 1.3 * (th - 0.4)
         for n_inner in (1, 4):
             a = step(
                 z, grad,
-                IntegratorSpec(Scheme.HMC_PARTIAL, ETA, FRIC, mass, n_inner=n_inner),
+                IntegratorSpec(Scheme.HMC_PARTIAL, ETA, FRIC, n_inner=n_inner),
                 RngStream(77, 5),
             )
             b = step(
                 z, grad,
-                IntegratorSpec(Scheme.LIE_TROTTER, ETA, FRIC, mass, n_inner=n_inner),
+                IntegratorSpec(Scheme.LIE_TROTTER, ETA, FRIC, n_inner=n_inner),
                 RngStream(77, 5),
             )
             np.testing.assert_array_equal(a.r, b.r)
@@ -383,14 +371,14 @@ class TestEquivalenceAndAlpha:
     def test_alpha_value(self):
         # with no force and no noise the refresh leaves r' = alpha r,
         # alpha = exp(-eta n_inner C)
-        spec = scalar_spec(Scheme.HMC_PARTIAL, eta=0.01, C=5.0, m=1.0, n_inner=10)
+        spec = scalar_spec(Scheme.HMC_PARTIAL, eta=0.01, C=5.0, n_inner=10)
         z = State(r=np.array([1.0]), theta=np.array([TH0]))
         alpha = step(z, lambda th: np.zeros_like(th), spec, QueuedRng([[0.0]])).r[0]
         assert alpha == pytest.approx(np.exp(-0.5), rel=1e-15)
         assert alpha == pytest.approx(0.60653, abs=5e-6)
 
     def test_alpha_one_is_pure_leapfrog_loop(self):
-        spec = scalar_spec(Scheme.HMC_PARTIAL, C=0.0, m=1.0, n_inner=3)
+        spec = scalar_spec(Scheme.HMC_PARTIAL, C=0.0, n_inner=3)
         z = State(r=np.array([R0]), theta=np.array([TH0]))
         out = step(z, quad_grad(), spec, QueuedRng([[123.0]]))
         r, th = np.array([R0]), np.array([TH0])
@@ -403,14 +391,14 @@ class TestEquivalenceAndAlpha:
 
     def test_alpha_zero_limit_full_resample(self):
         # enormous friction: retained momentum is numerically zero
-        spec = scalar_spec(Scheme.HMC_PARTIAL, C=1e4, m=1.0, eta=0.1)
+        spec = scalar_spec(Scheme.HMC_PARTIAL, C=1e4, eta=0.1)
         z = State(r=np.array([5.0]), theta=np.array([0.0]))
         out = step(z, lambda th: np.zeros_like(th), spec, QueuedRng([[W0]]))
         assert out.r[0] == pytest.approx(W0, rel=1e-12)
 
     def test_shadow_energy_drift_of_inner_leapfrog(self):
         # 1000 frictionless sub-steps at eta=0.01 on U = theta^2/2
-        spec = scalar_spec(Scheme.LIE_TROTTER, eta=0.01, C=0.0, m=1.0, n_inner=1000)
+        spec = scalar_spec(Scheme.LIE_TROTTER, eta=0.01, C=0.0, n_inner=1000)
         z = State(r=np.array([0.0]), theta=np.array([1.0]))
         out = step(z, lambda th: th, spec, QueuedRng([[0.0]]))
         energy = lambda s: 0.5 * s.theta[0] ** 2 + 0.5 * s.r[0] ** 2
@@ -421,48 +409,36 @@ class TestSymmetricLaw:
     def test_zero_gradient_matches_full_ou_moments(self):
         # two half refreshes must equal one full OU step in law
         d = 1_000_000
-        m, C, eta, r0 = 2.0, 1.7, 0.5, 1.1
-        spec = IntegratorSpec(Scheme.SYMMETRIC, eta, C, MassMatrix(np.full(d, m)))
+        C, eta, r0 = 1.7, 0.5, 1.1
+        spec = IntegratorSpec(Scheme.SYMMETRIC, eta, C)
         z = State(r=np.full(d, r0), theta=np.zeros(d))
         out = step(z, lambda th: np.zeros_like(th), spec, RngStream(13, 2))
-        mean = np.exp(-C * eta / m) * r0
-        var = m * -np.expm1(-2 * C * eta / m)
+        mean = np.exp(-C * eta) * r0
+        var = -np.expm1(-2 * C * eta)
         assert abs(np.mean(out.r) - mean) < 4 * np.sqrt(var / d)
         assert abs(np.var(out.r) - var) < 4 * var * np.sqrt(2.0 / d)
 
 
 class TestValidationAndDivergence:
     def test_spec_validation(self):
-        M1 = MassMatrix.identity(1)
         with pytest.raises(ValueError):
-            IntegratorSpec(Scheme.LEAPFROG, eta=-0.1, friction=1.0, mass=M1)
+            IntegratorSpec(Scheme.LEAPFROG, eta=-0.1, friction=1.0)
         with pytest.raises(ValueError):
-            IntegratorSpec(Scheme.LEAPFROG, eta=0.1, friction=-1.0, mass=M1)
+            IntegratorSpec(Scheme.LEAPFROG, eta=0.1, friction=-1.0)
         with pytest.raises(ValueError):
-            IntegratorSpec(Scheme.LIE_TROTTER, eta=0.1, friction=1.0, mass=M1, n_inner=0)
+            IntegratorSpec(Scheme.LIE_TROTTER, eta=0.1, friction=1.0, n_inner=0)
         with pytest.raises(ValueError):
-            IntegratorSpec(Scheme.SGHMC, eta=0.1, friction=1.0, mass=M1, v_hat=1.5)
+            IntegratorSpec(Scheme.SGHMC, eta=0.1, friction=1.0, v_hat=1.5)
         # every scheme checks v_hat, though only SGHMC uses it
         for scheme, v_hat in itertools.product((Scheme.SGHMC, Scheme.LEAPFROG),
                                                (np.nan, np.inf, -np.inf, -0.5)):
             with pytest.raises(ValueError, match="v_hat must be finite and >= 0"):
-                IntegratorSpec(scheme, eta=0.1, friction=1.0, mass=M1, v_hat=v_hat)
-        with pytest.raises(ValueError):
-            IntegratorSpec(
-                Scheme.HMC_PARTIAL, eta=0.1, friction=1.0,
-                mass=MassMatrix(np.array([2.0])),
-            )
-        spec = IntegratorSpec("leapfrog", eta=0.1, friction=1.0, mass=M1)
+                IntegratorSpec(scheme, eta=0.1, friction=1.0, v_hat=v_hat)
+        spec = IntegratorSpec("leapfrog", eta=0.1, friction=1.0)
         assert spec.scheme is Scheme.LEAPFROG
 
     def test_mt3_requires_hessian(self):
         spec = scalar_spec(Scheme.MT3)
-        z = State(r=np.array([0.0]), theta=np.array([0.0]))
-        with pytest.raises(ValueError):
-            step(z, quad_grad(), spec, RngStream(0, 0))
-
-    def test_dim_mismatch(self):
-        spec = IntegratorSpec(Scheme.LEAPFROG, 0.1, 1.0, MassMatrix.identity(2))
         z = State(r=np.array([0.0]), theta=np.array([0.0]))
         with pytest.raises(ValueError):
             step(z, quad_grad(), spec, RngStream(0, 0))
@@ -476,7 +452,7 @@ class TestValidationAndDivergence:
 
     def test_unstable_blowup_raises_eventually(self):
         # eta far beyond the stability limit on a stiff quadratic
-        spec = scalar_spec(Scheme.LEAPFROG, eta=10.0, C=0.1, m=1.0)
+        spec = scalar_spec(Scheme.LEAPFROG, eta=10.0, C=0.1)
         z = State(r=np.array([0.1]), theta=np.array([1.0]))
         rng = RngStream(4, 0)
         with pytest.raises(DivergenceError), np.errstate(over="ignore", invalid="ignore"):
@@ -485,19 +461,26 @@ class TestValidationAndDivergence:
 
     @pytest.mark.parametrize("scheme", list(Scheme))
     def test_seed_determinism(self, scheme):
-        m = 1.0 if scheme is Scheme.HMC_PARTIAL else MASS
-        spec = scalar_spec(scheme, m=m)
+        spec = scalar_spec(scheme)
         z = State(r=np.array([R0]), theta=np.array([TH0]))
         a = step(z, quad_grad(), spec, RngStream(31, 7), hess=quad_hess())
         b = step(z, quad_grad(), spec, RngStream(31, 7), hess=quad_hess())
         assert a.r[0] == b.r[0] and a.theta[0] == b.theta[0]
 
 
-def _kernel_spec(scheme, eta, C, mass):
+def _kernel_spec(scheme, eta, C, v_frac=0.4):
     multi = scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
-    return IntegratorSpec(scheme, eta=eta, friction=C, mass=mass,
-                          n_inner=3 if multi else 1,
-                          v_hat=0.4 * C if scheme is Scheme.SGHMC else 0.0)
+    return IntegratorSpec(scheme, eta=eta, friction=C, n_inner=3 if multi else 1,
+                          v_hat=v_frac * C if scheme is Scheme.SGHMC else 0.0)
+
+
+def _row_specs(scheme, R, rng):
+    """R specs of one scheme whose rows differ in eta, friction and v_hat;
+    with R > 1, row 1 is frictionless (SPV's kick then takes its x = 0
+    branch)."""
+    return [_kernel_spec(scheme, rng.uniform(0.01, 0.6),
+                         0.0 if c == 1 else rng.uniform(0.1, 4.0), rng.uniform(0.0, 1.0))
+            for c in range(R)]
 
 
 def _nonlinear_grad_hess(d, rng):
@@ -507,28 +490,22 @@ def _nonlinear_grad_hess(d, rng):
             lambda th, v: lam * v + 0.2 * np.cos(th) * v)
 
 
-# every scheme on a unit mass, and every scheme but the unit-mass-only
-# partial-refresh HMC on a non-unit diagonal mass
-KERNEL_CASES = [(s, "identity") for s in Scheme] + [
-    (s, "diagonal") for s in Scheme if s is not Scheme.HMC_PARTIAL]
+class TestSteppersMatchReferenceFormulas:
+    """Every scheme's in-place chunk stepper gives, bit for bit, what its
+    formulas written as fresh-array expressions give: for one chain, and for
+    each row of an ensemble whose rows differ in eta, friction and v_hat.
+    The spec carries no dimension, so each check runs at d = 1, where a
+    (d,) constant and a state row broadcast alike, and at a d > 1."""
 
-
-class TestUnitFactorsSkipped:
-    """A stepper on an exactly-unit M^-1 leaves its products by M^-1 out;
-    every scheme must still give, bit for bit, what the formulas with every
-    product written out give, on a unit mass and on any other."""
-
-    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
-    def test_single_chain_matches_reference_formulas(self, scheme, mass):
-        d = 5
+    @pytest.mark.parametrize("d", [1, 5], ids=lambda d: f"d{d}")
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_single_chain_matches_reference_formulas(self, scheme, d):
         rng = np.random.default_rng(17)
         grad, hess = _nonlinear_grad_hess(d, rng)
         for trial in range(20):
-            M = (MassMatrix.identity(d) if mass == "identity"
-                 else MassMatrix(rng.uniform(0.2, 4.0, d)))
-            spec = _kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
+            spec, = _row_specs(scheme, 1, rng)
             want_step = reference_kernel(scheme, spec.n_inner,
-                                         integrators_module._constants(spec))
+                                         integrators_module._constants(spec, d))
             r, th = (3.0 * rng.normal(size=d) for _ in range(2))
             noise = [rng.normal(size=d) for _ in range(noise_draws(scheme))]
             got = compile_step(spec)(r, th, grad, hess, noise)
@@ -536,26 +513,23 @@ class TestUnitFactorsSkipped:
             for g, w in zip(got, want):
                 assert g.tobytes() == w.tobytes()
 
-    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
-    def test_ensemble_rows_match_reference_formulas(self, scheme, mass):
+    @pytest.mark.parametrize("d", [1, 3], ids=lambda d: f"d{d}")
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_ensemble_rows_match_reference_formulas(self, scheme, d):
         # row c of an ensemble step equals chain c's step by the reference
-        # formulas; one non-unit mass among the rows keeps every product
-        R, d = 4, 3
+        # formulas, each row with its own spec's constants
+        R = 4
         rng = np.random.default_rng(29)
         grad, hess = _nonlinear_grad_hess(d, rng)
-        masses = [MassMatrix.identity(d)] * R
-        if mass == "diagonal":
-            masses[2] = MassMatrix(rng.uniform(0.2, 4.0, d))
-        specs = [_kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
-                 for M in masses]
+        specs = _row_specs(scheme, R, rng)
         r, th = (3.0 * rng.normal(size=(R, d)) for _ in range(2))
         noise = [rng.normal(size=(R, d)) for _ in range(noise_draws(scheme))]
         got_r, got_th = np.empty((1, R, d)), np.empty((1, R, d))
-        compile_ensemble_step(specs)(r, th, lambda j, x: grad(x), lambda j, x, v: hess(x, v),
+        compile_ensemble_step(specs, d)(r, th, lambda j, x: grad(x), lambda j, x, v: hess(x, v),
                                      np.stack(noise)[:, None], got_r, got_th)
         for c, spec in enumerate(specs):
             want_r, want_th = reference_kernel(
-                scheme, spec.n_inner, integrators_module._constants(spec))(
+                scheme, spec.n_inner, integrators_module._constants(spec, d))(
                 r[c], th[c], grad, hess, [w[c] for w in noise])
             assert got_r[0, c].tobytes() == want_r.tobytes()
             assert got_th[0, c].tobytes() == want_th.tobytes()
@@ -566,17 +540,14 @@ class TestUnitFactorsSkipped:
     # a potential's, return one array they overwrite on every call. One
     # chain steps d-vectors, an ensemble (R, d) rows; the product a step
     # keeps for the next crosses the boundary
+    @pytest.mark.parametrize("d", [1, 3], ids=lambda d: f"d{d}")
     @pytest.mark.parametrize("R", [1, 4], ids=["single-chain", "ensemble"])
-    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
-    def test_buffer_steps_match_reference_formulas(self, scheme, mass, R):
-        d, chunks = 3, (5, 4)
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_buffer_steps_match_reference_formulas(self, scheme, R, d):
+        chunks = (5, 4)
         rng = np.random.default_rng(41)
         grad, hess = _nonlinear_grad_hess(d, rng)
-        masses = [MassMatrix.identity(d)] * R
-        if mass == "diagonal":
-            masses[-1] = MassMatrix(rng.uniform(0.2, 4.0, d))
-        specs = [_kernel_spec(scheme, rng.uniform(0.01, 0.6), rng.uniform(0.0, 4.0), M)
-                 for M in masses]
+        specs = _row_specs(scheme, R, rng)
         shape = (d,) if R == 1 else (R, d)
         g_buf, h_buf, seen = np.empty(shape), np.empty(shape), []
 
@@ -591,7 +562,7 @@ class TestUnitFactorsSkipped:
 
         r0, th0 = (3.0 * rng.normal(size=shape) for _ in range(2))
         noise = rng.normal(size=(noise_draws(scheme), sum(chunks)) + shape)
-        stepper = compile_ensemble_step(specs)
+        stepper = compile_ensemble_step(specs, d)
         r, th, got, lo = r0, th0, [], 0
         for m in chunks:
             rs, ths = np.empty((m,) + shape), np.empty((m,) + shape)
@@ -603,7 +574,7 @@ class TestUnitFactorsSkipped:
         for c, spec in enumerate(specs):
             row = (lambda a: a) if R == 1 else (lambda a: a[c])
             want_step = reference_kernel(scheme, spec.n_inner,
-                                         integrators_module._constants(spec))
+                                         integrators_module._constants(spec, d))
             r, th = row(r0), row(th0)
             for j in range(sum(chunks)):
                 r, th = want_step(r, th, grad, hess, [row(w) for w in noise[:, j]])
@@ -619,18 +590,15 @@ class TestUnitFactorsSkipped:
     # a chunk allocates nothing per step: its traced peak over 1,024 steps
     # is that of 64 steps, give or take a few KiB of interpreter noise
     @pytest.mark.parametrize("R", [1, 4], ids=["single-chain", "ensemble"])
-    @pytest.mark.parametrize("scheme, mass", KERNEL_CASES)
-    def test_chunk_allocates_nothing_per_step(self, scheme, mass, R):
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_chunk_allocates_nothing_per_step(self, scheme, R):
         import tracemalloc
 
         d = 3
         rng = np.random.default_rng(7)
-        masses = [MassMatrix.identity(d)] * R
-        if mass == "diagonal":
-            masses[-1] = MassMatrix(rng.uniform(0.2, 4.0, d))
-        specs = [_kernel_spec(scheme, 0.1, 1.0, M) for M in masses]
+        specs = [_kernel_spec(scheme, 0.1, 1.0)] * R
         shape = (d,) if R == 1 else (R, d)
-        stepper = compile_ensemble_step(specs)
+        stepper = compile_ensemble_step(specs, d)
         g_buf, h_buf = np.empty(shape), np.empty(shape)
 
         def grad(j, x):
@@ -653,15 +621,21 @@ class TestUnitFactorsSkipped:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 4096, peaks
 
-    def test_unit_factor_is_skipped_only_when_exact(self):
-        assert integrators_module._non_unit(np.ones((4, 3))) is None
-        assert integrators_module._non_unit(1.0) is None
-        for factor in (np.array([1.0, 1.0, 1.0 + 2**-52]), np.full(3, 2.0)):
-            assert integrators_module._non_unit(factor) is factor
+    def test_ensemble_specs_must_share_scheme_and_n_inner(self):
+        base = IntegratorSpec(Scheme.LIE_TROTTER, eta=0.1, friction=1.0, n_inner=2)
+        with pytest.raises(ValueError, match="at least one spec"):
+            compile_ensemble_step([], 3)
+        for other in (IntegratorSpec(Scheme.HMC_PARTIAL, eta=0.1, friction=1.0, n_inner=2),
+                      IntegratorSpec(Scheme.LIE_TROTTER, eta=0.1, friction=1.0, n_inner=3)):
+            with pytest.raises(ValueError, match="share scheme and n_inner"):
+                compile_ensemble_step([base, other], 3)
+        # step size, friction and v_hat may differ
+        compile_ensemble_step([base, IntegratorSpec(Scheme.LIE_TROTTER, eta=0.3,
+                                                    friction=0.5, n_inner=2)], 3)
 
 
 class TestMt3LocalOrder:
-    """One MT3 step on a 1-d quadratic (U = theta^2 / 2, C = 1, M = 1) is
+    """One MT3 step on a 1-d quadratic (U = theta^2 / 2, C = 1) is
     affine, z' = J z + N xi. Compared with the exact flow over eta, e^{eta A}
     for the drift and the Van Loan covariance Q(eta) for the noise, its
     local errors fall as eta^4 in the drift and only as eta^3 in the noise.
@@ -674,7 +648,7 @@ class TestMt3LocalOrder:
     def one_step_map(self, eta):
         # columns of J from unit vectors of z = (r, theta) with zero noise,
         # columns of N from unit vectors of the noise (w1, w2) at z = 0
-        step = compile_step(IntegratorSpec(Scheme.MT3, eta, self.C, MassMatrix.identity(1)))
+        step = compile_step(IntegratorSpec(Scheme.MT3, eta, self.C))
         grad, hess = (lambda th: th), (lambda th, v: v)
         e, zero = np.eye(2), np.zeros(1)
         J = np.column_stack([np.concatenate(step(u[:1], u[1:], grad, hess, [zero, zero]))

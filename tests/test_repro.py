@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hsde import repro
 from hsde.batching import BatchMode, BatchSchedule
 from hsde.chain import ChainConfig
-from hsde.core import MassMatrix, RngStream
+from hsde.core import RngStream
 from hsde.integrators import DivergenceError, IntegratorSpec
 from hsde.metrics import EmpiricalSample, ks_vs_gaussian
 from hsde.potentials import AnalyticPosteriorUnavailable
@@ -150,7 +150,7 @@ class TestSweepEnsembles:
                          n=40, burn_in=30):
         model = repro.build_model("lingauss", 8)
         cell_seed = repro._derive_cell_seed(seed, cell)
-        spec = IntegratorSpec(scheme, eta, friction, MassMatrix.identity(model.dim))
+        spec = IntegratorSpec(scheme, eta, friction)
         cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=1, seed=cell_seed)
         sched = BatchSchedule("perm", 8, RngStream(cell_seed, 4 * rep + 2))
         return reference_chain(model, spec, sched, cfg, rep)[0]

@@ -14,7 +14,6 @@ import sys
 import hsde
 from hsde import repro
 from hsde.chain import ChainConfig, run_chain
-from hsde.core import MassMatrix
 from hsde.integrators import IntegratorSpec, Scheme
 
 HEAVY = ("scipy", "concurrent.futures.process", "multiprocessing")
@@ -45,8 +44,7 @@ loaded = lambda: [m for m in heavy if m in sys.modules]
 
 def logistic_trace():
     model = repro.build_model("logistic2d", 2)
-    spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.2, friction=2.0,
-                          mass=MassMatrix.identity(model.dim))
+    spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.2, friction=2.0)
     return run_chain(model, spec, "iid", ChainConfig(n_samples=40, burn_in=10,
                                                      thinning=1, seed=3))
 

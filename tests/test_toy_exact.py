@@ -159,6 +159,46 @@ class TestMatexp2:
         direct = matexp2(A, 0.8)
         np.testing.assert_allclose(one, direct, rtol=1e-13)
 
+    @pytest.mark.parametrize("friction", [2e4, 1e6, 1e10, 1e100])
+    def test_overdamped_step_stays_finite(self, friction):
+        # q eta far past cosh's overflow at about 710, yet exp(eta A) is a
+        # contraction; checked against the eigen form in 250-digit
+        # arithmetic, E = (e^{l+ t} (A - l- I) - e^{l- t} (A - l+ I)) / (l+ - l-)
+        import mpmath
+
+        H, eta = 1.5, 0.1
+        A = np.array([[-friction, -H], [1.0, 0.0]])
+        got = matexp2(A, eta)
+        with mpmath.workdps(250):
+            Am = mpmath.matrix(A.tolist())
+            m = -mpmath.mpf(friction) / 2
+            q = mpmath.sqrt(m * m - H)
+            hi, lo = m + q, m - q
+            eye = mpmath.eye(2)
+            want = (mpmath.exp(hi * eta) * (Am - lo * eye)
+                    - mpmath.exp(lo * eta) * (Am - hi * eye)) / (hi - lo)
+            want = np.array(want.tolist(), dtype=float)
+        assert np.all(np.isfinite(got))
+        # the slow entries, which carry theta's relaxation eta H / C, to the
+        # last bits; E[0, 0], near 0, to a few 1e-17
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-16)
+
+    def test_no_closed_form_where_the_discriminant_overflows(self):
+        with pytest.raises(ValueError, match="no closed form"):
+            matexp2(np.array([[-1e155, -1.0], [1.0, 0.0]]), 0.1)
+
+    def test_overflow_branch_only_where_cosh_overflows(self):
+        # just below cosh's overflow the closed form keeps its own bits
+        A = np.array([[-1400.0, -1.0], [1.0, 0.0]])
+        t = 1.0
+        m = 0.5 * (A[0, 0] + A[1, 1])
+        q2 = m * m - (A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0])
+        q = np.sqrt(q2)
+        assert np.isfinite(np.cosh(q * t))
+        D = A - m * np.eye(2)
+        want = np.exp(m * t) * (np.cosh(q * t) * np.eye(2) + np.sinh(q * t) / q * D)
+        assert matexp2(A, t).tobytes() == want.tobytes()
+
 
 class TestToyTransition:
     def test_zero_time(self):
@@ -506,6 +546,22 @@ class TestExactEnsembleRun:
         cfg = ChainConfig(n_samples=3, burn_in=2, thinning=1, seed=0)
         with pytest.raises(ValueError, match="finite friction > 0"):
             run_exact_states(toy_model(), [0.4], ["full"], [cfg], [0], friction=friction)
+
+    @pytest.mark.parametrize("friction", [2.7e154, 1e155, 1e300])
+    def test_non_finite_kernel_table_refused(self, friction):
+        # C^2 / 4 overflows: refused before any chain steps, with no warning
+        cfg = ChainConfig(n_samples=3, burn_in=2, thinning=1, seed=0)
+        with pytest.raises(ValueError, match="no exact kernel at friction"):
+            run_exact_states(toy_model(), [0.4, 0.1], ["full", "iid"], [cfg] * 2, [0, 1],
+                             friction=friction)
+
+    def test_overdamped_chain_runs(self):
+        # the strongly overdamped step keeps r near its stationary noise and
+        # moves theta by about eta H / C per step: a finite, bounded chain
+        cfg = ChainConfig(n_samples=200, burn_in=5, thinning=1, seed=2)
+        trace = run_exact_chain(toy_model(), 0.1, "iid", cfg, friction=2e4)
+        assert np.all(np.isfinite(trace.thetas)) and np.all(np.isfinite(trace.momenta))
+        assert np.abs(trace.momenta).max() < 6.0
 
     @pytest.mark.parametrize("name", ["lingauss", "logistic2d"])
     def test_model_must_be_one_parameter_linear_gaussian(self, name):
