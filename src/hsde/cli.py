@@ -8,10 +8,11 @@ parameter. CSV contents are a pure function of the configuration and seed,
 so a rerun with ``--out`` pointed elsewhere produces byte-identical CSVs;
 wall time lives only in ``meta.txt``.
 
-Options may come from a ``--config`` file of ``key = value`` lines (``#``
-comments allowed); keys may be parameter names (``friction``) or flag
-spellings (``C``). Flags given on the command line win over the file;
-unknown keys are rejected.
+A ``--config`` file of ``key = value`` lines (``#`` comments allowed)
+supplies the command's defaults; keys may be parameter names (``friction``)
+or flag spellings (``C``), and multi-valued keys take comma-separated
+values. Flags given on the command line win over the file; unknown keys
+are rejected.
 
 Exit codes: 0 success, 2 invalid configuration or arguments, 3 chain
 divergence, 4 filesystem errors.
@@ -47,7 +48,9 @@ from .toy_exact import run_exact_chain
 _MODELS = click.Choice(["toy", "lingauss", "logistic2d"])
 # a sweep scores every cell against the closed-form posterior
 _SWEEP_MODELS = click.Choice(["toy", "lingauss"])
-_SCHEMES = click.Choice([s.value for s in Scheme] + ["exact"])
+# the exact kernel runs through `toy` and `sample --scheme exact`
+_SWEEP_SCHEMES = click.Choice([s.value for s in Scheme])
+_SCHEMES = click.Choice([*_SWEEP_SCHEMES.choices, "exact"])
 _MODES = click.Choice(["full", "perm", "iid"])
 
 EXIT_BAD_CONFIG = 2
@@ -59,8 +62,20 @@ EXIT_IO = 4
 # config file and run-directory plumbing
 
 
-def _load_config_file(path: str) -> dict:
-    entries = {}
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Eager `--config` callback: the file's `key = value` lines become the
+    command's defaults, so click applies flags over them and converts each
+    value with its option's type. Keys are parameter names or `--` flag
+    spellings; multi-valued keys split on commas."""
+    if path is None:
+        return
+    params = {}
+    for p in ctx.command.params:
+        params[p.name] = p
+        for decl in p.opts:
+            if decl.startswith("--"):
+                params[decl[2:].replace("-", "_")] = p
+    defaults = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -69,35 +84,14 @@ def _load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise click.UsageError(
                     f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            entries[key.strip().replace("-", "_")] = value.strip()
-    return entries
-
-
-def _apply_config(ctx: click.Context, config: str | None) -> None:
-    """Fill parameters from the config file wherever the command line left
-    the default in place; reject keys that match no option."""
-    if config is None:
-        return
-    params = {}
-    for p in ctx.command.params:
-        params[p.name] = p
-        for decl in p.opts + p.secondary_opts:
-            if decl.startswith("--"):
-                params[decl[2:].replace("-", "_")] = p
-    entries = _load_config_file(config)
-    for key, text in entries.items():
-        if key in ("config", "out") or key not in params:
-            raise click.UsageError(f"unknown config key {key!r} in {config}")
-        param = params[key]
-        if ctx.get_parameter_source(param.name) is not click.core.ParameterSource.DEFAULT:
-            continue
-        if param.multiple:
-            values = [v.strip() for v in text.split(",") if v.strip()]
-            ctx.params[param.name] = tuple(
-                param.type.convert(v, param, ctx) for v in values)
-        else:
-            ctx.params[param.name] = param.type.convert(text, param, ctx)
+            key, text = (part.strip() for part in line.split("=", 1))
+            key = key.replace("-", "_")
+            if key in ("config", "out") or key not in params:
+                raise click.UsageError(f"unknown config key {key!r} in {path}")
+            target = params[key]
+            defaults[target.name] = ([v.strip() for v in text.split(",") if v.strip()]
+                                     if target.multiple else text)
+    ctx.default_map = defaults
 
 
 def _run_dir(out: str | None, command: str, seed: int, made: list) -> str:
@@ -134,10 +128,8 @@ def _write_meta(out_dir: str, command: str, params: dict, wall: float,
 
 
 def _execute(ctx: click.Context, command: str, body) -> None:
-    """Shared run harness: config merge, run dir, timing, exit codes."""
-    _apply_config(ctx, ctx.params.get("config"))
+    """Shared run harness: run dir, timing, exit codes."""
     kw = dict(ctx.params)
-    kw.pop("config", None)
     out = kw.pop("out", None)
     t0 = time.perf_counter()
     made = []
@@ -173,7 +165,7 @@ def _common_options(fn):
     fn = click.option("--out", type=click.Path(), default=None,
                       help="Run directory (default runs/<command>-<stamp>-<seed>).")(fn)
     fn = click.option("--config", type=click.Path(exists=True, dir_okay=False),
-                      default=None,
+                      is_eager=True, expose_value=False, callback=_load_config,
                       help="key = value file supplying defaults for any option.")(fn)
     return fn
 
@@ -263,7 +255,7 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
 
 @main.command()
 @click.option("--model", type=_SWEEP_MODELS, default="lingauss", show_default=True)
-@click.option("--scheme", type=_SCHEMES, multiple=True,
+@click.option("--scheme", type=_SWEEP_SCHEMES, multiple=True,
               default=("leapfrog",), show_default=True,
               help="May be given several times; each scheme runs the grid.")
 @click.option("--eta-grid", type=str, default="0.4,0.283,0.2,0.141",
@@ -291,9 +283,6 @@ def sweep(ctx, **_kw):
 
 def _do_sweep(out_dir, model, scheme, eta_grid, friction, batches, mode,
               n_inner, v_hat, n, reps, burn_in, thin, n_ks, jobs, seed):
-    if "exact" in scheme:
-        raise click.UsageError("sweeps cover the discretized schemes; "
-                               "use the toy command for the exact kernel")
     try:
         etas = tuple(float(tok) for tok in eta_grid.split(",") if tok.strip())
     except ValueError:

@@ -154,24 +154,21 @@ def _constants(spec: IntegratorSpec, d: int) -> dict:
     elif scheme in (Scheme.LEAPFROG, Scheme.SGHMC):
         v_hat = spec.v_hat if scheme is Scheme.SGHMC else 0.0
         k["noise_std"] = np.sqrt(2.0 * (C - v_hat) * eta)
-    elif scheme is Scheme.SPV:
-        x = np.full(d, C * eta)
+    elif scheme in (Scheme.SPV, Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL, Scheme.SYMMETRIC):
+        # the exact OU refresh over time t, x = C t: spv's step, lie-trotter's
+        # and hmc's n_inner steps, symmetric's half step
+        x = np.full(d, C * eta if scheme is Scheme.SPV
+                    else C * (0.5 * eta) if scheme is Scheme.SYMMETRIC
+                    else C * spec.n_inner * eta)
         k["decay"] = np.exp(-x)
         k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x))
-        # eta * (1 - e^{-x}) / x, continuous at x = 0 where it equals eta;
-        # this times grad recovers the leapfrog kick in the frictionless limit
-        kick = np.full(d, eta)
-        nz = x > 0
-        kick[nz] = eta * -np.expm1(-x[nz]) / x[nz]
-        k["kick"] = kick
-    elif scheme in (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL):
-        x = np.full(d, C * spec.n_inner * eta)
-        k["decay"] = np.exp(-x)
-        k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x))
-    elif scheme is Scheme.SYMMETRIC:
-        x_half = np.full(d, C * (0.5 * eta))
-        k["decay"] = np.exp(-x_half)
-        k["noise_std"] = np.sqrt(-np.expm1(-2.0 * x_half))
+        if scheme is Scheme.SPV:
+            # eta * (1 - e^{-x}) / x, continuous at x = 0 where it equals eta;
+            # this times grad recovers the leapfrog kick in the frictionless limit
+            kick = np.full(d, eta)
+            nz = x > 0
+            kick[nz] = eta * -np.expm1(-x[nz]) / x[nz]
+            k["kick"] = kick
     elif scheme is Scheme.MT3:
         k["den1"] = 1.0 + _MT3_C1 * eta * C
         k["den2"] = 1.0 + _MT3_C2 * eta * C

@@ -18,7 +18,6 @@ ones, so both Gaussian models share one gradient path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +31,6 @@ __all__ = [
     "LinearGaussian",
     "Logistic2D",
     "make_logistic_demo",
-    "make_cycled_basis_dataset",
     "batch_bounds",
 ]
 
@@ -260,9 +258,13 @@ class LinearGaussian(Potential):
         super().__init__(
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
+        # operands of the one-row path by batch id: views F of the batch's
+        # design rows and FT of their transpose, its targets and a scratch
+        # for F @ x
+        self._row_ops = {b: (Phi[sl], Phi[sl].T, y[sl], np.empty(sl.stop - sl.start))
+                         for b, (sl, _) in self._slices.items()}
         # operands of the stacked path: the full design, and equal blocks as
-        # (K, rows, d) and (K, rows); the one-row path takes views of the
-        # design's rows
+        # (K, rows, d) and (K, rows)
         self._full = (Phi[None], Phi[None].swapaxes(1, 2), y)
         self._blocks = None
         self._unit_prior = bool(np.all(self.prior_var == 1.0))
@@ -299,20 +301,14 @@ class LinearGaussian(Potential):
 
     def _row_steps(self, ids):
         """(w, step_ops) of a lone chain's chunk of batch ids: step_ops(j) is
-        step j's (F, FT, y, Fx), views F of its batch's design rows and FT of
-        their transpose, targets y and a scratch Fx for F @ x, and w is the
-        prior weight its batches share. None where the chunk mixes the full
-        potential with blocks."""
+        step j's `_row_ops` entry, and w is the prior weight its batches
+        share. None where the chunk mixes the full potential with blocks."""
         full = ids < 0
         if full.any() != full.all():
             return None
-        distinct, where = np.unique(ids, return_inverse=True)
-        views = []
-        for b in distinct.tolist():
-            sl, w = self._slices[b]
-            F = self.features[sl]
-            views.append((F, F.T, self.targets[sl], np.empty(len(F))))
-        return w, [views[i] for i in where.tolist()].__getitem__
+        ids = ids.tolist()
+        ops = self._row_ops
+        return self._slices[ids[0]][1], [ops[b] for b in ids].__getitem__
 
     def _chunk_groups(self, ids_chunk):
         """The stacked operands of a chunk of (m, R) batch ids, per group of
@@ -541,21 +537,3 @@ def make_logistic_demo(n_obs: int, rng: RngStream, weights=(1.5, -1.0),
     labels = (_special("ndtr")(rng.normal(n_obs)) < p).astype(int)
     return Logistic2D(X, labels, n_batches=n_batches)
 
-
-def make_cycled_basis_dataset(dim: int = 4, n_rows: int = 32, row_scale: float | None = None):
-    """Deterministic design whose batches all share the same curvature.
-
-    Rows cycle scaled coordinate vectors row_scale * e_{i mod dim} with zero
-    targets, so contiguous blocks of any multiple of `dim` rows see identical
-    per-coordinate design mass and the posterior factorizes over coordinates.
-    Default row_scale makes the unit-noise, unit-prior posterior precision
-    per coordinate equal to 4 when n_rows/dim = 8.
-    """
-    if n_rows % dim != 0:
-        raise ValueError("n_rows must be a multiple of dim")
-    if row_scale is None:
-        row_scale = math.sqrt(3.0 * dim / n_rows)
-    Phi = np.zeros((n_rows, dim))
-    for i in range(n_rows):
-        Phi[i, i % dim] = row_scale
-    return Phi, np.zeros(n_rows)

@@ -266,6 +266,69 @@ class TestConfigFile:
         assert meta["batches"] == "2"
         assert meta["mode"] == "perm"
 
+    def test_flag_beats_multi_valued_config(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = leapfrog, euler\neta_grid = 0.4,0.3,0.2\n"
+                       "n = 40\nburn_in = 20\nreps = 1\nn_ks = 20\n")
+        out = str(tmp_path / "run")
+        run_ok(runner, ["sweep", "--config", str(cfg), "--scheme", "spv", "--out", out])
+        assert read_meta(out)["scheme"] == "spv"
+
+    @pytest.mark.parametrize("key", ["out", "config"])
+    def test_out_and_config_keys_rejected(self, runner, tmp_path, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = x\n")
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sample", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "unknown config key" in result.output
+        assert not out.exists()
+
+    def test_bad_choice_names_its_option(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = nope\n")
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sample", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2
+        assert "--model" in result.output
+        assert not out.exists()
+
+    def test_flag_key_in_config(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("trials = 3\nn = 10\nreps = 1\nregen-golden = true\n")
+        out = tmp_path / "run"
+        run_ok(runner, ["report", "--which", "orders", "--config", str(cfg),
+                        "--out", str(out)])
+        assert (out / "goldens_candidate.json").exists()
+        assert read_meta(str(out))["regen_golden"] == "True"
+
+    # the file supplies defaults, so it may also supply a required option
+    def test_config_supplies_a_required_option(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("which = orders\ntrials = 3\nn = 10\nreps = 1\n")
+        out = str(tmp_path / "run")
+        run_ok(runner, ["report", "--config", str(cfg), "--out", out])
+        assert read_meta(out)["which"] == "orders"
+
+    def test_last_of_a_repeated_key_wins(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("model = lingauss\neta = 0.25\nn = 30\nburn-in = 10\neta = 0.3\n")
+        out = str(tmp_path / "run")
+        run_ok(runner, ["sample", "--config", str(cfg), "--out", out])
+        assert read_meta(out)["eta"] == "0.3"
+
+    def test_config_sweep_matches_flag_sweep(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme = leapfrog, euler\neta-grid = 0.4,0.3,0.2\n"
+                       "n = 40\nburn-in = 20\nreps = 1\nn-ks = 20\n")
+        a, b = tmp_path / "a", tmp_path / "b"
+        run_ok(runner, ["sweep", "--config", str(cfg), "--out", str(a)])
+        run_ok(runner, ["sweep", "--scheme", "leapfrog", "--scheme", "euler",
+                        "--eta-grid", "0.4,0.3,0.2", "--n", "40", "--burn-in", "20",
+                        "--reps", "1", "--n-ks", "20", "--out", str(b)])
+        for name in ("summary.csv", "slopes.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestMetaEcho:
     def test_single_flag_diff_shows_only_in_that_key(self, runner, tmp_path):
@@ -308,10 +371,14 @@ class TestSweep:
             assert (open(os.path.join(a, name)).read()
                     == open(os.path.join(b, name)).read())
 
+    # exact-kernel runs go through toy and sample: click refuses the scheme
+    # before a run directory exists
     def test_rejects_exact_scheme(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--scheme", "exact",
                                       "--out", str(tmp_path / "x")])
         assert result.exit_code == 2
+        assert "Invalid value for '--scheme'" in result.output
+        assert not (tmp_path / "x").exists()
 
     def test_rejects_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--eta-grid", "a,b",
@@ -559,12 +626,32 @@ FROZEN_CSVS = [
         "summary.csv": "fb4a3626f9aa03b7418b9e67df6801c01ada37443d5ec9c3e6d780ab1028cbad"}),
     (["geom", "--scheme", "leapfrog", "--states", "20"], {
         "summary.csv": "a883a41faecec391a8f44ee8daef8cc89cbccc99ae1b59bd1b2cea3bfadb16a4"}),
+    # a lone chain on unequal 11/11/10-row blocks
+    (["sample", "--model", "lingauss", "--scheme", "lie-trotter", "--nl", "3", "--K", "3",
+      "--mode", "perm", "--n", "300", "--seed", "4"], {
+        "trace.csv": "e947584e85f64922f7bcf53ae5578fbb3233cd4f35ee58934849dffecaacc568"}),
+    (["sample", "--model", "lingauss", "--scheme", "leapfrog", "--K", "8", "--mode", "iid",
+      "--n", "300", "--seed", "1"], {
+        "trace.csv": "822c471fc69adc0b6c404ec4fd9c5789acedf4f71b28609bb38235df1312fc75"}),
+    # the frictionless spv kick
+    (["sample", "--model", "toy", "--scheme", "spv", "-C", "0", "--n", "300"], {
+        "trace.csv": "7bec3920612202063400ac751168c0db6563476f70e4ef69241dde59e509929a"}),
+    # the half refresh
+    (["sample", "--model", "lingauss", "--scheme", "symmetric", "--K", "4", "--mode", "perm",
+      "--n", "300"], {
+        "trace.csv": "4916bbb47173417bcdba3cee2385d62357b252b202e0b0087057409b5b8a4c86"}),
+    (["report", "--which", "orders", "--trials", "10", "--n", "200", "--reps", "2"], {
+        "checks.csv": "da2dda1538668917dd29d0ed01578d7d58a9e552c0b68590f8e82c9d1f28c534",
+        "trial_slopes.csv": "25423f0d76e9d7109be620ca70e758c689808dc8f0744ab63e940bf4380fc553",
+        "trials.csv": "dd7ab4849721eee8097b2641eb33d4ca7c1f0f11c9d133003e1dedb136473bb9"}),
 ]
 
 
 @pytest.mark.parametrize("args, digests", FROZEN_CSVS, ids=[
     "toy", "sample-perm", "sample-mt3", "sample-spv-logistic", "sample-hmc",
-    "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog"])
+    "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog",
+    "sample-lie-trotter-unequal", "sample-leapfrog-iid", "sample-spv-frictionless",
+    "sample-symmetric", "report-orders"])
 def test_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
     run_ok(runner, args + ["--out", str(tmp_path)])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -1,5 +1,8 @@
 """Tests for the potential models, their mini-batch split, and posteriors."""
 
+import math
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,10 +16,9 @@ from hsde.potentials import (
     LinearGaussian,
     Logistic2D,
     batch_bounds,
-    make_cycled_basis_dataset,
     make_logistic_demo,
 )
-from hsde.repro import build_model
+from hsde.repro import build_model, sweep_model
 
 from .oracles import grad_fd, jac_fd
 
@@ -297,6 +299,45 @@ class TestLinearGaussian:
                 assert stacked[0](j, th[None])[0].tobytes() == want_g.tobytes()
                 assert stacked[1](j, th[None], v[None])[0].tobytes() == want_h.tobytes()
 
+    @staticmethod
+    def _unequal_blocks():
+        rng = RngStream(3, 0)
+        return LinearGaussian(rng.normal(32 * 5).reshape(32, 5), rng.normal(32),
+                              noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0, 0.25],
+                              n_batches=3)
+
+    @staticmethod
+    def _lone_chain_bits(P, ids, states):
+        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, 3.0))
+        return [(grad(j, th).tobytes(), hess(j, th, v).tobytes())
+                for j, (th, v) in enumerate(states)]
+
+    # a lone chain's row operands, scratch included, belong to the model and
+    # are shared by every provider it hands out: providers called in turn
+    # give the bits each gives alone
+    def test_lone_chain_providers_called_alternately(self):
+        P = self._unequal_blocks()
+        draws = RngStream(2, 0)
+        states = [(4.0 * draws.normal(5), 4.0 * draws.normal(5)) for _ in range(12)]
+        chunks = [BatchSchedule(mode, 3, RngStream(1, c)).take(12)
+                  for c, mode in enumerate(["perm", "iid", "full"])]
+        alone = [self._lone_chain_bits(P, ids, states) for ids in chunks]
+        providers = [P.step_providers(ids[:, None], np.full(5, 3.0)) for ids in chunks]
+        for j, (th, v) in enumerate(states):
+            for (grad, hess), want in zip(providers, alone):
+                assert (grad(j, th).tobytes(), hess(j, th, v).tobytes()) == want[j]
+
+    # a sweep's worker processes receive the model through pickle
+    def test_pickled_model_keeps_lone_chain_bits(self):
+        P = self._unequal_blocks()
+        Q = pickle.loads(pickle.dumps(P))
+        draws = RngStream(2, 1)
+        states = [(4.0 * draws.normal(5), 4.0 * draws.normal(5)) for _ in range(12)]
+        for c, mode in enumerate(["perm", "iid", "full"]):
+            ids = BatchSchedule(mode, 3, RngStream(1, c)).take(12)
+            assert (self._lone_chain_bits(Q, ids, states)
+                    == self._lone_chain_bits(P, ids, states))
+
     # the stacked path skips a unit noise variance, unit prior variances and
     # a unit prior weight, and serves an ensemble of full and block rows,
     # each one contiguous run, as two stacked groups; interleaved rows take
@@ -457,13 +498,14 @@ class TestGaussianPosterior:
 
 class TestGenerators:
     def test_cycled_basis_uniform_batch_curvature(self):
-        Phi, y = make_cycled_basis_dataset(dim=4, n_rows=32)
-        assert np.all(y == 0)
-        P = LinearGaussian(Phi, y, noise_var=1.0, prior_var=1.0, n_batches=8)
+        # the sweep benchmark's design: row i is sqrt(3/8) e_{i mod 4}
+        P = sweep_model(8)
+        want = np.zeros((32, 4))
+        want[np.arange(32), np.arange(32) % 4] = math.sqrt(0.375)
+        np.testing.assert_array_equal(P.features, want)
         # every coordinate of the full posterior has precision 4
         post = P.analytic_posterior()
         np.testing.assert_allclose(post.cov, np.eye(4) / 4.0, atol=1e-14)
-        np.testing.assert_allclose(post.mean, np.zeros(4), atol=1e-14)
         # every batch sees the same diagonal curvature
         hv = [
             np.array([P.hessian_vec(np.zeros(4), e, batch=b) for e in np.eye(4)])
