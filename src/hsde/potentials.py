@@ -259,13 +259,12 @@ class LinearGaussian(Potential):
             dim=Phi.shape[1], n_obs=Phi.shape[0], prior_var=prior_var, n_batches=n_batches
         )
         # operands of the one-row path by batch id: views F of the batch's
-        # design rows and FT of their transpose, its targets and a scratch
-        # for F @ x
-        self._row_ops = {b: (Phi[sl], Phi[sl].T, y[sl], np.empty(sl.stop - sl.start))
-                         for b, (sl, _) in self._slices.items()}
-        # operands of the stacked path: the full design, and equal blocks as
-        # (K, rows, d) and (K, rows)
-        self._full = (Phi[None], Phi[None].swapaxes(1, 2), y)
+        # design rows and FT of their transpose, its targets, a scratch for
+        # F @ x and its prior weight spread over (d,), None where it is 1
+        self._row_ops = {b: (Phi[sl], Phi[sl].T, y[sl], np.empty(sl.stop - sl.start),
+                             None if w == 1.0 else np.full(self.dim, w))
+                         for b, (sl, w) in self._slices.items()}
+        # the stacked path's equal blocks as (K, rows, d) and (K, rows)
         self._blocks = None
         self._unit_prior = bool(np.all(self.prior_var == 1.0))
         if self.n_obs % self.n_batches == 0:
@@ -285,105 +284,24 @@ class LinearGaussian(Potential):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
     def step_providers(self, ids_chunk, scale=None):
-        """A lone chain takes the one-row path, and an ensemble the stacked
-        path where it serves the chunk: the chunk's operands are resolved
-        once here, and the providers read step j's and write into arrays
-        they own."""
-        if ids_chunk.shape[1] == 1:
-            ops = self._row_steps(ids_chunk[:, 0])
-            if ops is not None:
-                return self._row_providers((self.dim,), *ops, scale)
-        else:
-            groups = self._chunk_groups(ids_chunk)
-            if groups is not None:
-                return self._providers(groups, ids_chunk.shape[1], scale)
-        return super().step_providers(ids_chunk, scale)
-
-    def _row_steps(self, ids):
-        """(w, step_ops) of a lone chain's chunk of batch ids: step_ops(j) is
-        step j's `_row_ops` entry, and w is the prior weight its batches
-        share. None where the chunk mixes the full potential with blocks."""
-        full = ids < 0
-        if full.any() != full.all():
-            return None
-        ids = ids.tolist()
-        ops = self._row_ops
-        return self._slices[ids[0]][1], [ops[b] for b in ids].__getitem__
-
-    def _chunk_groups(self, ids_chunk):
-        """The stacked operands of a chunk of (m, R) batch ids, per group of
-        rows (rows, w, size, step_ops): rows a slice, w the group's prior
-        weight and step_ops(j) step j's (F, FT, y), design blocks F (n or 1,
-        size, d), their transposed view FT and targets y. One group where
-        every chain runs on the full potential or every id is an equal
-        block's, the blocks gathered for a run of steps at once; two, full
-        rows and gathered-block rows, where some chains run on the full
-        potential throughout the chunk and the rest on equal blocks, and
-        each kind of row is one contiguous run (a sweep's mode-major
-        layout). None where the per-row path serves the chunk: unequal
-        blocks, rows that switch between the full potential and blocks, or
-        full and block rows interleaved."""
-        full = ids_chunk < 0
-        on_full = full[0]
-        if (full != on_full).any():
-            return None
-        if on_full.all():
-            return [(slice(None), *self._full_steps(ids_chunk))]
-        if self._blocks is None:
-            return None
-        if not on_full.any():
-            return [(slice(None), *self._gathered(ids_chunk))]
-        cuts = np.flatnonzero(on_full[1:] != on_full[:-1])
-        if len(cuts) > 1:
-            return None
-        cut = int(cuts[0]) + 1
-        on_full, on_blocks = ((slice(cut), slice(cut, None)) if on_full[0]
-                              else (slice(cut, None), slice(cut)))
-        return [(on_full, *self._full_steps(ids_chunk[:, on_full])),
-                (on_blocks, *self._gathered(ids_chunk[:, on_blocks]))]
-
-    def _full_steps(self, ids_chunk):
-        """(w, size, step_ops) of a full group: the same operands every step,
-        the targets repeated per row (same-shape operations skip
-        broadcasting, the slow path for small arrays)."""
-        F, FT, y = self._full
-        y_rows = np.tile(y, (ids_chunk.shape[1], 1))
-        return 1.0, self.n_obs, lambda j: (F, FT, y_rows)
-
-    def _gathered(self, ids_chunk):
-        """(w, size, step_ops) of a block group: each step's design blocks,
-        their transposed view and targets, gathered a run of steps at a
-        time."""
-        F, y = self._blocks
-        run = max(1, _GATHER_BYTES // max(1, ids_chunk.shape[1] * F[0].nbytes))
-        held = [-1, None]
-
-        def step_ops(j):
-            # read in step order, so one run is held at a time
-            lo = j - j % run
-            if lo != held[0]:
-                ids = ids_chunk[lo:lo + run]
-                # the run's transposed operand is a view: a gathered
-                # transposed copy would raise peak memory
-                F_run = F[ids]
-                held[:] = lo, list(zip(F_run, F_run.swapaxes(2, 3), y[ids]))
-            return held[1][j - lo]
-
-        return 1.0 / self.n_batches, F.shape[1], step_ops
-
-    def _providers(self, groups, R, scale=None):
-        """The step-indexed (grad, hess) of `step_providers` for `groups`
-        over R stacked rows. A mixed ensemble's pair runs each group's
-        providers over its rows, which write straight into their rows of
-        the shared result."""
-        if len(groups) == 1:
-            (_, w, size, step_ops), = groups
-            return self._row_providers((R, self.dim), w, step_ops, scale, size)
+        """A lone chain takes the one-row path, step j on its batch's
+        `_row_ops` entry. An ensemble takes the stacked path where
+        `_chunk_groups` serves the chunk: each group's providers write into
+        their rows of one (R, d) result, which is then scaled once. The
+        providers write into arrays they own."""
+        R = ids_chunk.shape[1]
+        if R == 1:
+            ops = self._row_ops
+            return self._row_providers(
+                (self.dim,), [ops[b] for b in ids_chunk[:, 0].tolist()].__getitem__, scale)
+        groups = self._chunk_groups(ids_chunk)
+        if groups is None:
+            return super().step_providers(ids_chunk, scale)
         mul = np.multiply
         g_all, h_all = np.empty((R, self.dim)), np.empty((R, self.dim))
-        parts = [(rows, *self._row_providers(g_all[rows].shape, w, step_ops, None, size,
+        parts = [(rows, *self._row_providers(g_all[rows].shape, step_ops, None, size,
                                              g_all[rows], h_all[rows]))
-                 for rows, w, size, step_ops in groups]
+                 for rows, size, step_ops in groups]
 
         def grad(j, x):
             for rows, grad_g, _ in parts:
@@ -397,18 +315,69 @@ class LinearGaussian(Potential):
 
         return grad, hess
 
+    def _chunk_groups(self, ids_chunk):
+        """The stacked operands of a chunk of (m, R) batch ids, one group
+        (rows, size, step_ops) per contiguous run of full rows or of block
+        rows, in row order: rows a slice, and step_ops(j) step j's (F, FT,
+        y, w), design blocks F (n or 1, size, d), their transposed view FT,
+        targets y and the prior weight w spread over the group's rows, None
+        where it is 1. None where the per-row path serves the chunk: a row
+        that switches between the full potential and blocks, or block rows
+        on unequal blocks."""
+        on_full = ids_chunk[0] < 0
+        switches = ((ids_chunk < 0) != on_full).any()
+        if switches or (self._blocks is None and not on_full.all()):
+            return None
+        cuts = [0, *(np.flatnonzero(on_full[1:] != on_full[:-1]) + 1).tolist(), len(on_full)]
+        return [(slice(lo, hi),
+                 *(self._full_steps if on_full[lo] else self._gathered)(ids_chunk[:, lo:hi]))
+                for lo, hi in zip(cuts, cuts[1:])]
+
+    def _full_steps(self, ids_chunk):
+        """(size, step_ops) of a full group: the whole design every step,
+        the targets repeated per row (same-shape operations skip
+        broadcasting, the slow path for small arrays)."""
+        F, FT, y, _, _ = self._row_ops[-1]
+        ops = (F[None], FT[None], np.tile(y, (ids_chunk.shape[1], 1)), None)
+        return self.n_obs, lambda j: ops
+
+    def _gathered(self, ids_chunk):
+        """(size, step_ops) of a block group: each step's design blocks,
+        their transposed view and targets, gathered a run of steps at a
+        time."""
+        F, y = self._blocks
+        R = ids_chunk.shape[1]
+        run = max(1, _GATHER_BYTES // max(1, R * F[0].nbytes))
+        w = 1.0 / self.n_batches
+        w = None if w == 1.0 else np.full((R, self.dim), w)
+        held = [-1, None]
+
+        def step_ops(j):
+            # read in step order, so one run is held at a time
+            lo = j - j % run
+            if lo != held[0]:
+                ids = ids_chunk[lo:lo + run]
+                # the run's transposed operand is a view: a gathered
+                # transposed copy would raise peak memory
+                F_run = F[ids]
+                held[:] = lo, list(zip(F_run, F_run.swapaxes(2, 3), y[ids], [w] * len(ids)))
+            return held[1][j - lo]
+
+        return F.shape[1], step_ops
+
     # One row's np.dot on a 2-D block and its transposed view, and stacked
     # (n, size, d) matmuls through the transposed view, run the same BLAS
     # gemv as the per-row `features[sl].T @ resid`, so the bits match;
-    # Gram-matrix forms, einsum and a contiguous transpose do not. A mixed
+    # Gram-matrix forms, einsum and a contiguous transpose do not. An
     # ensemble makes one such call per group.
-    def _row_providers(self, shape, w, step_ops, scale=None, size=None, g=None, hv=None):
+    def _row_providers(self, shape, step_ops, scale=None, size=None, g=None, hv=None):
         """(grad, hess) over states of `shape`, (d,) for one row and (n, d)
-        for n stacked rows, of prior weight w: grad(j, x) and hess(j, x, v)
-        are the gradient and Hessian-vector product on step_ops(j)'s operands
-        (see `_row_steps` and `_chunk_groups`; stacked operands have `size`
-        data rows), times scale where given, written into the arrays g and
-        hv of `shape` (made here unless given) and overwritten by each call.
+        for n stacked rows: grad(j, x) and hess(j, x, v) are the gradient
+        and Hessian-vector product on step_ops(j)'s operands at its prior
+        weight (a `_row_ops` entry for one row, see `_chunk_groups` for
+        stacked operands of `size` data rows), times scale where given,
+        written into the arrays g and hv of `shape` (made here unless given)
+        and overwritten by each call.
 
         Each is the per-row formula's numpy calls in order, written into
         arrays made here once; unit factors are skipped (x / 1.0 and
@@ -419,12 +388,11 @@ class LinearGaussian(Potential):
         noise_var = None if self.noise_var == 1.0 else np.full(shape, self.noise_var)
         prior_var = (None if self._unit_prior
                      else np.ascontiguousarray(np.broadcast_to(self.prior_var, shape)))
-        w = None if w == 1.0 else np.full(shape, w)
         g = np.empty(shape) if g is None else g
         hv = np.empty(shape) if hv is None else hv
         p = np.empty(shape)
 
-        def finish(out, u):
+        def finish(out, u, w):
             # out / noise_var + w (u / prior_var), times scale
             if noise_var is not None:
                 div(out, noise_var, out)
@@ -437,15 +405,15 @@ class LinearGaussian(Potential):
 
             def grad(j, x):
                 # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
-                F, FT, y, Fx = step_ops(j)
+                F, FT, y, Fx, w = step_ops(j)
                 dot(F, x, Fx)
                 sub(Fx, y, Fx)
-                return finish(dot(FT, Fx, g), x)
+                return finish(dot(FT, Fx, g), x, w)
 
             def hess(j, x, v):
                 # (FT @ (F @ v)) / noise_var + w (v / prior_var)
-                F, FT, _, Fx = step_ops(j)
-                return finish(dot(FT, dot(F, v, Fx), hv), v)
+                F, FT, _, Fx, w = step_ops(j)
+                return finish(dot(FT, dot(F, v, Fx), hv), v, w)
 
             return grad, hess
 
@@ -457,18 +425,18 @@ class LinearGaussian(Potential):
 
         def grad(j, x):
             # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
-            F, FT, y = step_ops(j)
+            F, FT, y, w = step_ops(j)
             matmul(F, x[..., None], Fx)
             sub(Fx_2d, y, Fx_2d)
             matmul(FT, Fx, g_3d)
-            return finish(g, x)
+            return finish(g, x, w)
 
         def hess(j, x, v):
             # (FT @ (F @ v)) / noise_var + w (v / prior_var)
-            F, FT, _ = step_ops(j)
+            F, FT, _, w = step_ops(j)
             matmul(F, v[..., None], Fx)
             matmul(FT, Fx, hv_3d)
-            return finish(hv, v)
+            return finish(hv, v, w)
 
         return grad, hess
 

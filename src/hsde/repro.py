@@ -154,8 +154,8 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
             cfgs.append(cfg)
             chain_indices.append(rep)
     # a sweep reads positions only
-    thetas = (run_states(model, specs, chain_modes, cfgs, chain_indices,
-                         keep_momenta=False)[0] if specs else [])
+    thetas = run_states(model, specs, chain_modes, cfgs, chain_indices,
+                        keep_momenta=False)[0]
 
     rows = []
     for cell, ((mode, n_batches), (eta, _)) in enumerate(runs):
@@ -251,6 +251,8 @@ def run_sweeps(
         raise ValueError(f"n_ks must be in [1, {_ORACLE_N}]")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    if not plan or not all(len(etas) for _, etas in plan):
+        raise ValueError("a sweep needs at least one scheme and a step size for each")
     modes = [(mode, int(k)) for mode, k in modes]
     if not modes:
         raise ValueError("a sweep needs at least one batch mode")

@@ -253,6 +253,17 @@ class TestConfigFile:
         assert lines[1].startswith("leapfrog,")
         assert lines[2].startswith("euler,")
 
+    # a multi-valued key left empty names no scheme: the sweep is refused
+    # before any chain runs and leaves no run directory
+    def test_empty_scheme_key_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("scheme =\nn = 40\nburn_in = 20\nreps = 1\nn_ks = 20\n")
+        out = tmp_path / "run"
+        result = runner.invoke(main, ["sweep", "--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "at least one scheme" in result.output
+        assert not out.exists()
+
     def test_flag_spelling_keys_accepted(self, runner, tmp_path):
         # config keys may use the flag spellings (C, K, nl, vhat) as well
         # as the parameter names they map to
@@ -644,6 +655,31 @@ FROZEN_CSVS = [
         "checks.csv": "da2dda1538668917dd29d0ed01578d7d58a9e552c0b68590f8e82c9d1f28c534",
         "trial_slopes.csv": "25423f0d76e9d7109be620ca70e758c689808dc8f0744ab63e940bf4380fc553",
         "trials.csv": "dd7ab4849721eee8097b2641eb33d4ca7c1f0f11c9d133003e1dedb136473bb9"}),
+    # one case per layout of LinearGaussian's providers: full and block rows
+    # in two stacked groups
+    (["report", "--which", "gap", "--n", "200", "--reps", "4"], {
+        "cells.csv": "17651a259ffb93efeda7546f46976b21c1842315ca972d365d33e75f39058394",
+        "checks.csv": "b2a79e4b45f95050c5ecdb62b2677592e2bd82bc26fc98266f26ed7e5a47ffeb",
+        "slopes.csv": "0dfb2c292ee899b95bceadcea57dfefef3ce59fe9d57f0c18492442076e18d48"}),
+    # block rows only
+    (["sweep", "--scheme", "mt3", "--scheme", "spv", "--K", "8", "--mode", "perm",
+      "--n", "200"], {
+        "slopes.csv": "abe6c0194f63b06978aae2838dabb33335219f0dced5cdba3c222b538d53dcd3",
+        "summary.csv": "7836724374d4b9ca6e29175df45dadd8b77ad7052e9ba7b51cf0722f10dbe34c"}),
+    # full rows only
+    (["sweep", "--scheme", "leapfrog", "--scheme", "lie-trotter", "--nl", "2",
+      "--n", "200"], {
+        "slopes.csv": "93e58a73c5a645d20c13c4801f5704ae076279a7a307c888e89e20f787b584d9",
+        "summary.csv": "22b074959b97829dbc5b21e8754dbb6d9cb89333594de0d7134b74be3762c5d6"}),
+    # block rows on unequal blocks, served per row
+    (["sweep", "--scheme", "euler", "--K", "3", "--mode", "perm", "--n", "100",
+      "--burn-in", "100", "--reps", "2"], {
+        "slopes.csv": "dcbf7833e57bd8a1b6ac83abd831c221ad1c5f15cd48c1db13e0f466903a3f4e",
+        "summary.csv": "e188c4d984abb01ed85dc2d8a4e8c48f485e4e465f46e38aea794c1ea0d2b608"}),
+    # a lone chain on unequal blocks, with Hessian-vector products
+    (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "3", "--mode", "iid",
+      "--n", "300"], {
+        "trace.csv": "0766dade0f4ee0e3897e78ca75ec19276614256fee73705b16042ffb2d536a21"}),
 ]
 
 
@@ -651,7 +687,8 @@ FROZEN_CSVS = [
     "toy", "sample-perm", "sample-mt3", "sample-spv-logistic", "sample-hmc",
     "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog",
     "sample-lie-trotter-unequal", "sample-leapfrog-iid", "sample-spv-frictionless",
-    "sample-symmetric", "report-orders"])
+    "sample-symmetric", "report-orders", "report-gap", "sweep-block-rows",
+    "sweep-full-rows", "sweep-unequal-blocks", "sample-mt3-unequal"])
 def test_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
     run_ok(runner, args + ["--out", str(tmp_path)])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hsde.potentials import (
     GaussianPosterior,
     LinearGaussian,
     Logistic2D,
+    Potential,
     batch_bounds,
     make_logistic_demo,
 )
@@ -258,9 +260,9 @@ class TestLinearGaussian:
 
     # a lone chain's providers take the one-row path, np.dot on d-vectors
     # and views of the design, full batch or on a chunk's blocks (equal or
-    # not), and give the bits of the stacked (1, d) path where it serves the
-    # chunk and of the one-point calls, times the mini-batch scale K where
-    # given
+    # not), and give the bits of each row of a two-copy (2, d) ensemble
+    # (stacked where it serves the chunk, else per row) and of the one-point
+    # calls, times the mini-batch scale K where given
     @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks",
@@ -276,13 +278,13 @@ class TestLinearGaussian:
             P = build_model("lingauss", int(model[-1]))
         m, K = 40, float(P.n_batches)
         ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
-        assert P._row_steps(ids) is not None
         grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
         # unequal blocks are served per row, the full design and equal blocks
         # stacked
-        groups = P._chunk_groups(ids[:, None])
+        pair = np.repeat(ids[:, None], 2, axis=1)
+        groups = P._chunk_groups(pair)
         assert (groups is None) == (model == "dense-unequal-blocks" and mode != "full")
-        stacked = groups and P._providers(groups, 1, np.full((1, P.dim), K) if scaled else None)
+        grad2, hess2 = P.step_providers(pair, np.full((2, P.dim), K) if scaled else None)
         draws = RngStream(2, 0)
         for j, b in enumerate(ids.tolist()):
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
@@ -295,9 +297,40 @@ class TestLinearGaussian:
                 want_g, want_h = K * want_g, K * want_h
             assert grad(j, th).tobytes() == want_g.tobytes()
             assert hess(j, th, v).tobytes() == want_h.tobytes()
-            if stacked:
-                assert stacked[0](j, th[None])[0].tobytes() == want_g.tobytes()
-                assert stacked[1](j, th[None], v[None])[0].tobytes() == want_h.tobytes()
+            th2, v2 = np.stack([th, th]), np.stack([v, v])
+            assert grad2(j, th2).tobytes() == np.stack([want_g, want_g]).tobytes()
+            assert hess2(j, th2, v2).tobytes() == np.stack([want_h, want_h]).tobytes()
+
+    # a lone chunk that mixes the full potential with blocks (no chain makes
+    # one: a chain's batch mode is fixed) still takes the one-row path, each
+    # step at its own batch's prior weight, never the base class's per-row
+    # formula
+    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
+    @pytest.mark.parametrize("model", ["lingauss-K8", "dense-unequal-blocks"])
+    def test_lone_chunk_mixing_full_and_blocks(self, model, scaled, monkeypatch):
+        if model == "lingauss-K8":
+            P = build_model("lingauss", 8)
+        else:
+            P = self._unequal_blocks()
+        K = float(P.n_batches)
+        ids = np.array([-1, 2, -1, 0, 1, -1, 2, 1])
+        want = []
+        draws = RngStream(2, 3)
+        for b in ids.tolist():
+            th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
+            key = None if b < 0 else b
+            g, h = P.gradient(th, key), P.hessian_vec(th, v, key)
+            want.append((th, v, (K * g if scaled else g).tobytes(),
+                         (K * h if scaled else h).tobytes()))
+
+        def per_row(*args):
+            raise AssertionError("a lone chain reached the per-row path")
+
+        monkeypatch.setattr(Potential, "step_providers", per_row)
+        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
+        for j, (th, v, want_g, want_h) in enumerate(want):
+            assert grad(j, th).tobytes() == want_g
+            assert hess(j, th, v).tobytes() == want_h
 
     @staticmethod
     def _unequal_blocks():
@@ -339,17 +372,16 @@ class TestLinearGaussian:
                     == self._lone_chain_bits(P, ids, states))
 
     # the stacked path skips a unit noise variance, unit prior variances and
-    # a unit prior weight, and serves an ensemble of full and block rows,
-    # each one contiguous run, as two stacked groups; interleaved rows take
-    # the per-row path: every row must keep the per-row bits
+    # a unit prior weight, and serves an ensemble of full and block rows as
+    # one stacked group per contiguous run of each, in row order: every row
+    # must keep the per-row bits, unscaled and times its mini-batch scale
     @pytest.mark.parametrize("noise_var, prior_var", [
         (1.0, 1.0), (1.5, 1.0), (1.0, [2.0, 0.5, 1.0, 3.0]), (0.7, 2.0)])
-    @pytest.mark.parametrize("rows", [
-        "all-full", "all-blocks", "full-then-blocks", "blocks-then-full", "interleaved"])
-    def test_stacked_rows_match_per_row(self, noise_var, prior_var, rows):
-        full = {"all-full": "FFFFFF", "all-blocks": "BBBBBB",
-                "full-then-blocks": "FFBBBB", "blocks-then-full": "BBBBBF",
-                "interleaved": "BFBBFB"}[rows]
+    @pytest.mark.parametrize("full", ["FFFFFF", "BBBBBB", "FFBBBB", "BBBBBF", "BFBBFB",
+                                      "FBFBBF", "BFFBBF"],
+                             ids=["all-full", "all-blocks", "full-then-blocks",
+                                  "blocks-then-full", "interleaved", "FBFBBF", "BFFBBF"])
+    def test_stacked_rows_match_per_row(self, noise_var, prior_var, full):
         rng = RngStream(5, 0)
         P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
                            noise_var=noise_var, prior_var=prior_var, n_batches=8)
@@ -357,24 +389,47 @@ class TestLinearGaussian:
         ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
-        assert (P._chunk_groups(ids) is None) == (rows == "interleaved")
-        grad, hess = P.step_providers(ids)
+        runs = [(r.start(), r.end()) for r in re.finditer("F+|B+", full)]
+        groups = P._chunk_groups(ids)
+        assert [(rows.start, rows.stop) for rows, _, _ in groups] == runs
+        scale = np.array([[1.0 if f == "F" else 8.0] * 4 for f in full])
+        providers = [P.step_providers(ids), P.step_providers(ids, scale)]
         for j in range(m):
             th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
             keys = ids[j].tolist()
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
             want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
                                for c, k in enumerate(keys)])
-            assert grad(j, th).tobytes() == want_g.tobytes()
-            assert hess(j, th, v).tobytes() == want_h.tobytes()
-            for arg in (ids[j],) + ((None,) if rows == "all-full" else ()):
+            for (grad, hess), factor in zip(providers, (1.0, scale)):
+                assert grad(j, th).tobytes() == (factor * want_g).tobytes()
+                assert hess(j, th, v).tobytes() == (factor * want_h).tobytes()
+            for arg in (ids[j],) + ((None,) if full == "FFFFFF" else ()):
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
 
-    # a mixed ensemble's full rows and block rows, each one contiguous run,
-    # are split at the one cut between them: the full group on the whole
-    # design at prior weight 1, the block group on equal blocks at 1/K
-    @pytest.mark.parametrize("full", ["FFBBBB", "BBBBBF", "FBBBBB", "BBBBFF"])
+    # an ensemble row that switches between the full potential and blocks
+    # within a chunk (no sweep makes one) is served per row, with the
+    # per-row bits
+    def test_row_switching_mid_chunk_takes_per_row_path(self):
+        rng = RngStream(5, 1)
+        P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
+                           noise_var=1.5, prior_var=2.0, n_batches=8)
+        ids = np.array([[-1, 3, 5], [-1, -1, 0], [-1, 6, 2], [-1, 1, 7]])
+        assert P._chunk_groups(ids) is None
+        scale = np.array([[1.0] * 4, [8.0] * 4, [8.0] * 4])
+        grad, hess = P.step_providers(ids, scale)
+        for j, keys in enumerate(ids.tolist()):
+            th, v = (4.0 * rng.normal(3 * 4).reshape(3, 4) for _ in range(2))
+            want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
+            want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
+                               for c, k in enumerate(keys)])
+            assert grad(j, th).tobytes() == (scale * want_g).tobytes()
+            assert hess(j, th, v).tobytes() == (scale * want_h).tobytes()
+
+    # each group holds its own operands: a full group the whole design at
+    # prior weight 1 (None), a block group each step's equal blocks at 1/K
+    # spread over its rows
+    @pytest.mark.parametrize("full", ["FFBBBB", "BBBBBF", "FBBBBB", "BBBBFF", "FBFBBF"])
     def test_chunk_groups_split_at_the_cut(self, full):
         rng = RngStream(5, 0)
         P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
@@ -383,21 +438,25 @@ class TestLinearGaussian:
         ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
                                       RngStream(3, c)).take(m)
                         for c, f in enumerate(full)], axis=1)
-        (rows_f, w_f, size_f, ops_f), (rows_b, w_b, size_b, ops_b) = P._chunk_groups(ids)
         cols = np.arange(len(full))
-        assert "".join(full[c] for c in cols[rows_f]) == "F" * full.count("F")
-        assert "".join(full[c] for c in cols[rows_b]) == "B" * full.count("B")
-        assert (w_f, size_f) == (1.0, 32)
-        assert (w_b, size_b) == (1.0 / 8, 4)
-        for j in range(m):
-            F, FT, y = ops_b(j)
-            blocks = ids[j, rows_b]
-            np.testing.assert_array_equal(F, P.features.reshape(8, 4, 4)[blocks])
-            np.testing.assert_array_equal(FT, F.swapaxes(1, 2))
-            np.testing.assert_array_equal(y, P.targets.reshape(8, 4)[blocks])
-            F, _, y = ops_f(j)
-            np.testing.assert_array_equal(F[0], P.features)
-            np.testing.assert_array_equal(y, np.tile(P.targets, (full.count("F"), 1)))
+        for rows, size, step_ops in P._chunk_groups(ids):
+            kinds = {full[c] for c in cols[rows]}
+            assert len(kinds) == 1
+            n_rows = len(cols[rows])
+            for j in range(m):
+                F, FT, y, w = step_ops(j)
+                if kinds == {"F"}:
+                    assert size == 32 and w is None
+                    np.testing.assert_array_equal(F[0], P.features)
+                    np.testing.assert_array_equal(FT[0], P.features.T)
+                    np.testing.assert_array_equal(y, np.tile(P.targets, (n_rows, 1)))
+                    continue
+                blocks = ids[j, rows]
+                assert size == 4
+                np.testing.assert_array_equal(F, P.features.reshape(8, 4, 4)[blocks])
+                np.testing.assert_array_equal(FT, F.swapaxes(1, 2))
+                np.testing.assert_array_equal(y, P.targets.reshape(8, 4)[blocks])
+                np.testing.assert_array_equal(w, np.full((n_rows, 4), 1.0 / 8))
 
     # the model copies its design C-ordered: a Fortran-ordered or strided
     # design gives the bits of a C-ordered one on every gradient path, and a

@@ -131,6 +131,19 @@ class TestRunSweep:
         with pytest.raises(ValueError, match=match):
             self.run(**bad)
 
+    # an empty plan, or a scheme with no step size, would run no cell and
+    # write header-only tables
+    @pytest.mark.parametrize("plan", [
+        [], [("leapfrog", ())], [("leapfrog", (0.4,)), ("spv", ())]],
+        ids=["no-scheme", "no-eta", "second-pair-no-eta"])
+    def test_rejects_empty_plan_before_any_chain(self, monkeypatch, plan):
+        def no_chains(*args, **kw):
+            raise AssertionError("a chain ran before the plan was checked")
+
+        monkeypatch.setattr(repro, "run_states", no_chains)
+        with pytest.raises(ValueError, match="at least one scheme and a step size"):
+            repro.run_sweeps("lingauss", plan, [("full", 1)], n=10, reps=1)
+
     def test_n_ks_at_oracle_size_accepted(self):
         res = repro.run_sweeps("lingauss", [("leapfrog", (0.4,))], [("full", 1)], n=20,
                                reps=1, burn_in=5, seed=17, n_ks=100_000)[0]
