@@ -8,9 +8,9 @@ Conventions used throughout the package:
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
 - Every CSV is written by `write_columns` (for `chain`, `repro` and `cli`),
-  every float in a CSV or in `meta.txt` by `format_float`. Both stay out of
-  `__all__`, like `as_vector`: perfbench's tracer wraps every `__all__`
-  function, and a span per cell would swamp its trace.
+  every float in a CSV or in `meta.txt` in the text of `format_float`. Both
+  stay out of `__all__`, like `as_vector`: perfbench's tracer wraps every
+  `__all__` function, and a span per cell would swamp its trace.
 """
 
 from __future__ import annotations
@@ -47,7 +47,24 @@ def format_float(x) -> str:
 
 
 # rows formatted per write: a long trace never exists as text whole
-_CSV_BLOCK = 4096
+_CSV_BLOCK = 1024
+
+# 10^s for s <= 21, exact doubles, and Veltkamp's split of each into
+# 26-bit halves, for Dekker's exact product in `_numeric_block`
+_SPLIT = 2.0**27 + 1
+_TEN = np.array([float(10**s) for s in range(22)])
+_TEN_HI = _TEN * _SPLIT - (_TEN * _SPLIT - _TEN)
+_TEN_LO = _TEN - _TEN_HI
+# the digits of 0000..9999, one row per place, and the trailing zeros of each,
+# built by copies: arithmetic here adds 0.5 MB of peak RSS to every command
+_DIGITS = np.frombuffer(b"0123456789", np.uint8)
+_QUAD = np.array([np.tile(_DIGITS.repeat(10**(3 - j)), 10**j) for j in range(4)])
+_QUAD_ZEROS = np.zeros(10000, np.uint8)
+for _k in (10, 100, 1000, 10000):
+    _QUAD_ZEROS[::_k] += 1
+_LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
+# the words for 0, inf and nan, one column each
+_WORDS = np.frombuffer(b"0\0\0infnan", np.uint8).reshape(3, 3).T
 
 
 def _conversion(column) -> str | None:
@@ -62,13 +79,83 @@ def _conversion(column) -> str | None:
     return "%s" if column.dtype.kind in "iub" else None
 
 
+def _numeric_block(parts) -> str:
+    """The CSV lines of one block of equal-length float64 arrays and integer
+    arrays within ±2^53, each cell as `format_float` writes it (an integer
+    within ±2^53 is exact as a float64, and reads as its `str`).
+
+    A cell with 1e-4 <= |x| < 1e16 is x = ±D·10^(e-16), its 17 digits
+    D = round-half-even(|x|·10^(16-e)) taken exactly: hi + lo is Dekker's
+    product, and hi >= 2^53 (as wherever D >= 10^16) is an even integer, so
+    D = hi + rint(lo).
+    A D outside [10^16, 10^17) means log10 misjudged the decade (no float64
+    in range is within half a unit of the 17th digit below a power of ten,
+    so a misjudged D never rounds into it). ±0, ±inf and nan are words after
+    the sign. The cells left, e-notation and misjudged decades, are written
+    by `format_float` into the "%s" left in their place.
+
+    A cell's text fills 40 slots of a slot-major array, "\0" where unused:
+    sign, "0.000", 17 digits with a slot for the point after each, separator.
+    """
+    n, m = len(parts[0]), len(parts)
+    x = np.column_stack(parts).astype(np.float64, copy=False).ravel()
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16)
+    words = (a == 0) | ~np.isfinite(a)
+    if not (ok | words).any():
+        return (",".join(["%s"] * m) + "\n") * n % tuple(map(format_float, x.tolist()))
+    a = np.where(ok, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.intp)
+    b_hi, b_lo = _TEN_HI[16 - e], _TEN_LO[16 - e]
+    hi = a * _TEN[16 - e]
+    a_hi = a * _SPLIT - (a * _SPLIT - a)
+    a_lo = a - a_hi
+    lo = a_hi * b_hi - hi + a_hi * b_lo + a_lo * b_hi + a_lo * b_lo
+    D = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    ok &= (D >= 10**16) & (D < 10**17)
+    # D's digits: the first, then four runs of four
+    quads = D // np.array([[10**12], [10**8], [10**4], [1]]) % 10000
+    zeros = np.uint8(0)
+    for q in quads:
+        zeros = _QUAD_ZEROS[q] + (q == 0) * zeros
+    # digits shown: the significant ones and every one before the point;
+    # none in a word or delegated cell
+    shown = np.where(ok, np.maximum(17 - zeros, e + 1), 0)
+    slots = np.zeros((40, n * m), np.uint8)
+    slots[0] = (np.signbit(x) & ~np.isnan(x)) * np.uint8(ord("-"))
+    # "0.000" before a fraction's digits: char k where e < [0, 0, -1, -2, -3][k]
+    slots[1:6] = (e < np.array([[0], [0], [-1], [-2], [-3]])) * _LEAD
+    digits = slots[6:39:2]
+    digits[0] = D // 10**16 + ord("0")
+    for j in range(4):
+        digits[1 + j::4] = _QUAD[j][quads]
+    digits *= np.arange(17)[:, None] < shown
+    slots[7:38:2] = ((np.arange(16)[:, None] == e) & (shown > e + 1)) * np.uint8(ord("."))
+    slots[39].reshape(n, m)[:] = list(b"," * (m - 1) + b"\n")
+    bad, word = np.flatnonzero(~ok & ~words), np.flatnonzero(words)
+    digits[:3, word] = _WORDS[:, np.isinf(x[word]) + 2 * np.isnan(x[word])]
+    slots[:6, bad] = np.frombuffer(b"%s\0\0\0\0", np.uint8)[:, None]
+    # a slot that no cell of the block uses (most point slots) adds nothing
+    text = slots[slots.any(1)].T.tobytes().translate(None, b"\0").decode()
+    return text % tuple(map(format_float, x[bad].tolist())) if bad.size else text
+
+
 def write_columns(path, header, columns) -> None:
     """Write a CSV from its header and equal-length columns, one line per row.
 
-    Float cells (numpy float64 included) go through `format_float`, any other
-    cell through `str`. Columns may be lists or numpy arrays.
+    Float cells (numpy float64 included) read as `format_float` writes them,
+    any other cell as `str`. Columns may be lists or 1-D numpy arrays; any
+    other input raises ValueError before the file is opened. Where each
+    column is a float64 array or an integer array within ±2^53, numpy formats
+    the cells (`_numeric_block`); otherwise one `%` template formats each row.
     """
+    if (any(np.ndim(col) != 1 for col in columns) or len({len(col) for col in columns}) > 1
+            or len(header) != len(columns)):
+        raise ValueError("need one header name per column and 1-D columns of equal length")
     n = len(columns[0]) if columns else 0
+    numeric = all(isinstance(col, np.ndarray) and (
+        col.dtype == np.float64
+        or col.dtype.kind in "iu" and np.all((col >= -2**53) & (col <= 2**53))) for col in columns)
     conversions = [_conversion(col) for col in columns]
     # one `%` template per row; a column of mixed cells is formatted cell by
     # cell into strings first
@@ -76,8 +163,11 @@ def write_columns(path, header, columns) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
-            # .tolist() turns array cells into Python numbers, the fast path
             parts = [col[start:start + _CSV_BLOCK] for col in columns]
+            if numeric:
+                fh.write(_numeric_block(parts))
+                continue
+            # .tolist() turns array cells into Python numbers, the fast path
             cells = [part.tolist() if conv else
                      [format_float(v) if isinstance(v, float) else str(v) for v in
                       (part.tolist() if isinstance(part, np.ndarray) else part)]

@@ -680,6 +680,10 @@ FROZEN_CSVS = [
     (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "3", "--mode", "iid",
       "--n", "300"], {
         "trace.csv": "0766dade0f4ee0e3897e78ca75ec19276614256fee73705b16042ffb2d536a21"}),
+    # five 1024-row CSV blocks, with one cell below 1e-4 written in e-notation
+    (["sample", "--model", "lingauss", "--scheme", "leapfrog", "--K", "8", "--mode", "iid",
+      "--n", "5000", "--thin", "1", "--seed", "2"], {
+        "trace.csv": "e654c17ef4c2c44f20dbc3d4c340f70d3024c15712d714f95b85f30ee75eda18"}),
 ]
 
 
@@ -688,12 +692,39 @@ FROZEN_CSVS = [
     "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog",
     "sample-lie-trotter-unequal", "sample-leapfrog-iid", "sample-spv-frictionless",
     "sample-symmetric", "report-orders", "report-gap", "sweep-block-rows",
-    "sweep-full-rows", "sweep-unequal-blocks", "sample-mt3-unequal"])
+    "sweep-full-rows", "sweep-unequal-blocks", "sample-mt3-unequal",
+    "sample-leapfrog-blocks"])
 def test_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
     run_ok(runner, args + ["--out", str(tmp_path)])
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in tmp_path.glob("*.csv")}
     assert got == digests
+
+
+def test_trace_cells_take_the_numpy_path(runner, tmp_path, monkeypatch):
+    # a trace written cell by cell keeps every byte and loses the speed, so
+    # count the cells that numpy formats and those it leaves to format_float
+    from hsde import core
+    block, delegated, numeric = core._numeric_block, [], []
+
+    def counted_block(parts):
+        numeric.append(len(parts) * len(parts[0]))
+        return block(parts)
+
+    def counted_float(x):
+        delegated.append(x)
+        return format(float(x), ".17g")
+
+    monkeypatch.setattr(core, "_numeric_block", counted_block)
+    monkeypatch.setattr(core, "format_float", counted_float)
+    args, digests = FROZEN_CSVS[-1]
+    run_ok(runner, args + ["--out", str(tmp_path)])
+    trace = (tmp_path / "trace.csv").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == digests["trace.csv"]
+    lines = trace.splitlines()
+    cells = (len(lines) - 1) * (lines[0].count(b",") + 1)
+    assert sum(numeric) == cells == 5000 * 10
+    assert len(delegated) <= 0.01 * cells
 
 
 @pytest.mark.parametrize("eta", ["inf", "nan"])

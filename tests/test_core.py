@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hsde import core
 from hsde.core import (
     RngStream,
     State,
@@ -19,10 +20,32 @@ finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
 
+
+def cell_by_cell(columns) -> str:
+    """The CSV `write_columns` must write, one `format_float` / `str` call
+    per cell."""
+    cells = [[format_float(v) if isinstance(v, float) else str(v)
+              for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+             for col in columns]
+    lines = [",".join(f"c{k}" for k in range(len(columns)))]
+    return "\n".join(lines + [",".join(row) for row in zip(*cells)]) + "\n"
+
+
+def written(path, columns) -> str:
+    write_columns(path, [f"c{k}" for k in range(len(columns))], columns)
+    return path.read_text()
+
+
+# around each power of ten the numpy path's log10 may misjudge the decade
+NEAR_POWERS = [v for k in range(-6, 19)
+               for v in (np.nextafter(10.0**k, 0), 10.0**k, np.nextafter(10.0**k, np.inf))]
+
+
 class TestWriteColumns:
-    # array columns of every dtype class the writer sorts (float arrays
-    # through one "%.17g", integer and bool arrays through "%s", the rest
-    # cell by cell) next to a list column of mixed cells
+    # array columns of every dtype class the `%` row template sorts (float
+    # arrays through one "%.17g", integer and bool arrays through "%s", the
+    # rest cell by cell) next to a list column of mixed cells, which sends
+    # every row through that template
     def test_every_column_kind_matches_cell_by_cell(self, tmp_path):
         awkward = [-0.0, 5e-324, 1e300, 0.1, -1e-310, np.inf, -np.inf, np.nan]
         with np.errstate(over="ignore"):
@@ -39,14 +62,58 @@ class TestWriteColumns:
             np.array([0.5, "x", 3, None, 2.5, True, -0.0, np.float64(0.1)], dtype=object),
             [0.5, "x", 3, None, np.float64(2.5), True, np.int64(-7), np.float32(0.1)],
         ]
+        assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+
+    # float64 and integer arrays go through numpy a block at a time; blocks of
+    # 3 rows put every kind of cell at every place in a block
+    @pytest.mark.parametrize("block", [3, None])
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=st.lists(st.tuples(st.floats(width=64), st.integers(-2**63, 2**63 - 1),
+                                   st.integers(-2**53, 2**53)), min_size=1, max_size=20))
+    def test_numeric_cells_match_cell_by_cell(self, tmp_path, monkeypatch, block, rows):
+        if block is not None:
+            monkeypatch.setattr(core, "_CSV_BLOCK", block)
+        floats, ints, exact = (np.array(col) for col in zip(*rows))
+        for columns in ([floats, exact], [ints, floats], [-floats]):
+            assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+
+    @pytest.mark.parametrize("block", [3, None])
+    def test_named_cells_match_cell_by_cell(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(core, "_CSV_BLOCK", block)
+        floats = np.array(NEAR_POWERS + [
+            1234567890123456.75, 1234567890123456.25, np.nextafter(0.1, 0), 1e-4, 1e16,
+            -0.0, 5e-324, np.finfo(np.float64).max, np.inf, np.nan])
+        big = [-2**63, 2**63 - 1, 2**53, -2**53, 2**53 + 1, 10**17, 0, 1, -1]
+        for columns in ([floats, -floats], [np.array(big)],
+                        [np.array([0, 2**64 - 1, 2**63, 2**53, 7], dtype=np.uint64)],
+                        [np.array([2**53, -2**53, 10**15, 0, -7]), np.arange(5, dtype=np.uint8)]):
+            assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+        # 17-digit ties round half to even; log10 reads -1 at the float below 0.1
+        text = written(tmp_path / "t.csv", [floats])
+        assert "\n1234567890123456.8\n1234567890123456.2\n0.099999999999999992\n" in text
+
+    # a log10 that misjudges the decade next to each power of ten, low or
+    # high, leaves those cells to format_float
+    @pytest.mark.parametrize("off", [-1e-12, 1e-12])
+    def test_misjudged_decades_are_delegated(self, tmp_path, monkeypatch, off):
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda v: log10(v) + off)
+        columns = [np.array(NEAR_POWERS + [0.5, -123.25, 7.0, 1e-4, 9e15])]
+        assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+
+    @pytest.mark.parametrize("header, columns", [
+        (["a", "b"], [np.arange(3), np.arange(2)]),
+        (["a", "b", "c"], [np.arange(3), np.arange(3)]),
+        (["a", "b"], [np.arange(3), np.zeros((3, 2))]),
+        (["a"], [np.float64(1.0)]),
+    ], ids=["unequal-lengths", "extra-header-name", "2-d-column", "0-d-column"])
+    def test_bad_input_raises_before_the_file_opens(self, tmp_path, header, columns):
         path = tmp_path / "t.csv"
-        write_columns(path, [f"c{k}" for k in range(len(columns))], columns)
-        cells = [[format_float(v) if isinstance(v, float) else str(v)
-                  for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
-                 for col in columns]
-        want = [",".join(f"c{k}" for k in range(len(columns)))]
-        want += [",".join(row) for row in zip(*cells)]
-        assert path.read_text() == "\n".join(want) + "\n"
+        with pytest.raises(ValueError):
+            write_columns(path, header, columns)
+        assert not path.exists()
 
 
 class TestState:
