@@ -610,6 +610,11 @@ class TestToy:
         assert not os.path.exists(tmp_path / "x" / "summary.csv")
 
 
+# five 1024-row CSV blocks, with one cell below 1e-4 written in e-notation
+TRACE_5000 = (["sample", "--model", "lingauss", "--scheme", "leapfrog", "--K", "8",
+               "--mode", "iid", "--n", "5000", "--thin", "1", "--seed", "2"], {
+    "trace.csv": "e654c17ef4c2c44f20dbc3d4c340f70d3024c15712d714f95b85f30ee75eda18"})
+
 # sha256 of each CSV of a few runs. The toy_*_ks goldens (tolerance 1e-6)
 # cannot see a last-bit drift of the exact kernel tables, and no golden at
 # all sees one of an integrator step or a det_target formula
@@ -680,10 +685,7 @@ FROZEN_CSVS = [
     (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "3", "--mode", "iid",
       "--n", "300"], {
         "trace.csv": "0766dade0f4ee0e3897e78ca75ec19276614256fee73705b16042ffb2d536a21"}),
-    # five 1024-row CSV blocks, with one cell below 1e-4 written in e-notation
-    (["sample", "--model", "lingauss", "--scheme", "leapfrog", "--K", "8", "--mode", "iid",
-      "--n", "5000", "--thin", "1", "--seed", "2"], {
-        "trace.csv": "e654c17ef4c2c44f20dbc3d4c340f70d3024c15712d714f95b85f30ee75eda18"}),
+    TRACE_5000,
 ]
 
 
@@ -717,7 +719,7 @@ def test_trace_cells_take_the_numpy_path(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_numeric_block", counted_block)
     monkeypatch.setattr(core, "format_float", counted_float)
-    args, digests = FROZEN_CSVS[-1]
+    args, digests = TRACE_5000
     run_ok(runner, args + ["--out", str(tmp_path)])
     trace = (tmp_path / "trace.csv").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == digests["trace.csv"]
