@@ -22,6 +22,15 @@ time or a chunk at a time, so every chain's kept states are bit-identical to
 the ones it gives run alone. `run_chain` runs one chain this way and wraps
 its states into a `Trace`.
 
+A chunk's length follows from a memory budget, not a fixed step count: R
+chains that each hold w float64 values per step of a chunk (its noise,
+states and checks) take m = max(1, B // (R w)) steps a chunk, with
+B = 2^17 values (1 MiB). An integrator chain counts w = 4 d whatever its
+scheme: its noise at two draws, the most any scheme makes, plus r and
+theta. So a 32-chain d = 4 ensemble takes 256 steps a chunk and a lone
+d = 4 chain 8192. The length never changes output, only how often a
+chunk's fixed cost is paid.
+
 The per-step bookkeeping is done once per chunk, and so is the stepper
 call: the potential resolves the chunk's mini-batch operands up front into
 step-indexed gradient and Hessian-vector providers
@@ -57,8 +66,14 @@ __all__ = ["ChainConfig", "Trace", "run_chain", "run_states", "save_trace"]
 
 _MULTI_TIME = (Scheme.LIE_TROTTER, Scheme.HMC_PARTIAL)
 
-# steps of noise and batch ids drawn per chain at a time
-_CHUNK = 256
+# float64 values a chunk's working set may hold over all its chains (1 MiB)
+_CHUNK_VALUES = 1 << 17
+
+
+def _chunk_steps(n_chains: int, width: int) -> int:
+    """Steps per chunk for n_chains chains that each hold `width` float64
+    values per step of a chunk."""
+    return max(1, _CHUNK_VALUES // (n_chains * width))
 
 
 @dataclass(frozen=True)
@@ -148,9 +163,11 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     Chain c steps with eta etas[c] in batch mode modes[c] over n_batches
     batches on the streams of (cfgs[c].seed, chain_indices[c]); per_chain
     names the caller's own per-chain list for the argument check. Once the
-    arguments are checked, `setup()` gives (scheme, n_draws, r, th,
+    arguments are checked, `setup()` gives (scheme, n_draws, width, r, th,
     advance): the scheme a divergence error names, the d-vectors of noise
-    one step draws, the (R, d) start, and `advance(r, th, noise, ids)`,
+    one step draws, the float64 values one chain holds per step of a chunk
+    (noise, states and whatever advance keeps per step; the chunk length is
+    `_chunk_steps(R, width)`), the (R, d) start, and `advance(r, th, noise, ids)`,
     which takes the chains m steps on from (r, th), step j with the draws
     noise[:, j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking the
     full potential, and returns their (m, R, d) states (rs, ths); it may
@@ -173,7 +190,8 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     rngs, inits, coins = zip(*[[RngStream(c.seed, 4 * i + k) for k in range(3)]
                                for c, i in zip(cfgs, chain_indices)])
     scheds = [BatchSchedule(mode, n_batches, coin) for mode, coin in zip(modes, coins)]
-    scheme, n_draws, r, th, advance = setup(inits)
+    scheme, n_draws, width, r, th, advance = setup(inits)
+    chunk = _chunk_steps(R, width)
     d = th.shape[1]
     total_steps = burn_in + n * thin
     thetas = np.empty((R, n, d))
@@ -188,13 +206,14 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
             # noise and batch ids for the next m steps, drawn per chain in
             # the order its steps would draw them one by one; the noise is
             # laid out draw by draw, (n_draws, m, R, d)
-            m = min(_CHUNK, total_steps - i)
+            m = min(chunk, total_steps - i)
             noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
                               .swapaxes(0, 1) for rng in rngs], axis=2)
             ids = np.stack([s.take(m) for s in scheds], axis=1)
             rs, ths = advance(r, th, noise, ids)
             # freed before the next chunk's are drawn, and the last states
-            # copied so that the chunk's are too
+            # copied so that the chunk's states are too (below): one chunk's
+            # arrays are live at a time, as its length assumes
             del noise, ids
             r, th = rs[-1].copy(), ths[-1].copy()
             rows = _kept_rows(i, m, burn_in, thin)
@@ -219,6 +238,7 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
                     err.partial = (thetas[c, :k].copy(),
                                    momenta[c, :k].copy() if keep_momenta else None)
             i += m
+            del rs, ths, kept_th
     if errors:
         raise errors[min(errors)]
     return thetas, momenta
@@ -277,7 +297,9 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
             return rs, ths
 
         scheme = specs[0].scheme
-        return (scheme, noise_draws(scheme), np.stack([z.r for z in starts]),
+        # noise counted at two draws whatever the scheme draws, plus r and
+        # theta: every scheme takes the same chunks for the same (R, d)
+        return (scheme, noise_draws(scheme), 4 * P.dim, np.stack([z.r for z in starts]),
                 np.stack([z.theta for z in starts]), advance)
 
     return run_loop(setup, [s.eta for s in specs], modes, P.n_batches, cfgs,

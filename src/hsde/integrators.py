@@ -176,12 +176,17 @@ def _constants(spec: IntegratorSpec, d: int) -> dict:
         s2c = np.sqrt(2.0 * C)
         amp_mix = eta**1.5 * s2c
         amp_high = eta**2.5 / 6.0 * s2c
+        # a huge friction overflows these products to inf; the chain then
+        # diverges at its first step and is reported once, without warnings
+        with np.errstate(over="ignore"):
+            amp_mix_C, amp_high_C = amp_mix * C, amp_high * C
+            amp_high_CC = amp_high_C * C
         k.update(
             c1_eta=_MT3_C1 * eta, c2_eta=_MT3_C2 * eta, r_f=(2.0 / 3.0) * eta,
             th2_r=(25.0 / 24.0) * eta, th2_f1=0.5 * eta * eta,
             th3_f1=(17.0 / 36.0) * eta * eta, th3_f2=(1.0 / 36.0) * eta * eta,
-            amp_r=np.sqrt(eta) * s2c, amp_mix=amp_mix, amp_mix_C=amp_mix * C,
-            amp_high=amp_high, amp_high_C=amp_high * C, amp_high_CC=amp_high * C * C,
+            amp_r=np.sqrt(eta) * s2c, amp_mix=amp_mix, amp_mix_C=amp_mix_C,
+            amp_high=amp_high, amp_high_C=amp_high_C, amp_high_CC=amp_high_CC,
         )
     return k
 

@@ -204,11 +204,13 @@ class Potential:
         arrays it owns."""
         mul = np.multiply
         one = ids_chunk.shape[1] == 1
-        keys = ids_chunk.tolist()
+        # a lone chain's ids as one flat list: a list per step would cost a
+        # chunk of thousands of steps more than its noise
+        keys = ids_chunk[:, 0].tolist() if one else ids_chunk.tolist()
 
         def per_row(formula, keys_j, *xs):
             if one:
-                return formula(*xs, keys_j[0])
+                return formula(*xs, keys_j)
             out = np.empty_like(xs[-1])
             for c, key in enumerate(keys_j):
                 out[c] = formula(*(x[c] for x in xs), key)

@@ -190,13 +190,6 @@ class Case:
             assert trace.effective_time == effective
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    # refill noise and batch ids every 7 steps, so short runs cross many
-    # chunk boundaries and end on a partial chunk
-    monkeypatch.setattr(chain_module, "_CHUNK", 7)
-
-
 @pytest.mark.usefixtures("small_chunks")
 class TestEnsembleMatchesReference:
     """Every chain of an ensemble equals the plain one-chain loop, bit for bit."""
@@ -298,13 +291,15 @@ class TestRunStatesMatchFormulas:
 
 
 class TestEnsembleRun:
-    def test_default_chunks_and_buffer_refill(self):
-        # 1120 MT3 steps draw 8960 normals per chain in several default chunks
-        case = Case(build_model("lingauss", 8), Scheme.MT3, "iid",
-                    etas=(0.1, 0.2, 0.15), seeds=(1, 2, 3), indices=(0, 1, 2),
+    def test_default_chunks_and_buffer_refill(self, chunk_lengths):
+        # 1120 MT3 steps draw 71680 normals per chain in several default
+        # chunks of the ensemble: on d = 32 three chains fill the budget in
+        # a few hundred steps
+        case = Case(dense_lingauss(64, 32, 8), Scheme.MT3, "iid",
+                    etas=(0.01, 0.02, 0.015), seeds=(1, 2, 3), indices=(0, 1, 2),
                     burn_in=1000, n_samples=60, thinning=2)
-        assert 1120 > 2 * chain_module._CHUNK
         case.check()
+        assert 1120 > 2 * chunk_lengths[0]
 
     def test_specs_must_share_scheme(self):
         P = build_model("lingauss", 1)
@@ -403,7 +398,6 @@ class TestEnsembleDivergence:
     # friction, leapfrog on the sweep model diverges at step 141 for eta =
     # 6.2 (the first step of a chunk) and at step 147 for eta = 5.6 (the
     # last step of the same chunk); chain 0 never diverges
-    @pytest.mark.usefixtures("small_chunks")
     @pytest.mark.parametrize("etas, burn_in, thin, steps", [
         ((0.1, 6.2), 0, 1, (141,)),
         ((0.1, 5.6), 0, 1, (147,)),
@@ -416,14 +410,14 @@ class TestEnsembleDivergence:
         ((0.1, 5.6, 6.2), 0, 1, (147, 141)),
     ], ids=["chunk-first-step", "chunk-last-step", "burn-in", "thinned",
             "two-in-one-chunk"])
-    def test_chunk_level_check(self, etas, burn_in, thin, steps):
+    def test_chunk_level_check(self, etas, burn_in, thin, steps, small_chunks):
         R = len(etas)
         case = Case(build_model("lingauss", 8), Scheme.LEAPFROG, "perm", etas=etas,
                     seeds=(4,) * R, indices=range(R), burn_in=burn_in,
                     n_samples=300, thinning=thin, C=0.1)
         refs = [self.reference_error(case, c) for c in range(1, R)]
         assert tuple(ref.step_index for ref in refs) == steps
-        assert len({(step - 1) // chain_module._CHUNK for step in steps}) == 1
+        assert len({(step - 1) // small_chunks for step in steps}) == 1
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DivergenceError) as info:
@@ -432,6 +426,90 @@ class TestEnsembleDivergence:
         assert err.eta == etas[1]
         assert err.partial[0].shape[0] == max(0, (steps[0] - 1 - burn_in) // thin)
         assert_same_error(err, refs[0])
+
+    def test_lone_chain_in_a_long_default_chunk(self, chunk_lengths, monkeypatch):
+        # eta = 6 diverges at step 143, early in the lone chain's first
+        # default chunk, and steps on as NaN to the chunk's end; it must be
+        # reported as at 7-step chunks and by the one-step loop
+        case = TestEnsembleDivergence().case()
+        cfg = ChainConfig(n_samples=9000, burn_in=0, thinning=1, seed=4)
+        args = (case.P, case.specs[3], case.modes[3], cfg, case.indices[3])
+        case.cfgs[3] = cfg
+        ref = self.reference_error(case, 3)
+        errors = []
+        for chunk in (None, 7):
+            if chunk:
+                monkeypatch.setattr(chain_module, "_chunk_steps", lambda n, width: chunk)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as info:
+                    run_chain(*args)
+            errors.append(info.value)
+        assert chunk_lengths == [8192]
+        assert ref.step_index == 143
+        for err in errors:
+            assert_same_error(err, ref)
+
+
+class TestChunkSizing:
+    """A chunk's length follows from the chain loop's memory budget over all
+    its chains, not from a fixed step count."""
+
+    @staticmethod
+    def sweep_case(scheme, n_steps):
+        # the gap report's ensembles: 32 chains on d = 4
+        R = 32
+        return Case(build_model("lingauss", 8), scheme, "perm", etas=(0.05,) * R,
+                    seeds=range(R), indices=range(R), burn_in=0, n_samples=n_steps,
+                    thinning=1)
+
+    @pytest.mark.parametrize("scheme", list(Scheme))
+    def test_sweep_ensemble_keeps_256_step_chunks(self, scheme, chunk_lengths):
+        # every scheme alike, one noise draw a step or two
+        self.sweep_case(scheme, 1).run()
+        assert chunk_lengths == [256]
+
+    def test_run_is_split_into_chunks_of_that_length(self, chunk_lengths, monkeypatch):
+        taken = []
+        take = BatchSchedule.take
+        monkeypatch.setattr(BatchSchedule, "take",
+                            lambda sched, m: taken.append(m) or take(sched, m))
+        self.sweep_case(Scheme.MT3, 600).run()
+        assert chunk_lengths == [256]
+        assert taken == [256] * 64 + [88] * 32
+
+    def test_lone_chain_takes_thousands_of_steps(self, chunk_lengths):
+        Case(build_model("lingauss", 8), Scheme.LEAPFROG, "iid", etas=(0.1,),
+             seeds=(1,), indices=(0,), burn_in=0, n_samples=1, thinning=1).run()
+        assert chunk_lengths[0] >= 4096
+
+    def test_bottleneck_exact_ensemble(self, chunk_lengths):
+        # the bottleneck report's ensemble: two etas x two modes
+        from hsde.toy_exact import run_exact_states
+
+        cfg = ChainConfig(n_samples=1, burn_in=0, thinning=1, seed=11)
+        run_exact_states(build_model("toy", 2), [0.4, 0.4, 0.01, 0.01],
+                         ["full", "iid"] * 2, [cfg] * 4, [0] * 4, friction=1.0)
+        assert chunk_lengths[0] >= 2048
+
+    @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
+    def test_lone_dense_chain_stays_within_the_budget(self, scheme, chunk_lengths):
+        # a d = 64 chain holds 256 values a step: a whole-run chunk of its
+        # 4004 steps would hold 8 MB
+        import tracemalloc
+
+        budget = 8 * chain_module._CHUNK_VALUES
+        spec = IntegratorSpec(scheme, eta=0.01, friction=1.0)
+        cfg = ChainConfig(n_samples=4, burn_in=4000, thinning=1, seed=1)
+        tracemalloc.start()
+        try:
+            thetas, momenta = run_states(dense_lingauss(128, 64, 8), [spec], ["iid"],
+                                         [cfg], [0])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 4004 > 2 * chunk_lengths[0]
+        assert peak - thetas.nbytes - momenta.nbytes <= 2 * budget
 
 
 @pytest.mark.usefixtures("small_chunks")

@@ -197,6 +197,18 @@ class TestSample:
         assert result.exit_code == 3
         assert "diverged" in result.output
 
+    # MT3's noise amplitudes times C and C^2 overflow to inf when its
+    # constants are formed, before any step: no warning may escape
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_mt3_constants_exit_3_without_warnings(self, runner, tmp_path):
+        result = runner.invoke(main, ["sample", "--model", "lingauss", "--scheme", "mt3",
+                                      "--eta", "1e-8", "-C", "1e300", "--n", "30",
+                                      "--burn-in", "0", "--out", str(tmp_path / "x")])
+        assert result.exit_code == 3, result.output
+        assert result.stderr.splitlines() == [
+            "error: chain diverged step=1 scheme=mt3 eta=1e-08"]
+        assert os.listdir(tmp_path) == []
+
 
 class TestConfigFile:
     def test_config_supplies_defaults(self, runner, tmp_path):

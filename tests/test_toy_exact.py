@@ -1,13 +1,17 @@
 """Tests for the exact scalar-model kernels against independent oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import erf
 
 from hsde import chain as chain_module
+from hsde import toy_exact as toy_exact_module
 from hsde.chain import ChainConfig
 from hsde.core import RngStream, State
 from hsde.batching import BatchMode
+from hsde.integrators import DivergenceError
 from hsde.potentials import LinearGaussian
 from hsde.repro import build_model
 from hsde.toy_exact import _generator, _kernel, matexp2, run_exact_chain, run_exact_states
@@ -420,13 +424,6 @@ def check_ensemble(toy, etas, modes, seeds, indices, inits=None, burn_in=31,
     return traces
 
 
-@pytest.fixture
-def small_chunks(monkeypatch):
-    # refill noise and coins every 7 steps, so short runs cross many chunk
-    # boundaries and end on a partial chunk
-    monkeypatch.setattr(chain_module, "_CHUNK", 7)
-
-
 @pytest.mark.usefixtures("small_chunks")
 class TestExactEnsembleMatchesReference:
     @pytest.mark.parametrize("mode", ["full", "iid"])
@@ -472,24 +469,55 @@ class TestExactEnsembleMatchesReference:
 
 
 class TestExactEnsembleRun:
-    def test_default_chunks_and_buffer_refill(self):
-        # 4300 steps draw 8600 normals per chain in many default chunks
-        assert 4300 > 2 * chain_module._CHUNK
+    def test_default_chunks_and_buffer_refill(self, chunk_lengths):
+        # 7800 steps draw 15600 normals per chain in several default chunks
+        # of the ensemble
         check_ensemble(REFERENCE_TOY, [0.4, 0.4, 0.07, 0.07],
                        ["full", "iid", "iid", "perm"], [3, 3, 8, 8], [0, 0, 1, 2],
-                       burn_in=4000, n_samples=100, thinning=3)
+                       burn_in=7500, n_samples=100, thinning=3)
+        assert 7800 > 2 * chunk_lengths[0]
 
-    def test_bottleneck_shape_burn_in_ends_mid_chunk(self):
+    def test_bottleneck_shape_burn_in_ends_mid_chunk(self, chunk_lengths):
         # the bottleneck report's run: both modes on one stream, every step
         # kept, the first kept step inside a default chunk
-        assert 300 % chain_module._CHUNK != 0
         check_ensemble(REFERENCE_TOY, [0.4, 0.4], ["full", "iid"],
                        [11, 11], [0, 0], burn_in=300, n_samples=500, thinning=1)
+        assert 300 % chunk_lengths[0] != 0
 
-    def test_thinning_that_does_not_divide_the_chunk(self):
-        assert chain_module._CHUNK % 7 != 0
+    def test_thinning_that_does_not_divide_the_chunk(self, chunk_lengths):
+        # the run crosses a default chunk boundary of the ensemble, after
+        # which its kept rows start at another offset
         check_ensemble(REFERENCE_TOY, [0.01, 0.4], ["iid", "full"],
-                       [12, 3], [1, 0], burn_in=100, n_samples=90, thinning=7)
+                       [12, 3], [1, 0], burn_in=7400, n_samples=90, thinning=7)
+        assert chunk_lengths[0] % 7 != 0
+        assert 7400 + 90 * 7 > chunk_lengths[0]
+
+    def test_divergence_in_a_long_default_chunk(self, chunk_lengths, monkeypatch):
+        # from theta = 1.1e308 at light friction the momentum swings past
+        # the float range at step 72, early in the lone chain's first default
+        # chunk, and the chain steps on as NaN to the chunk's end; 7-step
+        # chunks of 3-step runs stop there with the same state and samples
+        start = State(r=np.array([0.0]), theta=np.array([1.1e308]))
+        cfg = ChainConfig(n_samples=5000, burn_in=10, thinning=3, init=start, seed=3)
+        errors = []
+        for small in (False, True):
+            if small:
+                monkeypatch.setattr(chain_module, "_chunk_steps", lambda n, width: 7)
+                monkeypatch.setattr(toy_exact_module, "_GATHER_STEPS", 3)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DivergenceError) as info:
+                    run_exact_chain(toy_model(), 0.01, "iid", cfg, friction=1e-3)
+            errors.append(info.value)
+        assert 8192 <= chunk_lengths[0] < 10 + 5000 * 3
+        default, small = errors
+        assert (default.step_index, default.scheme) == (72, "exact")
+        assert default.partial[0].shape == (20, 1)
+        assert small.step_index == default.step_index
+        for a, b in [(default.r, small.r), (default.theta, small.theta),
+                     (default.partial[0], small.partial[0]),
+                     (default.partial[1], small.partial[1])]:
+            assert_bits(a, b)
 
     def test_positions_alone_equal_the_full_run(self):
         # the histogram runs hold positions only; dropping the momenta must
