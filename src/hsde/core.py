@@ -8,9 +8,10 @@ Conventions used throughout the package:
   (seed, stream): identical keys give bit-identical draw sequences, distinct
   stream ids give independent streams.
 - Every CSV is written by `write_columns` (for `chain`, `repro` and `cli`),
-  every float in a CSV or in `meta.txt` in the text of `format_float`. Both
-  stay out of `__all__`, like `as_vector`: perfbench's tracer wraps every
-  `__all__` function, and a span per cell would swamp its trace.
+  every block of it by `_numeric_block`, and every float in a CSV or in
+  `meta.txt` in the text of `format_float`. They stay out of `__all__`, like
+  `as_vector`: perfbench's tracer wraps every `__all__` function, and a span
+  per cell would swamp its trace.
 """
 
 from __future__ import annotations
@@ -68,22 +69,29 @@ _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 _WORDS = np.frombuffer(b"0\0\0infnan", np.uint8).reshape(3, 3).T
 
 
-def _conversion(column) -> str | None:
-    """The `%` conversion that writes a column's cells as `write_columns`
-    says, or None where each cell needs its own test: "%.17g" (the text of
-    `format_float`) for a float16/32/64 array, whose `.tolist()` gives
-    Python floats, and "%s" (str) for an integer or bool array."""
-    if not isinstance(column, np.ndarray):
-        return None
-    if column.dtype in (np.float16, np.float32, np.float64):
-        return "%.17g"
-    return "%s" if column.dtype.kind in "iub" else None
+def _column(col):
+    """A column as `_numeric_block` takes it: a float64 array where every cell
+    is a float (a float16/32 array widens exactly), an integer array within
+    ±2^53 where every cell is such an int (no bool), else a list of its cells,
+    each float as the text of `format_float`."""
+    if isinstance(col, np.ndarray):
+        if col.dtype in (np.float16, np.float32, np.float64):
+            return col.astype(np.float64, copy=False)
+        if col.dtype.kind in "iu" and np.all((col >= -2**53) & (col <= 2**53)):
+            return col
+        col = col.tolist()
+    kinds = set(map(type, col))
+    if kinds == {float}:
+        return np.array(col)
+    if kinds == {int} and -2**53 <= min(col) and max(col) <= 2**53:
+        return np.array(col, np.int64)
+    return [format_float(v) if isinstance(v, float) else v for v in col]
 
 
 def _numeric_block(parts) -> str:
-    """The CSV lines of one block of equal-length float64 arrays and integer
-    arrays within ±2^53, each cell as `format_float` writes it (an integer
-    within ±2^53 is exact as a float64, and reads as its `str`).
+    """The CSV lines of one block of `_column` columns: each number as
+    `format_float` writes it (an integer within ±2^53 is exact as a float64,
+    and reads as its `str`), each cell of a list as its `str`.
 
     A cell with 1e-4 <= |x| < 1e16 is x = ±D·10^(e-16), its 17 digits
     D = round-half-even(|x|·10^(16-e)) taken exactly: hi + lo is Dekker's
@@ -93,13 +101,16 @@ def _numeric_block(parts) -> str:
     in range is within half a unit of the 17th digit below a power of ten,
     so a misjudged D never rounds into it). ±0, ±inf and nan are words after
     the sign. The cells left, e-notation and misjudged decades, are written
-    by `format_float` into the "%s" left in their place.
+    by `format_float` into the "%s" left in their place; a cell of a list
+    stands in as 1e-300, and its "%s" takes its `str`, which `%` never reads.
 
     A cell's text fills 40 slots of a slot-major array, "\0" where unused:
     sign, "0.000", 17 digits with a slot for the point after each, separator.
     """
     n, m = len(parts[0]), len(parts)
-    x = np.column_stack(parts).astype(np.float64, copy=False).ravel()
+    texts = [isinstance(part, list) for part in parts]
+    x = np.column_stack([np.full(n, 1e-300) if text else part for part, text in
+                         zip(parts, texts)]).astype(np.float64, copy=False).ravel()
     a = np.abs(x)
     ok = (a >= 1e-4) & (a < 1e16)
     words = (a == 0) | ~np.isfinite(a)
@@ -136,7 +147,10 @@ def _numeric_block(parts) -> str:
     slots[:6, bad] = np.frombuffer(b"%s\0\0\0\0", np.uint8)[:, None]
     # a slot that no cell of the block uses (most point slots) adds nothing
     text = slots[slots.any(1)].T.tobytes().translate(None, b"\0").decode()
-    return text % tuple(map(format_float, x[bad].tolist())) if bad.size else text
+    # the cells of the "%s" in row-major order
+    fill = [parts[j][i] if texts[j] else format_float(v)
+            for i, j, v in zip((bad // m).tolist(), (bad % m).tolist(), x[bad].tolist())]
+    return text % tuple(fill) if bad.size else text
 
 
 def write_columns(path, header, columns) -> None:
@@ -144,34 +158,19 @@ def write_columns(path, header, columns) -> None:
 
     Float cells (numpy float64 included) read as `format_float` writes them,
     any other cell as `str`. Columns may be lists or 1-D numpy arrays; any
-    other input raises ValueError before the file is opened. Where each
-    column is a float64 array or an integer array within ±2^53, numpy formats
-    the cells (`_numeric_block`); otherwise one `%` template formats each row.
+    other input raises ValueError before the file is opened. Each column is
+    sorted once by `_column` into numbers or text, and `_numeric_block`
+    writes every block.
     """
     if (any(np.ndim(col) != 1 for col in columns) or len({len(col) for col in columns}) > 1
             or len(header) != len(columns)):
         raise ValueError("need one header name per column and 1-D columns of equal length")
     n = len(columns[0]) if columns else 0
-    numeric = all(isinstance(col, np.ndarray) and (
-        col.dtype == np.float64
-        or col.dtype.kind in "iu" and np.all((col >= -2**53) & (col <= 2**53))) for col in columns)
-    conversions = [_conversion(col) for col in columns]
-    # one `%` template per row; a column of mixed cells is formatted cell by
-    # cell into strings first
-    row = ",".join(conv or "%s" for conv in conversions)
+    columns = [_column(col) for col in columns]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
-            parts = [col[start:start + _CSV_BLOCK] for col in columns]
-            if numeric:
-                fh.write(_numeric_block(parts))
-                continue
-            # .tolist() turns array cells into Python numbers, the fast path
-            cells = [part.tolist() if conv else
-                     [format_float(v) if isinstance(v, float) else str(v) for v in
-                      (part.tolist() if isinstance(part, np.ndarray) else part)]
-                     for part, conv in zip(parts, conversions)]
-            fh.write("\n".join(map(row.__mod__, zip(*cells))) + "\n")
+            fh.write(_numeric_block([col[start:start + _CSV_BLOCK] for col in columns]))
 
 
 @dataclass(frozen=True)

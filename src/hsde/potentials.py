@@ -204,15 +204,15 @@ class Potential:
         arrays it owns."""
         mul = np.multiply
         one = ids_chunk.shape[1] == 1
-        # a lone chain's ids as one flat list: a list per step would cost a
-        # chunk of thousands of steps more than its noise
-        keys = ids_chunk[:, 0].tolist() if one else ids_chunk.tolist()
+        # a lone chain's ids as one flat list, an ensemble's read a step at a
+        # time: a list per step would cost a long chunk more than its noise
+        keys = ids_chunk[:, 0].tolist() if one else ids_chunk
 
         def per_row(formula, keys_j, *xs):
             if one:
                 return formula(*xs, keys_j)
             out = np.empty_like(xs[-1])
-            for c, key in enumerate(keys_j):
+            for c, key in enumerate(keys_j.tolist()):
                 out[c] = formula(*(x[c] for x in xs), key)
             return out
 

@@ -492,6 +492,28 @@ class TestChunkSizing:
                          ["full", "iid"] * 2, [cfg] * 4, [0] * 4, friction=1.0)
         assert chunk_lengths[0] >= 2048
 
+    def test_per_row_ensemble_ids_stay_within_the_budget(self, chunk_lengths, monkeypatch):
+        # logistic2d serves each row of an ensemble through the per-row
+        # providers; its chunk's ids as a list per step would hold more than
+        # half the budget again, uncounted. An eighth of the budget keeps the
+        # run short: a lone chain takes 2048-step chunks, a pair 1024
+        import tracemalloc
+
+        monkeypatch.setattr(chain_module, "_CHUNK_VALUES", chain_module._CHUNK_VALUES // 8)
+        P = build_model("logistic2d", 4)
+        spec = IntegratorSpec(Scheme.LEAPFROG, eta=0.01, friction=1.0)
+        cfg = ChainConfig(n_samples=4, burn_in=2050, thinning=1, seed=1)
+        peaks = []
+        for R in (1, 2):
+            tracemalloc.start()
+            try:
+                run_states(P, [spec] * R, ["iid"] * R, [cfg] * R, list(range(R)))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert chunk_lengths == [2048, 1024]
+        assert peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize("scheme", [Scheme.MT3, Scheme.LEAPFROG])
     def test_lone_dense_chain_stays_within_the_budget(self, scheme, chunk_lengths):
         # a d = 64 chain holds 256 values a step: a whole-run chunk of its

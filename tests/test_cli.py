@@ -8,10 +8,16 @@ covered elsewhere. Exit-code contract: 0 success, 2 bad configuration,
 import hashlib
 import io
 import os
+import re
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsde.chain import ChainConfig
 from hsde.cli import main
@@ -697,33 +703,51 @@ FROZEN_CSVS = [
     (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "3", "--mode", "iid",
       "--n", "300"], {
         "trace.csv": "0766dade0f4ee0e3897e78ca75ec19276614256fee73705b16042ffb2d536a21"}),
+    # the exact-kernel bottleneck report: checks and histograms
+    (["report", "--which", "bottleneck", "--n", "2000"], {
+        "checks.csv": "83746ff553b29c8bc42a4ffa68118afbf1ec2244977606b95ee06f4c17fd8cbe",
+        "hist_full.csv": "460668a2a283e7a8c4334f12a0790a0f0b830d9bfcf25d6ecddb9af2ca57e36f",
+        "hist_minibatch.csv": "9fbbe22a15a66c0dd09fdb83041e3b1139d4a3ef20874187b9263d53d7fa26c6"}),
+    (["opcheck", "--trials", "40"], {
+        "slopes.csv": "17e9fe54fbf3b487526631477b05effd541d20e162e223c7546f0bbf114cd731",
+        "summary.csv": "8a2995311683bc910e0a7c3f7f33bab77da8993c8057dc6592eece94b9c88d1f"}),
     TRACE_5000,
 ]
 
 
-@pytest.mark.parametrize("args, digests", FROZEN_CSVS, ids=[
+FROZEN_IDS = [
     "toy", "sample-perm", "sample-mt3", "sample-spv-logistic", "sample-hmc",
     "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog",
     "sample-lie-trotter-unequal", "sample-leapfrog-iid", "sample-spv-frictionless",
     "sample-symmetric", "report-orders", "report-gap", "sweep-block-rows",
     "sweep-full-rows", "sweep-unequal-blocks", "sample-mt3-unequal",
-    "sample-leapfrog-blocks"])
+    "report-bottleneck", "opcheck", "sample-leapfrog-blocks"]
+
+
+def csv_digests(out_dir):
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out_dir.glob("*.csv")}
+
+
+@pytest.mark.parametrize("args, digests", FROZEN_CSVS, ids=FROZEN_IDS)
 def test_csvs_keep_their_frozen_bytes(runner, tmp_path, args, digests):
     run_ok(runner, args + ["--out", str(tmp_path)])
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-           for p in tmp_path.glob("*.csv")}
-    assert got == digests
+    assert csv_digests(tmp_path) == digests
 
 
-def test_trace_cells_take_the_numpy_path(runner, tmp_path, monkeypatch):
-    # a trace written cell by cell keeps every byte and loses the speed, so
-    # count the cells that numpy formats and those it leaves to format_float
+# one command of each kind
+@pytest.mark.parametrize("name", [
+    "sample-leapfrog-blocks", "sweep-euler-symmetric-sghmc", "toy", "geom-leapfrog",
+    "opcheck", "report-gap", "report-orders", "report-bottleneck"])
+def test_every_table_takes_the_numpy_path(runner, tmp_path, monkeypatch, name):
+    # a table written row by row or cell by cell keeps every byte and loses
+    # the speed, so the blocks numpy writes must hold every data row of every
+    # CSV, and count the cells it leaves to format_float
     from hsde import core
-    block, delegated, numeric = core._numeric_block, [], []
+    block, blocks, delegated = core._numeric_block, [], []
 
     def counted_block(parts):
-        numeric.append(len(parts) * len(parts[0]))
-        return block(parts)
+        blocks.append(block(parts))
+        return blocks[-1]
 
     def counted_float(x):
         delegated.append(x)
@@ -731,14 +755,14 @@ def test_trace_cells_take_the_numpy_path(runner, tmp_path, monkeypatch):
 
     monkeypatch.setattr(core, "_numeric_block", counted_block)
     monkeypatch.setattr(core, "format_float", counted_float)
-    args, digests = TRACE_5000
+    args, digests = FROZEN_CSVS[FROZEN_IDS.index(name)]
     run_ok(runner, args + ["--out", str(tmp_path)])
-    trace = (tmp_path / "trace.csv").read_bytes()
-    assert hashlib.sha256(trace).hexdigest() == digests["trace.csv"]
-    lines = trace.splitlines()
-    cells = (len(lines) - 1) * (lines[0].count(b",") + 1)
-    assert sum(numeric) == cells == 5000 * 10
-    assert len(delegated) <= 0.01 * cells
+    assert csv_digests(tmp_path) == digests
+    rows = [row for p in tmp_path.glob("*.csv") for row in p.read_text().splitlines()[1:]]
+    assert sorted("".join(blocks).splitlines()) == sorted(rows)
+    # a trace's cells in e-notation are few
+    if args[0] == "sample":
+        assert len(delegated) <= 0.01 * sum(row.count(",") + 1 for row in rows)
 
 
 @pytest.mark.parametrize("eta", ["inf", "nan"])
@@ -1061,3 +1085,116 @@ class TestReport:
     def test_which_is_required(self, runner):
         result = runner.invoke(main, ["report"])
         assert result.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract over every command
+
+
+FLOAT_EDGE = ["0", "-1", "nan", "inf", "-inf", "1e300", "-1e300", "1e-300"]
+INT_EDGE = ["0", "-1", "-7"]
+LIST_EDGE = ["", ",", "2,2", "1", "0", "-1", "x"]
+SCHEMES = ["euler", "leapfrog", "sghmc", "spv", "symmetric", "lie-trotter", "mt3", "hmc"]
+# each option as (flag, valid values, edge values): a tuple value repeats the
+# flag, True gives it alone and None leaves it out
+CHAIN = [("-C", [2.0, 0.5], FLOAT_EDGE), ("--nl", [1, 2], INT_EDGE)]
+BATCHES = [("--K", [1, 2, 8], ["0", "-1", "3", "1000"]),
+           ("--mode", ["full", "perm", "iid"], []), ("--vhat", [0, 0.5], FLOAT_EDGE)]
+COMMANDS = {
+    # eta 1000 runs a chain away
+    "sample": [("--model", ["toy", "lingauss", "logistic2d"], []),
+               ("--scheme", SCHEMES + ["exact"], []), ("--eta", [0.1, 0.3, 1000], FLOAT_EDGE),
+               *CHAIN, *BATCHES, ("--n", [1, 20], INT_EDGE),
+               ("--burn-in", [0, 10], INT_EDGE), ("--thin", [1, 2], INT_EDGE)],
+    "sweep": [("--model", ["toy", "lingauss"], []),
+              ("--scheme", [(s,) for s in SCHEMES] + [("mt3", "hmc")], [("spv", "spv")]),
+              ("--eta-grid", ["0.3,0.2", "0.4,0.283,0.2", "1000,0.2"],
+               ["", ",", "0.2", "0.2,0.2", "nan,0.1", "-0.1,0.2", "inf", "1e300,0.1",
+                "1e-300,0.1", "x"]),
+              *CHAIN, *BATCHES, ("--n", [20, 50], INT_EDGE), ("--reps", [1, 2], INT_EDGE),
+              ("--burn-in", [0, 20], INT_EDGE), ("--thin", [1], INT_EDGE),
+              ("--n-ks", [10, 20], INT_EDGE + ["10000000"]), ("--jobs", [1], INT_EDGE)],
+    "geom": [("--scheme", [s for s in SCHEMES if s != "mt3"], []),
+             ("--model", ["toy", "lingauss", "logistic2d"], []),
+             ("--eta", [0.1, 0.3, 1000], FLOAT_EDGE), *CHAIN,
+             ("--states", [1, 5], INT_EDGE), ("--eps", [1e-5, 1e-4], FLOAT_EDGE)],
+    "opcheck": [("--trials", [2, 4], INT_EDGE), ("--K", ["2,3", "2"], LIST_EDGE),
+                ("--n", ["2,3", "3"], LIST_EDGE)],
+    "toy": [("--eta", [0.4, 0.1, 1000], FLOAT_EDGE), ("--n", [50, 200], INT_EDGE),
+            ("--burn-in", [0, 50], INT_EDGE), ("--thin", [1, 2], INT_EDGE)],
+    # the gap and orders reports take about 0.2 s each, so they are edge values
+    "report": [("--which", ["bottleneck"], ["gap", "orders"]),
+               ("--n", [50, 200], INT_EDGE), ("--reps", [1, 2], INT_EDGE),
+               ("--trials", [2, 4], INT_EDGE), ("--jobs", [1], INT_EDGE),
+               ("--regen-golden", [None, True], [])],
+}
+SEED = ("--seed", [0, 1, 2**64 - 1], ["-1", str(2**64)])
+
+
+@st.composite
+def invocations(draw):
+    """A command and a value for each of its options: valid values, but for
+    at most two options that take an edge value."""
+    name = draw(st.sampled_from(sorted(COMMANDS)))
+    options = [SEED, *COMMANDS[name]]
+    edged = draw(st.sets(st.sampled_from([o[0] for o in options if o[2]]), max_size=2))
+    args = [name]
+    for flag, valid, edge in options:
+        value = draw(st.sampled_from(edge if flag in edged else valid))
+        if isinstance(value, tuple):
+            args += [a for v in value for a in (flag, v)]
+        elif value is not None:
+            args += [flag] if value is True else [flag, str(value)]
+    return args
+
+
+# the words a CSV cell may hold where it is not a number
+WORDS = {
+    "scheme": set(SCHEMES),
+    "mode": {"full", "perm", "iid", "minibatch", "forward", "averaged", "randomized"},
+    "status": {"pass", "fail", "inconclusive"},
+    "metric": {"var_err"},
+    "check": re.compile(r"(golden:)?[a-z0-9_.]+"),
+    "target": re.compile(r".+"),
+}
+
+
+def assert_cells_are_numbers_or_words(path):
+    names, *rows = (line.split(",") for line in path.read_text().splitlines())
+    for cells in rows:
+        if path.name == "checks.csv":
+            # a target may hold a comma (see the FOUND line on checks.csv
+            # in CHANGES.md), so it is the rest of the row
+            cells = cells[:3] + [",".join(cells[3:])]
+        assert len(cells) == len(names), (path.name, cells)
+        for name, cell in zip(names, cells):
+            word = WORDS.get(name)
+            if word is None:
+                float(cell)
+            else:
+                assert (word.fullmatch(cell) if isinstance(word, re.Pattern)
+                        else cell in word), (path.name, name, cell)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
+@given(args=invocations())
+def test_every_command_keeps_the_exit_code_contract(runner, tmp_path, args):
+    # exit 0, 2, 3 or 4 with no traceback and no warning; a failed run
+    # leaves none of the directories it made, a run that succeeds its
+    # meta.txt and CSVs of numbers and named words
+    out = Path(tempfile.mkdtemp(dir=tmp_path)) / "run" / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = runner.invoke(main, args + ["--out", str(out)])
+    assert result.exit_code in (0, 2, 3, 4), (args, result.output)
+    assert result.exception is None or isinstance(result.exception, SystemExit), args
+    assert not caught, (args, [str(w.message) for w in caught])
+    assert "Traceback" not in result.output and "Warning" not in result.output, args
+    if result.exit_code:
+        assert not out.parent.exists(), args
+        return
+    assert (out / "meta.txt").is_file(), args
+    for path in out.glob("*.csv"):
+        assert_cells_are_numbers_or_words(path)
+

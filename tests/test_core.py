@@ -41,11 +41,32 @@ NEAR_POWERS = [v for k in range(-6, 19)
                for v in (np.nextafter(10.0**k, 0), 10.0**k, np.nextafter(10.0**k, np.inf))]
 
 
+# cells of each kind a list column may hold; text that `%` would read as a
+# conversion must come out as written
+CELLS = [
+    st.floats(width=64),
+    st.integers(-2**53, 2**53),
+    st.booleans(),
+    st.integers(2**53 + 1, 2**70) | st.integers(-2**70, -2**53 - 1),
+    st.floats(width=32).map(np.float32),
+    st.sampled_from(["%", "%s", "%%", ",", "", "%d", "x"]) | st.text("%s,.e1- ", max_size=4),
+]
+
+
+@st.composite
+def mixed_tables(draw):
+    """Columns of one length: float64 and integer arrays, lists of one kind
+    of cell each, and lists that mix kinds."""
+    n = draw(st.integers(0, 12))
+    cells = [st.lists(cell, min_size=n, max_size=n) for cell in (*CELLS, st.one_of(CELLS))]
+    arrays = [cells[0].map(np.array), cells[1].map(lambda v: np.array(v, np.int64))]
+    return draw(st.lists(st.one_of(*arrays, *cells), min_size=1, max_size=5))
+
+
 class TestWriteColumns:
-    # array columns of every dtype class the `%` row template sorts (float
-    # arrays through one "%.17g", integer and bool arrays through "%s", the
-    # rest cell by cell) next to a list column of mixed cells, which sends
-    # every row through that template
+    # array columns of every dtype class `_column` sorts (float16/32/64 arrays
+    # widened to float64, integer arrays kept or, with a cell beyond ±2^53,
+    # turned to text like the rest) next to columns of mixed cells
     def test_every_column_kind_matches_cell_by_cell(self, tmp_path):
         awkward = [-0.0, 5e-324, 1e300, 0.1, -1e-310, np.inf, -np.inf, np.nan]
         with np.errstate(over="ignore"):
@@ -77,6 +98,16 @@ class TestWriteColumns:
         floats, ints, exact = (np.array(col) for col in zip(*rows))
         for columns in ([floats, exact], [ints, floats], [-floats]):
             assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+
+    # a table that mixes kinds of columns, every text cell spliced in unread
+    @pytest.mark.parametrize("block", [3, None])
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=mixed_tables())
+    def test_mixed_tables_match_cell_by_cell(self, tmp_path, monkeypatch, block, columns):
+        if block is not None:
+            monkeypatch.setattr(core, "_CSV_BLOCK", block)
+        assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
 
     @pytest.mark.parametrize("block", [3, None])
     def test_named_cells_match_cell_by_cell(self, tmp_path, monkeypatch, block):
