@@ -165,13 +165,14 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     names the caller's own per-chain list for the argument check. Once the
     arguments are checked, `setup()` gives (scheme, n_draws, width, r, th,
     advance): the scheme a divergence error names, the d-vectors of noise
-    one step draws, the float64 values one chain holds per step of a chunk
-    (noise, states and whatever advance keeps per step; the chunk length is
-    `_chunk_steps(R, width)`), the (R, d) start, and `advance(r, th, noise, ids)`,
-    which takes the chains m steps on from (r, th), step j with the draws
-    noise[:, j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking the
-    full potential, and returns their (m, R, d) states (rs, ths); it may
-    overwrite noise.
+    one step draws, the width, the (R, d) start, and `advance(r, th, noise,
+    ids)`, which takes the chains m steps on from (r, th), step j with the
+    draws noise[:, j] (n_draws, R, d) and batch ids ids[j] (R,), -1 marking
+    the full potential, and returns their (m, R, d) states (rs, ths); it may
+    overwrite noise. A chunk is `_chunk_steps(R, width)` steps, the width
+    counting every float64 value one chain holds per step of it: noise,
+    states and whatever advance gathers for the whole chunk that no budget
+    of its own bounds (as `potentials._GATHER_BYTES` bounds design blocks).
 
     Returns and raises as `run_states` does.
     """

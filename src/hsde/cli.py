@@ -220,8 +220,8 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         if batches not in (1, inherent):
             raise click.UsageError(
                 f"the exact {mode} kernel implies --K {inherent}")
-        trace = run_exact_chain(repro.build_model(model, inherent), eta, mode, cfg,
-                                friction=friction)
+        potential = repro.build_model(model, inherent)
+        trace = run_exact_chain(potential, eta, mode, cfg, friction=friction)
     else:
         potential = repro.build_model(model, batches)
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
@@ -230,7 +230,8 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
     extra = {"effective_time": format_float(trace.effective_time),
              "kept": trace.n_samples}
     try:
-        post = repro.build_model(model, 1).analytic_posterior()
+        # the posterior does not depend on the batching
+        post = potential.analytic_posterior()
     except AnalyticPosteriorUnavailable:
         post = None
     if post is not None:

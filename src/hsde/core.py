@@ -16,6 +16,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,13 +68,15 @@ for _k in (10, 100, 1000, 10000):
 _LEAD = np.frombuffer(b"0.000", np.uint8)[:, None]
 # the words for 0, inf and nan, one column each
 _WORDS = np.frombuffer(b"0\0\0infnan", np.uint8).reshape(3, 3).T
+# a text cell that holds one of these is quoted, inner quotes doubled (RFC 4180)
+_QUOTED = re.compile('[,"\r\n]')
 
 
 def _column(col):
     """A column as `_numeric_block` takes it: a float64 array where every cell
     is a float (a float16/32 array widens exactly), an integer array within
-    ±2^53 where every cell is such an int (no bool), else a list of its cells,
-    each float as the text of `format_float`."""
+    ±2^53 where every cell is such an int (no bool), else a list of its cells'
+    text, a float's as `format_float` writes it and any other's as `str`."""
     if isinstance(col, np.ndarray):
         if col.dtype in (np.float16, np.float32, np.float64):
             return col.astype(np.float64, copy=False)
@@ -85,13 +88,14 @@ def _column(col):
         return np.array(col)
     if kinds == {int} and -2**53 <= min(col) and max(col) <= 2**53:
         return np.array(col, np.int64)
-    return [format_float(v) if isinstance(v, float) else v for v in col]
+    text = [format_float(v) if isinstance(v, float) else str(v) for v in col]
+    return ['"' + t.replace('"', '""') + '"' if _QUOTED.search(t) else t for t in text]
 
 
 def _numeric_block(parts) -> str:
     """The CSV lines of one block of `_column` columns: each number as
     `format_float` writes it (an integer within ±2^53 is exact as a float64,
-    and reads as its `str`), each cell of a list as its `str`.
+    and reads as its `str`), each cell of a list as its text.
 
     A cell with 1e-4 <= |x| < 1e16 is x = ±D·10^(e-16), its 17 digits
     D = round-half-even(|x|·10^(16-e)) taken exactly: hi + lo is Dekker's
@@ -102,7 +106,7 @@ def _numeric_block(parts) -> str:
     so a misjudged D never rounds into it). ±0, ±inf and nan are words after
     the sign. The cells left, e-notation and misjudged decades, are written
     by `format_float` into the "%s" left in their place; a cell of a list
-    stands in as 1e-300, and its "%s" takes its `str`, which `%` never reads.
+    stands in as 1e-300, and its "%s" takes its text, which `%` never reads.
 
     A cell's text fills 40 slots of a slot-major array, "\0" where unused:
     sign, "0.000", 17 digits with a slot for the point after each, separator.
@@ -157,10 +161,11 @@ def write_columns(path, header, columns) -> None:
     """Write a CSV from its header and equal-length columns, one line per row.
 
     Float cells (numpy float64 included) read as `format_float` writes them,
-    any other cell as `str`. Columns may be lists or 1-D numpy arrays; any
-    other input raises ValueError before the file is opened. Each column is
-    sorted once by `_column` into numbers or text, and `_numeric_block`
-    writes every block.
+    any other cell as its `str`, quoted RFC 4180 style where that holds a
+    comma, a quote or a line break, so `csv.reader` reads it back. Columns
+    may be lists or 1-D numpy arrays; any other input raises ValueError
+    before the file is opened. Each column is sorted once by `_column` into
+    numbers or text, and `_numeric_block` writes every block.
     """
     if (any(np.ndim(col) != 1 for col in columns) or len({len(col) for col in columns}) > 1
             or len(header) != len(columns)):

@@ -23,10 +23,10 @@ integrator error. The command line runs them on the conjugate toy,
 (R, 2) array, each on its own streams, through the chain loop integrator
 chains run on (`chain.run_loop`): noise and batch ids are drawn per chain a
 chunk of steps at a time from the chain's batch schedule, so every chain's
-kept states are bit-identical to the ones it gives run alone. A chain holds
-9 values per step of a chunk, so the bottleneck report's four chains take
-3640 steps a chunk; each step's kernel operands and correlated noise are
-gathered `_GATHER_STEPS` steps at a time within it.
+kept states are bit-identical to the ones it gives run alone. A chunk's
+kernel operands and correlated noise are gathered at once and counted in its
+width, 23 values per chain and step, so the bottleneck report's four chains
+take 1424 steps a chunk and a lone chain 5698.
 It returns them as (R, n, 1) blocks of positions and momenta;
 `run_exact_chain` runs one chain this way and wraps its states into a
 trace like any integrator chain's.
@@ -48,12 +48,6 @@ __all__ = [
     "run_exact_chain",
     "run_exact_states",
 ]
-
-# steps whose gathered kernels (E, b, L), contiguous draws and correlated
-# noise L xi are formed at once: 14 values per chain and step, kept out of
-# the chunk's budget
-_GATHER_STEPS = 512
-
 
 def matexp2(A, t: float) -> np.ndarray:
     """exp(t A) for a real 2x2 matrix, in closed form.
@@ -198,28 +192,24 @@ def run_exact_states(P: LinearGaussian, etas, modes, cfgs, chain_indices,
             # the chunk's states; one buffer kept for the whole run instead
             # pins the heap and raises peak RSS by about 0.15 MB
             buf = np.empty((len(ids), len(rows), 2, 1))
-            for lo in range(0, len(ids), _GATHER_STEPS):
-                run = slice(lo, lo + _GATHER_STEPS)
-                # each step's two draws as an (n, R, 2, 1) operand; a
-                # contiguous one keeps the stacked matmul on its BLAS path
-                # and its bits
-                xi = np.ascontiguousarray(noise[:, run].transpose(1, 2, 0, 3))
-                # per row the one-chain arithmetic E @ (z - b) + b + L @ xi,
-                # in the same operations and order, written into
-                # preallocated arrays: stacked matmuls reproduce its bits,
-                # einsum does not
-                k = ids[run]
-                for Ej, bj, nj, row in zip(E[rows, k], b[rows, k], L[rows, k] @ xi, buf[run]):
-                    sub(z, bj, t)
-                    matmul(Ej, t, u)
-                    add(u, bj, u)
-                    add(u, nj, row)
-                    z = row
+            # each step's two draws as an (m, R, 2, 1) operand; a contiguous
+            # one keeps the stacked matmul on its BLAS path and its bits
+            xi = np.ascontiguousarray(noise.transpose(1, 2, 0, 3))
+            # per row the one-chain arithmetic E @ (z - b) + b + L @ xi, in
+            # the same operations and order, written into preallocated
+            # arrays: stacked matmuls reproduce its bits, einsum does not
+            for Ej, bj, nj, row in zip(E[rows, ids], b[rows, ids], L[rows, ids] @ xi, buf):
+                sub(z, bj, t)
+                matmul(Ej, t, u)
+                add(u, bj, u)
+                add(u, nj, row)
+                z = row
             return buf[:, :, 0], buf[:, :, 1]
 
         # per chain and step: noise and its per-chain draws (2 each), the
-        # (r, theta) buffer and the divergence check's three sums
-        return "exact", 2, 9, z[:, 0], z[:, 1], advance
+        # (r, theta) buffer and the divergence check's three sums, then the
+        # gathered kernel (E, b, L: 10), contiguous draws and L xi (2 each)
+        return "exact", 2, 23, z[:, 0], z[:, 1], advance
 
     return run_loop(setup, etas, list(modes), P.n_batches, cfgs,
                     [int(c) for c in chain_indices], keep_momenta, eta=etas)

@@ -3,21 +3,20 @@
 import pytest
 
 from hsde import chain as chain_module
-from hsde import toy_exact as toy_exact_module
 
-# steps per chunk under `small_chunks`, and per gathered run of the exact
-# kernel's operands within a chunk
+# steps per chunk under `small_chunks`
 SMALL_CHUNK = 7
-SMALL_GATHER = 3
+# the float64 values an exact-kernel chain holds per step of a chunk: 9 for
+# its noise, states and checks, 14 for its gathered operands and noise
+EXACT_WIDTH = 23
 
 
 @pytest.fixture
 def small_chunks(monkeypatch):
-    """Chunks of SMALL_CHUNK steps whatever the ensemble, and exact-kernel
-    gather runs of SMALL_GATHER steps, so short runs cross many boundaries of
-    both kinds and end on partial ones. Gives the chunk length."""
+    """Chunks of SMALL_CHUNK steps whatever the ensemble, so short runs cross
+    many chunk boundaries and end on a partial chunk. Gives the chunk
+    length."""
     monkeypatch.setattr(chain_module, "_chunk_steps", lambda n_chains, width: SMALL_CHUNK)
-    monkeypatch.setattr(toy_exact_module, "_GATHER_STEPS", SMALL_GATHER)
     return SMALL_CHUNK
 
 

@@ -12,6 +12,7 @@ from hsde.batching import BatchSchedule
 from hsde.chain import (
     ChainConfig,
     Trace,
+    _chunk_steps,
     run_chain,
     run_states,
     save_trace,
@@ -21,6 +22,7 @@ from hsde.integrators import DivergenceError, IntegratorSpec, Scheme
 from hsde.potentials import LinearGaussian
 from hsde.repro import build_model
 
+from .conftest import EXACT_WIDTH
 from .oracles import reference_chain, reference_save_trace
 
 
@@ -490,7 +492,31 @@ class TestChunkSizing:
         cfg = ChainConfig(n_samples=1, burn_in=0, thinning=1, seed=11)
         run_exact_states(build_model("toy", 2), [0.4, 0.4, 0.01, 0.01],
                          ["full", "iid"] * 2, [cfg] * 4, [0] * 4, friction=1.0)
-        assert chunk_lengths[0] >= 2048
+        assert chunk_lengths == [_chunk_steps(4, EXACT_WIDTH)]
+        assert chunk_lengths[0] >= 1000
+
+    @pytest.mark.parametrize("etas, modes", [([0.4, 0.4, 0.01, 0.01], ["full", "iid"] * 2),
+                                             ([0.01], ["iid"])], ids=["bottleneck", "lone"])
+    def test_exact_chains_stay_within_the_budget(self, etas, modes, chunk_lengths):
+        # the exact kernel gathers a chunk's operands and correlated noise at
+        # once and counts them in its width, so its chunk alone bounds what a
+        # run holds beyond its kept arrays
+        import tracemalloc
+
+        from hsde.toy_exact import run_exact_states
+
+        R = len(etas)
+        cfg = ChainConfig(n_samples=4, burn_in=6000, thinning=1, seed=11)
+        tracemalloc.start()
+        try:
+            thetas, momenta = run_exact_states(build_model("toy", 2), etas, modes,
+                                               [cfg] * R, [0] * R, friction=1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert chunk_lengths == [_chunk_steps(R, EXACT_WIDTH)]
+        assert 6004 > chunk_lengths[0]
+        assert peak - thetas.nbytes - momenta.nbytes <= 8 * chain_module._CHUNK_VALUES
 
     def test_per_row_ensemble_ids_stay_within_the_budget(self, chunk_lengths, monkeypatch):
         # logistic2d serves each row of an ensemble through the per-row

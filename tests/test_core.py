@@ -1,5 +1,9 @@
 """Tests for state containers, the CSV writer and the RNG stream."""
 
+import csv
+import io
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,19 +25,30 @@ finite_floats = st.floats(
 )
 
 
+def cell_texts(columns) -> list:
+    """Each column's cells as the text a CSV reader must read back: one
+    `format_float` / `str` call per cell."""
+    return [[format_float(v) if isinstance(v, float) else str(v)
+             for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
+            for col in columns]
+
+
+def quoted(text: str) -> str:
+    """text as a CSV field: between quotes, each inner one doubled, where it
+    holds a comma, a quote or a line break."""
+    return '"' + text.replace('"', '""') + '"' if re.search('[,"\r\n]', text) else text
+
+
 def cell_by_cell(columns) -> str:
-    """The CSV `write_columns` must write, one `format_float` / `str` call
-    per cell."""
-    cells = [[format_float(v) if isinstance(v, float) else str(v)
-              for v in (col.tolist() if isinstance(col, np.ndarray) else col)]
-             for col in columns]
+    """The CSV `write_columns` must write, cell by cell."""
     lines = [",".join(f"c{k}" for k in range(len(columns)))]
-    return "\n".join(lines + [",".join(row) for row in zip(*cells)]) + "\n"
+    return "\n".join(lines + [",".join(map(quoted, row))
+                              for row in zip(*cell_texts(columns))]) + "\n"
 
 
 def written(path, columns) -> str:
     write_columns(path, [f"c{k}" for k in range(len(columns))], columns)
-    return path.read_text()
+    return path.read_bytes().decode()
 
 
 # around each power of ten the numpy path's log10 may misjudge the decade
@@ -49,7 +64,8 @@ CELLS = [
     st.booleans(),
     st.integers(2**53 + 1, 2**70) | st.integers(-2**70, -2**53 - 1),
     st.floats(width=32).map(np.float32),
-    st.sampled_from(["%", "%s", "%%", ",", "", "%d", "x"]) | st.text("%s,.e1- ", max_size=4),
+    st.sampled_from(["%", "%s", "%%", ",", "", "%d", "x", '"', "\n"])
+    | st.text('%s,.e1- "\r\n', max_size=4),
 ]
 
 
@@ -108,6 +124,19 @@ class TestWriteColumns:
         if block is not None:
             monkeypatch.setattr(core, "_CSV_BLOCK", block)
         assert written(tmp_path / "t.csv", columns) == cell_by_cell(columns)
+
+    # a text cell holding a comma, a quote or a line break is quoted, so a
+    # CSV reader reads every row as wide as the header and every cell back
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(columns=mixed_tables())
+    def test_every_cell_reads_back_with_a_csv_reader(self, tmp_path, columns):
+        header, *rows = csv.reader(io.StringIO(written(tmp_path / "t.csv", columns),
+                                               newline=""))
+        # a lone empty cell is an empty line, which a reader takes for no cell
+        rows = [row or [""] for row in rows] if len(columns) == 1 else rows
+        assert rows == [list(row) for row in zip(*cell_texts(columns))]
+        assert header == [f"c{k}" for k in range(len(columns))]
 
     @pytest.mark.parametrize("block", [3, None])
     def test_named_cells_match_cell_by_cell(self, tmp_path, monkeypatch, block):

@@ -7,8 +7,7 @@ import pytest
 from scipy.special import erf
 
 from hsde import chain as chain_module
-from hsde import toy_exact as toy_exact_module
-from hsde.chain import ChainConfig
+from hsde.chain import ChainConfig, _chunk_steps
 from hsde.core import RngStream, State
 from hsde.batching import BatchMode
 from hsde.integrators import DivergenceError
@@ -16,6 +15,7 @@ from hsde.potentials import LinearGaussian
 from hsde.repro import build_model
 from hsde.toy_exact import _generator, _kernel, matexp2, run_exact_chain, run_exact_states
 
+from .conftest import EXACT_WIDTH
 from .oracles import (
     REFERENCE_TOY,
     Toy,
@@ -485,31 +485,33 @@ class TestExactEnsembleRun:
         assert 300 % chunk_lengths[0] != 0
 
     def test_thinning_that_does_not_divide_the_chunk(self, chunk_lengths):
-        # the run crosses a default chunk boundary of the ensemble, after
-        # which its kept rows start at another offset
+        # the kept rows cross a default chunk boundary of the ensemble, after
+        # which they start at another offset
         check_ensemble(REFERENCE_TOY, [0.01, 0.4], ["iid", "full"],
-                       [12, 3], [1, 0], burn_in=7400, n_samples=90, thinning=7)
-        assert chunk_lengths[0] % 7 != 0
-        assert 7400 + 90 * 7 > chunk_lengths[0]
+                       [12, 3], [1, 0], burn_in=7400, n_samples=90, thinning=13)
+        chunk = _chunk_steps(2, EXACT_WIDTH)
+        assert chunk_lengths[0] == chunk
+        assert chunk % 13 != 0
+        assert (7400 + 13 - 1) // chunk < (7400 + 90 * 13 - 1) // chunk
 
     def test_divergence_in_a_long_default_chunk(self, chunk_lengths, monkeypatch):
         # from theta = 1.1e308 at light friction the momentum swings past
         # the float range at step 72, early in the lone chain's first default
         # chunk, and the chain steps on as NaN to the chunk's end; 7-step
-        # chunks of 3-step runs stop there with the same state and samples
+        # chunks stop there with the same state and samples
         start = State(r=np.array([0.0]), theta=np.array([1.1e308]))
         cfg = ChainConfig(n_samples=5000, burn_in=10, thinning=3, init=start, seed=3)
         errors = []
         for small in (False, True):
             if small:
                 monkeypatch.setattr(chain_module, "_chunk_steps", lambda n, width: 7)
-                monkeypatch.setattr(toy_exact_module, "_GATHER_STEPS", 3)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(DivergenceError) as info:
                     run_exact_chain(toy_model(), 0.01, "iid", cfg, friction=1e-3)
             errors.append(info.value)
-        assert 8192 <= chunk_lengths[0] < 10 + 5000 * 3
+        assert chunk_lengths == [_chunk_steps(1, EXACT_WIDTH)]
+        assert 4096 <= chunk_lengths[0] < 10 + 5000 * 3
         default, small = errors
         assert (default.step_index, default.scheme) == (72, "exact")
         assert default.partial[0].shape == (20, 1)
