@@ -18,7 +18,7 @@ import enum
 
 import numpy as np
 
-from .core import RngStream
+from .core import RngStream, fisher_yates
 
 __all__ = ["BatchMode", "BatchSchedule"]
 
@@ -45,7 +45,8 @@ class BatchSchedule:
         if self.n_batches < 1:
             raise ValueError("n_batches must be >= 1")
         self.rng = rng
-        self._sweep = None
+        # the ids of the open sweep, and the next one's position in it
+        self._sweep = np.empty(0, dtype=np.int64)
         self._cursor = 0
 
     def next(self) -> tuple[int | None, float]:
@@ -58,20 +59,36 @@ class BatchSchedule:
         full batch, with one draw call at most. However a run of steps is
         split into calls, it reads the same ids and leaves the schedule in
         the same state; `next` is one step of it."""
-        if self.mode is BatchMode.FULL:
-            return np.full(m, -1, dtype=np.int64)
-        if self.mode is BatchMode.IID_UNIFORM:
-            return self.rng.integers(self.n_batches, size=m)
-        K = self.n_batches
-        head = (np.empty(0, dtype=np.int64) if self._sweep is None
-                else self._sweep[self._cursor:self._cursor + m])
-        need = m - head.size
-        if need <= 0:
-            self._cursor += m
-            return head.copy()
-        # open just the sweeps the remaining `need` steps reach into
-        perms = self.rng.permutations(K, -(-need // K))
-        self._sweep = perms[-1].copy()
-        self._cursor = need - (len(perms) - 1) * K
-        return np.concatenate([head, perms.ravel()[:need]])
+        return take_all([self], m)[:, 0]
 
+
+def take_all(scheds, m: int) -> np.ndarray:
+    """The (m, R) batch ids whose column c is `scheds[c].take(m)`, leaving
+    each schedule as its own `take` would. Each schedule draws from its own
+    stream as `take` does, and the sweeps that the permutation schedules
+    open are permuted in one `fisher_yates` pass over all of them, so those
+    schedules must share n_batches."""
+    ids = np.empty((m, len(scheds)), dtype=np.int64)
+    opened = []
+    for c, s in enumerate(scheds):
+        if s.mode is BatchMode.FULL:
+            ids[:, c] = -1
+        elif s.mode is BatchMode.IID_UNIFORM:
+            ids[:, c] = s.rng.integers(s.n_batches, size=m)
+        else:
+            head = s._sweep[s._cursor:s._cursor + m]
+            ids[:head.size, c] = head
+            need = m - head.size
+            s._cursor += m
+            if need > 0:
+                # open just the sweeps the remaining `need` steps reach into
+                opened.append((c, s, need, s.rng.swaps(s.n_batches, -(-need // s.n_batches))))
+    if opened:
+        perms = fisher_yates(opened[0][1].n_batches,
+                             np.concatenate([swaps for *_, swaps in opened]))
+        for c, s, need, swaps in opened:
+            sweeps, perms = perms[:len(swaps)], perms[len(swaps):]
+            ids[m - need:, c] = sweeps.ravel()[:need]
+            s._sweep = sweeps[-1].copy()
+            s._cursor = need - (len(sweeps) - 1) * s.n_batches
+    return ids

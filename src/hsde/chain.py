@@ -16,10 +16,10 @@ follow the oracle protocol used throughout the verification suite (burn-in
 
 `run_states` advances R chains together as the rows of (R, d) arrays, each
 on its own streams above. Noise is drawn per chain in chunks of steps and
-handed to the stepper as arrays, and the schedule is asked for a chunk of
-batch ids ahead; a stream gives the same numbers whether drawn one step at a
-time or a chunk at a time, so every chain's kept states are bit-identical to
-the ones it gives run alone. `run_chain` runs one chain this way and wraps
+handed to the stepper as arrays, and every schedule is asked for a chunk of
+batch ids ahead in one `take_all` call; a stream gives the same numbers
+whether drawn one step at a time or a chunk at a time, so every chain's kept
+states are bit-identical to the ones it gives run alone. `run_chain` runs one chain this way and wraps
 its states into a `Trace`.
 
 A chunk's length follows from a memory budget, not a fixed step count: R
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .batching import BatchMode, BatchSchedule
+from .batching import BatchMode, BatchSchedule, take_all
 from .core import RngStream, State, write_columns
 from .integrators import (
     DivergenceError,
@@ -210,7 +210,7 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
             m = min(chunk, total_steps - i)
             noise = np.stack([rng.normal(m * n_draws * d).reshape(m, n_draws, d)
                               .swapaxes(0, 1) for rng in rngs], axis=2)
-            ids = np.stack([s.take(m) for s in scheds], axis=1)
+            ids = take_all(scheds, m)
             rs, ths = advance(r, th, noise, ids)
             # freed before the next chunk's are drawn, and the last states
             # copied so that the chunk's states are too (below): one chunk's

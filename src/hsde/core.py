@@ -172,6 +172,10 @@ def write_columns(path, header, columns) -> None:
         raise ValueError("need one header name per column and 1-D columns of equal length")
     n = len(columns[0]) if columns else 0
     columns = [_column(col) for col in columns]
+    if len(columns) == 1 and isinstance(columns[0], list):
+        # a lone empty cell is written "", as `csv.writer` does: an empty
+        # line reads as a row of no cells
+        columns[0] = [t or '""' for t in columns[0]]
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _CSV_BLOCK):
@@ -196,6 +200,21 @@ class State:
     @property
     def dim(self) -> int:
         return self.r.size
+
+
+def fisher_yates(n: int, swaps: np.ndarray) -> np.ndarray:
+    """The (len(swaps), n) permutations of range(n) whose Fisher-Yates swaps
+    are the rows of swaps (`RngStream.swaps`): row r swaps position i with
+    swaps[r, n-1-i] for i = n-1 down to 1. One pass serves every row, so
+    rows drawn from many streams are permuted together."""
+    perms = np.tile(np.arange(n), (len(swaps), 1))
+    rows = np.arange(len(swaps))
+    for t, i in enumerate(range(n - 1, 0, -1)):
+        j = swaps[:, t]
+        held = perms[:, i].copy()
+        perms[:, i] = perms[rows, j]
+        perms[rows, j] = held
+    return perms
 
 
 class RngStream:
@@ -249,23 +268,17 @@ class RngStream:
 
     def permutations(self, n: int, count: int) -> np.ndarray:
         """(count, n) array whose rows are what `count` successive
-        `permutation(n)` calls give.
+        `permutation(n)` calls give: `fisher_yates` over `swaps(n, count)`."""
+        return fisher_yates(n, self.swaps(n, count))
 
-        Fisher-Yates swaps position i with a uniform j <= i for i = n-1
-        down to 1; one call draws every j of every row.
-        """
-        perms = np.tile(np.arange(n), (count, 1))
+    def swaps(self, n: int, count: int) -> np.ndarray:
+        """The Fisher-Yates draws of `count` successive `permutation(n)`
+        calls, in one call: row r holds permutation r's uniform j <= i for
+        i = n-1 down to 1, a (count, n-1) int64 array ((count, 0) for n < 2,
+        which draws nothing)."""
         if n < 2 or count < 1:
-            return perms
-        bounds = np.tile(np.arange(n, 1, -1), count)
-        draws = self.integers(bounds).reshape(count, n - 1)
-        rows = np.arange(count)
-        for t, i in enumerate(range(n - 1, 0, -1)):
-            j = draws[:, t]
-            held = perms[:, i].copy()
-            perms[:, i] = perms[rows, j]
-            perms[rows, j] = held
-        return perms
+            return np.empty((count, max(n - 1, 0)), dtype=np.int64)
+        return self.integers(np.tile(np.arange(n, 1, -1), count)).reshape(count, n - 1)
 
     def uniform(self, low: float, high: float, size: int) -> np.ndarray:
         """size iid U(low, high) draws."""

@@ -285,35 +285,56 @@ class LinearGaussian(Potential):
     def _nll_hess_vec(self, theta, v, sl):
         return (self.features[sl].T @ (self.features[sl] @ v)) / self.noise_var
 
+    # One row's np.dot on a 2-D block and its transposed view, and stacked
+    # (n, size, d) matmuls through the transposed view, run the same BLAS
+    # gemv as the per-row `features[sl].T @ resid`, so the bits match;
+    # Gram-matrix forms, einsum and a contiguous transpose do not. An
+    # ensemble makes one such call per group.
     def step_providers(self, ids_chunk, scale=None):
         """A lone chain takes the one-row path, step j on its batch's
         `_row_ops` entry. An ensemble takes the stacked path where
-        `_chunk_groups` serves the chunk: each group's providers write into
-        their rows of one (R, d) result, which is then scaled once. The
-        providers write into arrays they own."""
+        `_chunk_groups` serves the chunk: each group's matmuls write into its
+        rows of one (R, d) result, and the rest of the formula runs once
+        over all R rows, each row at its own prior weight. The providers
+        write into arrays they own."""
         R = ids_chunk.shape[1]
         if R == 1:
             ops = self._row_ops
             return self._row_providers(
-                (self.dim,), [ops[b] for b in ids_chunk[:, 0].tolist()].__getitem__, scale)
+                [ops[b] for b in ids_chunk[:, 0].tolist()].__getitem__, scale)
         groups = self._chunk_groups(ids_chunk)
         if groups is None:
             return super().step_providers(ids_chunk, scale)
-        mul = np.multiply
-        g_all, h_all = np.empty((R, self.dim)), np.empty((R, self.dim))
-        parts = [(rows, *self._row_providers(g_all[rows].shape, step_ops, None, size,
-                                             g_all[rows], h_all[rows]))
-                 for rows, size, step_ops in groups]
+        matmul, sub = np.matmul, np.subtract
+        shape = (R, self.dim)
+        finish = self._finisher(shape, scale)
+        # prior weight 1 on full rows (1.0 * q is q bit for bit), 1/K on block rows
+        w = np.where(ids_chunk[0, :, None] < 0, 1.0, np.full(shape, 1.0 / self.n_batches))
+        w = None if (w == 1.0).all() else w
+        g, hv = np.empty(shape), np.empty(shape)
+        # per group: its rows, its operands, F @ x (then the residual) in
+        # place, and its rows of g and hv as matmul outputs
+        parts = []
+        for rows, size, step_ops in groups:
+            Fx = np.empty((rows.stop - rows.start, size, 1))
+            parts.append((rows, step_ops, Fx, Fx[..., 0], g[rows, :, None], hv[rows, :, None]))
 
         def grad(j, x):
-            for rows, grad_g, _ in parts:
-                grad_g(j, x[rows])
-            return g_all if scale is None else mul(scale, g_all, g_all)
+            # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
+            for rows, step_ops, Fx, Fx_2d, g_3d, _ in parts:
+                F, FT, y = step_ops(j)
+                matmul(F, x[rows, :, None], Fx)
+                sub(Fx_2d, y, Fx_2d)
+                matmul(FT, Fx, g_3d)
+            return finish(g, x, w)
 
         def hess(j, x, v):
-            for rows, _, hess_g in parts:
-                hess_g(j, x[rows], v[rows])
-            return h_all if scale is None else mul(scale, h_all, h_all)
+            # (FT @ (F @ v)) / noise_var + w (v / prior_var)
+            for rows, step_ops, Fx, _, _, hv_3d in parts:
+                F, FT, _ = step_ops(j)
+                matmul(F, v[rows, :, None], Fx)
+                matmul(FT, Fx, hv_3d)
+            return finish(hv, v, w)
 
         return grad, hess
 
@@ -321,11 +342,10 @@ class LinearGaussian(Potential):
         """The stacked operands of a chunk of (m, R) batch ids, one group
         (rows, size, step_ops) per contiguous run of full rows or of block
         rows, in row order: rows a slice, and step_ops(j) step j's (F, FT,
-        y, w), design blocks F (n or 1, size, d), their transposed view FT,
-        targets y and the prior weight w spread over the group's rows, None
-        where it is 1. None where the per-row path serves the chunk: a row
-        that switches between the full potential and blocks, or block rows
-        on unequal blocks."""
+        y), design blocks F (n or 1, size, d), their transposed view FT and
+        targets y. None where the per-row path serves the chunk: a row that
+        switches between the full potential and blocks, or block rows on
+        unequal blocks."""
         on_full = ids_chunk[0] < 0
         switches = ((ids_chunk < 0) != on_full).any()
         if switches or (self._blocks is None and not on_full.all()):
@@ -340,7 +360,7 @@ class LinearGaussian(Potential):
         the targets repeated per row (same-shape operations skip
         broadcasting, the slow path for small arrays)."""
         F, FT, y, _, _ = self._row_ops[-1]
-        ops = (F[None], FT[None], np.tile(y, (ids_chunk.shape[1], 1)), None)
+        ops = (F[None], FT[None], np.tile(y, (ids_chunk.shape[1], 1)))
         return self.n_obs, lambda j: ops
 
     def _gathered(self, ids_chunk):
@@ -348,10 +368,7 @@ class LinearGaussian(Potential):
         their transposed view and targets, gathered a run of steps at a
         time."""
         F, y = self._blocks
-        R = ids_chunk.shape[1]
-        run = max(1, _GATHER_BYTES // max(1, R * F[0].nbytes))
-        w = 1.0 / self.n_batches
-        w = None if w == 1.0 else np.full((R, self.dim), w)
+        run = max(1, _GATHER_BYTES // max(1, ids_chunk.shape[1] * F[0].nbytes))
         held = [-1, None]
 
         def step_ops(j):
@@ -362,83 +379,55 @@ class LinearGaussian(Potential):
                 # the run's transposed operand is a view: a gathered
                 # transposed copy would raise peak memory
                 F_run = F[ids]
-                held[:] = lo, list(zip(F_run, F_run.swapaxes(2, 3), y[ids], [w] * len(ids)))
+                held[:] = lo, list(zip(F_run, F_run.swapaxes(2, 3), y[ids]))
             return held[1][j - lo]
 
         return F.shape[1], step_ops
 
-    # One row's np.dot on a 2-D block and its transposed view, and stacked
-    # (n, size, d) matmuls through the transposed view, run the same BLAS
-    # gemv as the per-row `features[sl].T @ resid`, so the bits match;
-    # Gram-matrix forms, einsum and a contiguous transpose do not. An
-    # ensemble makes one such call per group.
-    def _row_providers(self, shape, step_ops, scale=None, size=None, g=None, hv=None):
-        """(grad, hess) over states of `shape`, (d,) for one row and (n, d)
-        for n stacked rows: grad(j, x) and hess(j, x, v) are the gradient
-        and Hessian-vector product on step_ops(j)'s operands at its prior
-        weight (a `_row_ops` entry for one row, see `_chunk_groups` for
-        stacked operands of `size` data rows), times scale where given,
-        written into the arrays g and hv of `shape` (made here unless given)
-        and overwritten by each call.
-
-        Each is the per-row formula's numpy calls in order, written into
-        arrays made here once; unit factors are skipped (x / 1.0 and
-        1.0 * x are x bit for bit).
-        """
-        mul, add, sub, div = np.multiply, np.add, np.subtract, np.divide
+    def _finisher(self, shape, scale):
+        """finish(out, u, w): out / noise_var + w (u / prior_var), times
+        scale where given, in place in out, over states of `shape`; w is the
+        prior weight spread over `shape`, None where it is 1. Unit factors
+        are skipped (x / 1.0 and 1.0 * x are x bit for bit)."""
+        mul, add, div = np.multiply, np.add, np.divide
         # factors spread over the state's shape, as the stepper's constants are
         noise_var = None if self.noise_var == 1.0 else np.full(shape, self.noise_var)
         prior_var = (None if self._unit_prior
                      else np.ascontiguousarray(np.broadcast_to(self.prior_var, shape)))
-        g = np.empty(shape) if g is None else g
-        hv = np.empty(shape) if hv is None else hv
         p = np.empty(shape)
 
         def finish(out, u, w):
-            # out / noise_var + w (u / prior_var), times scale
             if noise_var is not None:
                 div(out, noise_var, out)
             q = u if prior_var is None else div(u, prior_var, p)
             add(out, q if w is None else mul(w, q, p), out)
             return out if scale is None else mul(scale, out, out)
 
-        if len(shape) == 1:
-            dot = np.dot
+        return finish
 
-            def grad(j, x):
-                # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
-                F, FT, y, Fx, w = step_ops(j)
-                dot(F, x, Fx)
-                sub(Fx, y, Fx)
-                return finish(dot(FT, Fx, g), x, w)
+    def _row_providers(self, step_ops, scale=None):
+        """(grad, hess) of one row, over d-vectors: grad(j, x) and hess(j,
+        x, v) are the gradient and Hessian-vector product on step_ops(j)'s
+        `_row_ops` entry at its prior weight, times scale where given,
+        written into arrays made here and overwritten by each call.
 
-            def hess(j, x, v):
-                # (FT @ (F @ v)) / noise_var + w (v / prior_var)
-                F, FT, _, Fx, w = step_ops(j)
-                return finish(dot(FT, dot(F, v, Fx), hv), v, w)
-
-            return grad, hess
-
-        matmul = np.matmul
-        # F @ x, then the residual in place; F @ v
-        Fx = np.empty((shape[0], size, 1))
-        Fx_2d = Fx[..., 0]
-        g_3d, hv_3d = g[..., None], hv[..., None]
+        Each is the per-row formula's numpy calls in order.
+        """
+        sub, dot = np.subtract, np.dot
+        finish = self._finisher((self.dim,), scale)
+        g, hv = np.empty(self.dim), np.empty(self.dim)
 
         def grad(j, x):
             # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
-            F, FT, y, w = step_ops(j)
-            matmul(F, x[..., None], Fx)
-            sub(Fx_2d, y, Fx_2d)
-            matmul(FT, Fx, g_3d)
-            return finish(g, x, w)
+            F, FT, y, Fx, w = step_ops(j)
+            dot(F, x, Fx)
+            sub(Fx, y, Fx)
+            return finish(dot(FT, Fx, g), x, w)
 
         def hess(j, x, v):
             # (FT @ (F @ v)) / noise_var + w (v / prior_var)
-            F, FT, _, w = step_ops(j)
-            matmul(F, v[..., None], Fx)
-            matmul(FT, Fx, hv_3d)
-            return finish(hv, v, w)
+            F, FT, _, Fx, w = step_ops(j)
+            return finish(dot(FT, dot(F, v, Fx), hv), v, w)
 
         return grad, hess
 

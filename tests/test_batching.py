@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsde.batching import BatchMode, BatchSchedule
+from hsde.batching import BatchMode, BatchSchedule, take_all
 from hsde.core import RngStream
 from hsde.potentials import LinearGaussian
+
+from .oracles import reference_permutation
 
 
 def test_full_mode_emits_marker_forever():
@@ -94,6 +96,45 @@ def test_take_interleaved_with_next_equals_next_alone(mode, K, calls, seed):
     # both schedules and their streams carry on identically
     assert [chunked.next() for _ in range(2 * K + 1)] == [stepped.next() for _ in range(2 * K + 1)]
     assert chunked.rng.normal(3).tobytes() == stepped.rng.normal(3).tobytes()
+
+
+def stream_ids(mode, K, rng, total):
+    """A schedule's first `total` ids as its stream gives them: the full
+    marker, uniform draws, or sweeps drawn one swap at a time."""
+    if mode == "full":
+        return [-1] * total
+    if mode == "iid":
+        return rng.integers(K, size=total).tolist()
+    sweeps = [reference_permutation(rng, K).tolist() for _ in range(-(-total // K))]
+    return sum(sweeps, [])[:total]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    modes=st.lists(st.sampled_from(["full", "iid", "perm"]), min_size=1, max_size=6),
+    K=st.integers(min_value=1, max_value=9),
+    chunks=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8),
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+)
+def test_take_all_equals_one_take_per_schedule(modes, K, chunks, seed):
+    # one call over every schedule reads what each schedule's own take reads
+    # and leaves each where its take would, whatever the cursors inside
+    # their sweeps (a chunk length that K does not divide stops mid-sweep)
+    together = [BatchSchedule(mode, K, RngStream(seed, c)) for c, mode in enumerate(modes)]
+    alone = [BatchSchedule(mode, K, RngStream(seed, c)) for c, mode in enumerate(modes)]
+    got = []
+    for m in chunks:
+        ids = take_all(together, m)
+        assert ids.dtype == np.int64 and ids.shape == (m, len(modes))
+        for c, sched in enumerate(alone):
+            assert ids[:, c].tolist() == sched.take(m).tolist()
+        got.append(ids)
+    got = np.concatenate(got)
+    for c, mode in enumerate(modes):
+        assert got[:, c].tolist() == stream_ids(mode, K, RngStream(seed, c), sum(chunks))
+    for a, b in zip(together, alone):
+        assert a.take(2 * K + 1).tolist() == b.take(2 * K + 1).tolist()
+        assert a.rng.normal(3).tobytes() == b.rng.normal(3).tobytes()
 
 
 def test_take_draws_once_per_chunk():

@@ -472,10 +472,11 @@ class TestChunkSizing:
         assert chunk_lengths == [256]
 
     def test_run_is_split_into_chunks_of_that_length(self, chunk_lengths, monkeypatch):
+        # each chunk takes every schedule's ids in one call
         taken = []
-        take = BatchSchedule.take
-        monkeypatch.setattr(BatchSchedule, "take",
-                            lambda sched, m: taken.append(m) or take(sched, m))
+        take_all = chain_module.take_all
+        monkeypatch.setattr(chain_module, "take_all", lambda scheds, m:
+                            taken.extend([m] * len(scheds)) or take_all(scheds, m))
         self.sweep_case(Scheme.MT3, 600).run()
         assert chunk_lengths == [256]
         assert taken == [256] * 64 + [88] * 32

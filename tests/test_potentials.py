@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hsde import potentials as potentials_module
 from hsde.batching import BatchSchedule
 from hsde.core import RngStream
 from hsde.potentials import (
@@ -407,6 +408,39 @@ class TestLinearGaussian:
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
 
+    # the stacked providers allocate nothing per step: their traced peak
+    # over 1,024 steps is that of 64 steps, give or take a few KiB of
+    # interpreter noise (the gather budget is raised so that the first
+    # call, before tracing starts, gathers the whole chunk's blocks)
+    def test_stacked_providers_allocate_nothing_per_step(self, monkeypatch):
+        import tracemalloc
+
+        monkeypatch.setattr(potentials_module, "_GATHER_BYTES", 1 << 24)
+        rng = RngStream(5, 2)
+        P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
+                           noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0], n_batches=8)
+        full = "FFBBBB"
+        scale = np.array([[1.0 if f == "F" else 8.0] * 4 for f in full])
+        th, v = (rng.normal(len(full) * 4).reshape(len(full), 4) for _ in range(2))
+        peaks = []
+        for m in (64, 1024):
+            ids = np.stack([BatchSchedule("full" if f == "F" else "perm", 8,
+                                          RngStream(3, c)).take(m)
+                            for c, f in enumerate(full)], axis=1)
+            assert len(P._chunk_groups(ids)) == 2
+            grad, hess = P.step_providers(ids, scale)
+            grad(0, th)
+            hess(0, th, v)
+            tracemalloc.start()
+            try:
+                for j in range(m):
+                    grad(j, th)
+                    hess(j, th, v)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 4096, peaks
+
     # an ensemble row that switches between the full potential and blocks
     # within a chunk (no sweep makes one) is served per row, with the
     # per-row bits
@@ -426,9 +460,9 @@ class TestLinearGaussian:
             assert grad(j, th).tobytes() == (scale * want_g).tobytes()
             assert hess(j, th, v).tobytes() == (scale * want_h).tobytes()
 
-    # each group holds its own operands: a full group the whole design at
-    # prior weight 1 (None), a block group each step's equal blocks at 1/K
-    # spread over its rows
+    # each group holds its own operands: a full group the whole design, a
+    # block group each step's equal blocks (the prior weights, 1 and 1/K,
+    # are applied over all rows at once, see test_stacked_rows_match_per_row)
     @pytest.mark.parametrize("full", ["FFBBBB", "BBBBBF", "FBBBBB", "BBBBFF", "FBFBBF"])
     def test_chunk_groups_split_at_the_cut(self, full):
         rng = RngStream(5, 0)
@@ -444,9 +478,9 @@ class TestLinearGaussian:
             assert len(kinds) == 1
             n_rows = len(cols[rows])
             for j in range(m):
-                F, FT, y, w = step_ops(j)
+                F, FT, y = step_ops(j)
                 if kinds == {"F"}:
-                    assert size == 32 and w is None
+                    assert size == 32
                     np.testing.assert_array_equal(F[0], P.features)
                     np.testing.assert_array_equal(FT[0], P.features.T)
                     np.testing.assert_array_equal(y, np.tile(P.targets, (n_rows, 1)))
@@ -456,7 +490,6 @@ class TestLinearGaussian:
                 np.testing.assert_array_equal(F, P.features.reshape(8, 4, 4)[blocks])
                 np.testing.assert_array_equal(FT, F.swapaxes(1, 2))
                 np.testing.assert_array_equal(y, P.targets.reshape(8, 4)[blocks])
-                np.testing.assert_array_equal(w, np.full((n_rows, 4), 1.0 / 8))
 
     # the model copies its design C-ordered: a Fortran-ordered or strided
     # design gives the bits of a C-ordered one on every gradient path, and a

@@ -155,6 +155,43 @@ class TestRunSweep:
                    for row in res.rows)
 
 
+class TestCalibration:
+    """A sweep's self-distance calibration is a pure function of (seed,
+    posterior, n_ks), computed once per key."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        repro._self_distance_levels.cache_clear()
+        calls = []
+        self_distance = repro.self_distance
+        monkeypatch.setattr(repro, "self_distance", lambda oracle, m, *args:
+                            calls.append(m) or self_distance(oracle, m, *args))
+        yield calls
+        repro._self_distance_levels.cache_clear()
+
+    def test_gap_report_calibrates_once(self, tmp_path, calls):
+        repro.report_minibatch_gap(tmp_path, n=50, reps=1)
+        assert calls == [200]
+
+    def test_inner_loop_report_calibrates_once(self, tmp_path, calls):
+        repro.report_splitting_orders(tmp_path, n_trials=3, n=50, reps=1)
+        assert calls == [200]
+
+    def test_new_key_calibrates_afresh(self, calls):
+        def levels(seed, n_ks):
+            res, = repro.run_sweeps("lingauss", [("leapfrog", (0.4,))], [("full", 1)],
+                                    n=20, reps=1, burn_in=5, seed=seed, n_ks=n_ks)
+            return res.rows[0]["ks_q05_self"], res.rows[0]["ks_q95_self"]
+
+        first = levels(17, 40)
+        assert levels(17, 40) == first and calls == [40]
+        assert levels(18, 40) != first and calls == [40, 40]
+        assert levels(17, 30) != first and calls == [40, 40, 30]
+        # a model with another posterior is another key
+        repro.run_sweeps("toy", [("leapfrog", (0.4,))], [("full", 1)], n=20, reps=1,
+                         burn_in=5, seed=17, n_ks=40)
+        assert calls == [40, 40, 30, 40]
+
 class TestSweepEnsembles:
     """A sweep runs each plan entry as one ensemble; its rows must be the
     rows the one-chain reference loop gives, cell by cell."""
