@@ -213,7 +213,10 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         raise click.UsageError("--n must be >= 1")
     cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin, seed=seed)
     if scheme == "exact":
-        # the exact kernel has no inner steps and no credited friction
+        # the exact kernel runs the toy alone, with no inner steps and no credited friction
+        if model != "toy":
+            raise click.UsageError("the exact kernel exists only for one-parameter "
+                                   "linear-Gaussian models: --model toy")
         if n_inner != 1 or v_hat != 0:
             raise click.UsageError("the exact kernel takes neither --nl nor --vhat")
         inherent = 1 if mode == "full" else 2
@@ -223,9 +226,9 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
         potential = repro.build_model(model, inherent)
         trace = run_exact_chain(potential, eta, mode, cfg, friction=friction)
     else:
-        potential = repro.build_model(model, batches)
         spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
                               n_inner=n_inner, v_hat=v_hat)
+        potential = repro.build_model(model, batches)
         trace = run_chain(potential, spec, mode, cfg)
     extra = {"effective_time": format_float(trace.effective_time),
              "kept": trace.n_samples}
@@ -399,10 +402,10 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
     if states < 1:
         raise click.UsageError("--states must be >= 1")
     check_eps(eps)
-    potential = repro.build_model(model, 1)
-    d = potential.dim
     spec = IntegratorSpec(scheme=Scheme(scheme), eta=eta, friction=friction,
                           n_inner=n_inner)
+    potential = repro.build_model(model, 1)
+    d = potential.dim
     grad, hess = potential.gradient_many, potential.hessian_vec_many
     n_draws = noise_draws(spec.scheme)
     draw = RngStream(seed, 1)

@@ -38,7 +38,7 @@ import numpy as np
 from .batching import BatchMode
 from .chain import ChainConfig, run_states
 from .core import RngStream, write_columns
-from .integrators import DivergenceError, IntegratorSpec, Scheme
+from .integrators import DivergenceError, IntegratorSpec
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
 from .operator_lab import (
     GeneratorSet,
@@ -130,35 +130,24 @@ class SweepResult:
     slopes: list
 
 
-def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
-               friction: float, n_inner: int, v_hat: float, n: int, reps: int,
-               burn_in: int, thin: int, n_ks: int) -> list:
-    """One ensemble over every (mode, eta cell, replica) chain of one plan
-    pair; one SweepResult per mode, with a row per cell computed from that
-    cell's replicas in order.
+def _run_cells(cells: list, *, model, post, modes: list, reps: int, n_ks: int) -> list:
+    """One ensemble over every (mode, cell, replica) chain of one plan
+    pair's (IntegratorSpec, ChainConfig) cells; one SweepResult per mode,
+    with a row per cell computed from that cell's replicas in order.
 
     Raises the DivergenceError of the first diverging chain in (mode, cell,
     replica) order, and then that of the first cell, in (mode, cell) order,
     whose summary is not finite.
     """
     runs = list(itertools.product(modes, cells))
-    specs, chain_modes, cfgs, chain_indices = [], [], [], []
-    for (mode, _), (eta, cell_seed) in runs:
-        spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
-                              n_inner=n_inner, v_hat=v_hat)
-        cfg = ChainConfig(n_samples=n, burn_in=burn_in, thinning=thin,
-                          init="prior", seed=cell_seed)
-        for rep in range(reps):
-            specs.append(spec)
-            chain_modes.append(mode)
-            cfgs.append(cfg)
-            chain_indices.append(rep)
+    specs, chain_modes, cfgs, chain_indices = zip(*[
+        (spec, mode, cfg, rep) for (mode, _), (spec, cfg) in runs for rep in range(reps)])
     # a sweep reads positions only
     thetas = run_states(model, specs, chain_modes, cfgs, chain_indices,
                         keep_momenta=False)[0]
 
     rows = []
-    for cell, ((mode, n_batches), (eta, _)) in enumerate(runs):
+    for cell, ((mode, n_batches), (spec, cfg)) in enumerate(runs):
         ks_vals = []
         mean_dev = np.zeros(model.dim)
         var_dev = np.zeros(model.dim)
@@ -166,7 +155,7 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
         # their cell's summary: no warnings, the check below reports it
         with np.errstate(all="ignore"):
             for th in thetas[cell * reps:(cell + 1) * reps]:
-                tail = th[-min(n_ks, n):, 0]
+                tail = th[-min(n_ks, cfg.n_samples):, 0]
                 ks_vals.append(ks_vs_gaussian(EmpiricalSample(tail),
                                               post.mean[0], post.cov[0, 0]))
                 mean_dev += th.mean(axis=0) - post.mean
@@ -177,9 +166,10 @@ def _run_cells(scheme: Scheme, cells: list, *, model, post, modes: list,
                        "mean_err": float(abs(np.mean(mean_dev / reps))),
                        "var_err": float(abs(np.mean(var_dev / reps)))}
         if not np.all(np.isfinite(list(summary.values()))):
-            raise DivergenceError("cell summary is not finite", eta=eta, scheme=scheme)
-        rows.append({"scheme": str(scheme.value), "eta": float(eta), "K": int(n_batches),
-                     "mode": str(mode), "n": int(n), **summary})
+            raise DivergenceError("cell summary is not finite", eta=spec.eta,
+                                  scheme=spec.scheme)
+        rows.append({"scheme": str(spec.scheme.value), "eta": spec.eta, "K": int(n_batches),
+                     "mode": str(mode), "n": int(cfg.n_samples), **summary})
     per_mode = [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))]
     return [SweepResult(rows=r, slopes=_fit_slope(r)) for r in per_mode]
 
@@ -248,12 +238,13 @@ def run_sweeps(
     ensemble of len(modes) x len(eta_grid) x reps chains, every mode's
     chains on the same cell seeds, so a mode's result does not depend on
     the other modes swept with it; `jobs` > 1 spreads the pairs over worker
-    processes. Modes whose n_batches is above 1 must share it. Raises the
-    model's analytic-posterior error for models without a closed-form
-    posterior, and the DivergenceError of the first diverging chain in
-    (plan pair, mode, cell, replica) order or, failing that, of the first
-    cell whose summary is not finite. Output rows are deterministic in
-    (config, seed) regardless of `jobs`.
+    processes. Modes whose n_batches is above 1 must share it. Every cell
+    and every fitted grid is checked before the model or any chain. Raises
+    the model's analytic-posterior error for models without a closed-form
+    posterior, and the DivergenceError of the first diverging chain in (plan
+    pair, mode, cell, replica) order or, failing that, of the first cell
+    whose summary is not finite. Output rows are deterministic in (config,
+    seed) regardless of `jobs`.
     """
     # checked before any chain runs, not where the values are first used
     if reps < 1:
@@ -269,28 +260,28 @@ def run_sweeps(
     modes = [(mode, int(k)) for mode, k in modes]
     if not modes:
         raise ValueError("a sweep needs at least one batch mode")
+    # each cell's spec and config, and so their checks
+    cell_seeds = (_derive_cell_seed(seed, i) for i in itertools.count())
+    cells = [[(IntegratorSpec(scheme, eta, friction, n_inner, v_hat),
+               ChainConfig(n, burn_in, thin, seed=next(cell_seeds))) for eta in etas]
+             for scheme, etas in plan]
+    # the slope fit's precondition on a grid it fits
+    if any(len(pair) >= 3 and len({spec.eta for spec, _ in pair}) == 1 for pair in cells):
+        raise ValueError("eta grid is degenerate (all equal)")
     model = build_model(model_name, _model_batches(modes))
     post = model.analytic_posterior()
-    schemes, cells = [], []
-    cell_index = itertools.count()
-    for scheme, etas in plan:
-        schemes.append(Scheme(scheme))
-        cells.append([(float(eta), _derive_cell_seed(seed, next(cell_index)))
-                      for eta in etas])
-    run = functools.partial(_run_cells, model=model, post=post, modes=modes,
-                            friction=friction, n_inner=n_inner, v_hat=v_hat, n=n,
-                            reps=reps, burn_in=burn_in, thin=thin, n_ks=n_ks)
-    if jobs > 1 and len(schemes) > 1:
+    run = functools.partial(_run_cells, model=model, post=post, modes=modes, reps=reps, n_ks=n_ks)
+    if jobs > 1 and len(cells) > 1:
         # imported here: the process machinery costs start-up time that a
         # single-process run never repays
         from concurrent.futures import ProcessPoolExecutor
 
         # a forked pool starts all of its workers at once, and a worker
         # beyond one per plan entry would get no work
-        with ProcessPoolExecutor(max_workers=min(jobs, len(schemes))) as pool:
-            per_pair = list(pool.map(run, schemes, cells))
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
+            per_pair = list(pool.map(run, cells))
     else:
-        per_pair = list(map(run, schemes, cells))
+        per_pair = list(map(run, cells))
 
     # the posterior's numpy scalars as they are: float() of them changes how
     # numpy allocates the oracle's temporaries, which raised the gap

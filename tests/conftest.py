@@ -33,3 +33,19 @@ def chunk_lengths(monkeypatch):
 
     monkeypatch.setattr(chain_module, "_chunk_steps", recorded)
     return lengths
+
+
+@pytest.fixture
+def chunks_taken(monkeypatch):
+    """The length of each chunk the chain loop takes, in the order taken:
+    one entry per `take_all` call, so an empty list means no chain
+    stepped."""
+    lengths = []
+    take_all = chain_module.take_all
+
+    def recorded(scheds, m):
+        lengths.append(m)
+        return take_all(scheds, m)
+
+    monkeypatch.setattr(chain_module, "take_all", recorded)
+    return lengths

@@ -50,7 +50,7 @@ def test_sweeps_vary_across_sweeps():
 def test_iid_frequencies():
     K, n = 4, 100_000
     sched = BatchSchedule(BatchMode.IID_UNIFORM, K, RngStream(8, 0))
-    ids = np.array([sched.next()[0] for _ in range(n)])
+    ids = sched.take(n)
     for b in range(K):
         assert abs(np.mean(ids == b) - 0.25) < 0.01
 

@@ -433,6 +433,23 @@ class TestSweep:
         assert "Invalid value for '--scheme'" in result.output
         assert not (tmp_path / "x").exists()
 
+    # the whole plan is checked before any chain steps: a bad later scheme
+    # and a grid the slope fit cannot use exit 2 without running a chain
+    @pytest.mark.parametrize("args, message", [
+        (["--scheme", "leapfrog", "--scheme", "sghmc", "--vhat", "5"],
+         "SGHMC needs v_hat <= friction"),
+        (["--eta-grid", "0.2,0.2,0.2"], "eta grid is degenerate")],
+        ids=["later-scheme", "degenerate-grid"])
+    def test_refuses_a_bad_plan_before_any_chain(self, runner, tmp_path, chunks_taken, args,
+                                                 message):
+        out = tmp_path / "x"
+        result = runner.invoke(main, ["sweep", *args, "--n", "50", "--burn-in", "10",
+                                      "--out", str(out)])
+        assert result.exit_code == 2
+        assert message in result.output
+        assert chunks_taken == []
+        assert not out.exists()
+
     def test_rejects_bad_grid(self, runner, tmp_path):
         result = runner.invoke(main, ["sweep", "--eta-grid", "a,b",
                                       "--out", str(tmp_path / "x")])
@@ -1213,11 +1230,13 @@ def assert_cells_are_numbers_or_words(path):
 @settings(max_examples=300, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow])
 @given(args=invocations())
-def test_every_command_keeps_the_exit_code_contract(runner, tmp_path, args):
+def test_every_command_keeps_the_exit_code_contract(runner, tmp_path, chunks_taken, args):
     # exit 0, 2, 3 or 4 with no traceback and no warning; a failed run
-    # leaves none of the directories it made, a run that succeeds its
-    # meta.txt and CSVs of numbers and named words
+    # leaves none of the directories it made, a refused one steps no chain,
+    # and a run that succeeds leaves its meta.txt and CSVs of numbers and
+    # named words
     out = Path(tempfile.mkdtemp(dir=tmp_path)) / "run" / "out"
+    chunks_taken.clear()
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         result = runner.invoke(main, args + ["--out", str(out)])
@@ -1227,6 +1246,7 @@ def test_every_command_keeps_the_exit_code_contract(runner, tmp_path, args):
     assert "Traceback" not in result.output and "Warning" not in result.output, args
     if result.exit_code:
         assert not out.parent.exists(), args
+        assert result.exit_code != 2 or not chunks_taken, args
         return
     assert (out / "meta.txt").is_file(), args
     for path in out.glob("*.csv"):

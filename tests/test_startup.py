@@ -78,3 +78,25 @@ print(json.dumps({{"loaded": loaded(), "rows": res.rows, "slopes": res.slopes}})
     one, = repro.run_sweeps("lingauss", SWEEP_PLAN, [("full", 1)], jobs=1, **SWEEP_ARGS)
     assert got["rows"] == one.rows
     assert got["slopes"] == one.slopes
+
+
+# options the run refuses, each on the one model that needs scipy
+REFUSED_BEFORE_MODEL = [
+    ["sample", "--model", "logistic2d", "--scheme", "sghmc", "--vhat", "5"],
+    ["geom", "--model", "logistic2d", "--eta", "-1"],
+    ["sample", "--model", "logistic2d", "--scheme", "exact"],
+]
+
+
+def test_refused_options_build_no_model(tmp_path):
+    # each refusal exits 2 before the model is built, so the logistic
+    # model's dataset is never made and scipy never loaded
+    got = fresh_python(PRELUDE + f"""
+from click.testing import CliRunner
+runs = []
+for args in {REFUSED_BEFORE_MODEL!r}:
+    result = CliRunner().invoke(hsde.cli.main, args + ["--out", {str(tmp_path / "run")!r}])
+    runs.append([result.exit_code, loaded()])
+print(json.dumps({{"runs": runs}}))
+""")
+    assert got["runs"] == [[2, []]] * len(REFUSED_BEFORE_MODEL)
