@@ -156,6 +156,12 @@ def _trace(thetas, momenta, cfg: ChainConfig, dt: float) -> Trace:
                  effective_time=(burn_in + n * thin) * dt)
 
 
+def _check_etas(etas) -> None:
+    """Refuse step sizes no chain runs on: each eta must be finite and > 0."""
+    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
+        raise ValueError("running a chain requires a finite eta > 0")
+
+
 def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
              keep_momenta: bool = True, **per_chain) -> tuple:
     """The chain loop of `run_states` and `toy_exact.run_exact_states`.
@@ -171,8 +177,8 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     the full potential, and returns their (m, R, d) states (rs, ths); it may
     overwrite noise. A chunk is `_chunk_steps(R, width)` steps, the width
     counting every float64 value one chain holds per step of it: noise,
-    states and whatever advance gathers for the whole chunk that no budget
-    of its own bounds (as `potentials._GATHER_BYTES` bounds design blocks).
+    states and whatever advance gathers for the whole chunk. It is the one
+    memory budget of the sampling path.
 
     Returns and raises as `run_states` does.
     """
@@ -182,8 +188,7 @@ def run_loop(setup, etas, modes, n_batches: int, cfgs, chain_indices,
     if R == 0 or any(len(arg) != R for arg in per_chain.values()):
         *names, last = per_chain
         raise ValueError(f"an ensemble needs one {', '.join(names)} and {last} per chain")
-    if not all(math.isfinite(eta) and eta > 0 for eta in etas):
-        raise ValueError("running a chain requires a finite eta > 0")
+    _check_etas(etas)
     if len({(c.n_samples, c.burn_in, c.thinning) for c in cfgs}) > 1:
         raise ValueError("ensemble chains must share n_samples, burn_in and thinning")
     n, burn_in, thin = cfgs[0].n_samples, cfgs[0].burn_in, cfgs[0].thinning

@@ -230,8 +230,9 @@ def _do_sample(out_dir, model, scheme, eta, friction, batches, mode, n_inner,
                               n_inner=n_inner, v_hat=v_hat)
         potential = repro.build_model(model, batches)
         trace = run_chain(potential, spec, mode, cfg)
-    extra = {"effective_time": format_float(trace.effective_time),
-             "kept": trace.n_samples}
+    # the K the chain ran on: an exact kernel implies its own
+    extra = {"batches": potential.n_batches, "kept": trace.n_samples,
+             "effective_time": format_float(trace.effective_time)}
     try:
         # the posterior does not depend on the batching
         post = potential.analytic_posterior()

@@ -36,7 +36,7 @@ from importlib import resources
 import numpy as np
 
 from .batching import BatchMode
-from .chain import ChainConfig, run_states
+from .chain import ChainConfig, _check_etas, run_states
 from .core import RngStream, write_columns
 from .integrators import DivergenceError, IntegratorSpec
 from .metrics import EmpiricalSample, ks_vs_gaussian, self_distance
@@ -260,11 +260,12 @@ def run_sweeps(
     modes = [(mode, int(k)) for mode, k in modes]
     if not modes:
         raise ValueError("a sweep needs at least one batch mode")
-    # each cell's spec and config, and so their checks
+    # each cell's spec and config, and so their checks, and run_loop's on eta
     cell_seeds = (_derive_cell_seed(seed, i) for i in itertools.count())
     cells = [[(IntegratorSpec(scheme, eta, friction, n_inner, v_hat),
                ChainConfig(n, burn_in, thin, seed=next(cell_seeds))) for eta in etas]
              for scheme, etas in plan]
+    _check_etas(spec.eta for pair in cells for spec, _ in pair)
     # the slope fit's precondition on a grid it fits
     if any(len(pair) >= 3 and len({spec.eta for spec, _ in pair}) == 1 for pair in cells):
         raise ValueError("eta grid is degenerate (all equal)")

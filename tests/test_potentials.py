@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hsde import potentials as potentials_module
 from hsde.batching import BatchSchedule
 from hsde.core import RngStream
 from hsde.potentials import (
@@ -408,14 +407,12 @@ class TestLinearGaussian:
                 assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
                 assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
 
-    # the stacked providers allocate nothing per step: their traced peak
-    # over 1,024 steps is that of 64 steps, give or take a few KiB of
-    # interpreter noise (the gather budget is raised so that the first
-    # call, before tracing starts, gathers the whole chunk's blocks)
-    def test_stacked_providers_allocate_nothing_per_step(self, monkeypatch):
+    # the stacked providers hold one step's operands at a time: their
+    # traced peak over 1,024 steps is that of 64 steps, give or take a few
+    # KiB of interpreter noise
+    def test_stacked_providers_peak_does_not_grow_with_steps(self):
         import tracemalloc
 
-        monkeypatch.setattr(potentials_module, "_GATHER_BYTES", 1 << 24)
         rng = RngStream(5, 2)
         P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
                            noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0], n_batches=8)

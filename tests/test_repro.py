@@ -146,13 +146,15 @@ class TestRunSweep:
 
     # every cell and fitted grid of a plan is checked before any chain
     # steps, so a bad later pair does not wait for the earlier pairs' chains;
-    # two equal step sizes fit no slope and run
+    # two equal step sizes fit no slope and run, and eta 0 runs no chain
     @pytest.mark.parametrize("plan, kw, match", [
         ([("leapfrog", PLAN[0][1]), ("sghmc", PLAN[0][1])], dict(v_hat=5.0),
          "SGHMC needs v_hat <= friction"),
         ([("leapfrog", (0.2, 0.2, 0.2))], {}, "eta grid is degenerate"),
-        ([("leapfrog", (0.4, 0.2)), ("spv", (0.3,) * 4)], {}, "eta grid is degenerate")],
-        ids=["later-pair", "degenerate-grid", "second-pair-degenerate-grid"])
+        ([("leapfrog", (0.4, 0.2)), ("spv", (0.3,) * 4)], {}, "eta grid is degenerate"),
+        ([("leapfrog", (0.4, 0.3, 0.2)), ("spv", (0.0, 0.1, 0.2))], {}, "finite eta > 0")],
+        ids=["later-pair", "degenerate-grid", "second-pair-degenerate-grid",
+             "second-pair-eta-zero"])
     def test_rejects_bad_cell_before_any_chain(self, chunks_taken, plan, kw, match):
         with pytest.raises(ValueError, match=match):
             repro.run_sweeps("lingauss", plan, [("full", 1)], n=20, reps=1, burn_in=10, **kw)
