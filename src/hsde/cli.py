@@ -30,6 +30,7 @@ import click
 import numpy as np
 
 from . import repro
+from .batching import BatchMode
 from .chain import ChainConfig, DivergenceError, run_chain, save_trace
 from .core import RngStream, format_float, write_columns
 from .geometry import (
@@ -45,13 +46,13 @@ from .operator_lab import band_fraction, run_order_trials
 from .potentials import AnalyticPosteriorUnavailable
 from .toy_exact import run_exact_chain
 
-_MODELS = click.Choice(["toy", "lingauss", "logistic2d"])
+_MODELS = click.Choice(repro.MODEL_NAMES)
 # a sweep scores every cell against the closed-form posterior
 _SWEEP_MODELS = click.Choice(["toy", "lingauss"])
 # the exact kernel runs through `toy` and `sample --scheme exact`
 _SWEEP_SCHEMES = click.Choice([s.value for s in Scheme])
 _SCHEMES = click.Choice([*_SWEEP_SCHEMES.choices, "exact"])
-_MODES = click.Choice(["full", "perm", "iid"])
+_MODES = click.Choice([m.value for m in BatchMode])
 
 EXIT_BAD_CONFIG = 2
 EXIT_DIVERGED = 3

@@ -248,7 +248,7 @@ def _fit_slope(lx: np.ndarray, ly: np.ndarray) -> tuple:
     return float(slope), float(r_squared)
 
 
-def spectral_norm(M, n_iters: int = 50):
+def spectral_norm(M):
     """Largest singular value by power iteration on M^T M.
 
     M is one 2-D matrix (a float is returned) or an (m, p, n) stack of them
@@ -268,7 +268,7 @@ def spectral_norm(M, n_iters: int = 50):
     m, n = G.shape[0], G.shape[-1]
     v = np.full((m, n, 1), 1.0 / np.sqrt(n))
     live = np.ones((m, 1, 1), dtype=bool)
-    for _ in range(n_iters):
+    for _ in range(50):
         w = G @ v
         norm = np.sqrt(np.swapaxes(w, -1, -2) @ w)
         live &= norm != 0.0
@@ -295,8 +295,11 @@ class OrderTrial:
     r_squared: float
 
 
-_DEFAULT_ETAS = (0.1, 0.05, 0.025, 0.0125)
-_MODES = ("forward", "backward", "averaged", "randomized")
+# the one protocol: every trial fits each mode's error slope over these
+# step sizes
+_TRIAL_ETAS = (0.1, 0.05, 0.025, 0.0125)
+_TRIAL_LOG_ETAS = np.log(np.array(_TRIAL_ETAS))
+_TRIAL_MODES = ("forward", "averaged", "randomized")
 # the most bytes of matrices one pass of `run_order_trials` stacks for a
 # matrix_exp or spectral_norm call: 200 trials at the default choices fit
 # in one pass, and working memory does not grow with the trial count
@@ -310,34 +313,26 @@ _SLOPE_BANDS = {
 
 
 def slope_band(mode: str) -> tuple:
-    return _SLOPE_BANDS[_mode_name(mode)]
+    return _SLOPE_BANDS[mode]
 
 
-def band_fraction(trials, mode) -> float:
-    """The fraction of `mode`'s trials whose fitted slope lies inside
-    `slope_band(mode)`."""
+def band_fraction(trials, mode: str) -> float:
+    """The fraction of the trials of `mode`, an `OrderTrial.mode` string,
+    whose fitted slope lies inside `slope_band(mode)`."""
     lo, hi = slope_band(mode)
-    mode = _mode_name(mode)
     return float(np.mean([lo <= t.slope <= hi for t in trials if t.mode == mode]))
-
-
-def _mode_name(mode) -> str:
-    """A product mode's name: a `SplitOrder` member's value, else the mode
-    itself (str() of a member is "SplitOrder.FORWARD", not its value)."""
-    return mode.value if isinstance(mode, SplitOrder) else mode
 
 
 def run_order_trials(
     n_trials: int,
     rng: RngStream,
-    etas: Sequence[float] = _DEFAULT_ETAS,
-    modes: Sequence[str] = ("forward", "averaged", "randomized"),
     k_choices: Sequence[int] = (2, 3, 4),
     n_choices: Sequence[int] = (2, 3, 4),
 ) -> list:
     """Draw random generator sets (entries iid U(-1,1), K and n drawn from
-    the given choices) and fit the error slope of each requested product mode
-    against the exact semigroup. Returns one OrderTrial per (draw, mode)."""
+    the given choices) and fit the error slope of the forward, averaged and
+    randomized products against the exact semigroup over the step sizes
+    0.1, 0.05, 0.025 and 0.0125. Returns one OrderTrial per (draw, mode)."""
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
     k_choices = tuple(int(k) for k in k_choices)
@@ -356,20 +351,6 @@ def run_order_trials(
     if 1 in n_choices:
         raise ValueError("n = 1 makes the generators commuting scalars: every product "
                          "equals the exact exponential up to rounding; use n >= 2")
-    etas = tuple(float(e) for e in etas)
-    if len(etas) < 3:
-        raise ValueError("etas must name at least 3 step sizes for a slope fit")
-    if not all(0.0 < e < np.inf for e in etas):
-        raise ValueError("etas must be finite and > 0")
-    log_etas = np.log(np.array(etas))
-    if np.ptp(log_etas) == 0:
-        raise ValueError("eta grid is degenerate (all equal)")
-    modes = tuple(_mode_name(mode) for mode in modes)
-    if not modes:
-        raise ValueError("modes must name at least one product mode")
-    for mode in modes:
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}; use one of {', '.join(_MODES)}")
     # draw a pass of trials, stopping before one that would take the pass's
     # stacks past _PASS_BYTES, then run it; the draws keep their order
     out = []
@@ -378,16 +359,16 @@ def run_order_trials(
         k = k_choices[rng.integers(len(k_choices))]
         n = n_choices[rng.integers(len(n_choices))]
         mats = np.stack([rng.uniform(-1.0, 1.0, n * n).reshape(n, n) for _ in range(k)])
-        size = len(etas) * max(k + 1, len(modes)) * n * n * mats.itemsize
+        size = len(_TRIAL_ETAS) * max(k + 1, len(_TRIAL_MODES)) * n * n * mats.itemsize
         if drawn and held + size > _PASS_BYTES:
-            out += _order_pass(drawn, etas, log_etas, modes)
+            out += _order_pass(drawn)
             drawn, held = [], 0
         drawn.append((t, mats))
         held += size
-    return out + _order_pass(drawn, etas, log_etas, modes)
+    return out + _order_pass(drawn)
 
 
-def _order_pass(drawn: list, etas: tuple, log_etas: np.ndarray, modes: tuple) -> list:
+def _order_pass(drawn: list) -> list:
     """OrderTrials of the drawn [(trial, (K, n, n) generators)], in trial
     order then mode order.
 
@@ -398,19 +379,19 @@ def _order_pass(drawn: list, etas: tuple, log_etas: np.ndarray, modes: tuple) ->
     shapes = {}
     for i, (_, mats) in enumerate(drawn):
         shapes.setdefault(mats.shape, []).append(i)
-    errors = np.empty((len(drawn), len(modes), len(etas)))
+    errors = np.empty((len(drawn), len(_TRIAL_MODES), len(_TRIAL_ETAS)))
     for (k, n, _), rows in shapes.items():
         mats = np.stack([drawn[i][1] for i in rows])
         # the generators' sum, added in the order GeneratorSet.total adds them
         total = np.zeros((len(rows), n, n))
         for j in range(k):
             total += mats[:, j]
-        exps = _factor_exps(np.concatenate([total[:, None], mats], axis=1), k, etas)
+        exps = _factor_exps(np.concatenate([total[:, None], mats], axis=1), k, _TRIAL_ETAS)
         exact, factors = exps[:, 0], exps[:, 1:]
         approx = [_randomized(factors) if mode == "randomized"
-                  else _splitting(factors, SplitOrder(mode)) for mode in modes]
+                  else _splitting(factors, SplitOrder(mode)) for mode in _TRIAL_MODES]
         errs = spectral_norm(np.concatenate([a - exact for a in approx]))
-        errors[rows] = errs.reshape(len(modes), len(rows), len(etas)).swapaxes(0, 1)
+        errors[rows] = errs.reshape(len(_TRIAL_MODES), len(rows), len(_TRIAL_ETAS)).swapaxes(0, 1)
     # error_order_slope's checks and logs, once for the pass
     if not np.all(np.isfinite(errors)) or np.any(errors <= 0):
         raise ValueError("etas and errors must be finite and > 0")
@@ -418,9 +399,9 @@ def _order_pass(drawn: list, etas: tuple, log_etas: np.ndarray, modes: tuple) ->
     out = []
     for (t, mats), errs, logs in zip(drawn, errors.tolist(), log_errors):
         k, n, _ = mats.shape
-        for mode, e, ly in zip(modes, errs, logs):
-            slope, r2 = _fit_slope(log_etas, ly)
+        for mode, e, ly in zip(_TRIAL_MODES, errs, logs):
+            slope, r2 = _fit_slope(_TRIAL_LOG_ETAS, ly)
             out.append(OrderTrial(trial=t, n_parts=k, dim=n, mode=mode,
-                                  etas=etas, errors=tuple(e), slope=slope,
+                                  etas=_TRIAL_ETAS, errors=tuple(e), slope=slope,
                                   r_squared=r2))
     return out

@@ -475,14 +475,13 @@ class Logistic2D(Potential):
         return self.features[sl].T @ (weights * (self.features[sl] @ v))
 
 
-def make_logistic_demo(n_obs: int, rng: RngStream, weights=(1.5, -1.0),
-                       n_batches: int = 1) -> Logistic2D:
-    """Synthetic two-feature logistic dataset with known generating weights."""
+def make_logistic_demo(n_obs: int, rng: RngStream, n_batches: int = 1) -> Logistic2D:
+    """Synthetic two-feature logistic dataset with generating weights
+    (1.5, -1)."""
     if n_obs < 1:
         raise ValueError("n_obs must be >= 1")
-    w = as_vector(weights, "weights")
     X = rng.normal(2 * n_obs).reshape(n_obs, 2)
-    p = _special("expit")(X @ w)
+    p = _special("expit")(X @ np.array([1.5, -1.0]))
     # uniforms obtained by pushing normal draws through their CDF, so the
     # whole generator stays on the single normal-draw RNG contract
     labels = (_special("ndtr")(rng.normal(n_obs)) < p).astype(int)

@@ -169,7 +169,7 @@ def _run_cells(cells: list, *, model, post, modes: list, reps: int, n_ks: int) -
             raise DivergenceError("cell summary is not finite", eta=spec.eta,
                                   scheme=spec.scheme)
         rows.append({"scheme": str(spec.scheme.value), "eta": spec.eta, "K": int(n_batches),
-                     "mode": str(mode), "n": int(cfg.n_samples), **summary})
+                     "mode": mode.value, "n": int(cfg.n_samples), **summary})
     per_mode = [rows[m * len(cells):(m + 1) * len(cells)] for m in range(len(modes))]
     return [SweepResult(rows=r, slopes=_fit_slope(r)) for r in per_mode]
 
@@ -194,7 +194,7 @@ def _model_batches(modes) -> int:
     so a full mode may also give 1."""
     if any(k < 1 for _, k in modes):
         raise ValueError("n_batches must be >= 1")
-    if len({k for mode, k in modes if k > 1 or BatchMode(mode) is not BatchMode.FULL}) > 1:
+    if len({k for mode, k in modes if k > 1 or mode is not BatchMode.FULL}) > 1:
         raise ValueError("modes of one sweep must share n_batches; a full-batch mode may give 1")
     return max(k for _, k in modes)
 
@@ -238,9 +238,10 @@ def run_sweeps(
     ensemble of len(modes) x len(eta_grid) x reps chains, every mode's
     chains on the same cell seeds, so a mode's result does not depend on
     the other modes swept with it; `jobs` > 1 spreads the pairs over worker
-    processes. Modes whose n_batches is above 1 must share it. Every cell
-    and every fitted grid is checked before the model or any chain. Raises
-    the model's analytic-posterior error for models without a closed-form
+    processes. A mode is a `BatchMode` or its value, and rows spell it by
+    value. Modes whose n_batches is above 1 must share it. Every mode, cell
+    and fitted grid is checked before the model or any chain. Raises the
+    model's analytic-posterior error for models without a closed-form
     posterior, and the DivergenceError of the first diverging chain in (plan
     pair, mode, cell, replica) order or, failing that, of the first cell
     whose summary is not finite. Output rows are deterministic in (config,
@@ -257,7 +258,7 @@ def run_sweeps(
         raise ValueError("jobs must be >= 1")
     if not plan or not all(len(etas) for _, etas in plan):
         raise ValueError("a sweep needs at least one scheme and a step size for each")
-    modes = [(mode, int(k)) for mode, k in modes]
+    modes = [(BatchMode(mode), int(k)) for mode, k in modes]
     if not modes:
         raise ValueError("a sweep needs at least one batch mode")
     # each cell's spec and config, and so their checks, and run_loop's on eta

@@ -100,13 +100,13 @@ def matexp2(A, t: float) -> np.ndarray:
     return np.exp(m * t) * (c * np.eye(2) + k * D)
 
 
-def _psd_root(cov: np.ndarray, tol: float = 1e-12) -> np.ndarray:
+def _psd_root(cov: np.ndarray) -> np.ndarray:
     """L with L L^T = cov, for a symmetric cov that rounding may leave with
-    eigenvalues down to -tol: those are clamped to zero, cov rebuilt, and L
-    taken as its eigen square root."""
+    eigenvalues down to -1e-12: those are clamped to zero, cov rebuilt, and
+    L taken as its eigen square root."""
     vals, vecs = np.linalg.eigh(cov)
-    if vals.min() < -tol:
-        raise ValueError(f"covariance eigenvalue {vals.min()} below -{tol}")
+    if vals.min() < -1e-12:
+        raise ValueError(f"covariance eigenvalue {vals.min()} below -1e-12")
     vals, vecs = np.linalg.eigh((vecs * np.clip(vals, 0.0, None)) @ vecs.T)
     return vecs * np.sqrt(np.clip(vals, 0.0, None))
 

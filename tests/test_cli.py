@@ -529,6 +529,17 @@ class TestSweep:
         assert lines[0].startswith("error: chain diverged") and "scheme=leapfrog" in lines[0]
 
 
+# --help lists each command's model and mode choices in their order, the
+# sources the CLI builds them from (MODEL_NAMES, BatchMode) included
+@pytest.mark.parametrize("command, choices", [
+    ("sample", "--model [toy|lingauss|logistic2d]"), ("sample", "--mode [full|perm|iid]"),
+    ("sweep", "--model [toy|lingauss]"), ("sweep", "--mode [full|perm|iid]"),
+], ids=["sample-model", "sample-mode", "sweep-model", "sweep-mode"])
+def test_help_lists_the_choices_in_order(runner, command, choices):
+    lines = run_ok(runner, [command, "--help"]).output.splitlines()
+    assert any(line.strip().startswith(choices) for line in lines)
+
+
 # bad input exits 2 without leaving an empty run directory, and never
 # removes a run directory that was there before
 @pytest.mark.parametrize("command", [["sweep", "--reps", "0", "--eta-grid", "0.1"],

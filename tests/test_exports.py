@@ -1,12 +1,15 @@
-"""Every name a module of the package exports resolves and explains itself.
+"""Every name a module of the package exports resolves and explains itself,
+and every option it offers has a caller in the package.
 
 perfbench's tracer looks up each `__all__` name with getattr, so a stale
 entry would break every traced benchmark run, not only an import.
 """
 
+import ast
 import dataclasses
 import importlib
 import inspect
+import pathlib
 import pkgutil
 
 import pytest
@@ -43,3 +46,74 @@ def test_exported_functions_and_classes_have_docstrings(name):
         if not (doc or "").strip():
             missing.append(attr)
     assert missing == []
+
+
+# exported options no call in src/ sets, each with the reason it stays
+OPTIONS_WITHOUT_A_SRC_CALLER = {
+    "chain.run_chain": (("chain_index",), "public API that selects a chain's streams"),
+    "toy_exact.run_exact_chain": (("chain_index",), "public API that selects a chain's streams"),
+    "potentials.Potential.value": (("batch",), "the tracer pins the method, and "
+                                               "sub-potentials define the model"),
+    "potentials.Potential.gradient_many": (("batch_ids",), "the stacked-path bit tests "
+                                                           "read block rows through it"),
+    "potentials.Potential.hessian_vec_many": (("batch_ids",), "the stacked-path bit tests "
+                                                              "read block rows through it"),
+    **{f"repro.{name}": (params, "set through cli._do_report's fn(..., **kw)")
+       for name, params in [
+           ("report_exact_bottleneck", ("n", "seed", "regen_golden")),
+           ("report_minibatch_gap", ("n", "reps", "seed", "regen_golden")),
+           ("report_splitting_orders", ("n_trials", "seed", "n", "reps", "regen_golden"))]},
+}
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list:
+    """(position, name) of fn's parameters that have defaults; position is
+    None for keyword-only ones and skips a method's self."""
+    args = fn.args
+    pos = args.posonlyargs + args.args
+    if method and not any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list):
+        pos = pos[1:]
+    out = list(enumerate(p.arg for p in pos))[len(pos) - len(args.defaults):]
+    return out + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
+                  if d is not None]
+
+
+def _sets(call: ast.Call, position, name: str) -> bool:
+    """Whether call may set the parameter: by keyword, through **, or by
+    position (a *args counts)."""
+    if any(k.arg in (None, name) for k in call.keywords):
+        return True
+    return position is not None and (len(call.args) > position
+                                     or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def test_every_option_has_a_src_caller():
+    # a call is matched to a function by its name alone, so a same-named
+    # call elsewhere can hide an unused option, but a flagged one is unused
+    trees = {p.stem: ast.parse(p.read_text())
+             for p in sorted(pathlib.Path(hsde.__file__).parent.glob("*.py"))}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls.setdefault(getattr(func, "id", getattr(func, "attr", None)), []).append(node)
+    unset = {}
+    for module, tree in trees.items():
+        package = "hsde" if module == "__init__" else f"hsde.{module}"
+        exported = getattr(importlib.import_module(package), "__all__", ())
+        functions = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef) and node.name in exported:
+                functions.append((f"{module}.{node.name}", node, False))
+            if isinstance(node, ast.ClassDef) and node.name in exported:
+                functions += [(f"{module}.{node.name}.{f.name}", f, True) for f in node.body
+                              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+        for qualname, fn, method in functions:
+            params = tuple(name for position, name in _defaulted(fn, method)
+                           if not any(_sets(c, position, name) for c in calls.get(fn.name, ())))
+            if params:
+                unset[qualname] = params
+    allowed = {name: params for name, (params, _) in OPTIONS_WITHOUT_A_SRC_CALLER.items()}
+    # an option only tests set goes, and an allowlist entry src/ now sets is stale
+    assert unset == allowed

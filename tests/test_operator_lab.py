@@ -31,6 +31,10 @@ from .oracles import (
     reference_spectral_norm,
 )
 
+# the step sizes and product modes of run_order_trials' one protocol
+PROTOCOL_ETAS = (0.1, 0.05, 0.025, 0.0125)
+PROTOCOL_MODES = ("forward", "averaged", "randomized")
+
 # the classic noncommuting 2x2 pair: a rotation generator and a shear
 L_ROT = np.array([[0.0, 1.0], [-1.0, 0.0]])
 L_SHEAR = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -420,33 +424,15 @@ class TestRunOrderTrials:
         assert [t.errors for t in a] == [t.errors for t in b]
 
     def test_structure(self):
-        trials = run_order_trials(4, RngStream(1, 0), modes=("forward",))
-        assert len(trials) == 4
+        trials = run_order_trials(4, RngStream(1, 0))
+        assert len(trials) == 12
+        assert [t.mode for t in trials] == list(PROTOCOL_MODES) * 4
+        assert [t.trial for t in trials] == [0, 0, 0, 1, 1, 1, 2, 2, 2, 3, 3, 3]
         for t in trials:
-            assert t.mode == "forward"
             assert 2 <= t.n_parts <= 4
             assert 2 <= t.dim <= 4
+            assert t.etas == PROTOCOL_ETAS
             assert len(t.errors) == 4
-
-    def test_split_order_members_are_stored_by_value(self, tmp_path):
-        # str() of a SplitOrder member is "SplitOrder.FORWARD", which no
-        # band knows; a member must give what its value gives, CSV included
-        from hsde.repro import trial_tables, write_csv
-
-        members = run_order_trials(3, RngStream(4, 0),
-                                   modes=(SplitOrder.FORWARD, SplitOrder.AVERAGED))
-        names = run_order_trials(3, RngStream(4, 0), modes=("forward", "averaged"))
-        assert members == names
-        assert [type(t.mode) for t in members] == [str] * 6
-        for t in members:
-            assert slope_band(t.mode) == slope_band(SplitOrder(t.mode))
-        for k, trials in enumerate((members, names)):
-            fields, rows = trial_tables(trials)[1]
-            write_csv(tmp_path / f"slopes{k}.csv", fields, rows)
-        text = (tmp_path / "slopes0.csv").read_text()
-        assert text == (tmp_path / "slopes1.csv").read_text()
-        assert [line.split(",")[3] for line in text.splitlines()[1:]] == [
-            "forward", "averaged"] * 3
 
     def test_slope_bands_hold_on_random_draws(self):
         trials = run_order_trials(20, RngStream(7, 0))
@@ -459,38 +445,39 @@ class TestRunOrderTrials:
 
     def test_band_fraction_counts_one_modes_trials_inside_its_band(self):
         # the band's ends count as inside; other modes' trials are ignored
-        base = run_order_trials(1, RngStream(7, 0), modes=("forward", "averaged"))
-        slopes = {"forward": (1.7, 2.3, 1.69, 2.31, 2.0), "averaged": (2.0, 3.0)}
+        base = run_order_trials(1, RngStream(7, 0))
+        slopes = {"forward": (1.7, 2.3, 1.69, 2.31, 2.0), "averaged": (2.0, 3.0),
+                  "randomized": (3.3, 3.31, 2.7, 2.69)}
         trials = [dataclasses.replace(t, slope=s) for t in base
                   for s in slopes[t.mode]]
         assert operator_lab.band_fraction(trials, "forward") == 3 / 5
-        assert operator_lab.band_fraction(trials, SplitOrder.FORWARD) == 3 / 5
         assert operator_lab.band_fraction(trials, "averaged") == 1 / 2
+        assert operator_lab.band_fraction(trials, "randomized") == 2 / 4
+        # no run_order_trials mode is backward, so it has no band
+        with pytest.raises(KeyError):
+            operator_lab.band_fraction(trials, "backward")
 
-    @pytest.mark.parametrize("modes", [("forward", "averaged", "randomized"),
-                                       ("randomized", "forward"), ("averaged",),
-                                       ("backward", "randomized", "averaged", "forward")])
-    def test_shared_exponentials_change_no_bit(self, modes):
+    @pytest.mark.parametrize("choices", [((2, 3, 5), (2, 3, 6)), ((2,), (2,)),
+                                         ((3, 4), (4,)), ((2, 6), (3, 7, 8))])
+    def test_shared_exponentials_change_no_bit(self, choices):
         # each (trial, eta) computes the semigroup and the factor
         # exponentials once for all modes; every error stays bit-identical
-        # and the stream is left where the reference leaves it
-        etas = (0.1, 0.05, 0.025, 0.0125)
+        # and the stream is left where the reference leaves it, whether the
+        # trials share one (K, n) shape or spread over several
+        k_choices, n_choices = choices
         rng, ref_rng = RngStream(3, 0), RngStream(3, 0)
-        got = run_order_trials(12, rng, etas=etas, modes=modes,
-                               k_choices=(2, 3, 5), n_choices=(2, 3, 6))
-        want = reference_order_trials(12, ref_rng, etas, modes, (2, 3, 5), (2, 3, 6))
+        got = run_order_trials(12, rng, k_choices, n_choices)
+        want = reference_order_trials(12, ref_rng, PROTOCOL_ETAS, PROTOCOL_MODES,
+                                      k_choices, n_choices)
         assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
                 for t in got] == want
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
 
     def test_large_k_and_n_match_reference(self):
-        etas = (0.1, 0.05, 0.025, 0.0125)
-        modes = ("forward", "averaged", "randomized")
         for seed in (0, 9):
-            got = run_order_trials(3, RngStream(seed, 0), etas=etas, modes=modes,
-                                   k_choices=(2, 6), n_choices=(5, 8))
-            want = reference_order_trials(3, RngStream(seed, 0), etas, modes,
-                                          (2, 6), (5, 8))
+            got = run_order_trials(3, RngStream(seed, 0), k_choices=(2, 6), n_choices=(5, 8))
+            want = reference_order_trials(3, RngStream(seed, 0), PROTOCOL_ETAS,
+                                          PROTOCOL_MODES, (2, 6), (5, 8))
             assert [(t.trial, t.n_parts, t.dim, t.mode, t.errors, t.slope, t.r_squared)
                     for t in got] == want
 
@@ -506,30 +493,9 @@ class TestRunOrderTrials:
         # nothing was drawn
         assert rng.integers(1 << 30) == RngStream(0, 0).integers(1 << 30)
 
-    @pytest.mark.parametrize("bad, match", [
-        ({"etas": (float("inf"), 0.1, 0.05)}, "finite and > 0"),
-        ({"etas": (0.1, float("nan"), 0.05)}, "finite and > 0"),
-        ({"etas": (0.1, -0.05, 0.025)}, "finite and > 0"),
-        ({"etas": (0.1, 0.05)}, "at least 3"),
-        ({"etas": (0.1, 0.1, 0.1)}, "degenerate"),
-        ({"modes": ()}, "at least one product mode"),
-        ({"modes": ("forward", "sideways")}, "unknown mode 'sideways'"),
-    ])
-    def test_rejects_bad_etas_and_modes_before_drawing(self, monkeypatch, bad, match):
-        def no_work(A):
-            raise AssertionError("matrix_exp ran before the arguments were checked")
-
-        monkeypatch.setattr(operator_lab, "matrix_exp", no_work)
-        rng = RngStream(0, 0)
-        with pytest.raises(ValueError, match=match):
-            run_order_trials(3, rng, **bad)
-        assert rng.integers(1 << 30) == RngStream(0, 0).integers(1 << 30)
-
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             run_order_trials(0, RngStream(0, 0))
-        with pytest.raises(ValueError, match="eta"):
-            run_order_trials(1, RngStream(0, 0), etas=(0.1, 0.0, 0.05))
 
 
 def _trial_rows(trials):
@@ -556,9 +522,6 @@ class TestOrderPasses:
     (K, n) shape in the pass together; every bit and draw is the
     one-trial-at-a-time reference's."""
 
-    ETAS = (0.1, 0.05, 0.025, 0.0125)
-    MODES = ("forward", "averaged", "randomized", "backward")
-
     def _record_passes(self, monkeypatch):
         passes = []
         real = operator_lab._order_pass
@@ -581,8 +544,8 @@ class TestOrderPasses:
         monkeypatch.setattr(operator_lab, "_PASS_BYTES", 20_000)
         passes = self._record_passes(monkeypatch)
         rng, ref_rng = RngStream(seed, 0), RngStream(seed, 0)
-        got = run_order_trials(24, rng, self.ETAS, self.MODES, k_choices, n_choices)
-        want = reference_order_trials(24, ref_rng, self.ETAS, self.MODES,
+        got = run_order_trials(24, rng, k_choices, n_choices)
+        want = reference_order_trials(24, ref_rng, PROTOCOL_ETAS, PROTOCOL_MODES,
                                       k_choices, n_choices)
         assert _trial_rows(got) == want
         assert rng.integers(1 << 30) == ref_rng.integers(1 << 30)
@@ -599,11 +562,11 @@ class TestOrderPasses:
         # with L_1 = 0 every product equals the exact exponential bit for
         # bit, so trials 4 and 9 have zero errors and no slope
         monkeypatch.setattr(operator_lab, "_PASS_BYTES", cap)
-        args = (12, self.ETAS, ("forward", "averaged"), (2,), (2, 3))
         with pytest.raises(ValueError) as want:
-            reference_order_trials(args[0], _ZeroFirstGenerator(1, {8, 18}), *args[1:])
+            reference_order_trials(12, _ZeroFirstGenerator(1, {8, 18}), PROTOCOL_ETAS,
+                                   PROTOCOL_MODES, (2,), (2, 3))
         with pytest.raises(ValueError) as got:
-            run_order_trials(args[0], _ZeroFirstGenerator(1, {8, 18}), *args[1:])
+            run_order_trials(12, _ZeroFirstGenerator(1, {8, 18}), (2,), (2, 3))
         assert str(got.value) == str(want.value) == "etas and errors must be finite and > 0"
 
     def test_stacks_stay_under_the_pass_cap(self, monkeypatch):

@@ -6,6 +6,7 @@ seed separation, golden bookkeeping, and report file layout.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,32 @@ class TestRunSweep:
         res = self.run(mode="perm", n_batches=8)
         assert all(row["mode"] == "perm" and row["K"] == 8
                    for row in res.rows)
+
+    @pytest.mark.parametrize("member, k", [(BatchMode.FULL, 1),
+                                           (BatchMode.PERMUTATION_SWEEP, 8),
+                                           (BatchMode.IID_UNIFORM, 8)])
+    def test_batch_mode_member_gives_its_values_rows(self, member, k):
+        # str() of a member is "BatchMode.PERMUTATION_SWEEP"; rows and slope
+        # rows spell a mode by its value however the caller named it
+        plan = [("leapfrog", (0.4, 0.3, 0.2))]
+        kw = dict(n=20, reps=1, burn_in=10)
+        by_member, = repro.run_sweeps("lingauss", plan, [(member, k)], **kw)
+        by_value, = repro.run_sweeps("lingauss", plan, [(member.value, k)], **kw)
+        assert by_member == by_value
+        assert {row["mode"] for row in by_member.rows + by_member.slopes} == {member.value}
+
+    # a member's str() and a value in the wrong case name no mode
+    @pytest.mark.parametrize("mode", ["bogus", "BatchMode.PERMUTATION_SWEEP", "PERM", ""])
+    def test_rejects_unknown_mode_before_the_model(self, monkeypatch, chunks_taken, mode):
+        built = []
+        build_model = repro.build_model
+        monkeypatch.setattr(repro, "build_model",
+                            lambda *args: built.append(args) or build_model(*args))
+        with pytest.raises(ValueError, match=re.escape(repr(mode))):
+            repro.run_sweeps("lingauss", [("leapfrog", (0.4, 0.3, 0.2))], [(mode, 8)],
+                             n=20, reps=1, burn_in=10)
+        assert built == []
+        assert chunks_taken == []
 
 
 class TestCalibration:
