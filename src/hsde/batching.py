@@ -2,14 +2,13 @@
 
 Three modes:
 
-- FULL: every step sees the full potential, gradient scale 1.
+- FULL: every step sees the full potential.
 - PERMUTATION_SWEEP: steps consume batches in uniformly random permutations
   of {0..K-1}, one fresh independent permutation per sweep of K steps.
 - IID_UNIFORM: each step draws a batch id uniformly and independently.
 
-Mini-batch modes report gradient scale K: the simulated SDE replaces grad U
-by K * grad U_i, which is unbiased for the full gradient under both random
-modes (exactly so when averaged over one complete sweep).
+A schedule emits batch ids only; the potential scales a block's gradient by
+K (see `hsde.potentials`).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ class BatchMode(str, enum.Enum):
 
 
 class BatchSchedule:
-    """Deterministic-given-seed emitter of (batch id, gradient scale) pairs.
+    """Deterministic-given-seed emitter of batch ids.
 
     Batch ids are 0-based; the full-batch marker is None from `next` and -1
     in the arrays `take` returns. Owned by a single chain; `next` and `take`
@@ -49,10 +48,11 @@ class BatchSchedule:
         self._sweep = np.empty(0, dtype=np.int64)
         self._cursor = 0
 
-    def next(self) -> tuple[int | None, float]:
+    def next(self) -> int | None:
+        """The next step's batch id, None for the full batch."""
         if self.mode is BatchMode.FULL:
-            return None, 1.0
-        return int(self.take(1)[0]), float(self.n_batches)
+            return None
+        return int(self.take(1)[0])
 
     def take(self, m: int) -> np.ndarray:
         """Batch ids of the next m steps as an int64 array, -1 marking the

@@ -284,19 +284,13 @@ def run_states(P: Potential, specs, modes, cfgs, chain_indices,
         starts = [_initial_state(P, c, rng) for c, rng in zip(cfgs, inits)]
         # one chain steps d-vectors, R chains the rows of (R, d) arrays
         shape = (P.dim,) if len(specs) == 1 else (len(specs), P.dim)
-        scale = None
-        if any(mode is not BatchMode.FULL for mode in modes):
-            # shaped like the state: same-shape products skip broadcasting
-            scale = np.stack([np.full(P.dim, 1.0 if mode is BatchMode.FULL
-                                      else float(P.n_batches)) for mode in modes]
-                             ).reshape(shape)
 
         def advance(r, th, noise, ids):
             # one stepper call per chunk, writing each step's state
             # straight into its rows of the chunk's arrays
             m = len(ids)
             rs, ths = np.empty((2, m) + r.shape)
-            grad, hess = P.step_providers(ids, scale)
+            grad, hess = P.step_providers(ids)
             stepper(r.reshape(shape), th.reshape(shape), grad, hess,
                     noise.reshape(noise.shape[:2] + shape), rs.reshape((m,) + shape),
                     ths.reshape((m,) + shape))

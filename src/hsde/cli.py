@@ -364,8 +364,8 @@ def _do_opcheck(out_dir, trials, parts, dims, seed):
     errors, slopes = repro.trial_tables(results)
     repro.write_csv(os.path.join(out_dir, "summary.csv"), *errors)
     repro.write_csv(os.path.join(out_dir, "slopes.csv"), *slopes)
-    return {f"{mode}_band_fraction": format_float(band_fraction(results, mode))
-            for mode in ("forward", "averaged", "randomized")}
+    return {f"{mode}_band_fraction": format_float(frac)
+            for mode, frac in band_fraction(results).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +408,6 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
                           n_inner=n_inner)
     potential = repro.build_model(model, 1)
     d = potential.dim
-    grad, hess = potential.gradient_many, potential.hessian_vec_many
     n_draws = noise_draws(spec.scheme)
     draw = RngStream(seed, 1)
     # 4d points of 2d floats per state, in and out
@@ -422,7 +421,7 @@ def _do_geom(out_dir, scheme, model, eta, friction, n_inner, states, eps, seed):
         # each state's step draws from its own stream, (n_draws, count, d)
         noise = np.stack([RngStream(seed, 4 * idx).normal(n_draws * d).reshape(n_draws, d)
                           for idx in range(lo, lo + count)], axis=1)
-        J = jacobian_fd(spec, grad, hess, z, noise, eps=eps)
+        J = jacobian_fd(spec, potential, z, noise, eps=eps)
         dets.append(np.linalg.det(J))
         symps.append(symplectic_residual(J))
     det = np.concatenate(dets)

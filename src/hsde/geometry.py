@@ -16,14 +16,17 @@ Phase-space ordering everywhere is momentum block first: z = [r, theta].
 Probe states are checked as a stack: `jacobian_fd` steps the 4d points
 z +- eps e_n of S states, each state's pinned draws repeated over its rows,
 as the rows of one (4dS, d) array pair through one stepper call, with the
-row providers `Potential.gradient_many` / `hessian_vec_many`. Every step
-formula is elementwise and the row providers give each row the bits of a
-one-point call, so each state's Jacobian has the bits it would get alone;
+full potential's step providers (`Potential.step_providers`) built once for
+all of those rows. Every step formula is elementwise and the providers give
+each row the bits of a one-point call, so each state's Jacobian has the bits
+it would get alone;
 `np.linalg.det` and `symplectic_residual` take the (S, 2d, 2d) stack and
 keep those bits too.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -47,16 +50,16 @@ def check_eps(eps: float) -> None:
         raise ValueError(f"eps must lie in [{_EPS_RANGE[0]}, {_EPS_RANGE[1]}]")
 
 
-def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobians of one step of the spec's scheme, its
-    noise pinned, at S probe states.
+def jacobian_fd(spec: IntegratorSpec, P, z, noise, eps: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobians of one step of the spec's scheme on the
+    full potential of P, a `Potential` of dimension d, its noise pinned, at
+    S probe states.
 
     z is the (S, 2d) stack of states, r then theta, d >= 1; noise holds the
     scheme's `noise_draws` draws, each (S, d), row s the draw pinned for
-    state s. grad and hess are row providers, (R, d) -> (R, d), as
-    `Potential.gradient_many` and `Potential.hessian_vec_many`. Returns the
-    (S, 2d, 2d) stack; rows and columns are ordered momentum block first,
-    position block second: entry (s, m, n) is d psi_m / d z_n at state s.
+    state s. Returns the (S, 2d, 2d) stack; rows and columns are ordered
+    momentum block first, position block second: entry (s, m, n) is
+    d psi_m / d z_n at state s.
     Raises DivergenceError, naming the scheme and eta, if a step leaves the
     finite range.
     """
@@ -78,11 +81,13 @@ def jacobian_fd(spec: IntegratorSpec, grad, hess, z, noise, eps: float = 1e-5) -
     points[:, 0, cols, cols] += eps
     points[:, 1, cols, cols] -= eps
     points = points.reshape(-1, n)
+    # the full potential's providers over all 4dS rows, (R, d) -> (R, d)
+    grad, hess = P.step_providers(np.full((1, len(points)), -1))
     # a diverging step overflows: no warnings, the check below reports it
     with np.errstate(all="ignore"):
         r_new, th_new = compile_step(spec)(
             np.ascontiguousarray(points[:, :d]), np.ascontiguousarray(points[:, d:]),
-            grad, hess, [np.repeat(w, 2 * n, axis=0) for w in noise])
+            partial(grad, 0), partial(hess, 0), [np.repeat(w, 2 * n, axis=0) for w in noise])
         finite = np.isfinite(np.sum(r_new) + np.sum(th_new))
     if not finite:
         raise DivergenceError("frozen step produced non-finite output", eta=spec.eta,

@@ -316,11 +316,13 @@ def slope_band(mode: str) -> tuple:
     return _SLOPE_BANDS[mode]
 
 
-def band_fraction(trials, mode: str) -> float:
-    """The fraction of the trials of `mode`, an `OrderTrial.mode` string,
-    whose fitted slope lies inside `slope_band(mode)`."""
-    lo, hi = slope_band(mode)
-    return float(np.mean([lo <= t.slope <= hi for t in trials if t.mode == mode]))
+def band_fraction(trials) -> dict:
+    """{mode: fraction}, one entry per mode of the protocol in its order: the
+    fraction of the trials of that mode whose fitted slope lies inside
+    `slope_band(mode)`."""
+    bands = {mode: slope_band(mode) for mode in _TRIAL_MODES}
+    return {mode: float(np.mean([lo <= t.slope <= hi for t in trials if t.mode == mode]))
+            for mode, (lo, hi) in bands.items()}
 
 
 def run_order_trials(

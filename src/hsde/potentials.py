@@ -7,9 +7,13 @@ the raw sub-potential
 
     U_i(theta) = nll over block i + (1/K) * prior(theta)
 
-so that sum_i U_i = U exactly. The K-rescaling used by mini-batch simulation
-(multiply gradients by K) is chosen by the caller, which hands the factor to
-`Potential.step_providers`; it is never baked in here.
+so that sum_i U_i = U exactly. `value`, `gradient` and `hessian_vec` give
+these raw pieces. A mini-batch step instead sees K U_i: the simulated SDE
+replaces grad U by K grad U_i, which is unbiased for the full gradient when
+i is drawn uniformly (exactly so when averaged over one complete sweep of the
+K blocks). That rule lives here alone: `Potential.step_providers`, the one
+way gradients reach a stepper, gives a block row's gradient and
+Hessian-vector product times K and a full row's unscaled.
 
 All gradients and Hessian-vector products are hand-derived and exact. The
 command line's 1-d conjugate toy model is a `LinearGaussian` on a column of
@@ -90,12 +94,6 @@ def batch_bounds(n_obs: int, n_batches: int) -> list[tuple[int, int]]:
     return bounds
 
 
-def _id_row(R: int, batch_ids) -> np.ndarray:
-    """The (1, R) chunk of batch ids of one step's R rows; None is every row
-    on the full potential (-1)."""
-    return np.full((1, R), -1) if batch_ids is None else np.asarray(batch_ids)[None]
-
-
 class Potential:
     """Base class: prior handling, batch partition, and shared validation.
 
@@ -170,61 +168,39 @@ class Potential:
         sl, w = self._slices[key]
         return self._nll_hess_vec(theta, v, sl) + w * (v / self.prior_var)
 
-    def gradient_many(self, thetas: np.ndarray, batch_ids=None) -> np.ndarray:
-        """Row c is `gradient(thetas[c], batch_ids[c])`, bit for bit, in a
-        fresh (R, d) array: one step of `step_providers`.
-
-        A raw path for stacked callers: no validation. thetas is (R, d);
-        batch_ids is None (every row on the full potential) or R integers
-        where -1 marks the full potential.
-        """
-        grad, _ = self.step_providers(_id_row(len(thetas), batch_ids))
-        return grad(0, thetas[0])[None] if len(thetas) == 1 else grad(0, thetas)
-
-    def hessian_vec_many(self, thetas: np.ndarray, vs: np.ndarray,
-                         batch_ids=None) -> np.ndarray:
-        """Row c is `hessian_vec(thetas[c], vs[c], batch_ids[c])`; raw, as
-        `gradient_many`."""
-        _, hess = self.step_providers(_id_row(len(thetas), batch_ids))
-        return (hess(0, thetas[0], vs[0])[None] if len(thetas) == 1
-                else hess(0, thetas, vs))
-
-    def step_providers(self, ids_chunk: np.ndarray, scale=None):
+    def step_providers(self, ids_chunk: np.ndarray):
         """The step-indexed gradient and Hessian-vector providers of a chunk
         of steps: ids_chunk is (m, R) batch ids, -1 marking the full
         potential, and step j's are grad(j, x) and hess(j, x, v). For one
         chain (R = 1) they map d-vectors to `gradient` / `hessian_vec` at
         batch ids_chunk[j, 0]; for R chains they map (R, d) rows to the
         array whose row c is `gradient` / `hessian_vec` of row c at batch
-        ids_chunk[j, c]. Either is times scale, shaped as x, where given.
-        A result may be overwritten by the provider's next call. Here each
-        call takes the per-row formula (`_raw_gradient` /
-        `_raw_hessian_vec`) row by row and scales its fresh result in place;
-        a model may instead resolve the chunk's operands once and write into
-        arrays it owns."""
-        mul = np.multiply
+        ids_chunk[j, c]. A block row's result is times K, a full row's is
+        not (see the module docstring). A result may be overwritten by the
+        provider's next call. Here each call takes the per-row formula
+        (`_raw_gradient` / `_raw_hessian_vec`) row by row and multiplies a
+        block row's fresh result by K in place; a model may instead resolve
+        the chunk's operands once and write into arrays it owns."""
+        mul, K = np.multiply, float(self.n_batches)
         one = ids_chunk.shape[1] == 1
         # a lone chain's ids as one flat list, an ensemble's read a step at a
         # time: a list per step would cost a long chunk more than its noise
         keys = ids_chunk[:, 0].tolist() if one else ids_chunk
 
+        def row(formula, key, *xs):
+            out = formula(*xs, key)
+            return out if key < 0 else mul(K, out, out)
+
         def per_row(formula, keys_j, *xs):
             if one:
-                return formula(*xs, keys_j)
+                return row(formula, keys_j, *xs)
             out = np.empty_like(xs[-1])
             for c, key in enumerate(keys_j.tolist()):
-                out[c] = formula(*(x[c] for x in xs), key)
+                out[c] = row(formula, key, *(x[c] for x in xs))
             return out
 
-        def grad(j, x):
-            g = per_row(self._raw_gradient, keys[j], x)
-            return g if scale is None else mul(scale, g, g)
-
-        def hess(j, x, v):
-            h = per_row(self._raw_hessian_vec, keys[j], x, v)
-            return h if scale is None else mul(scale, h, h)
-
-        return grad, hess
+        return (lambda j, x: per_row(self._raw_gradient, keys[j], x),
+                lambda j, x, v: per_row(self._raw_hessian_vec, keys[j], x, v))
 
     def analytic_posterior(self) -> GaussianPosterior:
         raise AnalyticPosteriorUnavailable(
@@ -256,9 +232,12 @@ class LinearGaussian(Potential):
         )
         # operands of the one-row path by batch id: views F of the batch's
         # design rows and FT of their transpose, its targets, a scratch for
-        # F @ x and its prior weight spread over (d,), None where it is 1
+        # F @ x, and its prior weight and scale (K for a block) spread over
+        # (d,), each None where it is 1
+        K = float(self.n_batches)
         self._row_ops = {b: (Phi[sl], Phi[sl].T, y[sl], np.empty(sl.stop - sl.start),
-                             None if w == 1.0 else np.full(self.dim, w))
+                             *(None if f == 1.0 else np.full(self.dim, f)
+                               for f in (w, 1.0 if b < 0 else K)))
                          for b, (sl, w) in self._slices.items()}
         # the stacked path's equal blocks as (K, rows, d) and (K, rows)
         self._blocks = None
@@ -284,7 +263,7 @@ class LinearGaussian(Potential):
     # gemv as the per-row `features[sl].T @ resid`, so the bits match;
     # Gram-matrix forms, einsum and a contiguous transpose do not. An
     # ensemble makes one such call per group.
-    def step_providers(self, ids_chunk, scale=None):
+    def step_providers(self, ids_chunk):
         """A lone chain takes the one-row path, step j on its batch's
         `_row_ops` entry. An ensemble takes the stacked path where
         `_chunk_groups` serves the chunk: each group's matmuls write into its
@@ -295,16 +274,18 @@ class LinearGaussian(Potential):
         if R == 1:
             ops = self._row_ops
             return self._row_providers(
-                [ops[b] for b in ids_chunk[:, 0].tolist()].__getitem__, scale)
+                [ops[b] for b in ids_chunk[:, 0].tolist()].__getitem__)
         groups = self._chunk_groups(ids_chunk)
         if groups is None:
-            return super().step_providers(ids_chunk, scale)
+            return super().step_providers(ids_chunk)
         matmul, sub = np.matmul, np.subtract
         shape = (R, self.dim)
-        finish = self._finisher(shape, scale)
-        # prior weight 1 on full rows (1.0 * q is q bit for bit), 1/K on block rows
-        w = np.where(ids_chunk[0, :, None] < 0, 1.0, np.full(shape, 1.0 / self.n_batches))
-        w = None if (w == 1.0).all() else w
+        finish = self._finisher(shape)
+        # prior weight 1/K and scale K on block rows, 1 on full rows (1.0 * q
+        # is q bit for bit); None where every row's factor is 1
+        on_full = ids_chunk[0, :, None] < 0
+        w, s = (None if f == 1.0 or on_full.all() else np.where(on_full, 1.0, np.full(shape, f))
+                for f in (1.0 / self.n_batches, float(self.n_batches)))
         g, hv = np.empty(shape), np.empty(shape)
         # per group: its rows, its operands, F @ x (then the residual) in
         # place, and its rows of g and hv as matmul outputs
@@ -320,7 +301,7 @@ class LinearGaussian(Potential):
                 matmul(F, x[rows, :, None], Fx)
                 sub(Fx_2d, y, Fx_2d)
                 matmul(FT, Fx, g_3d)
-            return finish(g, x, w)
+            return finish(g, x, w, s)
 
         def hess(j, x, v):
             # (FT @ (F @ v)) / noise_var + w (v / prior_var)
@@ -328,7 +309,7 @@ class LinearGaussian(Potential):
                 F, FT, _ = step_ops(j)
                 matmul(F, v[rows, :, None], Fx)
                 matmul(FT, Fx, hv_3d)
-            return finish(hv, v, w)
+            return finish(hv, v, w, s)
 
         return grad, hess
 
@@ -353,7 +334,7 @@ class LinearGaussian(Potential):
         """(size, step_ops) of a full group: the whole design every step,
         the targets repeated per row (same-shape operations skip
         broadcasting, the slow path for small arrays)."""
-        F, FT, y, _, _ = self._row_ops[-1]
+        F, FT, y, *_ = self._row_ops[-1]
         ops = (F[None], FT[None], np.tile(y, (ids_chunk.shape[1], 1)))
         return self.n_obs, lambda j: ops
 
@@ -376,11 +357,11 @@ class LinearGaussian(Potential):
 
         return F.shape[1], step_ops
 
-    def _finisher(self, shape, scale):
-        """finish(out, u, w): out / noise_var + w (u / prior_var), times
-        scale where given, in place in out, over states of `shape`; w is the
-        prior weight spread over `shape`, None where it is 1. Unit factors
-        are skipped (x / 1.0 and 1.0 * x are x bit for bit)."""
+    def _finisher(self, shape):
+        """finish(out, u, w, s): (out / noise_var + w (u / prior_var)) s, in
+        place in out, over states of `shape`; w and s are the prior weight
+        and the scale spread over `shape`, None where they are 1. Unit
+        factors are skipped (x / 1.0 and 1.0 * x are x bit for bit)."""
         mul, add, div = np.multiply, np.add, np.divide
         # factors spread over the state's shape, as the stepper's constants are
         noise_var = None if self.noise_var == 1.0 else np.full(shape, self.noise_var)
@@ -388,38 +369,38 @@ class LinearGaussian(Potential):
                      else np.ascontiguousarray(np.broadcast_to(self.prior_var, shape)))
         p = np.empty(shape)
 
-        def finish(out, u, w):
+        def finish(out, u, w, s):
             if noise_var is not None:
                 div(out, noise_var, out)
             q = u if prior_var is None else div(u, prior_var, p)
             add(out, q if w is None else mul(w, q, p), out)
-            return out if scale is None else mul(scale, out, out)
+            return out if s is None else mul(s, out, out)
 
         return finish
 
-    def _row_providers(self, step_ops, scale=None):
+    def _row_providers(self, step_ops):
         """(grad, hess) of one row, over d-vectors: grad(j, x) and hess(j,
         x, v) are the gradient and Hessian-vector product on step_ops(j)'s
-        `_row_ops` entry at its prior weight, times scale where given,
-        written into arrays made here and overwritten by each call.
+        `_row_ops` entry at its prior weight and scale, written into arrays
+        made here and overwritten by each call.
 
         Each is the per-row formula's numpy calls in order.
         """
         sub, dot = np.subtract, np.dot
-        finish = self._finisher((self.dim,), scale)
+        finish = self._finisher((self.dim,))
         g, hv = np.empty(self.dim), np.empty(self.dim)
 
         def grad(j, x):
             # (FT @ (F @ x - y)) / noise_var + w (x / prior_var)
-            F, FT, y, Fx, w = step_ops(j)
+            F, FT, y, Fx, w, s = step_ops(j)
             dot(F, x, Fx)
             sub(Fx, y, Fx)
-            return finish(dot(FT, Fx, g), x, w)
+            return finish(dot(FT, Fx, g), x, w, s)
 
         def hess(j, x, v):
             # (FT @ (F @ v)) / noise_var + w (v / prior_var)
-            F, FT, _, Fx, w = step_ops(j)
-            return finish(dot(FT, dot(F, v, Fx), hv), v, w)
+            F, FT, _, Fx, w, s = step_ops(j)
+            return finish(dot(FT, dot(F, v, Fx), hv), v, w, s)
 
         return grad, hess
 

@@ -46,6 +46,7 @@ from .operator_lab import (
     error_order_slope,
     matrix_exp,
     run_order_trials,
+    slope_band,
     spectral_norm,
     splitting_product,
 )
@@ -579,7 +580,7 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
     if reps < 1:
         raise ValueError("reps must be >= 1")
     trials = run_order_trials(n_trials, RngStream(seed, 0))
-    frac = {mode: band_fraction(trials, mode) for mode in ("forward", "averaged", "randomized")}
+    frac = band_fraction(trials)
 
     # K = 1 splitting degenerates to the exact exponential
     G = GeneratorSet((np.array([[0.0, 1.0], [-1.0, 0.0]]),))
@@ -600,12 +601,8 @@ def report_splitting_orders(out_dir, n_trials: int = 100, seed: int = 3,
         {"orders_forward_fraction": frac["forward"],
          "orders_averaged_fraction": frac["averaged"]}, regen_golden)
     checks = [
-        _check("forward_band_fraction", frac["forward"] >= 0.95, frac["forward"],
-               ">= 0.95 in [1.7, 2.3]"),
-        _check("averaged_band_fraction", frac["averaged"] >= 0.95, frac["averaged"],
-               ">= 0.95 in [2.7, 3.3]"),
-        _check("randomized_band_fraction", frac["randomized"] >= 0.95, frac["randomized"],
-               ">= 0.95 in [2.7, 3.3]"),
+        *(_check(f"{mode}_band_fraction", f >= 0.95, f,
+                 ">= 0.95 in [{}, {}]".format(*slope_band(mode))) for mode, f in frac.items()),
         _check("single_part_degenerate", degenerate < 1e-12, degenerate, "< 1e-12"),
         _slope_check("inner_loop_count_independence", nl_gap,
                      min(lt_r2[1], lt_r2[10]), "<= 0.4", nl_gap <= 0.4),

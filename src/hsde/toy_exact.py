@@ -1,10 +1,10 @@
 """Exact transition kernels for one-parameter linear-Gaussian models.
 
-On a `LinearGaussian` with one parameter, batch b's K-scaled potential
-(K U_b for a block, U for the full potential) is a quadratic with curvature
-H_b and center c_b, both read from the model: H_b = s U_b''(0) and
-c_b = -s U_b'(0) / H_b, with s = K for a block and 1 for the full
-potential. On it the damped Hamiltonian SDE on z = (r, theta) is linear,
+On a `LinearGaussian` with one parameter, the potential a step on batch b
+sees (K U_b for a block, U for the full potential) is a quadratic with
+curvature H_b and center c_b, read at 0 through the model's step providers:
+H_b is its Hessian-vector product with 1 and c_b = -(its gradient) / H_b.
+On it the damped Hamiltonian SDE on z = (r, theta) is linear,
 
     dz = A (z - [0, c_b]) dt + sqrt(2C) dW_r,     A = [[-C, -H_b],
                                                        [ 1,  0  ]],
@@ -113,12 +113,11 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
 
 def _generator(P: LinearGaussian, friction: float, batch: int):
     """(A, S, c): the drift, stationary covariance and center of the flow on
-    batch `batch`'s K-scaled potential, -1 the full potential."""
-    key = None if batch < 0 else batch
-    s = 1.0 if key is None else float(P.n_batches)
+    the potential a step on batch `batch` sees, -1 the full potential."""
+    grad, hess = P.step_providers(np.array([[batch]]))
     zero = np.zeros(1)
-    H = s * P.hessian_vec(zero, np.ones(1), key)[0]
-    center = -(s * P.gradient(zero, key)[0]) / H
+    H = hess(0, zero, np.ones(1))[0]
+    center = -grad(0, zero)[0] / H
     return np.array([[-friction, -H], [1.0, 0.0]]), np.diag([1.0, 1.0 / H]), center
 
 

@@ -359,7 +359,7 @@ def reference_chain(P, spec, sched, cfg, chain_index=0, formulas=False):
     total = cfg.burn_in + cfg.n_samples * cfg.thinning
     thetas, momenta, steps = [], [], []
     for i in range(1, total + 1):
-        batch, _ = sched.next()
+        batch = sched.next()
         if batch is None:
             def grad(th):
                 return P.gradient(th)
@@ -489,7 +489,7 @@ def reference_exact_chain(toy, eta, mode, cfg, chain_index=0, *, friction):
         elif mode is BatchMode.IID_UNIFORM:
             E, b, L = kernels[coin.integers(2)]
         else:
-            E, b, L = kernels[sweep.next()[0]]
+            E, b, L = kernels[sweep.next()]
         z = E @ (z - b) + b + L @ rng.normal(2)
         if i > cfg.burn_in and (i - cfg.burn_in) % cfg.thinning == 0:
             momenta.append(z[0])

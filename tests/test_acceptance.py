@@ -176,7 +176,7 @@ def test_07_quasi_symplecticity_identities():
                 (Scheme.LIE_TROTTER, n_inner, lt_target, "lt")):
             spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction,
                                   n_inner=n_in)
-            J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
+            J = jacobian_fd(spec, model, z, noise)
             rel = float(np.max(np.abs(np.linalg.det(J) - target))) / abs(target)
             if sink == "lf":
                 worst_lf = max(worst_lf, rel)
@@ -191,7 +191,7 @@ def test_07_quasi_symplecticity_identities():
     resid = {}
     for scheme in (Scheme.EULER, Scheme.LEAPFROG):
         spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0)
-        J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)
+        J = jacobian_fd(spec, model, z, noise)
         resid[scheme] = symplectic_residual(J[0])
     ratio = resid[Scheme.EULER] / max(resid[Scheme.LEAPFROG], 1e-300)
     dt = time.perf_counter() - t0

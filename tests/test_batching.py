@@ -15,35 +15,34 @@ from .oracles import reference_permutation
 def test_full_mode_emits_marker_forever():
     sched = BatchSchedule(BatchMode.FULL, 1, RngStream(0, 0))
     for _ in range(10):
-        assert sched.next() == (None, 1.0)
+        assert sched.next() is None
 
 
 def test_k1_random_modes_reduce_to_single_batch():
     for mode in (BatchMode.PERMUTATION_SWEEP, BatchMode.IID_UNIFORM):
         sched = BatchSchedule(mode, 1, RngStream(0, 0))
         for _ in range(5):
-            batch, scale = sched.next()
-            assert batch == 0 and scale == 1.0
+            assert sched.next() == 0
 
 
 def test_permutation_sweeps_are_permutations():
     sched = BatchSchedule("perm", 3, RngStream(5, 0))
     for _ in range(50):
-        sweep = [sched.next()[0] for _ in range(3)]
+        sweep = [sched.next() for _ in range(3)]
         assert sorted(sweep) == [0, 1, 2]
 
 
 def test_sweep_completeness_counts():
     K, sweeps = 5, 40
     sched = BatchSchedule(BatchMode.PERMUTATION_SWEEP, K, RngStream(6, 0))
-    ids = [sched.next()[0] for _ in range(K * sweeps)]
+    ids = [sched.next() for _ in range(K * sweeps)]
     for b in range(K):
         assert ids.count(b) == sweeps
 
 
 def test_sweeps_vary_across_sweeps():
     sched = BatchSchedule("perm", 6, RngStream(7, 0))
-    sweeps = {tuple(sched.next()[0] for _ in range(6)) for _ in range(30)}
+    sweeps = {tuple(sched.next() for _ in range(6)) for _ in range(30)}
     assert len(sweeps) > 1
 
 
@@ -55,10 +54,16 @@ def test_iid_frequencies():
         assert abs(np.mean(ids == b) - 0.25) < 0.01
 
 
-def test_scale_is_k_for_random_modes():
+def test_steps_see_k_times_the_block_in_random_modes():
+    # the schedule emits the id alone; the potential's providers scale its
+    # block by K = 7
+    P = LinearGaussian(np.arange(14.0).reshape(7, 2), np.ones(7), noise_var=0.5,
+                       prior_var=1.0, n_batches=7)
+    theta = np.array([0.3, -0.4])
     for mode in ("perm", "iid"):
-        sched = BatchSchedule(mode, 7, RngStream(9, 0))
-        assert sched.next()[1] == 7.0
+        batch = BatchSchedule(mode, 7, RngStream(9, 0)).next()
+        grad, _ = P.step_providers(np.array([[batch]]))
+        assert grad(0, theta).tobytes() == (7.0 * P.gradient(theta, batch)).tobytes()
 
 
 def test_seed_determinism():
@@ -90,8 +95,8 @@ def test_take_interleaved_with_next_equals_next_alone(mode, K, calls, seed):
             assert ids.dtype == np.int64 and ids.shape == (m,)
             got += ids.tolist()
         else:
-            got += [-1 if b is None else b for b, _ in (chunked.next() for _ in range(m))]
-        want += [-1 if b is None else b for b, _ in (stepped.next() for _ in range(m))]
+            got += [-1 if b is None else b for b in (chunked.next() for _ in range(m))]
+        want += [-1 if b is None else b for b in (stepped.next() for _ in range(m))]
     assert got == want
     # both schedules and their streams carry on identically
     assert [chunked.next() for _ in range(2 * K + 1)] == [stepped.next() for _ in range(2 * K + 1)]
@@ -170,18 +175,19 @@ class TestUnbiasedness:
     def test_permutation_sweep_exact_over_one_sweep(self):
         sched = BatchSchedule("perm", 6, RngStream(21, 0))
         acc = np.zeros(3)
-        for _ in range(6):
-            batch, scale = sched.next()
-            acc += scale * self.P.gradient(self.theta, batch=batch)
+        # each step's gradient as a chain sees it: K times its block's
+        grad, _ = self.P.step_providers(sched.take(6)[:, None])
+        for j in range(6):
+            acc += grad(j, self.theta)
         np.testing.assert_allclose(acc / 6.0, self.full, rtol=1e-12)
 
     def test_iid_unbiased_within_mc_error(self):
         sched = BatchSchedule("iid", 6, RngStream(22, 0))
         n = 10_000
         draws = np.empty((n, 3))
+        grad, _ = self.P.step_providers(sched.take(n)[:, None])
         for i in range(n):
-            batch, scale = sched.next()
-            draws[i] = scale * self.P.gradient(self.theta, batch=batch)
+            draws[i] = grad(i, self.theta)
         err = draws.mean(axis=0) - self.full
         bound = 4.0 * draws.std(axis=0, ddof=1) / np.sqrt(n)
         assert np.all(np.abs(err) <= bound)

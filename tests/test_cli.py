@@ -704,6 +704,11 @@ FROZEN_CSVS = [
     (["sample", "--model", "toy", "--scheme", "exact", "--mode", "perm", "--K", "2",
       "-C", "3.5", "--n", "500", "--seed", "5"], {
         "trace.csv": "14e5dc057e8af15860a1f309a4614a06189c0d9c8356adafee62553679e0de21"}),
+    # the same chain kept from its first step: 2,000 burn-in steps contract
+    # the start below rounding, so only this run pins the start and its stream
+    (["sample", "--model", "toy", "--scheme", "exact", "--mode", "perm", "--K", "2",
+      "-C", "3.5", "--n", "500", "--seed", "5", "--burn-in", "0"], {
+        "trace.csv": "9e6f2102e2e15b2d6cc4c530a6979d653577c88562f2469d619ee7e7eb2d783d"}),
     (["sample", "--model", "lingauss", "--scheme", "mt3", "--K", "8", "--mode", "perm",
       "--n", "300"], {
         "trace.csv": "0e8853f3bac8d5af8b2e39c902d573d816109a3e2952051887d1b13f724639b1"}),
@@ -776,7 +781,7 @@ FROZEN_CSVS = [
 
 
 FROZEN_IDS = [
-    "toy", "sample-perm", "sample-mt3", "sample-spv-logistic", "sample-hmc",
+    "toy", "sample-perm", "sample-perm-start", "sample-mt3", "sample-spv-logistic", "sample-hmc",
     "sweep-euler-symmetric-sghmc", "geom-lie-trotter", "geom-leapfrog",
     "sample-lie-trotter-unequal", "sample-leapfrog-iid", "sample-spv-frictionless",
     "sample-symmetric", "report-orders", "report-gap", "sweep-block-rows",

@@ -52,12 +52,13 @@ def test_exported_functions_and_classes_have_docstrings(name):
 OPTIONS_WITHOUT_A_SRC_CALLER = {
     "chain.run_chain": (("chain_index",), "public API that selects a chain's streams"),
     "toy_exact.run_exact_chain": (("chain_index",), "public API that selects a chain's streams"),
-    "potentials.Potential.value": (("batch",), "the tracer pins the method, and "
-                                               "sub-potentials define the model"),
-    "potentials.Potential.gradient_many": (("batch_ids",), "the stacked-path bit tests "
-                                                           "read block rows through it"),
-    "potentials.Potential.hessian_vec_many": (("batch_ids",), "the stacked-path bit tests "
-                                                              "read block rows through it"),
+    **{f"potentials.Potential.{name}": (("batch",), "the tracer pins the method, and "
+                                                    "sub-potentials define the model: tests "
+                                                    "check the split and the K rule on them")
+       for name in ("value", "gradient", "hessian_vec")},
+    "chain.ChainConfig": (("init",), "the one-step tests of integrator and exact-kernel "
+                                     "chains and the 1.1e308 overflow test pin a chain's "
+                                     "start through it"),
     **{f"repro.{name}": (params, "set through cli._do_report's fn(..., **kw)")
        for name, params in [
            ("report_exact_bottleneck", ("n", "seed", "regen_golden")),
@@ -76,6 +77,16 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> list:
     out = list(enumerate(p.arg for p in pos))[len(pos) - len(args.defaults):]
     return out + [(None, p.arg) for p, d in zip(args.kwonlyargs, args.kw_defaults)
                   if d is not None]
+
+
+def _defaulted_fields(cls) -> list:
+    """(position, name) of a dataclass's defaulted fields, position counting
+    every field its generated __init__ takes: options as a function's
+    defaulted parameters are."""
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    return [(i, f.name) for i, f in enumerate(fields)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING]
 
 
 def _sets(call: ast.Call, position, name: str) -> bool:
@@ -100,18 +111,23 @@ def test_every_option_has_a_src_caller():
                 calls.setdefault(getattr(func, "id", getattr(func, "attr", None)), []).append(node)
     unset = {}
     for module, tree in trees.items():
-        package = "hsde" if module == "__init__" else f"hsde.{module}"
-        exported = getattr(importlib.import_module(package), "__all__", ())
-        functions = []
+        package = importlib.import_module("hsde" if module == "__init__" else f"hsde.{module}")
+        exported = getattr(package, "__all__", ())
+        # (qualified name, name its calls use, its defaulted options)
+        options = []
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and node.name in exported:
-                functions.append((f"{module}.{node.name}", node, False))
+                options.append((f"{module}.{node.name}", node.name, _defaulted(node, False)))
             if isinstance(node, ast.ClassDef) and node.name in exported:
-                functions += [(f"{module}.{node.name}.{f.name}", f, True) for f in node.body
-                              if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
-        for qualname, fn, method in functions:
-            params = tuple(name for position, name in _defaulted(fn, method)
-                           if not any(_sets(c, position, name) for c in calls.get(fn.name, ())))
+                options += [(f"{module}.{node.name}.{f.name}", f.name, _defaulted(f, True))
+                            for f in node.body
+                            if isinstance(f, ast.FunctionDef) and not f.name.startswith("_")]
+                cls = getattr(package, node.name)
+                if dataclasses.is_dataclass(cls):
+                    options.append((f"{module}.{node.name}", node.name, _defaulted_fields(cls)))
+        for qualname, called, defaulted in options:
+            params = tuple(name for position, name in defaulted
+                           if not any(_sets(c, position, name) for c in calls.get(called, ())))
             if params:
                 unset[qualname] = params
     allowed = {name: params for name, (params, _) in OPTIONS_WITHOUT_A_SRC_CALLER.items()}

@@ -24,8 +24,10 @@ def quad_grad(theta):
     return theta
 
 
-def quad_hess(theta, v):
-    return v
+def quadratic(d):
+    """U = |theta|^2 / 2 in d dimensions: gradient theta, Hessian the
+    identity."""
+    return LinearGaussian(np.zeros((1, d)), [0.0], noise_var=1.0, prior_var=1.0)
 
 
 def make_spec(scheme, eta=0.1, friction=1.7, n_inner=1):
@@ -77,18 +79,19 @@ def pinned(spec, rng, d):
     return [rng.normal(d)[None] for _ in range(noise_draws(spec.scheme))]
 
 
-def jac(spec, grad, rng, z0, hess=None, eps=1e-5):
-    """The Jacobian at the one state z0, its step's draws taken from rng."""
+def jac(spec, P, rng, z0, eps=1e-5):
+    """The Jacobian at the one state z0 on potential P, its step's draws
+    taken from rng."""
     z = np.concatenate([z0.r, z0.theta])[None]
-    return jacobian_fd(spec, grad, hess, z, pinned(spec, rng, z0.dim), eps)[0]
+    return jacobian_fd(spec, P, z, pinned(spec, rng, z0.dim), eps)[0]
 
 
 class TestFrozenStep:
     def test_repeat_calls_bitwise_identical(self):
         spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.3, -0.1]), theta=np.array([1.0, 0.5]))
-        J1 = jac(spec, quad_grad, RngStream(0, 0), z0)
-        J2 = jac(spec, quad_grad, RngStream(0, 0), z0)
+        J1 = jac(spec, quadratic(z0.dim), RngStream(0, 0), z0)
+        J2 = jac(spec, quadratic(z0.dim), RngStream(0, 0), z0)
         assert J1.tobytes() == J2.tobytes()
 
     def test_different_noise_same_jacobian(self):
@@ -99,17 +102,18 @@ class TestFrozenStep:
         step = compile_step(spec)
         assert not np.array_equal(step(z0.r[None], z0.theta[None], quad_grad, None, na)[0],
                                   step(z0.r[None], z0.theta[None], quad_grad, None, nb)[0])
-        Ja = jac(spec, quad_grad, RngStream(0, 0), z0)
-        Jb = jac(spec, quad_grad, RngStream(99, 0), z0)
+        Ja = jac(spec, quadratic(z0.dim), RngStream(0, 0), z0)
+        Jb = jac(spec, quadratic(z0.dim), RngStream(99, 0), z0)
         np.testing.assert_allclose(Ja, Jb, atol=1e-9)
 
     def test_nonfinite_output_raises(self):
         spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.0]), theta=np.array([1.0]))
-        bad_grad = lambda th: th * np.inf
+        # a gradient that overflows: 1e200 * (1e200 theta) is inf
+        overflowing = LinearGaussian([[1e200]], [0.0], noise_var=1.0, prior_var=1.0)
         with pytest.raises(DivergenceError, match="scheme=leapfrog eta=0.1"):
             with np.errstate(invalid="ignore"):
-                jac(spec, bad_grad, RngStream(0, 0), z0)
+                jac(spec, overflowing, RngStream(0, 0), z0)
 
     @pytest.mark.parametrize("scheme, noise", [
         (Scheme.LEAPFROG, []),
@@ -122,7 +126,7 @@ class TestFrozenStep:
     ])
     def test_rejects_wrong_draw_count_or_shape(self, scheme, noise):
         with pytest.raises(ValueError, match="noise draws"):
-            jacobian_fd(make_spec(scheme), quad_grad, quad_hess, np.zeros((1, 4)), noise)
+            jacobian_fd(make_spec(scheme), quadratic(2), np.zeros((1, 4)), noise)
 
     def test_pins_the_draws_a_step_takes(self):
         # every point of the difference is stepped with the state's draws:
@@ -132,18 +136,17 @@ class TestFrozenStep:
         spec = make_spec(Scheme.SYMMETRIC)
         z = np.array([[0.3, -0.1, 1.0, 0.5]])
         noise = pinned(spec, RngStream(5, 0), 2)
-        J = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z, noise)[0]
-        other = jacobian_fd(spec, model.gradient_many, model.hessian_vec_many, z,
-                            pinned(spec, RngStream(6, 0), 2))[0]
+        J = jacobian_fd(spec, model, z, noise)[0]
+        other = jacobian_fd(spec, model, z, pinned(spec, RngStream(6, 0), 2))[0]
         assert not np.array_equal(J, other)
         step = compile_step(spec)
         for c in range(4):
             ends = []
             for sign in (1.0, -1.0):
-                pt = z.copy()
-                pt[0, c] += sign * 1e-5
-                ends.append(np.concatenate(step(pt[:, :2], pt[:, 2:], model.gradient_many,
-                                                model.hessian_vec_many, noise), axis=1)[0])
+                pt = z[0].copy()
+                pt[c] += sign * 1e-5
+                ends.append(np.concatenate(step(pt[:2], pt[2:], model.gradient,
+                                                model.hessian_vec, [w[0] for w in noise])))
             assert ((ends[0] - ends[1]) / 2e-5).tobytes() == J[:, c].tobytes()
 
 
@@ -152,7 +155,7 @@ class TestJacobianFd:
         z0 = State(r=np.array([0.4, -1.2]), theta=np.array([0.9, 0.1]))
         for scheme in ALL_SCHEMES:
             spec = make_spec(scheme, eta=0.0)
-            J = jac(spec, quad_grad, RngStream(1, 0), z0, hess=quad_hess)
+            J = jac(spec, quadratic(z0.dim), RngStream(1, 0), z0)
             np.testing.assert_allclose(J, np.eye(4), atol=1e-8, err_msg=str(scheme))
 
     @pytest.mark.parametrize("scheme,block_fn", [
@@ -163,7 +166,7 @@ class TestJacobianFd:
         eta, friction = 0.23, 1.7
         spec = IntegratorSpec(scheme=scheme, eta=eta, friction=friction)
         z0 = State(r=np.array([0.7, -0.2]), theta=np.array([-0.9, 0.4]))
-        J = jac(spec, quad_grad, RngStream(2, 0), z0)
+        J = jac(spec, quadratic(z0.dim), RngStream(2, 0), z0)
         want = assemble_blocks([block_fn(eta, friction)] * 2)
         np.testing.assert_allclose(J, want, atol=1e-6)
 
@@ -171,27 +174,21 @@ class TestJacobianFd:
         spec = make_spec(Scheme.LEAPFROG)
         z0 = State(r=np.array([0.0]), theta=np.array([0.0]))
         with pytest.raises(ValueError):
-            jac(spec, quad_grad, RngStream(0, 0), z0, eps=1e-8)
+            jac(spec, quadratic(z0.dim), RngStream(0, 0), z0, eps=1e-8)
         with pytest.raises(ValueError):
-            jac(spec, quad_grad, RngStream(0, 0), z0, eps=1e-2)
+            jac(spec, quadratic(z0.dim), RngStream(0, 0), z0, eps=1e-2)
 
     def test_richardson_consistency_all_schemes_all_models(self):
-        models = {
-            "quad": (quad_grad, quad_hess, 2),
-            "lingauss": (None, None, 3),
-            "logistic": (None, None, 2),
-        }
-        lg = lingauss_model()
-        lo = logistic_model()
-        models["lingauss"] = (lg.gradient_many, lg.hessian_vec_many, 3)
-        models["logistic"] = (lo.gradient_many, lo.hessian_vec_many, 2)
+        models = {"quad": quadratic(2), "lingauss": lingauss_model(),
+                  "logistic": logistic_model()}
         rng = np.random.default_rng(7)
-        for name, (grad, hess, d) in models.items():
+        for name, P in models.items():
+            d = P.dim
             z0 = State(r=rng.normal(size=d) * 0.3, theta=rng.normal(size=d) * 0.3)
             for scheme in ALL_SCHEMES:
                 spec = make_spec(scheme, eta=0.1, n_inner=2)
-                J1 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=1e-5)
-                J2 = jac(spec, grad, RngStream(3, 0), z0, hess=hess, eps=5e-6)
+                J1 = jac(spec, P, RngStream(3, 0), z0, eps=1e-5)
+                J2 = jac(spec, P, RngStream(3, 0), z0, eps=5e-6)
                 assert np.abs(J1 - J2).max() < 1e-5, f"{name}/{scheme}"
 
 
@@ -199,7 +196,7 @@ class TestDeterminantTargets:
     def test_leapfrog_reference_value(self):
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=2.0)
         z0 = State(r=np.array([0.2, -0.4]), theta=np.array([0.6, 1.1]))
-        J = jac(spec, quad_grad, RngStream(4, 0), z0)
+        J = jac(spec, quadratic(z0.dim), RngStream(4, 0), z0)
         assert det_target_leapfrog(0.1, 2.0, 2) == pytest.approx(0.64)
         assert abs(np.linalg.det(J) - det_target_leapfrog(0.1, 2.0, 2)) < 1e-6
 
@@ -213,25 +210,20 @@ class TestDeterminantTargets:
 
     @pytest.mark.parametrize("model", ["quad", "logistic"])
     def test_leapfrog_det_independent_of_state(self, model):
-        if model == "quad":
-            grad = quad_grad
-            d = 2
-        else:
-            lo = logistic_model()
-            grad = lo.gradient_many
-            d = 2
+        P = quadratic(2) if model == "quad" else logistic_model()
+        d = 2
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.12, friction=1.1)
         target = det_target_leapfrog(0.12, 1.1, d)
         rng = np.random.default_rng(11)
         for _ in range(10):
             z0 = State(r=rng.normal(size=d), theta=rng.normal(size=d))
-            J = jac(spec, grad, RngStream(5, 0), z0)
+            J = jac(spec, P, RngStream(5, 0), z0)
             assert abs(np.linalg.det(J) - target) < 1e-6
 
     def test_lie_trotter_reference_value(self):
         spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.1, friction=2.0, n_inner=1)
         z0 = State(r=np.array([0.5]), theta=np.array([-0.3]))
-        J = jac(spec, quad_grad, RngStream(6, 0), z0)
+        J = jac(spec, quadratic(z0.dim), RngStream(6, 0), z0)
         assert det_target_lie_trotter(0.1, 2.0, 1, 1) == pytest.approx(
             np.exp(-0.2), rel=1e-12)
         assert abs(np.linalg.det(J) - det_target_lie_trotter(0.1, 2.0, 1, 1)) < 1e-6
@@ -239,7 +231,7 @@ class TestDeterminantTargets:
     def test_lie_trotter_multi_inner(self):
         spec = IntegratorSpec(scheme=Scheme.LIE_TROTTER, eta=0.05, friction=1.5, n_inner=3)
         z0 = State(r=np.array([0.2, 0.1]), theta=np.array([0.4, -0.6]))
-        J = jac(spec, quad_grad, RngStream(7, 0), z0)
+        J = jac(spec, quadratic(z0.dim), RngStream(7, 0), z0)
         assert abs(np.linalg.det(J) - det_target_lie_trotter(0.05, 1.5, 2, 3)) < 1e-6
 
     def test_lie_trotter_frictionless_target_is_one(self):
@@ -268,12 +260,12 @@ class TestSymplecticResidual:
     def test_frictionless_leapfrog_is_symplectic(self):
         spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=0.0)
         z0 = State(r=np.array([0.4, -0.2]), theta=np.array([0.8, 0.3]))
-        assert symplectic_residual(jac(spec, quad_grad, RngStream(8, 0), z0)) < 1e-8
+        assert symplectic_residual(jac(spec, quadratic(z0.dim), RngStream(8, 0), z0)) < 1e-8
 
     def test_frictionless_explicit_step_is_not(self):
         spec = IntegratorSpec(scheme=Scheme.EULER, eta=0.1, friction=0.0)
         z0 = State(r=np.array([0.4]), theta=np.array([0.8]))
-        res = symplectic_residual(jac(spec, quad_grad, RngStream(9, 0), z0))
+        res = symplectic_residual(jac(spec, quadratic(z0.dim), RngStream(9, 0), z0))
         # for the 1-d quadratic the defect is exactly eta^2
         assert res > 1e-3
         assert res == pytest.approx(0.01, rel=1e-3)
@@ -283,7 +275,8 @@ class TestSymplecticResidual:
         residuals = {}
         for scheme in (Scheme.EULER, Scheme.LEAPFROG):
             spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=0.0)
-            residuals[scheme] = symplectic_residual(jac(spec, quad_grad, RngStream(10, 0), z0))
+            residuals[scheme] = symplectic_residual(
+                jac(spec, quadratic(z0.dim), RngStream(10, 0), z0))
         assert residuals[Scheme.EULER] > 10 * residuals[Scheme.LEAPFROG]
 
     def test_leapfrog_residual_shrinks_with_friction(self):
@@ -291,7 +284,7 @@ class TestSymplecticResidual:
         res = []
         for friction in (1.0, 0.1, 0.01):
             spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=friction)
-            res.append(symplectic_residual(jac(spec, quad_grad, RngStream(11, 0), z0)))
+            res.append(symplectic_residual(jac(spec, quadratic(z0.dim), RngStream(11, 0), z0)))
         assert res[0] > res[1] > res[2]
 
     def test_rejects_odd_dimension(self):
@@ -328,10 +321,9 @@ class TestProbeStack:
         potential = repro.build_model(model, 1)
         spec = IntegratorSpec(scheme=scheme, eta=0.1, friction=friction, n_inner=2)
         z, noise = probe_stack(spec, potential, seed=3, states=7)
-        grad, hess = potential.gradient_many, potential.hessian_vec_many
         # one stack of four states and one of three, as two passes would run
-        J = np.concatenate([jacobian_fd(spec, grad, hess, z[:4], noise[:, :4]),
-                            jacobian_fd(spec, grad, hess, z[4:], noise[:, 4:])])
+        J = np.concatenate([jacobian_fd(spec, potential, z[:4], noise[:, :4]),
+                            jacobian_fd(spec, potential, z[4:], noise[:, 4:])])
         got = list(zip(np.linalg.det(J).tolist(), symplectic_residual(J).tolist()))
         assert got == reference_geom_states(spec, potential, 3, 7)
 
@@ -339,11 +331,10 @@ class TestProbeStack:
         potential = repro.build_model("logistic2d", 1)
         spec = make_spec(Scheme.MT3)
         z, noise = probe_stack(spec, potential, seed=5, states=4)
-        grad, hess = potential.gradient_many, potential.hessian_vec_many
-        J = jacobian_fd(spec, grad, hess, z, noise)
+        J = jacobian_fd(spec, potential, z, noise)
         assert J.shape == (4, 4, 4)
         for s, Js in enumerate(J):
-            alone = jacobian_fd(spec, grad, hess, z[s:s + 1], noise[:, s:s + 1])
+            alone = jacobian_fd(spec, potential, z[s:s + 1], noise[:, s:s + 1])
             assert alone.tobytes() == Js.tobytes()
 
     def test_det_and_residual_same_bits_alone_as_in_a_stack(self):
@@ -360,22 +351,21 @@ class TestProbeStack:
         potential = repro.build_model("lingauss", 1)
         spec = make_spec(Scheme.LEAPFROG)
         z, noise = probe_stack(spec, potential, seed=1, states=3)
-        grad, hess = potential.gradient_many, potential.hessian_vec_many
         with pytest.raises(ValueError, match="noise draws"):
-            jacobian_fd(spec, grad, hess, z, noise[:, :2])
+            jacobian_fd(spec, potential, z, noise[:, :2])
         for bad in (z[:, :-1], z[0], z[:0], z[None]):
             with pytest.raises(ValueError, match="probe states"):
-                jacobian_fd(spec, grad, hess, bad, noise)
+                jacobian_fd(spec, potential, bad, noise)
 
     def test_rejects_odd_width_or_empty_states(self):
         # d is read from z: an odd or zero width has no (r, theta) split
         spec = make_spec(Scheme.LEAPFROG)
         for bad in (np.zeros((2, 3)), np.zeros((1, 1)), np.zeros((2, 0)), np.zeros((0, 4))):
             with pytest.raises(ValueError, match="probe states"):
-                jacobian_fd(spec, quad_grad, quad_hess, bad, [np.zeros((len(bad), 2))])
+                jacobian_fd(spec, quadratic(2), bad, [np.zeros((len(bad), 2))])
         # an even width sets d, and the draws must match it
         with pytest.raises(ValueError, match=r"noise draws of shape \(1, 3\)"):
-            jacobian_fd(spec, quad_grad, quad_hess, np.zeros((1, 6)), [np.zeros((1, 2))])
+            jacobian_fd(spec, quadratic(2), np.zeros((1, 6)), [np.zeros((1, 2))])
 
     def test_residual_rejects_odd_stacks(self):
         with pytest.raises(ValueError):

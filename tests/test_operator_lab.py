@@ -443,19 +443,20 @@ class TestRunOrderTrials:
         for mode, hits in by_mode.items():
             assert np.mean(hits) >= 0.9, mode
 
-    def test_band_fraction_counts_one_modes_trials_inside_its_band(self):
-        # the band's ends count as inside; other modes' trials are ignored
+    def test_band_fraction_counts_each_modes_trials_inside_its_band(self):
+        # one entry per protocol mode, in order; the band's ends count as
+        # inside, and each mode counts its own trials alone
         base = run_order_trials(1, RngStream(7, 0))
         slopes = {"forward": (1.7, 2.3, 1.69, 2.31, 2.0), "averaged": (2.0, 3.0),
                   "randomized": (3.3, 3.31, 2.7, 2.69)}
         trials = [dataclasses.replace(t, slope=s) for t in base
                   for s in slopes[t.mode]]
-        assert operator_lab.band_fraction(trials, "forward") == 3 / 5
-        assert operator_lab.band_fraction(trials, "averaged") == 1 / 2
-        assert operator_lab.band_fraction(trials, "randomized") == 2 / 4
+        fractions = operator_lab.band_fraction(trials)
+        assert list(fractions) == list(PROTOCOL_MODES)
+        assert fractions == {"forward": 3 / 5, "averaged": 1 / 2, "randomized": 2 / 4}
         # no run_order_trials mode is backward, so it has no band
         with pytest.raises(KeyError):
-            operator_lab.band_fraction(trials, "backward")
+            operator_lab.slope_band("backward")
 
     @pytest.mark.parametrize("choices", [((2, 3, 5), (2, 3, 6)), ((2,), (2,)),
                                          ((3, 4), (4,)), ((2, 6), (3, 7, 8))])

@@ -116,9 +116,9 @@ class TestToyModel:
         assert 2.0 * hv[0] == pytest.approx(3.0, rel=1e-14)
 
     # the command line's toy model keeps the bits of the scalar formulas on
-    # every gradient path: one-point calls, `gradient_many`, and a chunk's
-    # providers for one chain and for three (all full, all blocks, full and
-    # block rows), times the mini-batch scale K where given
+    # every gradient path: one-point calls, and a chunk's providers for one
+    # chain and for three (all full, all blocks, full and block rows), times
+    # the mini-batch scale K on block rows
     @pytest.mark.parametrize("K", [1, 2])
     def test_cli_model_keeps_scalar_formulas(self, K):
         P = build_model("toy", K)
@@ -129,26 +129,23 @@ class TestToyModel:
         chunks += [c[:, :1] for c in chunks] + [blocks[:, 2:]]
         for ids in chunks:
             R = ids.shape[1]
-            # shaped as a provider's state: one chain steps d-vectors
-            for scale in (None, np.full((1,) if R == 1 else (R, 1), float(K))):
-                grad, hess = P.step_providers(ids, scale)
-                for j, keys in enumerate(ids.tolist()):
-                    th, v = (4.0 * draws.normal(R).reshape(R, 1) for _ in range(2))
-                    want = [toy_formulas(th[c], v[c], k, K) for c, k in enumerate(keys)]
-                    want_g = np.stack([g for g, _ in want])
-                    want_h = np.stack([h for _, h in want])
-                    for c, k in enumerate(keys):
-                        batch = None if k < 0 else k
-                        assert P.gradient(th[c], batch).tobytes() == want_g[c].tobytes()
-                        assert (P.hessian_vec(th[c], v[c], batch).tobytes()
-                                == want_h[c].tobytes())
-                    assert P.gradient_many(th, ids[j]).tobytes() == want_g.tobytes()
-                    assert P.hessian_vec_many(th, v, ids[j]).tobytes() == want_h.tobytes()
-                    if scale is not None:
-                        want_g, want_h = scale * want_g, scale * want_h
-                    x, u = (th[0], v[0]) if R == 1 else (th, v)
-                    assert grad(j, x).tobytes() == want_g.tobytes()
-                    assert hess(j, x, u).tobytes() == want_h.tobytes()
+            grad, hess = P.step_providers(ids)
+            for j, keys in enumerate(ids.tolist()):
+                th, v = (4.0 * draws.normal(R).reshape(R, 1) for _ in range(2))
+                want = [toy_formulas(th[c], v[c], k, K) for c, k in enumerate(keys)]
+                want_g = np.stack([g for g, _ in want])
+                want_h = np.stack([h for _, h in want])
+                for c, k in enumerate(keys):
+                    batch = None if k < 0 else k
+                    assert P.gradient(th[c], batch).tobytes() == want_g[c].tobytes()
+                    assert (P.hessian_vec(th[c], v[c], batch).tobytes()
+                            == want_h[c].tobytes())
+                scale = np.array([[1.0 if k < 0 else float(K)] for k in keys])
+                want_g, want_h = scale * want_g, scale * want_h
+                # shaped as a provider's state: one chain steps d-vectors
+                x, u = (th[0], v[0]) if R == 1 else (th, v)
+                assert grad(j, x).tobytes() == want_g.tobytes()
+                assert hess(j, x, u).tobytes() == want_h.tobytes()
 
 
 class TestPartitionIdentity:
@@ -180,29 +177,69 @@ class TestPartitionIdentity:
 
 
 class TestManyRows:
-    # `gradient_many` and `hessian_vec_many` are one step of a provider that
-    # may write into arrays it owns, yet each call returns a fresh (R, d)
-    # array, row c the one-point call's bits at row c's batch
+    # one step of the providers over R rows gives row c the one-point call's
+    # bits at row c's batch, times K on a block row, and a second call the
+    # same bits again
     @pytest.mark.parametrize("R", [1, 3])
     @pytest.mark.parametrize("make", [toy, small_lingauss, small_logistic])
-    def test_results_are_fresh_rows_of_one_point_calls(self, make, R):
+    def test_rows_are_one_point_calls(self, make, R):
         P = make(2)
         ids = np.array([-1, 0, 1][-R:])
         th, v = (np.random.default_rng(R).normal(size=(R, P.dim)) for _ in range(2))
-        want_g = np.stack([P.gradient(th[c], None if k < 0 else k)
+        want_g = np.stack([P.gradient(th[c]) if k < 0 else 2.0 * P.gradient(th[c], k)
                            for c, k in enumerate(ids.tolist())])
-        want_h = np.stack([P.hessian_vec(th[c], v[c], None if k < 0 else k)
+        want_h = np.stack([P.hessian_vec(th[c], v[c]) if k < 0
+                           else 2.0 * P.hessian_vec(th[c], v[c], k)
                            for c, k in enumerate(ids.tolist())])
-        for many, args, want in ((P.gradient_many, (th,), want_g),
-                                 (P.hessian_vec_many, (th, v), want_h)):
-            first = many(*args, ids)
-            assert first.shape == (R, P.dim)
-            assert not any(np.shares_memory(first, a) for a in args)
-            assert first.tobytes() == want.tobytes()
-            first[:] = np.nan
-            second = many(*args, ids)
-            assert not np.shares_memory(first, second)
-            assert second.tobytes() == want.tobytes()
+        grad, hess = P.step_providers(ids[None])
+        # one chain steps d-vectors
+        x, u = (th[0], v[0]) if R == 1 else (th, v)
+        for provider, args, want in ((grad, (x,), want_g), (hess, (x, u), want_h)):
+            for _ in range(2):
+                got = provider(0, *args)
+                assert got.shape == x.shape
+                assert got.tobytes() == want.tobytes()
+
+
+# the mini-batch scale lives in the providers alone: a block row is
+# K * gradient(theta, b) and a full row gradient(theta), bit for bit (and the
+# same for Hessian-vector products), for a lone chain mixing the two, an
+# ensemble of full and block rows, and an ensemble whose rows switch
+# between them mid-chunk
+@pytest.mark.parametrize("layout", ["one-row", "ensemble", "switching"])
+@pytest.mark.parametrize("model", ["toy", "lingauss-K8", "dense-unequal-blocks",
+                                   "logistic2d"])
+def test_providers_scale_block_rows_by_k(model, layout):
+    if model == "dense-unequal-blocks":
+        rng = RngStream(3, 0)
+        P = LinearGaussian(rng.normal(30 * 5).reshape(30, 5), rng.normal(30),
+                           noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0, 0.25],
+                           n_batches=4)
+    elif model == "logistic2d":
+        P = small_logistic(5)
+    else:
+        P = build_model(model.split("-")[0], 2 if model == "toy" else 8)
+    K, m = P.n_batches, 6
+    blocks = (np.arange(m)[:, None] * 3 + np.arange(3)) % K
+    ids = {"one-row": np.where(np.arange(m)[:, None] % 3 == 0, -1, blocks[:, :1]),
+           "ensemble": np.concatenate([np.full((m, 1), -1), blocks[:, 1:]], axis=1),
+           "switching": np.where(np.arange(m)[:, None] % 2 == 0, -1, blocks)}[layout]
+    if isinstance(P, LinearGaussian) and layout != "one-row":
+        stacked = layout == "ensemble" and model != "dense-unequal-blocks"
+        assert (P._chunk_groups(ids) is not None) == stacked
+    grad, hess = P.step_providers(ids)
+    draws = RngStream(4, 0)
+    for j, keys in enumerate(ids.tolist()):
+        R = len(keys)
+        th, v = (4.0 * draws.normal(R * P.dim).reshape(R, P.dim) for _ in range(2))
+        want_g = np.stack([P.gradient(th[c]) if k < 0 else K * P.gradient(th[c], k)
+                           for c, k in enumerate(keys)])
+        want_h = np.stack([P.hessian_vec(th[c], v[c]) if k < 0
+                           else K * P.hessian_vec(th[c], v[c], k)
+                           for c, k in enumerate(keys)])
+        x, u = (th[0], v[0]) if R == 1 else (th, v)
+        assert grad(j, x).tobytes() == want_g.tobytes()
+        assert hess(j, x, u).tobytes() == want_h.tobytes()
 
 
 class TestFiniteDifferenceAgreement:
@@ -262,12 +299,11 @@ class TestLinearGaussian:
     # and views of the design, full batch or on a chunk's blocks (equal or
     # not), and give the bits of each row of a two-copy (2, d) ensemble
     # (stacked where it serves the chunk, else per row) and of the one-point
-    # calls, times the mini-batch scale K where given
-    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
+    # calls, times the mini-batch scale K on block rows
     @pytest.mark.parametrize("mode", ["full", "perm", "iid"])
     @pytest.mark.parametrize("model", ["lingauss-K1", "lingauss-K8", "dense-equal-blocks",
                                        "dense-unequal-blocks"])
-    def test_one_row_path_matches_stacked_and_per_row(self, model, mode, scaled):
+    def test_one_row_path_matches_stacked_and_per_row(self, model, mode):
         if model.startswith("dense"):
             rng = RngStream(3, 0)
             n = 32 if model == "dense-equal-blocks" else 30
@@ -278,22 +314,19 @@ class TestLinearGaussian:
             P = build_model("lingauss", int(model[-1]))
         m, K = 40, float(P.n_batches)
         ids = BatchSchedule(mode, P.n_batches, RngStream(1, 2)).take(m)
-        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
+        grad, hess = P.step_providers(ids[:, None])
         # unequal blocks are served per row, the full design and equal blocks
         # stacked
         pair = np.repeat(ids[:, None], 2, axis=1)
         groups = P._chunk_groups(pair)
         assert (groups is None) == (model == "dense-unequal-blocks" and mode != "full")
-        grad2, hess2 = P.step_providers(pair, np.full((2, P.dim), K) if scaled else None)
+        grad2, hess2 = P.step_providers(pair)
         draws = RngStream(2, 0)
         for j, b in enumerate(ids.tolist()):
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
-            key, batch = (None, None) if b < 0 else (b, ids[j:j + 1])
-            want_g = P.gradient_many(th[None], batch)[0]
-            want_h = P.hessian_vec_many(th[None], v[None], batch)[0]
-            assert want_g.tobytes() == P.gradient(th, key).tobytes()
-            assert want_h.tobytes() == P.hessian_vec(th, v, key).tobytes()
-            if scaled:
+            key = None if b < 0 else b
+            want_g, want_h = P.gradient(th, key), P.hessian_vec(th, v, key)
+            if key is not None:
                 want_g, want_h = K * want_g, K * want_h
             assert grad(j, th).tobytes() == want_g.tobytes()
             assert hess(j, th, v).tobytes() == want_h.tobytes()
@@ -304,10 +337,9 @@ class TestLinearGaussian:
     # a lone chunk that mixes the full potential with blocks (no chain makes
     # one: a chain's batch mode is fixed) still takes the one-row path, each
     # step at its own batch's prior weight, never the base class's per-row
-    # formula
-    @pytest.mark.parametrize("scaled", [False, True], ids=["unscaled", "scale-K"])
+    # formula, a block step times K
     @pytest.mark.parametrize("model", ["lingauss-K8", "dense-unequal-blocks"])
-    def test_lone_chunk_mixing_full_and_blocks(self, model, scaled, monkeypatch):
+    def test_lone_chunk_mixing_full_and_blocks(self, model, monkeypatch):
         if model == "lingauss-K8":
             P = build_model("lingauss", 8)
         else:
@@ -320,14 +352,15 @@ class TestLinearGaussian:
             th, v = (4.0 * draws.normal(P.dim) for _ in range(2))
             key = None if b < 0 else b
             g, h = P.gradient(th, key), P.hessian_vec(th, v, key)
-            want.append((th, v, (K * g if scaled else g).tobytes(),
-                         (K * h if scaled else h).tobytes()))
+            if key is not None:
+                g, h = K * g, K * h
+            want.append((th, v, g.tobytes(), h.tobytes()))
 
         def per_row(*args):
             raise AssertionError("a lone chain reached the per-row path")
 
         monkeypatch.setattr(Potential, "step_providers", per_row)
-        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, K) if scaled else None)
+        grad, hess = P.step_providers(ids[:, None])
         for j, (th, v, want_g, want_h) in enumerate(want):
             assert grad(j, th).tobytes() == want_g
             assert hess(j, th, v).tobytes() == want_h
@@ -341,7 +374,7 @@ class TestLinearGaussian:
 
     @staticmethod
     def _lone_chain_bits(P, ids, states):
-        grad, hess = P.step_providers(ids[:, None], np.full(P.dim, 3.0))
+        grad, hess = P.step_providers(ids[:, None])
         return [(grad(j, th).tobytes(), hess(j, th, v).tobytes())
                 for j, (th, v) in enumerate(states)]
 
@@ -355,7 +388,7 @@ class TestLinearGaussian:
         chunks = [BatchSchedule(mode, 3, RngStream(1, c)).take(12)
                   for c, mode in enumerate(["perm", "iid", "full"])]
         alone = [self._lone_chain_bits(P, ids, states) for ids in chunks]
-        providers = [P.step_providers(ids[:, None], np.full(5, 3.0)) for ids in chunks]
+        providers = [P.step_providers(ids[:, None]) for ids in chunks]
         for j, (th, v) in enumerate(states):
             for (grad, hess), want in zip(providers, alone):
                 assert (grad(j, th).tobytes(), hess(j, th, v).tobytes()) == want[j]
@@ -374,7 +407,7 @@ class TestLinearGaussian:
     # the stacked path skips a unit noise variance, unit prior variances and
     # a unit prior weight, and serves an ensemble of full and block rows as
     # one stacked group per contiguous run of each, in row order: every row
-    # must keep the per-row bits, unscaled and times its mini-batch scale
+    # must keep the per-row bits times its mini-batch scale (1 or K)
     @pytest.mark.parametrize("noise_var, prior_var", [
         (1.0, 1.0), (1.5, 1.0), (1.0, [2.0, 0.5, 1.0, 3.0]), (0.7, 2.0)])
     @pytest.mark.parametrize("full", ["FFFFFF", "BBBBBB", "FFBBBB", "BBBBBF", "BFBBFB",
@@ -393,19 +426,15 @@ class TestLinearGaussian:
         groups = P._chunk_groups(ids)
         assert [(rows.start, rows.stop) for rows, _, _ in groups] == runs
         scale = np.array([[1.0 if f == "F" else 8.0] * 4 for f in full])
-        providers = [P.step_providers(ids), P.step_providers(ids, scale)]
+        grad, hess = P.step_providers(ids)
         for j in range(m):
             th, v = (4.0 * rng.normal(R * 4).reshape(R, 4) for _ in range(2))
             keys = ids[j].tolist()
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
             want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
                                for c, k in enumerate(keys)])
-            for (grad, hess), factor in zip(providers, (1.0, scale)):
-                assert grad(j, th).tobytes() == (factor * want_g).tobytes()
-                assert hess(j, th, v).tobytes() == (factor * want_h).tobytes()
-            for arg in (ids[j],) + ((None,) if full == "FFFFFF" else ()):
-                assert P.gradient_many(th, arg).tobytes() == want_g.tobytes()
-                assert P.hessian_vec_many(th, v, arg).tobytes() == want_h.tobytes()
+            assert grad(j, th).tobytes() == (scale * want_g).tobytes()
+            assert hess(j, th, v).tobytes() == (scale * want_h).tobytes()
 
     # the stacked providers hold one step's operands at a time: their
     # traced peak over 1,024 steps is that of 64 steps, give or take a few
@@ -417,7 +446,6 @@ class TestLinearGaussian:
         P = LinearGaussian(rng.normal(32 * 4).reshape(32, 4), rng.normal(32),
                            noise_var=1.5, prior_var=[2.0, 0.5, 1.0, 3.0], n_batches=8)
         full = "FFBBBB"
-        scale = np.array([[1.0 if f == "F" else 8.0] * 4 for f in full])
         th, v = (rng.normal(len(full) * 4).reshape(len(full), 4) for _ in range(2))
         peaks = []
         for m in (64, 1024):
@@ -425,7 +453,7 @@ class TestLinearGaussian:
                                           RngStream(3, c)).take(m)
                             for c, f in enumerate(full)], axis=1)
             assert len(P._chunk_groups(ids)) == 2
-            grad, hess = P.step_providers(ids, scale)
+            grad, hess = P.step_providers(ids)
             grad(0, th)
             hess(0, th, v)
             tracemalloc.start()
@@ -447,10 +475,11 @@ class TestLinearGaussian:
                            noise_var=1.5, prior_var=2.0, n_batches=8)
         ids = np.array([[-1, 3, 5], [-1, -1, 0], [-1, 6, 2], [-1, 1, 7]])
         assert P._chunk_groups(ids) is None
-        scale = np.array([[1.0] * 4, [8.0] * 4, [8.0] * 4])
-        grad, hess = P.step_providers(ids, scale)
+        grad, hess = P.step_providers(ids)
         for j, keys in enumerate(ids.tolist()):
             th, v = (4.0 * rng.normal(3 * 4).reshape(3, 4) for _ in range(2))
+            # each row at its own step's batch: K on a block, 1 on the full
+            scale = np.array([[1.0 if k < 0 else 8.0] * 4 for k in keys])
             want_g = np.stack([P._raw_gradient(th[c], k) for c, k in enumerate(keys)])
             want_h = np.stack([P._raw_hessian_vec(th[c], v[c], k)
                                for c, k in enumerate(keys)])
@@ -514,8 +543,10 @@ class TestLinearGaussian:
                 (g_ref, h_ref), (g, h) = pairs
                 assert g(j, x).tobytes() == g_ref(j, x).tobytes()
                 assert h(j, x, u).tobytes() == h_ref(j, x, u).tobytes()
+                # step j alone, from providers made for it
                 for M in (ref, P):
-                    assert M.gradient_many(th, chunk[j]).tobytes() == g_ref(j, x).tobytes()
+                    g_one, _ = M.step_providers(chunk[j:j + 1])
+                    assert g_one(0, x).tobytes() == g_ref(j, x).tobytes()
                 for c, k in enumerate(keys):
                     batch = None if k < 0 else k
                     assert (P.gradient(th[c], batch).tobytes()
