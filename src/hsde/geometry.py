@@ -74,6 +74,9 @@ def jacobian_fd(spec: IntegratorSpec, P, z, noise, eps: float = 1e-5) -> np.ndar
     if len(noise) != n_draws or any(w.shape != (S, d) for w in noise):
         raise ValueError(f"a {spec.scheme.value} step takes {n_draws} noise draws "
                          f"of shape ({S}, {d})")
+    if n != 2 * P.dim:
+        raise ValueError(f"probe states of width {n} do not fit a potential of "
+                         f"dimension {P.dim}: the width must be 2 * {P.dim}")
     # points[s, 0, c] is state s with column c moved by +eps, points[s, 1, c]
     # by -eps; every other entry keeps its bits
     points = np.repeat(z, 2 * n, axis=0).reshape(S, 2, n, n)

@@ -234,18 +234,21 @@ def error_order_slope(etas, errors) -> tuple:
     ly = np.log(y)
     if np.ptp(lx) == 0:
         raise ValueError("eta grid is degenerate (all equal)")
-    return _fit_slope(lx, ly)
+    slope, r_squared = _fit_slopes(lx, ly[None])
+    return float(slope[0]), float(r_squared[0])
 
 
-def _fit_slope(lx: np.ndarray, ly: np.ndarray) -> tuple:
-    """(slope, r_squared) of the least-squares line through checked logs."""
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(np.dot(resid, resid))
-    dev = ly - ly.mean()
-    ss_tot = float(np.dot(dev, dev))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(r_squared)
+def _fit_slopes(lx: np.ndarray, LY: np.ndarray) -> tuple:
+    """(slopes, r_squared) arrays of the least-squares lines through checked
+    logs, one fit per row of LY, all in one polyfit call. The sums of squares
+    are one BLAS dot per row, as np.dot takes them; a flat row gets r² 1."""
+    slope, intercept = np.polyfit(lx, LY.T, 1)
+    resid = LY - (slope[:, None] * lx + intercept[:, None])
+    dev = LY - LY.mean(axis=1, keepdims=True)
+    ss_res = (resid[:, None] @ resid[:, :, None])[:, 0, 0]
+    ss_tot = (dev[:, None] @ dev[:, :, None])[:, 0, 0]
+    flat = ss_tot == 0.0
+    return slope, np.where(flat, 1.0, 1.0 - ss_res / np.where(flat, 1.0, ss_tot))
 
 
 def spectral_norm(M):
@@ -397,12 +400,14 @@ def _order_pass(drawn: list) -> list:
     # error_order_slope's checks and logs, once for the pass
     if not np.all(np.isfinite(errors)) or np.any(errors <= 0):
         raise ValueError("etas and errors must be finite and > 0")
-    log_errors = np.log(errors)
+    slopes, r_squared = _fit_slopes(_TRIAL_LOG_ETAS,
+                                    np.log(errors).reshape(-1, len(_TRIAL_ETAS)))
     out = []
-    for (t, mats), errs, logs in zip(drawn, errors.tolist(), log_errors):
+    for (t, mats), errs, row_slopes, row_r2 in zip(
+            drawn, errors.tolist(), slopes.reshape(errors.shape[:2]).tolist(),
+            r_squared.reshape(errors.shape[:2]).tolist()):
         k, n, _ = mats.shape
-        for mode, e, ly in zip(_TRIAL_MODES, errs, logs):
-            slope, r2 = _fit_slope(_TRIAL_LOG_ETAS, ly)
+        for mode, e, slope, r2 in zip(_TRIAL_MODES, errs, row_slopes, row_r2):
             out.append(OrderTrial(trial=t, n_parts=k, dim=n, mode=mode,
                                   etas=_TRIAL_ETAS, errors=tuple(e), slope=slope,
                                   r_squared=r2))

@@ -590,6 +590,17 @@ def reference_self_distance(oracle_values, m, reps, rng):
     return tuple(float(q) for q in np.quantile(dists, [0.05, 0.5, 0.95]))
 
 
+def reference_fit_slope(lx, ly):
+    """(slope, r_squared) of the least-squares line through one row of logs:
+    np.polyfit on that row alone, the sums of squares through np.dot, and
+    r_squared 1 for a flat row."""
+    slope, intercept = np.polyfit(lx, ly, 1)
+    resid = ly - (slope * lx + intercept)
+    dev = ly - ly.mean()
+    ss_res, ss_tot = float(np.dot(resid, resid)), float(np.dot(dev, dev))
+    return float(slope), 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+
+
 def reference_order_trials(n_trials, rng, etas, modes, k_choices, n_choices):
     """Splitting-order trials with every product mode built from the public
     `splitting_product` / `randomized_expectation`, the exact semigroup

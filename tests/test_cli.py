@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from hsde.chain import ChainConfig
 from hsde.cli import main
 
-from .oracles import REFERENCE_TOY, reference_exact_chain
+from .oracles import REFERENCE_TOY, reference_exact_chain, reference_ks_vs_gaussian
 
 
 @pytest.fixture()
@@ -65,6 +65,21 @@ class TestSample:
         assert meta["eta"] == "0.3"
         assert meta["kept"] == "50"
         assert "ks_coord0" in meta and "wall_time_s" in meta
+
+    def test_ks_of_a_50000_sample_trace_is_the_reference_value(self, runner, tmp_path):
+        # the KS of a long trace is pruned to the blocks that can hold the
+        # sup; meta.txt alone carries it, and no digest pins meta.txt
+        from hsde import repro
+
+        args = ["sample", "--model", "lingauss", "--scheme", "leapfrog", "--K", "8",
+                "--mode", "iid", "--n", "50000", "--thin", "1", "--seed", "0"]
+        run_ok(runner, args + ["--out", str(tmp_path)])
+        theta0 = np.sort(np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1,
+                                    usecols=2))
+        post = repro.build_model("lingauss", 8).analytic_posterior()
+        want = reference_ks_vs_gaussian(theta0, post.mean[0], post.cov[0, 0])
+        assert theta0.size == 50_000
+        assert float(read_meta(tmp_path)["ks_coord0"]) == want
 
     @pytest.mark.parametrize("args", [
         ["--model", "toy", "--scheme", "exact", "--mode", "iid"],

@@ -367,6 +367,19 @@ class TestProbeStack:
         with pytest.raises(ValueError, match=r"noise draws of shape \(1, 3\)"):
             jacobian_fd(spec, quadratic(2), np.zeros((1, 6)), [np.zeros((1, 2))])
 
+    def test_rejects_a_width_that_does_not_fit_the_potential(self, monkeypatch):
+        # width 6 with matching draws reads d = 3; the potential has d = 2
+        from hsde import geometry
+
+        def no_step(spec):
+            raise AssertionError("a stepper was built before the width was checked")
+
+        monkeypatch.setattr(geometry, "compile_step", no_step)
+        with pytest.raises(ValueError, match=r"width 6 .*dimension 2"):
+            jacobian_fd(IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=1.0),
+                        LinearGaussian(np.zeros((1, 2)), [0.0], noise_var=1.0, prior_var=1.0),
+                        np.zeros((1, 6)), [np.zeros((1, 3))])
+
     def test_residual_rejects_odd_stacks(self):
         with pytest.raises(ValueError):
             symplectic_residual(np.zeros((2, 3, 3)))

@@ -160,8 +160,9 @@ class TestKsVsGaussian:
         assert ks_vs_gaussian(a, mean, var) == reference_ks_vs_gaussian(a.values, mean, var)
         assert a.values.tobytes() == before.tobytes()
 
-    def test_working_memory_is_two_sample_length_arrays(self):
-        # the CDF values and one gap array; the erf works a block at a time
+    def test_working_memory_is_under_0_4_sample_length_arrays(self):
+        # the CDF is taken at block ends and in the blocks that can hold the
+        # sup only: the peak is about 0.36 of one n-length array here
         n = 100_000
         a = EmpiricalSample(np.random.default_rng(8).normal(0.3, 1.7, size=n))
         want = reference_ks_vs_gaussian(a.values, 0.2, 2.5)
@@ -172,13 +173,27 @@ class TestKsVsGaussian:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < 2.25 * 8 * n
+        assert peak < 0.4 * 8 * n
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
             ks_vs_gaussian(EmpiricalSample([0.0]), 0.0, 0.0)
         with pytest.raises(ValueError):
             ks_vs_gaussian(EmpiricalSample([0.0]), 0.0, -1.0)
+
+    @pytest.mark.parametrize("mean, variance, name", [
+        (math.nan, 1.0, "mean"), (math.inf, 1.0, "mean"), (-math.inf, 1.0, "mean"),
+        (0.0, math.nan, "variance"), (0.0, math.inf, "variance")])
+    def test_rejects_nonfinite_mean_or_variance(self, monkeypatch, mean, variance, name):
+        # a NaN would pass silently, and an infinite one reads 0.5 or 1.0
+        from hsde import metrics
+
+        def no_erf(*_args, **_kw):
+            raise AssertionError("erf ran before the arguments were checked")
+
+        monkeypatch.setattr(metrics, "_erf", no_erf)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ks_vs_gaussian(EmpiricalSample([0.1, 0.5, -0.3]), mean, variance)
 
     @settings(deadline=None, max_examples=40)
     @given(
@@ -189,6 +204,57 @@ class TestKsVsGaussian:
         a, b = EmpiricalSample(xs), EmpiricalSample(ys)
         gap = abs(ks_vs_gaussian(a, 0.0, 1.0) - ks_vs_gaussian(b, 0.0, 1.0))
         assert gap <= kolmogorov_distance(a, b) + 2.0 / min(a.n, b.n) + 1e-12
+
+
+def ks_samples(n):
+    rng = np.random.default_rng(n)
+    return {
+        "near": rng.normal(0.2, np.sqrt(2.5), n),
+        "shifted": rng.normal(1.5, 0.6, n),
+        "heavy": 0.2 + rng.standard_t(1.5, n),
+        "tied": np.round(rng.normal(0.2, 1.6, n), 2),
+        "beyond-8": rng.choice([-1.0, 1.0], n) * rng.uniform(14.0, 40.0, n),
+        "huge": rng.choice([-1.0, 1.0], n) * rng.uniform(1e307, 1.7e308, n),
+    }
+
+
+class TestKsSupremumBlocks:
+    """Above _KS_BLOCK² points erf runs only in the blocks that can hold the
+    sup; the distance keeps every bit."""
+
+    @pytest.mark.parametrize("n", [1024, 1025, 4096, 50_000, 100_000])
+    @pytest.mark.parametrize("kind", ["near", "shifted", "heavy", "tied", "beyond-8", "huge"])
+    def test_equals_one_temporary_per_operation_formula(self, n, kind):
+        a = EmpiricalSample(ks_samples(n)[kind])
+        with np.errstate(all="ignore"):
+            got = ks_vs_gaussian(a, 0.2, 2.5)
+            want = reference_ks_vs_gaussian(a.values, 0.2, 2.5)
+        assert got.hex() == want.hex()
+
+    def count_erf_points(self, monkeypatch):
+        from hsde import metrics
+
+        seen = []
+
+        def counted(x, out=None):
+            seen.append(len(x))
+            return _erf(x, out)
+
+        monkeypatch.setattr(metrics, "_erf", counted)
+        return seen
+
+    def test_erf_sees_under_a_tenth_of_the_points(self, monkeypatch):
+        seen = self.count_erf_points(monkeypatch)
+        n = 100_000
+        a = EmpiricalSample(np.random.default_rng(8).normal(0.3, 1.7, size=n))
+        assert ks_vs_gaussian(a, 0.2, 2.5) == reference_ks_vs_gaussian(a.values, 0.2, 2.5)
+        assert sum(seen) < 0.1 * n
+
+    @pytest.mark.parametrize("n", [1, 200, 1024])
+    def test_small_samples_take_one_pass(self, monkeypatch, n):
+        seen = self.count_erf_points(monkeypatch)
+        ks_vs_gaussian(EmpiricalSample(np.random.default_rng(n).normal(size=n)), 0.0, 1.0)
+        assert seen == [n]
 
 
 class TestSelfDistance:

@@ -26,6 +26,7 @@ from hsde.operator_lab import (
 from .oracles import (
     expm_pade,
     log_of_product_exp,
+    reference_fit_slope,
     reference_matrix_exp,
     reference_order_trials,
     reference_spectral_norm,
@@ -303,6 +304,35 @@ class TestErrorOrderSlope:
             error_order_slope([0.1, 0.1, 0.1], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             error_order_slope([0.1, 0.05, 0.025], [1.0, 2.0])
+
+
+    @pytest.mark.parametrize("points", [3, 4, 7])
+    def test_keeps_the_one_row_fit_bits(self, points):
+        rng = np.random.default_rng(points)
+        for _ in range(40):
+            etas = np.sort(rng.uniform(1e-3, 1.0, points))
+            errors = rng.uniform(0.5, 2.0) * etas ** rng.uniform(0.5, 4.0) \
+                * np.exp(rng.normal(0.0, 0.1, points))
+            got = error_order_slope(etas, errors)
+            assert got == reference_fit_slope(np.log(etas), np.log(errors))
+
+
+class TestFitSlopes:
+    """A pass's slope fits are one least-squares call with the bits of one
+    fit per row."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 599, 600, 601, 3000])
+    def test_every_row_keeps_its_one_row_bits(self, rows):
+        rng = np.random.default_rng(rows)
+        lx = np.log(np.array(PROTOCOL_ETAS))
+        LY = 3.0 * lx * rng.uniform(0.5, 1.5, (rows, 1)) + rng.normal(0.0, 0.3, (rows, 4))
+        LY[::7] = rng.normal(size=(len(LY[::7]), 1))  # flat rows: r_squared 1
+        with np.errstate(all="raise"):
+            slopes, r_squared = operator_lab._fit_slopes(lx, LY)
+        assert slopes.shape == r_squared.shape == (rows,)
+        for ly, slope, r2 in zip(LY, slopes.tolist(), r_squared.tolist()):
+            assert (slope, r2) == reference_fit_slope(lx, ly)
+        assert np.all(r_squared[::7] == 1.0)
 
 
 class TestSpectralNorm:
@@ -587,6 +617,20 @@ class TestOrderPasses:
         for recorded in sizes.values():
             assert len(recorded) == len(passes)
             assert max(recorded) <= operator_lab._PASS_BYTES
+
+    def test_one_polyfit_call_per_pass(self, monkeypatch):
+        monkeypatch.setattr(operator_lab, "_PASS_BYTES", 20_000)
+        passes = self._record_passes(monkeypatch)
+        fits, polyfit = [], np.polyfit
+
+        def counted(*args, **kw):
+            fits.append(np.shape(args[1]))
+            return polyfit(*args, **kw)
+
+        monkeypatch.setattr(np, "polyfit", counted)
+        run_order_trials(24, RngStream(0, 0), (2, 3, 4, 5, 6), (2, 3, 4, 5, 6, 7, 8))
+        assert len(passes) > 2
+        assert fits == [(len(PROTOCOL_ETAS), 3 * len(p)) for p in passes]
 
     def test_default_choices_run_200_trials_in_one_pass(self, monkeypatch):
         passes = self._record_passes(monkeypatch)
