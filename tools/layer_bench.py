@@ -131,20 +131,17 @@ def _host() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def _child_argv(args, tree: str) -> list:
-    return [sys.executable, os.path.abspath(__file__), "--child", tree,
-            "--reps", str(args.reps), "--chain-reps", str(args.chain_reps),
-            "--ks-n", ",".join(map(str, args.ks_n)), "--fit-rows", str(args.fit_rows),
-            "--trials", str(args.trials), "--exact-n", str(args.exact_n),
-            "--chain-n", str(args.chain_n)]
-
-
 def _run_tree(args, tree: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(tree, "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    done = subprocess.run(_child_argv(args, tree), env=env, capture_output=True, text=True)
+    argv = [sys.executable, os.path.abspath(__file__), "--child",
+            "--reps", str(args.reps), "--chain-reps", str(args.chain_reps),
+            "--ks-n", ",".join(map(str, args.ks_n)), "--fit-rows", str(args.fit_rows),
+            "--trials", str(args.trials), "--exact-n", str(args.exact_n),
+            "--chain-n", str(args.chain_n)]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"the child for {tree} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
@@ -194,7 +191,7 @@ def main(argv=None) -> int:
     parser.add_argument("--trials", type=int, default=200)
     parser.add_argument("--exact-n", type=int, default=20_000)
     parser.add_argument("--chain-n", type=int, default=20_000)
-    parser.add_argument("--child", help=argparse.SUPPRESS)
+    parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
         print(json.dumps(run_child(args)))
