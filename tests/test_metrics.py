@@ -160,20 +160,28 @@ class TestKsVsGaussian:
         assert ks_vs_gaussian(a, mean, var) == reference_ks_vs_gaussian(a.values, mean, var)
         assert a.values.tobytes() == before.tobytes()
 
-    def test_working_memory_is_under_0_4_sample_length_arrays(self):
-        # the CDF is taken at block ends and in the blocks that can hold the
-        # sup only: the peak is about 0.36 of one n-length array here
+    @pytest.mark.parametrize("kind, bound", [("normal", 0.32), ("quantile", 2.25)])
+    def test_working_memory_in_sample_length_arrays(self, kind, bound):
+        # a normal sample keeps few blocks: the CDF is taken at block ends and
+        # in those (0.29 of one n-length array). Quantile-spaced points have
+        # every gap near 1/(2n), so every block is kept: the sample less the
+        # mean turned into its CDF and one rank buffer (2.12), within the
+        # 2.25 a full pass was held to
         n = 100_000
-        a = EmpiricalSample(np.random.default_rng(8).normal(0.3, 1.7, size=n))
-        want = reference_ks_vs_gaussian(a.values, 0.2, 2.5)
+        if kind == "normal":
+            values, mean, var = np.random.default_rng(8).normal(0.3, 1.7, size=n), 0.2, 2.5
+        else:
+            values, mean, var = ndtri((np.arange(n) + 0.5) / n), 0.0, 1.0
+        a = EmpiricalSample(values)
+        want = reference_ks_vs_gaussian(a.values, mean, var)
         tracemalloc.start()
         try:
-            got = ks_vs_gaussian(a, 0.2, 2.5)
+            got = ks_vs_gaussian(a, mean, var)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < 0.4 * 8 * n
+        assert peak < bound * 8 * n
 
     def test_rejects_bad_variance(self):
         with pytest.raises(ValueError):
@@ -219,10 +227,10 @@ def ks_samples(n):
 
 
 class TestKsSupremumBlocks:
-    """Above _KS_BLOCK² points erf runs only in the blocks that can hold the
-    sup; the distance keeps every bit."""
+    """Above one erf block (4,096 points) erf runs only in the blocks that
+    can hold the sup; the distance keeps every bit."""
 
-    @pytest.mark.parametrize("n", [1024, 1025, 4096, 50_000, 100_000])
+    @pytest.mark.parametrize("n", [1024, 1025, 4096, 4097, 4127, 50_000, 100_000])
     @pytest.mark.parametrize("kind", ["near", "shifted", "heavy", "tied", "beyond-8", "huge"])
     def test_equals_one_temporary_per_operation_formula(self, n, kind):
         a = EmpiricalSample(ks_samples(n)[kind])
@@ -230,6 +238,17 @@ class TestKsSupremumBlocks:
             got = ks_vs_gaussian(a, 0.2, 2.5)
             want = reference_ks_vs_gaussian(a.values, 0.2, 2.5)
         assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("n", [4097, 4127, 4128])
+    def test_sup_at_the_last_point(self, n):
+        # a tie at the top puts the sup at rank n - 1, in the last block,
+        # which overlaps the one before it unless 32 divides n
+        values = ndtri((np.arange(n) + 0.5) / n)
+        values[-1] = values[-2]
+        a = EmpiricalSample(values)
+        got = ks_vs_gaussian(a, 0.0, 1.0)
+        assert got.hex() == reference_ks_vs_gaussian(a.values, 0.0, 1.0).hex()
+        assert got > 1.4 / n
 
     def count_erf_points(self, monkeypatch):
         from hsde import metrics
@@ -250,7 +269,7 @@ class TestKsSupremumBlocks:
         assert ks_vs_gaussian(a, 0.2, 2.5) == reference_ks_vs_gaussian(a.values, 0.2, 2.5)
         assert sum(seen) < 0.1 * n
 
-    @pytest.mark.parametrize("n", [1, 200, 1024])
+    @pytest.mark.parametrize("n", [1, 200, 1024, 4096])
     def test_small_samples_take_one_pass(self, monkeypatch, n):
         seen = self.count_erf_points(monkeypatch)
         ks_vs_gaussian(EmpiricalSample(np.random.default_rng(n).normal(size=n)), 0.0, 1.0)

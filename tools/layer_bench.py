@@ -1,31 +1,28 @@
 """Time hsde's layers in-process, before and after a change.
 
     python tools/layer_bench.py --parent PARENT_TREE --change CHANGE_TREE \
-        [--rounds 10] [--out BENCH_<n>.json]
+        [--out BENCH_<n>.json]
 
-Each tree is a checkout of the repository (it holds `src/hsde`). A round runs
-one child process per tree, in alternating order (parent first in even
-rounds, change first in odd ones); the child imports `hsde` from that tree,
-with single-threaded BLAS, and times each layer through its API with
-`time.perf_counter`, taking the median of a few calls. The output holds, per
-layer and tree, the median and the quartiles over rounds, the median
-change/parent ratio and the number of rounds the change was faster in, with
-each tree's git revision and a sha256 of its `src/hsde`, the host, and the
-Python and numpy versions.
+Each tree is a checkout of the repository (it holds `src/hsde`). Each of
+ROUNDS rounds runs one child process per tree, in alternating order (parent
+first in even rounds, change first in odd ones); the child imports `hsde`
+from that tree, with single-threaded BLAS, and times each layer through its
+API with `time.perf_counter`, taking the median of a few calls. The output
+holds, per layer and tree, the median and the quartiles over rounds, the
+median change/parent ratio and the number of rounds the change was faster
+in, with each tree's git revision and a sha256 of its `src/hsde`, the host,
+and the Python and numpy versions.
 
-The layers:
+The layers, at the sizes set below:
 - `ks_vs_gaussian_n<n>`: `metrics.ks_vs_gaussian` of a standard normal
-  sample of n points against N(0, 1);
-- `fit_slopes_<rows>_rows`: the slope fits of one `run_order_trials` pass
-  over that many 4-point rows (a tree without `operator_lab._fit_slopes`
-  fits row by row with `_fit_slope`, as such a tree's passes do);
+  sample of n points against N(0, 1), for each n in KS_N;
 - `run_order_trials_<n>`: `operator_lab.run_order_trials(n, RngStream(0, 0))`;
 - `exact_kernel_us_per_chain_step`: `toy_exact.run_exact_states` on the
   bottleneck report's four chains (eta 0.4 and 0.01, full and iid), at
-  `--exact-n` kept samples after 2,000 burn-in steps;
+  EXACT_N kept samples after BURN_IN steps;
 - `lone_chain_us_per_step`: `chain.run_chain` of one lingauss K = 8 iid
-  leapfrog chain at the CLI's default eta and friction, at `--chain-n` kept
-  samples after 2,000 burn-in steps.
+  leapfrog chain at the CLI's default eta and friction, at CHAIN_N kept
+  samples after BURN_IN steps.
 """
 
 from __future__ import annotations
@@ -41,6 +38,13 @@ import time
 
 import numpy as np
 
+ROUNDS = 10
+REPS = 15  # timed calls per KS or trial layer
+CHAIN_REPS = 3  # timed calls per chain layer
+KS_N = (200, 1_000, 50_000, 100_000)
+TRIALS = 200
+EXACT_N = 20_000
+CHAIN_N = 20_000
 BURN_IN = 2000
 
 
@@ -54,7 +58,7 @@ def _median_time(fn, reps: int) -> float:
     return float(np.median(times))
 
 
-def run_child(args) -> dict:
+def run_child() -> dict:
     """{layer: (value, unit)} for the hsde on sys.path."""
     from hsde import operator_lab, repro
     from hsde.chain import ChainConfig, run_chain
@@ -65,41 +69,31 @@ def run_child(args) -> dict:
 
     out = {}
     rng = np.random.default_rng(0)
-    for n in args.ks_n:
+    for n in KS_N:
         a = EmpiricalSample(rng.normal(size=n))
         out[f"ks_vs_gaussian_n{n}"] = (
-            1e3 * _median_time(lambda: ks_vs_gaussian(a, 0.0, 1.0), args.reps), "ms")
+            1e3 * _median_time(lambda: ks_vs_gaussian(a, 0.0, 1.0), REPS), "ms")
 
-    lx = operator_lab._TRIAL_LOG_ETAS
-    LY = 2.5 * lx + rng.normal(0.0, 0.1, (args.fit_rows, lx.size))
-    if hasattr(operator_lab, "_fit_slopes"):
-        def fits():
-            return operator_lab._fit_slopes(lx, LY)
-    else:
-        def fits():
-            return [operator_lab._fit_slope(lx, ly) for ly in LY]
-    out[f"fit_slopes_{args.fit_rows}_rows"] = (1e3 * _median_time(fits, args.reps), "ms")
-
-    out[f"run_order_trials_{args.trials}"] = (1e3 * _median_time(
-        lambda: operator_lab.run_order_trials(args.trials, RngStream(0, 0)), args.reps), "ms")
+    out[f"run_order_trials_{TRIALS}"] = (1e3 * _median_time(
+        lambda: operator_lab.run_order_trials(TRIALS, RngStream(0, 0)), REPS), "ms")
 
     toy = repro.build_model("toy", 2)
     runs = [(eta, mode, seed) for eta, seed in ((0.4, 11), (0.01, 12))
             for mode in repro._EXACT_MODES.values()]
     etas, modes, seeds = zip(*runs)
-    cfgs = [ChainConfig(n_samples=args.exact_n, burn_in=BURN_IN, thinning=1, seed=s)
+    cfgs = [ChainConfig(n_samples=EXACT_N, burn_in=BURN_IN, thinning=1, seed=s)
             for s in seeds]
     exact = _median_time(lambda: run_exact_states(
         toy, etas, modes, cfgs, [0] * len(cfgs), keep_momenta=False,
-        friction=repro._EXACT_FRICTION), args.chain_reps)
+        friction=repro._EXACT_FRICTION), CHAIN_REPS)
     out["exact_kernel_us_per_chain_step"] = (
-        1e6 * exact / (len(cfgs) * (BURN_IN + args.exact_n)), "us")
+        1e6 * exact / (len(cfgs) * (BURN_IN + EXACT_N)), "us")
 
     lingauss = repro.build_model("lingauss", 8)
     spec = IntegratorSpec(scheme=Scheme.LEAPFROG, eta=0.1, friction=2.0)
-    cfg = ChainConfig(n_samples=args.chain_n, burn_in=BURN_IN, thinning=1, seed=0)
-    lone = _median_time(lambda: run_chain(lingauss, spec, "iid", cfg), args.chain_reps)
-    out["lone_chain_us_per_step"] = (1e6 * lone / (BURN_IN + args.chain_n), "us")
+    cfg = ChainConfig(n_samples=CHAIN_N, burn_in=BURN_IN, thinning=1, seed=0)
+    lone = _median_time(lambda: run_chain(lingauss, spec, "iid", cfg), CHAIN_REPS)
+    out["lone_chain_us_per_step"] = (1e6 * lone / (BURN_IN + CHAIN_N), "us")
     return out
 
 
@@ -131,17 +125,13 @@ def _host() -> dict:
             "python": platform.python_version(), "numpy": np.__version__}
 
 
-def _run_tree(args, tree: str) -> dict:
+def _run_tree(tree: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(tree, "src")
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
-    argv = [sys.executable, os.path.abspath(__file__), "--child",
-            "--reps", str(args.reps), "--chain-reps", str(args.chain_reps),
-            "--ks-n", ",".join(map(str, args.ks_n)), "--fit-rows", str(args.fit_rows),
-            "--trials", str(args.trials), "--exact-n", str(args.exact_n),
-            "--chain-n", str(args.chain_n)]
-    done = subprocess.run(argv, env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, os.path.abspath(__file__), "--child"],
+                          env=env, capture_output=True, text=True)
     if done.returncode != 0:
         raise RuntimeError(f"the child for {tree} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
@@ -153,52 +143,40 @@ def _summary(values) -> dict:
             "rounds": [float(v) for v in values]}
 
 
-def run_rounds(args) -> dict:
-    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+def run_rounds(parent: str, change: str) -> dict:
+    trees = {"parent": os.path.abspath(parent), "change": os.path.abspath(change)}
     results = {"parent": [], "change": []}
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         for role in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            results[role].append(_run_tree(args, trees[role]))
+            results[role].append(_run_tree(trees[role]))
     layers = {}
     for name, (_, unit) in results["parent"][0].items():
         before = np.array([r[name][0] for r in results["parent"]])
         after = np.array([r[name][0] for r in results["change"]])
         layers[name] = {"unit": unit, "parent": _summary(before), "change": _summary(after),
                         "ratio_median": float(np.median(after / before)),
-                        "change_faster_in": f"{int(np.sum(after < before))}/{args.rounds}"}
-    return {"tool": "tools/layer_bench.py", "rounds": args.rounds,
-            "sizes": {"ks_n": args.ks_n, "fit_rows": args.fit_rows, "trials": args.trials,
-                      "exact_n": args.exact_n, "chain_n": args.chain_n, "burn_in": BURN_IN,
-                      "reps": args.reps, "chain_reps": args.chain_reps},
+                        "change_faster_in": f"{int(np.sum(after < before))}/{ROUNDS}"}
+    return {"tool": "tools/layer_bench.py", "rounds": ROUNDS,
+            "sizes": {"ks_n": list(KS_N), "trials": TRIALS, "exact_n": EXACT_N,
+                      "chain_n": CHAIN_N, "burn_in": BURN_IN, "reps": REPS,
+                      "chain_reps": CHAIN_REPS},
             "host": _host(), "trees": {role: _tree_info(t) for role, t in trees.items()},
             "layers": layers}
-
-
-def _ints(text: str) -> list:
-    return [int(v) for v in text.split(",")]
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", help="checkout before the change")
     parser.add_argument("--change", help="checkout with the change")
-    parser.add_argument("--rounds", type=int, default=10)
     parser.add_argument("--out", help="JSON output path (default: standard output)")
-    parser.add_argument("--reps", type=int, default=15, help="timed calls per short layer")
-    parser.add_argument("--chain-reps", type=int, default=3, help="timed calls per chain layer")
-    parser.add_argument("--ks-n", type=_ints, default=[200, 50_000, 100_000])
-    parser.add_argument("--fit-rows", type=int, default=600)
-    parser.add_argument("--trials", type=int, default=200)
-    parser.add_argument("--exact-n", type=int, default=20_000)
-    parser.add_argument("--chain-n", type=int, default=20_000)
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.child:
-        print(json.dumps(run_child(args)))
+        print(json.dumps(run_child()))
         return 0
-    if not (args.parent and args.change) or args.rounds < 1:
-        parser.error("--parent and --change are required, and --rounds must be >= 1")
-    text = json.dumps(run_rounds(args), indent=1) + "\n"
+    if not (args.parent and args.change):
+        parser.error("--parent and --change are required")
+    text = json.dumps(run_rounds(args.parent, args.change), indent=1) + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
