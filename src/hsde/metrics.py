@@ -58,16 +58,14 @@ def kolmogorov_distance(a: EmpiricalSample, b: EmpiricalSample) -> float:
 
 def ks_vs_gaussian(a: EmpiricalSample, mean: float, variance: float) -> float:
     """One-sample Kolmogorov distance against N(mean, variance): the sup over
-    the sorted points of the gap between the Gaussian CDF F and the left and
-    right limits of the empirical CDF.
+    the sorted points of the Gaussian CDF F's gaps to the empirical CDF's
+    left and right limits.
 
-    Above one erf block (_ERF_BLOCK points) F is first taken at the ends of
-    each block of _KS_BLOCK points. F and the ranks both increase, so every gap in block
-    [lo, hi] is at most (hi+1)/n - F(x_lo) or F(x_hi) - lo/n. The block
-    holding the sup has a bound at least the largest gap at any block end,
-    so only the blocks whose bound reaches that gap are evaluated in full.
-    F is elementwise, so each point keeps the bits of a full pass and the
-    result is the same.
+    Above one erf block of points F is first taken at the ends of each block
+    of _KS_BLOCK points. F and the ranks both increase, so every gap in block
+    [lo, hi] is at most (hi+1)/n - F(x_lo) or F(x_hi) - lo/n, and only the
+    blocks whose bound reaches the largest gap at a block end can hold the
+    sup. F is elementwise, so their points keep the bits of a full pass.
     """
     mean, variance = float(mean), float(variance)
     if not math.isfinite(mean):
@@ -75,27 +73,23 @@ def ks_vs_gaussian(a: EmpiricalSample, mean: float, variance: float) -> float:
     if not (math.isfinite(variance) and variance > 0):
         raise ValueError(f"variance must be finite and > 0, got {variance}")
     x, n = a.values, a.n
-    if n <= _ERF_BLOCK:
-        starts, length, z = np.zeros(1, np.int64), n, x - mean
+    if n <= _ERF_BLOCK:  # one pass timed faster up to 4,096 points, slower from 4,600
+        first, length, z = 0, n, x - mean
     else:
-        starts, length = _sup_blocks(x, mean, variance), _KS_BLOCK
-        z = x[starts[:, None] + np.arange(length)].ravel() - mean
+        # column j of the points taken is the block starting at first[j]
+        first, length = _sup_blocks(x, mean, variance), _KS_BLOCK
+        z = x[first + np.arange(length)[:, None]].ravel() - mean
     # z, the CDF and one rank buffer are the only arrays of its length
-    return float(_max_gap(_cdf(z, variance), starts, length, n))
+    return float(_max_gap(_cdf(z, variance), first, length, n))
 
 
-# blocks of 32 points; one erf block or less takes one pass, which timed
-# faster up to 4,096 points and slower from 4,600
 _KS_BLOCK = 32
-# added to each block's bound: covers an erf that is not monotone in its
-# last bits
-_KS_SLACK = 1e-12
+_KS_SLACK = 1e-12  # covers an erf that is not monotone in its last bits
 
 
 def _sup_blocks(x: np.ndarray, mean: float, variance: float) -> np.ndarray:
-    """The first ranks of the blocks of _KS_BLOCK sorted points x whose bound
-    reaches the largest gap at a block end. The last block ends at point
-    n - 1 and may overlap the one before it."""
+    """The first ranks of the blocks whose bound reaches the largest gap at a
+    block end; the last block ends at point n - 1, overlapping the one before."""
     n = x.size
     lo = np.minimum(np.arange(0, n, _KS_BLOCK), n - _KS_BLOCK)
     hi = lo + (_KS_BLOCK - 1)
@@ -115,19 +109,18 @@ def _cdf(z: np.ndarray, variance: float) -> np.ndarray:
     return z
 
 
-def _max_gap(cdf: np.ndarray, starts: np.ndarray, length: int, n: int) -> float:
-    """max over points of |(i+1)/n - F| and |i/n - F|, the gaps to the
-    empirical CDF's right and left limits, for the ranks i = starts[j] + c,
-    c < length; computed in one rank buffer."""
-    gap = np.empty((starts.size, length))
+def _max_gap(cdf: np.ndarray, first, length: int, n: int) -> float:
+    """max of |(i+1)/n - F| and |i/n - F|, F's gaps to the empirical CDF's
+    limits, over the ranks i = first + c, c < length, each block a column."""
+    first = np.asarray(first, dtype=np.float64)  # no casts while broadcasting
     maxes = []
     for shift in (1, 0):
-        np.copyto(gap, starts[:, None])
-        gap += np.arange(shift, length + shift, dtype=np.float64)
+        gap = first + np.arange(shift, length + shift, dtype=np.float64)[:, None]
         gap /= n
         gap -= cdf.reshape(gap.shape)
         np.abs(gap, out=gap)
         maxes.append(gap.max())
+        del gap  # one rank buffer at a time
     return max(maxes)
 
 

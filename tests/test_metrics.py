@@ -165,7 +165,7 @@ class TestKsVsGaussian:
         # a normal sample keeps few blocks: the CDF is taken at block ends and
         # in those (0.29 of one n-length array). Quantile-spaced points have
         # every gap near 1/(2n), so every block is kept: the sample less the
-        # mean turned into its CDF and one rank buffer (2.12), within the
+        # mean turned into its CDF and one rank buffer (2.07), within the
         # 2.25 a full pass was held to
         n = 100_000
         if kind == "normal":
